@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-json bench-udp bench-wal bench-zipf bench-ro bench-shard chaos check
+.PHONY: build test race vet bench bench-suite bench-compare bench-json bench-udp bench-wal bench-zipf bench-ro bench-shard chaos check
 
 build:
 	$(GO) build ./...
@@ -8,8 +8,11 @@ build:
 test:
 	$(GO) test ./...
 
+# Under -race the root, chaos, transport, faultnet, coordinator and replica
+# suites run with released messages poisoned instead of pooled
+# (message.SetPoisonOnRelease), so a use-after-release is loud.
 race:
-	$(GO) test -race ./internal/...
+	$(GO) test -race -count=1 . ./internal/...
 
 vet:
 	$(GO) vet ./...
@@ -22,6 +25,20 @@ chaos:
 	$(GO) test -race -count=1 -run 'TestChaos' -v ./internal/chaos/
 
 check: build vet test race
+
+# The standing benchmark (BENCHMARK.json, benchmark/README.md): every
+# workload end to end and per layer, RUNS times on SEED, written to OUT; and
+# the verdict per (workload, metric) between two such files, exit 1 past a
+# bound. For a change that claims a gain, build A at the parent commit and B
+# at the change, alternating which runs first.
+SEED ?= 1
+RUNS ?= 1
+OUT ?= benchmark/out/suite.json
+bench-suite:
+	$(GO) run ./benchmark -seed $(SEED) -runs $(RUNS) -out $(OUT)
+
+bench-compare:
+	$(GO) run ./benchmark -compare $(A) $(B)
 
 # Hot-path microbenchmarks with allocation counts: codec encode/decode with
 # and without pooling, inproc request/reply round trips, and the lock-free

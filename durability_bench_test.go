@@ -35,7 +35,7 @@ func newDurableHotpathCluster(tb testing.TB, nkeys int) (*meerkat.Cluster, *meer
 // TestCommitDurableAllocGate pins the commit hot path's allocation count
 // with SyncBatch durability enabled: appending the commit record to the
 // per-core write-ahead log must stay allocation-free steady-state (persistent
-// scratch message, reused pending buffer), so the gate is the same ≤19 as
+// scratch message, reused pending buffer), so the gate is the same ≤ 9 as
 // the in-memory path.
 func TestCommitDurableAllocGate(t *testing.T) {
 	if raceEnabled {
@@ -61,8 +61,8 @@ func TestCommitDurableAllocGate(t *testing.T) {
 	}
 	time.Sleep(10 * time.Millisecond)
 	allocs := testing.AllocsPerRun(1000, commit)
-	if allocs > 19 {
-		t.Fatalf("durable commit allocated %v objects/op, want <= 19 (same gate as in-memory)", allocs)
+	if allocs > 9 {
+		t.Fatalf("durable commit allocated %v objects/op, want <= 9 (same gate as in-memory)", allocs)
 	}
 }
 

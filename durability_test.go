@@ -35,7 +35,9 @@ func dval(i int) []byte { return []byte(fmt.Sprintf("dv%03d", i)) }
 // the recovered replica's store is exactly equal to a replica that never
 // crashed.
 func TestDurableCrashRecoveryEquivalence(t *testing.T) {
-	c := newTestCluster(t, durableConfig(t.TempDir()))
+	dir := t.TempDir()
+	verifyCleanShutdown(t, dir)
+	c := newTestCluster(t, durableConfig(dir))
 	cl := newTestClient(t, c)
 
 	for i := 0; i < 30; i++ {
@@ -95,6 +97,7 @@ func TestDurableCrashRecoveryEquivalence(t *testing.T) {
 // key must come back, with no surviving donor to copy from.
 func TestDurableFullClusterRestart(t *testing.T) {
 	dir := t.TempDir()
+	verifyCleanShutdown(t, dir)
 	cfg := durableConfig(dir)
 
 	c, err := NewCluster(cfg)
@@ -140,6 +143,7 @@ func TestDurableFullClusterRestart(t *testing.T) {
 // pre- and post-snapshot writes come back.
 func TestDurableSnapshotRestart(t *testing.T) {
 	dir := t.TempDir()
+	verifyCleanShutdown(t, dir)
 	cfg := durableConfig(dir)
 
 	c, err := NewCluster(cfg)
@@ -197,6 +201,7 @@ func TestDurableSnapshotRestart(t *testing.T) {
 // common record plus one record only it retained.
 func TestDurableBootReconcile(t *testing.T) {
 	dir := t.TempDir()
+	verifyCleanShutdown(t, dir)
 	cfg := durableConfig(dir)
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
@@ -244,7 +249,9 @@ func TestDurableBootReconcile(t *testing.T) {
 // after timestamp assignment) must still reach the recovering replica, or it
 // would permanently serve stale data for that key.
 func TestDurableOldTimestampDelta(t *testing.T) {
-	c := newTestCluster(t, durableConfig(t.TempDir()))
+	dir := t.TempDir()
+	verifyCleanShutdown(t, dir)
+	c := newTestCluster(t, durableConfig(dir))
 	cl := newTestClient(t, c)
 
 	for i := 0; i < 20; i++ {
@@ -280,6 +287,7 @@ func TestDurableSyncPolicies(t *testing.T) {
 	for _, sync := range []SyncPolicy{SyncNone, SyncBatch, SyncAlways} {
 		t.Run(sync.String(), func(t *testing.T) {
 			dir := t.TempDir()
+			verifyCleanShutdown(t, dir)
 			cfg := durableConfig(dir)
 			cfg.Durability.Sync = sync
 			c, err := NewCluster(cfg)

@@ -12,6 +12,7 @@ import (
 )
 
 func TestCrashedReplicaTxnsContinue(t *testing.T) {
+	verifyCleanShutdown(t, "")
 	// With one of three replicas down, the fast quorum (3) is unreachable
 	// but the majority (2) is: every transaction takes the slow path and
 	// still commits.
@@ -35,6 +36,7 @@ func TestCrashedReplicaTxnsContinue(t *testing.T) {
 }
 
 func TestMinorityCrashTolerated5Replicas(t *testing.T) {
+	verifyCleanShutdown(t, "")
 	c := newTestCluster(t, Config{Replicas: 5, CommitTimeout: 50 * time.Millisecond})
 	cl := newTestClient(t, c)
 	c.CrashReplica(0, 1)
@@ -47,6 +49,7 @@ func TestMinorityCrashTolerated5Replicas(t *testing.T) {
 }
 
 func TestReplicaRecoveryRestoresState(t *testing.T) {
+	verifyCleanShutdown(t, "")
 	c := newTestCluster(t, Config{CommitTimeout: 50 * time.Millisecond})
 	cl := newTestClient(t, c)
 
@@ -88,6 +91,7 @@ func TestReplicaRecoveryRestoresState(t *testing.T) {
 }
 
 func TestEpochChangeIdle(t *testing.T) {
+	verifyCleanShutdown(t, "")
 	c := newTestCluster(t, Config{})
 	cl := newTestClient(t, c)
 	if err := cl.Put("k", []byte("v1")); err != nil {
@@ -110,6 +114,7 @@ func TestEpochChangeIdle(t *testing.T) {
 }
 
 func TestEpochChangeUnderLoad(t *testing.T) {
+	verifyCleanShutdown(t, "")
 	// Run epoch changes while clients hammer a counter: no lost updates
 	// allowed even though validation pauses and in-flight transactions get
 	// reconciled by the merge.
@@ -181,6 +186,7 @@ func TestEpochChangeUnderLoad(t *testing.T) {
 }
 
 func TestSerializabilityUnderMessageLoss(t *testing.T) {
+	verifyCleanShutdown(t, "")
 	// 2% message loss, concurrent clients on a small hot keyspace, sweeper
 	// enabled to finish orphaned transactions. The committed history must
 	// be one-copy serializable in timestamp order.
@@ -244,6 +250,7 @@ func TestSerializabilityUnderMessageLoss(t *testing.T) {
 }
 
 func TestSerializabilityUnderCrashRecovery(t *testing.T) {
+	verifyCleanShutdown(t, "")
 	c := newTestCluster(t, Config{
 		Cores:         2,
 		CommitTimeout: 30 * time.Millisecond,
@@ -311,6 +318,7 @@ func TestSerializabilityUnderCrashRecovery(t *testing.T) {
 }
 
 func TestSweeperFinishesOrphanedTxns(t *testing.T) {
+	verifyCleanShutdown(t, "")
 	// Stop a client mid-protocol is hard from the public API, so approximate
 	// a failed coordinator with heavy message loss and verify the sweeper
 	// keeps the system live: after the noise, fresh transactions commit.

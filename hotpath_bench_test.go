@@ -71,8 +71,10 @@ func BenchmarkTxnTimeline10(b *testing.B) {
 // TestCommitSinglePartitionAllocGate pins the single-partition commit's
 // allocation count, end to end (coordinator + transport + all three
 // replicas' handler goroutines, since AllocsPerRun counts global mallocs).
-// The pre-batching baseline was 39 allocs/op; the churn-free fan-out must
-// stay at or below half that.
+// The pre-batching baseline was 39 allocs/op and the churn-free fan-out 18,
+// eleven of them the message structs of one commit (read + reply, three
+// validates + replies, three commits). With every message recycled by its
+// final consumer the commit measures 8; the gate is measured + 1.
 func TestCommitSinglePartitionAllocGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation adds allocations; gate runs without -race")
@@ -91,8 +93,8 @@ func TestCommitSinglePartitionAllocGate(t *testing.T) {
 	}
 	commit() // warm the coordinator's reusable timers and scratch
 	allocs := testing.AllocsPerRun(200, commit)
-	if allocs > 19 {
-		t.Fatalf("single-partition commit allocated %v objects/op, want <= 19 (baseline before de-churn: 39)", allocs)
+	if allocs > 9 {
+		t.Fatalf("single-partition commit allocated %v objects/op, want <= 9 (18 before messages were recycled)", allocs)
 	}
 }
 
@@ -112,10 +114,11 @@ func BenchmarkCommitIncrement(b *testing.B) {
 	}
 }
 
-// TestCommitIncrementAllocGate pins the op-only commit's allocation count to
-// the same ceiling as the read-modify-write gate: shipping the operation
-// instead of read-version + blind write must not add hot-path churn (the op
-// entries ride the same pooled messages and scratch buffers).
+// TestCommitIncrementAllocGate pins the op-only commit's allocation count:
+// shipping the operation instead of read-version + blind write must not add
+// hot-path churn (the op entries ride the same pooled messages and scratch
+// buffers). It measures 10 — each replica materializes the merged value —
+// against 19 before messages were recycled; the gate is measured + 1.
 func TestCommitIncrementAllocGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation adds allocations; gate runs without -race")
@@ -130,7 +133,7 @@ func TestCommitIncrementAllocGate(t *testing.T) {
 	}
 	commit() // warm the coordinator's reusable timers and scratch
 	allocs := testing.AllocsPerRun(200, commit)
-	if allocs > 19 {
-		t.Fatalf("op-only commit allocated %v objects/op, want <= 19 (same gate as the RMW commit)", allocs)
+	if allocs > 11 {
+		t.Fatalf("op-only commit allocated %v objects/op, want <= 11 (19 before messages were recycled)", allocs)
 	}
 }

@@ -1,13 +1,8 @@
 //go:build race
 
-package transport
+package chaos
 
 import "meerkat/internal/message"
-
-// raceEnabled reports whether the race detector is on. Race instrumentation
-// adds bookkeeping allocations, so the allocation-count gates are
-// meaningless under -race and skip themselves.
-const raceEnabled = true
 
 // Under -race this package's tests run with released messages poisoned
 // instead of pooled (see message.SetPoisonOnRelease), making any

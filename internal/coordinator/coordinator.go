@@ -137,13 +137,15 @@ type phaseTimers struct {
 
 // broadcast hands one copy of req per destination in group to ep as a single
 // batch — one syscall on the real wire instead of one per replica. Every
-// destination gets a freshly allocated copy (the transport owns a message
-// once handed over, and stamps Src per send), while the Outgoing headers
-// live in the caller's scratch, which is returned for reuse.
+// destination gets its own pooled copy (the transport owns a message once
+// handed over, stamps Src per send, and its receiver recycles it); the
+// copies share req's payload slices, which no receiver writes. req stays the
+// caller's, and the Outgoing headers live in the caller's scratch, which is
+// returned for reuse.
 func broadcast(ep transport.Endpoint, group []message.Addr, req *message.Message, scratch []transport.Outgoing) []transport.Outgoing {
 	outs := scratch[:0]
 	for _, dst := range group {
-		m := new(message.Message)
+		m := message.AcquireMessage()
 		*m = *req
 		outs = append(outs, transport.Outgoing{Dst: dst, M: m})
 	}
@@ -231,7 +233,7 @@ type Coordinator struct {
 	// Per-coordinator scratch, reused across operations (the coordinator is
 	// single-goroutine by contract). None of it is ever placed into a sent
 	// message: the transport may deliver a message after the send times out
-	// here, so anything a message carries must be freshly allocated.
+	// here, so the slices a message carries must never be written again.
 	rt         rtimer      // Read/ReadMany retry deadline
 	pt         phaseTimers // validate-phase timers for inline (single-partition) commits
 	done       chan int    // multi-partition commit fan-in, reused across commits
@@ -414,8 +416,9 @@ func (c *Coordinator) ReadCtx(ctx context.Context, key string) (value []byte, ve
 		r := c.rng.Intn(c.cfg.Topo.Replicas)
 		core := uint32(c.rng.Intn(c.cfg.Topo.Cores))
 		dst := c.cfg.Topo.ReplicaAddr(p, r, core)
-		err = c.readEp.Send(dst, &message.Message{Type: message.TypeRead, Key: key, Seq: seq, MapVersion: c.mapVersion()})
-		if err != nil {
+		req := message.AcquireMessage()
+		req.Type, req.Key, req.Seq, req.MapVersion = message.TypeRead, key, seq, c.mapVersion()
+		if err = c.readEp.Send(dst, req); err != nil {
 			return nil, timestamp.Timestamp{}, false, err
 		}
 		deadline := c.rt.arm(budget)
@@ -423,10 +426,16 @@ func (c *Coordinator) ReadCtx(ctx context.Context, key string) (value []byte, ve
 		for {
 			select {
 			case m := <-c.readInbox.C:
-				if m.Type != message.TypeReadReply || m.Seq != seq {
-					continue // stale reply
+				// The reply is consumed here: copy out what the caller
+				// gets, then recycle the struct.
+				stale := m.Type != message.TypeReadReply || m.Seq != seq
+				wrongShard := m.WrongShard
+				value, version, ok = m.Value, m.TS, m.OK
+				message.ReleaseMessage(m)
+				if stale {
+					continue
 				}
-				if m.WrongShard {
+				if wrongShard {
 					// Routed with a stale map. If the refresh advanced it,
 					// the next attempt re-routes (reads are idempotent);
 					// otherwise the split is still mid-fence and the caller
@@ -437,7 +446,7 @@ func (c *Coordinator) ReadCtx(ctx context.Context, key string) (value []byte, ve
 					}
 					break wait
 				}
-				return m.Value, m.TS, m.OK, nil
+				return value, version, ok, nil
 			case <-ctx.Done():
 				break wait
 			case <-deadline:
@@ -450,14 +459,16 @@ func (c *Coordinator) ReadCtx(ctx context.Context, key string) (value []byte, ve
 
 // sendMultiRead fires one batched read at a uniformly chosen replica core of
 // partition p, through the partition's commit endpoint so the reply lands on
-// a queue no other partition shares. The message — and the keys slice inside
-// it — belongs to the transport once sent and is freshly allocated by the
-// caller per ReadMany, never a reused scratch.
+// a queue no other partition shares. The message belongs to the transport
+// once sent, and the keys slice inside it is read by the replica whenever it
+// arrives: the caller allocates it per ReadMany, never a reused scratch.
 func (c *Coordinator) sendMultiRead(p int, keys []string, seq uint64) error {
 	r := c.rng.Intn(c.cfg.Topo.Replicas)
 	core := uint32(c.rng.Intn(c.cfg.Topo.Cores))
 	dst := c.cfg.Topo.ReplicaAddr(p, r, core)
-	return c.commitEps[p].Send(dst, &message.Message{Type: message.TypeMultiRead, Keys: keys, Seq: seq, MapVersion: c.mapVersion()})
+	req := message.AcquireMessage()
+	req.Type, req.Keys, req.Seq, req.MapVersion = message.TypeMultiRead, keys, seq, c.mapVersion()
+	return c.commitEps[p].Send(dst, req)
 }
 
 // ReadMany performs one batched execution phase over keys: the keys are
@@ -586,10 +597,22 @@ func (c *Coordinator) ReadManyCtx(ctx context.Context, keys []string) ([]message
 						break wait
 					}
 				}
-				if m.Type != message.TypeMultiReadReply || m.Seq != seq {
+				// The reply is consumed here: the results move into out (the
+				// value bytes are the replica's immutable version storage)
+				// and the struct is recycled.
+				stale := m.Type != message.TypeMultiReadReply || m.Seq != seq
+				wrongShard := m.WrongShard
+				if !stale && !wrongShard && len(m.Reads) == want {
+					for j := range m.Reads {
+						out[origIdx[off[p]+j]] = m.Reads[j]
+					}
+					got = true
+				}
+				message.ReleaseMessage(m)
+				if stale {
 					continue // stale reply from an earlier operation
 				}
-				if m.WrongShard {
+				if wrongShard {
 					// The whole grouping was computed from a stale map:
 					// refresh and make the caller re-issue the batch, which
 					// will regroup every key under the new map.
@@ -597,14 +620,10 @@ func (c *Coordinator) ReadManyCtx(ctx context.Context, keys []string) ([]message
 					c.noteRedirect()
 					return nil, ErrWrongShard
 				}
-				if len(m.Reads) != want {
-					continue // stale reply from an earlier operation
+				if got {
+					break wait
 				}
-				for j := range m.Reads {
-					out[origIdx[off[p]+j]] = m.Reads[j]
-				}
-				got = true
-				break wait
+				// Wrong length: a stale reply from an earlier operation.
 			}
 		}
 		if !got {
@@ -1336,15 +1355,19 @@ func (c *Coordinator) validatePhase(ctx context.Context, p int, txn *message.Txn
 					break collect
 				}
 			}
-			if m.Type != message.TypeValidateReply || m.TID != txn.ID {
+			// The reply is consumed here: a validate-reply is all scalars.
+			stale := m.Type != message.TypeValidateReply || m.TID != txn.ID
+			replica, wrongShard, status := m.ReplicaID, m.WrongShard, m.Status
+			message.ReleaseMessage(m)
+			if stale {
 				continue
 			}
-			if m.ReplicaID >= 64 || seen&(1<<m.ReplicaID) != 0 {
+			if replica >= 64 || seen&(1<<replica) != 0 {
 				continue
 			}
-			seen |= 1 << m.ReplicaID
+			seen |= 1 << replica
 			replied++
-			if m.WrongShard {
+			if wrongShard {
 				// The replica refused: under its current map it no longer
 				// owns part of this piece — a shard split sealed the range
 				// between the client's routing decision and this validate.
@@ -1352,7 +1375,7 @@ func (c *Coordinator) validatePhase(ctx context.Context, p int, txn *message.Txn
 				// seal decides (below) whether a plain abort is safe.
 				countWrong++
 			} else {
-				switch m.Status {
+				switch status {
 				case message.StatusValidatedOK:
 					countOK++
 				case message.StatusValidatedAbort:
@@ -1464,22 +1487,26 @@ func (c *Coordinator) slowPath(ctx context.Context, p int, txn *message.Txn, ts 
 					break collect
 				}
 			}
-			if m.Type != message.TypeAcceptReply || m.TID != txn.ID {
+			// The reply is consumed here: an accept-reply is all scalars.
+			stale := m.Type != message.TypeAcceptReply || m.TID != txn.ID
+			ok, replyView, replica := m.OK, m.View, m.ReplicaID
+			message.ReleaseMessage(m)
+			if stale {
 				continue
 			}
-			if !m.OK {
-				if m.View > superseded {
-					superseded = m.View
+			if !ok {
+				if replyView > superseded {
+					superseded = replyView
 				}
 				continue
 			}
-			if m.View != view {
+			if replyView != view {
 				continue
 			}
-			if m.ReplicaID >= 64 || acked&(1<<m.ReplicaID) != 0 {
+			if replica >= 64 || acked&(1<<replica) != 0 {
 				continue
 			}
-			acked |= 1 << m.ReplicaID
+			acked |= 1 << replica
 			acks++
 			if acks >= majority {
 				return proposal == message.StatusAcceptCommit, nil

@@ -120,11 +120,14 @@ func NewSession(cfg Config, window int) (*Session, error) {
 }
 
 // routeRead demultiplexes execution-phase replies (which echo the request's
-// Seq) onto the issuing worker's read inbox.
+// Seq) onto the issuing worker's read inbox. A reply no worker can own is a
+// straggler the router itself consumes.
 func (s *Session) routeRead(m *message.Message) {
 	if i := int(m.Seq >> readSeqShift); i < len(s.workers) {
 		s.workers[i].readInbox.Handle(m)
+		return
 	}
+	message.ReleaseMessage(m)
 }
 
 // routeCommit demultiplexes partition p's commit-protocol replies. Multi-read
@@ -140,7 +143,9 @@ func (s *Session) routeCommit(p int, m *message.Message) {
 	}
 	if i < len(s.workers) {
 		s.workers[i].commitIns[p].Handle(m)
+		return
 	}
+	message.ReleaseMessage(m)
 }
 
 // Window returns the session's pipeline width.

@@ -239,10 +239,25 @@ func (c *Coordinator) snapshotReadCtx(ctx context.Context, keys []string, snap t
 						break collect
 					}
 				}
-				if m.Type != message.TypeMultiReadReply || m.Seq != pseq {
+				// The reply is consumed here: a confirmed reply's answers are
+				// merged (by value) into pstate, then the struct is recycled.
+				stale := m.Type != message.TypeMultiReadReply || m.Seq != pseq
+				wrongShard, watermark := m.WrongShard, m.Watermark
+				fresh := !stale && !wrongShard && len(m.Reads) == want &&
+					m.ReplicaID < 64 && seen&(1<<m.ReplicaID) == 0
+				if fresh {
+					seen |= 1 << m.ReplicaID
+					if watermark == snap {
+						for j := range m.Reads {
+							pstate[j].merge(&m.Reads[j])
+						}
+					}
+				}
+				message.ReleaseMessage(m)
+				if stale {
 					continue
 				}
-				if m.WrongShard {
+				if wrongShard {
 					// The replica no longer owns some requested key and, by
 					// design, refused before touching its store — a sealed
 					// copy must never raise read timestamps for a snapshot it
@@ -251,22 +266,15 @@ func (c *Coordinator) snapshotReadCtx(ctx context.Context, keys []string, snap t
 					c.noteRedirect()
 					return nil, minW, ErrWrongShard
 				}
-				if len(m.Reads) != want {
-					continue
+				if !fresh {
+					continue // wrong length or a duplicate replier
 				}
-				if m.ReplicaID >= 64 || seen&(1<<m.ReplicaID) != 0 {
-					continue
-				}
-				seen |= 1 << m.ReplicaID
 				replied++
-				if m.Watermark.Less(minW) {
-					minW = m.Watermark
+				if watermark.Less(minW) {
+					minW = watermark
 				}
-				if m.Watermark == snap {
+				if watermark == snap {
 					confirmed++
-					for j := range m.Reads {
-						pstate[j].merge(&m.Reads[j])
-					}
 					if confirmed >= quorum {
 						settledP = true
 						for j := range pstate {

@@ -294,7 +294,9 @@ func (ep *endpoint) Close() error { return ep.inner.Close() }
 
 // Send implements transport.Endpoint: count the send, fire due events, apply
 // crash/partition state, then run the first matching rule's drop, duplicate,
-// reorder, and delay draws against the link's private stream.
+// reorder, and delay draws against the link's private stream. The injector
+// owns m until it hands it to the inner transport (held and delayed messages
+// included) and recycles what it drops.
 func (ep *endpoint) Send(dst message.Addr, m *message.Message) error {
 	n := ep.net
 	count := n.msgCount.Add(1)
@@ -307,6 +309,7 @@ func (ep *endpoint) Send(dst message.Addr, m *message.Message) error {
 	st := n.state.Load()
 	if !st.reachable(src.Node, dst.Node) {
 		n.stats.Blackhole.Add(1)
+		message.ReleaseMessage(m)
 		return nil // silently dropped, like a dead link
 	}
 
@@ -326,6 +329,7 @@ func (ep *endpoint) Send(dst message.Addr, m *message.Message) error {
 	if rule.DropProb > 0 && l.next() < rule.DropProb {
 		l.mu.Unlock()
 		n.stats.Dropped.Add(1)
+		message.ReleaseMessage(m)
 		return nil
 	}
 	dup := rule.DupProb > 0 && l.next() < rule.DupProb
@@ -381,29 +385,32 @@ func (ep *endpoint) SendBatch(batch []transport.Outgoing) error {
 // Flush implements transport.Endpoint, passing through to the wrapped wire.
 func (ep *endpoint) Flush() error { return ep.inner.Flush() }
 
-// send delivers m (and its duplicate) now or after the injected delay.
-// Duplicates are distinct Message values sharing payload slices: receivers
-// treat inbound messages as immutable, exactly as with a duplicating network.
+// send delivers m (and its duplicate) now or after the injected delay. The
+// duplicate is a distinct Message struct, copied before the original is
+// handed on — the inner transport owns m from that moment and its receiver
+// may already be recycling it. The two share payload slices, which nobody
+// writes: exactly a duplicating network, whose receivers each see the bytes.
 func (ep *endpoint) send(dst message.Addr, m *message.Message, dup bool, delay time.Duration) error {
+	var m2 *message.Message
 	if dup {
 		ep.net.stats.Duplicated.Add(1)
+		m2 = message.AcquireMessage()
+		*m2 = *m
 	}
 	if delay > 0 {
 		ep.net.stats.Delayed.Add(1)
 		inner := ep.inner
 		time.AfterFunc(delay, func() {
 			inner.Send(dst, m)
-			if dup {
-				m2 := *m
-				inner.Send(dst, &m2)
+			if m2 != nil {
+				inner.Send(dst, m2)
 			}
 		})
 		return nil
 	}
 	err := ep.inner.Send(dst, m)
-	if dup {
-		m2 := *m
-		ep.inner.Send(dst, &m2)
+	if m2 != nil {
+		ep.inner.Send(dst, m2)
 	}
 	return err
 }

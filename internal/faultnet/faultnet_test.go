@@ -302,3 +302,61 @@ func TestPlanValidation(t *testing.T) {
 		t.Errorf("zero plan rejected: %v", err)
 	}
 }
+
+// TestDuplicateAndDelayedCopiesAreDistinctStructs pins the injector's half of
+// the ownership contract: a duplicated message reaches the receiver as two
+// different structs, so the first delivery's release (which zeroes or poisons
+// that struct) cannot touch the second — on the immediate path and on the
+// delayed one, where the copies leave from a timer goroutine.
+func TestDuplicateAndDelayedCopiesAreDistinctStructs(t *testing.T) {
+	for _, delay := range []time.Duration{0, 2 * time.Millisecond} {
+		rule := Rule{SrcNode: Any, DstNode: Any, SrcCore: Any, DstCore: Any, DupProb: 1}
+		if delay > 0 {
+			rule.DelayProb, rule.Delay = 1, delay
+		}
+		n := Wrap(transport.NewInproc(transport.InprocConfig{}), &Plan{Seed: 1, Rules: []Rule{rule}})
+		type seen struct {
+			m    *message.Message
+			keys []string
+		}
+		got := make(chan seen, 2)
+		if _, err := n.Listen(addr(2, 0), func(m *message.Message) {
+			s := seen{m: m, keys: m.Keys}
+			message.ReleaseMessage(m) // the final consumer recycles its copy
+			got <- s
+		}); err != nil {
+			t.Fatal(err)
+		}
+		src, err := n.Listen(addr(1, 0), func(*message.Message) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys := []string{"a", "b"}
+		if err := src.Send(addr(2, 0), &message.Message{Type: message.TypeMultiRead, Seq: 7, Keys: keys}); err != nil {
+			t.Fatal(err)
+		}
+		var first, second seen
+		select {
+		case first = <-got:
+		case <-time.After(time.Second):
+			t.Fatalf("delay %v: no delivery", delay)
+		}
+		select {
+		case second = <-got:
+		case <-time.After(time.Second):
+			t.Fatalf("delay %v: duplicate never delivered", delay)
+		}
+		if first.m == second.m {
+			t.Fatalf("delay %v: duplicate delivered as the same struct", delay)
+		}
+		for _, s := range []seen{first, second} {
+			if len(s.keys) != 2 || s.keys[0] != "a" || s.keys[1] != "b" {
+				t.Fatalf("delay %v: a copy arrived with keys %v after the other's release", delay, s.keys)
+			}
+		}
+		if keys[0] != "a" || keys[1] != "b" {
+			t.Fatalf("delay %v: sender's slice changed: %v", delay, keys)
+		}
+		n.Close()
+	}
+}

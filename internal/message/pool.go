@@ -1,13 +1,18 @@
 package message
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+
+	"meerkat/internal/timestamp"
+)
 
 // Hot-path pooling. Encoding a message for the UDP transport needs a
 // transient buffer whose lifetime ends the moment the datagram is handed to
-// the kernel, and the in-process transport recycles whole Message structs
-// between request/reply pairs. Both cycle through sync.Pools here instead of
-// the allocator, keeping the steady-state send path allocation-free. The
-// ownership rules are documented in DESIGN.md ("Hot-path performance").
+// the kernel, and every Message struct is garbage the instant its final
+// consumer has read it. Both cycle through sync.Pools here instead of the
+// allocator, so a steady-state request/reply exchange feeds the collector no
+// message structs at all. The ownership contract is DESIGN.md §7.
 
 // maxPooledEncoderCap bounds the buffer capacity an Encoder may carry back
 // into the pool, so one huge state-transfer encoding does not pin its buffer
@@ -48,23 +53,60 @@ func (e *Encoder) Release() {
 
 var messagePool = sync.Pool{New: func() any { return new(Message) }}
 
-// AcquireMessage returns a pooled, zeroed Message (its sets may retain
-// capacity from a previous life, but their lengths are zero). Pair with
-// ReleaseMessage once no other goroutine can still hold a reference — for a
-// request/reply exchange that is the receiver of the final reply, per the
-// ownership rules in DESIGN.md.
+// AcquireMessage returns a zeroed Message from the pool. The caller owns it
+// until it hands it to a transport (Send/SendBatch transfer ownership) or
+// releases it.
 func AcquireMessage() *Message { return messagePool.Get().(*Message) }
 
-// ReleaseMessage resets m and returns it to the pool. The caller must be the
-// sole owner: a message still sitting in a transport queue or inbox must not
-// be released.
+// ReleaseMessage zeroes m and returns it to the pool. Only a message's sole
+// owner may release it: the last handler a transport delivered it to, the
+// coordinator once it has consumed a reply, or a transport that dropped it.
+// Release is an optimisation, never an obligation — an unreleased message is
+// merely collected — so messages built as plain literals may be sent and may
+// be released like any other. Releasing nil is a no-op.
+//
+// The whole struct is zeroed, slice headers included: a recycled message
+// never carries a slice anyone else can still reach. The arrays a released
+// message pointed at belong to whoever moved them out (a trecord, a read
+// result) or to the collector, never to the next sender.
 func ReleaseMessage(m *Message) {
-	m.Reset()
+	if m == nil {
+		return
+	}
+	if poisonOnRelease.Load() {
+		if m.Type == typePoisoned && m.TID == PoisonTID {
+			panic("message: double release")
+		}
+		*m = Message{Type: typePoisoned, TID: PoisonTID}
+		return
+	}
+	*m = Message{}
 	messagePool.Put(m)
 }
 
-// Reset clears m for reuse, keeping top-level slice capacity so a recycled
-// message re-decodes (or is re-built) without reallocating its sets.
+// typePoisoned marks a message released in poison mode; no handler
+// dispatches on it.
+const typePoisoned Type = 0xff
+
+// PoisonTID is the transaction id a poisoned message carries, chosen so that
+// a use-after-release matches no live transaction.
+var PoisonTID = timestamp.TxnID{Seq: ^uint64(0), ClientID: ^uint64(0)}
+
+var poisonOnRelease atomic.Bool
+
+// SetPoisonOnRelease is a test hook that makes use-after-release loud:
+// while on, ReleaseMessage overwrites the struct with an invalid Type, the
+// PoisonTID sentinel and nil slices instead of pooling it, and panics on a
+// second release. A stale reader then sees garbage that matches nothing (and
+// the race detector sees the overwrite) instead of a plausible recycled
+// message. It reports the previous setting.
+func SetPoisonOnRelease(on bool) (was bool) { return poisonOnRelease.Swap(on) }
+
+// Reset clears m for reuse, keeping top-level slice capacity so the next
+// DecodeInto or rebuild does not reallocate its sets. Only for a message
+// that provably owns every slice it carries — a codec round-trip buffer, a
+// log's scratch record — never for one that crossed a transport, whose
+// slices its sender or receiver may still hold.
 func (m *Message) Reset() {
 	rs, ws, ops := m.Txn.ReadSet[:0], m.Txn.WriteSet[:0], m.Txn.OpSet[:0]
 	recs, ents, sts := m.Records[:0], m.Entries[:0], m.State[:0]

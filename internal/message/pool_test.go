@@ -103,10 +103,11 @@ func TestPooledEncodeZeroAllocs(t *testing.T) {
 
 // TestPooledMultiReadZeroAllocs gates the batched execution phase's codec
 // cost: encoding a multi-read request and a multi-read reply through pooled
-// Encoders, and decoding the reply into a recycled Message (the coordinator's
-// steady state — reply values reuse the previous decode's capacity), must not
-// allocate. Request decode is exempt: key strings are freshly allocated by
-// design, since the replica's vstore lookup retains them.
+// Encoders, and decoding the reply into a Message the decoder keeps across
+// iterations (a codec round-trip buffer owns its slices, so DecodeInto reuses
+// their capacity), must not allocate. Request decode is exempt: key strings
+// are freshly allocated by design, since the replica's vstore lookup retains
+// them.
 func TestPooledMultiReadZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation adds allocations; gate runs without -race")
@@ -118,35 +119,91 @@ func TestPooledMultiReadZeroAllocs(t *testing.T) {
 		{OK: false},
 	}}
 	replyBuf := Encode(nil, reply)
-	// Prime the pools with sized buffers and a decoded message.
+	// Prime the encoder pool with a sized buffer and dst with sized sets.
 	e := AcquireEncoder()
 	e.EncodeInto(req)
 	e.Release()
 	dst := AcquireMessage()
+	defer ReleaseMessage(dst)
 	if err := DecodeInto(dst, replyBuf); err != nil {
 		t.Fatal(err)
 	}
-	ReleaseMessage(dst)
 	allocs := testing.AllocsPerRun(200, func() {
 		enc := AcquireEncoder()
 		enc.EncodeInto(req)
 		enc.EncodeInto(reply)
 		enc.Release()
-		m := AcquireMessage()
-		if err := DecodeInto(m, replyBuf); err != nil {
+		if err := DecodeInto(dst, replyBuf); err != nil {
 			t.Fatal(err)
 		}
-		ReleaseMessage(m)
 	})
 	if allocs != 0 {
 		t.Fatalf("pooled multi-read codec allocated %v objects/op, want 0", allocs)
 	}
 }
 
+// TestReleaseDropsEverySlice pins the pool's one invariant: a released
+// message keeps no slice header, so the next acquirer can never write into
+// (or read from) an array the previous owner moved out or still holds.
+func TestReleaseDropsEverySlice(t *testing.T) {
+	defer SetPoisonOnRelease(SetPoisonOnRelease(false))
+	m := AcquireMessage()
+	if err := DecodeInto(m, Encode(nil, sampleMessage())); err != nil {
+		t.Fatal(err)
+	}
+	kept := m.Txn // a handler moving the payload out
+	ReleaseMessage(m)
+	if !reflect.DeepEqual(*m, Message{}) {
+		t.Fatalf("released message is not zero: %+v", m)
+	}
+	if !reflect.DeepEqual(kept, sampleMessage().Txn) {
+		t.Fatal("moved-out payload changed on release")
+	}
+	ReleaseMessage(nil) // nil is a no-op
+}
+
+// TestAcquireReleaseZeroAllocs gates the struct recycling itself.
+func TestAcquireReleaseZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation defeats sync.Pool; gate runs without -race")
+	}
+	defer SetPoisonOnRelease(SetPoisonOnRelease(false))
+	ReleaseMessage(AcquireMessage())
+	allocs := testing.AllocsPerRun(200, func() {
+		m := AcquireMessage()
+		m.Type = TypeCommit
+		ReleaseMessage(m)
+	})
+	if allocs != 0 {
+		t.Fatalf("acquire/release allocated %v objects/op, want 0", allocs)
+	}
+}
+
+// TestPoisonOnRelease checks the use-after-release tripwire: a poisoned
+// message matches no live type or transaction, is not pooled, and a second
+// release panics.
+func TestPoisonOnRelease(t *testing.T) {
+	defer SetPoisonOnRelease(SetPoisonOnRelease(true))
+	m := &Message{Type: TypeValidateReply, TID: timestamp.TxnID{Seq: 1, ClientID: 2}, Keys: []string{"k"}}
+	ReleaseMessage(m)
+	if m.Type.String() != "type(255)" || m.TID != PoisonTID || m.Keys != nil {
+		t.Fatalf("released message not poisoned: %+v", m)
+	}
+	if got := AcquireMessage(); got == m {
+		t.Fatal("poisoned message went back into the pool")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("double release did not panic in poison mode")
+		}
+	}()
+	ReleaseMessage(m)
+}
+
 // BenchmarkEncodeDecode measures the encode→decode round trip — the
 // serialization cost of one UDP message each way. The baseline sub-benchmark
 // is the pre-pooling behavior (fresh buffer, fresh Message per op); pooled
-// uses the reusable Encoder and DecodeInto with a recycled Message.
+// uses the reusable Encoder and DecodeInto into one kept Message.
 func BenchmarkEncodeDecode(b *testing.B) {
 	src := sampleMessage()
 	b.Run("baseline", func(b *testing.B) {

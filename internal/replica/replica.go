@@ -154,10 +154,22 @@ type core struct {
 
 // send transmits m from this core's endpoint, dropping it if the endpoint
 // is not yet published (a message raced the bind; the sender will retry).
+// Either way m is no longer the caller's.
 func (c *core) send(dst message.Addr, m *message.Message) {
 	if ep := c.ep.Load(); ep != nil {
 		(*ep).Send(dst, m)
+		return
 	}
+	message.ReleaseMessage(m)
+}
+
+// newReply returns a pooled message of type t addressed from this replica,
+// for the hot-path handlers to fill in and send.
+func (c *core) newReply(t message.Type) *message.Message {
+	m := message.AcquireMessage()
+	m.Type = t
+	m.ReplicaID = uint32(c.r.cfg.Index)
+	return m
 }
 
 // New creates a replica. Call Start to bind its endpoints.
@@ -358,8 +370,10 @@ func (c *core) unlockRecords() {
 	}
 }
 
-// handle dispatches one inbound message. It runs on the core's delivery
-// goroutine.
+// handle dispatches one inbound message and then recycles it: the core is
+// the message's final consumer, and a handler that keeps any of its payload
+// (validate and accept keep the transaction body) has moved it out into the
+// record by the time it returns. It runs on the core's delivery goroutine.
 func (c *core) handle(m *message.Message) {
 	switch m.Type {
 	case message.TypeRead:
@@ -383,6 +397,7 @@ func (c *core) handle(m *message.Message) {
 	case message.TypeSweep:
 		c.handleSweep()
 	}
+	message.ReleaseMessage(m)
 }
 
 // handleStateRequest serves one shard of the versioned store to a
@@ -463,21 +478,17 @@ func ownsTxn(v *shardmap.View, t *message.Txn) bool {
 func (c *core) handleRead(m *message.Message) {
 	if v := c.ownView(); v != nil && !v.Owns(shardmap.Hash(m.Key)) {
 		c.obs.Inc(obs.WrongShardRedirect)
-		c.send(m.Src, &message.Message{
-			Type: message.TypeReadReply,
-			Key:  m.Key, Seq: m.Seq,
-			WrongShard: true, MapVersion: v.Version(),
-			ReplicaID: uint32(c.r.cfg.Index),
-		})
+		r := c.newReply(message.TypeReadReply)
+		r.Key, r.Seq = m.Key, m.Seq
+		r.WrongShard, r.MapVersion = true, v.Version()
+		c.send(m.Src, r)
 		return
 	}
 	v, ok := c.r.store.Read(m.Key)
-	c.send(m.Src, &message.Message{
-		Type: message.TypeReadReply,
-		Key:  m.Key, Seq: m.Seq,
-		Value: v.Value, TS: v.WTS, OK: ok,
-		ReplicaID: uint32(c.r.cfg.Index),
-	})
+	r := c.newReply(message.TypeReadReply)
+	r.Key, r.Seq = m.Key, m.Seq
+	r.Value, r.TS, r.OK = v.Value, v.WTS, ok
+	c.send(m.Src, r)
 }
 
 // handleMultiRead serves a whole batch of execution-phase reads in one
@@ -500,25 +511,19 @@ func (c *core) handleMultiRead(m *message.Message) {
 		reads[i] = message.ReadResult{Value: v.Value, WTS: v.WTS, OK: ok, Op: v.Op}
 	}
 	c.obs.Inc(obs.MultiReadServed)
-	c.send(m.Src, &message.Message{
-		Type:      message.TypeMultiReadReply,
-		Seq:       m.Seq,
-		Reads:     reads,
-		Watermark: c.wm.Watermark(),
-		ReplicaID: uint32(c.r.cfg.Index),
-	})
+	r := c.newReply(message.TypeMultiReadReply)
+	r.Seq, r.Reads, r.Watermark = m.Seq, reads, c.wm.Watermark()
+	c.send(m.Src, r)
 }
 
 // redirectMultiRead answers a (multi-)read whose key set is no longer fully
 // owned here with a WrongShard redirect. No store state is touched.
 func (c *core) redirectMultiRead(m *message.Message, v *shardmap.View) {
 	c.obs.Inc(obs.WrongShardRedirect)
-	c.send(m.Src, &message.Message{
-		Type: message.TypeMultiReadReply,
-		Seq:  m.Seq,
-		WrongShard: true, MapVersion: v.Version(),
-		ReplicaID: uint32(c.r.cfg.Index),
-	})
+	r := c.newReply(message.TypeMultiReadReply)
+	r.Seq = m.Seq
+	r.WrongShard, r.MapVersion = true, v.Version()
+	c.send(m.Src, r)
 }
 
 // handleSnapshotRead serves a multi-read pinned at snapshot timestamp m.TS
@@ -559,13 +564,9 @@ func (c *core) handleSnapshotRead(m *message.Message) {
 		wmin = timestamp.Zero
 	}
 	c.obs.Inc(obs.SnapshotRead)
-	c.send(m.Src, &message.Message{
-		Type:      message.TypeMultiReadReply,
-		Seq:       m.Seq,
-		Reads:     reads,
-		Watermark: wmin,
-		ReplicaID: uint32(c.r.cfg.Index),
-	})
+	r := c.newReply(message.TypeMultiReadReply)
+	r.Seq, r.Reads, r.Watermark = m.Seq, reads, wmin
+	c.send(m.Src, r)
 }
 
 // handleValidate runs step 2 of the commit protocol: create the trecord
@@ -575,54 +576,45 @@ func (c *core) handleValidate(m *message.Message) {
 		return // epoch change in progress; the coordinator will retry
 	}
 	p := c.lockRecords()
-	var reply *message.Message
-	rec := p.Get(m.Txn.ID)
+	tid := m.Txn.ID
+	reply := c.newReply(message.TypeValidateReply)
+	reply.TID = tid
+	rec := p.Get(tid)
 	if rec != nil && rec.Status != message.StatusNone {
 		// Duplicate (a retry): re-reply with the recorded status. This takes
 		// precedence over the ownership check — a record finalized before (or
 		// by) a shard split's fence is historical truth, and a retry must
 		// learn that outcome, not a redirect.
-		reply = c.validateReply(m.Txn.ID, rec.Status, rec.View)
+		reply.Status, reply.View = rec.Status, rec.View
 	} else if v := c.ownView(); !ownsTxn(v, &m.Txn) {
 		// New validation touching a key this group no longer owns: refuse
 		// without creating a record — post-seal, nothing new may prepare
 		// against the moved range here. The client refreshes its map and
 		// re-routes.
 		c.obs.Inc(obs.WrongShardRedirect)
-		reply = &message.Message{
-			Type: message.TypeValidateReply,
-			TID:  m.Txn.ID,
-			WrongShard: true, MapVersion: v.Version(),
-			ReplicaID: uint32(c.r.cfg.Index),
-		}
+		reply.WrongShard, reply.MapVersion = true, v.Version()
 	} else {
 		if rec == nil {
-			rec, _ = p.GetOrCreate(m.Txn.ID)
+			rec, _ = p.GetOrCreate(tid)
 		}
-		rec.Txn = m.Txn
+		// The record keeps the transaction body: move it out of the
+		// message, which is recycled when this handler returns.
+		rec.Txn, m.Txn = m.Txn, message.Txn{}
 		rec.TS = m.TS
 		rec.CreatedAt = nanotime()
 		st := occ.Validate(c.r.store, &rec.Txn, m.TS)
 		rec.Status = st
 		rec.Registered = st == message.StatusValidatedOK
 		if st == message.StatusValidatedOK {
-			c.wm.Add(m.Txn.ID, m.TS)
+			c.wm.Add(tid, m.TS)
 			c.obs.Inc(obs.ValidateOK)
 		} else {
 			c.obs.Inc(obs.ValidateAbort)
 		}
-		reply = c.validateReply(m.Txn.ID, st, rec.View)
+		reply.Status, reply.View = st, rec.View
 	}
 	c.unlockRecords()
 	c.send(m.Src, reply)
-}
-
-func (c *core) validateReply(tid timestamp.TxnID, st message.Status, view uint64) *message.Message {
-	return &message.Message{
-		Type: message.TypeValidateReply,
-		TID:  tid, Status: st, View: view,
-		ReplicaID: uint32(c.r.cfg.Index),
-	}
 }
 
 // handleAccept runs the replica side of the slow path (step 5), which
@@ -633,15 +625,17 @@ func (c *core) handleAccept(m *message.Message) {
 		return
 	}
 	p := c.lockRecords()
-	var reply *message.Message
+	reply := c.newReply(message.TypeAcceptReply)
+	reply.TID = m.TID
 	rec, created := p.GetOrCreate(m.TID)
 	if created {
 		rec.CreatedAt = nanotime()
 	}
 	// A replica that missed the validate learns the transaction body
-	// from the accept, so it can apply the write phase on commit.
+	// from the accept, so it can apply the write phase on commit (moved
+	// out of the message, as in handleValidate).
 	if rec.Txn.Empty() && !m.Txn.Empty() {
-		rec.Txn = m.Txn
+		rec.Txn, m.Txn = m.Txn, message.Txn{}
 		rec.TS = m.TS
 	}
 	if rec.Txn.ID.IsZero() {
@@ -653,16 +647,10 @@ func (c *core) handleAccept(m *message.Message) {
 		// Consistency is guaranteed: all coordinators reach the same
 		// decision (§5.3.2).
 		c.obs.Inc(obs.AcceptAcked)
-		reply = &message.Message{
-			Type: message.TypeAcceptReply, TID: m.TID, OK: true,
-			View: m.View, ReplicaID: uint32(c.r.cfg.Index),
-		}
+		reply.OK, reply.View = true, m.View
 	case m.View < rec.View:
 		c.obs.Inc(obs.AcceptRejected)
-		reply = &message.Message{
-			Type: message.TypeAcceptReply, TID: m.TID, OK: false,
-			View: rec.View, ReplicaID: uint32(c.r.cfg.Index),
-		}
+		reply.OK, reply.View = false, rec.View
 	default:
 		rec.View = m.View
 		rec.AcceptView = m.View
@@ -683,10 +671,7 @@ func (c *core) handleAccept(m *message.Message) {
 			c.wm.Finalize(m.TID)
 		}
 		c.obs.Inc(obs.AcceptAcked)
-		reply = &message.Message{
-			Type: message.TypeAcceptReply, TID: m.TID, OK: true,
-			View: m.View, ReplicaID: uint32(c.r.cfg.Index),
-		}
+		reply.OK, reply.View = true, m.View
 	}
 	c.unlockRecords()
 	c.send(m.Src, reply)

@@ -1,6 +1,8 @@
 package replica_test
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -92,15 +94,18 @@ func rmwTxn(seq, client uint64, key, val string, readWTS timestamp.Timestamp) me
 func TestValidateReplyAndIdempotence(t *testing.T) {
 	h := newHarness(t, false, 0)
 	txn := rmwTxn(1, 1, "k", "v", timestamp.Zero)
-	val := &message.Message{Type: message.TypeValidate, Txn: txn, TID: txn.ID, TS: ts(10, 1), CoreID: 0}
+	// Send hands the struct over for good, so a retry is a fresh message.
+	val := func() *message.Message {
+		return &message.Message{Type: message.TypeValidate, Txn: txn, TID: txn.ID, TS: ts(10, 1), CoreID: 0}
+	}
 
-	h.send(0, val)
+	h.send(0, val())
 	r1 := h.recv(message.TypeValidateReply)
 	if r1.Status != message.StatusValidatedOK || r1.TID != txn.ID {
 		t.Fatalf("reply %+v", r1)
 	}
 	// A retry must re-reply with the recorded status, not re-validate.
-	h.send(0, val)
+	h.send(0, val())
 	r2 := h.recv(message.TypeValidateReply)
 	if r2.Status != message.StatusValidatedOK {
 		t.Fatalf("duplicate validate reply %+v", r2)
@@ -410,5 +415,66 @@ func TestReadServedByAnyCore(t *testing.T) {
 	r = h.recv(message.TypeReadReply)
 	if r.OK || !r.TS.IsZero() {
 		t.Fatalf("missing-key reply %+v", r)
+	}
+}
+
+// TestUDPValidateRetainedByRecordSurvivesStructReuse: over UDP the receive
+// loop decodes every datagram into a pooled struct that the core recycles
+// when its handler returns. handleValidate keeps the transaction body, so it
+// must have moved it out: after the same struct has carried a few hundred
+// other validates, the record of the first one still holds exactly the body
+// it arrived with (read back through a coordinator-change ack, which ships
+// the record).
+func TestUDPValidateRetainedByRecordSurvivesStructReuse(t *testing.T) {
+	tp := topo.Topology{Partitions: 1, Replicas: 3, Cores: 1}
+	net := transport.NewUDP("127.0.0.1", 29100, 2)
+	defer net.Close()
+	rep, err := replica.New(replica.Config{Topo: tp, Partition: 0, Index: 0, Net: net})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.Start(); err != nil {
+		t.Skipf("cannot bind UDP sockets: %v", err)
+	}
+	defer rep.Stop()
+	in := transport.NewInbox(64)
+	ep, err := net.Listen(tp.ClientAddr(1), in.Handle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := tp.ReplicaAddr(0, 0, 0)
+	call := func(m *message.Message, want message.Type) *message.Message {
+		t.Helper()
+		if err := ep.Send(dst, m); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case r := <-in.C:
+			if r.Type != want {
+				t.Fatalf("got %v, want %v", r.Type, want)
+			}
+			return r
+		case <-time.After(5 * time.Second):
+			t.Fatalf("no %v", want)
+			return nil
+		}
+	}
+
+	first := rmwTxn(1, 1, "first-key", "first-value", timestamp.Zero)
+	r := call(&message.Message{Type: message.TypeValidate, Txn: first, TID: first.ID, TS: ts(10, 1)}, message.TypeValidateReply)
+	if r.Status != message.StatusValidatedOK {
+		t.Fatalf("first validate: %v", r.Status)
+	}
+	for i := uint64(2); i < 300; i++ {
+		other := rmwTxn(i, 1, fmt.Sprintf("other-key-%d", i), "other-value", timestamp.Zero)
+		message.ReleaseMessage(call(&message.Message{Type: message.TypeValidate, Txn: other, TID: other.ID, TS: ts(int64(10*i), 1)}, message.TypeValidateReply))
+	}
+
+	ack := call(&message.Message{Type: message.TypeCoordChange, TID: first.ID, View: 5}, message.TypeCoordChangeAck)
+	if !ack.OK || len(ack.Records) != 1 {
+		t.Fatalf("coordinator-change ack: %+v", ack)
+	}
+	if got := ack.Records[0].Txn; !reflect.DeepEqual(got, first) {
+		t.Fatalf("record body changed after struct reuse:\ngot  %+v\nwant %+v", got, first)
 	}
 }

@@ -48,12 +48,25 @@ type InprocConfig struct {
 	ServiceNodeLimit uint32
 }
 
-// InprocStats counts network activity. Read with the atomic Load methods.
+// InprocStats is a point-in-time aggregate of the network's counters.
 type InprocStats struct {
-	Sent      atomic.Uint64
-	Delivered atomic.Uint64
-	Dropped   atomic.Uint64 // random drops + full queues + filtered links
+	Sent      uint64
+	Delivered uint64
+	Dropped   uint64 // random drops + full queues + filtered links
 }
+
+// inprocCounters is one endpoint's share of InprocStats, counted by whoever
+// sends from that endpoint. The padding on both sides keeps the counters off
+// every cache line that holds anything else — in particular the neighbouring
+// endpoint fields every sender reads.
+type inprocCounters struct {
+	_                        [64]byte
+	sent, delivered, dropped atomic.Uint64
+	_                        [64 - 3*8]byte
+}
+
+// endpointTable is the immutable address → endpoint map the send path reads.
+type endpointTable map[message.Addr]*inprocEndpoint
 
 // Inproc is an in-process Network. Each endpoint owns a delivery queue
 // drained by a dedicated goroutine, modelling one server thread polling one
@@ -61,14 +74,17 @@ type InprocStats struct {
 // serialization, the stand-in for the paper's eRPC kernel-bypass stack.
 // There is no shared mutable state on the send path — per the paper's
 // zero-coordination discipline, concurrent senders contend only on the
-// destination's channel.
+// destination's channel: the endpoint table is published copy-on-write
+// (Listen and Close, both cold, copy it under mu; a send is one atomic
+// load), and every endpoint counts into its own cache line, summed by Stats.
 type Inproc struct {
-	cfg   InprocConfig
-	stats InprocStats
+	cfg InprocConfig
 
-	mu        sync.RWMutex
-	endpoints map[message.Addr]*inprocEndpoint
-	closed    bool
+	table atomic.Pointer[endpointTable]
+
+	mu     sync.Mutex // guards table writes, closed, final
+	closed bool
+	final  InprocStats // counters folded in from closed endpoints
 
 	// filter, when set, decides per (src, dst) whether a message may pass.
 	// It implements partitions and crashed nodes.
@@ -83,14 +99,45 @@ func NewInproc(cfg InprocConfig) *Inproc {
 	if cfg.Batch <= 0 {
 		cfg.Batch = 32
 	}
-	return &Inproc{
-		cfg:       cfg,
-		endpoints: make(map[message.Addr]*inprocEndpoint),
-	}
+	n := &Inproc{cfg: cfg}
+	n.table.Store(&endpointTable{})
+	return n
 }
 
-// Stats returns the network's counters.
-func (n *Inproc) Stats() *InprocStats { return &n.stats }
+// Stats sums the per-endpoint counters (plus those of endpoints already
+// closed), so the aggregation cost lands on the scrape path, not the send
+// path.
+func (n *Inproc) Stats() InprocStats {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	s := n.final
+	for _, ep := range *n.table.Load() {
+		s.add(&ep.stats)
+	}
+	return s
+}
+
+func (s *InprocStats) add(c *inprocCounters) {
+	s.Sent += c.sent.Load()
+	s.Delivered += c.delivered.Load()
+	s.Dropped += c.dropped.Load()
+}
+
+// setEndpoint publishes a copy of the endpoint table with addr bound to ep
+// (nil unbinds). Callers hold n.mu.
+func (n *Inproc) setEndpoint(addr message.Addr, ep *inprocEndpoint) {
+	old := *n.table.Load()
+	next := make(endpointTable, len(old)+1)
+	for a, e := range old {
+		next[a] = e
+	}
+	if ep == nil {
+		delete(next, addr)
+	} else {
+		next[addr] = ep
+	}
+	n.table.Store(&next)
+}
 
 // SetLinkFilter installs f as the per-link admission check: messages from
 // src to dst are dropped when f(src, dst) is false. Pass nil to clear.
@@ -125,7 +172,7 @@ func (n *Inproc) Listen(addr message.Addr, h Handler) (Endpoint, error) {
 	if n.closed {
 		return nil, ErrClosed
 	}
-	if _, ok := n.endpoints[addr]; ok {
+	if _, ok := (*n.table.Load())[addr]; ok {
 		return nil, ErrAddrInUse
 	}
 	ep := &inprocEndpoint{
@@ -136,7 +183,7 @@ func (n *Inproc) Listen(addr message.Addr, h Handler) (Endpoint, error) {
 		quit: make(chan struct{}),
 	}
 	ep.rng.state.Store(mix64(uint64(n.cfg.Seed) ^ uint64(addr.Node)<<32 ^ uint64(addr.Core)))
-	n.endpoints[addr] = ep
+	n.setEndpoint(addr, ep)
 	go ep.run()
 	return ep, nil
 }
@@ -144,10 +191,7 @@ func (n *Inproc) Listen(addr message.Addr, h Handler) (Endpoint, error) {
 // Close implements Network.
 func (n *Inproc) Close() error {
 	n.mu.Lock()
-	eps := make([]*inprocEndpoint, 0, len(n.endpoints))
-	for _, ep := range n.endpoints {
-		eps = append(eps, ep)
-	}
+	eps := *n.table.Load()
 	n.closed = true
 	n.mu.Unlock()
 	for _, ep := range eps {
@@ -157,36 +201,33 @@ func (n *Inproc) Close() error {
 }
 
 // dispatch routes m from the sending endpoint to dst, applying drops,
-// filters, and delays. Drop decisions come from the sender's own PRNG, so
-// concurrent senders never serialize on a shared RNG lock.
-func (n *Inproc) dispatch(src *inprocEndpoint, dst message.Addr, m *message.Message) error {
-	n.stats.Sent.Add(1)
+// filters, and delays. Drop decisions come from the sender's own PRNG and
+// every count goes to the sender's own counters, so concurrent senders share
+// nothing but the destination's queue. The network owns m from here on: it
+// reaches dst's handler or is released.
+func (n *Inproc) dispatch(src *inprocEndpoint, dst message.Addr, m *message.Message) {
+	src.stats.sent.Add(1)
 
 	if f := n.filter.Load(); f != nil && !(*f)(src.addr, dst) {
-		n.stats.Dropped.Add(1)
-		return nil // silently dropped, like a real network
+		src.drop(m) // silently dropped, like a real network
+		return
 	}
 	if n.cfg.DropProb > 0 && src.rng.float64() < n.cfg.DropProb {
-		n.stats.Dropped.Add(1)
-		return nil
+		src.drop(m)
+		return
 	}
-
-	n.mu.RLock()
-	ep, ok := n.endpoints[dst]
-	n.mu.RUnlock()
+	ep, ok := (*n.table.Load())[dst]
 	if !ok {
-		n.stats.Dropped.Add(1)
-		return nil // unreachable destination: a silent drop, not an error
+		src.drop(m) // unreachable destination: a silent drop, not an error
+		return
 	}
-
 	if n.cfg.Delay != nil {
 		if d := n.cfg.Delay(); d > 0 {
-			time.AfterFunc(d, func() { ep.enqueue(m, &n.stats) })
-			return nil
+			time.AfterFunc(d, func() { ep.enqueue(src, m) })
+			return
 		}
 	}
-	ep.enqueue(m, &n.stats)
-	return nil
+	ep.enqueue(src, m)
 }
 
 // dropRNG is a lock-free splitmix64 PRNG: each draw is one atomic add plus
@@ -246,7 +287,8 @@ type inprocEndpoint struct {
 	ch     chan *message.Message
 	quit   chan struct{}
 	closed atomic.Bool
-	rng    dropRNG // per-endpoint drop PRNG; see InprocConfig.Seed
+	rng    dropRNG        // per-endpoint drop PRNG; see InprocConfig.Seed
+	stats  inprocCounters // what this endpoint sent, and what became of it
 }
 
 // run is the delivery loop: one blocking receive per wakeup, then a
@@ -285,17 +327,24 @@ func (ep *inprocEndpoint) run() {
 	}
 }
 
-func (ep *inprocEndpoint) enqueue(m *message.Message, stats *InprocStats) {
+// enqueue hands m, sent by src, to ep's delivery goroutine.
+func (ep *inprocEndpoint) enqueue(src *inprocEndpoint, m *message.Message) {
 	if ep.closed.Load() {
-		stats.Dropped.Add(1)
+		src.drop(m)
 		return
 	}
 	select {
 	case ep.ch <- m:
-		stats.Delivered.Add(1)
+		src.stats.delivered.Add(1)
 	default:
-		stats.Dropped.Add(1) // receive ring overflow
+		src.drop(m) // receive ring overflow
 	}
+}
+
+// drop counts and recycles a message ep sent that will reach no handler.
+func (ep *inprocEndpoint) drop(m *message.Message) {
+	ep.stats.dropped.Add(1)
+	message.ReleaseMessage(m)
 }
 
 // Addr implements Endpoint.
@@ -307,7 +356,8 @@ func (ep *inprocEndpoint) Send(dst message.Addr, m *message.Message) error {
 		return ErrClosed
 	}
 	m.Src = ep.addr
-	return ep.net.dispatch(ep, dst, m)
+	ep.net.dispatch(ep, dst, m)
+	return nil
 }
 
 // SendBatch implements Endpoint. A send here is already a direct channel
@@ -320,9 +370,7 @@ func (ep *inprocEndpoint) SendBatch(batch []Outgoing) error {
 	}
 	for i := range batch {
 		batch[i].M.Src = ep.addr
-		if err := ep.net.dispatch(ep, batch[i].Dst, batch[i].M); err != nil {
-			return err
-		}
+		ep.net.dispatch(ep, batch[i].Dst, batch[i].M)
 	}
 	return nil
 }
@@ -336,16 +384,20 @@ func (ep *inprocEndpoint) Close() error {
 		return nil
 	}
 	close(ep.quit)
-	ep.net.mu.Lock()
-	if ep.net.endpoints[ep.addr] == ep {
-		delete(ep.net.endpoints, ep.addr)
+	n := ep.net
+	n.mu.Lock()
+	if (*n.table.Load())[ep.addr] == ep {
+		n.setEndpoint(ep.addr, nil)
+		n.final.add(&ep.stats)
 	}
-	ep.net.mu.Unlock()
+	n.mu.Unlock()
 	return nil
 }
 
 // Inbox is a Handler that buffers inbound messages into a channel, for
-// callers (clients, coordinators) that consume replies synchronously.
+// callers (clients, coordinators) that consume replies synchronously. A
+// message taken from C belongs to the taker, who may release it once read;
+// the Inbox releases what it discards itself.
 type Inbox struct {
 	C chan *message.Message
 }
@@ -364,6 +416,7 @@ func (in *Inbox) Handle(m *message.Message) {
 	select {
 	case in.C <- m:
 	default:
+		message.ReleaseMessage(m)
 	}
 }
 
@@ -373,7 +426,8 @@ func (in *Inbox) Handle(m *message.Message) {
 func (in *Inbox) Drain() {
 	for {
 		select {
-		case <-in.C:
+		case m := <-in.C:
+			message.ReleaseMessage(m)
 		default:
 			return
 		}

@@ -31,7 +31,7 @@ func TestInprocDropDeterminism(t *testing.T) {
 		// Sends are synchronous, so the drop/deliver split is final here;
 		// wait for the delivery goroutine to forward everything it got.
 		waitFor(t, "deliveries to settle", func() bool {
-			return uint64(len(inbox.C)) == n.Stats().Delivered.Load()
+			return uint64(len(inbox.C)) == n.Stats().Delivered
 		})
 		var seqs []uint64
 		for {
@@ -75,11 +75,11 @@ func TestInprocEndpointsDropIndependently(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		before := n.Stats().Dropped.Load()
+		before := n.Stats().Dropped
 		var out []bool
 		for i := 0; i < 64; i++ {
 			src.Send(dst, &message.Message{Type: message.TypePut})
-			after := n.Stats().Dropped.Load()
+			after := n.Stats().Dropped
 			out = append(out, after > before)
 			before = after
 		}

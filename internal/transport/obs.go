@@ -2,13 +2,12 @@ package transport
 
 import "meerkat/internal/obs"
 
-// RegisterObs exposes the network's counters as scrape-time gauges on r.
-// The gauge closures read the shared atomic counters only when a snapshot
-// is taken, so export adds nothing to the send path.
+// RegisterObs exposes the summed per-endpoint counters as scrape-time gauges
+// on r, so export adds nothing to the send path.
 func (n *Inproc) RegisterObs(r *obs.Registry) {
-	r.RegisterGauge("net_inproc_sent", n.stats.Sent.Load)
-	r.RegisterGauge("net_inproc_delivered", n.stats.Delivered.Load)
-	r.RegisterGauge("net_inproc_dropped", n.stats.Dropped.Load)
+	r.RegisterGauge("net_inproc_sent", func() uint64 { return n.Stats().Sent })
+	r.RegisterGauge("net_inproc_delivered", func() uint64 { return n.Stats().Delivered })
+	r.RegisterGauge("net_inproc_dropped", func() uint64 { return n.Stats().Dropped })
 }
 
 // RegisterObs exposes the summed per-endpoint socket counters as scrape-time

@@ -29,6 +29,10 @@ import (
 // runs on the endpoint's dedicated delivery goroutine — the analogue of a
 // server thread polling its NIC receive queue — so handlers for one core
 // never run concurrently with each other.
+//
+// The handler owns m: nothing else holds a reference, so it may pass m on
+// (an Inbox does) or, once it has read it and moved out whatever payload it
+// keeps, recycle it with message.ReleaseMessage. Releasing is optional.
 type Handler func(m *message.Message)
 
 // Outgoing pairs one message with its destination, for batched sends.
@@ -44,19 +48,23 @@ type Endpoint interface {
 	// Send delivers m to the endpoint at dst, asynchronously and
 	// unreliably: the message may be dropped, delayed, or reordered, per
 	// the network's fault configuration (or the whims of a real kernel).
-	// The transport stamps m.Src before delivery. Callers must not mutate
-	// m after Send returns. A transport may briefly coalesce a Send with
-	// neighbouring sends (see SendBatch); Flush forces anything buffered
-	// onto the wire.
+	// The transport stamps m.Src before delivery. Send transfers ownership
+	// of m to the transport, delivered or not: the caller must not touch
+	// the struct again — not even to read it or to send it a second time
+	// — because the receiver (inproc) or the transport itself (after
+	// encoding, or on a drop) recycles it. Slices m carried stay the
+	// caller's to read; nobody writes into them. A transport may briefly
+	// coalesce a Send with neighbouring sends (see SendBatch); Flush
+	// forces anything buffered onto the wire.
 	Send(dst message.Addr, m *message.Message) error
 	// SendBatch sends every message in batch, amortizing per-boundary
 	// costs (syscalls on a real wire) across the batch where the
 	// transport supports it. The messages are consumed during the call:
 	// the transport either serializes or hands them off before
 	// returning, so the caller may reuse the batch slice immediately —
-	// but, as with Send, must never mutate the messages themselves
-	// afterwards. Equivalent to calling Send once per element; the same
-	// delivery guarantees (none) apply.
+	// but, as with Send, no longer owns the messages themselves.
+	// Equivalent to calling Send once per element; the same delivery
+	// guarantees (none) apply.
 	SendBatch(batch []Outgoing) error
 	// Flush forces out anything the transport has buffered but not yet
 	// put on the wire. Transports that buffer nothing return nil

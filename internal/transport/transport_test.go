@@ -112,8 +112,8 @@ func TestInprocDropAll(t *testing.T) {
 	if count.Load() != 0 {
 		t.Fatalf("%d messages delivered with DropProb=1", count.Load())
 	}
-	if n.Stats().Dropped.Load() != 100 {
-		t.Fatalf("Dropped = %d, want 100", n.Stats().Dropped.Load())
+	if n.Stats().Dropped != 100 {
+		t.Fatalf("Dropped = %d, want 100", n.Stats().Dropped)
 	}
 }
 
@@ -196,7 +196,7 @@ func TestInprocUnknownDestinationDrops(t *testing.T) {
 	if err := src.Send(message.Addr{Node: 9, Core: 9}, &message.Message{Type: message.TypePut}); err != nil {
 		t.Fatalf("send to unknown dest errored: %v", err)
 	}
-	if n.Stats().Dropped.Load() != 1 {
+	if n.Stats().Dropped != 1 {
 		t.Fatal("unknown destination not counted as drop")
 	}
 }
@@ -241,7 +241,7 @@ func TestInprocQueueOverflowDrops(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		src.Send(dst, &message.Message{Type: message.TypePut})
 	}
-	if n.Stats().Dropped.Load() == 0 {
+	if n.Stats().Dropped == 0 {
 		t.Fatal("no drops despite tiny queue and stalled drainer")
 	}
 	close(release)

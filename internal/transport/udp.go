@@ -387,7 +387,8 @@ func (ep *udpEndpoint) Flush() error {
 }
 
 // bufferLocked serializes m into the next ring slot, flushing first if the
-// ring is full. Callers hold ep.mu.
+// ring is full, and recycles m: once encoded, the struct has no further
+// reader. Callers hold ep.mu.
 func (ep *udpEndpoint) bufferLocked(dst message.Addr, m *message.Message) {
 	if len(ep.pend) == sendRing {
 		ep.flushLocked()
@@ -397,6 +398,7 @@ func (ep *udpEndpoint) bufferLocked(dst message.Addr, m *message.Message) {
 	s := &ep.pend[i]
 	s.dst = dst
 	s.buf = message.Encode(s.buf[:0], m)
+	message.ReleaseMessage(m)
 }
 
 // sendPendingLocked flushes the ring unless something is holding it open: a
@@ -507,16 +509,24 @@ func (ep *udpEndpoint) readLoopFallback() {
 			return // socket closed
 		}
 		ep.recvCalls.Add(1)
-		m, derr := message.Decode(buf[:nr])
-		if derr != nil {
-			ep.dropped.Add(1)
-			continue // corrupt datagram: drop, like any UDP consumer
-		}
-		ep.delivered.Add(1)
 		ep.cork()
-		ep.h(m)
+		ep.deliver(buf[:nr])
 		ep.uncork()
 	}
+}
+
+// deliver decodes one datagram into a pooled message and hands it to the
+// handler, which owns it from then on (see message.ReleaseMessage); only the
+// payload the datagram carries is allocated.
+func (ep *udpEndpoint) deliver(datagram []byte) {
+	m := message.AcquireMessage()
+	if err := message.DecodeInto(m, datagram); err != nil {
+		message.ReleaseMessage(m)
+		ep.dropped.Add(1) // corrupt datagram: drop, like any UDP consumer
+		return
+	}
+	ep.delivered.Add(1)
+	ep.h(m)
 }
 
 // Close implements Endpoint.

@@ -199,13 +199,7 @@ func (ep *udpEndpoint) readLoop() {
 		n := w.rn
 		ep.cork()
 		for i := 0; i < n; i++ {
-			m, err := message.Decode(w.rbufs[i][:w.rvec[i].Len])
-			if err != nil {
-				ep.dropped.Add(1)
-				continue // corrupt datagram: drop, like any UDP consumer
-			}
-			ep.delivered.Add(1)
-			ep.h(m)
+			ep.deliver(w.rbufs[i][:w.rvec[i].Len])
 		}
 		ep.uncork()
 	}

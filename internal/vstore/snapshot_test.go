@@ -126,3 +126,51 @@ func TestSnapshotReadBoundWithMultiplePendingWriters(t *testing.T) {
 		t.Fatalf("bound = %v, want %v after all writers resolved", bound, ts(10))
 	}
 }
+
+// TestSnapshotReadUnconfirmedBelowTrimmedHistory: once the version window has
+// moved past a snapshot, the store no longer knows what that snapshot should
+// see. Answering "missing" with a confirmed bound would let a read-only
+// transaction read a hot key as never written; the bound must come back Zero
+// so the coordinator retries or demotes. A chain that still reaches back to
+// the first write keeps confirming "missing" below it.
+func TestSnapshotReadUnconfirmedBelowTrimmedHistory(t *testing.T) {
+	s := New(Config{MaxVersions: 2})
+	s.CommitWrite("k", []byte("v10"), ts(10))
+	if _, bound, ok := s.SnapshotRead("k", ts(5)); ok || bound != ts(5) {
+		t.Fatalf("untrimmed chain: ok=%v bound=%v, want confirmed missing at 5", ok, bound)
+	}
+	s.CommitWrite("k", []byte("v20"), ts(20))
+	s.CommitWrite("k", []byte("v30"), ts(30)) // trims v10
+
+	if v, bound, ok := s.SnapshotRead("k", ts(15)); ok || !bound.IsZero() {
+		t.Fatalf("snapshot 15 under trimmed history: got %+v ok=%v bound=%v, want unconfirmed missing", v, ok, bound)
+	}
+	if v, bound, ok := s.SnapshotRead("k", ts(25)); !ok || string(v.Value) != "v20" || bound != ts(25) {
+		t.Fatalf("snapshot 25 inside the window: got %+v ok=%v bound=%v, want confirmed v20", v, ok, bound)
+	}
+}
+
+// TestSnapshotReadSeesLateOlderWrite: writes commit in any order, and one
+// that lands below a newer plain write is still committed history. With no
+// pending writer left the bound confirms, so the chain must hold the late
+// write — dropping it (the single-version Thomas rule) let a read-only
+// transaction confirm the version underneath a committed write.
+func TestSnapshotReadSeesLateOlderWrite(t *testing.T) {
+	s := New(Config{})
+	s.Load("k", []byte("v1"), ts(1))
+	s.ValidateWrite("k", ts(20))
+	s.ValidateWrite("k", ts(30))
+	s.CommitWrite("k", []byte("v30"), ts(30))
+	if _, bound, _ := s.SnapshotRead("k", ts(25)); bound != ts(20).Prev() {
+		t.Fatalf("bound = %v with the write at 20 still pending, want %v", bound, ts(20).Prev())
+	}
+	s.CommitWrite("k", []byte("v20"), ts(20)) // lands below v30
+
+	v, bound, ok := s.SnapshotRead("k", ts(25))
+	if !ok || string(v.Value) != "v20" || bound != ts(25) {
+		t.Fatalf("snapshot 25: got %q ok=%v bound=%v, want confirmed v20", v.Value, ok, bound)
+	}
+	if v, _ := s.Read("k"); string(v.Value) != "v30" {
+		t.Fatalf("latest = %q, want v30", v.Value)
+	}
+}

@@ -299,6 +299,14 @@ func (s *Store) ReadAt(key string, ts timestamp.Timestamp) (Version, bool) {
 // false if none). The entry is created if missing: the rts guard must hold
 // for never-written keys too, otherwise a later first write could slide
 // under an already-confirmed snapshot.
+//
+// "None" is only an answer while the chain still reaches back to the key's
+// first write. Once history below versions[0] is gone (baseTrimmed: the
+// MaxVersions window moved on, or the entry arrived by state transfer) and
+// every retained version is newer than snap, the version the snapshot should
+// see is unknowable here, so the bound comes back Zero — unconfirmed — and
+// the coordinator retries elsewhere or demotes to the validated path rather
+// than reading a hot key as never written.
 func (s *Store) SnapshotRead(key string, snap timestamp.Timestamp) (Version, timestamp.Timestamp, bool) {
 	e := s.getOrCreate(key)
 	e.mu.Lock()
@@ -315,6 +323,9 @@ func (s *Store) SnapshotRead(key string, snap timestamp.Timestamp) (Version, tim
 		if e.versions[i].WTS.LessEq(snap) {
 			return e.versions[i], bound, true
 		}
+	}
+	if e.baseTrimmed && len(e.versions) > 0 {
+		bound = timestamp.Zero
 	}
 	return Version{}, bound, false
 }
@@ -487,20 +498,26 @@ func (e *entry) installLocked(value []byte, ts timestamp.Timestamp, maxVersions 
 //     at most one version per key, so same-WTS means already applied.
 //   - ts is newer than every retained version: append. Ops materialize from
 //     the previous latest value here — the hot path.
-//   - The next-newer retained version is a plain write: skip. This is the
-//     Thomas write rule extended to ops — the plain write's value does not
-//     depend on its predecessor, so it masks the incoming version entirely.
-//     It is also what makes state-transfer imports idempotent: an imported
-//     materialized value (always Op == OpNone) at a newer WTS absorbs any
-//     late replay of the ops whose effects it already includes.
-//   - The next-newer retained version is an op: insert at position, then
-//     re-materialize the run of op-versions above from their new
-//     predecessors, stopping at the first plain write (which masks
-//     everything below it). A plain write inserted this way supplies the
-//     base itself; an op needs its predecessor's value — if that
-//     predecessor was trimmed (baseTrimmed and position 0), exact
-//     re-materialization is impossible and recoverPrefixLocked folds the
-//     op into the retained prefix arithmetically instead.
+//   - The next-newer retained version is a plain write: the Thomas write
+//     rule extended to ops — that write's value does not depend on its
+//     predecessor, so the incoming version can never become (or change) the
+//     latest value. It is still committed history, though, and a snapshot
+//     read between the two timestamps must see it (dropping it let a
+//     read-only transaction confirm the version below a committed write),
+//     so it is inserted at its position like any other. The one exception
+//     is position 0 under a trimmed base: what lies below versions[0] is
+//     unknown, SnapshotRead refuses to confirm there, and the version is
+//     skipped. That also keeps state-transfer imports idempotent: an
+//     imported materialized value (always Op == OpNone, baseTrimmed) at a
+//     newer WTS absorbs any late replay of the ops it already includes.
+//   - Otherwise insert at position, then re-materialize the run of
+//     op-versions above from their new predecessors, stopping at the first
+//     plain write (which is independent of everything below it). A plain
+//     write inserted this way supplies the base itself; an op needs its
+//     predecessor's value — if that predecessor was trimmed (baseTrimmed
+//     and position 0), exact re-materialization is impossible and
+//     recoverPrefixLocked folds the op into the retained prefix
+//     arithmetically instead.
 //
 // Returns true when the op had to take the arithmetic-recovery path.
 func (e *entry) insertLocked(v Version, maxVersions int) (recovered bool) {
@@ -526,8 +543,8 @@ func (e *entry) insertLocked(v Version, maxVersions int) (recovered bool) {
 			v.Value = message.ApplyOp(nil, prev, v.Op, v.OpDelta, v.OpArg)
 		}
 		e.versions = append(e.versions, v)
-	} else if e.versions[pos].Op == message.OpNone {
-		return false // masked by a newer plain write (Thomas write rule)
+	} else if pos == 0 && e.baseTrimmed && e.versions[0].Op == message.OpNone {
+		return false // below a trimmed base and masked by the plain write above
 	} else if v.Op != message.OpNone && pos == 0 && e.baseTrimmed {
 		// The op's predecessor was trimmed: fold it into the retained
 		// op-run arithmetically.

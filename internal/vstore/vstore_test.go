@@ -80,14 +80,19 @@ func TestReadAtFindsOlderVersion(t *testing.T) {
 func TestThomasWriteRule(t *testing.T) {
 	s := New(Config{})
 	s.Load("k", []byte("new"), ts(10))
-	// A write with an older timestamp commits but is never observable.
+	// A write with an older timestamp commits but never becomes the latest
+	// value; it stays in the history, where a snapshot between the two
+	// timestamps must find it.
 	s.CommitWrite("k", []byte("stale"), ts(5))
 	v, _ := s.Read("k")
 	if string(v.Value) != "new" {
 		t.Fatalf("stale write became visible: %q", v.Value)
 	}
-	if got := len(s.Versions("k")); got != 1 {
-		t.Fatalf("version chain has %d entries, want 1", got)
+	if v, _, ok := s.SnapshotRead("k", ts(7)); !ok || string(v.Value) != "stale" {
+		t.Fatalf("snapshot at 7 read %q ok=%v, want the write committed at 5", v.Value, ok)
+	}
+	if got := len(s.Versions("k")); got != 2 {
+		t.Fatalf("version chain has %d entries, want 2", got)
 	}
 	// Equal timestamp is also skipped (same transaction ts cannot happen,
 	// but the rule must be stable).

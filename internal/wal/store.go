@@ -56,8 +56,13 @@ type Store struct {
 	snapMu  sync.Mutex // serializes snapshots (and protects snapSeq)
 	snapSeq uint64
 
-	snapStop chan struct{}
-	snapDone chan struct{}
+	snapStop chan struct{} // closed to stop the periodic snapshotter
+
+	// bg tracks every background snapshot goroutine this store started —
+	// the periodic snapshotter and SnapshotAsync's one-shots — so Close and
+	// Crash return only once nothing can still write under dir. Add is
+	// called under mu with closed false, which orders it before their Wait.
+	bg sync.WaitGroup
 
 	mu     sync.Mutex
 	closed bool
@@ -357,9 +362,9 @@ func (s *Store) StartSnapshotter(vs *vstore.Store) {
 		return
 	}
 	s.snapStop = make(chan struct{})
-	s.snapDone = make(chan struct{})
-	go func(stop, done chan struct{}) {
-		defer close(done)
+	s.bg.Add(1)
+	go func(stop chan struct{}) {
+		defer s.bg.Done()
 		t := time.NewTicker(s.opts.SnapshotInterval)
 		defer t.Stop()
 		for {
@@ -372,19 +377,41 @@ func (s *Store) StartSnapshotter(vs *vstore.Store) {
 				s.Snapshot(vs)
 			}
 		}
-	}(s.snapStop, s.snapDone)
+	}(s.snapStop)
 }
 
-// stopSnapshotter stops the periodic snapshotter, if running.
-func (s *Store) stopSnapshotter() {
+// SnapshotAsync takes one best-effort snapshot of vs in the background. The
+// store owns the goroutine: Close and Crash wait for it, so no snapshot file
+// lands after either has returned. A no-op on a closed store.
+func (s *Store) SnapshotAsync(vs *vstore.Store) {
 	s.mu.Lock()
-	stop, done := s.snapStop, s.snapDone
-	s.snapStop, s.snapDone = nil, nil
-	s.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-done
+	defer s.mu.Unlock()
+	if s.closed {
+		return
 	}
+	s.bg.Add(1)
+	go func() {
+		defer s.bg.Done()
+		s.Snapshot(vs)
+	}()
+}
+
+// shutdown marks the store closed, stops the periodic snapshotter and waits
+// for every background snapshot to finish. It reports false if the store was
+// already closed.
+func (s *Store) shutdown() bool {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return false
+	}
+	s.closed = true
+	if s.snapStop != nil {
+		close(s.snapStop)
+	}
+	s.mu.Unlock()
+	s.bg.Wait()
+	return true
 }
 
 // Flush forces every core's pending records to disk (write + fsync).
@@ -398,17 +425,13 @@ func (s *Store) Flush() error {
 	return first
 }
 
-// Close gracefully shuts the store down: stop the snapshotter, then flush +
-// fsync + close every log. Safe to call more than once.
+// Close gracefully shuts the store down: stop the snapshotter and wait out
+// any background snapshot, then flush + fsync + close every log. Safe to
+// call more than once.
 func (s *Store) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	if !s.shutdown() {
 		return nil
 	}
-	s.closed = true
-	s.mu.Unlock()
-	s.stopSnapshotter()
 	var first error
 	for _, l := range s.logs {
 		if err := l.Close(); err != nil && first == nil {
@@ -422,16 +445,14 @@ func (s *Store) Close() error {
 }
 
 // Crash simulates a process crash: pending buffers are dropped and files
-// closed without fsync. See Log.Crash for the fidelity boundary.
+// closed without fsync. See Log.Crash for the fidelity boundary. A
+// background snapshot already under way completes first — a crash may land
+// after a snapshot as well as before one, and nothing may write to the
+// directory once Crash has returned.
 func (s *Store) Crash() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	if !s.shutdown() {
 		return
 	}
-	s.closed = true
-	s.mu.Unlock()
-	s.stopSnapshotter()
 	for _, l := range s.logs {
 		l.Crash()
 	}

@@ -781,8 +781,9 @@ func (c *Cluster) RecoverReplica(p, r int) error {
 		// Best-effort snapshot: the delta just fetched lives only in memory
 		// until a snapshot covers it; taking one now makes the recovery
 		// itself durable (failure is fine — the next crash simply fetches
-		// the delta again).
-		go w.Snapshot(rep.Store())
+		// the delta again). The WAL store owns the goroutine, so Close and
+		// CrashReplica wait for it.
+		w.SnapshotAsync(rep.Store())
 	}
 	return nil
 }
@@ -856,7 +857,7 @@ func (c *Cluster) NetworkStats() (sent, delivered, dropped uint64) {
 		return
 	}
 	s := c.inet.Stats()
-	return s.Sent.Load(), s.Delivered.Load(), s.Dropped.Load()
+	return s.Sent, s.Delivered, s.Dropped
 }
 
 // UDPNetStats is a point-in-time aggregate of the UDP transport's
