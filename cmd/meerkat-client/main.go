@@ -37,7 +37,7 @@ func main() {
 		partitions = flag.Int("partitions", 1, "number of partitions (deprecated static routing; prefer -shards)")
 		shards     = flag.Int("shards", 0, "route by the versioned hash-range shard map over this many shards (must match the servers' -shards); 0 keeps static -partitions routing")
 		cores      = flag.Int("cores", 4, "server threads per replica")
-		clientID   = flag.Uint64("id", uint64(os.Getpid()), "unique client id")
+		clientID   = flag.Uint64("id", defaultClientID(os.Getpid()), "unique client id; picks the client's UDP port slot (default 1 + pid mod 1024)")
 		op         = flag.String("op", "get", "operation: get|mget|put|incr|append|bench")
 		key        = flag.String("key", "", "key (for mget: comma-separated keys)")
 		value      = flag.String("value", "", "value (put)")
@@ -236,6 +236,13 @@ func main() {
 		fail(fmt.Errorf("unknown op %q", *op))
 	}
 }
+
+// defaultClientIDs bounds the default id: client ids pick UDP port slots, and
+// a raw PID maps past port 65535 (transport.ErrPortRange) from a few thousand
+// up. Two clients that collide fail loudly at bind with EADDRINUSE.
+const defaultClientIDs = 1024
+
+func defaultClientID(pid int) uint64 { return 1 + uint64(pid)%defaultClientIDs }
 
 // newRng seeds per-client randomness from the client id.
 func newRng(id uint64) *rand.Rand { return rand.New(rand.NewSource(int64(id) + 1)) }

@@ -257,9 +257,9 @@ func TestOpVersionChainAscendingWithOps(t *testing.T) {
 	}
 }
 
-// TestReadAtSeesConsistentOpHistory asserts ReadAt materializes the folded
-// value as of any timestamp, including ones that landed out of order.
-func TestReadAtSeesConsistentOpHistory(t *testing.T) {
+// TestSnapshotReadSeesConsistentOpHistory asserts a snapshot read sees the
+// folded value as of any timestamp, including ones that landed out of order.
+func TestSnapshotReadSeesConsistentOpHistory(t *testing.T) {
 	s := New(Config{MaxVersions: -1})
 	s.CommitOp("k", message.OpIncrement, 100, nil, ts(30))
 	s.CommitOp("k", message.OpIncrement, 10, nil, ts(20))
@@ -269,9 +269,9 @@ func TestReadAtSeesConsistentOpHistory(t *testing.T) {
 		want string
 	}{{10, "1"}, {20, "11"}, {30, "111"}, {99, "111"}}
 	for _, c := range cases {
-		v, ok := s.ReadAt("k", ts(c.at))
+		v, _, ok := s.SnapshotRead("k", ts(c.at))
 		if !ok || string(v.Value) != c.want {
-			t.Fatalf("ReadAt(%d) = %q ok=%v, want %q", c.at, v.Value, ok, c.want)
+			t.Fatalf("SnapshotRead(%d) = %q ok=%v, want %q", c.at, v.Value, ok, c.want)
 		}
 	}
 }

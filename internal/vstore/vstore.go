@@ -14,9 +14,20 @@
 // the Zero-Coordination Principle. The same store backs Meerkat, Meerkat-PB,
 // TAPIR-like, and KuaFu++, mirroring the paper's shared storage layer.
 //
-// Reads take a lock-free fast path: the key index is a sync.Map per shard
-// (lock-free hits once a key is in the read-mostly portion) and each entry
-// publishes its latest committed version through an atomic.Pointer snapshot.
+// Reads take a lock-free fast path. The key index is a typed open-addressed
+// table per shard (index.go): one hash, one probe sequence over atomic slot
+// loads, no interface boxing and no lock on a hit. Each entry's version chain
+// is a queue of immutable nodes linked oldest-first, and the entry's atomic
+// latest pointer IS the chain's newest node — the node a commit allocates is
+// the snapshot readers see. The invariants:
+//
+//   - a node's value, its hash, wts and op record are written before the node
+//     becomes reachable and never afterwards; a change to a retained version
+//     (an op re-materialized over a late arrival) installs a replacement node;
+//   - a node's next link is the one mutable field: it is followed and relinked
+//     only under the per-key lock, and lock-free readers never look at it;
+//   - latest is nil iff the key has no committed version.
+//
 // A read of a committed key therefore touches zero mutexes; only validation
 // and version install — the paper's "small atomic regions" — take the
 // per-key lock. See DESIGN.md ("Hot-path performance") for the invariant.
@@ -47,12 +58,20 @@ type Version struct {
 
 // tsSet is a small unordered set of timestamps. Pending reader/writer sets
 // hold one element per in-flight conflicting transaction, so linear scans
-// beat any tree or map at realistic sizes.
+// beat any tree or map at realistic sizes. ts starts out aliasing inline (in
+// the set's own entry, which is never copied), so a key's first pending
+// reader or writer allocates nothing; only a second concurrent one spills.
 type tsSet struct {
-	ts []timestamp.Timestamp
+	ts     []timestamp.Timestamp
+	inline [1]timestamp.Timestamp
 }
 
-func (s *tsSet) add(t timestamp.Timestamp) { s.ts = append(s.ts, t) }
+func (s *tsSet) add(t timestamp.Timestamp) {
+	if s.ts == nil {
+		s.ts = s.inline[:0]
+	}
+	s.ts = append(s.ts, t)
+}
 
 func (s *tsSet) remove(t timestamp.Timestamp) {
 	for i := range s.ts {
@@ -93,23 +112,88 @@ func (s *tsSet) max() (timestamp.Timestamp, bool) {
 	return m, true
 }
 
+// node is one retained version of a key. Everything but next is immutable
+// once the node is reachable from its entry; see the package comment.
+type node struct {
+	value []byte
+	wts   timestamp.Timestamp
+	op    *opRecord // merge record of a commutative op; nil for plain writes
+	next  *node     // next-newer retained version; per-key lock only
+
+	// vhash is message.HashValue(value). Read validation compares the latest
+	// version's against the hash the client computed over the bytes it read:
+	// an op that merged below the latest version re-materializes the value
+	// WITHOUT advancing wts, so matching timestamps alone would let a reader
+	// validate against a value that no longer exists.
+	vhash uint64
+}
+
+// opRecord is what CommitOp keeps of an operation so the version can be
+// re-materialized over a different predecessor.
+type opRecord struct {
+	kind  message.OpKind
+	delta int64  // numeric-op operand
+	arg   []byte // append-op operand
+}
+
+// opNode co-allocates an op version's node with its merge record.
+type opNode struct {
+	node
+	rec opRecord
+}
+
+func (n *node) version() Version {
+	v := Version{Value: n.value, WTS: n.wts}
+	if n.op != nil {
+		v.Op, v.OpDelta, v.OpArg = n.op.kind, n.op.delta, n.op.arg
+	}
+	return v
+}
+
+// materialize completes a node about to be linked in on top of prev (nil at
+// the bottom of the chain): an op's value is computed from prev's, then hashed.
+func (n *node) materialize(prev *node) {
+	if n.op != nil {
+		var base []byte
+		if prev != nil {
+			base = prev.value
+		}
+		n.value = message.ApplyOp(nil, base, n.op.kind, n.op.delta, n.op.arg)
+	}
+	n.vhash = message.HashValue(n.value)
+}
+
 // entry is the per-key record. Its mutex is the only lock a non-conflicting
 // transaction ever takes in the storage layer, and only for the duration of
 // one check or install — the paper's "small atomic regions". Plain reads
-// bypass even that: latest holds an immutable snapshot of the newest
-// committed version, published atomically by installLocked.
+// bypass even that through latest.
 type entry struct {
+	// key and hash identify the entry to the index (index.go); immutable,
+	// and first so the probe's compare pulls in the lock's cache line.
+	key  string
+	hash uint64
+
 	mu sync.Mutex
 
-	// latest is the lock-free read snapshot: a pointer to an immutable copy
-	// of versions' last element, nil iff the key has no committed version.
-	// Written only under mu; read without any lock.
-	latest atomic.Pointer[Version]
+	// latest is both the lock-free read snapshot and the newest node of the
+	// version chain; nil iff the key has no committed version. oldest is the
+	// other end; the chain ascends by WTS along next from oldest to latest.
+	// Written only under mu; latest is read without any lock.
+	latest atomic.Pointer[node]
+	oldest *node
+	nver   int32 // retained versions: the length of the chain
 
-	versions []Version // ascending by WTS; last is the latest committed
-	rts      timestamp.Timestamp
-	readers  tsSet
-	writers  tsSet
+	// baseTrimmed records that the value preceding the oldest retained
+	// version is unknown: either insertLocked trimmed history to MaxVersions,
+	// or the entry was imported via state transfer (which ships only the
+	// latest version). An op folded in below the chain then cannot
+	// re-materialize from its true predecessor and takes the
+	// arithmetic-recovery path instead.
+	baseTrimmed bool
+
+	rts     timestamp.Timestamp
+	writers tsSet
+	readers tsSet
 
 	// appliedAt is the local wall clock (UnixNano) of the last committed
 	// mutation of this entry — version install, rts advance, or load. It is
@@ -118,31 +202,6 @@ type entry struct {
 	// before, and delta state transfer must still ship it to a replica that
 	// was down when the commit was applied. See ExportShardSince.
 	appliedAt int64
-
-	// baseTrimmed records that the value preceding versions[0] is unknown:
-	// either installLocked trimmed history to MaxVersions, or the entry was
-	// imported via state transfer (which ships only the latest version). An
-	// op folded in below versions[0] then cannot re-materialize from its
-	// true predecessor and takes the arithmetic-recovery path instead.
-	baseTrimmed bool
-
-	// vhash caches message.HashValue of the latest version's value,
-	// refreshed by publishLatestLocked. Read validation compares it against
-	// the hash the client computed over the bytes it read: an op that merged
-	// below the latest version re-materializes the value WITHOUT advancing
-	// wts, so matching timestamps alone would let a reader validate against
-	// a value that no longer exists. Meaningful only when versions is
-	// non-empty (the empty chain validates as HashValue(nil)).
-	vhash uint64
-}
-
-// wtsLocked returns the latest committed write timestamp (Zero if none).
-// Caller holds e.mu.
-func (e *entry) wtsLocked() timestamp.Timestamp {
-	if len(e.versions) == 0 {
-		return timestamp.Timestamp{}
-	}
-	return e.versions[len(e.versions)-1].WTS
 }
 
 const defaultShards = 256
@@ -167,16 +226,9 @@ type Store struct {
 	// Commutative-op telemetry: opsMerged counts committed ops folded into
 	// version chains; opsRecovered counts the out-of-window folds that had
 	// to use arithmetic recovery because the op's predecessor version was
-	// trimmed (see entry.recoverPrefixLocked).
+	// trimmed (see recoveredValue).
 	opsMerged    atomic.Uint64
 	opsRecovered atomic.Uint64
-}
-
-// shard holds one slice of the key index. sync.Map fits the access pattern
-// exactly: after warmup the keyset is stable, so lookups hit the read-only
-// portion — an atomic load, no mutex, no allocation. Values are *entry.
-type shard struct {
-	m sync.Map
 }
 
 // New returns an empty Store.
@@ -192,44 +244,11 @@ func New(cfg Config) *Store {
 	if maxV == 0 {
 		maxV = 8
 	}
-	return &Store{shards: make([]shard, n), mask: uint64(n - 1), maxVersions: maxV}
-}
-
-// fnv1a hashes key without allocating.
-func fnv1a(key string) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= prime
+	s := &Store{shards: make([]shard, n), mask: uint64(n - 1), maxVersions: maxV}
+	for i := range s.shards {
+		s.shards[i].table.Store(emptyTable)
 	}
-	return h
-}
-
-func (s *Store) shardFor(key string) *shard {
-	return &s.shards[fnv1a(key)&s.mask]
-}
-
-// get returns the entry for key, or nil if absent. Lock-free on the hit
-// path: sync.Map.Load on a warm key is an atomic load of the read-only map.
-func (s *Store) get(key string) *entry {
-	if v, ok := s.shardFor(key).m.Load(key); ok {
-		return v.(*entry)
-	}
-	return nil
-}
-
-// getOrCreate returns the entry for key, creating it if absent.
-func (s *Store) getOrCreate(key string) *entry {
-	sh := s.shardFor(key)
-	if v, ok := sh.m.Load(key); ok {
-		return v.(*entry)
-	}
-	v, _ := sh.m.LoadOrStore(key, &entry{})
-	return v.(*entry)
+	return s
 }
 
 // Load installs an initial version of key at ts, bypassing concurrency
@@ -237,7 +256,7 @@ func (s *Store) getOrCreate(key string) *entry {
 func (s *Store) Load(key string, value []byte, ts timestamp.Timestamp) {
 	e := s.getOrCreate(key)
 	e.mu.Lock()
-	e.installLocked(value, ts, s.maxVersions)
+	e.insertLocked(&node{value: value, wts: ts}, s.maxVersions)
 	e.mu.Unlock()
 }
 
@@ -246,39 +265,12 @@ func (s *Store) Load(key string, value []byte, ts timestamp.Timestamp) {
 // the version a read-set entry should carry so that validation detects a
 // concurrent first write.
 //
-// Read takes no locks: it is two atomic loads (shard index, version
-// snapshot), so read-dominated workloads contend on nothing.
+// Read takes no locks: a table probe and the entry's latest pointer are all
+// atomic loads, so read-dominated workloads contend on nothing.
 func (s *Store) Read(key string) (Version, bool) {
-	e := s.get(key)
-	if e == nil {
-		return Version{}, false
-	}
-	if v := e.latest.Load(); v != nil {
-		return *v, true
-	}
-	return Version{}, false
-}
-
-// ReadAt returns the newest committed version of key with WTS <= ts. It
-// serves reads that must not observe writes later than a chosen timestamp.
-// When the latest committed version already satisfies ts — the common case
-// for current-time reads — it is answered from the lock-free snapshot;
-// only older-version reads walk the history under the per-key lock.
-func (s *Store) ReadAt(key string, ts timestamp.Timestamp) (Version, bool) {
-	e := s.get(key)
-	if e == nil {
-		return Version{}, false
-	}
-	if v := e.latest.Load(); v == nil {
-		return Version{}, false
-	} else if v.WTS.LessEq(ts) {
-		return *v, true
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for i := len(e.versions) - 1; i >= 0; i-- {
-		if e.versions[i].WTS.LessEq(ts) {
-			return e.versions[i], true
+	if e := s.get(key); e != nil {
+		if n := e.latest.Load(); n != nil {
+			return n.version(), true
 		}
 	}
 	return Version{}, false
@@ -301,12 +293,12 @@ func (s *Store) ReadAt(key string, ts timestamp.Timestamp) (Version, bool) {
 // under an already-confirmed snapshot.
 //
 // "None" is only an answer while the chain still reaches back to the key's
-// first write. Once history below versions[0] is gone (baseTrimmed: the
-// MaxVersions window moved on, or the entry arrived by state transfer) and
-// every retained version is newer than snap, the version the snapshot should
-// see is unknowable here, so the bound comes back Zero — unconfirmed — and
-// the coordinator retries elsewhere or demotes to the validated path rather
-// than reading a hot key as never written.
+// first write. Once history below the oldest retained version is gone
+// (baseTrimmed: the MaxVersions window moved on, or the entry arrived by
+// state transfer) and every retained version is newer than snap, the version
+// the snapshot should see is unknowable here, so the bound comes back Zero —
+// unconfirmed — and the coordinator retries elsewhere or demotes to the
+// validated path rather than reading a hot key as never written.
 func (s *Store) SnapshotRead(key string, snap timestamp.Timestamp) (Version, timestamp.Timestamp, bool) {
 	e := s.getOrCreate(key)
 	e.mu.Lock()
@@ -319,12 +311,18 @@ func (s *Store) SnapshotRead(key string, snap timestamp.Timestamp) (Version, tim
 	if w, ok := e.writers.min(); ok && w.LessEq(snap) {
 		bound = w.Prev()
 	}
-	for i := len(e.versions) - 1; i >= 0; i-- {
-		if e.versions[i].WTS.LessEq(snap) {
-			return e.versions[i], bound, true
+	n := e.latest.Load()
+	if n != nil && snap.Less(n.wts) {
+		// Older than the latest version: the newest one at or below snap.
+		n = nil
+		for o := e.oldest; o.wts.LessEq(snap); o = o.next {
+			n = o
 		}
 	}
-	if e.baseTrimmed && len(e.versions) > 0 {
+	if n != nil {
+		return n.version(), bound, true
+	}
+	if e.baseTrimmed && e.nver > 0 {
 		bound = timestamp.Zero
 	}
 	return Version{}, bound, false
@@ -334,7 +332,7 @@ func (s *Store) SnapshotRead(key string, snap timestamp.Timestamp) (Version, tim
 // single key: it aborts if the latest committed version is newer than the
 // one the transaction read (e.wts > readWTS), if the value at that version
 // is no longer the value the transaction observed (readVHash differs — a
-// commutative op merged in below it; see entry.vhash), or if a pending
+// commutative op merged in below it; see node.vhash), or if a pending
 // writer could commit between that version and ts (ts > min(writers)). On
 // success the transaction's timestamp is recorded in the key's pending
 // readers.
@@ -342,14 +340,11 @@ func (s *Store) ValidateRead(key string, readWTS timestamp.Timestamp, readVHash 
 	e := s.getOrCreate(key)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if readWTS.Less(e.wtsLocked()) {
-		return false
+	wts, h := timestamp.Timestamp{}, emptyVHash
+	if n := e.latest.Load(); n != nil {
+		wts, h = n.wts, n.vhash
 	}
-	h := emptyVHash
-	if len(e.versions) > 0 {
-		h = e.vhash
-	}
-	if h != readVHash {
+	if readWTS.Less(wts) || h != readVHash {
 		return false
 	}
 	if w, ok := e.writers.min(); ok && w.Less(ts) {
@@ -439,7 +434,7 @@ func (s *Store) CommitWrite(key string, value []byte, ts timestamp.Timestamp) {
 	e := s.getOrCreate(key)
 	e.mu.Lock()
 	e.writers.remove(ts)
-	e.installLocked(value, ts, s.maxVersions)
+	e.insertLocked(&node{value: value, wts: ts}, s.maxVersions)
 	e.mu.Unlock()
 }
 
@@ -459,9 +454,11 @@ func (s *Store) CommitOp(key string, kind message.OpKind, delta int64, arg []byt
 		return
 	}
 	e := s.getOrCreate(key)
+	n := &opNode{node: node{wts: ts}, rec: opRecord{kind: kind, delta: delta, arg: arg}}
+	n.op = &n.rec
 	e.mu.Lock()
 	e.writers.remove(ts)
-	recovered := e.insertLocked(Version{WTS: ts, Op: kind, OpDelta: delta, OpArg: arg}, s.maxVersions)
+	recovered := e.insertLocked(&n.node, s.maxVersions)
 	e.mu.Unlock()
 	s.opsMerged.Add(1)
 	if recovered {
@@ -472,173 +469,164 @@ func (s *Store) CommitOp(key string, kind message.OpKind, delta int64, arg []byt
 // OpStats reports the commutative-op counters: merged is the number of
 // committed ops folded into version chains, recovered the subset that
 // arrived below the retained history and took the arithmetic-recovery path
-// (see recoverPrefixLocked).
+// (see recoveredValue).
 func (s *Store) OpStats() (merged, recovered uint64) {
 	return s.opsMerged.Load(), s.opsRecovered.Load()
 }
 
-// installLocked appends a plain write (value, ts) to the version chain, or —
-// when ts is older than the latest version — folds it in at its timestamp
-// position (see insertLocked). Caller holds e.mu.
-func (e *entry) installLocked(value []byte, ts timestamp.Timestamp, maxVersions int) {
-	e.insertLocked(Version{Value: value, WTS: ts}, maxVersions)
-}
-
 // insertLocked folds one committed version — a plain write or a commutative
-// op (v.Op != OpNone, v.Value ignored) — into the chain at its timestamp
-// position. Caller holds e.mu. It publishes the chain's (possibly new) last
-// version through e.latest; the published Version is a copy and is never
-// mutated afterwards (versions may be trimmed, moved, or re-materialized —
-// the snapshot may not alias them).
+// op (n.op != nil, value not yet materialized) — into the chain at its
+// timestamp position. Caller holds e.mu; n is not reachable by anyone else.
 //
 // The rules, in order:
 //
 //   - A version with the same WTS already exists: skip. Commit records are
 //     replayed (WAL recovery, duplicate finalize), and a transaction installs
 //     at most one version per key, so same-WTS means already applied.
-//   - ts is newer than every retained version: append. Ops materialize from
-//     the previous latest value here — the hot path.
+//   - n is newer than every retained version: it becomes latest. Ops
+//     materialize from the previous latest value here — the hot path.
 //   - The next-newer retained version is a plain write: the Thomas write
 //     rule extended to ops — that write's value does not depend on its
 //     predecessor, so the incoming version can never become (or change) the
 //     latest value. It is still committed history, though, and a snapshot
 //     read between the two timestamps must see it (dropping it let a
 //     read-only transaction confirm the version below a committed write),
-//     so it is inserted at its position like any other. The one exception
-//     is position 0 under a trimmed base: what lies below versions[0] is
-//     unknown, SnapshotRead refuses to confirm there, and the version is
-//     skipped. That also keeps state-transfer imports idempotent: an
-//     imported materialized value (always Op == OpNone, baseTrimmed) at a
-//     newer WTS absorbs any late replay of the ops it already includes.
-//   - Otherwise insert at position, then re-materialize the run of
-//     op-versions above from their new predecessors, stopping at the first
-//     plain write (which is independent of everything below it). A plain
-//     write inserted this way supplies the base itself; an op needs its
-//     predecessor's value — if that predecessor was trimmed (baseTrimmed
-//     and position 0), exact re-materialization is impossible and
-//     recoverPrefixLocked folds the op into the retained prefix
-//     arithmetically instead.
+//     so it is linked in at its position like any other. The one exception
+//     is the bottom of the chain under a trimmed base: what lies below the
+//     oldest version is unknown, SnapshotRead refuses to confirm there, and
+//     the version is skipped. That also keeps state-transfer imports
+//     idempotent: an imported materialized value (always a plain write,
+//     baseTrimmed) at a newer WTS absorbs any late replay of the ops it
+//     already includes.
+//   - Otherwise link n in at its position, then re-materialize the run of
+//     op-versions above it from their new predecessors, stopping at the
+//     first plain write (which is independent of everything below it).
+//     Retained nodes are immutable, so each re-materialized version is a
+//     replacement node; the untouched rest of the chain is linked back in on
+//     top of them. A plain write inserted this way supplies the base itself;
+//     an op needs its predecessor's value — if that predecessor was trimmed
+//     (baseTrimmed and bottom of the chain), exact re-materialization is
+//     impossible and recoveredValue folds the op into each version of the
+//     bottom run arithmetically instead; n itself is then not retained.
 //
 // Returns true when the op had to take the arithmetic-recovery path.
-func (e *entry) insertLocked(v Version, maxVersions int) (recovered bool) {
-	if !timestamp.Zero.Less(v.WTS) {
+func (e *entry) insertLocked(n *node, maxVersions int) (recovered bool) {
+	if !timestamp.Zero.Less(n.wts) {
 		// The empty chain behaves as a plain write at the Zero timestamp:
 		// versions at or below it are never observable.
 		return false
 	}
-	pos := len(e.versions)
-	for pos > 0 && v.WTS.Less(e.versions[pos-1].WTS) {
-		pos--
-	}
-	if pos > 0 && e.versions[pos-1].WTS == v.WTS {
-		return false // already applied (idempotent replay)
-	}
-	if pos == len(e.versions) {
-		// Append path: newer than everything retained.
-		if v.Op != message.OpNone {
-			var prev []byte
-			if pos > 0 {
-				prev = e.versions[pos-1].Value
-			}
-			v.Value = message.ApplyOp(nil, prev, v.Op, v.OpDelta, v.OpArg)
-		}
-		e.versions = append(e.versions, v)
-	} else if pos == 0 && e.baseTrimmed && e.versions[0].Op == message.OpNone {
-		return false // below a trimmed base and masked by the plain write above
-	} else if v.Op != message.OpNone && pos == 0 && e.baseTrimmed {
-		// The op's predecessor was trimmed: fold it into the retained
-		// op-run arithmetically.
-		e.recoverPrefixLocked(v.Op, v.OpDelta, v.OpArg)
-		e.publishLatestLocked()
-		return true
+	head := e.latest.Load()
+	if head == nil || head.wts.Less(n.wts) {
+		n.materialize(head)
+		e.linkLocked(head, n)
+		e.nver++
+		head = n
 	} else {
-		if v.Op != message.OpNone {
-			var prev []byte
-			if pos > 0 {
-				prev = e.versions[pos-1].Value
-			}
-			v.Value = message.ApplyOp(nil, prev, v.Op, v.OpDelta, v.OpArg)
+		// Out of order: walk up from the oldest version to the one n lands
+		// on top of (below) and the one directly above it (up; never past
+		// head, which is not older than n).
+		var below *node
+		up := e.oldest
+		for up.wts.Less(n.wts) {
+			below, up = up, up.next
 		}
-		e.versions = append(e.versions, Version{})
-		copy(e.versions[pos+1:], e.versions[pos:])
-		e.versions[pos] = v
-		// Re-materialize the op-run above the insert from its new
-		// predecessors; the first plain write is independent of them.
-		for j := pos + 1; j < len(e.versions) && e.versions[j].Op != message.OpNone; j++ {
-			e.versions[j].Value = message.ApplyOp(nil, e.versions[j-1].Value,
-				e.versions[j].Op, e.versions[j].OpDelta, e.versions[j].OpArg)
+		if up.wts == n.wts {
+			return false // already applied (idempotent replay)
+		}
+		underBase := below == nil && e.baseTrimmed
+		if underBase && up.op == nil {
+			return false // below a trimmed base and masked by the plain write above
+		}
+		recovered = underBase && n.op != nil
+		top := below // newest version of the chain as rebuilt so far
+		if !recovered {
+			n.materialize(below)
+			e.linkLocked(below, n)
+			e.nver++
+			top = n
+		}
+		suffixLen := 0
+		for ; up != nil && up.op != nil; up = up.next {
+			r := &node{wts: up.wts, op: up.op}
+			if recovered {
+				r.value = recoveredValue(up, n.op, &suffixLen)
+				r.vhash = message.HashValue(r.value)
+			} else {
+				r.materialize(top)
+			}
+			e.linkLocked(top, r)
+			top = r
+		}
+		if up != nil {
+			top.next = up
+		} else {
+			head = top
 		}
 	}
-	if maxVersions > 0 && len(e.versions) > maxVersions {
-		n := copy(e.versions, e.versions[len(e.versions)-maxVersions:])
-		e.versions = e.versions[:n]
+	if maxVersions > 0 && int(e.nver) > maxVersions {
+		e.oldest = e.oldest.next
+		e.nver--
 		e.baseTrimmed = true
 	}
-	e.publishLatestLocked()
-	return false
-}
-
-// publishLatestLocked refreshes the lock-free read snapshot from the chain's
-// last version. Caller holds e.mu. Always stores a fresh copy: the chain's
-// backing array may be trimmed, shifted, or re-materialized later, and the
-// published snapshot must never alias mutable storage.
-func (e *entry) publishLatestLocked() {
-	last := &e.versions[len(e.versions)-1]
-	e.latest.Store(&Version{Value: last.Value, WTS: last.WTS, Op: last.Op,
-		OpDelta: last.OpDelta, OpArg: last.OpArg})
-	e.vhash = message.HashValue(last.Value)
+	e.latest.Store(head)
 	e.appliedAt = time.Now().UnixNano()
+	return recovered
 }
 
-// recoverPrefixLocked folds an op whose true position is below every
-// retained version into the retained prefix. Exact reconstruction needs the
-// trimmed predecessor value, which is gone; but the op algebra still allows
-// exact recovery for the common same-kind runs:
+// linkLocked makes n the version directly above prev (the oldest if prev is
+// nil), in place of whatever sat there. Caller holds e.mu.
+func (e *entry) linkLocked(prev, n *node) {
+	if prev != nil {
+		prev.next = n
+	} else {
+		e.oldest = n
+	}
+}
+
+// recoveredValue returns the value of retained op-version v after folding in
+// an op whose true position is below every retained version. Exact
+// reconstruction needs the trimmed predecessor value, which is gone; but the
+// op algebra still allows exact recovery for the common same-kind runs:
 //
 //   - increment: adding delta below an increment run shifts every
 //     materialized sum in the run by delta.
 //   - max/min: folding the operand into each accumulated extreme is the
 //     same as merging it first (associative + commutative).
 //   - append: each run value is <lost base> + <args so far>; the incoming
-//     arg splices in front of the accumulated suffix.
+//     arg splices in front of the accumulated suffix (suffixLen carries the
+//     run's append bytes so far, oldest version first).
 //
-// The fold stops at the first plain write, which masks the op. Mixed-kind
-// runs fall back to the same per-version folds, which is best-effort (the
-// interleaving of kinds is not invertible without the base); both paths are
-// deterministic, and the caller counts every recovery so operators can see
-// when history pressure (MaxVersions too small for the op reordering window)
-// is costing precision.
-func (e *entry) recoverPrefixLocked(kind message.OpKind, delta int64, arg []byte) {
-	suffixLen := 0
-	for j := 0; j < len(e.versions) && e.versions[j].Op != message.OpNone; j++ {
-		v := &e.versions[j]
-		switch kind {
-		case message.OpIncrement:
-			base, _ := message.ParseIntValue(v.Value)
-			v.Value = message.AppendIntValue(nil, base+delta)
-		case message.OpMax:
-			if cur, ok := message.ParseIntValue(v.Value); !ok || cur < delta {
-				v.Value = message.AppendIntValue(nil, delta)
-			}
-		case message.OpMin:
-			if cur, ok := message.ParseIntValue(v.Value); !ok || cur > delta {
-				v.Value = message.AppendIntValue(nil, delta)
-			}
-		case message.OpAppend:
-			if v.Op == message.OpAppend {
-				suffixLen += len(v.OpArg)
-			}
-			cut := len(v.Value) - suffixLen
-			if cut < 0 {
-				cut = 0
-			}
-			nv := make([]byte, 0, len(v.Value)+len(arg))
-			nv = append(nv, v.Value[:cut]...)
-			nv = append(nv, arg...)
-			nv = append(nv, v.Value[cut:]...)
-			v.Value = nv
+// insertLocked stops the fold at the first plain write, which masks the op.
+// Mixed-kind runs fall back to the same per-version folds, which is
+// best-effort (the interleaving of kinds is not invertible without the
+// base); both paths are deterministic, and the caller counts every recovery
+// so operators can see when history pressure (MaxVersions too small for the
+// op reordering window) is costing precision.
+func recoveredValue(v *node, op *opRecord, suffixLen *int) []byte {
+	switch op.kind {
+	case message.OpIncrement:
+		base, _ := message.ParseIntValue(v.value)
+		return message.AppendIntValue(nil, base+op.delta)
+	case message.OpMax:
+		if cur, ok := message.ParseIntValue(v.value); !ok || cur < op.delta {
+			return message.AppendIntValue(nil, op.delta)
 		}
+	case message.OpMin:
+		if cur, ok := message.ParseIntValue(v.value); !ok || cur > op.delta {
+			return message.AppendIntValue(nil, op.delta)
+		}
+	case message.OpAppend:
+		if v.op.kind == message.OpAppend {
+			*suffixLen += len(v.op.arg)
+		}
+		cut := max(len(v.value)-*suffixLen, 0)
+		nv := make([]byte, 0, len(v.value)+len(op.arg))
+		nv = append(nv, v.value[:cut]...)
+		nv = append(nv, op.arg...)
+		return append(nv, v.value[cut:]...)
 	}
+	return v.value
 }
 
 // Pending reports the sizes of the key's pending reader and writer sets.
@@ -662,7 +650,10 @@ func (s *Store) Meta(key string) (wts, rts timestamp.Timestamp) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.wtsLocked(), e.rts
+	if n := e.latest.Load(); n != nil {
+		wts = n.wts
+	}
+	return wts, e.rts
 }
 
 // Versions returns a copy of the key's committed version chain, oldest
@@ -674,8 +665,10 @@ func (s *Store) Versions(key string) []Version {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make([]Version, len(e.versions))
-	copy(out, e.versions)
+	out := make([]Version, e.nver)
+	for i, n := 0, e.oldest; n != nil; i, n = i+1, n.next {
+		out[i] = n.version()
+	}
 	return out
 }
 
@@ -683,10 +676,7 @@ func (s *Store) Versions(key string) []Version {
 func (s *Store) Len() int {
 	n := 0
 	for i := range s.shards {
-		s.shards[i].m.Range(func(_, _ any) bool {
-			n++
-			return true
-		})
+		n += int(s.shards[i].n.Load())
 	}
 	return n
 }
@@ -697,11 +687,10 @@ func (s *Store) Len() int {
 // must not be called from transaction processing.
 func (s *Store) Counts() (keys, versions uint64) {
 	for i := range s.shards {
-		s.shards[i].m.Range(func(_, v any) bool {
-			e := v.(*entry)
+		s.shards[i].each(func(e *entry) bool {
 			keys++
 			e.mu.Lock()
-			versions += uint64(len(e.versions))
+			versions += uint64(e.nver)
 			e.mu.Unlock()
 			return true
 		})
@@ -747,20 +736,18 @@ func (s *Store) ExportShardSince(i int, since timestamp.Timestamp, sinceWall int
 		return nil
 	}
 	var out []KeyState
-	s.shards[i].m.Range(func(k, v any) bool {
-		e := v.(*entry)
+	s.shards[i].each(func(e *entry) bool {
 		e.mu.Lock()
-		if len(e.versions) > 0 {
-			lv := e.versions[len(e.versions)-1]
-			if since.Less(lv.WTS) || since.Less(e.rts) || (sinceWall > 0 && e.appliedAt >= sinceWall) {
-				out = append(out, KeyState{Key: k.(string), Value: lv.Value, WTS: lv.WTS, RTS: e.rts})
+		if lv := e.latest.Load(); lv != nil {
+			if since.Less(lv.wts) || since.Less(e.rts) || (sinceWall > 0 && e.appliedAt >= sinceWall) {
+				out = append(out, KeyState{Key: e.key, Value: lv.value, WTS: lv.wts, RTS: e.rts})
 			}
 		} else if !e.rts.IsZero() && (since.Less(e.rts) || (sinceWall > 0 && e.appliedAt >= sinceWall)) {
 			// A key that was read (rts raised) but never written has state
 			// worth transferring too: dropping the rts would let the importer
 			// later validate a write below it, un-serializing the read. Export
 			// it with a zero WTS; ImportState installs only the rts.
-			out = append(out, KeyState{Key: k.(string), RTS: e.rts})
+			out = append(out, KeyState{Key: e.key, RTS: e.rts})
 		}
 		e.mu.Unlock()
 		return true
@@ -785,7 +772,7 @@ func (s *Store) ImportState(states []KeyState) {
 		}
 		e := s.getOrCreate(st.Key)
 		e.mu.Lock()
-		e.installLocked(st.Value, st.WTS, s.maxVersions)
+		e.insertLocked(&node{value: st.Value, wts: st.WTS}, s.maxVersions)
 		// A transferred state carries only the materialized latest value —
 		// the history beneath it lives on the exporting replica. Mark the
 		// base unknown so a commutative op replayed from below the imported
@@ -804,19 +791,10 @@ func (s *Store) ImportState(states []KeyState) {
 // blocks concurrent transactions.
 func (s *Store) Range(fn func(key string, v Version) bool) {
 	for i := range s.shards {
-		stop := false
-		s.shards[i].m.Range(func(k, v any) bool {
-			lv := v.(*entry).latest.Load()
-			if lv == nil {
-				return true
-			}
-			if !fn(k.(string), *lv) {
-				stop = true
-				return false
-			}
-			return true
-		})
-		if stop {
+		if !s.shards[i].each(func(e *entry) bool {
+			lv := e.latest.Load()
+			return lv == nil || fn(e.key, lv.version())
+		}) {
 			return
 		}
 	}

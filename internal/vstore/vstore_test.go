@@ -21,9 +21,6 @@ func TestReadMissingKey(t *testing.T) {
 	if _, ok := s.Read("nope"); ok {
 		t.Fatal("read of missing key succeeded")
 	}
-	if _, ok := s.ReadAt("nope", ts(100)); ok {
-		t.Fatal("ReadAt of missing key succeeded")
-	}
 }
 
 func TestLoadAndRead(t *testing.T) {
@@ -43,37 +40,6 @@ func TestReadReturnsLatest(t *testing.T) {
 	v, _ := s.Read("k")
 	if string(v.Value) != "v3" || v.WTS != ts(9) {
 		t.Fatalf("got %+v", v)
-	}
-}
-
-func TestReadAtFindsOlderVersion(t *testing.T) {
-	s := New(Config{})
-	s.Load("k", []byte("v1"), ts(1))
-	s.CommitWrite("k", []byte("v2"), ts(5))
-	s.CommitWrite("k", []byte("v3"), ts(9))
-
-	cases := []struct {
-		at    int64
-		want  string
-		found bool
-	}{
-		{0, "", false},
-		{1, "v1", true},
-		{4, "v1", true},
-		{5, "v2", true},
-		{8, "v2", true},
-		{9, "v3", true},
-		{100, "v3", true},
-	}
-	for _, c := range cases {
-		v, ok := s.ReadAt("k", ts(c.at))
-		if ok != c.found {
-			t.Errorf("ReadAt(%d): found=%v, want %v", c.at, ok, c.found)
-			continue
-		}
-		if ok && string(v.Value) != c.want {
-			t.Errorf("ReadAt(%d) = %q, want %q", c.at, v.Value, c.want)
-		}
 	}
 }
 
