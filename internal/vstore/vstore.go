@@ -502,8 +502,8 @@ func (s *Store) OpStats() (merged, recovered uint64) {
 //     op-versions above it from their new predecessors, stopping at the
 //     first plain write (which is independent of everything below it).
 //     Retained nodes are immutable, so each re-materialized version is a
-//     replacement node; the untouched rest of the chain is linked back in on
-//     top of them. A plain write inserted this way supplies the base itself;
+//     replacement node (sharing nothing with the node it replaces); the rest of
+//     the chain is relinked on top. A plain write supplies the base itself;
 //     an op needs its predecessor's value — if that predecessor was trimmed
 //     (baseTrimmed and bottom of the chain), exact re-materialization is
 //     impossible and recoveredValue folds the op into each version of the
@@ -523,9 +523,8 @@ func (e *entry) insertLocked(n *node, maxVersions int) (recovered bool) {
 		e.nver++
 		head = n
 	} else {
-		// Out of order: walk up from the oldest version to the one n lands
-		// on top of (below) and the one directly above it (up; never past
-		// head, which is not older than n).
+		// Out of order: walk up from the oldest version to the one n lands on
+		// (below) and the one directly above it (up; head at the furthest).
 		var below *node
 		up := e.oldest
 		for up.wts.Less(n.wts) {
@@ -548,15 +547,16 @@ func (e *entry) insertLocked(n *node, maxVersions int) (recovered bool) {
 		}
 		suffixLen := 0
 		for ; up != nil && up.op != nil; up = up.next {
-			r := &node{wts: up.wts, op: up.op}
+			r := &opNode{node: node{wts: up.wts}, rec: *up.op}
+			r.op = &r.rec // a copy: aliasing up's would keep the replaced node live
 			if recovered {
 				r.value = recoveredValue(up, n.op, &suffixLen)
 				r.vhash = message.HashValue(r.value)
 			} else {
 				r.materialize(top)
 			}
-			e.linkLocked(top, r)
-			top = r
+			e.linkLocked(top, &r.node)
+			top = &r.node
 		}
 		if up != nil {
 			top.next = up

@@ -43,6 +43,107 @@ func TestReadReturnsLatest(t *testing.T) {
 	}
 }
 
+// TestSnapshotReadFindsOlderVersion is the case table of the deleted ReadAt's
+// test: a plain-write key looked up below, at, between and above its versions.
+func TestSnapshotReadFindsOlderVersion(t *testing.T) {
+	s := New(Config{})
+	s.Load("k", []byte("v1"), ts(1))
+	s.CommitWrite("k", []byte("v2"), ts(5))
+	s.CommitWrite("k", []byte("v3"), ts(9))
+
+	cases := []struct {
+		at    int64
+		want  string
+		found bool
+	}{
+		{0, "", false},
+		{1, "v1", true},
+		{4, "v1", true},
+		{5, "v2", true},
+		{8, "v2", true},
+		{9, "v3", true},
+		{100, "v3", true},
+	}
+	for _, c := range cases {
+		v, bound, ok := s.SnapshotRead("k", ts(c.at))
+		if ok != c.found {
+			t.Errorf("SnapshotRead(%d): found=%v, want %v", c.at, ok, c.found)
+			continue
+		}
+		if ok && string(v.Value) != c.want {
+			t.Errorf("SnapshotRead(%d) = %q, want %q", c.at, v.Value, c.want)
+		}
+		// The chain reaches back to the first write, so "none" is confirmed too.
+		if bound != ts(c.at) {
+			t.Errorf("SnapshotRead(%d): bound %v, want the snapshot itself", c.at, bound)
+		}
+	}
+	if _, _, ok := s.SnapshotRead("nope", ts(100)); ok {
+		t.Error("SnapshotRead of a missing key found a version")
+	}
+}
+
+// TestReplacementNodesShareNothing pins that an out-of-order op, which
+// replaces the re-materialized versions above it, leaves no pointer from the
+// new chain into a replaced node: an aliased merge record would keep the old
+// node — its stale value and the stale chain behind its next — reachable for
+// as long as the version is retained.
+func TestReplacementNodesShareNothing(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		prep func(*Store)
+	}{
+		{"rematerialized", Config{MaxVersions: -1}, func(*Store) {}},
+		{"recovered", Config{MaxVersions: -1}, func(s *Store) {
+			s.ImportState([]KeyState{{Key: "k", Value: []byte("5"), WTS: ts(10)}})
+			s.CommitOp("k", message.OpIncrement, 1, nil, ts(12)) // turn the base into an op run
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := New(c.cfg)
+			c.prep(s)
+			for i := int64(0); i < 4; i++ {
+				s.CommitOp("k", message.OpAppend, 0, []byte{'a' + byte(i)}, ts(20+10*i))
+			}
+			e := s.get("k")
+			old := map[*opRecord]bool{}
+			for n := e.oldest; n != nil; n = n.next {
+				if n.wts.Time >= 20 {
+					old[n.op] = true
+				}
+			}
+			before := s.Versions("k")
+			s.CommitOp("k", message.OpAppend, 0, []byte("Z"), ts(15)) // below the whole run
+			replaced := 0
+			for n := e.oldest; n != nil; n = n.next {
+				if n.wts.Time < 20 {
+					continue
+				}
+				replaced++
+				if old[n.op] {
+					t.Errorf("version %v points into the node it replaced", n.wts)
+				}
+			}
+			if replaced != 4 {
+				t.Fatalf("%d versions above the insert, want 4", replaced)
+			}
+			// Same merge records, new values.
+			after := s.Versions("k")
+			after = after[len(after)-4:]
+			for i, b := range before[len(before)-4:] {
+				a := after[i]
+				if a.Op != b.Op || string(a.OpArg) != string(b.OpArg) || a.WTS != b.WTS {
+					t.Errorf("version %d merge record changed: %+v -> %+v", i, b, a)
+				}
+				if string(a.Value) == string(b.Value) {
+					t.Errorf("version %d was not re-materialized: %q", i, a.Value)
+				}
+			}
+		})
+	}
+}
+
 func TestThomasWriteRule(t *testing.T) {
 	s := New(Config{})
 	s.Load("k", []byte("new"), ts(10))

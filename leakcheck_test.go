@@ -40,10 +40,7 @@ func verifyCleanShutdown(t *testing.T, dataDir string) {
 				if _, ok := before[id]; ok {
 					continue
 				}
-				// A goroutine inside its deferred WaitGroup.Done has released
-				// whoever waited in Close and has nothing left to do but exit.
-				if first && strings.Contains(stack, "meerkat/internal/wal.") &&
-					!strings.Contains(stack, "sync.(*WaitGroup).Done") {
+				if first && strings.Contains(stack, "meerkat/internal/wal.") {
 					t.Errorf("a WAL goroutine was still running when Close returned:\n%s", stack)
 				}
 				leaked += "\n" + stack + "\n"
