@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-suite bench-compare bench-json bench-udp bench-wal bench-zipf bench-ro bench-shard chaos check
+.PHONY: build test race vet bench bench-suite bench-compare bench-json bench-exp api-guard chaos check
 
 build:
 	$(GO) build ./...
@@ -24,7 +24,7 @@ vet:
 chaos:
 	$(GO) test -race -count=1 -run 'TestChaos' -v ./internal/chaos/
 
-check: build vet test race
+check: build vet api-guard test race
 
 # The standing benchmark (BENCHMARK.json, benchmark/README.md): every
 # workload end to end and per layer, RUNS times on SEED, written to OUT; and
@@ -55,38 +55,35 @@ bench-json:
 		| $(GO) run ./cmd/bench2json > BENCH_pr3.json
 	@cat BENCH_pr3.json
 
-# Wire-level transport comparison over real loopback UDP: batched
-# sendmmsg/recvmmsg + pipelined sessions vs the per-datagram baseline vs
-# inproc, reporting goodput and socket syscalls per committed transaction.
-# Override MEASURE for quicker smoke runs (CI uses 300ms).
+# One experiment of cmd/meerkat-bench, measured for MEASURE per point and
+# written to OUT (CI smokes each at MEASURE=300ms):
+#
+#   udp       wire-level transport comparison over real loopback UDP: batched
+#             sendmmsg/recvmmsg + pipelined sessions vs the per-datagram
+#             baseline vs inproc; goodput and socket syscalls per transaction
+#   wal       durability cost of the per-core write-ahead log: Retwis in
+#             memory vs each fsync policy, with fsyncs per transaction
+#   wal,zipf  the WAL sweep plus commutative ops under skew: hot-counter
+#             RMW-via-Put vs RMW-via-Increment across Zipf theta
+#   ro        read-only fast path on read-heavy Retwis: the validated
+#             two-round commit vs the one-round snapshot path
+#   shard     Retwis at 1, 2 and 4 shards under the inproc endpoint capacity
+#             model, plus a split-under-load timeline
+#
+# OUT defaults into a git-ignored directory. The tracked BENCH_pr6…pr10.json
+# are the archive of the 2s runs EXPERIMENTS.md quotes (udp, wal, wal,zipf,
+# ro, shard in that order); only an explicit OUT=BENCH_prN.json rewrites one.
 MEASURE ?= 2s
-bench-udp:
-	$(GO) run ./cmd/meerkat-bench -exp udp -measure $(MEASURE) -json BENCH_pr6.json
+EXP ?= udp
+comma := ,
+bench-exp: OUT = bench-out/$(subst $(comma),-,$(EXP)).json
+bench-exp:
+	@mkdir -p $(dir $(OUT))
+	$(GO) run ./cmd/meerkat-bench -exp $(EXP) -measure $(MEASURE) -json $(OUT)
 
-# Durability cost of the per-core write-ahead log: Retwis goodput fully in
-# memory vs the WAL under each fsync policy (none/batch/always), with fsyncs
-# per committed transaction showing the group-commit amortization.
-bench-wal:
-	$(GO) run ./cmd/meerkat-bench -exp wal -measure $(MEASURE) -json BENCH_pr7.json
-
-# Commutative ops under skew plus the re-measured WAL sweep (the shared
-# group-commit scheduler fixed the wal-batch fsync storm): hot-counter
-# RMW-via-Put vs RMW-via-Increment across Zipf theta, reporting goodput,
-# abort rate, and latency percentiles per cell.
-bench-zipf:
-	$(GO) run ./cmd/meerkat-bench -exp wal,zipf -measure $(MEASURE) -json BENCH_pr8.json
-
-# Read-only fast path on read-heavy Retwis: the validated two-round commit
-# vs the one-round snapshot path at 80/95/100% pure-read transactions,
-# reporting goodput, abort rate, latency percentiles, and the share of
-# commits that actually rode the fast path.
-bench-ro:
-	$(GO) run ./cmd/meerkat-bench -exp ro -measure $(MEASURE) -json BENCH_pr9.json
-
-# Horizontal scaling of the sharded cluster layer: Retwis goodput at 1, 2,
-# and 4 shards under the inproc endpoint capacity model (clients homed per
-# shard, keys routed by the versioned hash-range shard map), plus a
-# split-under-load timeline — the dip while shard 0 seals, fences, and
-# migrates half the keyspace, then the recovery onto doubled capacity.
-bench-shard:
-	$(GO) run ./cmd/meerkat-bench -exp shard -measure $(MEASURE) -json BENCH_pr10.json
+# One API generation: no Deprecated: marker and no Foo/FooCtx twin in non-test
+# Go outside the four paper-baseline packages, so a second generation cannot
+# grow back unnoticed.
+api-guard:
+	@! grep -rnE --include='*.go' --exclude='*_test.go' 'Deprecated:|^func .*Ctx\(' . \
+		| grep -vE '^\./internal/(kuafu|meerkatpb|pbclient|sim)/'

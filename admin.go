@@ -12,9 +12,8 @@ import (
 )
 
 // Admin is the DB's administrative facade: shard-map introspection, online
-// resharding, and the cluster-level controls (fault injection, replica
-// lifecycle, metrics) that used to live as ad-hoc Cluster methods. Obtain it
-// with DB.Admin.
+// resharding, and the deployment-level controls — fault injection, replica
+// lifecycle (replicas.go), metrics. Obtain it with DB.Admin.
 type Admin struct {
 	db *DB
 }
@@ -93,7 +92,7 @@ func (a *Admin) Split(src int) (dst int, err error) {
 	// 2. Fence. The epoch change finalizes every transaction in flight on
 	// src — including ones that validated the moved range before the seal —
 	// so after it the range's committed state is complete.
-	if err := db.c.EpochChange(src); err != nil {
+	if err := a.EpochChange(src); err != nil {
 		return -1, fmt.Errorf("meerkat: split fence (epoch change on shard %d): %w", src, err)
 	}
 
@@ -130,10 +129,10 @@ func (db *DB) migrate(src, dst int, lo, hi uint32) error {
 		hasV  bool
 	}
 
-	db.c.mu.Lock()
-	srcReps := append([]*replica.Replica(nil), db.c.replicas[src]...)
-	dstReps := append([]*replica.Replica(nil), db.c.replicas[dst]...)
-	db.c.mu.Unlock()
+	db.mu.Lock()
+	srcReps := append([]*replica.Replica(nil), db.replicas[src]...)
+	dstReps := append([]*replica.Replica(nil), db.replicas[dst]...)
+	db.mu.Unlock()
 
 	union := make(map[string]*keyState)
 	live := 0
@@ -193,43 +192,142 @@ func (db *DB) migrate(src, dst int, lo, hi uint32) error {
 }
 
 // Obs returns the observability registry shared by every component of the
-// deployment.
-func (a *Admin) Obs() *obs.Registry { return a.db.c.Obs() }
+// deployment. Snapshot it for programmatic metrics, or serve it over HTTP
+// with obs.Handler / obs.Serve.
+func (a *Admin) Obs() *obs.Registry { return a.db.obs }
 
-// EpochChange runs the epoch-change protocol on one shard (checkpointing,
-// post-recovery reconciliation; see Cluster.EpochChange).
-func (a *Admin) EpochChange(shard int) error { return a.db.c.EpochChange(shard) }
+// storeCounts sums keys and committed versions across all live replica
+// stores. Scrape path only.
+func (db *DB) storeCounts() (keys, versions uint64) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	for _, group := range db.replicas {
+		for _, rep := range group {
+			if rep == nil {
+				continue
+			}
+			k, v := rep.Store().Counts()
+			keys += k
+			versions += v
+		}
+	}
+	return
+}
 
-// CrashReplica stops replica r of shard s, simulating a process crash (see
-// Cluster.CrashReplica).
-func (a *Admin) CrashReplica(s, r int) { a.db.c.CrashReplica(s, r) }
-
-// RecoverReplica brings replica r of shard s back, state-transferring from a
-// live peer (see Cluster.RecoverReplica). The recovered replica adopts its
-// group's current ownership view, post-split included.
-func (a *Admin) RecoverReplica(s, r int) error { return a.db.c.RecoverReplica(s, r) }
-
-// WALStats aggregates durability counters across all live replicas; ok is
-// false when durability is disabled.
-func (a *Admin) WALStats() (wal.Stats, bool) { return a.db.c.WALStats() }
+// storeOpStats sums commutative-op merge counters across all live replica
+// stores. Scrape path only.
+func (db *DB) storeOpStats() (merged, recovered uint64) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	for _, group := range db.replicas {
+		for _, rep := range group {
+			if rep == nil {
+				continue
+			}
+			m, r := rep.Store().OpStats()
+			merged += m
+			recovered += r
+		}
+	}
+	return
+}
 
 // NetworkStats reports transport counters (inproc transport only).
-func (a *Admin) NetworkStats() (sent, delivered, dropped uint64) { return a.db.c.NetworkStats() }
+func (a *Admin) NetworkStats() (sent, delivered, dropped uint64) {
+	if a.db.inet == nil {
+		return
+	}
+	s := a.db.inet.Stats()
+	return s.Sent, s.Delivered, s.Dropped
+}
+
+// UDPNetStats is a point-in-time aggregate of the UDP transport's
+// socket-level counters. The syscall counters are what the batched transport
+// amortizes: datagrams moved per send syscall is Sent/SendSyscalls.
+type UDPNetStats struct {
+	Sent         uint64 // datagrams handed to the kernel
+	Delivered    uint64 // datagrams decoded and delivered
+	Dropped      uint64 // local send errors + corrupt inbound datagrams
+	SendSyscalls uint64 // sendmmsg/sendto calls
+	RecvSyscalls uint64 // recvmmsg/recvfrom calls
+}
+
+// Syscalls returns total socket syscalls issued.
+func (s UDPNetStats) Syscalls() uint64 { return s.SendSyscalls + s.RecvSyscalls }
+
+// WALStats aggregates durability counters (record appends, fsyncs, bytes,
+// segment rotations) across all live replicas; ok is false when durability
+// is disabled. Fsyncs per committed transaction in a benchmark window is
+// Syncs / committed count.
+func (a *Admin) WALStats() (s wal.Stats, ok bool) {
+	if !a.db.cfg.Durability.Enabled() {
+		return s, false
+	}
+	a.db.mu.Lock()
+	defer a.db.mu.Unlock()
+	for _, group := range a.db.replicas {
+		for _, rep := range group {
+			if rep == nil || rep.WAL() == nil {
+				continue
+			}
+			st := rep.WAL().Stats()
+			s.Appends += st.Appends
+			s.Syncs += st.Syncs
+			s.BytesWritten += st.BytesWritten
+			s.Segments += st.Segments
+			s.Failures += st.Failures
+		}
+	}
+	return s, true
+}
 
 // UDPStats reports socket-level counters; ok is false unless the deployment
-// runs on TransportUDP.
-func (a *Admin) UDPStats() (UDPNetStats, bool) { return a.db.c.UDPStats() }
+// runs on TransportUDP. Counters survive DB.Close, so post-run scrapes stay
+// truthful.
+func (a *Admin) UDPStats() (s UDPNetStats, ok bool) {
+	if a.db.unet == nil {
+		return s, false
+	}
+	t := a.db.unet.Stats()
+	return UDPNetStats{
+		Sent:         t.Sent,
+		Delivered:    t.Delivered,
+		Dropped:      t.Dropped,
+		SendSyscalls: t.SendCalls,
+		RecvSyscalls: t.RecvCalls,
+	}, true
+}
 
-// NodeOf maps (shard, replica index) to the transport node id fault plans
-// address.
-func (a *Admin) NodeOf(s, r int) uint32 { return a.db.c.NodeOf(s, r) }
+// NodeOf maps (shard, replica index) to the transport node id — the id
+// space fault plans (Config.Faults) address crashes, partitions, and link
+// rules in.
+func (a *Admin) NodeOf(p, r int) uint32 { return a.db.topo.ReplicaNode(p, r) }
 
-// ReplicaOf inverts NodeOf; ok is false for ids that are not replica nodes.
-func (a *Admin) ReplicaOf(node uint32) (s, r int, ok bool) { return a.db.c.ReplicaOf(node) }
+// ReplicaOf inverts NodeOf: the (shard, replica index) behind a
+// transport node id, for harnesses mapping fault events onto replica
+// lifecycle calls. ok is false for ids that are not replica nodes.
+func (a *Admin) ReplicaOf(node uint32) (p, r int, ok bool) {
+	for p = 0; p < a.db.cfg.MaxShards; p++ {
+		for r = 0; r < a.db.cfg.Replicas; r++ {
+			if a.db.topo.ReplicaNode(p, r) == node {
+				return p, r, true
+			}
+		}
+	}
+	return 0, 0, false
+}
 
-// FaultNetwork returns the fault-injection layer, or nil without one.
-func (a *Admin) FaultNetwork() *faultnet.Network { return a.db.c.FaultNetwork() }
+// FaultNetwork returns the fault-injection layer, or nil when the deployment
+// runs without one (Config.Faults == nil).
+func (a *Admin) FaultNetwork() *faultnet.Network { return a.db.fnet }
 
-// FaultEvents returns the channel carrying fired fault events, or nil
-// without a fault plan.
-func (a *Admin) FaultEvents() <-chan faultnet.Event { return a.db.c.FaultEvents() }
+// FaultEvents returns the channel carrying fired fault events, in firing
+// order, or nil without a fault plan. A chaos harness consumes it to mirror
+// OpCrash/OpRestart black-holes onto the real replica lifecycle
+// (CrashReplica / RecoverReplica).
+func (a *Admin) FaultEvents() <-chan faultnet.Event {
+	if a.db.fnet == nil {
+		return nil
+	}
+	return a.db.fnet.Events()
+}

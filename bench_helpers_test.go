@@ -7,16 +7,16 @@ import (
 )
 
 // newBenchCluster builds a small cluster for the ablation benchmarks.
-func newBenchCluster(disableFastPath bool) (*meerkat.Cluster, error) {
-	return meerkat.NewCluster(meerkat.Config{
+func newBenchCluster(disableFastPath bool) (*meerkat.DB, error) {
+	return meerkat.Open(meerkat.Config{
 		Cores:           2,
 		DisableFastPath: disableFastPath,
 	})
 }
 
 // newSkewedCluster builds a cluster whose clients get skewed clocks.
-func newSkewedCluster(skew time.Duration) (*meerkat.Cluster, error) {
-	return meerkat.NewCluster(meerkat.Config{
+func newSkewedCluster(skew time.Duration) (*meerkat.DB, error) {
+	return meerkat.Open(meerkat.Config{
 		Cores:     2,
 		ClockSkew: skew,
 	})

@@ -5,13 +5,14 @@ import (
 	"errors"
 	"fmt"
 
+	"meerkat/internal/clock"
 	"meerkat/internal/coordinator"
 	"meerkat/internal/message"
 	"meerkat/internal/shardmap"
 	"meerkat/internal/timestamp"
 )
 
-// Client executes transactions against a Cluster. Each client embeds its own
+// Client executes transactions against a DB. Each client embeds its own
 // Meerkat transaction coordinator (§4.1): it proposes timestamps from its
 // local clock and drives the commit protocol itself, so adding clients adds
 // no coordination anywhere.
@@ -29,46 +30,94 @@ type Client struct {
 	aborted   uint64
 }
 
-// NewClient registers a new client with the cluster.
-//
-// Deprecated for sharded deployments: a client created this way routes by
-// static key hash and cannot follow shard splits. Open the cluster with
-// meerkat.Open and use DB.Client instead.
-func (c *Cluster) NewClient() (*Client, error) {
-	return c.newClient(nil, false)
+// ClientOption configures a client or session built by DB.Client/DB.Session.
+type ClientOption func(*clientOptions)
+
+type clientOptions struct {
+	window    int
+	roDefault bool
 }
 
-// newClient is NewClient with the sharded-routing knobs: sm, when non-nil, is
-// the client's private shard-map cache (DB.Client wires one per client).
-func (c *Cluster) newClient(sm *shardmap.Cache, roDefault bool) (*Client, error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, ErrClusterClosed
-	}
-	c.nextCli++
-	id := c.nextCli
-	c.mu.Unlock()
+// WithPipeline sets the pipeline window: how many transactions the handle
+// keeps in flight concurrently. DB.Session defaults to 4; DB.Client only
+// accepts 1 (use DB.Session for pipelining — a Client is stop-and-wait by
+// construction).
+func WithPipeline(n int) ClientOption {
+	return func(o *clientOptions) { o.window = n }
+}
 
-	coord, err := coordinator.New(coordinator.Config{
-		Topo:                    c.topo,
+// WithReadOnlyDefault marks every transaction read-only at Begin, routing
+// reads through the one-round snapshot fast path; a transaction that writes
+// demotes itself transparently. For read-mostly clients it saves declaring
+// Txn.ReadOnly in every body.
+func WithReadOnlyDefault() ClientOption {
+	return func(o *clientOptions) { o.roDefault = true }
+}
+
+// resolveOptions folds opts over the default pipeline window.
+func resolveOptions(defWindow int, opts []ClientOption) clientOptions {
+	o := clientOptions{window: defWindow}
+	for _, opt := range opts {
+		opt(&o)
+	}
+	if o.window < 1 {
+		o.window = 1
+	}
+	return o
+}
+
+// coordConfig registers a new client id and builds the coordinator config
+// DB.Client and DB.Session share. Each handle gets its own shard-map cache;
+// a session's workers share theirs (its refresh is atomic), so one worker's
+// redirect re-routes the whole pipeline.
+func (db *DB) coordConfig() (coordinator.Config, error) {
+	db.mu.Lock()
+	if db.closed {
+		db.mu.Unlock()
+		return coordinator.Config{}, ErrClusterClosed
+	}
+	db.nextCli++
+	id := db.nextCli
+	db.mu.Unlock()
+
+	var clk clock.Clock = clock.NewReal()
+	if db.cfg.ClockSkew != 0 {
+		clk = clock.NewSkewed(clk, (int64(id)-4)*int64(db.cfg.ClockSkew), 0)
+	}
+	return coordinator.Config{
+		Topo:                    db.topo,
 		ClientID:                id,
-		Net:                     c.net,
-		Clock:                   c.clientClock(id),
-		Timeout:                 c.cfg.CommitTimeout,
-		Retries:                 c.cfg.Retries,
-		BackoffBase:             c.cfg.BackoffBase,
-		BackoffMax:              c.cfg.BackoffMax,
-		DisableFastPath:         c.cfg.DisableFastPath,
-		DisableReadOnlyFastPath: c.cfg.DisableReadOnlyFastPath,
-		ShardMap:                sm,
-		Seed:                    c.cfg.Seed + int64(id),
-		Obs:                     c.obs.NewShard(),
-	})
+		Net:                     db.net,
+		Clock:                   clk,
+		Timeout:                 db.cfg.CommitTimeout,
+		Retries:                 db.cfg.Retries,
+		BackoffBase:             db.cfg.BackoffBase,
+		BackoffMax:              db.cfg.BackoffMax,
+		DisableFastPath:         db.cfg.DisableFastPath,
+		DisableReadOnlyFastPath: db.cfg.DisableReadOnlyFastPath,
+		ShardMap:                shardmap.NewCache(db.source),
+		Seed:                    db.cfg.Seed + int64(id),
+		Obs:                     db.obs.NewShard(),
+	}, nil
+}
+
+// Client returns a new single-transaction client routing by its own private
+// shard-map cache. It rejects WithPipeline windows above 1 — pipelining is
+// DB.Session's job.
+func (db *DB) Client(opts ...ClientOption) (*Client, error) {
+	o := resolveOptions(1, opts)
+	if o.window > 1 {
+		return nil, fmt.Errorf("meerkat: Client does not pipeline (window %d); use DB.Session", o.window)
+	}
+	ccfg, err := db.coordConfig()
 	if err != nil {
 		return nil, err
 	}
-	return &Client{coord: coord, id: id, roDefault: roDefault}, nil
+	coord, err := coordinator.New(ccfg)
+	if err != nil {
+		return nil, err
+	}
+	return &Client{coord: coord, id: ccfg.ClientID, roDefault: o.roDefault}, nil
 }
 
 // ID returns the client's unique id.
@@ -87,13 +136,19 @@ func (cl *Client) Close() { cl.coord.Close() }
 // Txn is an in-progress interactive transaction. Reads see the latest
 // committed versions (plus the transaction's own writes); writes are
 // buffered client-side until Commit.
+//
+// A transaction carries its context: the one Client.Run was given bounds
+// every Read, ReadMany and the commit inside it; a transaction from Begin is
+// bounded only by the retry budget (Config.CommitTimeout × Config.Retries).
+// Every error a Txn returns unwraps to one of the package sentinels.
 type Txn struct {
 	inner *coordinator.Txn
 	cl    *Client
 }
 
-// Begin starts a transaction. Clients opened with WithReadOnlyDefault start
-// it read-only (see Txn.ReadOnly; a later write demotes it transparently).
+// Begin starts a transaction outside any context (see Run for one that stops
+// when its caller gives up). Clients opened with WithReadOnlyDefault start it
+// read-only (see Txn.ReadOnly; a later write demotes it transparently).
 func (cl *Client) Begin() *Txn {
 	inner := cl.coord.Begin()
 	if cl.roDefault {
@@ -105,25 +160,22 @@ func (cl *Client) Begin() *Txn {
 // Read returns the value of key within the transaction. A key that has
 // never been written reads as nil (and the absence is validated at commit:
 // if another transaction creates the key concurrently, this transaction
-// aborts).
+// aborts). Under Run, the read's waits shrink to the context's remaining time
+// and cancellation ends it early; reads are idempotent, so a context-expired
+// read is always safe to retry.
 func (t *Txn) Read(key string) ([]byte, error) {
-	return t.inner.Read(key)
+	val, err := t.inner.Read(key)
+	return val, mapErr(err)
 }
 
 // ReadMany reads a batch of keys in one execution-phase round trip per
 // touched partition (values index-aligned with keys), with the same snapshot
 // semantics as per-key Read. Use it when a transaction's read set is known
 // up front — a timeline fetch, a multi-get — to avoid paying one network
-// round trip per key.
+// round trip per key. The transaction's context bounds it exactly as it
+// bounds Read.
 func (t *Txn) ReadMany(keys []string) ([][]byte, error) {
-	return t.inner.ReadMany(keys)
-}
-
-// ReadManyCtx is ReadMany under a context: per-attempt waits shrink to the
-// context's remaining time and cancellation ends the read early. Reads are
-// idempotent, so a context-expired read is always safe to retry.
-func (t *Txn) ReadManyCtx(ctx context.Context, keys []string) ([][]byte, error) {
-	vals, err := t.inner.ReadManyCtx(ctx, keys)
+	vals, err := t.inner.ReadMany(keys)
 	return vals, mapErr(err)
 }
 
@@ -170,15 +222,7 @@ func (t *Txn) MergeMin(key string, v int64) { t.inner.MergeMin(key, v) }
 // package sentinels — almost always ErrTimeout, meaning the outcome is
 // unknown until Resolve learns it.
 func (t *Txn) Commit() (bool, error) {
-	return t.CommitCtx(context.Background())
-}
-
-// CommitCtx is Commit under a context: the context's deadline bounds the
-// commit protocol's waits and cancellation ends its retries early. A
-// context-expired commit is outcome-unknown exactly like a retry-budget
-// timeout — the error unwraps to both ErrTimeout and the context's error.
-func (t *Txn) CommitCtx(ctx context.Context) (bool, error) {
-	ok, err := t.inner.CommitCtx(ctx)
+	ok, err := t.inner.Commit()
 	if err == nil {
 		if ok {
 			t.cl.committed++
@@ -225,8 +269,7 @@ func (t *Txn) ReadSet() []message.ReadSetEntry   { return t.inner.ReadSet() }
 func (t *Txn) WriteSet() []message.WriteSetEntry { return t.inner.WriteSet() }
 func (t *Txn) OpSet() []message.OpSetEntry       { return t.inner.OpSet() }
 
-// ErrTxnAborted is returned by RunTxn when the transaction body asked to
-// abort.
+// ErrTxnAborted is what a Run body returns to abandon its transaction.
 var ErrTxnAborted = errors.New("meerkat: transaction aborted by caller")
 
 // Run executes fn inside transactions until one commits: the canonical retry
@@ -234,9 +277,14 @@ var ErrTxnAborted = errors.New("meerkat: transaction aborted by caller")
 // it, retrying conflict aborts (and timed-out reads, which are idempotent)
 // with capped exponential backoff and full jitter, and resolving timed-out
 // commits through the recovery procedure rather than guessing. Run returns
-// nil once a transaction commits; an error unwrapping to ErrTimeout once ctx
-// expires; and fn's own error, unretried, for anything else (return
-// ErrTxnAborted from fn to abandon the transaction).
+// nil once a transaction commits; an error unwrapping to ErrTimeout (and to
+// the context's own error) once ctx expires; and fn's own error, unretried,
+// for anything else (return ErrTxnAborted from fn to abandon the
+// transaction).
+//
+// ctx is bound to the Txn handed to fn, so it bounds everything inside — the
+// body's Read and ReadMany calls as well as the commit; a deadline on ctx is
+// a deadline on Run.
 //
 // fn may run many times and must be safe to re-execute; it must not call
 // Commit itself.
@@ -260,40 +308,14 @@ func (cl *Client) Run(ctx context.Context, fn func(*Txn) error) error {
 	return mapErr(err)
 }
 
-// RunTxn executes fn inside a transaction and commits it, retrying
-// validation aborts up to maxAttempts times with no backoff.
-//
-// Deprecated: Use Run, which adds backoff, context support, and resolution
-// of unknown-outcome commits. RunTxn remains for callers that need a strict
-// attempt budget.
-func (cl *Client) RunTxn(maxAttempts int, fn func(*Txn) error) (bool, error) {
-	if maxAttempts < 1 {
-		maxAttempts = 1
-	}
-	for i := 0; i < maxAttempts; i++ {
-		txn := cl.Begin()
-		if err := fn(txn); err != nil {
-			return false, err
-		}
-		committed, err := txn.Commit()
-		if err != nil {
-			return false, err
-		}
-		if committed {
-			return true, nil
-		}
-	}
-	return false, nil
-}
-
 // Get is a convenience bare read: it returns the committed value of key as
 // seen by one replica. Because commit messages propagate asynchronously, a
 // bare read may briefly lag the latest commit. For a read that is guaranteed
 // serializable with respect to all committed transactions, use GetStrong or
 // read inside a transaction.
 func (cl *Client) Get(key string) ([]byte, error) {
-	val, _, _, err := cl.coord.Read(key)
-	return val, err
+	val, _, _, err := cl.coord.Read(context.Background(), key)
+	return val, mapErr(err)
 }
 
 // GetStrong returns a value of key serializable with respect to every
@@ -302,26 +324,27 @@ func (cl *Client) Get(key string) ([]byte, error) {
 // when the snapshot cannot be confirmed. A failure unwraps to ErrTimeout or
 // ErrClusterClosed.
 func (cl *Client) GetStrong(key string) ([]byte, error) {
-	val, _, _, err := cl.coord.SnapshotRead(key)
+	val, _, _, err := cl.coord.SnapshotRead(context.Background(), key)
 	if err != nil {
 		return nil, mapErr(err)
 	}
 	return val, nil
 }
 
+// putAttempts bounds how many conflict aborts Put absorbs before reporting
+// ErrConflict.
+const putAttempts = 16
+
 // Put is a convenience single-write transaction. It retries validation
 // aborts until the write commits or the attempt budget is exhausted; a
 // failure unwraps to ErrConflict, ErrTimeout, or ErrClusterClosed.
 func (cl *Client) Put(key string, value []byte) error {
-	ok, err := cl.RunTxn(16, func(t *Txn) error {
+	attempts := 0
+	return cl.Run(context.Background(), func(t *Txn) error {
+		if attempts++; attempts > putAttempts {
+			return fmt.Errorf("%w: put did not commit", ErrConflict)
+		}
 		t.Write(key, value)
 		return nil
 	})
-	if err != nil {
-		return mapErr(err)
-	}
-	if !ok {
-		return fmt.Errorf("%w: put did not commit", ErrConflict)
-	}
-	return nil
 }

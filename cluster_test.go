@@ -1,6 +1,7 @@
 package meerkat
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 	"testing"
@@ -10,7 +11,7 @@ import (
 func TestUDPTransportCluster(t *testing.T) {
 	// The full protocol over real loopback UDP sockets: serialization,
 	// kernel stack, and all.
-	c, err := NewCluster(Config{
+	c, err := Open(Config{
 		Transport:   TransportUDP,
 		UDPBasePort: 27500,
 		Cores:       2,
@@ -19,7 +20,7 @@ func TestUDPTransportCluster(t *testing.T) {
 		t.Skipf("UDP unavailable: %v", err)
 	}
 	defer c.Close()
-	cl, err := c.NewClient()
+	cl, err := c.Client()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func TestUDPTransportCluster(t *testing.T) {
 	// stack too.
 	c.Load("ctr", []byte("0"))
 	for i := 0; i < 5; i++ {
-		ok, err := cl.RunTxn(16, func(txn *Txn) error {
+		err := cl.Run(context.Background(), func(txn *Txn) error {
 			v, err := txn.Read("ctr")
 			if err != nil {
 				return err
@@ -46,8 +47,8 @@ func TestUDPTransportCluster(t *testing.T) {
 			txn.Write("ctr", []byte(strconv.Itoa(n+1)))
 			return nil
 		})
-		if err != nil || !ok {
-			t.Fatalf("rmw %d over udp: %v %v", i, ok, err)
+		if err != nil {
+			t.Fatalf("rmw %d over udp: %v", i, err)
 		}
 	}
 	v, _ = cl.GetStrong("ctr")
@@ -57,8 +58,8 @@ func TestUDPTransportCluster(t *testing.T) {
 }
 
 func TestEpochChangeCompaction(t *testing.T) {
-	c := newTestCluster(t, Config{CompactOnEpochChange: true})
-	cl := newTestClient(t, c)
+	c := newTestDB(t, Config{CompactOnEpochChange: true})
+	cl := newDBClient(t, c)
 	for i := 0; i < 30; i++ {
 		if err := cl.Put(fmt.Sprintf("k%d", i), []byte("v")); err != nil {
 			t.Fatal(err)
@@ -70,7 +71,7 @@ func TestEpochChangeCompaction(t *testing.T) {
 	if before == 0 {
 		t.Fatal("no records accumulated")
 	}
-	if err := c.EpochChange(0); err != nil {
+	if err := c.Admin().EpochChange(0); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(20 * time.Millisecond)
@@ -89,8 +90,8 @@ func TestEpochChangeCompaction(t *testing.T) {
 }
 
 func TestRecordsAccumulateWithoutCompaction(t *testing.T) {
-	c := newTestCluster(t, Config{})
-	cl := newTestClient(t, c)
+	c := newTestDB(t, Config{})
+	cl := newDBClient(t, c)
 	for i := 0; i < 10; i++ {
 		if err := cl.Put(fmt.Sprintf("k%d", i), []byte("v")); err != nil {
 			t.Fatal(err)

@@ -31,37 +31,35 @@ import (
 
 func main() {
 	var (
-		host       = flag.String("host", "127.0.0.1", "cluster address")
-		port       = flag.Int("port", 29000, "base UDP port of the address map")
-		replicas   = flag.Int("replicas", 3, "replicas per partition group")
-		partitions = flag.Int("partitions", 1, "number of partitions (deprecated static routing; prefer -shards)")
-		shards     = flag.Int("shards", 0, "route by the versioned hash-range shard map over this many shards (must match the servers' -shards); 0 keeps static -partitions routing")
-		cores      = flag.Int("cores", 4, "server threads per replica")
-		clientID   = flag.Uint64("id", defaultClientID(os.Getpid()), "unique client id; picks the client's UDP port slot (default 1 + pid mod 1024)")
-		op         = flag.String("op", "get", "operation: get|mget|put|incr|append|bench")
-		key        = flag.String("key", "", "key (for mget: comma-separated keys)")
-		value      = flag.String("value", "", "value (put)")
-		duration   = flag.Duration("duration", 3*time.Second, "bench duration")
-		benchKeys  = flag.Int("bench-keys", 1024, "bench keyspace (pre-load with meerkat-server -keys)")
-		pipeline   = flag.Int("pipeline", 1, "bench: transactions kept in flight over one socket set (pipelined session workers)")
+		host      = flag.String("host", "127.0.0.1", "cluster address")
+		port      = flag.Int("port", 29000, "base UDP port of the address map")
+		replicas  = flag.Int("replicas", 3, "replicas per partition group")
+		shards    = flag.Int("shards", 1, "route by the versioned hash-range shard map over this many shards (must match the servers' -shards)")
+		cores     = flag.Int("cores", 4, "server threads per replica")
+		clientID  = flag.Uint64("id", defaultClientID(os.Getpid()), "unique client id; picks the client's UDP port slot (default 1 + pid mod 1024)")
+		op        = flag.String("op", "get", "operation: get|mget|put|incr|append|bench")
+		key       = flag.String("key", "", "key (for mget: comma-separated keys)")
+		value     = flag.String("value", "", "value (put)")
+		duration  = flag.Duration("duration", 3*time.Second, "bench duration")
+		benchKeys = flag.Int("bench-keys", 1024, "bench keyspace (pre-load with meerkat-server -keys)")
+		pipeline  = flag.Int("pipeline", 1, "bench: transactions kept in flight over one socket set (pipelined session workers)")
 	)
 	flag.Parse()
 
-	// -shards selects shard-map routing: every process that agrees on the
-	// shard count derives the same version-1 map (splits need a shared map
-	// service, which multi-process deployments don't have yet), and servers
-	// started with the same -shards enforce ownership, so a mismatched
-	// client is redirected instead of silently misrouted.
-	var sm *shardmap.Cache
-	if *shards > 0 {
-		*partitions = *shards
-		sm = shardmap.NewCache(shardmap.NewSource(shardmap.New(*shards)))
+	// Every process that agrees on -shards derives the same version-1 shard
+	// map (splits need a shared map service, which multi-process deployments
+	// don't have yet), and servers started with the same -shards enforce
+	// ownership, so a mismatched client is redirected instead of silently
+	// misrouted.
+	t := topo.Topology{Partitions: *shards, Replicas: *replicas, Cores: *cores}
+	if !t.Validate() {
+		fmt.Fprintln(os.Stderr, "invalid topology (replicas must be odd, all counts >= 1)")
+		os.Exit(2)
 	}
-
-	t := topo.Topology{Partitions: *partitions, Replicas: *replicas, Cores: *cores}
+	sm := shardmap.NewCache(shardmap.NewSource(shardmap.New(*shards)))
 	coresPerNode := *cores
-	if coresPerNode < 2+*partitions {
-		coresPerNode = 2 + *partitions
+	if coresPerNode < 2+*shards {
+		coresPerNode = 2 + *shards
 	}
 	net := transport.NewUDP(*host, *port, coresPerNode)
 	defer net.Close()
@@ -104,9 +102,10 @@ func main() {
 		os.Exit(1)
 	}
 
+	ctx := context.Background()
 	switch *op {
 	case "get":
-		val, ver, ok, err := coord.Read(*key)
+		val, ver, ok, err := coord.Read(ctx, *key)
 		if err != nil {
 			fail(err)
 		}
@@ -118,7 +117,7 @@ func main() {
 
 	case "mget":
 		keys := strings.Split(*key, ",")
-		res, err := coord.ReadMany(keys)
+		res, err := coord.ReadMany(ctx, keys)
 		if err != nil {
 			fail(err)
 		}
@@ -154,9 +153,9 @@ func main() {
 			}
 			delta = d
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		rctx, cancel := context.WithTimeout(ctx, 10*time.Second)
 		defer cancel()
-		if err := coord.Run(ctx, func(txn *coordinator.Txn) error {
+		if err := coord.Run(rctx, func(txn *coordinator.Txn) error {
 			txn.Add(*key, delta)
 			return nil
 		}); err != nil {
@@ -164,7 +163,7 @@ func main() {
 		}
 		// Report the merged value with a follow-up read (other clients may
 		// merge concurrently, so this is a floor, not the exact result).
-		if cur, _, ok, err := coord.Read(*key); err == nil && ok {
+		if cur, _, ok, err := coord.Read(ctx, *key); err == nil && ok {
 			fmt.Printf("%s = %s\n", *key, cur)
 		} else {
 			fmt.Printf("%s += %d: committed\n", *key, delta)
@@ -173,15 +172,15 @@ func main() {
 	case "append":
 		// Server-side append: ships the bytes as a commutative op, merged
 		// into the value in commit-timestamp order.
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		rctx, cancel := context.WithTimeout(ctx, 10*time.Second)
 		defer cancel()
-		if err := coord.Run(ctx, func(txn *coordinator.Txn) error {
+		if err := coord.Run(rctx, func(txn *coordinator.Txn) error {
 			txn.Append(*key, []byte(*value))
 			return nil
 		}); err != nil {
 			fail(fmt.Errorf("append: %w", err))
 		}
-		if cur, _, ok, err := coord.Read(*key); err == nil && ok {
+		if cur, _, ok, err := coord.Read(ctx, *key); err == nil && ok {
 			fmt.Printf("%s = %q\n", *key, cur)
 		} else {
 			fmt.Printf("append %s: committed\n", *key)

@@ -10,8 +10,8 @@
 //	meerkat-client -op put -key hello -value world
 //	meerkat-client -op get -key hello
 //
-// All processes must agree on -host, -port, -replicas, -cores, and
-// -partitions (they define the address map).
+// All processes must agree on -host, -port, -replicas, -cores, and -shards
+// (they define the address map).
 //
 // With -data-dir the replica persists commits to per-core write-ahead logs
 // and restarts from disk (see the durability section of DESIGN.md); -sync
@@ -40,11 +40,10 @@ func main() {
 	var (
 		host        = flag.String("host", "127.0.0.1", "bind address")
 		port        = flag.Int("port", 29000, "base UDP port for the address map")
-		partition   = flag.Int("partition", 0, "partition this replica serves")
+		partition   = flag.Int("partition", 0, "partition (shard group) this replica serves")
 		index       = flag.Int("index", 0, "replica index within the partition group")
 		replicas    = flag.Int("replicas", 3, "replicas per partition group")
-		partitions  = flag.Int("partitions", 1, "number of partitions (deprecated static routing; prefer -shards)")
-		shards      = flag.Int("shards", 0, "serve one shard of a hash-range shard map over this many groups (sets the partition count; clients must pass the same -shards); 0 keeps static -partitions routing")
+		shards      = flag.Int("shards", 1, "serve one shard of a hash-range shard map over this many groups (sets the partition count; clients must pass the same -shards)")
 		cores       = flag.Int("cores", 4, "server threads")
 		keys        = flag.Int("keys", 0, "pre-load this many benchmark keys")
 		shared      = flag.Bool("shared-record", false, "use the TAPIR-like shared transaction record")
@@ -60,23 +59,18 @@ func main() {
 		os.Exit(2)
 	}
 
-	// -shards puts this replica group behind the deterministic version-1
-	// shard map: it redirects keys it does not own, so a client with a
-	// mismatched shard count fails loudly instead of reading the wrong group.
-	var own *shardmap.Ownership
-	if *shards > 0 {
-		*partitions = *shards
-		own = shardmap.NewOwnership(shardmap.New(*shards), *partition)
-	}
-
-	t := topo.Topology{Partitions: *partitions, Replicas: *replicas, Cores: *cores}
+	t := topo.Topology{Partitions: *shards, Replicas: *replicas, Cores: *cores}
 	if !t.Validate() {
 		fmt.Fprintln(os.Stderr, "invalid topology (replicas must be odd, all counts >= 1)")
 		os.Exit(2)
 	}
+	// This replica group sits behind the deterministic version-1 shard map:
+	// it redirects keys it does not own, so a client with a mismatched shard
+	// count fails loudly instead of reading the wrong group.
+	own := shardmap.NewOwnership(shardmap.New(*shards), *partition)
 	coresPerNode := *cores
-	if coresPerNode < 2+*partitions {
-		coresPerNode = 2 + *partitions // client endpoints need port slots
+	if coresPerNode < 2+*shards {
+		coresPerNode = 2 + *shards // client endpoints need port slots
 	}
 	net := transport.NewUDP(*host, *port, coresPerNode)
 	defer net.Close()

@@ -7,10 +7,10 @@ import (
 
 func TestConfigDefaults(t *testing.T) {
 	cfg := Config{}
-	if err := cfg.fill(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Replicas != 3 || cfg.Cores != 4 || cfg.Partitions != 1 {
+	if cfg.Replicas != 3 || cfg.Cores != 4 || cfg.Shards != 1 {
 		t.Fatalf("defaults %+v", cfg)
 	}
 	if cfg.CommitTimeout != 100*time.Millisecond || cfg.Retries != 10 {
@@ -22,14 +22,14 @@ func TestConfigDefaults(t *testing.T) {
 }
 
 func TestUnknownTransportRejected(t *testing.T) {
-	if _, err := NewCluster(Config{Transport: TransportKind(42)}); err == nil {
+	if _, err := Open(Config{Transport: TransportKind(42)}); err == nil {
 		t.Fatal("unknown transport accepted")
 	}
 }
 
 func TestFiveReplicaCluster(t *testing.T) {
-	c := newTestCluster(t, Config{Replicas: 5, Cores: 1})
-	cl := newTestClient(t, c)
+	c := newTestDB(t, Config{Replicas: 5, Cores: 1})
+	cl := newDBClient(t, c)
 	if err := cl.Put("k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
@@ -42,8 +42,8 @@ func TestFiveReplicaCluster(t *testing.T) {
 func TestSingleReplicaCluster(t *testing.T) {
 	// n=1, f=0: both quorums are 1; the system degenerates to a
 	// single-node store and must still work.
-	c := newTestCluster(t, Config{Replicas: 1, Cores: 2})
-	cl := newTestClient(t, c)
+	c := newTestDB(t, Config{Replicas: 1, Cores: 2})
+	cl := newDBClient(t, c)
 	if err := cl.Put("k", []byte("solo")); err != nil {
 		t.Fatal(err)
 	}
@@ -54,44 +54,44 @@ func TestSingleReplicaCluster(t *testing.T) {
 }
 
 func TestNetworkStats(t *testing.T) {
-	c := newTestCluster(t, Config{})
-	cl := newTestClient(t, c)
+	c := newTestDB(t, Config{})
+	cl := newDBClient(t, c)
 	if err := cl.Put("k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	sent, delivered, _ := c.NetworkStats()
+	sent, delivered, _ := c.Admin().NetworkStats()
 	if sent == 0 || delivered == 0 {
 		t.Fatalf("stats sent=%d delivered=%d", sent, delivered)
 	}
 }
 
 func TestClientAfterClusterClose(t *testing.T) {
-	c, err := NewCluster(Config{Cores: 1})
+	c, err := Open(Config{Cores: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.Close()
-	if _, err := c.NewClient(); err == nil {
-		t.Fatal("NewClient on closed cluster succeeded")
+	if _, err := c.Client(); err == nil {
+		t.Fatal("Client on closed DB succeeded")
 	}
 	c.Close() // double close is safe
 }
 
 func TestRecoverNonCrashedReplicaRejected(t *testing.T) {
-	c := newTestCluster(t, Config{})
-	if err := c.RecoverReplica(0, 1); err == nil {
+	c := newTestDB(t, Config{})
+	if err := c.Admin().RecoverReplica(0, 1); err == nil {
 		t.Fatal("recovering a live replica succeeded")
 	}
 }
 
 func TestDropConfigStillCommits(t *testing.T) {
-	c := newTestCluster(t, Config{
+	c := newTestDB(t, Config{
 		DropProb:      0.05,
 		Seed:          5,
 		CommitTimeout: 20 * time.Millisecond,
 		Retries:       30,
 	})
-	cl := newTestClient(t, c)
+	cl := newDBClient(t, c)
 	for i := 0; i < 10; i++ {
 		if err := cl.Put("k", []byte("v")); err != nil {
 			t.Fatalf("put %d under loss: %v", i, err)
@@ -101,7 +101,7 @@ func TestDropConfigStillCommits(t *testing.T) {
 
 func TestDurabilityConfigDefaults(t *testing.T) {
 	cfg := Config{Durability: Durability{DataDir: t.TempDir()}}
-	if err := cfg.fill(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	d := cfg.Durability
@@ -114,7 +114,7 @@ func TestDurabilityConfigDefaults(t *testing.T) {
 	// Without a DataDir no defaults are applied (durability stays off) but
 	// nonsense is still rejected.
 	cfg = Config{}
-	if err := cfg.fill(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if cfg.Durability.Enabled() || cfg.Durability.SnapshotInterval != 0 {

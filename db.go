@@ -5,59 +5,79 @@ import (
 	"fmt"
 	"path/filepath"
 	"sync"
+	"time"
 
+	"meerkat/internal/faultnet"
+	"meerkat/internal/obs"
+	"meerkat/internal/recovery"
+	"meerkat/internal/replica"
 	"meerkat/internal/shardmap"
+	"meerkat/internal/timestamp"
+	"meerkat/internal/topo"
+	"meerkat/internal/transport"
+	"meerkat/internal/vstore"
+	"meerkat/internal/wal"
 )
 
-// DB is a sharded Meerkat deployment: Config.MaxShards independent replica
-// groups behind a versioned hash-range shard map. Clients obtained from
-// DB.Client / DB.Session route every key locally against a cached copy of the
-// map and follow shard splits automatically (a redirect refreshes the cache
-// and retries); the single-shard fast path is exactly the unsharded protocol,
-// so a one-shard DB costs nothing over a plain Cluster.
+// DB is a running Meerkat deployment: Config.MaxShards independent replica
+// groups of Config.Replicas nodes each behind a versioned hash-range shard
+// map, plus the transport fabric connecting them to clients. Clients obtained
+// from DB.Client / DB.Session route every key locally against a cached copy
+// of the map and follow shard splits automatically (a redirect refreshes the
+// cache and retries); the single-shard fast path is exactly the unsharded
+// protocol, so a one-shard DB pays nothing for the map.
 //
-// Open builds a DB; Admin exposes introspection and online resharding
-// (Admin.Split). The embedded Cluster remains reachable through Cluster()
-// for tooling that predates the sharded API.
+// Open builds a DB; Admin exposes introspection, online resharding
+// (Admin.Split), fault injection and replica lifecycle.
 type DB struct {
-	c      *Cluster
-	source *shardmap.Source
-	own    []*shardmap.Ownership
-	admin  *Admin
+	cfg  Config
+	topo topo.Topology
+	net  transport.Network
+	inet *transport.Inproc // non-nil iff inproc transport
+	unet *transport.UDP    // non-nil iff UDP transport
+	fnet *faultnet.Network // non-nil iff cfg.Faults was set
 
-	// mapPath persists the shard map across restarts (durable clusters
+	obs      *obs.Registry  // never nil after Open
+	recObs   *obs.Shard     // epoch-change recorder
+	walSched *wal.Scheduler // shared group-commit driver (durable deployments)
+
+	source *shardmap.Source
+	// own is the per-group ownership view shared between a group's replicas:
+	// each replica checks incoming keys against its group's current view and
+	// redirects what it does not own. The array outlives any individual
+	// replica, so crash-recovered replicas rejoin with the group's current
+	// (possibly post-split) view.
+	own   []*shardmap.Ownership
+	admin *Admin
+
+	// mapPath persists the shard map across restarts (durable deployments
 	// only); "" disables persistence.
 	mapPath string
 
 	// splitMu serializes Admin.Split; routing never takes it.
 	splitMu sync.Mutex
+
+	mu        sync.Mutex
+	replicas  [][]*replica.Replica // [shard][index]
+	epochs    []uint64             // per-shard epoch counters
+	crashedAt map[[2]int]int64     // wall clock (UnixNano) of each CrashReplica
+	nextCli   uint64
+	closed    bool
 }
 
-// Open starts a sharded deployment per cfg: Config.Shards replica groups own
-// the initial shard map and Config.MaxShards groups are provisioned in total
-// (the headroom Admin.Split grows into). Partitions is derived from
-// MaxShards; setting it explicitly to a conflicting value is an error. With
-// durability enabled the shard map itself persists (DataDir/shardmap.json),
-// so a restarted cluster comes back with its post-split ownership intact.
-//
-// All other Config knobs mean exactly what they mean for NewCluster.
+// Open starts a deployment per cfg: Config.Shards replica groups own the
+// initial shard map and Config.MaxShards groups are provisioned in total (the
+// headroom Admin.Split grows into). With durability enabled the shard map
+// itself persists (DataDir/shardmap.json), so a restarted deployment comes
+// back with its post-split ownership intact.
 func Open(cfg Config) (*DB, error) {
-	if cfg.Shards < 0 || cfg.MaxShards < 0 {
-		return nil, fmt.Errorf("meerkat: negative shard count in config (Shards %d, MaxShards %d)", cfg.Shards, cfg.MaxShards)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
-	if cfg.Shards == 0 {
-		cfg.Shards = 1
+	t := topo.Topology{Partitions: cfg.MaxShards, Replicas: cfg.Replicas, Cores: cfg.Cores}
+	if !t.Validate() {
+		return nil, fmt.Errorf("meerkat: invalid configuration %+v", cfg)
 	}
-	if cfg.MaxShards == 0 {
-		cfg.MaxShards = cfg.Shards
-	}
-	if cfg.MaxShards < cfg.Shards {
-		return nil, fmt.Errorf("meerkat: MaxShards %d below Shards %d", cfg.MaxShards, cfg.Shards)
-	}
-	if cfg.Partitions != 0 && cfg.Partitions != cfg.MaxShards {
-		return nil, fmt.Errorf("meerkat: Partitions %d conflicts with MaxShards %d (Open derives Partitions; leave it zero)", cfg.Partitions, cfg.MaxShards)
-	}
-	cfg.Partitions = cfg.MaxShards
 
 	var m *shardmap.Map
 	mapPath := ""
@@ -79,22 +99,79 @@ func Open(cfg Config) (*DB, error) {
 		}
 	}
 
+	db := &DB{
+		cfg: cfg, topo: t,
+		source:    shardmap.NewSource(m),
+		mapPath:   mapPath,
+		epochs:    make([]uint64, cfg.MaxShards),
+		crashedAt: make(map[[2]int]int64),
+	}
+	db.admin = &Admin{db: db}
 	// Every provisioned group gets an ownership view — including groups that
 	// own no range yet; they redirect everything until a split assigns them
-	// one. The views are shared with the replicas via the config (they
-	// outlive replica crash/recovery).
-	own := make([]*shardmap.Ownership, cfg.MaxShards)
-	for p := range own {
-		own[p] = shardmap.NewOwnership(m, p)
+	// one.
+	db.own = make([]*shardmap.Ownership, cfg.MaxShards)
+	for p := range db.own {
+		db.own[p] = shardmap.NewOwnership(m, p)
 	}
-	cfg.shardOwn = own
+	db.obs = cfg.Obs
+	if db.obs == nil {
+		db.obs = obs.NewRegistry()
+	}
+	db.recObs = db.obs.NewShard()
+	switch cfg.Transport {
+	case TransportInproc:
+		var delay func() time.Duration
+		if cfg.Delay > 0 {
+			d := cfg.Delay
+			delay = func() time.Duration { return d }
+		}
+		db.inet = transport.NewInproc(transport.InprocConfig{
+			DropProb:         cfg.DropProb,
+			Delay:            delay,
+			Seed:             cfg.Seed,
+			ServiceTime:      cfg.InprocServiceTime,
+			ServiceNodeLimit: topo.ClientNodeBase,
+		})
+		db.inet.RegisterObs(db.obs)
+		db.net = db.inet
+	case TransportUDP:
+		// One port per (node, core); cores per node must cover the
+		// highest client core index (1+MaxShards).
+		db.unet = transport.NewUDP(cfg.UDPHost, cfg.UDPBasePort, cfg.udpCoresPerNode())
+		db.unet.SetFlushDelay(cfg.UDPFlushDelay)
+		db.unet.SetBatchDisabled(cfg.UDPNoBatch)
+		db.unet.RegisterObs(db.obs)
+		db.net = db.unet
+	default:
+		return nil, fmt.Errorf("meerkat: unknown transport %d", cfg.Transport)
+	}
+	if cfg.Faults != nil {
+		// The injector wraps the fabric: every send — replica and client
+		// alike — passes through the fault schedule. Validate() already
+		// vetted the plan, so Wrap cannot panic here.
+		db.fnet = faultnet.Wrap(db.net, cfg.Faults)
+		db.fnet.RegisterObs(db.obs)
+		db.net = db.fnet
+	}
+	// Storage gauges sum over all live replica stores (each replica holds a
+	// full copy, so totals scale with the replication factor by design).
+	db.obs.RegisterGauge("vstore_keys", func() uint64 { k, _ := db.storeCounts(); return k })
+	db.obs.RegisterGauge("vstore_versions", func() uint64 { _, v := db.storeCounts(); return v })
+	db.obs.RegisterGauge("vstore_ops_merged", func() uint64 { m, _ := db.storeOpStats(); return m })
+	db.obs.RegisterGauge("vstore_ops_recovered", func() uint64 { _, r := db.storeOpStats(); return r })
 
-	c, err := NewCluster(cfg)
-	if err != nil {
-		return nil, err
+	if cfg.Durability.Enabled() {
+		db.walSched = wal.NewScheduler(cfg.Durability.GroupCommitInterval)
 	}
-	db := &DB{c: c, source: shardmap.NewSource(m), own: own, mapPath: mapPath}
-	db.admin = &Admin{db: db}
+	for p := 0; p < cfg.MaxShards; p++ {
+		group, err := db.startGroup(p)
+		if err != nil {
+			db.Close()
+			return nil, err
+		}
+		db.replicas = append(db.replicas, group)
+	}
 	if mapPath != "" && m.Version() == 1 {
 		// Persist the initial map so a restart after splits-then-crash can
 		// distinguish "fresh" from "file lost". Best-effort: a failure here
@@ -104,118 +181,156 @@ func Open(cfg Config) (*DB, error) {
 	return db, nil
 }
 
-// RoutingMode selects how a client maps keys to replica groups.
-type RoutingMode int
-
-const (
-	// RouteShardMap routes against the client's cached shard map, following
-	// splits via redirect-refresh-retry. Default.
-	RouteShardMap RoutingMode = iota
-	// RouteStatic routes by static key hash modulo partitions, the
-	// pre-sharding behaviour. Only valid on a DB provisioned with
-	// MaxShards == 1 (with more, a split would strand the client: static
-	// routing cannot follow the map).
-	RouteStatic
-)
-
-// ClientOption configures a client or session built by DB.Client/DB.Session.
-type ClientOption func(*clientOptions)
-
-type clientOptions struct {
-	window    int
-	roDefault bool
-	mode      RoutingMode
-}
-
-// WithPipeline sets the pipeline window: how many transactions the handle
-// keeps in flight concurrently. DB.Session defaults to 4; DB.Client only
-// accepts 1 (use DB.Session for pipelining — a Client is stop-and-wait by
-// construction).
-func WithPipeline(n int) ClientOption {
-	return func(o *clientOptions) { o.window = n }
-}
-
-// WithReadOnlyDefault marks every transaction read-only at Begin, routing
-// reads through the one-round snapshot fast path; a transaction that writes
-// demotes itself transparently. For read-mostly clients it saves declaring
-// Txn.ReadOnly in every body.
-func WithReadOnlyDefault() ClientOption {
-	return func(o *clientOptions) { o.roDefault = true }
-}
-
-// WithRoutingMode overrides the routing mode (default RouteShardMap).
-func WithRoutingMode(m RoutingMode) ClientOption {
-	return func(o *clientOptions) { o.mode = m }
-}
-
-// resolveOptions folds opts over the defaults and validates the combination
-// against this DB's shape.
-func (db *DB) resolveOptions(defWindow int, opts []ClientOption) (clientOptions, *shardmap.Cache, error) {
-	o := clientOptions{window: defWindow}
-	for _, opt := range opts {
-		opt(&o)
-	}
-	if o.window < 1 {
-		o.window = 1
-	}
-	switch o.mode {
-	case RouteShardMap:
-		return o, shardmap.NewCache(db.source), nil
-	case RouteStatic:
-		if len(db.own) != 1 {
-			return o, nil, fmt.Errorf("meerkat: RouteStatic is only valid with MaxShards == 1 (have %d): static routing cannot follow shard splits", len(db.own))
+// startGroup opens (durable deployments) and starts every replica of shard p.
+// On error nothing it opened is left running.
+func (db *DB) startGroup(p int) ([]*replica.Replica, error) {
+	cfg := &db.cfg
+	group := make([]*replica.Replica, cfg.Replicas)
+	stores := make([]*vstore.Store, cfg.Replicas)
+	wals := make([]*wal.Store, cfg.Replicas)
+	if cfg.Durability.Enabled() {
+		// Open (or create) every replica's durability directory and
+		// replay whatever it holds: a whole-deployment restart comes back
+		// with every committed transaction.
+		replayed := false
+		for r := 0; r < cfg.Replicas; r++ {
+			w, recov, err := wal.Open(cfg.Durability.replicaDir(p, r), cfg.Cores, cfg.Durability.walOptions(db.walSched))
+			if err != nil {
+				for i := 0; i < r; i++ {
+					wals[i].Close()
+				}
+				return nil, err
+			}
+			wals[r] = w
+			stores[r] = recov.Store
+			replayed = replayed || recov.Records > 0 || recov.SnapshotKeys > 0
 		}
-		return o, nil, nil
-	default:
-		return o, nil, fmt.Errorf("meerkat: unknown routing mode %d", o.mode)
+		if replayed {
+			// Reconcile the group before serving traffic. After a
+			// non-graceful whole-cluster crash under SyncBatch each
+			// replica lost a different unfsynced log suffix, so the
+			// replayed stores diverge: an acknowledged write may exist
+			// on one replica and not another, and single-replica reads
+			// would return inconsistent values. The union merge is
+			// sound because imports are idempotent and monotone (Thomas
+			// rule for versions, max for rts): fold every store into
+			// the first, then fan the union back out.
+			for r := 1; r < cfg.Replicas; r++ {
+				recovery.SyncStore(stores[0], stores[r])
+			}
+			for r := 1; r < cfg.Replicas; r++ {
+				recovery.SyncStore(stores[r], stores[0])
+			}
+			// Make the reconciled state durable: keys merged from peers
+			// exist only in memory until a snapshot covers them, and a
+			// later lone crash would lose them again. Best-effort — on
+			// failure the logs simply keep growing and the periodic
+			// snapshotter retries.
+			for r := 0; r < cfg.Replicas; r++ {
+				wals[r].Snapshot(stores[r])
+			}
+		}
 	}
+	for r := 0; r < cfg.Replicas; r++ {
+		rep, err := db.newReplica(p, r, stores[r], wals[r], false)
+		if err != nil {
+			for i := r; i < cfg.Replicas; i++ {
+				if wals[i] != nil {
+					wals[i].Close()
+				}
+			}
+			for i := 0; i < r; i++ {
+				group[i].Stop()
+			}
+			return nil, err
+		}
+		group[r] = rep
+	}
+	return group, nil
 }
 
-// Client returns a new single-transaction client. It routes by the shard map
-// (its own private cache) unless WithRoutingMode says otherwise; it rejects
-// WithPipeline windows above 1 — pipelining is DB.Session's job.
-func (db *DB) Client(opts ...ClientOption) (*Client, error) {
-	o, sm, err := db.resolveOptions(1, opts)
+func (db *DB) newReplica(p, r int, store *vstore.Store, w *wal.Store, recovering bool) (*replica.Replica, error) {
+	rep, err := replica.New(replica.Config{
+		Topo:                 db.topo,
+		Partition:            p,
+		Index:                r,
+		Net:                  db.net,
+		Store:                store,
+		WAL:                  w,
+		Ownership:            db.own[p],
+		SharedRecord:         db.cfg.SharedTRecord,
+		SweepInterval:        db.cfg.SweepInterval,
+		StaleAfter:           db.cfg.StaleAfter,
+		CompactOnEpochChange: db.cfg.CompactOnEpochChange,
+		Obs:                  db.obs,
+		Recovering:           recovering,
+	})
 	if err != nil {
 		return nil, err
 	}
-	if o.window > 1 {
-		return nil, fmt.Errorf("meerkat: Client does not pipeline (window %d); use DB.Session", o.window)
-	}
-	return db.c.newClient(sm, o.roDefault)
-}
-
-// Session returns a pipelined client session (default window 4; set it with
-// WithPipeline). All workers share one shard-map cache, so one worker's
-// redirect re-routes the whole pipeline.
-func (db *DB) Session(opts ...ClientOption) (*Session, error) {
-	o, sm, err := db.resolveOptions(4, opts)
-	if err != nil {
+	if err := rep.Start(); err != nil {
 		return nil, err
 	}
-	return db.c.newSession(o.window, sm, o.roDefault)
+	return rep, nil
 }
 
 // Load installs key=value on every replica of the key's owning shard,
-// bypassing the transaction protocol — the sharded counterpart of
-// Cluster.Load for pre-loading a database.
+// bypassing the transaction protocol. Use it to pre-load a database before
+// serving traffic. With durability enabled the load is logged, so preloaded
+// data survives restarts like committed writes do.
 func (db *DB) Load(key string, value []byte) {
-	db.c.loadPartition(db.source.Current().GroupForKey(key), key, value)
+	p := db.source.Current().GroupForKey(key)
+	ts := timestamp.Timestamp{Time: 1, ClientID: 0}
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	for _, rep := range db.replicas[p] {
+		if rep != nil {
+			rep.Load(key, value, ts)
+		}
+	}
 }
 
 // Admin returns the DB's administrative facade: shard-map introspection,
-// online resharding, fault injection, and per-shard lifecycle.
+// online resharding, fault injection, per-shard lifecycle, and metrics.
 func (db *DB) Admin() *Admin { return db.admin }
 
-// Cluster returns the underlying cluster, the escape hatch for tooling built
-// against the pre-sharding API. Clients created via Cluster.NewClient route
-// statically and will be redirected forever once a split moves their keys;
-// prefer DB.Client.
-func (db *DB) Cluster() *Cluster { return db.c }
-
-// Close shuts the deployment down (see Cluster.Close). The shard map was
-// persisted at each split, so no map state is lost.
-func (db *DB) Close() { db.c.Close() }
+// Close shuts the deployment down. With durability enabled it first drains
+// each shard with an epoch change — the merge finalizes every transaction the
+// group had acknowledged but not yet applied, writing it to the logs — and
+// then stops every replica gracefully, which flushes and fsyncs all core
+// logs. A durable deployment closed this way reopens with zero committed-
+// transaction loss. The shard map was persisted at each split, so no map
+// state is lost either.
+func (db *DB) Close() {
+	db.mu.Lock()
+	if db.closed {
+		db.mu.Unlock()
+		return
+	}
+	db.closed = true
+	reps := db.replicas
+	db.mu.Unlock()
+	if db.cfg.Durability.Enabled() {
+		for p := range reps {
+			// Best-effort: without a quorum (mid-chaos shutdown) in-flight
+			// transactions stay in-flight; committed state is already logged.
+			db.admin.EpochChange(p)
+		}
+	}
+	for _, group := range reps {
+		for _, rep := range group {
+			if rep != nil {
+				rep.Stop()
+			}
+		}
+	}
+	db.net.Close()
+	if db.walSched != nil {
+		// Replica stops flushed and closed every log; the shared group-commit
+		// driver has no registrants left and can retire.
+		db.walSched.Stop()
+	}
+}
 
 // errNoIdleShard is returned by Admin.Split when every provisioned group
 // already owns a range.

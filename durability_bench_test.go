@@ -10,9 +10,9 @@ import (
 
 // newDurableHotpathCluster is newHotpathCluster with SyncBatch durability on
 // a test-scoped data directory.
-func newDurableHotpathCluster(tb testing.TB, nkeys int) (*meerkat.Cluster, *meerkat.Client, []string) {
+func newDurableHotpathCluster(tb testing.TB, nkeys int) (*meerkat.DB, *meerkat.Client, []string) {
 	tb.Helper()
-	cluster, err := meerkat.NewCluster(meerkat.Config{
+	cluster, err := meerkat.Open(meerkat.Config{
 		Durability: meerkat.Durability{DataDir: tb.TempDir()},
 	})
 	if err != nil {
@@ -24,7 +24,7 @@ func newDurableHotpathCluster(tb testing.TB, nkeys int) (*meerkat.Cluster, *meer
 		keys[i] = fmt.Sprintf("key-%08d", i)
 		cluster.Load(keys[i], []byte("v"))
 	}
-	cl, err := cluster.NewClient()
+	cl, err := cluster.Client()
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -37,15 +37,15 @@ func dval(i int) []byte { return []byte(fmt.Sprintf("dv%03d", i)) }
 func TestDurableCrashRecoveryEquivalence(t *testing.T) {
 	dir := t.TempDir()
 	verifyCleanShutdown(t, dir)
-	c := newTestCluster(t, durableConfig(dir))
-	cl := newTestClient(t, c)
+	c := newTestDB(t, durableConfig(dir))
+	cl := newDBClient(t, c)
 
 	for i := 0; i < 30; i++ {
 		if err := cl.Put(dkey(i), dval(i)); err != nil {
 			t.Fatalf("put %d: %v", i, err)
 		}
 	}
-	c.CrashReplica(0, 1)
+	c.Admin().CrashReplica(0, 1)
 	// Commits during the outage take the slow path (majority 2/3) and the
 	// crashed replica must learn them all during recovery.
 	for i := 30; i < 60; i++ {
@@ -53,7 +53,7 @@ func TestDurableCrashRecoveryEquivalence(t *testing.T) {
 			t.Fatalf("put %d with replica down: %v", i, err)
 		}
 	}
-	if err := c.RecoverReplica(0, 1); err != nil {
+	if err := c.Admin().RecoverReplica(0, 1); err != nil {
 		t.Fatalf("RecoverReplica: %v", err)
 	}
 	for i := 60; i < 70; i++ {
@@ -63,7 +63,7 @@ func TestDurableCrashRecoveryEquivalence(t *testing.T) {
 	}
 	// The commit fan-out is asynchronous; an epoch change finalizes every
 	// in-flight transaction on every replica so stores are comparable.
-	if err := c.EpochChange(0); err != nil {
+	if err := c.Admin().EpochChange(0); err != nil {
 		t.Fatalf("EpochChange: %v", err)
 	}
 	time.Sleep(50 * time.Millisecond)
@@ -87,7 +87,7 @@ func TestDurableCrashRecoveryEquivalence(t *testing.T) {
 		}
 	}
 
-	if s, ok := c.WALStats(); !ok || s.Appends == 0 {
+	if s, ok := c.Admin().WALStats(); !ok || s.Appends == 0 {
 		t.Fatalf("WALStats = %+v ok=%v, want appends > 0", s, ok)
 	}
 }
@@ -100,12 +100,12 @@ func TestDurableFullClusterRestart(t *testing.T) {
 	verifyCleanShutdown(t, dir)
 	cfg := durableConfig(dir)
 
-	c, err := NewCluster(cfg)
+	c, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.Load("preloaded", []byte("pl"))
-	cl, err := c.NewClient()
+	cl, err := c.Client()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,12 +117,12 @@ func TestDurableFullClusterRestart(t *testing.T) {
 	cl.Close()
 	c.Close() // graceful: flushes and fsyncs every core's log
 
-	c2, err := NewCluster(cfg)
+	c2, err := Open(cfg)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer c2.Close()
-	cl2, err := c2.NewClient()
+	cl2, err := c2.Client()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,11 +146,11 @@ func TestDurableSnapshotRestart(t *testing.T) {
 	verifyCleanShutdown(t, dir)
 	cfg := durableConfig(dir)
 
-	c, err := NewCluster(cfg)
+	c, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := c.NewClient()
+	cl, err := c.Client()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,12 +174,12 @@ func TestDurableSnapshotRestart(t *testing.T) {
 	cl.Close()
 	c.Close()
 
-	c2, err := NewCluster(cfg)
+	c2, err := Open(cfg)
 	if err != nil {
 		t.Fatalf("reopen after snapshot: %v", err)
 	}
 	defer c2.Close()
-	cl2, err := c2.NewClient()
+	cl2, err := c2.Client()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestDurableSnapshotRestart(t *testing.T) {
 
 // TestDurableBootReconcile pins the whole-cluster-restart reconciliation:
 // after a non-graceful crash under SyncBatch each replica loses a different
-// unfsynced log suffix, so the replayed stores diverge. NewCluster must
+// unfsynced log suffix, so the replayed stores diverge. Open must
 // union-merge the group's stores before serving traffic, or single-replica
 // reads would return inconsistent values for acknowledged writes. The test
 // constructs the divergent directories directly — each replica's log holds a
@@ -228,7 +228,7 @@ func TestDurableBootReconcile(t *testing.T) {
 		}
 	}
 
-	c, err := NewCluster(cfg)
+	c, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,8 +251,8 @@ func TestDurableBootReconcile(t *testing.T) {
 func TestDurableOldTimestampDelta(t *testing.T) {
 	dir := t.TempDir()
 	verifyCleanShutdown(t, dir)
-	c := newTestCluster(t, durableConfig(dir))
-	cl := newTestClient(t, c)
+	c := newTestDB(t, durableConfig(dir))
+	cl := newDBClient(t, c)
 
 	for i := 0; i < 20; i++ {
 		if err := cl.Put(dkey(i), dval(i)); err != nil {
@@ -262,7 +262,7 @@ func TestDurableOldTimestampDelta(t *testing.T) {
 	// Let the group commit fsync so the crashed replica replays a recent
 	// watermark (forcing the TS delta filter to actually filter).
 	time.Sleep(20 * time.Millisecond)
-	c.CrashReplica(0, 1)
+	c.Admin().CrashReplica(0, 1)
 
 	// During the outage, the live replicas apply a commit whose timestamp is
 	// an hour old — far beyond DeltaMargin, so the TS filter alone would
@@ -272,7 +272,7 @@ func TestDurableOldTimestampDelta(t *testing.T) {
 		c.replicaAt(0, r).Store().CommitWrite("stale-sweep", []byte("late"), oldTS)
 	}
 
-	if err := c.RecoverReplica(0, 1); err != nil {
+	if err := c.Admin().RecoverReplica(0, 1); err != nil {
 		t.Fatalf("RecoverReplica: %v", err)
 	}
 	v, ok := c.replicaAt(0, 1).Store().Read("stale-sweep")
@@ -290,11 +290,11 @@ func TestDurableSyncPolicies(t *testing.T) {
 			verifyCleanShutdown(t, dir)
 			cfg := durableConfig(dir)
 			cfg.Durability.Sync = sync
-			c, err := NewCluster(cfg)
+			c, err := Open(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cl, err := c.NewClient()
+			cl, err := c.Client()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -306,12 +306,12 @@ func TestDurableSyncPolicies(t *testing.T) {
 			cl.Close()
 			c.Close()
 
-			c2, err := NewCluster(cfg)
+			c2, err := Open(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer c2.Close()
-			cl2, err := c2.NewClient()
+			cl2, err := c2.Client()
 			if err != nil {
 				t.Fatal(err)
 			}

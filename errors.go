@@ -8,9 +8,11 @@ import (
 	"meerkat/internal/transport"
 )
 
-// Sentinel errors of the public API. Every error returned by Txn.Commit,
-// Client.Run, Put, and GetStrong unwraps (errors.Is) to exactly one of
-// these, so callers branch on kind instead of matching message strings.
+// Sentinel errors of the public API. Every protocol error returned by a
+// Client, Session or Txn method — Read, ReadMany, Commit, Resolve, Run, Get,
+// GetStrong, Put — unwraps (errors.Is) to exactly one of ErrConflict,
+// ErrTimeout, ErrWrongShard and ErrClusterClosed, so callers branch on kind
+// instead of matching message strings.
 var (
 	// ErrConflict means optimistic validation lost to a conflicting
 	// transaction. The transaction had no effect; retrying it (Client.Run
@@ -33,7 +35,7 @@ var (
 	// port map: node-id slot ranges collide (e.g. too many
 	// partition×replica nodes reaching into the recovery-coordinator
 	// slots) or the highest address overflows the 16-bit port space.
-	// Returned by Config.Validate / NewCluster before any socket binds.
+	// Returned by Config.Validate / Open before any socket binds.
 	ErrPortMap = errors.New("meerkat: UDP port map invalid")
 
 	// ErrWrongShard means a request reached a replica group that does not

@@ -1,54 +1,36 @@
 package meerkat_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strconv"
+	"time"
 
 	"meerkat"
 )
 
-// Example shows the minimal lifecycle: cluster, client, one transaction.
+// Example shows the minimal lifecycle: open a DB, get a client, run one
+// transaction. Run retries optimistic conflicts until the body's validation
+// wins, and its context bounds the reads inside the body as well as the
+// commit.
 func Example() {
-	cluster, err := meerkat.NewCluster(meerkat.Config{})
+	db, err := meerkat.Open(meerkat.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer cluster.Close()
+	defer db.Close()
+	db.Load("counter", []byte("41"))
 
-	client, err := cluster.NewClient()
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer client.Close()
-
-	txn := client.Begin()
-	txn.Write("greeting", []byte("hello"))
-	committed, err := txn.Commit()
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("committed:", committed)
-	// Output: committed: true
-}
-
-// ExampleClient_RunTxn shows the retry loop for optimistic conflicts: a
-// read-modify-write that keeps retrying until its validation wins.
-func ExampleClient_RunTxn() {
-	cluster, err := meerkat.NewCluster(meerkat.Config{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer cluster.Close()
-	cluster.Load("counter", []byte("41"))
-
-	client, err := cluster.NewClient()
+	client, err := db.Client()
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer client.Close()
 
-	ok, err := client.RunTxn(16, func(t *meerkat.Txn) error {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	err = client.Run(ctx, func(t *meerkat.Txn) error {
 		v, err := t.Read("counter")
 		if err != nil {
 			return err
@@ -57,8 +39,8 @@ func ExampleClient_RunTxn() {
 		t.Write("counter", []byte(strconv.Itoa(n+1)))
 		return nil
 	})
-	if err != nil || !ok {
-		log.Fatal(ok, err)
+	if err != nil {
+		log.Fatal(err)
 	}
 	v, err := client.GetStrong("counter")
 	if err != nil {
@@ -68,22 +50,22 @@ func ExampleClient_RunTxn() {
 	// Output: 42
 }
 
-// ExampleCluster_CrashReplica shows fault tolerance: with one of three
+// ExampleAdmin_CrashReplica shows fault tolerance: with one of three
 // replicas down, transactions keep committing on the slow path.
-func ExampleCluster_CrashReplica() {
-	cluster, err := meerkat.NewCluster(meerkat.Config{})
+func ExampleAdmin_CrashReplica() {
+	db, err := meerkat.Open(meerkat.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer cluster.Close()
+	defer db.Close()
 
-	client, err := cluster.NewClient()
+	client, err := db.Client()
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer client.Close()
 
-	cluster.CrashReplica(0, 2)
+	db.Admin().CrashReplica(0, 2)
 	if err := client.Put("k", []byte("still works")); err != nil {
 		log.Fatal(err)
 	}

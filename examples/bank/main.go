@@ -29,9 +29,8 @@ func acct(i int) string { return fmt.Sprintf("acct-%03d", i) }
 
 func main() {
 	// Two shards: transfers routinely span both, so commits must be atomic
-	// across replica groups. (Open replaces the old NewCluster+Partitions
-	// pairing; each shard is an independent replica group behind the
-	// versioned shard map.)
+	// across replica groups (each shard is an independent replica group
+	// behind the versioned shard map).
 	db, err := meerkat.Open(meerkat.Config{Shards: 2, Cores: 2})
 	if err != nil {
 		log.Fatal(err)

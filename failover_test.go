@@ -16,13 +16,13 @@ func TestCrashedReplicaTxnsContinue(t *testing.T) {
 	// With one of three replicas down, the fast quorum (3) is unreachable
 	// but the majority (2) is: every transaction takes the slow path and
 	// still commits.
-	c := newTestCluster(t, Config{CommitTimeout: 50 * time.Millisecond})
-	cl := newTestClient(t, c)
+	c := newTestDB(t, Config{CommitTimeout: 50 * time.Millisecond})
+	cl := newDBClient(t, c)
 
 	if err := cl.Put("before", []byte("1")); err != nil {
 		t.Fatal(err)
 	}
-	c.CrashReplica(0, 2)
+	c.Admin().CrashReplica(0, 2)
 
 	for i := 0; i < 10; i++ {
 		if err := cl.Put(fmt.Sprintf("k%d", i), []byte("v")); err != nil {
@@ -37,10 +37,10 @@ func TestCrashedReplicaTxnsContinue(t *testing.T) {
 
 func TestMinorityCrashTolerated5Replicas(t *testing.T) {
 	verifyCleanShutdown(t, "")
-	c := newTestCluster(t, Config{Replicas: 5, CommitTimeout: 50 * time.Millisecond})
-	cl := newTestClient(t, c)
-	c.CrashReplica(0, 1)
-	c.CrashReplica(0, 3)
+	c := newTestDB(t, Config{Replicas: 5, CommitTimeout: 50 * time.Millisecond})
+	cl := newDBClient(t, c)
+	c.Admin().CrashReplica(0, 1)
+	c.Admin().CrashReplica(0, 3)
 	for i := 0; i < 5; i++ {
 		if err := cl.Put(fmt.Sprintf("k%d", i), []byte("v")); err != nil {
 			t.Fatalf("put with 2/5 crashed: %v", err)
@@ -50,21 +50,21 @@ func TestMinorityCrashTolerated5Replicas(t *testing.T) {
 
 func TestReplicaRecoveryRestoresState(t *testing.T) {
 	verifyCleanShutdown(t, "")
-	c := newTestCluster(t, Config{CommitTimeout: 50 * time.Millisecond})
-	cl := newTestClient(t, c)
+	c := newTestDB(t, Config{CommitTimeout: 50 * time.Millisecond})
+	cl := newDBClient(t, c)
 
 	for i := 0; i < 20; i++ {
 		if err := cl.Put(fmt.Sprintf("k%d", i), []byte(fmt.Sprintf("v%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	c.CrashReplica(0, 1)
+	c.Admin().CrashReplica(0, 1)
 	for i := 20; i < 40; i++ {
 		if err := cl.Put(fmt.Sprintf("k%d", i), []byte(fmt.Sprintf("v%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := c.RecoverReplica(0, 1); err != nil {
+	if err := c.Admin().RecoverReplica(0, 1); err != nil {
 		t.Fatalf("RecoverReplica: %v", err)
 	}
 
@@ -92,12 +92,12 @@ func TestReplicaRecoveryRestoresState(t *testing.T) {
 
 func TestEpochChangeIdle(t *testing.T) {
 	verifyCleanShutdown(t, "")
-	c := newTestCluster(t, Config{})
-	cl := newTestClient(t, c)
+	c := newTestDB(t, Config{})
+	cl := newDBClient(t, c)
 	if err := cl.Put("k", []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.EpochChange(0); err != nil {
+	if err := c.Admin().EpochChange(0); err != nil {
 		t.Fatalf("EpochChange: %v", err)
 	}
 	// State survives; traffic resumes.
@@ -118,7 +118,7 @@ func TestEpochChangeUnderLoad(t *testing.T) {
 	// Run epoch changes while clients hammer a counter: no lost updates
 	// allowed even though validation pauses and in-flight transactions get
 	// reconciled by the merge.
-	c := newTestCluster(t, Config{Cores: 2, CommitTimeout: 50 * time.Millisecond})
+	c := newTestDB(t, Config{Cores: 2, CommitTimeout: 50 * time.Millisecond})
 	c.Load("ctr", []byte("0"))
 
 	stop := make(chan struct{})
@@ -126,7 +126,7 @@ func TestEpochChangeUnderLoad(t *testing.T) {
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
-		cl := newTestClient(t, c)
+		cl := newDBClient(t, c)
 		wg.Add(1)
 		go func(cl *Client) {
 			defer wg.Done()
@@ -136,7 +136,7 @@ func TestEpochChangeUnderLoad(t *testing.T) {
 					return
 				default:
 				}
-				ok, err := cl.RunTxn(1, func(txn *Txn) error {
+				ok, err := runOnce(cl, func(txn *Txn) error {
 					v, err := txn.Read("ctr")
 					if err != nil {
 						return err
@@ -156,7 +156,7 @@ func TestEpochChangeUnderLoad(t *testing.T) {
 
 	for e := 0; e < 3; e++ {
 		time.Sleep(30 * time.Millisecond)
-		if err := c.EpochChange(0); err != nil {
+		if err := c.Admin().EpochChange(0); err != nil {
 			t.Errorf("epoch change %d: %v", e, err)
 		}
 	}
@@ -164,7 +164,7 @@ func TestEpochChangeUnderLoad(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	cl := newTestClient(t, c)
+	cl := newDBClient(t, c)
 	v, err := cl.GetStrong("ctr")
 	if err != nil {
 		t.Fatal(err)
@@ -190,7 +190,7 @@ func TestSerializabilityUnderMessageLoss(t *testing.T) {
 	// 2% message loss, concurrent clients on a small hot keyspace, sweeper
 	// enabled to finish orphaned transactions. The committed history must
 	// be one-copy serializable in timestamp order.
-	c := newTestCluster(t, Config{
+	c := newTestDB(t, Config{
 		Cores:         2,
 		DropProb:      0.02,
 		Seed:          7,
@@ -211,7 +211,7 @@ func TestSerializabilityUnderMessageLoss(t *testing.T) {
 	hist := checker.New()
 	var wg sync.WaitGroup
 	for i := 0; i < 6; i++ {
-		cl := newTestClient(t, c)
+		cl := newDBClient(t, c)
 		wg.Add(1)
 		go func(cl *Client, seed int) {
 			defer wg.Done()
@@ -251,7 +251,7 @@ func TestSerializabilityUnderMessageLoss(t *testing.T) {
 
 func TestSerializabilityUnderCrashRecovery(t *testing.T) {
 	verifyCleanShutdown(t, "")
-	c := newTestCluster(t, Config{
+	c := newTestDB(t, Config{
 		Cores:         2,
 		CommitTimeout: 30 * time.Millisecond,
 		Retries:       20,
@@ -268,7 +268,7 @@ func TestSerializabilityUnderCrashRecovery(t *testing.T) {
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
-		cl := newTestClient(t, c)
+		cl := newDBClient(t, c)
 		wg.Add(1)
 		go func(cl *Client, seed int) {
 			defer wg.Done()
@@ -297,9 +297,9 @@ func TestSerializabilityUnderCrashRecovery(t *testing.T) {
 	}
 
 	time.Sleep(50 * time.Millisecond)
-	c.CrashReplica(0, 2)
+	c.Admin().CrashReplica(0, 2)
 	time.Sleep(50 * time.Millisecond)
-	if err := c.RecoverReplica(0, 2); err != nil {
+	if err := c.Admin().RecoverReplica(0, 2); err != nil {
 		t.Errorf("recover: %v", err)
 	}
 	time.Sleep(50 * time.Millisecond)
@@ -322,7 +322,7 @@ func TestSweeperFinishesOrphanedTxns(t *testing.T) {
 	// Stop a client mid-protocol is hard from the public API, so approximate
 	// a failed coordinator with heavy message loss and verify the sweeper
 	// keeps the system live: after the noise, fresh transactions commit.
-	c := newTestCluster(t, Config{
+	c := newTestDB(t, Config{
 		Cores:         2,
 		DropProb:      0.3,
 		Seed:          11,
@@ -332,7 +332,7 @@ func TestSweeperFinishesOrphanedTxns(t *testing.T) {
 		StaleAfter:    40 * time.Millisecond,
 	})
 	c.Load("k", []byte("0"))
-	cl := newTestClient(t, c)
+	cl := newDBClient(t, c)
 	for i := 0; i < 30; i++ {
 		txn := cl.Begin()
 		if _, err := txn.Read("k"); err != nil {
@@ -346,8 +346,8 @@ func TestSweeperFinishesOrphanedTxns(t *testing.T) {
 	time.Sleep(200 * time.Millisecond)
 
 	// Fresh clean cluster traffic must proceed.
-	c2 := newTestCluster(t, Config{SweepInterval: 20 * time.Millisecond})
-	cl2 := newTestClient(t, c2)
+	c2 := newTestDB(t, Config{SweepInterval: 20 * time.Millisecond})
+	cl2 := newDBClient(t, c2)
 	if err := cl2.Put("fresh", []byte("v")); err != nil {
 		t.Fatal(err)
 	}

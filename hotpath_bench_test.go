@@ -9,9 +9,9 @@ import (
 
 // newHotpathCluster builds a default single-partition cluster with nkeys
 // pre-loaded keys and one client, for the end-to-end hot-path benchmarks.
-func newHotpathCluster(tb testing.TB, nkeys int) (*meerkat.Cluster, *meerkat.Client, []string) {
+func newHotpathCluster(tb testing.TB, nkeys int) (*meerkat.DB, *meerkat.Client, []string) {
 	tb.Helper()
-	cluster, err := meerkat.NewCluster(meerkat.Config{})
+	cluster, err := meerkat.Open(meerkat.Config{})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -21,7 +21,7 @@ func newHotpathCluster(tb testing.TB, nkeys int) (*meerkat.Cluster, *meerkat.Cli
 		keys[i] = fmt.Sprintf("key-%08d", i)
 		cluster.Load(keys[i], []byte("v"))
 	}
-	cl, err := cluster.NewClient()
+	cl, err := cluster.Client()
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -102,15 +102,7 @@ func runPoint(kind SystemKind, wl string, theta float64, threads int, opts Optio
 	if err != nil {
 		return Point{}, err
 	}
-	return Point{
-		System:    string(kind),
-		Goodput:   res.Goodput(),
-		AbortRate: res.AbortRate(),
-		P50:       res.Latency.Percentile(0.50),
-		P99:       res.Latency.Percentile(0.99),
-		P999:      res.Latency.Percentile(0.999),
-		Path:      res.Path,
-	}, nil
+	return res.Point(string(kind), 0), nil
 }
 
 // ThreadSweep regenerates the measured analogue of Figure 4 (wl="ycsb-t")

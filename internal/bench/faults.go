@@ -109,7 +109,7 @@ func FaultPlan(seed int64, crashAt, restartAt uint64, victim uint32) *faultnet.P
 // after the replica restart, or opts.MaxSamples.
 func FaultTimeline(w io.Writer, opts FaultOptions) ([]Point, error) {
 	opts.fill()
-	cluster, err := meerkat.NewCluster(meerkat.Config{
+	db, err := meerkat.Open(meerkat.Config{
 		Cores:         opts.Cores,
 		Seed:          opts.Seed,
 		CommitTimeout: opts.CommitTimeout,
@@ -118,11 +118,12 @@ func FaultTimeline(w io.Writer, opts FaultOptions) ([]Point, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer cluster.Close()
+	defer db.Close()
+	adm := db.Admin()
 
 	value := workload.Value(64)
 	for i := 0; i < opts.Keys; i++ {
-		cluster.Load(workload.KeyName(i), value)
+		db.Load(workload.KeyName(i), value)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -138,18 +139,18 @@ func FaultTimeline(w io.Writer, opts FaultOptions) ([]Point, error) {
 		defer close(ctlDone)
 		for {
 			select {
-			case ev := <-cluster.FaultEvents():
-				p, r, ok := cluster.ReplicaOf(ev.Node)
+			case ev := <-adm.FaultEvents():
+				p, r, ok := adm.ReplicaOf(ev.Node)
 				if !ok {
 					continue
 				}
 				switch ev.Op {
 				case faultnet.OpCrash:
-					cluster.CrashReplica(p, r)
+					adm.CrashReplica(p, r)
 					crashedAt.Store(int64(time.Since(start)) | 1)
 				case faultnet.OpRestart:
 					for {
-						if err := cluster.RecoverReplica(p, r); err == nil {
+						if err := adm.RecoverReplica(p, r); err == nil {
 							restartedAt.Store(int64(time.Since(start)) | 1)
 							break
 						}
@@ -168,7 +169,7 @@ func FaultTimeline(w io.Writer, opts FaultOptions) ([]Point, error) {
 
 	var wg sync.WaitGroup
 	for i := 0; i < opts.Clients; i++ {
-		cl, err := cluster.NewClient()
+		cl, err := db.Client()
 		if err != nil {
 			cancel()
 			wg.Wait()
@@ -184,20 +185,8 @@ func FaultTimeline(w io.Writer, opts FaultOptions) ([]Point, error) {
 			var gets []string
 			for ctx.Err() == nil {
 				spec := gen.Next(rng)
-				gets = spec.AppendGets(gets[:0])
 				cl.Run(ctx, func(t *meerkat.Txn) error {
-					if len(gets) > 0 {
-						if _, err := t.ReadManyCtx(ctx, gets); err != nil {
-							return err
-						}
-					}
-					for _, k := range spec.RMWs {
-						t.Write(k, value)
-					}
-					for _, k := range spec.Writes {
-						t.Write(k, value)
-					}
-					return nil
+					return execSpec(t, &spec, value, &gets)
 				})
 			}
 		}(cl, i)
@@ -209,11 +198,11 @@ func FaultTimeline(w io.Writer, opts FaultOptions) ([]Point, error) {
 		"t", "goodput", "abort%", "fast", "slow", "fast%", "phase")
 
 	var points []Point
-	prev := cluster.Obs().Snapshot()
+	prev := adm.Obs().Snapshot()
 	tail := 0
 	for sample := 0; sample < opts.MaxSamples && tail < opts.Tail; sample++ {
 		time.Sleep(opts.Interval)
-		snap := cluster.Obs().Snapshot()
+		snap := adm.Obs().Snapshot()
 		d := snap.Sub(prev)
 		prev = snap
 		elapsed := time.Since(start)
@@ -249,7 +238,7 @@ func FaultTimeline(w io.Writer, opts FaultOptions) ([]Point, error) {
 	<-ctlDone
 
 	if restartedAt.Load() == 0 {
-		fired := cluster.FaultNetwork().Stats().EventsFired.Load()
+		fired := adm.FaultNetwork().Stats().EventsFired.Load()
 		return points, fmt.Errorf("bench: fault schedule incomplete after %d samples (%d/2 events fired)",
 			len(points), fired)
 	}

@@ -91,14 +91,5 @@ func runROPoint(frac float64, disableFastPath bool, opts ROOptions) (Point, erro
 	if err != nil {
 		return Point{}, err
 	}
-	return Point{
-		System:    name,
-		X:         frac,
-		Goodput:   res.Goodput(),
-		AbortRate: res.AbortRate(),
-		P50:       res.Latency.Percentile(0.50),
-		P99:       res.Latency.Percentile(0.99),
-		P999:      res.Latency.Percentile(0.999),
-		Path:      res.Path,
-	}, nil
+	return res.Point(name, frac), nil
 }

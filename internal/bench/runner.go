@@ -102,6 +102,22 @@ func (r *Result) Goodput() float64 {
 // AbortRate returns the abort fraction at this load (Figure 7's metric).
 func (r *Result) AbortRate() float64 { return r.Counters.AbortRate() }
 
+// Point is the run as one row of an experiment: goodput, abort rate, the
+// latency percentiles and the path breakdown, labelled system at sweep
+// position x.
+func (r *Result) Point(system string, x float64) Point {
+	return Point{
+		System:    system,
+		X:         x,
+		Goodput:   r.Goodput(),
+		AbortRate: r.AbortRate(),
+		P50:       r.Latency.Percentile(0.50),
+		P99:       r.Latency.Percentile(0.99),
+		P999:      r.Latency.Percentile(0.999),
+		Path:      r.Path,
+	}
+}
+
 // phase values for the run state machine.
 const (
 	phaseWarmup int32 = iota

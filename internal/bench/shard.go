@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"meerkat"
-	"meerkat/internal/obs"
 	"meerkat/internal/shardmap"
 	"meerkat/internal/workload"
 )
@@ -100,17 +99,28 @@ func (c *homedChooser) Next(rng *rand.Rand) int {
 
 func (c *homedChooser) N() int { return c.n }
 
-// shardedSystem adapts a sharded meerkat.DB to the harness System interface.
-// It precomputes which keys each shard owns so client generators can be
-// homed.
-type shardedSystem struct {
-	db      *meerkat.DB
-	shards  int
-	byGroup [][]int // key indices owned by each shard under the v1 map
+// keysByGroup lists the key indices each shard owns under the version-1 map
+// over shards groups, so client generators can be homed.
+func keysByGroup(shards, keys int) [][]int {
+	m := shardmap.New(shards)
+	byGroup := make([][]int, shards)
+	for i := 0; i < keys; i++ {
+		g := m.GroupForKey(workload.KeyName(i))
+		byGroup[g] = append(byGroup[g], i)
+	}
+	return byGroup
 }
 
-func newShardedSystem(shards int, opts ShardOptions) (*shardedSystem, error) {
-	db, err := meerkat.Open(meerkat.Config{
+// openSharded opens the sweep's cell of `shards` owning groups behind the
+// harness adapter and returns the per-shard key lists homing its clients.
+func openSharded(shards int, opts ShardOptions) (*meerkatSystem, [][]int, error) {
+	byGroup := keysByGroup(shards, opts.Keys)
+	for g, keys := range byGroup {
+		if len(keys) == 0 {
+			return nil, nil, fmt.Errorf("bench: shard %d of %d owns none of the %d keys", g, shards, opts.Keys)
+		}
+	}
+	sys, err := openMeerkat(fmt.Sprintf("%d-shard", shards), meerkat.Config{
 		Shards:            shards,
 		MaxShards:         opts.MaxShards,
 		Cores:             opts.Cores,
@@ -121,44 +131,8 @@ func newShardedSystem(shards int, opts ShardOptions) (*shardedSystem, error) {
 		CommitTimeout: 500 * time.Millisecond,
 		Seed:          opts.Seed,
 		Obs:           opts.Obs,
-	})
-	if err != nil {
-		return nil, err
-	}
-	m := shardmap.New(shards)
-	byGroup := make([][]int, shards)
-	for i := 0; i < opts.Keys; i++ {
-		g := m.GroupForKey(workload.KeyName(i))
-		byGroup[g] = append(byGroup[g], i)
-	}
-	for g, keys := range byGroup {
-		if len(keys) == 0 {
-			db.Close()
-			return nil, fmt.Errorf("bench: shard %d of %d owns none of the %d keys", g, shards, opts.Keys)
-		}
-	}
-	return &shardedSystem{db: db, shards: shards, byGroup: byGroup}, nil
-}
-
-func (s *shardedSystem) Name() string { return fmt.Sprintf("%d-shard", s.shards) }
-
-func (s *shardedSystem) Obs() *obs.Registry { return s.db.Cluster().Obs() }
-
-func (s *shardedSystem) Load(key string, value []byte) { s.db.Load(key, value) }
-
-func (s *shardedSystem) Close() { s.db.Close() }
-
-func (s *shardedSystem) NewClient() (Client, error) {
-	cl, err := s.db.Client()
-	if err != nil {
-		return nil, err
-	}
-	return &meerkatClient{cl}, nil
-}
-
-// chooser returns the homed chooser for one client's home shard.
-func (s *shardedSystem) chooser(home int, n int, locality float64) workload.KeyChooser {
-	return &homedChooser{home: s.byGroup[home%s.shards], n: n, locality: locality}
+	}, 1)
+	return sys, byGroup, err
 }
 
 // ShardSweep measures Retwis goodput at each swept shard count under the
@@ -174,7 +148,7 @@ func ShardSweep(w io.Writer, opts ShardOptions) ([]Point, error) {
 	var out []Point
 	base := 0.0
 	for _, shards := range opts.Shards {
-		sys, err := newShardedSystem(shards, opts)
+		sys, byGroup, err := openSharded(shards, opts)
 		if err != nil {
 			return out, err
 		}
@@ -183,7 +157,7 @@ func ShardSweep(w io.Writer, opts ShardOptions) ([]Point, error) {
 			System: sys,
 			NewGenerator: func() workload.Generator {
 				home := int(clientSeq.Add(1) - 1)
-				return workload.NewRetwis(sys.chooser(home, opts.Keys, opts.Locality))
+				return workload.NewRetwis(&homedChooser{home: byGroup[home%shards], n: opts.Keys, locality: opts.Locality})
 			},
 			Clients: opts.Clients,
 			Keys:    opts.Keys,
@@ -195,16 +169,7 @@ func ShardSweep(w io.Writer, opts ShardOptions) ([]Point, error) {
 		if err != nil {
 			return out, err
 		}
-		p := Point{
-			System:    sys.Name(),
-			X:         float64(shards),
-			Goodput:   res.Goodput(),
-			AbortRate: res.AbortRate(),
-			P50:       res.Latency.Percentile(0.50),
-			P99:       res.Latency.Percentile(0.99),
-			P999:      res.Latency.Percentile(0.999),
-			Path:      res.Path,
-		}
+		p := res.Point(sys.Name(), float64(shards))
 		out = append(out, p)
 		speedup := "-"
 		if base == 0 {
@@ -304,12 +269,7 @@ func ShardSplitTimeline(w io.Writer, opts ShardSplitOptions) ([]Point, error) {
 
 	// Home clients by the post-split map: before the split every key lives
 	// on shard 0 anyway, so homing only shapes where load lands afterwards.
-	final := shardmap.New(2)
-	byGroup := make([][]int, 2)
-	for i := 0; i < opts.Keys; i++ {
-		g := final.GroupForKey(workload.KeyName(i))
-		byGroup[g] = append(byGroup[g], i)
-	}
+	byGroup := keysByGroup(2, opts.Keys)
 
 	var wg sync.WaitGroup
 	ctx, cancel := context.WithCancel(context.Background())
@@ -330,23 +290,8 @@ func ShardSplitTimeline(w io.Writer, opts ShardSplitOptions) ([]Point, error) {
 			var gets []string
 			for ctx.Err() == nil {
 				spec := gen.Next(rng)
-				gets = spec.AppendGets(gets[:0])
 				cl.Run(ctx, func(t *meerkat.Txn) error {
-					if len(spec.RMWs)+len(spec.Writes) == 0 {
-						t.ReadOnly()
-					}
-					if len(gets) > 0 {
-						if _, err := t.ReadManyCtx(ctx, gets); err != nil {
-							return err
-						}
-					}
-					for _, k := range spec.RMWs {
-						t.Write(k, value)
-					}
-					for _, k := range spec.Writes {
-						t.Write(k, value)
-					}
-					return nil
+					return execSpec(t, &spec, value, &gets)
 				})
 			}
 		}(cl, i)
@@ -380,11 +325,11 @@ func ShardSplitTimeline(w io.Writer, opts ShardSplitOptions) ([]Point, error) {
 	}()
 
 	var points []Point
-	prev := db.Cluster().Obs().Snapshot()
+	prev := db.Admin().Obs().Snapshot()
 	tail := 0
 	for sample := 0; sample < opts.MaxSamples && tail < opts.Tail; sample++ {
 		time.Sleep(opts.Interval)
-		snap := db.Cluster().Obs().Snapshot()
+		snap := db.Admin().Obs().Snapshot()
 		d := snap.Sub(prev)
 		prev = snap
 		elapsed := time.Since(start)

@@ -13,6 +13,7 @@ package bench
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"meerkat"
@@ -110,7 +111,7 @@ func NewSystem(cfg SystemConfig) (System, error) {
 	}
 	switch cfg.Kind {
 	case SystemMeerkat, SystemTAPIR:
-		cl, err := meerkat.NewCluster(meerkat.Config{
+		return openMeerkat(string(cfg.Kind), meerkat.Config{
 			Replicas:                cfg.Replicas,
 			Cores:                   cfg.Cores,
 			SharedTRecord:           cfg.Kind == SystemTAPIR,
@@ -118,11 +119,7 @@ func NewSystem(cfg SystemConfig) (System, error) {
 			Retries:                 cfg.Retries,
 			Obs:                     cfg.Obs,
 			DisableReadOnlyFastPath: cfg.DisableReadOnlyFastPath,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &meerkatSystem{kind: cfg.Kind, cluster: cl}, nil
+		}, 1)
 	case SystemMeerkatPB, SystemKuaFu:
 		return newPBSystem(cfg)
 	default:
@@ -130,27 +127,83 @@ func NewSystem(cfg SystemConfig) (System, error) {
 	}
 }
 
-// meerkatSystem adapts the public meerkat API (which also serves as the
-// TAPIR-like baseline via SharedTRecord).
+// meerkatSystem adapts a meerkat.DB — any transport, any shard count, and
+// the TAPIR-like baseline via SharedTRecord — to the harness's System
+// interface. With window > 1 it hands out pipelined session workers — every
+// `window` NewClient calls share one socket set — instead of plain
+// stop-and-wait clients, so the harness's client goroutines become the
+// in-flight transactions that fill the transport's syscall batches.
 type meerkatSystem struct {
-	kind    SystemKind
-	cluster *meerkat.Cluster
+	name   string
+	db     *meerkat.DB
+	window int
+
+	mu       sync.Mutex
+	sessions []*meerkat.Session
+	spare    []*meerkat.Client
+	handed   []*meerkat.Client
 }
 
-func (s *meerkatSystem) Name() string { return string(s.kind) }
-
-func (s *meerkatSystem) Obs() *obs.Registry { return s.cluster.Obs() }
-
-func (s *meerkatSystem) Load(key string, value []byte) { s.cluster.Load(key, value) }
-
-func (s *meerkatSystem) Close() { s.cluster.Close() }
-
-func (s *meerkatSystem) NewClient() (Client, error) {
-	cl, err := s.cluster.NewClient()
+// openMeerkat opens a deployment per cfg behind the adapter.
+func openMeerkat(name string, cfg meerkat.Config, window int) (*meerkatSystem, error) {
+	db, err := meerkat.Open(cfg)
 	if err != nil {
 		return nil, err
 	}
+	return &meerkatSystem{name: name, db: db, window: window}, nil
+}
+
+func (s *meerkatSystem) Name() string                  { return s.name }
+func (s *meerkatSystem) Obs() *obs.Registry            { return s.db.Admin().Obs() }
+func (s *meerkatSystem) Load(key string, value []byte) { s.db.Load(key, value) }
+
+func (s *meerkatSystem) NewClient() (Client, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.spare) == 0 {
+		if s.window <= 1 {
+			cl, err := s.db.Client()
+			if err != nil {
+				return nil, err
+			}
+			s.spare = append(s.spare, cl)
+		} else {
+			sess, err := s.db.Session(meerkat.WithPipeline(s.window))
+			if err != nil {
+				return nil, err
+			}
+			s.sessions = append(s.sessions, sess)
+			s.spare = append(s.spare, sess.Clients()...)
+		}
+	}
+	cl := s.spare[0]
+	s.spare = s.spare[1:]
+	s.handed = append(s.handed, cl)
 	return &meerkatClient{cl}, nil
+}
+
+// committed sums commit counts over every client the run used — the
+// denominator for syscalls/txn.
+func (s *meerkatSystem) committed() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var total uint64
+	for _, cl := range s.handed {
+		c, _ := cl.Stats()
+		total += c
+	}
+	return total
+}
+
+func (s *meerkatSystem) Close() {
+	s.mu.Lock()
+	sessions := s.sessions
+	s.sessions = nil
+	s.mu.Unlock()
+	for _, sess := range sessions {
+		sess.Close()
+	}
+	s.db.Close()
 }
 
 type meerkatClient struct{ cl *meerkat.Client }

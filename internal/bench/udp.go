@@ -3,11 +3,9 @@ package bench
 import (
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"meerkat"
-	"meerkat/internal/obs"
 )
 
 // This file measures the wire-level cost of the transport stack: the same
@@ -104,15 +102,14 @@ func UDPSweep(w io.Writer, opts UDPOptions) ([]Point, error) {
 	return out, nil
 }
 
-// runUDPPoint builds a cluster per cfg, drives it with the closed-loop
+// runUDPPoint opens a deployment per cfg, drives it with the closed-loop
 // harness, and annotates the Point with the syscall counters the run cost.
 func runUDPPoint(name string, cfg meerkat.Config, window int, opts UDPOptions) (Point, error) {
 	cfg.Obs = opts.Obs
-	cluster, err := meerkat.NewCluster(cfg)
+	sys, err := openMeerkat(name, cfg, window)
 	if err != nil {
 		return Point{}, err
 	}
-	sys := &udpSystem{name: name, cluster: cluster, window: window}
 	defer sys.Close()
 	res, err := Run(RunConfig{
 		System:       sys,
@@ -126,19 +123,10 @@ func runUDPPoint(name string, cfg meerkat.Config, window int, opts UDPOptions) (
 	if err != nil {
 		return Point{}, err
 	}
-	p := Point{
-		System:    name,
-		X:         float64(window),
-		Goodput:   res.Goodput(),
-		AbortRate: res.AbortRate(),
-		P50:       res.Latency.Percentile(0.50),
-		P99:       res.Latency.Percentile(0.99),
-		P999:      res.Latency.Percentile(0.999),
-		Path:      res.Path,
-	}
+	p := res.Point(name, float64(window))
 	// Syscall counters cover the whole run (warmup included), so divide by
 	// all commits the clients saw, not just the measured window's.
-	if net, ok := cluster.UDPStats(); ok {
+	if net, ok := sys.db.Admin().UDPStats(); ok {
 		if committed := sys.committed(); committed > 0 {
 			p.SyscallsPerTxn = float64(net.Syscalls()) / float64(committed)
 		}
@@ -147,73 +135,4 @@ func runUDPPoint(name string, cfg meerkat.Config, window int, opts UDPOptions) (
 		}
 	}
 	return p, nil
-}
-
-// udpSystem adapts one meerkat.Cluster (any transport) to the harness's
-// System interface. With window > 1 it hands out pipelined session workers —
-// every `window` NewClient calls share one socket set — instead of plain
-// stop-and-wait clients, so the harness's client goroutines become the
-// in-flight transactions that fill the transport's syscall batches.
-type udpSystem struct {
-	name    string
-	cluster *meerkat.Cluster
-	window  int
-
-	mu       sync.Mutex
-	sessions []*meerkat.Session
-	spare    []*meerkat.Client
-	handed   []*meerkat.Client
-}
-
-func (s *udpSystem) Name() string                  { return s.name }
-func (s *udpSystem) Obs() *obs.Registry            { return s.cluster.Obs() }
-func (s *udpSystem) Load(key string, value []byte) { s.cluster.Load(key, value) }
-
-func (s *udpSystem) NewClient() (Client, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.window <= 1 {
-		cl, err := s.cluster.NewClient()
-		if err != nil {
-			return nil, err
-		}
-		s.handed = append(s.handed, cl)
-		return &meerkatClient{cl}, nil
-	}
-	if len(s.spare) == 0 {
-		sess, err := s.cluster.NewSession(s.window)
-		if err != nil {
-			return nil, err
-		}
-		s.sessions = append(s.sessions, sess)
-		s.spare = append(s.spare, sess.Clients()...)
-	}
-	cl := s.spare[0]
-	s.spare = s.spare[1:]
-	s.handed = append(s.handed, cl)
-	return &meerkatClient{cl}, nil
-}
-
-// committed sums commit counts over every client the run used — the
-// denominator for syscalls/txn.
-func (s *udpSystem) committed() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var total uint64
-	for _, cl := range s.handed {
-		c, _ := cl.Stats()
-		total += c
-	}
-	return total
-}
-
-func (s *udpSystem) Close() {
-	s.mu.Lock()
-	sessions := s.sessions
-	s.sessions = nil
-	s.mu.Unlock()
-	for _, sess := range sessions {
-		sess.Close()
-	}
-	s.cluster.Close()
 }

@@ -77,23 +77,22 @@ func WALSweep(w io.Writer, opts WALOptions) ([]Point, error) {
 	return out, nil
 }
 
-// runWALPoint builds a cluster per cfg, drives it with the closed-loop
+// runWALPoint opens a deployment per cfg, drives it with the closed-loop
 // harness, and annotates the Point with the WAL's fsync amortization.
 func runWALPoint(name string, cfg meerkat.Config, opts WALOptions) (Point, error) {
-	cluster, err := meerkat.NewCluster(cfg)
+	sys, err := openMeerkat(name, cfg, 1)
 	if err != nil {
 		return Point{}, err
 	}
-	sys := &meerkatSystem{kind: SystemKind(name), cluster: cluster}
 	defer sys.Close()
 	// Preload outside the harness so the bulk-load appends (one per key,
 	// fsynced inline under SyncAlways) can be snapshotted away before the
 	// measured traffic starts.
 	val := workload.Value(64)
 	for i := 0; i < opts.Keys; i++ {
-		cluster.Load(workload.KeyName(i), val)
+		sys.Load(workload.KeyName(i), val)
 	}
-	base, _ := cluster.WALStats()
+	base, _ := sys.db.Admin().WALStats()
 	res, err := Run(RunConfig{
 		System:       sys,
 		NewGenerator: genFactory("retwis", opts.Keys, 0),
@@ -107,20 +106,12 @@ func runWALPoint(name string, cfg meerkat.Config, opts WALOptions) (Point, error
 	if err != nil {
 		return Point{}, err
 	}
-	p := Point{
-		System:    name,
-		Goodput:   res.Goodput(),
-		AbortRate: res.AbortRate(),
-		P50:       res.Latency.Percentile(0.50),
-		P99:       res.Latency.Percentile(0.99),
-		P999:      res.Latency.Percentile(0.999),
-		Path:      res.Path,
-	}
+	p := res.Point(name, 0)
 	// The WAL counters cover warmup + measure (preload was snapshotted
 	// away), a longer span than the measured window — so derive the commit
 	// count for the same span from the append delta: every replica logs
 	// every commit exactly once.
-	if s, ok := cluster.WALStats(); ok {
+	if s, ok := sys.db.Admin().WALStats(); ok {
 		syncs := s.Syncs - base.Syncs
 		appends := s.Appends - base.Appends
 		if commits := appends / 3; commits > 0 {

@@ -83,14 +83,5 @@ func runZipfPoint(theta float64, viaOp bool, opts OpsZipfOptions) (Point, error)
 	if err != nil {
 		return Point{}, err
 	}
-	return Point{
-		System:    name,
-		X:         theta,
-		Goodput:   res.Goodput(),
-		AbortRate: res.AbortRate(),
-		P50:       res.Latency.Percentile(0.50),
-		P99:       res.Latency.Percentile(0.99),
-		P999:      res.Latency.Percentile(0.999),
-		Path:      res.Path,
-	}, nil
+	return res.Point(name, theta), nil
 }

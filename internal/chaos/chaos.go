@@ -196,7 +196,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	res := &Result{Plan: planBytes}
 
-	cluster, err := meerkat.NewCluster(meerkat.Config{
+	db, err := meerkat.Open(meerkat.Config{
 		Cores:         cfg.Cores,
 		Seed:          cfg.Seed,
 		Faults:        cfg.Plan,
@@ -206,7 +206,8 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer cluster.Close()
+	defer db.Close()
+	adm := db.Admin()
 
 	// Preload every key so the checker's initial state is exact.
 	initial := make(map[string]timestamp.Timestamp, cfg.Keys)
@@ -214,7 +215,7 @@ func Run(cfg Config) (*Result, error) {
 	value := workload.Value(64)
 	for i := 0; i < cfg.Keys; i++ {
 		k := workload.KeyName(i)
-		cluster.Load(k, value)
+		db.Load(k, value)
 		initial[k] = loadTS
 	}
 
@@ -229,15 +230,15 @@ func Run(cfg Config) (*Result, error) {
 		defer close(ctlDone)
 		for {
 			select {
-			case ev := <-cluster.FaultEvents():
-				p, r, ok := cluster.ReplicaOf(ev.Node)
+			case ev := <-adm.FaultEvents():
+				p, r, ok := adm.ReplicaOf(ev.Node)
 				switch {
 				case ev.Op == faultnet.OpCrash && ok:
-					cluster.CrashReplica(p, r)
+					adm.CrashReplica(p, r)
 					res.Crashes++
 				case ev.Op == faultnet.OpRestart && ok:
 					for try := 0; try < 100; try++ {
-						if err := cluster.RecoverReplica(p, r); err == nil {
+						if err := adm.RecoverReplica(p, r); err == nil {
 							res.Restarts++
 							break
 						}
@@ -259,7 +260,7 @@ func Run(cfg Config) (*Result, error) {
 	// expires). Event triggers are send counts, so continuing to generate
 	// traffic is what guarantees every event eventually fires.
 	nEvents := uint64(len(cfg.Plan.Events))
-	fnet := cluster.FaultNetwork()
+	fnet := adm.FaultNetwork()
 	allFired := func() bool { return fnet.Stats().EventsFired.Load() >= nEvents }
 
 	hist := checker.New()
@@ -277,7 +278,7 @@ func Run(cfg Config) (*Result, error) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			cl, err := cluster.NewClient()
+			cl, err := db.Client()
 			if err != nil {
 				runErrors.Add(1)
 				return
@@ -308,11 +309,11 @@ func Run(cfg Config) (*Result, error) {
 						if len(gets) == 0 {
 							return nil
 						}
-						_, err := t.ReadManyCtx(ctx, gets)
+						_, err := t.ReadMany(gets)
 						return err
 					}
 					if len(gets) > 0 {
-						if _, err := t.ReadManyCtx(ctx, gets); err != nil {
+						if _, err := t.ReadMany(gets); err != nil {
 							return err
 						}
 					}
@@ -359,7 +360,7 @@ func Run(cfg Config) (*Result, error) {
 			fnet.Stats().EventsFired.Load(), nEvents)
 	}
 
-	snap := cluster.Obs().Snapshot()
+	snap := adm.Obs().Snapshot()
 	res.Committed = hist.Len()
 	res.Resolved = snap.Counters[obs.TxnResolveCommit] + snap.Counters[obs.TxnResolveAbort]
 	res.Unresolved = int(unresolved.Load())

@@ -68,11 +68,9 @@ type Config struct {
 	// classic validated two-round commit, the ablation knob behind the
 	// one-round-vs-two-round read experiment.
 	DisableReadOnlyFastPath bool
-	// ShardMap, when non-nil, routes each key to the replica group owning
-	// its hash range under the cached cluster shard map, instead of the
-	// topology's static key-hash modulo. On a wrong-shard redirect the
-	// coordinator refreshes the cache; Run re-routes and retries. Nil keeps
-	// the legacy static routing.
+	// ShardMap routes each key to the replica group owning its hash range
+	// under the cached cluster shard map. On a wrong-shard redirect the
+	// coordinator refreshes the cache; Run re-routes and retries. Required.
 	ShardMap *shardmap.Cache
 	// Seed seeds core/replica load-balancing choices. Zero means seed
 	// from ClientID.
@@ -141,16 +139,17 @@ type phaseTimers struct {
 // handed over, stamps Src per send, and its receiver recycles it); the
 // copies share req's payload slices, which no receiver writes. req stays the
 // caller's, and the Outgoing headers live in the caller's scratch, which is
-// returned for reuse.
-func broadcast(ep transport.Endpoint, group []message.Addr, req *message.Message, scratch []transport.Outgoing) []transport.Outgoing {
-	outs := scratch[:0]
+// returned for reuse. A send error is message loss to every caller — the
+// retry loops cover it — except closed, which reports that this coordinator's
+// own endpoint is shut: no resend can succeed, so the commit phases stop.
+func broadcast(ep transport.Endpoint, group []message.Addr, req *message.Message, scratch []transport.Outgoing) (outs []transport.Outgoing, closed bool) {
+	outs = scratch[:0]
 	for _, dst := range group {
 		m := message.AcquireMessage()
 		*m = *req
 		outs = append(outs, transport.Outgoing{Dst: dst, M: m})
 	}
-	ep.SendBatch(outs)
-	return outs
+	return outs, errors.Is(ep.SendBatch(outs), transport.ErrClosed)
 }
 
 // backoffDelay computes the capped exponential backoff before retry k
@@ -273,23 +272,16 @@ func (c *Coordinator) group(p int, core uint32) []message.Addr {
 	return c.groups[p*c.cfg.Topo.Cores+int(core)]
 }
 
-// partitionFor routes key to its partition: through the shard-map cache when
-// the coordinator is shard-aware, else the topology's static key hash. The
+// partitionFor routes key to its partition through the shard-map cache. The
 // cache read is one atomic pointer load and the range lookup a binary search
 // over a few entries — no allocation, no lock.
 func (c *Coordinator) partitionFor(key string) int {
-	if c.cfg.ShardMap != nil {
-		return c.cfg.ShardMap.Current().GroupForKey(key)
-	}
-	return c.cfg.Topo.PartitionForKey(key)
+	return c.cfg.ShardMap.Current().GroupForKey(key)
 }
 
 // mapVersion is the shard-map version outgoing requests are stamped with, so
-// replicas can tell how stale a redirected client is (0 = not shard-aware).
+// replicas can tell how stale a redirected client is.
 func (c *Coordinator) mapVersion() uint64 {
-	if c.cfg.ShardMap == nil {
-		return 0
-	}
 	return c.cfg.ShardMap.Current().Version()
 }
 
@@ -298,9 +290,6 @@ func (c *Coordinator) mapVersion() uint64 {
 // immediate re-routed retry is worthwhile, and rerouted is latched for Run.
 // Safe to call from the concurrent per-partition validate goroutines.
 func (c *Coordinator) noteRedirect() bool {
-	if c.cfg.ShardMap == nil {
-		return false
-	}
 	_, advanced := c.cfg.ShardMap.Refresh()
 	if advanced {
 		c.obs.Inc(obs.MapRefresh)
@@ -343,8 +332,8 @@ func inboxDepth(t topo.Topology) int {
 // New binds a coordinator's endpoints on cfg.Net.
 func New(cfg Config) (*Coordinator, error) {
 	cfg.fill()
-	if !cfg.Topo.Validate() {
-		return nil, fmt.Errorf("coordinator: invalid topology %+v", cfg.Topo)
+	if !cfg.Topo.Validate() || cfg.ShardMap == nil {
+		return nil, fmt.Errorf("coordinator: invalid topology %+v or no shard map", cfg.Topo)
 	}
 	c := newCore(cfg)
 	depth := inboxDepth(cfg.Topo)
@@ -386,14 +375,11 @@ func (c *Coordinator) Close() {
 // core of the key's partition for the latest committed version. A missing
 // key returns ok=false with version Zero — still a meaningful read that the
 // validation phase will check.
-func (c *Coordinator) Read(key string) (value []byte, version timestamp.Timestamp, ok bool, err error) {
-	return c.ReadCtx(context.Background(), key)
-}
-
-// ReadCtx is Read under a context: the per-attempt wait shrinks to the
-// context's remaining time, and cancellation ends the retry loop early.
-// Reads are idempotent, so a context-expired read is always safe to retry.
-func (c *Coordinator) ReadCtx(ctx context.Context, key string) (value []byte, version timestamp.Timestamp, ok bool, err error) {
+//
+// The per-attempt wait shrinks to ctx's remaining time, and cancellation ends
+// the retry loop early. Reads are idempotent, so a context-expired read is
+// always safe to retry.
+func (c *Coordinator) Read(ctx context.Context, key string) (value []byte, version timestamp.Timestamp, ok bool, err error) {
 	c.readSeq++
 	seq := c.readSeq
 	c.readInbox.Drain()
@@ -482,17 +468,13 @@ func (c *Coordinator) sendMultiRead(p int, keys []string, seq uint64) error {
 // store by any replica core, so batching preserves the zero-coordination
 // execution phase (§5.2.1) while amortizing its per-message cost.
 //
+// Per-attempt waits shrink to ctx's remaining time and cancellation ends the
+// per-partition retry loops early. Like single reads, batched reads are
+// idempotent and safe to retry after a context-expired attempt.
+//
 // The returned slice is a scratch reused by the next ReadMany call on this
 // coordinator; callers that need the results past that must copy them out.
-func (c *Coordinator) ReadMany(keys []string) ([]message.ReadResult, error) {
-	return c.ReadManyCtx(context.Background(), keys)
-}
-
-// ReadManyCtx is ReadMany under a context: per-attempt waits shrink to the
-// context's remaining time and cancellation ends the per-partition retry
-// loops early. Like single reads, batched reads are idempotent and safe to
-// retry after a context-expired attempt.
-func (c *Coordinator) ReadManyCtx(ctx context.Context, keys []string) ([]message.ReadResult, error) {
+func (c *Coordinator) ReadMany(ctx context.Context, keys []string) ([]message.ReadResult, error) {
 	if len(keys) == 0 {
 		return nil, nil
 	}
@@ -641,7 +623,11 @@ func (c *Coordinator) ReadManyCtx(ctx context.Context, keys []string) ([]message
 // dozen), where scanning a slice beats hashing and — unlike two lazily built
 // maps — costs the commit hot path zero allocations.
 type Txn struct {
-	c        *Coordinator
+	c *Coordinator
+	// ctx bounds every blocking call the transaction makes — Read, ReadMany,
+	// Commit. It enters in exactly one place: Run binds the context it was
+	// given, Begin binds context.Background().
+	ctx      context.Context
 	reads    []message.ReadSetEntry
 	readVals [][]byte
 	writes   []message.WriteSetEntry
@@ -676,9 +662,10 @@ type Txn struct {
 	roCommitted bool
 }
 
-// Begin starts a new transaction.
+// Begin starts a new transaction bounded only by the coordinator's retry
+// budget. Transactions that must stop when a caller gives up run under Run.
 func (c *Coordinator) Begin() *Txn {
-	return &Txn{c: c}
+	return &Txn{c: c, ctx: context.Background()}
 }
 
 // findWrite returns the write-set position of key, or -1.
@@ -713,19 +700,15 @@ func (t *Txn) findOp(key string) int {
 
 // Read returns the value of key as of this transaction's snapshot: a
 // buffered write if the transaction wrote the key, the previously read value
-// if it already read it, or a fresh versioned read from a replica.
-func (t *Txn) Read(key string) ([]byte, error) {
-	return t.ReadCtx(context.Background(), key)
-}
-
-// ReadCtx is Read under a context (see Coordinator.ReadCtx).
+// if it already read it, or a fresh versioned read from a replica, bounded by
+// the transaction's context (see Coordinator.Read).
 //
 // Reading a key with a buffered commutative op performs a real versioned read
 // (which joins the read set and is validated like any other) and returns the
 // op applied to the value read — read-your-ops. Note that this trades back
 // the op's abort immunity for that key: the transaction now carries a read
 // version a conflicting writer can invalidate.
-func (t *Txn) ReadCtx(ctx context.Context, key string) ([]byte, error) {
+func (t *Txn) Read(key string) ([]byte, error) {
 	if i := t.findWrite(key); i >= 0 {
 		return t.writes[i].Value, nil
 	}
@@ -734,7 +717,7 @@ func (t *Txn) ReadCtx(ctx context.Context, key string) ([]byte, error) {
 	}
 	if t.roViable {
 		t.c.ro1[0] = key
-		res, served, err := t.snapshotFetch(ctx, t.c.ro1[:])
+		res, served, err := t.snapshotFetch(t.c.ro1[:])
 		if err != nil {
 			return nil, err
 		}
@@ -749,7 +732,7 @@ func (t *Txn) ReadCtx(ctx context.Context, key string) ([]byte, error) {
 		}
 		// Demoted: fall through to the classic read.
 	}
-	val, ver, _, err := t.c.ReadCtx(ctx, key)
+	val, ver, _, err := t.c.Read(t.ctx, key)
 	if err != nil {
 		return nil, err
 	}
@@ -777,13 +760,9 @@ func (t *Txn) applyPendingOp(key string, val []byte) []byte {
 // returned values are index-aligned with keys. Buffered writes, earlier
 // reads, and duplicate keys within the batch are honored exactly as per-key
 // Read would: each key is fetched at most once and lands in the read set at
-// most once.
+// most once. The transaction's context bounds the round trips (see
+// Coordinator.ReadMany).
 func (t *Txn) ReadMany(keys []string) ([][]byte, error) {
-	return t.ReadManyCtx(context.Background(), keys)
-}
-
-// ReadManyCtx is ReadMany under a context (see Coordinator.ReadManyCtx).
-func (t *Txn) ReadManyCtx(ctx context.Context, keys []string) ([][]byte, error) {
 	vals := make([][]byte, len(keys))
 	fetch := make([]string, 0, len(keys))
 	for _, key := range keys {
@@ -804,7 +783,7 @@ func (t *Txn) ReadManyCtx(ctx context.Context, keys []string) ([][]byte, error) 
 	if len(fetch) > 0 {
 		var res []message.ReadResult
 		if t.roViable {
-			r, served, err := t.snapshotFetch(ctx, fetch)
+			r, served, err := t.snapshotFetch(fetch)
 			if err != nil {
 				return nil, err
 			}
@@ -813,7 +792,7 @@ func (t *Txn) ReadManyCtx(ctx context.Context, keys []string) ([][]byte, error) 
 			}
 		}
 		if res == nil {
-			r, err := t.c.ReadManyCtx(ctx, fetch)
+			r, err := t.c.ReadMany(t.ctx, fetch)
 			if err != nil {
 				return nil, err
 			}
@@ -937,17 +916,14 @@ func (t *Txn) OpSetSize() int    { return len(t.ops) }
 // transaction committed, false if it aborted due to conflicts, and an error
 // if the outcome could not be determined within the retry budget. The error
 // always unwraps to ErrTimeout; Resolve can then learn the final outcome.
+//
+// The transaction's context maps onto the commit protocol's per-attempt
+// waits, and its cancellation ends the retry loops early. A context-expired
+// commit is outcome-unknown exactly like a retry-budget timeout — the
+// returned error unwraps to both ErrTimeout and the context's error, and
+// Resolve applies.
 func (t *Txn) Commit() (bool, error) {
-	return t.c.commit(context.Background(), t)
-}
-
-// CommitCtx is Commit under a context: the context's deadline maps onto the
-// commit protocol's per-attempt waits, and cancellation ends the retry loops
-// early. A context-expired commit is outcome-unknown exactly like a
-// retry-budget timeout — the returned error unwraps to both ErrTimeout and
-// the context's error, and Resolve applies.
-func (t *Txn) CommitCtx(ctx context.Context) (bool, error) {
-	return t.c.commit(ctx, t)
+	return t.c.commit(t.ctx, t)
 }
 
 // Resolve learns — or, if still undecided, forces — the final outcome of a
@@ -1003,7 +979,7 @@ func (c *Coordinator) Run(ctx context.Context, fn func(*Txn) error) error {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("%w: %w", ErrTimeout, err)
 		}
-		t := c.Begin()
+		t := &Txn{c: c, ctx: ctx}
 		if err := fn(t); err != nil {
 			if errors.Is(err, ErrWrongShard) && ctx.Err() == nil {
 				// A read hit a moved range; the map cache was refreshed at
@@ -1019,7 +995,7 @@ func (c *Coordinator) Run(ctx context.Context, fn func(*Txn) error) error {
 			}
 			return err
 		}
-		ok, err := t.CommitCtx(ctx)
+		ok, err := t.Commit()
 		if err != nil {
 			if errors.Is(err, ErrWrongShard) && ctx.Err() == nil {
 				// The commit aborted on a wrong-shard redirect — a known
@@ -1262,7 +1238,7 @@ func (c *Coordinator) commit(ctx context.Context, t *Txn) (bool, error) {
 		// transport stamps Src on send, so messages must not be shared).
 		// The fan-in above already happened, so c.pt's scratch is free even
 		// for multi-partition commits.
-		c.pt.outs = broadcast(c.commitEps[parts[i].p], c.group(parts[i].p, coreID), &outcome, c.pt.outs)
+		c.pt.outs, _ = broadcast(c.commitEps[parts[i].p], c.group(parts[i].p, coreID), &outcome, c.pt.outs)
 	}
 
 	if committed && c.lastTS.Less(ts) {
@@ -1321,7 +1297,10 @@ func (c *Coordinator) validatePhase(ctx context.Context, p int, txn *message.Txn
 		if berr != nil {
 			return false, false, berr
 		}
-		pt.outs = broadcast(ep, group, &req, pt.outs)
+		var closed bool
+		if pt.outs, closed = broadcast(ep, group, &req, pt.outs); closed {
+			return false, false, transport.ErrClosed
+		}
 
 		// Step 3: collect validate-replies, watching for the fast-path
 		// supermajority of matching responses. Once a majority is in, give
@@ -1468,7 +1447,10 @@ func (c *Coordinator) slowPath(ctx context.Context, p int, txn *message.Txn, ts 
 		if berr != nil {
 			return false, berr
 		}
-		pt.outs = broadcast(ep, group, &req, pt.outs)
+		var closed bool
+		if pt.outs, closed = broadcast(ep, group, &req, pt.outs); closed {
+			return false, transport.ErrClosed
+		}
 		var acked uint64 // bitmask, as in validatePhase
 		acks := 0
 		superseded := uint64(0)

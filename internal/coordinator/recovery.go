@@ -173,7 +173,7 @@ func recoverTxn(env recoverEnv, tid timestamp.TxnID, coreID uint32, proposer, se
 		// Phase 1: coordinator change — a majority promises to ignore
 		// lower-viewed proposals and reports its record for tid.
 		req := message.Message{Type: message.TypeCoordChange, TID: tid, View: view, CoreID: coreID}
-		outs = broadcast(env.ep, group, &req, outs)
+		outs, _ = broadcast(env.ep, group, &req, outs)
 		records := make([]message.TRecordEntry, 0, len(group))
 		acked := make(map[uint32]bool, len(group))
 		higher := uint64(0)
@@ -239,7 +239,7 @@ func recoverTxn(env recoverEnv, tid timestamp.TxnID, coreID uint32, proposer, se
 			Type: message.TypeAccept, TID: tid, Status: proposal, View: view,
 			Txn: body, TS: ts, CoreID: coreID,
 		}
-		outs = broadcast(env.ep, group, &accept, outs)
+		outs, _ = broadcast(env.ep, group, &accept, outs)
 		acks := make(map[uint32]bool, len(group))
 		higher = 0
 		deadline = time.NewTimer(env.timeout)

@@ -59,8 +59,8 @@ type Session struct {
 // when set, is shared by all workers (obs.Shard methods are atomic).
 func NewSession(cfg Config, window int) (*Session, error) {
 	cfg.fill()
-	if !cfg.Topo.Validate() {
-		return nil, fmt.Errorf("coordinator: invalid topology %+v", cfg.Topo)
+	if !cfg.Topo.Validate() || cfg.ShardMap == nil {
+		return nil, fmt.Errorf("coordinator: invalid topology %+v or no shard map", cfg.Topo)
 	}
 	if window < 1 {
 		window = 1

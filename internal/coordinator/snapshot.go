@@ -116,17 +116,17 @@ func (s *roKeyState) settled() bool {
 func (c *Coordinator) sendSnapshotRead(p int, keys []string, snap timestamp.Timestamp, seq uint64) {
 	core := uint32(c.rng.Intn(c.cfg.Topo.Cores))
 	req := message.Message{Type: message.TypeMultiRead, Keys: keys, TS: snap, Seq: seq, MapVersion: c.mapVersion()}
-	c.roOuts = broadcast(c.commitEps[p], c.group(p, core), &req, c.roOuts)
+	c.roOuts, _ = broadcast(c.commitEps[p], c.group(p, core), &req, c.roOuts)
 }
 
-// snapshotReadCtx reads keys at snapshot timestamp snap: one snapshot
+// snapshotRound reads keys at snapshot timestamp snap: one snapshot
 // multi-read round per touched partition, each requiring roQuorum confirmed
 // replies whose merged answers settle. Results are index-aligned with keys
 // in the scratch reused by the next read operation. minW is the lowest
 // watermark observed across all replies (snap when none was lower) — the
 // round-down hint on failure. The only errors are errROUnconfirmed and
 // context/timeout errors from waitBudget.
-func (c *Coordinator) snapshotReadCtx(ctx context.Context, keys []string, snap timestamp.Timestamp) ([]message.ReadResult, timestamp.Timestamp, error) {
+func (c *Coordinator) snapshotRound(ctx context.Context, keys []string, snap timestamp.Timestamp) ([]message.ReadResult, timestamp.Timestamp, error) {
 	minW := snap
 	if len(keys) == 0 {
 		return nil, minW, nil
@@ -135,7 +135,7 @@ func (c *Coordinator) snapshotReadCtx(ctx context.Context, keys []string, snap t
 	n := c.cfg.Topo.Replicas
 	quorum := c.roQuorum()
 
-	// Group keys by partition, exactly as ReadManyCtx does (shared scratch;
+	// Group keys by partition, exactly as ReadMany does (shared scratch;
 	// the two paths never run concurrently on one coordinator).
 	if c.partIdx == nil || len(c.partIdx) < nparts {
 		c.partIdx = make([]int, nparts)
@@ -165,7 +165,7 @@ func (c *Coordinator) snapshotReadCtx(ctx context.Context, keys []string, snap t
 	}
 	off[nparts] = sum
 	// The keys slice inside a sent message belongs to the transport; like
-	// ReadManyCtx, allocate it fresh per operation, never a reused scratch.
+	// ReadMany, allocate it fresh per operation, never a reused scratch.
 	grouped := make([]string, len(keys))
 	for i, p := range kp {
 		grouped[cursor[p]] = keys[i]
@@ -184,7 +184,7 @@ func (c *Coordinator) snapshotReadCtx(ctx context.Context, keys []string, snap t
 
 	c.readSeq++
 	seq := c.readSeq
-	// Fire every partition before collecting any reply, as in ReadManyCtx.
+	// Fire every partition before collecting any reply, as in ReadMany.
 	for p := 0; p < nparts; p++ {
 		if off[p+1] == off[p] {
 			continue
@@ -315,13 +315,13 @@ func (c *Coordinator) snapshotReadCtx(ctx context.Context, keys []string, snap t
 // the snapshot timestamp that settled.
 func (c *Coordinator) snapshotBegin(ctx context.Context, keys []string) ([]message.ReadResult, timestamp.Timestamp, error) {
 	s := c.gen.NextTimestamp()
-	res, minW, err := c.snapshotReadCtx(ctx, keys, s)
+	res, minW, err := c.snapshotRound(ctx, keys, s)
 	if err == nil {
 		return res, s, nil
 	}
 	if errors.Is(err, errROUnconfirmed) && c.lastTS.Less(minW) && minW.Less(s) && !minW.IsZero() {
 		c.obs.Inc(obs.RORoundDown)
-		if res, _, err2 := c.snapshotReadCtx(ctx, keys, minW); err2 == nil {
+		if res, _, err2 := c.snapshotRound(ctx, keys, minW); err2 == nil {
 			return res, minW, nil
 		}
 	}
@@ -351,8 +351,8 @@ func (t *Txn) ReadOnly() {
 // transaction demotes: roViable is cleared and the caller re-reads through
 // the classic path. The bool reports whether the snapshot path served the
 // keys; a non-nil error is a hard context/timeout failure.
-func (t *Txn) snapshotFetch(ctx context.Context, keys []string) ([]message.ReadResult, bool, error) {
-	c := t.c
+func (t *Txn) snapshotFetch(keys []string) ([]message.ReadResult, bool, error) {
+	c, ctx := t.c, t.ctx
 	var (
 		res []message.ReadResult
 		err error
@@ -365,7 +365,7 @@ func (t *Txn) snapshotFetch(ctx context.Context, keys []string) ([]message.ReadR
 			return res, true, nil
 		}
 	} else {
-		res, _, err = c.snapshotReadCtx(ctx, keys, t.snapTS)
+		res, _, err = c.snapshotRound(ctx, keys, t.snapTS)
 		if err == nil {
 			return res, true, nil
 		}
@@ -383,12 +383,7 @@ func (t *Txn) snapshotFetch(ctx context.Context, keys []string) ([]message.ReadR
 // validated read-only transaction, but costs a single snapshot round on the
 // fast path. On an unconfirmed snapshot it demotes to the classic validated
 // read. ok is false for a key that has never been written.
-func (c *Coordinator) SnapshotRead(key string) ([]byte, timestamp.Timestamp, bool, error) {
-	return c.SnapshotReadCtx(context.Background(), key)
-}
-
-// SnapshotReadCtx is SnapshotRead under a context.
-func (c *Coordinator) SnapshotReadCtx(ctx context.Context, key string) ([]byte, timestamp.Timestamp, bool, error) {
+func (c *Coordinator) SnapshotRead(ctx context.Context, key string) ([]byte, timestamp.Timestamp, bool, error) {
 	if !c.cfg.DisableReadOnlyFastPath {
 		c.ro1[0] = key
 		res, s, err := c.snapshotBegin(ctx, c.ro1[:])
@@ -414,7 +409,7 @@ func (c *Coordinator) SnapshotReadCtx(ctx context.Context, key string) ([]byte, 
 		ver timestamp.Timestamp
 	)
 	err := c.Run(ctx, func(t *Txn) error {
-		v, rerr := t.ReadCtx(ctx, key)
+		v, rerr := t.Read(key)
 		if rerr != nil {
 			return rerr
 		}

@@ -8,6 +8,7 @@ import (
 
 	"meerkat/internal/clock"
 	"meerkat/internal/message"
+	"meerkat/internal/shardmap"
 	"meerkat/internal/timestamp"
 	"meerkat/internal/topo"
 	"meerkat/internal/transport"
@@ -22,6 +23,7 @@ func newSplitCoordinator(t *testing.T, partitions int) *Coordinator {
 		ClientID: 1,
 		Net:      net,
 		Clock:    clock.NewManual(1),
+		ShardMap: shardmap.NewCache(shardmap.NewSource(shardmap.New(partitions))),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +51,7 @@ func TestSplitPartitionsCoverAndAgree(t *testing.T) {
 	// each key to its owning partition, and stamps every piece with the
 	// transaction id.
 	c := newSplitCoordinator(t, 4)
-	tp := c.cfg.Topo
+	owner := shardmap.New(4) // the map the coordinator routes by
 	f := func(seed int64, nReads, nWrites uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		txn := c.Begin()
@@ -68,13 +70,13 @@ func TestSplitPartitionsCoverAndAgree(t *testing.T) {
 				return false
 			}
 			for _, r := range pt.txn.ReadSet {
-				if tp.PartitionForKey(r.Key) != pt.p {
+				if owner.GroupForKey(r.Key) != pt.p {
 					return false
 				}
 				reads++
 			}
 			for _, w := range pt.txn.WriteSet {
-				if tp.PartitionForKey(w.Key) != pt.p {
+				if owner.GroupForKey(w.Key) != pt.p {
 					return false
 				}
 				writes++
@@ -111,7 +113,7 @@ func TestSplitAscendingPartitionOrder(t *testing.T) {
 		for _, pt := range parts {
 			j := 0
 			for _, r := range txn.reads {
-				if c.cfg.Topo.PartitionForKey(r.Key) != pt.p {
+				if c.partitionFor(r.Key) != pt.p {
 					continue
 				}
 				if j >= len(pt.txn.ReadSet) || pt.txn.ReadSet[j].Key != r.Key {

@@ -2,6 +2,7 @@ package replica_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"meerkat/internal/clock"
 	"meerkat/internal/coordinator"
 	"meerkat/internal/replica"
+	"meerkat/internal/shardmap"
 	"meerkat/internal/timestamp"
 	"meerkat/internal/topo"
 	"meerkat/internal/transport"
@@ -52,7 +54,7 @@ func newMultiReadStack(t testing.TB, partitions int) *multiReadStack {
 
 func (s *multiReadStack) load(key string, val []byte) {
 	ts := timestamp.Timestamp{Time: 1, ClientID: 0}
-	p := s.topo.PartitionForKey(key)
+	p := shardmap.New(s.topo.Partitions).GroupForKey(key)
 	for i := 0; i < s.topo.Replicas; i++ {
 		s.reps[p*s.topo.Replicas+i].Store().Load(key, val, ts)
 	}
@@ -62,7 +64,8 @@ func (s *multiReadStack) newCoordinator(clientID uint64) *coordinator.Coordinato
 	s.t.Helper()
 	c, err := coordinator.New(coordinator.Config{
 		Topo: s.topo, ClientID: clientID, Net: s.net, Clock: clock.NewReal(),
-		Timeout: 500 * time.Millisecond,
+		Timeout:  500 * time.Millisecond,
+		ShardMap: shardmap.NewCache(shardmap.NewSource(shardmap.New(s.topo.Partitions))),
 	})
 	if err != nil {
 		s.t.Fatal(err)
@@ -87,7 +90,7 @@ func TestMultiReadMatchesSequentialReads(t *testing.T) {
 			c := s.newCoordinator(1)
 
 			batch := []string{"key-0", "key-7", "missing-a", "key-31", "key-7", "key-15", "missing-b"}
-			got, err := c.ReadMany(batch)
+			got, err := c.ReadMany(context.Background(), batch)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -95,7 +98,7 @@ func TestMultiReadMatchesSequentialReads(t *testing.T) {
 				t.Fatalf("ReadMany returned %d results for %d keys", len(got), len(batch))
 			}
 			for i, k := range batch {
-				val, ver, ok, err := c.Read(k)
+				val, ver, ok, err := c.Read(context.Background(), k)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -187,7 +190,7 @@ func TestMultiReadUnderConcurrentWriters(t *testing.T) {
 
 	c := s.newCoordinator(1)
 	for iter := 0; iter < 300; iter++ {
-		got, err := c.ReadMany(keys)
+		got, err := c.ReadMany(context.Background(), keys)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,11 +5,7 @@
 // of the commit protocol.
 package topo
 
-import (
-	"hash/fnv"
-
-	"meerkat/internal/message"
-)
+import "meerkat/internal/message"
 
 // ClientNodeBase is the first node id assigned to clients; replica node ids
 // stay below it.
@@ -67,14 +63,4 @@ func (t Topology) GroupAddrs(p int, core uint32) []message.Addr {
 // endpoint (core 0 of its own node).
 func (t Topology) ClientAddr(clientID uint64) message.Addr {
 	return message.Addr{Node: ClientNodeBase + uint32(clientID), Core: 0}
-}
-
-// PartitionForKey maps a key to its owning partition.
-func (t Topology) PartitionForKey(key string) int {
-	if t.Partitions == 1 {
-		return 0
-	}
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return int(h.Sum32() % uint32(t.Partitions))
 }

@@ -1,9 +1,6 @@
 package topo
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestQuorumSizes(t *testing.T) {
 	cases := []struct {
@@ -93,34 +90,6 @@ func TestGroupAddrs(t *testing.T) {
 		}
 		if a.Node != tp.ReplicaNode(1, r) {
 			t.Errorf("addr %d node = %d", r, a.Node)
-		}
-	}
-}
-
-func TestPartitionForKeyStableAndInRange(t *testing.T) {
-	tp := Topology{Partitions: 4, Replicas: 3, Cores: 1}
-	f := func(key string) bool {
-		p := tp.PartitionForKey(key)
-		return p >= 0 && p < 4 && p == tp.PartitionForKey(key)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-	single := Topology{Partitions: 1, Replicas: 3, Cores: 1}
-	if single.PartitionForKey("anything") != 0 {
-		t.Fatal("single partition must map everything to 0")
-	}
-}
-
-func TestPartitionSpread(t *testing.T) {
-	tp := Topology{Partitions: 4, Replicas: 3, Cores: 1}
-	counts := make([]int, 4)
-	for i := 0; i < 4000; i++ {
-		counts[tp.PartitionForKey(string(rune('a'+i%26))+string(rune('0'+i%10))+string(rune(i)))]++
-	}
-	for p, c := range counts {
-		if c == 0 {
-			t.Errorf("partition %d received no keys", p)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package meerkat
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 	"sync"
@@ -8,32 +9,19 @@ import (
 	"time"
 )
 
-func newTestCluster(t *testing.T, cfg Config) *Cluster {
-	t.Helper()
-	if cfg.Cores == 0 {
-		cfg.Cores = 2
+// runOnce is one attempt of fn from Begin through Commit, for tests that
+// count commits and aborts themselves instead of letting Run retry.
+func runOnce(cl *Client, fn func(*Txn) error) (bool, error) {
+	txn := cl.Begin()
+	if err := fn(txn); err != nil {
+		return false, err
 	}
-	c, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatalf("NewCluster: %v", err)
-	}
-	t.Cleanup(c.Close)
-	return c
-}
-
-func newTestClient(t *testing.T, c *Cluster) *Client {
-	t.Helper()
-	cl, err := c.NewClient()
-	if err != nil {
-		t.Fatalf("NewClient: %v", err)
-	}
-	t.Cleanup(cl.Close)
-	return cl
+	return txn.Commit()
 }
 
 func TestCommitAndReadBack(t *testing.T) {
-	c := newTestCluster(t, Config{})
-	cl := newTestClient(t, c)
+	c := newTestDB(t, Config{})
+	cl := newDBClient(t, c)
 
 	txn := cl.Begin()
 	txn.Write("k", []byte("v1"))
@@ -52,8 +40,8 @@ func TestCommitAndReadBack(t *testing.T) {
 }
 
 func TestReadMissingKey(t *testing.T) {
-	c := newTestCluster(t, Config{})
-	cl := newTestClient(t, c)
+	c := newTestDB(t, Config{})
+	cl := newDBClient(t, c)
 
 	txn := cl.Begin()
 	v, err := txn.Read("missing")
@@ -70,8 +58,8 @@ func TestReadMissingKey(t *testing.T) {
 }
 
 func TestReadYourWrites(t *testing.T) {
-	c := newTestCluster(t, Config{})
-	cl := newTestClient(t, c)
+	c := newTestDB(t, Config{})
+	cl := newDBClient(t, c)
 	c.Load("k", []byte("old"))
 
 	txn := cl.Begin()
@@ -89,12 +77,12 @@ func TestReadYourWrites(t *testing.T) {
 }
 
 func TestRMWSequence(t *testing.T) {
-	c := newTestCluster(t, Config{})
-	cl := newTestClient(t, c)
+	c := newTestDB(t, Config{})
+	cl := newDBClient(t, c)
 	c.Load("ctr", []byte("0"))
 
 	for i := 0; i < 20; i++ {
-		ok, err := cl.RunTxn(8, func(txn *Txn) error {
+		err := cl.Run(context.Background(), func(txn *Txn) error {
 			v, err := txn.Read("ctr")
 			if err != nil {
 				return err
@@ -103,8 +91,8 @@ func TestRMWSequence(t *testing.T) {
 			txn.Write("ctr", []byte(strconv.Itoa(n+1)))
 			return nil
 		})
-		if err != nil || !ok {
-			t.Fatalf("iteration %d: %v, %v", i, ok, err)
+		if err != nil {
+			t.Fatalf("iteration %d: %v", i, err)
 		}
 	}
 	v, _ := cl.GetStrong("ctr")
@@ -116,7 +104,7 @@ func TestRMWSequence(t *testing.T) {
 func TestConflictingWritersSerialized(t *testing.T) {
 	// Concurrent counter increments from many clients: the final value
 	// must equal the number of committed increments (no lost updates).
-	c := newTestCluster(t, Config{Cores: 4})
+	c := newTestDB(t, Config{Cores: 4})
 	c.Load("ctr", []byte("0"))
 
 	const clients = 8
@@ -125,12 +113,12 @@ func TestConflictingWritersSerialized(t *testing.T) {
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	for i := 0; i < clients; i++ {
-		cl := newTestClient(t, c)
+		cl := newDBClient(t, c)
 		wg.Add(1)
 		go func(cl *Client) {
 			defer wg.Done()
 			for j := 0; j < perClient; j++ {
-				ok, err := cl.RunTxn(50, func(txn *Txn) error {
+				err := cl.Run(context.Background(), func(txn *Txn) error {
 					v, err := txn.Read("ctr")
 					if err != nil {
 						return err
@@ -140,20 +128,18 @@ func TestConflictingWritersSerialized(t *testing.T) {
 					return nil
 				})
 				if err != nil {
-					t.Errorf("RunTxn: %v", err)
+					t.Errorf("Run: %v", err)
 					return
 				}
-				if ok {
-					mu.Lock()
-					committedTotal++
-					mu.Unlock()
-				}
+				mu.Lock()
+				committedTotal++
+				mu.Unlock()
 			}
 		}(cl)
 	}
 	wg.Wait()
 
-	cl := newTestClient(t, c)
+	cl := newDBClient(t, c)
 	v, err := cl.GetStrong("ctr")
 	if err != nil {
 		t.Fatal(err)
@@ -168,8 +154,8 @@ func TestConflictingWritersSerialized(t *testing.T) {
 }
 
 func TestReplicasConverge(t *testing.T) {
-	c := newTestCluster(t, Config{})
-	cl := newTestClient(t, c)
+	c := newTestDB(t, Config{})
+	cl := newDBClient(t, c)
 	for i := 0; i < 50; i++ {
 		key := fmt.Sprintf("k%d", i%10)
 		if err := cl.Put(key, []byte(fmt.Sprintf("v%d", i))); err != nil {
@@ -198,13 +184,13 @@ func TestReplicasConverge(t *testing.T) {
 func TestWriteSkewPrevented(t *testing.T) {
 	// Serializable isolation must prevent write skew: invariant a+b >= 0,
 	// each txn checks the sum then decrements one of the two keys.
-	c := newTestCluster(t, Config{Cores: 4})
+	c := newTestDB(t, Config{Cores: 4})
 	c.Load("a", []byte("50"))
 	c.Load("b", []byte("50"))
 
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
-		cl := newTestClient(t, c)
+		cl := newDBClient(t, c)
 		key := "a"
 		if i%2 == 1 {
 			key = "b"
@@ -213,7 +199,7 @@ func TestWriteSkewPrevented(t *testing.T) {
 		go func(cl *Client, key string) {
 			defer wg.Done()
 			for j := 0; j < 50; j++ {
-				cl.RunTxn(1, func(txn *Txn) error {
+				runOnce(cl, func(txn *Txn) error {
 					av, err := txn.Read("a")
 					if err != nil {
 						return err
@@ -238,7 +224,7 @@ func TestWriteSkewPrevented(t *testing.T) {
 	}
 	wg.Wait()
 
-	cl := newTestClient(t, c)
+	cl := newDBClient(t, c)
 	av, _ := cl.GetStrong("a")
 	bv, _ := cl.GetStrong("b")
 	a, _ := strconv.Atoi(string(av))
@@ -249,8 +235,8 @@ func TestWriteSkewPrevented(t *testing.T) {
 }
 
 func TestEmptyTxnCommits(t *testing.T) {
-	c := newTestCluster(t, Config{})
-	cl := newTestClient(t, c)
+	c := newTestDB(t, Config{})
+	cl := newDBClient(t, c)
 	txn := cl.Begin()
 	ok, err := txn.Commit()
 	if !ok || err != nil {
@@ -259,25 +245,25 @@ func TestEmptyTxnCommits(t *testing.T) {
 }
 
 func TestEvenReplicasRejected(t *testing.T) {
-	if _, err := NewCluster(Config{Replicas: 4}); err == nil {
+	if _, err := Open(Config{Replicas: 4}); err == nil {
 		t.Fatal("even replica count accepted")
 	}
 }
 
 func TestSharedTRecordMode(t *testing.T) {
 	// The TAPIR-like baseline must be just as correct, only slower.
-	c := newTestCluster(t, Config{SharedTRecord: true, Cores: 2})
-	cl := newTestClient(t, c)
+	c := newTestDB(t, Config{SharedTRecord: true, Cores: 2})
+	cl := newDBClient(t, c)
 	c.Load("ctr", []byte("0"))
 	for i := 0; i < 10; i++ {
-		ok, err := cl.RunTxn(8, func(txn *Txn) error {
+		err := cl.Run(context.Background(), func(txn *Txn) error {
 			v, _ := txn.Read("ctr")
 			n, _ := strconv.Atoi(string(v))
 			txn.Write("ctr", []byte(strconv.Itoa(n+1)))
 			return nil
 		})
-		if err != nil || !ok {
-			t.Fatalf("iteration %d: %v, %v", i, ok, err)
+		if err != nil {
+			t.Fatalf("iteration %d: %v", i, err)
 		}
 	}
 	v, _ := cl.GetStrong("ctr")
@@ -287,8 +273,8 @@ func TestSharedTRecordMode(t *testing.T) {
 }
 
 func TestDisableFastPath(t *testing.T) {
-	c := newTestCluster(t, Config{DisableFastPath: true})
-	cl := newTestClient(t, c)
+	c := newTestDB(t, Config{DisableFastPath: true})
+	cl := newDBClient(t, c)
 	if err := cl.Put("k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
@@ -299,8 +285,8 @@ func TestDisableFastPath(t *testing.T) {
 }
 
 func TestMultiPartitionTxn(t *testing.T) {
-	c := newTestCluster(t, Config{Partitions: 3})
-	cl := newTestClient(t, c)
+	c := newTestDB(t, Config{Shards: 3})
+	cl := newDBClient(t, c)
 
 	// Write a batch of keys that necessarily spans partitions.
 	txn := cl.Begin()
@@ -321,18 +307,18 @@ func TestMultiPartitionTxn(t *testing.T) {
 
 func TestMultiPartitionAtomicity(t *testing.T) {
 	// Transfer between keys in different partitions: the sum is invariant.
-	c := newTestCluster(t, Config{Partitions: 2, Cores: 2})
+	c := newTestDB(t, Config{Shards: 2, Cores: 2})
 	c.Load("acct-a", []byte("100"))
 	c.Load("acct-b", []byte("100"))
 
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
-		cl := newTestClient(t, c)
+		cl := newDBClient(t, c)
 		wg.Add(1)
 		go func(cl *Client) {
 			defer wg.Done()
 			for j := 0; j < 20; j++ {
-				cl.RunTxn(20, func(txn *Txn) error {
+				cl.Run(context.Background(), func(txn *Txn) error {
 					av, err := txn.Read("acct-a")
 					if err != nil {
 						return err
@@ -356,9 +342,9 @@ func TestMultiPartitionAtomicity(t *testing.T) {
 	// after the transaction commits: optimistic reads taken before
 	// validation may legitimately observe a non-serializable snapshot,
 	// which validation then rejects and retries.
-	cl := newTestClient(t, c)
+	cl := newDBClient(t, c)
 	var a, b int
-	ok, err := cl.RunTxn(20, func(txn *Txn) error {
+	err := cl.Run(context.Background(), func(txn *Txn) error {
 		av, err := txn.Read("acct-a")
 		if err != nil {
 			return err
@@ -371,8 +357,8 @@ func TestMultiPartitionAtomicity(t *testing.T) {
 		b, _ = strconv.Atoi(string(bv))
 		return nil
 	})
-	if err != nil || !ok {
-		t.Fatalf("check txn: %v, %v", ok, err)
+	if err != nil {
+		t.Fatalf("check txn: %v", err)
 	}
 	if a+b != 200 {
 		t.Fatalf("committed audit saw sum = %d, want 200 (a=%d b=%d)", a+b, a, b)
@@ -382,18 +368,18 @@ func TestMultiPartitionAtomicity(t *testing.T) {
 func TestClockSkewDoesNotBreakCorrectness(t *testing.T) {
 	// Meerkat requires synchronized clocks only for performance. With
 	// wildly skewed client clocks, counters must still not lose updates.
-	c := newTestCluster(t, Config{ClockSkew: 500 * time.Millisecond, Cores: 2})
+	c := newTestDB(t, Config{ClockSkew: 500 * time.Millisecond, Cores: 2})
 	c.Load("ctr", []byte("0"))
 	var committed int64
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	for i := 0; i < 6; i++ {
-		cl := newTestClient(t, c)
+		cl := newDBClient(t, c)
 		wg.Add(1)
 		go func(cl *Client) {
 			defer wg.Done()
 			for j := 0; j < 10; j++ {
-				ok, err := cl.RunTxn(30, func(txn *Txn) error {
+				err := cl.Run(context.Background(), func(txn *Txn) error {
 					v, err := txn.Read("ctr")
 					if err != nil {
 						return err
@@ -402,7 +388,7 @@ func TestClockSkewDoesNotBreakCorrectness(t *testing.T) {
 					txn.Write("ctr", []byte(strconv.Itoa(n+1)))
 					return nil
 				})
-				if err == nil && ok {
+				if err == nil {
 					mu.Lock()
 					committed++
 					mu.Unlock()
@@ -411,7 +397,7 @@ func TestClockSkewDoesNotBreakCorrectness(t *testing.T) {
 		}(cl)
 	}
 	wg.Wait()
-	cl := newTestClient(t, c)
+	cl := newDBClient(t, c)
 	v, _ := cl.GetStrong("ctr")
 	n, _ := strconv.Atoi(string(v))
 	if int64(n) != committed {

@@ -14,9 +14,9 @@ import (
 )
 
 // obsCluster builds a small cluster for observability tests.
-func obsCluster(t *testing.T, cfg meerkat.Config) *meerkat.Cluster {
+func obsCluster(t *testing.T, cfg meerkat.Config) *meerkat.DB {
 	t.Helper()
-	cluster, err := meerkat.NewCluster(cfg)
+	cluster, err := meerkat.Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,18 +38,18 @@ func txnCounterTotal(d obs.Snapshot) uint64 {
 func TestAbortTaxonomyValidationConflict(t *testing.T) {
 	cluster := obsCluster(t, meerkat.Config{})
 	cluster.Load("k", []byte("v0"))
-	victim, err := cluster.NewClient()
+	victim, err := cluster.Client()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer victim.Close()
-	winner, err := cluster.NewClient()
+	winner, err := cluster.Client()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer winner.Close()
 
-	before := cluster.Obs().Snapshot()
+	before := cluster.Admin().Obs().Snapshot()
 
 	txn := victim.Begin()
 	if _, err := txn.Read("k"); err != nil {
@@ -67,7 +67,7 @@ func TestAbortTaxonomyValidationConflict(t *testing.T) {
 		t.Fatal("conflicting transaction committed")
 	}
 
-	d := cluster.Obs().Snapshot().Sub(before)
+	d := cluster.Admin().Obs().Snapshot().Sub(before)
 	if got := d.Counter(obs.TxnAbortValidation); got != 1 {
 		t.Errorf("TxnAbortValidation = %d, want 1", got)
 	}
@@ -100,18 +100,18 @@ func TestAbortTaxonomyValidationConflict(t *testing.T) {
 func TestAbortTaxonomyAcceptAbort(t *testing.T) {
 	cluster := obsCluster(t, meerkat.Config{DisableFastPath: true})
 	cluster.Load("k", []byte("v0"))
-	victim, err := cluster.NewClient()
+	victim, err := cluster.Client()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer victim.Close()
-	winner, err := cluster.NewClient()
+	winner, err := cluster.Client()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer winner.Close()
 
-	before := cluster.Obs().Snapshot()
+	before := cluster.Admin().Obs().Snapshot()
 
 	txn := victim.Begin()
 	if _, err := txn.Read("k"); err != nil {
@@ -129,7 +129,7 @@ func TestAbortTaxonomyAcceptAbort(t *testing.T) {
 		t.Fatal("conflicting transaction committed")
 	}
 
-	d := cluster.Obs().Snapshot().Sub(before)
+	d := cluster.Admin().Obs().Snapshot().Sub(before)
 	if got := d.Counter(obs.TxnAbortAcceptAbort); got != 1 {
 		t.Errorf("TxnAbortAcceptAbort = %d, want 1", got)
 	}
@@ -150,7 +150,7 @@ func TestAbortTaxonomyAcceptAbort(t *testing.T) {
 	// ack lands asynchronously — poll briefly for the full count.
 	deadline := time.Now().Add(time.Second)
 	for {
-		got := cluster.Obs().Snapshot().Sub(before).Counter(obs.AcceptAcked)
+		got := cluster.Admin().Obs().Snapshot().Sub(before).Counter(obs.AcceptAcked)
 		if got == 6 {
 			break
 		}
@@ -171,15 +171,15 @@ func TestAbortTaxonomyTimeout(t *testing.T) {
 		Retries:       1,
 	})
 	cluster.Load("k", []byte("v0"))
-	cl, err := cluster.NewClient()
+	cl, err := cluster.Client()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	cluster.CrashReplica(0, 1)
-	cluster.CrashReplica(0, 2)
+	cluster.Admin().CrashReplica(0, 1)
+	cluster.Admin().CrashReplica(0, 2)
 
-	before := cluster.Obs().Snapshot()
+	before := cluster.Admin().Obs().Snapshot()
 
 	txn := cl.Begin()
 	txn.Write("k", []byte("v1"))
@@ -187,7 +187,7 @@ func TestAbortTaxonomyTimeout(t *testing.T) {
 		t.Fatal("commit with a crashed majority returned no error")
 	}
 
-	d := cluster.Obs().Snapshot().Sub(before)
+	d := cluster.Admin().Obs().Snapshot().Sub(before)
 	if got := d.Counter(obs.TxnAbortTimeout); got != 1 {
 		t.Errorf("TxnAbortTimeout = %d, want 1", got)
 	}
@@ -225,13 +225,13 @@ func TestMetricsHTTPMatchesClient(t *testing.T) {
 		cluster.Load(fmt.Sprintf("key%d", i), []byte("v"))
 	}
 
-	srv, addr, err := obs.Serve("127.0.0.1:0", cluster.Obs())
+	srv, addr, err := obs.Serve("127.0.0.1:0", cluster.Admin().Obs())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 
-	cl, err := cluster.NewClient()
+	cl, err := cluster.Client()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestMetricsHTTPMatchesClient(t *testing.T) {
 	if _, err := conflicted.Read("key0"); err != nil {
 		t.Fatal(err)
 	}
-	other, err := cluster.NewClient()
+	other, err := cluster.Client()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,9 +86,9 @@ func TestEmptyTxnCommitsFree(t *testing.T) {
 		}
 	}
 	commit()
-	sent0, _, _ := cluster.NetworkStats()
+	sent0, _, _ := cluster.Admin().NetworkStats()
 	allocs := testing.AllocsPerRun(100, commit)
-	sent1, _, _ := cluster.NetworkStats()
+	sent1, _, _ := cluster.Admin().NetworkStats()
 	if sent1 != sent0 {
 		t.Fatalf("empty commits sent %d messages, want 0", sent1-sent0)
 	}

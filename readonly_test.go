@@ -1,6 +1,7 @@
 package meerkat
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -17,11 +18,11 @@ import (
 // and the replicas' validate counters (and the classic commit-path counters)
 // stay exactly at zero.
 func TestReadOnlyFastPathZeroValidation(t *testing.T) {
-	c := newTestCluster(t, Config{Partitions: 2, Cores: 2})
+	c := newTestDB(t, Config{Shards: 2, Cores: 2})
 	for i := 0; i < 8; i++ {
 		c.Load(fmt.Sprintf("k%d", i), []byte("v"))
 	}
-	cl := newTestClient(t, c)
+	cl := newDBClient(t, c)
 
 	const n = 50
 	for i := 0; i < n; i++ {
@@ -43,7 +44,7 @@ func TestReadOnlyFastPathZeroValidation(t *testing.T) {
 		}
 	}
 
-	snap := c.Obs().Snapshot()
+	snap := c.Admin().Obs().Snapshot()
 	if got := snap.Counters[obs.TxnCommitRO]; got != n {
 		t.Errorf("txn_commit_ro = %d, want %d", got, n)
 	}
@@ -61,8 +62,8 @@ func TestReadOnlyFastPathZeroValidation(t *testing.T) {
 // TestReadOnlySeesCommittedWrites pins the semantics: a snapshot read-only
 // transaction observes every transaction that committed before it began.
 func TestReadOnlySeesCommittedWrites(t *testing.T) {
-	c := newTestCluster(t, Config{})
-	cl := newTestClient(t, c)
+	c := newTestDB(t, Config{})
+	cl := newDBClient(t, c)
 	for i := 0; i < 10; i++ {
 		want := []byte(fmt.Sprintf("v%d", i))
 		if err := cl.Put("k", want); err != nil {
@@ -87,9 +88,9 @@ func TestReadOnlySeesCommittedWrites(t *testing.T) {
 // marked transaction that writes silently becomes a classic validated
 // transaction, and its snapshot reads validate like any others.
 func TestReadOnlyDemotesOnWrite(t *testing.T) {
-	c := newTestCluster(t, Config{})
+	c := newTestDB(t, Config{})
 	c.Load("k", []byte("1"))
-	cl := newTestClient(t, c)
+	cl := newDBClient(t, c)
 
 	txn := cl.Begin()
 	txn.ReadOnly()
@@ -108,7 +109,7 @@ func TestReadOnlyDemotesOnWrite(t *testing.T) {
 	if err != nil || string(v) != "2" {
 		t.Fatalf("after demoted commit: %q, %v", v, err)
 	}
-	snap := c.Obs().Snapshot()
+	snap := c.Admin().Obs().Snapshot()
 	if v := snap.Counters[obs.ValidateOK]; v == 0 {
 		t.Error("demoted transaction skipped validation")
 	}
@@ -118,9 +119,9 @@ func TestReadOnlyDemotesOnWrite(t *testing.T) {
 // DisableReadOnlyFastPath, ReadOnly is a no-op and everything commits
 // through the validated path.
 func TestReadOnlyFastPathDisabled(t *testing.T) {
-	c := newTestCluster(t, Config{DisableReadOnlyFastPath: true})
+	c := newTestDB(t, Config{DisableReadOnlyFastPath: true})
 	c.Load("k", []byte("v"))
-	cl := newTestClient(t, c)
+	cl := newDBClient(t, c)
 
 	txn := cl.Begin()
 	txn.ReadOnly()
@@ -134,7 +135,7 @@ func TestReadOnlyFastPathDisabled(t *testing.T) {
 	if txn.CommittedReadOnly() {
 		t.Fatal("fast path taken despite DisableReadOnlyFastPath")
 	}
-	snap := c.Obs().Snapshot()
+	snap := c.Admin().Obs().Snapshot()
 	if snap.Counters[obs.TxnCommitRO] != 0 {
 		t.Error("txn_commit_ro incremented under the ablation")
 	}
@@ -147,19 +148,19 @@ func TestReadOnlyFastPathDisabled(t *testing.T) {
 // transaction that read and wrote nothing commits without a single message
 // on the wire.
 func TestEmptyTxnZeroMessages(t *testing.T) {
-	c := newTestCluster(t, Config{})
-	cl := newTestClient(t, c)
+	c := newTestDB(t, Config{})
+	cl := newDBClient(t, c)
 	// One Put settles any lazily-sent setup traffic before the measurement.
 	if err := cl.Put("k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	before, _, _ := c.NetworkStats()
+	before, _, _ := c.Admin().NetworkStats()
 	txn := cl.Begin()
 	ok, err := txn.Commit()
 	if err != nil || !ok {
 		t.Fatalf("empty commit: ok=%v err=%v", ok, err)
 	}
-	after, _, _ := c.NetworkStats()
+	after, _, _ := c.Admin().NetworkStats()
 	if after != before {
 		t.Fatalf("empty transaction sent %d messages, want 0", after-before)
 	}
@@ -171,7 +172,7 @@ func TestEmptyTxnZeroMessages(t *testing.T) {
 	if ok, err := txn.Commit(); err != nil || !ok {
 		t.Fatalf("empty ro commit: ok=%v err=%v", ok, err)
 	}
-	after, _, _ = c.NetworkStats()
+	after, _, _ = c.Admin().NetworkStats()
 	if after != before {
 		t.Fatalf("empty read-only transaction sent %d messages, want 0", after-before)
 	}
@@ -180,19 +181,19 @@ func TestEmptyTxnZeroMessages(t *testing.T) {
 // TestGetStrongUsesSnapshotPath verifies the rerouted strong read: one
 // snapshot round, counted as a read-only fast-path commit, no validation.
 func TestGetStrongUsesSnapshotPath(t *testing.T) {
-	c := newTestCluster(t, Config{})
-	cl := newTestClient(t, c)
+	c := newTestDB(t, Config{})
+	cl := newDBClient(t, c)
 	if err := cl.Put("k", []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	base := c.Obs().Snapshot()
+	base := c.Admin().Obs().Snapshot()
 	for i := 0; i < 10; i++ {
 		v, err := cl.GetStrong("k")
 		if err != nil || string(v) != "v1" {
 			t.Fatalf("get strong: %q, %v", v, err)
 		}
 	}
-	snap := c.Obs().Snapshot()
+	snap := c.Admin().Obs().Snapshot()
 	if got := snap.Counters[obs.TxnCommitRO] - base.Counters[obs.TxnCommitRO]; got != 10 {
 		t.Errorf("txn_commit_ro advanced by %d, want 10", got)
 	}
@@ -213,18 +214,18 @@ func TestGetStrongUsesSnapshotPath(t *testing.T) {
 // Every RO transaction must return a consistent pair: both keys are always
 // written together, so a snapshot must never see the halves split.
 func TestReadOnlyUnderWriteContention(t *testing.T) {
-	c := newTestCluster(t, Config{Replicas: 5, Cores: 2, CommitTimeout: 50 * time.Millisecond})
+	c := newTestDB(t, Config{Replicas: 5, Cores: 2, CommitTimeout: 50 * time.Millisecond})
 	c.Load("a", []byte("0"))
 	c.Load("b", []byte("0"))
-	wcl := newTestClient(t, c)
-	rcl := newTestClient(t, c)
+	wcl := newDBClient(t, c)
+	rcl := newDBClient(t, c)
 
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for i := 1; i <= 60; i++ {
 			v := []byte(fmt.Sprintf("%d", i))
-			wcl.RunTxn(16, func(t *Txn) error {
+			wcl.Run(context.Background(), func(t *Txn) error {
 				t.Write("a", v)
 				t.Write("b", v)
 				return nil
@@ -273,7 +274,7 @@ func TestReadOnlyUnderWriteContention(t *testing.T) {
 // writers push the window as fast as the cluster commits; ReadOnly readers
 // race them; the checker replays the history in timestamp order.
 func TestReadOnlyHotKeyBeyondVersionWindow(t *testing.T) {
-	c := newTestCluster(t, Config{Cores: 2, CommitTimeout: 50 * time.Millisecond})
+	c := newTestDB(t, Config{Cores: 2, CommitTimeout: 50 * time.Millisecond})
 	const key = "hot"
 	c.Load(key, []byte("0"))
 	hist := checker.New()
@@ -289,7 +290,7 @@ func TestReadOnlyHotKeyBeyondVersionWindow(t *testing.T) {
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < writers+readers; i++ {
-		cl := newTestClient(t, c)
+		cl := newDBClient(t, c)
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -314,7 +315,7 @@ func TestReadOnlyHotKeyBeyondVersionWindow(t *testing.T) {
 	for _, v := range hist.Check(map[string]timestamp.Timestamp{key: {Time: 1}}) {
 		t.Error(v)
 	}
-	snap := c.Obs().Snapshot()
+	snap := c.Admin().Obs().Snapshot()
 	if snap.Counters[obs.TxnCommitRO] == 0 {
 		t.Fatal("no transaction committed on the read-only fast path; the test exercised nothing")
 	}

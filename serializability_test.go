@@ -36,9 +36,9 @@ type stressConfig struct {
 // runSerializabilityStress hammers the cluster with random multi-key
 // transactions from concurrent clients and checks the committed history is
 // one-copy serializable in timestamp order.
-func runSerializabilityStress(t *testing.T, cfg stressConfig) (*checker.History, *Cluster) {
+func runSerializabilityStress(t *testing.T, cfg stressConfig) (*checker.History, *DB) {
 	t.Helper()
-	c := newTestCluster(t, cfg.cluster)
+	c := newTestDB(t, cfg.cluster)
 	initial := make(map[string]timestamp.Timestamp, cfg.keys)
 	loadTS := timestamp.Timestamp{Time: 1, ClientID: 0}
 	for i := 0; i < cfg.keys; i++ {
@@ -53,7 +53,7 @@ func runSerializabilityStress(t *testing.T, cfg stressConfig) (*checker.History,
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < cfg.clients; i++ {
-		cl := newTestClient(t, c)
+		cl := newDBClient(t, c)
 		wg.Add(1)
 		go func(cl *Client, seed int64) {
 			defer wg.Done()
@@ -120,7 +120,7 @@ func TestSerializabilityMultiPartition(t *testing.T) {
 	// Random multi-key transactions routinely span the three partitions;
 	// the timestamp-order replay catches any fractured atomic commit.
 	runSerializabilityStress(t, stressConfig{
-		cluster:  Config{Partitions: 3, Cores: 2, CommitTimeout: 50 * time.Millisecond},
+		cluster:  Config{Shards: 3, Cores: 2, CommitTimeout: 50 * time.Millisecond},
 		clients:  6,
 		txnsEach: 40,
 		keys:     8,
@@ -164,7 +164,7 @@ func TestSerializabilityMixedOps(t *testing.T) {
 	// timestamp order and verifies each read's value hash, so a merge that
 	// rewrote a version some reader had already observed would be flagged.
 	runSerializabilityStress(t, stressConfig{
-		cluster:  Config{Partitions: 2, Cores: 2, CommitTimeout: 50 * time.Millisecond},
+		cluster:  Config{Shards: 2, Cores: 2, CommitTimeout: 50 * time.Millisecond},
 		clients:  6,
 		txnsEach: 40,
 		keys:     4,
@@ -183,7 +183,7 @@ func TestSerializabilityReadOnlySnapshots(t *testing.T) {
 	// by hash. RO transactions that demote still land in the history as
 	// validated reads, so every path is checked.
 	hist, c := runSerializabilityStress(t, stressConfig{
-		cluster:    Config{Partitions: 2, Cores: 2, CommitTimeout: 50 * time.Millisecond},
+		cluster:    Config{Shards: 2, Cores: 2, CommitTimeout: 50 * time.Millisecond},
 		clients:    8,
 		txnsEach:   50,
 		keys:       4,
@@ -191,7 +191,7 @@ func TestSerializabilityReadOnlySnapshots(t *testing.T) {
 		ops:        true,
 		roSnapshot: true,
 	})
-	snap := c.Obs().Snapshot()
+	snap := c.Admin().Obs().Snapshot()
 	if snap.Counters[obs.TxnCommitRO] == 0 {
 		t.Fatal("no transaction committed on the read-only fast path; the stress exercised nothing")
 	}
@@ -200,8 +200,8 @@ func TestSerializabilityReadOnlySnapshots(t *testing.T) {
 }
 
 func TestClientStats(t *testing.T) {
-	c := newTestCluster(t, Config{})
-	cl := newTestClient(t, c)
+	c := newTestDB(t, Config{})
+	cl := newDBClient(t, c)
 	for i := 0; i < 5; i++ {
 		if err := cl.Put(fmt.Sprintf("k%d", i), []byte("v")); err != nil {
 			t.Fatal(err)

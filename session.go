@@ -1,9 +1,6 @@
 package meerkat
 
-import (
-	"meerkat/internal/coordinator"
-	"meerkat/internal/shardmap"
-)
+import "meerkat/internal/coordinator"
 
 // Session pipelines multiple in-flight transactions over one set of client
 // sockets. A plain Client is stop-and-wait — one transaction in flight, the
@@ -21,50 +18,22 @@ type Session struct {
 	clients []*Client
 }
 
-// NewSession registers a pipelined client session of the given window width
-// (clamped up to 1; see coordinator.MaxWindow for the ceiling). The session
+// Session returns a pipelined client session (default window 4; set it with
+// WithPipeline, see coordinator.MaxWindow for the ceiling). The session
 // counts as one client id against the UDP port budget regardless of window.
-//
-// Deprecated for sharded deployments: a session created this way routes by
-// static key hash and cannot follow shard splits. Open the cluster with
-// meerkat.Open and use DB.Session instead.
-func (c *Cluster) NewSession(window int) (*Session, error) {
-	return c.newSession(window, nil, false)
-}
-
-// newSession is NewSession with the sharded-routing knobs: sm, when non-nil,
-// is one shard-map cache shared by all workers (its refresh is atomic, and
-// one worker's redirect re-routes the whole pipeline).
-func (c *Cluster) newSession(window int, sm *shardmap.Cache, roDefault bool) (*Session, error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, ErrClusterClosed
+func (db *DB) Session(opts ...ClientOption) (*Session, error) {
+	o := resolveOptions(4, opts)
+	ccfg, err := db.coordConfig()
+	if err != nil {
+		return nil, err
 	}
-	c.nextCli++
-	id := c.nextCli
-	c.mu.Unlock()
-
-	inner, err := coordinator.NewSession(coordinator.Config{
-		Topo:            c.topo,
-		ClientID:        id,
-		Net:             c.net,
-		Clock:           c.clientClock(id),
-		Timeout:         c.cfg.CommitTimeout,
-		Retries:         c.cfg.Retries,
-		BackoffBase:     c.cfg.BackoffBase,
-		BackoffMax:      c.cfg.BackoffMax,
-		DisableFastPath: c.cfg.DisableFastPath,
-		ShardMap:        sm,
-		Seed:            c.cfg.Seed + int64(id),
-		Obs:             c.obs.NewShard(),
-	}, window)
+	inner, err := coordinator.NewSession(ccfg, o.window)
 	if err != nil {
 		return nil, err
 	}
 	s := &Session{inner: inner}
 	for i := 0; i < inner.Window(); i++ {
-		s.clients = append(s.clients, &Client{coord: inner.Worker(i), id: id, roDefault: roDefault})
+		s.clients = append(s.clients, &Client{coord: inner.Worker(i), id: ccfg.ClientID, roDefault: o.roDefault})
 	}
 	return s, nil
 }

@@ -14,7 +14,7 @@ import (
 // checks the counter's final value. With all workers demultiplexed over one
 // socket set, a routing bug (a reply delivered to the wrong worker) shows up
 // as a lost or doubled increment, or a worker stuck on a foreign reply.
-func driveSession(t *testing.T, c *Cluster, s *Session, perWorker int) {
+func driveSession(t *testing.T, c *DB, s *Session, perWorker int) {
 	t.Helper()
 	c.Load("counter", []byte("0"))
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -50,7 +50,7 @@ func driveSession(t *testing.T, c *Cluster, s *Session, perWorker int) {
 		}
 	}
 
-	reader, err := c.NewClient()
+	reader, err := c.Client()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,12 +69,12 @@ func driveSession(t *testing.T, c *Cluster, s *Session, perWorker int) {
 }
 
 func TestSessionPipelinedIncrements(t *testing.T) {
-	c, err := NewCluster(Config{})
+	c, err := Open(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	s, err := c.NewSession(4)
+	s, err := c.Session(WithPipeline(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,12 +86,12 @@ func TestSessionPipelinedIncrements(t *testing.T) {
 }
 
 func TestSessionPipelinedIncrementsUDP(t *testing.T) {
-	c, err := NewCluster(Config{Transport: TransportUDP, UDPBasePort: 23000})
+	c, err := Open(Config{Transport: TransportUDP, UDPBasePort: 23000})
 	if err != nil {
 		t.Skipf("cannot start UDP cluster: %v", err)
 	}
 	defer c.Close()
-	s, err := c.NewSession(4)
+	s, err := c.Session(WithPipeline(4))
 	if err != nil {
 		t.Skipf("cannot bind session sockets: %v", err)
 	}
@@ -100,13 +100,13 @@ func TestSessionPipelinedIncrementsUDP(t *testing.T) {
 }
 
 func TestSessionWindowClamp(t *testing.T) {
-	c, err := NewCluster(Config{})
+	c, err := Open(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	// Zero and negative clamp up to a one-worker session.
-	s, err := c.NewSession(0)
+	s, err := c.Session(WithPipeline(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestSessionWindowClamp(t *testing.T) {
 	}
 	s.Close()
 	// Absurd windows are rejected, not clamped down silently.
-	if _, err := c.NewSession(1 << 20); err == nil {
+	if _, err := c.Session(WithPipeline(1 << 20)); err == nil {
 		t.Fatal("oversized window accepted")
 	}
 }
@@ -123,7 +123,7 @@ func TestSessionWindowClamp(t *testing.T) {
 func TestConfigUDPPortMapValidation(t *testing.T) {
 	// 65 partitions x 3 replicas pushes replica node ids into the
 	// recovery-coordinator slot range.
-	cfg := Config{Transport: TransportUDP, Partitions: 65}
+	cfg := Config{Transport: TransportUDP, Shards: 65}
 	if err := cfg.Validate(); !errors.Is(err, ErrPortMap) {
 		t.Fatalf("Validate = %v, want ErrPortMap", err)
 	}

@@ -86,8 +86,8 @@ func TestOpenDefaultsSingleShard(t *testing.T) {
 	if err != nil || string(got) != "v" {
 		t.Fatalf("GetStrong = %q, %v", got, err)
 	}
-	// A one-shard DB may also route statically (the pre-sharding behaviour).
-	scl := newDBClient(t, db, WithRoutingMode(RouteStatic))
+	// A second client of the one-shard DB, on the default route.
+	scl := newDBClient(t, db)
 	if err := scl.Put("k2", []byte("v2")); err != nil {
 		t.Fatal(err)
 	}
@@ -97,14 +97,8 @@ func TestOpenConfigErrors(t *testing.T) {
 	if _, err := Open(Config{Shards: 3, MaxShards: 2}); err == nil {
 		t.Error("Open accepted MaxShards < Shards")
 	}
-	if _, err := Open(Config{Shards: 2, Partitions: 3}); err == nil {
-		t.Error("Open accepted Partitions conflicting with MaxShards")
-	}
 
 	db := newTestDB(t, Config{Shards: 2})
-	if _, err := db.Client(WithRoutingMode(RouteStatic)); err == nil {
-		t.Error("Client accepted RouteStatic on a multi-shard DB")
-	}
 	if _, err := db.Client(WithPipeline(2)); err == nil {
 		t.Error("Client accepted a pipeline window > 1; that is Session's job")
 	}
@@ -233,8 +227,8 @@ func TestShardSplitStaleClientNeverCommitsOnOldOwner(t *testing.T) {
 		t.Fatalf("stale-routed commit err = %v, want ErrWrongShard and ErrStaleShardMap", err)
 	}
 	// The old owner's replicas must not hold the key.
-	for r := 0; r < db.c.cfg.Replicas; r++ {
-		if rep := db.c.replicaAt(0, r); rep != nil {
+	for r := 0; r < db.cfg.Replicas; r++ {
+		if rep := db.replicaAt(0, r); rep != nil {
 			if _, exists := rep.Store().Read(key); exists {
 				t.Fatalf("old owner replica %d holds %q written by a stale-routed commit", r, key)
 			}
