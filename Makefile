@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-suite bench-compare bench-json bench-exp api-guard chaos check
+.PHONY: build test race vet bench bench-suite bench-compare bench-exp api-guard chaos check
 
 build:
 	$(GO) build ./...
@@ -47,32 +47,23 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkEncodeDecode|BenchmarkInprocRoundTrip|BenchmarkVstoreRead' -benchmem \
 		./internal/message ./internal/transport ./internal/vstore
 
-# Machine-readable snapshot of the end-to-end hot-path benchmarks (commit and
-# batched-read latency plus allocation counts), archived per PR for
-# before/after comparison in EXPERIMENTS.md.
-bench-json:
-	$(GO) test -run '^$$' -bench 'BenchmarkCommitSinglePartition|BenchmarkTxnTimeline10|BenchmarkEncodeDecode' -benchmem . ./internal/message \
-		| $(GO) run ./cmd/bench2json > BENCH_pr3.json
-	@cat BENCH_pr3.json
-
-# One experiment of cmd/meerkat-bench, measured for MEASURE per point and
-# written to OUT (CI smokes each at MEASURE=300ms):
+# Experiments of cmd/meerkat-bench's registry (internal/bench.Experiments;
+# `meerkat-bench -h` lists the names), comma-separated in EXP, measured for
+# MEASURE per point and written as one JSON report to OUT, which defaults
+# into the git-ignored bench-out/. CI smokes EXP=udp,wal,zipf,ro,shard at
+# MEASURE=300ms; the tables EXPERIMENTS.md quotes are 2s runs.
 #
-#   udp       wire-level transport comparison over real loopback UDP: batched
-#             sendmmsg/recvmmsg + pipelined sessions vs the per-datagram
-#             baseline vs inproc; goodput and socket syscalls per transaction
-#   wal       durability cost of the per-core write-ahead log: Retwis in
-#             memory vs each fsync policy, with fsyncs per transaction
-#   wal,zipf  the WAL sweep plus commutative ops under skew: hot-counter
-#             RMW-via-Put vs RMW-via-Increment across Zipf theta
-#   ro        read-only fast path on read-heavy Retwis: the validated
-#             two-round commit vs the one-round snapshot path
-#   shard     Retwis at 1, 2 and 4 shards under the inproc endpoint capacity
-#             model, plus a split-under-load timeline
-#
-# OUT defaults into a git-ignored directory. The tracked BENCH_pr6…pr10.json
-# are the archive of the 2s runs EXPERIMENTS.md quotes (udp, wal, wal,zipf,
-# ro, shard in that order); only an explicit OUT=BENCH_prN.json rewrites one.
+#   udp    wire-level transport comparison over real loopback UDP: batched
+#          sendmmsg/recvmmsg + pipelined sessions vs the per-datagram
+#          baseline vs inproc; goodput and socket syscalls per transaction
+#   wal    durability cost of the per-core write-ahead log: Retwis in
+#          memory vs each fsync policy, with fsyncs per transaction
+#   zipf   commutative ops under skew: hot-counter RMW-via-Put vs
+#          RMW-via-Increment across Zipf theta
+#   ro     read-only fast path on read-heavy Retwis: the validated
+#          two-round commit vs the one-round snapshot path
+#   shard  Retwis at 1, 2 and 4 shards under the inproc endpoint capacity
+#          model, plus the split-under-load timeline
 MEASURE ?= 2s
 EXP ?= udp
 comma := ,
@@ -81,9 +72,13 @@ bench-exp:
 	@mkdir -p $(dir $(OUT))
 	$(GO) run ./cmd/meerkat-bench -exp $(EXP) -measure $(MEASURE) -json $(OUT)
 
-# One API generation: no Deprecated: marker and no Foo/FooCtx twin in non-test
-# Go outside the four paper-baseline packages, so a second generation cannot
-# grow back unnoticed.
+# One generation of everything: no Deprecated: marker and no Foo/FooCtx twin
+# in non-test Go outside the four paper-baseline packages; no archived
+# per-PR bench file or converter next to the standing benchmark; no
+# per-experiment cell runner next to runCell in internal/bench. So a second
+# generation cannot grow back unnoticed.
 api-guard:
 	@! grep -rnE --include='*.go' --exclude='*_test.go' 'Deprecated:|^func .*Ctx\(' . \
 		| grep -vE '^\./internal/(kuafu|meerkatpb|pbclient|sim)/'
+	@! git ls-files 'BENCH_pr*.json' experiments_output.txt cmd/bench2json | grep .
+	@! grep -nE '^func run[A-Z][A-Za-z]*Point\(' internal/bench/*.go

@@ -1,5 +1,6 @@
 // Command meerkat-bench regenerates the tables and figures of the Meerkat
-// paper's evaluation (§6).
+// paper's evaluation (§6), and the experiments on this repository's
+// extensions, from the registry in internal/bench.
 //
 // Each throughput figure has two sources:
 //
@@ -13,17 +14,18 @@
 //
 // Usage:
 //
-//	meerkat-bench -exp all             # everything
+//	meerkat-bench -exp all             # everything not explicit-only
 //	meerkat-bench -exp fig4            # Figure 4 (simulated + measured)
 //	meerkat-bench -exp fig6a -measure 2s
 //	meerkat-bench -exp calibrate       # host-calibrated simulator params
 //	meerkat-bench -exp fig4 -calibrated
-//	meerkat-bench -faults -json out.json   # kill-one-replica timeline
+//	meerkat-bench -exp wal,zipf -json out.json
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -34,286 +36,101 @@ import (
 	"meerkat/internal/sim"
 )
 
-var (
-	exp         = flag.String("exp", "all", "experiment: fig1|fig4|fig5|fig6a|fig6b|fig7a|fig7b|table1|table2|latency|retwis-latency|faults|udp|wal|zipf|ro|shard|calibrate|all (udp binds real loopback sockets, wal writes real files, and zipf/ro/shard build a cluster per cell, so those run only when asked for explicitly)")
-	faults      = flag.Bool("faults", false, "run the kill-one-replica fault-injection timeline (same as -exp faults)")
-	transportF  = flag.String("transport", "", "\"udp\" runs the wire-level transport comparison (same as -exp udp): batched sendmmsg/recvmmsg + pipelined sessions vs the per-datagram baseline vs inproc")
-	window      = flag.Int("window", 16, "udp experiment: in-flight transactions per pipelined session")
-	flushDelay  = flag.Duration("flush-delay", 20*time.Microsecond, "udp experiment: hold buffered datagrams up to this long to share a sendmmsg")
-	udpPort     = flag.Int("udp-port", 27000, "udp experiment: base port of the throwaway port maps")
-	measure     = flag.Duration("measure", 500*time.Millisecond, "measured window per real data point")
-	keys        = flag.Int("keys", 65536, "pre-loaded keys for real runs")
-	clientsF    = flag.Int("clients", 0, "closed-loop clients per measured point (0 = per-experiment default)")
-	threadsCSV  = flag.String("threads", "2,4,8,16,32,48,64,80", "simulated thread counts")
-	realCSV     = flag.String("real-threads", "1,2,4", "measured thread counts (bounded by host cores)")
-	zipfCSV     = flag.String("zipfs", "0,0.2,0.4,0.6,0.7,0.8,0.87,0.9,0.95,0.99", "zipf coefficients for figs 6/7")
-	simThreads  = flag.Int("sim-threads", 64, "")
-	calibrated  = flag.Bool("calibrated", false, "use host-calibrated simulator parameters instead of paper-anchored defaults")
-	skipReal    = flag.Bool("skip-real", false, "skip the measured (real implementation) runs")
-	skipSim     = flag.Bool("skip-sim", false, "skip the simulated runs")
-	jsonPath    = flag.String("json", "", "write machine-readable results (goodput, latency percentiles, abort rates, fast/slow path counts) to this file")
-	metricsAddr = flag.String("metrics-addr", "", "serve live metrics (/metrics, /debug/vars, /debug/pprof) on this address while measured runs execute")
-)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func parseInts(csv string) []int {
-	var out []int
-	for _, f := range strings.Split(csv, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bad int %q\n", f)
-			os.Exit(2)
-		}
-		out = append(out, n)
+// run is main with its inputs and outputs as parameters; it returns the
+// process exit code.
+func run(args []string, out, errw io.Writer) int {
+	fs := flag.NewFlagSet("meerkat-bench", flag.ContinueOnError)
+	fs.SetOutput(errw)
+	var (
+		exp         = fs.String("exp", "all", "experiments, comma-separated: "+bench.Usage()+" (those marked * time the host's code, bind real loopback sockets, write real files or build a cluster per cell, so they run only when named, never under all)")
+		udpPort     = fs.Int("udp-port", 27000, "udp experiment: base port of the throwaway port maps")
+		measure     = fs.Duration("measure", 500*time.Millisecond, "measured window per real data point")
+		keys        = fs.Int("keys", 65536, "pre-loaded keys for real runs")
+		clients     = fs.Int("clients", 0, "closed-loop clients per measured point (0 = per-experiment default)")
+		threadsCSV  = fs.String("threads", "2,4,8,16,32,48,64,80", "simulated thread counts")
+		realCSV     = fs.String("real-threads", "1,2,4", "measured thread counts (bounded by host cores)")
+		zipfCSV     = fs.String("zipfs", "0,0.2,0.4,0.6,0.7,0.8,0.87,0.9,0.95,0.99", "zipf coefficients for figs 6/7")
+		simThreads  = fs.Int("sim-threads", 64, "server threads of the figs 6/7 sweeps (the measured ones cap at 4)")
+		calibrated  = fs.Bool("calibrated", false, "use host-calibrated simulator parameters instead of paper-anchored defaults")
+		skipReal    = fs.Bool("skip-real", false, "skip every measured (real implementation) section")
+		skipSim     = fs.Bool("skip-sim", false, "skip every simulated or generated section")
+		jsonPath    = fs.String("json", "", "write machine-readable results (goodput, latency percentiles, abort rates, fast/slow path counts) to this file")
+		metricsAddr = fs.String("metrics-addr", "", "serve live metrics (/metrics, /debug/vars, /debug/pprof) on this address while measured runs execute")
+	)
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	return out
-}
-
-func parseFloats(csv string) []float64 {
-	var out []float64
-	for _, f := range strings.Split(csv, ",") {
-		x, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bad float %q\n", f)
-			os.Exit(2)
-		}
-		out = append(out, x)
+	env := bench.Env{
+		Options:     bench.Options{Measure: *measure, Warmup: 100 * time.Millisecond, Keys: *keys, Clients: *clients},
+		ZipfThreads: *simThreads,
+		Sim:         sim.DefaultParams(),
+		UDPPort:     *udpPort,
 	}
-	return out
-}
+	selected, err := bench.Select(*exp, *skipReal, *skipSim)
+	if err == nil {
+		env.SimThreads, err = parseCSV(*threadsCSV, strconv.Atoi)
+	}
+	if err == nil {
+		env.RealThreads, err = parseCSV(*realCSV, strconv.Atoi)
+	}
+	if err == nil {
+		env.Zipfs, err = parseCSV(*zipfCSV, func(f string) (float64, error) { return strconv.ParseFloat(f, 64) })
+	}
+	if err != nil {
+		fmt.Fprintln(errw, err)
+		return 2
+	}
 
-func main() {
-	flag.Parse()
-	out := os.Stdout
-
-	params := sim.DefaultParams()
 	if *calibrated {
 		fmt.Fprintln(out, "calibrating simulator parameters from this host's code ...")
-		params = sim.Calibrate()
+		env.Sim = sim.Calibrate()
 	}
-	opts := bench.Options{Measure: *measure, Keys: *keys, Clients: *clientsF}
 	if *metricsAddr != "" {
 		// One registry observes every system the sweeps build; the live
 		// exporter shows cumulative counters across the whole invocation.
-		opts.Obs = obs.NewRegistry()
-		srv, addr, err := obs.Serve(*metricsAddr, opts.Obs)
+		env.Obs = obs.NewRegistry()
+		srv, addr, err := obs.Serve(*metricsAddr, env.Obs)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "metrics: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(errw, "metrics: %v\n", err)
+			return 1
 		}
 		defer srv.Close()
 		fmt.Fprintf(out, "metrics on http://%s/metrics\n", addr)
 	}
-	var report bench.Report
-	simTh := parseInts(*threadsCSV)
-	realTh := parseInts(*realCSV)
-	zipfs := parseFloats(*zipfCSV)
 
-	run := func(name string, fn func() error) {
-		fmt.Fprintf(out, "\n==== %s ====\n", name)
-		if err := fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
-			os.Exit(1)
+	report := bench.Report{}
+	for _, e := range selected {
+		fmt.Fprintf(out, "\n==== %s ====\n", e.Title)
+		if err := e.Run(out, env, report); err != nil {
+			fmt.Fprintf(errw, "%s: %v\n", e.Title, err)
+			return 1
 		}
-	}
-
-	want := func(name string) bool { return *exp == "all" || *exp == name }
-	// The explicit-only experiments (udp/wal/zipf/ro) never run under "all" but
-	// may be combined comma-separated, e.g. -exp wal,zipf for one merged
-	// JSON report.
-	wantOnly := func(name string) bool {
-		for _, e := range strings.Split(*exp, ",") {
-			if strings.TrimSpace(e) == name {
-				return true
-			}
-		}
-		return false
-	}
-
-	if want("table1") {
-		run("Table 1 (coordination matrix)", func() error {
-			bench.Table1(out)
-			return nil
-		})
-	}
-	if want("table2") {
-		run("Table 2 (Retwis mix, generated)", func() error {
-			bench.Table2(out, 500000)
-			return nil
-		})
-	}
-	if want("calibrate") && *exp == "calibrate" {
-		run("host calibration", func() error {
-			p := sim.Calibrate()
-			fmt.Fprintf(out, "%+v\n", p)
-			return nil
-		})
-	}
-	if want("fig1") {
-		if !*skipSim {
-			run("Figure 1 (simulated: paper testbed)", func() error {
-				sim.Fig1Sweep(out, params, simTh)
-				return nil
-			})
-		}
-		if !*skipReal {
-			run("Figure 1 (measured on this host)", func() error {
-				rs, err := bench.Fig1Sweep(out, realTh, *measure)
-				var pts []bench.Point
-				for _, r := range rs {
-					name := r.Transport
-					if r.SharedCounter {
-						name += "+counter"
-					}
-					pts = append(pts, bench.Point{
-						System: name, X: float64(r.ServerThreads), Goodput: r.Throughput(),
-					})
-				}
-				report.Add("fig1", pts)
-				return err
-			})
-		}
-	}
-	if want("fig4") {
-		if !*skipSim {
-			run("Figure 4 (simulated: YCSB-T uniform, 3 replicas)", func() error {
-				sim.ThreadSweep(out, params, "ycsb-t", simTh)
-				return nil
-			})
-		}
-		if !*skipReal {
-			run("Figure 4 (measured on this host)", func() error {
-				pts, err := bench.ThreadSweep(out, "ycsb-t", realTh, opts)
-				report.Add("fig4", pts)
-				return err
-			})
-		}
-	}
-	if want("fig5") {
-		if !*skipSim {
-			run("Figure 5 (simulated: Retwis uniform, 3 replicas)", func() error {
-				sim.ThreadSweep(out, params, "retwis", simTh)
-				return nil
-			})
-		}
-		if !*skipReal {
-			run("Figure 5 (measured on this host)", func() error {
-				pts, err := bench.ThreadSweep(out, "retwis", realTh, opts)
-				report.Add("fig5", pts)
-				return err
-			})
-		}
-	}
-	if want("fig6a") || want("fig7a") {
-		if !*skipSim {
-			run("Figures 6a/7a (simulated: YCSB-T vs zipf, 64 threads)", func() error {
-				sim.ZipfSweep(out, params, "ycsb-t", zipfs, *simThreads)
-				return nil
-			})
-		}
-		if !*skipReal {
-			run("Figures 6a/7a (measured: YCSB-T vs zipf)", func() error {
-				pts, err := bench.ZipfSweep(out, "ycsb-t", zipfs, boundedThreads(), opts)
-				report.Add("fig6a_7a", pts)
-				return err
-			})
-		}
-	}
-	if want("fig6b") || want("fig7b") {
-		if !*skipSim {
-			run("Figures 6b/7b (simulated: Retwis vs zipf, 64 threads)", func() error {
-				sim.ZipfSweep(out, params, "retwis", zipfs, *simThreads)
-				return nil
-			})
-		}
-		if !*skipReal {
-			run("Figures 6b/7b (measured: Retwis vs zipf)", func() error {
-				pts, err := bench.ZipfSweep(out, "retwis", zipfs, boundedThreads(), opts)
-				report.Add("fig6b_7b", pts)
-				return err
-			})
-		}
-	}
-	if wantOnly("udp") || *transportF == "udp" {
-		run("UDP wire cost (measured: syscalls/txn, batched vs per-datagram)", func() error {
-			pts, err := bench.UDPSweep(out, bench.UDPOptions{
-				Options:    opts,
-				Window:     *window,
-				FlushDelay: *flushDelay,
-				BasePort:   *udpPort,
-			})
-			report.Add("udp", pts)
-			return err
-		})
-	}
-	if wantOnly("wal") {
-		run("WAL durability cost (measured: goodput per fsync policy)", func() error {
-			pts, err := bench.WALSweep(out, bench.WALOptions{Options: opts})
-			report.Add("wal", pts)
-			return err
-		})
-	}
-	if wantOnly("zipf") {
-		run("Commutative ops under skew (measured: RMW write-back vs server-side increment)", func() error {
-			pts, err := bench.OpsZipfSweep(out, bench.OpsZipfOptions{Options: opts})
-			report.Add("zipf", pts)
-			return err
-		})
-	}
-	if wantOnly("ro") {
-		run("Read-only fast path (measured: two-round validated vs one-round snapshot)", func() error {
-			pts, err := bench.ROSweep(out, bench.ROOptions{Options: opts})
-			report.Add("ro", pts)
-			return err
-		})
-	}
-	if wantOnly("shard") {
-		run("Shard scaling (measured: 1/2/4-shard Retwis + split-under-load timeline)", func() error {
-			pts, err := bench.ShardSweep(out, bench.ShardOptions{Options: opts})
-			report.Add("shard_sweep", pts)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(out)
-			tl, err := bench.ShardSplitTimeline(out, bench.ShardSplitOptions{Seed: 1})
-			report.Add("shard_split", tl)
-			return err
-		})
-	}
-	if want("faults") || *faults {
-		run("Kill-one-replica timeline (measured, fault injection)", func() error {
-			pts, err := bench.FaultTimeline(out, bench.FaultOptions{Seed: 1})
-			report.Add("faults", pts)
-			return err
-		})
-	}
-	if want("latency") {
-		run("Unloaded commit latency (measured, §6.2 latency note)", func() error {
-			return bench.LatencySweep(out, 2000, *keys)
-		})
-	}
-	if want("retwis-latency") {
-		run("Retwis per-kind latency (measured, batched execution phase)", func() error {
-			return bench.RetwisLatency(out, 8000, *keys)
-		})
 	}
 	if *jsonPath != "" {
-		if report.Empty() {
+		if len(report) == 0 {
 			fmt.Fprintf(out, "note: -json given but no measured points were produced (all runs skipped?)\n")
 		}
 		if err := report.WriteJSON(*jsonPath); err != nil {
-			fmt.Fprintf(os.Stderr, "writing %s: %v\n", *jsonPath, err)
-			os.Exit(1)
+			fmt.Fprintf(errw, "writing %s: %v\n", *jsonPath, err)
+			return 1
 		}
 		fmt.Fprintf(out, "wrote %s\n", *jsonPath)
 	}
 	fmt.Fprintln(out)
+	return 0
 }
 
-// boundedThreads returns the server-thread count for the zipf sweeps: the
-// paper uses 64, but on a small host extra threads only add scheduler noise.
-func boundedThreads() int {
-	if *simThreads > 8 {
-		return 4
+// parseCSV parses a comma-separated flag value with parse.
+func parseCSV[T any](csv string, parse func(string) (T, error)) ([]T, error) {
+	var out []T
+	for _, f := range strings.Split(csv, ",") {
+		v, err := parse(strings.TrimSpace(f))
+		if err != nil {
+			return nil, fmt.Errorf("bad list element %q: %w", f, err)
+		}
+		out = append(out, v)
 	}
-	return *simThreads
+	return out, nil
 }

@@ -63,6 +63,10 @@ func main() {
 	}
 	net := transport.NewUDP(*host, *port, coresPerNode)
 	defer net.Close()
+	if err := checkClientID(net, t, coresPerNode, *clientID); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	ccfg := coordinator.Config{
 		Topo:     t,
@@ -242,6 +246,21 @@ func main() {
 const defaultClientIDs = 1024
 
 func defaultClientID(pid int) uint64 { return 1 + uint64(pid)%defaultClientIDs }
+
+// checkClientID rejects an -id whose port slot lies past port 65535 under
+// net's map, naming the largest id that fits, so the mistake surfaces at the
+// flags instead of as ErrPortRange from the first bind. The bound is
+// ValidatePortMap's: the last core of client id's slot.
+func checkClientID(net *transport.UDP, t topo.Topology, coresPerNode int, id uint64) error {
+	largest := (65535 - (coresPerNode - 1) - net.Port(t.ClientAddr(0))) / coresPerNode
+	if largest < 0 {
+		return fmt.Errorf("-port leaves no room for client ports (client slot 0 starts at %d)", net.Port(t.ClientAddr(0)))
+	}
+	if id > uint64(largest) {
+		return fmt.Errorf("-id %d is past the UDP port budget of -port/-cores/-shards: the largest usable id is %d", id, largest)
+	}
+	return net.ValidatePortMap(t.Partitions, t.Replicas, int(id)+1)
+}
 
 // newRng seeds per-client randomness from the client id.
 func newRng(id uint64) *rand.Rand { return rand.New(rand.NewSource(int64(id) + 1)) }

@@ -16,14 +16,8 @@ func smokeRun(t *testing.T, kind SystemKind) Result {
 		t.Fatalf("NewSystem(%s): %v", kind, err)
 	}
 	defer sys.Close()
-	res, err := Run(RunConfig{
-		System:       sys,
-		NewGenerator: genFactory("ycsb-t", 1024, 0),
-		Clients:      4,
-		Keys:         1024,
-		Warmup:       20 * time.Millisecond,
-		Measure:      100 * time.Millisecond,
-	})
+	preload(sys.Load, 1024)
+	res, err := Run(sys, genFactory("ycsb-t", 1024, 0), 4, Options{Warmup: 20 * time.Millisecond, Measure: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatalf("Run(%s): %v", kind, err)
 	}
@@ -57,14 +51,8 @@ func TestRetwisWorkloadRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Close()
-	res, err := Run(RunConfig{
-		System:       sys,
-		NewGenerator: genFactory("retwis", 2048, 0.6),
-		Clients:      4,
-		Keys:         2048,
-		Warmup:       20 * time.Millisecond,
-		Measure:      100 * time.Millisecond,
-	})
+	preload(sys.Load, 2048)
+	res, err := Run(sys, genFactory("retwis", 2048, 0.6), 4, Options{Warmup: 20 * time.Millisecond, Measure: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,14 +70,8 @@ func TestHighContentionAbortsRise(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer sys.Close()
-		res, err := Run(RunConfig{
-			System:       sys,
-			NewGenerator: genFactory("ycsb-t", 512, theta),
-			Clients:      8,
-			Keys:         512,
-			Warmup:       20 * time.Millisecond,
-			Measure:      150 * time.Millisecond,
-		})
+		preload(sys.Load, 512)
+		res, err := Run(sys, genFactory("ycsb-t", 512, theta), 8, Options{Warmup: 20 * time.Millisecond, Measure: 150 * time.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,12 +150,14 @@ func TestTablePrinters(t *testing.T) {
 }
 
 func TestZipfSweepTiny(t *testing.T) {
-	pts, err := ZipfSweep(io.Discard, "ycsb-t", []float64{0, 0.9}, 2, Options{
+	opts := Options{
 		Measure: 60 * time.Millisecond,
 		Warmup:  20 * time.Millisecond,
 		Keys:    512,
 		Clients: 4,
-	})
+	}
+	cells := zipfCells("ycsb-t")(Env{Options: opts, Zipfs: []float64{0, 0.9}, ZipfThreads: 2})
+	pts, err := sweep(io.Discard, opts, "tiny", "zipf", cells, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,12 +172,14 @@ func TestZipfSweepTiny(t *testing.T) {
 }
 
 func TestThreadSweepTiny(t *testing.T) {
-	pts, err := ThreadSweep(io.Discard, "ycsb-t", []int{1}, Options{
+	opts := Options{
 		Measure: 50 * time.Millisecond,
 		Warmup:  10 * time.Millisecond,
 		Keys:    512,
 		Clients: 2,
-	})
+	}
+	cells := threadCells("ycsb-t")(Env{Options: opts, RealThreads: []int{1}})
+	pts, err := sweep(io.Discard, opts, "tiny", "threads", cells, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +188,7 @@ func TestThreadSweepTiny(t *testing.T) {
 	}
 }
 
-func TestRunSpecShapes(t *testing.T) {
+func TestExecSpecShapes(t *testing.T) {
 	sys, err := NewSystem(SystemConfig{Kind: SystemMeerkat, Cores: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -221,9 +207,12 @@ func TestRunSpecShapes(t *testing.T) {
 		Writes: []string{workload.KeyName(2)},
 	}
 	var gets []string
-	ok, err := runSpec(cl, &spec, []byte("x"), &gets)
-	if err != nil || !ok {
-		t.Fatalf("runSpec: %v %v", ok, err)
+	txn := cl.Begin()
+	if err := execSpec(txn, &spec, []byte("x"), &gets); err != nil {
+		t.Fatalf("execSpec: %v", err)
+	}
+	if ok, err := txn.Commit(); err != nil || !ok {
+		t.Fatalf("commit: %v %v", ok, err)
 	}
 	// The scratch holds the assembled read set (reads then RMW reads).
 	if len(gets) != 2 || gets[0] != workload.KeyName(0) || gets[1] != workload.KeyName(1) {

@@ -11,7 +11,7 @@ import (
 // commits appear while the replica is down, and the fast path is committing
 // again in the recovered tail.
 func TestFaultTimelineSmoke(t *testing.T) {
-	pts, err := FaultTimeline(io.Discard, FaultOptions{
+	pts, err := faultTimeline(io.Discard, timelineSize{
 		Clients:  4,
 		Keys:     256,
 		Seed:     3,
@@ -20,7 +20,7 @@ func TestFaultTimelineSmoke(t *testing.T) {
 		Tail: 2,
 	})
 	if err != nil {
-		t.Fatalf("FaultTimeline: %v", err)
+		t.Fatalf("faultTimeline: %v", err)
 	}
 	if len(pts) < 3 {
 		t.Fatalf("only %d samples", len(pts))

@@ -3,7 +3,6 @@ package bench
 import (
 	"encoding/json"
 	"os"
-	"sort"
 	"time"
 )
 
@@ -18,72 +17,41 @@ type JSONPoint struct {
 	P99NS     int64   `json:"p99_ns"`
 	P999NS    int64   `json:"p999_ns"`
 
-	FastCommits      uint64  `json:"fast_commits"`
-	SlowCommits      uint64  `json:"slow_commits"`
-	FastFraction     float64 `json:"fast_fraction"`
-	ValidationAborts uint64  `json:"validation_aborts"`
-	AcceptAborts     uint64  `json:"accept_aborts"`
-	TimeoutAborts    uint64  `json:"timeout_aborts"`
-	Retries          uint64  `json:"retries"`
+	PathStats
+	FastFraction float64 `json:"fast_fraction"`
 
 	// Wire-level cost, present only for the UDP transport experiment.
 	SyscallsPerTxn      float64 `json:"syscalls_per_txn,omitempty"`
 	DatagramsPerSyscall float64 `json:"datagrams_per_syscall,omitempty"`
 }
 
-// JSONReport is the top-level structure WriteJSON emits: every experiment's
-// points keyed by experiment name.
-type JSONReport struct {
-	GeneratedAt string                 `json:"generated_at"`
-	Experiments map[string][]JSONPoint `json:"experiments"`
-}
-
-// Report accumulates points across experiments for a final WriteJSON.
-type Report struct {
-	exps map[string][]Point
-}
+// Report accumulates the points of each experiment, by name, for a final
+// WriteJSON.
+type Report map[string][]Point
 
 // Add records the points of one experiment under name. Appending to the same
-// name merges (e.g. fig6a and fig7a share a sweep).
-func (r *Report) Add(name string, pts []Point) {
-	if r.exps == nil {
-		r.exps = make(map[string][]Point)
-	}
-	r.exps[name] = append(r.exps[name], pts...)
-}
-
-// Empty reports whether nothing was recorded.
-func (r *Report) Empty() bool { return len(r.exps) == 0 }
+// name merges.
+func (r Report) Add(name string, pts []Point) { r[name] = append(r[name], pts...) }
 
 // WriteJSON writes the accumulated report to path, indented for diffing.
-func (r *Report) WriteJSON(path string) error {
-	out := JSONReport{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		Experiments: make(map[string][]JSONPoint, len(r.exps)),
-	}
-	names := make([]string, 0, len(r.exps))
-	for name := range r.exps {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		pts := make([]JSONPoint, len(r.exps[name]))
-		for i, p := range r.exps[name] {
+func (r Report) WriteJSON(path string) error {
+	out := struct {
+		GeneratedAt string                 `json:"generated_at"`
+		Experiments map[string][]JSONPoint `json:"experiments"`
+	}{time.Now().UTC().Format(time.RFC3339), make(map[string][]JSONPoint, len(r))}
+	for name, points := range r {
+		pts := make([]JSONPoint, len(points))
+		for i, p := range points {
 			pts[i] = JSONPoint{
-				System:           p.System,
-				X:                p.X,
-				Goodput:          p.Goodput,
-				AbortRate:        p.AbortRate,
-				P50NS:            p.P50.Nanoseconds(),
-				P99NS:            p.P99.Nanoseconds(),
-				P999NS:           p.P999.Nanoseconds(),
-				FastCommits:      p.Path.FastCommits,
-				SlowCommits:      p.Path.SlowCommits,
-				FastFraction:     p.Path.FastFraction(),
-				ValidationAborts: p.Path.ValidationAborts,
-				AcceptAborts:     p.Path.AcceptAborts,
-				TimeoutAborts:    p.Path.TimeoutAborts,
-				Retries:          p.Path.Retries,
+				System:       p.System,
+				X:            p.X,
+				Goodput:      p.Goodput,
+				AbortRate:    p.AbortRate,
+				P50NS:        p.P50.Nanoseconds(),
+				P99NS:        p.P99.Nanoseconds(),
+				P999NS:       p.P999.Nanoseconds(),
+				PathStats:    p.Path,
+				FastFraction: p.Path.FastFraction(),
 
 				SyscallsPerTxn:      p.SyscallsPerTxn,
 				DatagramsPerSyscall: p.DatagramsPerSyscall,

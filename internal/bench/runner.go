@@ -13,46 +13,29 @@ import (
 	"meerkat/internal/workload"
 )
 
-// RunConfig describes one benchmark run: a system, a workload, and the
-// closed-loop client population.
-type RunConfig struct {
-	System System
+// valueSize is the value payload size (the paper's).
+const valueSize = 64
 
-	// NewGenerator builds one workload generator per client goroutine.
-	NewGenerator func() workload.Generator
-
-	// Clients is the closed-loop client count. Defaults to 8.
-	Clients int
-	// Keys is the number of pre-loaded keys. Defaults to 65536.
-	Keys int
-	// ValueSize is the value payload size. Defaults to 64 (the paper's).
-	ValueSize int
-
-	// Warmup runs before measurement starts; Measure is the measured
-	// window. Defaults: 100ms / 500ms (the paper warms up for 5 minutes
-	// on real hardware; in-process runs stabilize in milliseconds).
-	Warmup  time.Duration
-	Measure time.Duration
-
-	// Seed makes client randomness reproducible.
-	Seed int64
-
-	// SkipLoad skips pre-loading (the caller already loaded the store).
-	SkipLoad bool
+// preload stores keys values of valueSize bytes through load, under the key
+// names every generator draws from.
+func preload(load func(key string, value []byte), keys int) {
+	val := workload.Value(valueSize)
+	for i := 0; i < keys; i++ {
+		load(workload.KeyName(i), val)
+	}
 }
 
 // PathStats is the coordination-path breakdown of the measured window,
 // derived from the system's observability counters (Meerkat/TAPIR systems;
 // zero for the PB baselines, which take neither path).
 type PathStats struct {
-	FastCommits      uint64 // fast path: supermajority agreement, 1 RTT
-	SlowCommits      uint64 // slow path: at least one accept round
-	ValidationAborts uint64 // fast-path validation conflicts
-	AcceptAborts     uint64 // slow-path ACCEPT-ABORT decisions
-	TimeoutAborts    uint64 // outcome unknown within the retry budget
-	Retries          uint64 // validate/accept round resends
-	ROCommits        uint64 // read-only fast path: snapshot reads, local commit
-	ROFallbacks      uint64 // marked-RO transactions demoted to validation
+	FastCommits      uint64 `json:"fast_commits"`      // fast path: supermajority agreement, 1 RTT
+	SlowCommits      uint64 `json:"slow_commits"`      // slow path: at least one accept round
+	ValidationAborts uint64 `json:"validation_aborts"` // fast-path validation conflicts
+	AcceptAborts     uint64 `json:"accept_aborts"`     // slow-path ACCEPT-ABORT decisions
+	TimeoutAborts    uint64 `json:"timeout_aborts"`    // outcome unknown within the retry budget
+	Retries          uint64 `json:"retries"`           // validate/accept round resends
+	ROCommits        uint64 `json:"-"`                 // read-only fast path: snapshot reads, local commit
 }
 
 // FastFraction is the share of commits that took the fast path.
@@ -74,14 +57,11 @@ func pathStats(d obs.Snapshot) PathStats {
 		TimeoutAborts:    d.Counter(obs.TxnAbortTimeout),
 		Retries:          d.Counter(obs.TxnRetry),
 		ROCommits:        d.Counter(obs.TxnCommitRO),
-		ROFallbacks:      d.Counter(obs.ROFallback),
 	}
 }
 
 // Result is one benchmark measurement.
 type Result struct {
-	System   string
-	Clients  int
 	Counters stats.Counters
 	Latency  stats.Histogram
 	Elapsed  time.Duration
@@ -125,56 +105,36 @@ const (
 	phaseDone
 )
 
-// Run loads the store, spawns the closed-loop clients, and measures.
-func Run(cfg RunConfig) (Result, error) {
-	if cfg.Clients == 0 {
-		cfg.Clients = 8
-	}
-	if cfg.Keys == 0 {
-		cfg.Keys = 65536
-	}
-	if cfg.ValueSize == 0 {
-		cfg.ValueSize = 64
-	}
-	if cfg.Warmup == 0 {
-		cfg.Warmup = 100 * time.Millisecond
-	}
-	if cfg.Measure == 0 {
-		cfg.Measure = 500 * time.Millisecond
-	}
-
-	if !cfg.SkipLoad {
-		val := workload.Value(cfg.ValueSize)
-		for i := 0; i < cfg.Keys; i++ {
-			cfg.System.Load(workload.KeyName(i), val)
-		}
-	}
-
+// Run drives the (already loaded) system with clients closed-loop client
+// goroutines, each on its own generator from newGenerator, for opts.Warmup
+// and then the measured opts.Measure (the paper warms up for 5 minutes on
+// real hardware; in-process runs stabilize in milliseconds).
+func Run(sys System, newGenerator func() workload.Generator, clients int, opts Options) (Result, error) {
 	var phase atomic.Int32
 	type clientStats struct {
 		counters stats.Counters
 		hist     stats.Histogram
 	}
-	perClient := make([]clientStats, cfg.Clients)
-	clients := make([]Client, cfg.Clients)
-	for i := range clients {
-		cl, err := cfg.System.NewClient()
+	perClient := make([]clientStats, clients)
+	cls := make([]Client, clients)
+	for i := range cls {
+		cl, err := sys.NewClient()
 		if err != nil {
 			return Result{}, err
 		}
-		clients[i] = cl
+		cls[i] = cl
 	}
 
-	value := workload.Value(cfg.ValueSize)
+	value := workload.Value(valueSize)
 	var wg sync.WaitGroup
-	for i := 0; i < cfg.Clients; i++ {
+	for i := 0; i < clients; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			cl := clients[i]
+			cl := cls[i]
 			defer cl.Close()
-			gen := cfg.NewGenerator()
-			rng := rand.New(rand.NewSource(cfg.Seed + int64(i)*7919))
+			gen := newGenerator()
+			rng := rand.New(rand.NewSource(seed + int64(i)*7919))
 			cs := &perClient[i]
 			ctx := context.Background()
 			var gets []string
@@ -206,20 +166,19 @@ func Run(cfg RunConfig) (Result, error) {
 		}(i)
 	}
 
-	time.Sleep(cfg.Warmup)
+	time.Sleep(opts.Warmup)
 	phase.Store(phaseMeasure)
-	before := cfg.System.Obs().Snapshot()
+	before := sys.Obs().Snapshot()
 	start := time.Now()
-	time.Sleep(cfg.Measure)
+	time.Sleep(opts.Measure)
 	phase.Store(phaseDone)
 	elapsed := time.Since(start)
 	wg.Wait()
 	// Snapshot after the clients drain so transactions straddling the
 	// window's end are counted on exactly one side.
-	delta := cfg.System.Obs().Snapshot().Sub(before)
+	delta := sys.Obs().Snapshot().Sub(before)
 
-	res := Result{System: cfg.System.Name(), Clients: cfg.Clients, Elapsed: elapsed,
-		Path: pathStats(delta)}
+	res := Result{Elapsed: elapsed, Path: pathStats(delta)}
 	for i := range perClient {
 		res.Counters.Merge(perClient[i].counters)
 		res.Latency.Merge(&perClient[i].hist)
@@ -230,7 +189,7 @@ func Run(cfg RunConfig) (Result, error) {
 // execSpec builds one generated transaction inside txn: the whole read set
 // (plain reads plus the read halves of the read-modify-writes) goes out as
 // one batched ReadMany, then the writes are buffered. The commit belongs to
-// the caller — Client.Run for the measured loop, runSpec for one-shot use.
+// the caller, normally Client.Run.
 // gets is a per-caller scratch reused across transactions for assembling the
 // read set; it never reaches the transport (ReadMany copies what it sends).
 func execSpec(txn Txn, spec *workload.TxnSpec, value []byte, gets *[]string) error {
@@ -276,13 +235,3 @@ func execSpec(txn Txn, spec *workload.TxnSpec, value []byte, gets *[]string) err
 // errOpsUnsupported rejects increment specs on systems whose transaction
 // surface has no commutative ops (the PB baselines).
 var errOpsUnsupported = errors.New("bench: system does not support server-side ops")
-
-// runSpec executes one generated transaction as a single attempt: build via
-// execSpec, then commit.
-func runSpec(cl Client, spec *workload.TxnSpec, value []byte, gets *[]string) (bool, error) {
-	txn := cl.Begin()
-	if err := execSpec(txn, spec, value, gets); err != nil {
-		return false, err
-	}
-	return txn.Commit()
-}

@@ -52,7 +52,6 @@ type Client interface {
 
 // System is one of the four evaluation prototypes.
 type System interface {
-	Name() string
 	NewClient() (Client, error)
 	Load(key string, value []byte)
 	Close()
@@ -79,11 +78,8 @@ var AllSystems = []SystemKind{SystemMeerkat, SystemMeerkatPB, SystemTAPIR, Syste
 
 // SystemConfig sizes a system under test.
 type SystemConfig struct {
-	Kind     SystemKind
-	Replicas int // default 3
-	Cores    int // server threads per replica
-	Timeout  time.Duration
-	Retries  int
+	Kind  SystemKind
+	Cores int // server threads per replica
 	// Obs, when non-nil, is wired through the system so one registry (and
 	// one HTTP exporter) can observe a whole sweep. Defaults to a fresh
 	// registry per system.
@@ -94,29 +90,25 @@ type SystemConfig struct {
 	DisableReadOnlyFastPath bool
 }
 
+// Every system runs the paper's three replicas and gives a round trip the
+// same wait and retry budget.
+const (
+	systemReplicas = 3
+	systemTimeout  = 200 * time.Millisecond
+	systemRetries  = 20
+)
+
 // NewSystem builds and starts the requested system on an in-process
 // network.
 func NewSystem(cfg SystemConfig) (System, error) {
-	if cfg.Replicas == 0 {
-		cfg.Replicas = 3
-	}
-	if cfg.Cores == 0 {
-		cfg.Cores = 4
-	}
-	if cfg.Timeout == 0 {
-		cfg.Timeout = 200 * time.Millisecond
-	}
-	if cfg.Retries == 0 {
-		cfg.Retries = 20
-	}
 	switch cfg.Kind {
 	case SystemMeerkat, SystemTAPIR:
-		return openMeerkat(string(cfg.Kind), meerkat.Config{
-			Replicas:                cfg.Replicas,
+		return openMeerkat(meerkat.Config{
+			Replicas:                systemReplicas,
 			Cores:                   cfg.Cores,
 			SharedTRecord:           cfg.Kind == SystemTAPIR,
-			CommitTimeout:           cfg.Timeout,
-			Retries:                 cfg.Retries,
+			CommitTimeout:           systemTimeout,
+			Retries:                 systemRetries,
 			Obs:                     cfg.Obs,
 			DisableReadOnlyFastPath: cfg.DisableReadOnlyFastPath,
 		}, 1)
@@ -134,26 +126,23 @@ func NewSystem(cfg SystemConfig) (System, error) {
 // stop-and-wait clients, so the harness's client goroutines become the
 // in-flight transactions that fill the transport's syscall batches.
 type meerkatSystem struct {
-	name   string
 	db     *meerkat.DB
 	window int
 
 	mu       sync.Mutex
 	sessions []*meerkat.Session
 	spare    []*meerkat.Client
-	handed   []*meerkat.Client
 }
 
 // openMeerkat opens a deployment per cfg behind the adapter.
-func openMeerkat(name string, cfg meerkat.Config, window int) (*meerkatSystem, error) {
+func openMeerkat(cfg meerkat.Config, window int) (*meerkatSystem, error) {
 	db, err := meerkat.Open(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &meerkatSystem{name: name, db: db, window: window}, nil
+	return &meerkatSystem{db: db, window: window}, nil
 }
 
-func (s *meerkatSystem) Name() string                  { return s.name }
 func (s *meerkatSystem) Obs() *obs.Registry            { return s.db.Admin().Obs() }
 func (s *meerkatSystem) Load(key string, value []byte) { s.db.Load(key, value) }
 
@@ -178,21 +167,7 @@ func (s *meerkatSystem) NewClient() (Client, error) {
 	}
 	cl := s.spare[0]
 	s.spare = s.spare[1:]
-	s.handed = append(s.handed, cl)
 	return &meerkatClient{cl}, nil
-}
-
-// committed sums commit counts over every client the run used — the
-// denominator for syscalls/txn.
-func (s *meerkatSystem) committed() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var total uint64
-	for _, cl := range s.handed {
-		c, _ := cl.Stats()
-		total += c
-	}
-	return total
 }
 
 func (s *meerkatSystem) Close() {
@@ -225,50 +200,43 @@ type pbSystem struct {
 	cfg    SystemConfig
 	topo   topo.Topology
 	net    *transport.Inproc
-	obs    *obs.Registry
 	stores []*vstore.Store
 	stop   []func()
 	nextID uint64
 }
 
 func newPBSystem(cfg SystemConfig) (System, error) {
-	tp := topo.Topology{Partitions: 1, Replicas: cfg.Replicas, Cores: cfg.Cores}
-	s := &pbSystem{cfg: cfg, topo: tp, net: transport.NewInproc(transport.InprocConfig{})}
-	s.obs = cfg.Obs
-	if s.obs == nil {
-		s.obs = obs.NewRegistry()
+	tp := topo.Topology{Partitions: 1, Replicas: systemReplicas, Cores: cfg.Cores}
+	if cfg.Obs == nil {
+		cfg.Obs = obs.NewRegistry()
 	}
-	s.net.RegisterObs(s.obs)
-	for i := 0; i < cfg.Replicas; i++ {
-		switch cfg.Kind {
-		case SystemKuaFu:
-			rep, err := kuafu.New(kuafu.Config{Topo: tp, Index: i, Net: s.net})
-			if err != nil {
-				return nil, err
-			}
-			if err := rep.Start(); err != nil {
-				return nil, err
-			}
-			s.stores = append(s.stores, rep.Store())
-			s.stop = append(s.stop, rep.Stop)
-		case SystemMeerkatPB:
-			rep, err := meerkatpb.New(meerkatpb.Config{Topo: tp, Index: i, Net: s.net})
-			if err != nil {
-				return nil, err
-			}
-			if err := rep.Start(); err != nil {
-				return nil, err
-			}
-			s.stores = append(s.stores, rep.Store())
-			s.stop = append(s.stop, rep.Stop)
+	s := &pbSystem{cfg: cfg, topo: tp, net: transport.NewInproc(transport.InprocConfig{})}
+	s.net.RegisterObs(cfg.Obs)
+	for i := 0; i < systemReplicas; i++ {
+		var rep interface {
+			Start() error
+			Store() *vstore.Store
+			Stop()
 		}
+		var err error
+		if cfg.Kind == SystemKuaFu {
+			rep, err = kuafu.New(kuafu.Config{Topo: tp, Index: i, Net: s.net})
+		} else {
+			rep, err = meerkatpb.New(meerkatpb.Config{Topo: tp, Index: i, Net: s.net})
+		}
+		if err != nil {
+			return nil, err
+		}
+		if err := rep.Start(); err != nil {
+			return nil, err
+		}
+		s.stores = append(s.stores, rep.Store())
+		s.stop = append(s.stop, rep.Stop)
 	}
 	return s, nil
 }
 
-func (s *pbSystem) Name() string { return string(s.cfg.Kind) }
-
-func (s *pbSystem) Obs() *obs.Registry { return s.obs }
+func (s *pbSystem) Obs() *obs.Registry { return s.cfg.Obs }
 
 func (s *pbSystem) Load(key string, value []byte) {
 	ts := timestamp.Timestamp{Time: 1, ClientID: 0}
@@ -292,8 +260,8 @@ func (s *pbSystem) NewClient() (Client, error) {
 		Net:              s.net,
 		Clock:            clock.NewReal(),
 		ClientTimestamps: s.cfg.Kind == SystemMeerkatPB,
-		Timeout:          s.cfg.Timeout,
-		Retries:          s.cfg.Retries,
+		Timeout:          systemTimeout,
+		Retries:          systemRetries,
 	})
 	if err != nil {
 		return nil, err

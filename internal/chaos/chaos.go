@@ -223,36 +223,17 @@ func Run(cfg Config) (*Result, error) {
 	defer cancel()
 
 	// The lifecycle controller mirrors fired crash/restart events onto the
-	// real replicas. A restart is retried: right after the black-hole lifts
-	// the ambient drop rule can still fail a state transfer.
+	// real replicas, counting each one it applied.
 	ctlDone := make(chan struct{})
 	go func() {
 		defer close(ctlDone)
-		for {
-			select {
-			case ev := <-adm.FaultEvents():
-				p, r, ok := adm.ReplicaOf(ev.Node)
-				switch {
-				case ev.Op == faultnet.OpCrash && ok:
-					adm.CrashReplica(p, r)
-					res.Crashes++
-				case ev.Op == faultnet.OpRestart && ok:
-					for try := 0; try < 100; try++ {
-						if err := adm.RecoverReplica(p, r); err == nil {
-							res.Restarts++
-							break
-						}
-						select {
-						case <-ctx.Done():
-							return
-						case <-time.After(20 * time.Millisecond):
-						}
-					}
-				}
-			case <-ctx.Done():
-				return
+		faultnet.Mirror(ctx, adm.FaultEvents(), adm, func(ev faultnet.Event) {
+			if ev.Op == faultnet.OpCrash {
+				res.Crashes++
+			} else {
+				res.Restarts++
 			}
-		}
+		})
 	}()
 
 	// Clients run until the schedule has fully fired and TailTxns more
