@@ -76,9 +76,14 @@ bench-exp:
 # in non-test Go outside the four paper-baseline packages; no archived
 # per-PR bench file or converter next to the standing benchmark; no
 # per-experiment cell runner next to runCell in internal/bench. So a second
-# generation cannot grow back unnoticed.
+# generation cannot grow back unnoticed. And one goroutine per commit: the
+# coordinator runs on its caller's, so non-test internal/coordinator has no
+# go statement, and its one time.NewTimer is the lazily armed rtimer's.
 api-guard:
 	@! grep -rnE --include='*.go' --exclude='*_test.go' 'Deprecated:|^func .*Ctx\(' . \
 		| grep -vE '^\./internal/(kuafu|meerkatpb|pbclient|sim)/'
 	@! git ls-files 'BENCH_pr*.json' experiments_output.txt cmd/bench2json | grep .
 	@! grep -nE '^func run[A-Z][A-Za-z]*Point\(' internal/bench/*.go
+	@! grep -nE --exclude='*_test.go' '^[[:space:]]*go[[:space:]]' internal/coordinator/*.go
+	@test "$$(cat $$(ls internal/coordinator/*.go | grep -v _test.go) | grep -c 'time\.NewTimer(')" -le 1 \
+		|| { echo "more than one time.NewTimer in internal/coordinator"; exit 1; }

@@ -30,14 +30,46 @@ func newHotpath(tb testing.TB, cfg meerkat.Config, nkeys int) (*meerkat.DB, *mee
 	return db, cl, keys
 }
 
-// The three single-key commit shapes the benchmarks and gates share.
+// crossShardKeys replaces keys by perGroup pre-loaded keys on each of the
+// first `groups` replica groups of db, interleaved so that every run of
+// `groups` consecutive keys touches them all. The shard map is asked where
+// each candidate lands: "key-%08d" 0..63 fall 50/14/0/0 on four groups,
+// because shardmap.Hash is raw FNV-1a and a trailing counter barely moves
+// its high bits (ROADMAP, robustness).
+func crossShardKeys(tb testing.TB, db *meerkat.DB, groups, perGroup int) []string {
+	tb.Helper()
+	m := db.Admin().ShardMap()
+	byGroup := make([][]string, groups)
+	for i, short := 0, groups; short > 0; i++ {
+		if i == 1<<20 {
+			tb.Fatalf("no %d keys on each of %d groups among 2^20 candidates", perGroup, groups)
+		}
+		key := fmt.Sprintf("%d-key", i)
+		if g := m.GroupForKey(key); g < groups && len(byGroup[g]) < perGroup {
+			db.Load(key, []byte("v"))
+			if byGroup[g] = append(byGroup[g], key); len(byGroup[g]) == perGroup {
+				short--
+			}
+		}
+	}
+	var keys []string
+	for j := 0; j < perGroup; j++ {
+		for g := range byGroup {
+			keys = append(keys, byGroup[g][j])
+		}
+	}
+	return keys
+}
+
+// The commit shapes the benchmarks and gates share. Each takes the
+// deployment's pre-loaded keys; the single-key shapes use the first.
 
 var hotpathValue = []byte("v2")
 
 // commitRMW is the commit hot path in its cheapest shape: one read, one
-// write, single shard — so the validate phase runs inline with the
-// coordinator's reusable timers and scratch.
-func commitRMW(tb testing.TB, cl *meerkat.Client, key string) {
+// write, one partition — the N = 1 case of the coordinator's validate round.
+func commitRMW(tb testing.TB, cl *meerkat.Client, keys []string) {
+	key := keys[0]
 	txn := cl.Begin()
 	if _, err := txn.Read(key); err != nil {
 		tb.Fatal(err)
@@ -50,9 +82,9 @@ func commitRMW(tb testing.TB, cl *meerkat.Client, key string) {
 
 // commitIncrement is the op-only shape: one server-side increment, no read
 // round trip — the hot-counter pattern the commutative ops exist for.
-func commitIncrement(tb testing.TB, cl *meerkat.Client, key string) {
+func commitIncrement(tb testing.TB, cl *meerkat.Client, keys []string) {
 	txn := cl.Begin()
-	txn.Add(key, 1)
+	txn.Add(keys[0], 1)
 	if _, err := txn.Commit(); err != nil {
 		tb.Fatal(err)
 	}
@@ -61,10 +93,10 @@ func commitIncrement(tb testing.TB, cl *meerkat.Client, key string) {
 // commitReadOnly is the read-only fast path in its cheapest shape: one
 // snapshot read, local commit — zero validation rounds, zero commit
 // messages.
-func commitReadOnly(tb testing.TB, cl *meerkat.Client, key string) {
+func commitReadOnly(tb testing.TB, cl *meerkat.Client, keys []string) {
 	txn := cl.Begin()
 	txn.ReadOnly()
-	if _, err := txn.Read(key); err != nil {
+	if _, err := txn.Read(keys[0]); err != nil {
 		tb.Fatal(err)
 	}
 	if ok, err := txn.Commit(); err != nil || !ok {
@@ -75,34 +107,63 @@ func commitReadOnly(tb testing.TB, cl *meerkat.Client, key string) {
 	}
 }
 
-func benchCommit(b *testing.B, cfg meerkat.Config, commit func(testing.TB, *meerkat.Client, string)) {
-	_, cl, keys := newHotpath(b, cfg, 1)
+// commitCrossShard is the multi-partition commit: one batched read of all
+// the keys, a write to the first of every group, one validate round over
+// every group touched (keys come from crossShardKeys, three groups).
+func commitCrossShard(tb testing.TB, cl *meerkat.Client, keys []string) {
+	txn := cl.Begin()
+	if _, err := txn.ReadMany(keys); err != nil {
+		tb.Fatal(err)
+	}
+	for _, key := range keys[:3] {
+		txn.Write(key, hotpathValue)
+	}
+	if _, err := txn.Commit(); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// benchCommit runs one commit shape on a deployment per cfg: on its one
+// pre-loaded key, or with groups > 0 on two keys on each of that many groups.
+func benchCommit(b *testing.B, cfg meerkat.Config, groups int, commit func(testing.TB, *meerkat.Client, []string)) {
+	db, cl, keys := newHotpath(b, cfg, 1)
+	if groups > 0 {
+		keys = crossShardKeys(b, db, groups, 2)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		commit(b, cl, keys[0])
+		commit(b, cl, keys)
 	}
 }
 
 // BenchmarkCommitSinglePartition's allocation count gates the churn-free
-// fan-out (see EXPERIMENTS.md).
-func BenchmarkCommitSinglePartition(b *testing.B) { benchCommit(b, meerkat.Config{}, commitRMW) }
+// commit (see EXPERIMENTS.md).
+func BenchmarkCommitSinglePartition(b *testing.B) { benchCommit(b, meerkat.Config{}, 0, commitRMW) }
 
 // BenchmarkShardedCommitSingleShard is identical traffic on the deployment
-// shape of the "sharded" gate below.
-func BenchmarkShardedCommitSingleShard(b *testing.B) { benchCommit(b, meerkat.Config{}, commitRMW) }
+// shape of the "sharded" gate below: a real two-range map.
+func BenchmarkShardedCommitSingleShard(b *testing.B) {
+	benchCommit(b, meerkat.Config{Shards: 2}, 0, commitRMW)
+}
+
+// BenchmarkCommitCrossShard is the shape of the "cross-shard" gate: 6 reads
+// and 3 writes over three of four groups.
+func BenchmarkCommitCrossShard(b *testing.B) {
+	benchCommit(b, meerkat.Config{Shards: 4}, 3, commitCrossShard)
+}
 
 // BenchmarkCommitDurable adds SyncBatch durability, for eyeballing the WAL's
 // hot-path cost.
 func BenchmarkCommitDurable(b *testing.B) {
-	benchCommit(b, meerkat.Config{Durability: meerkat.Durability{DataDir: b.TempDir()}}, commitRMW)
+	benchCommit(b, meerkat.Config{Durability: meerkat.Durability{DataDir: b.TempDir()}}, 0, commitRMW)
 }
 
-func BenchmarkCommitIncrement(b *testing.B) { benchCommit(b, meerkat.Config{}, commitIncrement) }
+func BenchmarkCommitIncrement(b *testing.B) { benchCommit(b, meerkat.Config{}, 0, commitIncrement) }
 
 // BenchmarkReadOnlyTxn: compare against BenchmarkCommitSinglePartition for
 // the two-round baseline.
-func BenchmarkReadOnlyTxn(b *testing.B) { benchCommit(b, meerkat.Config{}, commitReadOnly) }
+func BenchmarkReadOnlyTxn(b *testing.B) { benchCommit(b, meerkat.Config{}, 0, commitReadOnly) }
 
 // BenchmarkTxnTimeline10 is the Retwis get-timeline shape: a read-only
 // transaction over ten keys, batched through ReadMany into one execution
@@ -141,42 +202,52 @@ func TestCommitAllocGate(t *testing.T) {
 	for _, g := range []struct {
 		name   string
 		cfg    meerkat.Config
-		commit func(testing.TB, *meerkat.Client, string)
+		groups int // 0: the one pre-loaded key; else two keys on each of that many groups
+		commit func(testing.TB, *meerkat.Client, []string)
 		runs   int
 		max    float64
 	}{
 		// The pre-batching baseline was 39 allocs/op and the churn-free
 		// fan-out 18, eleven of them the message structs of one commit
-		// (read + reply, three validates + replies, three commits). With
-		// every message recycled by its final consumer it measures 8.
-		{"single", meerkat.Config{}, commitRMW, 200, 9},
-		// Shard-map routing is an atomic load, a hash, and a binary search:
-		// zero allocations. Every client has routed by the map since the
-		// static route was deleted, so this row now repeats "single" on the
-		// default one-range map; over a real two-range map (Shards: 2) the
-		// same commit measures 11, which no gate pins yet (ROADMAP).
-		{"sharded", meerkat.Config{}, commitRMW, 200, 9},
+		// (read + reply, three validates + replies, three commits); 8 with
+		// every message recycled by its final consumer. With the replicas'
+		// records carved out of slabs and the coordinator's one lazily armed
+		// timer it measures 5.
+		{"single", meerkat.Config{}, 0, commitRMW, 200, 6},
+		// The same commit over a real two-range map. Shard-map routing is
+		// an atomic load, a hash, and a binary search, and a transaction
+		// that touches one group ships its own read and write sets: equal
+		// to "single".
+		{"sharded", meerkat.Config{Shards: 2}, 0, commitRMW, 200, 6},
 		// Appending the commit record to the per-core write-ahead log stays
 		// allocation-free steady-state (persistent scratch message, reused
 		// pending buffer): the same gate as in memory.
-		{"durable", meerkat.Config{Durability: meerkat.Durability{DataDir: t.TempDir()}}, commitRMW, 1000, 9},
+		{"durable", meerkat.Config{Durability: meerkat.Durability{DataDir: t.TempDir()}}, 0, commitRMW, 1000, 6},
 		// Shipping the operation instead of read-version + blind write adds
 		// no churn (the op entries ride the same pooled messages and scratch
-		// buffers). It measures 10 — each replica materializes the merged
-		// value — against 19 before messages were recycled.
-		{"increment", meerkat.Config{}, commitIncrement, 200, 11},
+		// buffers). It measures 7, three of them each replica materializing
+		// the merged value.
+		{"increment", meerkat.Config{}, 0, commitIncrement, 200, 8},
 		// Dropping the validation round must not smuggle in churn: 12 at
 		// introduction, six of them the broadcast snapshot read and its
 		// three replies; 6 with messages recycled.
-		{"read-only", meerkat.Config{}, commitReadOnly, 200, 7},
+		{"read-only", meerkat.Config{}, 0, commitReadOnly, 200, 7},
+		// 6 reads and 3 writes over three of four groups: one validate round
+		// on the caller's goroutine, 18 objects. It was 52 when every touched
+		// group cost a goroutine, two timers, a broadcast scratch and its own
+		// read and write sets grown by append.
+		{"cross-shard", meerkat.Config{Shards: 4}, 3, commitCrossShard, 200, 19},
 	} {
 		t.Run(g.name, func(t *testing.T) {
-			_, cl, keys := newHotpath(t, g.cfg, 1)
-			commit := func() { g.commit(t, cl, keys[0]) }
-			// Warm the coordinator's reusable timers, the trecord maps and
-			// the WAL pending/spare buffer pair, and let the group-commit
-			// goroutine complete a few cycles, so the gate measures steady
-			// state rather than growth.
+			db, cl, keys := newHotpath(t, g.cfg, 1)
+			if g.groups > 0 {
+				keys = crossShardKeys(t, db, g.groups, 2)
+			}
+			commit := func() { g.commit(t, cl, keys) }
+			// Warm the coordinator's timer, the trecord maps and the WAL
+			// pending/spare buffer pair, and let the group-commit goroutine
+			// complete a few cycles, so the gate measures steady state
+			// rather than growth.
 			for i := 0; i < 30; i++ {
 				commit()
 			}

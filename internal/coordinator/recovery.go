@@ -1,6 +1,7 @@
 package coordinator
 
 import (
+	"context"
 	"time"
 
 	"meerkat/internal/message"
@@ -92,13 +93,14 @@ func DecideOutcome(records []message.TRecordEntry, f int) (proposal message.Stat
 // RecoverTxn runs the coordinator recovery protocol for tid in partition p,
 // starting above view seenView. It is used by an original coordinator whose
 // slow-path proposal was superseded; replicas use a Recoverer. It returns
-// the transaction's final outcome.
+// the transaction's final outcome. It blocks on the coordinator's mailbox and
+// drops everything that is not its own, so no other round may be collecting.
 func (c *Coordinator) RecoverTxn(p int, tid timestamp.TxnID, coreID uint32, seenView uint64) (bool, error) {
 	// Client proposer ids live in the upper half of the proposer space so
 	// they cannot collide with replica indices.
 	proposer := (c.cfg.ClientID % (1 << (viewProposerBits - 1))) + (1 << (viewProposerBits - 1))
 	return recoverTxn(recoverEnv{
-		ep: c.commitEps[p], in: c.commitIns[p],
+		ep: c.eps[1+p], mb: &c.mailbox,
 		topo: c.cfg.Topo, p: p,
 		timeout: c.cfg.Timeout, retries: c.cfg.Retries,
 	}, tid, coreID, proposer, seenView)
@@ -108,12 +110,8 @@ func (c *Coordinator) RecoverTxn(p int, tid timestamp.TxnID, coreID uint32, seen
 // backup coordinator. Each replica core that initiates recoveries shares one
 // Recoverer; calls are serialized by the caller.
 type Recoverer struct {
-	topoCfg topo.Topology
-	ep      transport.Endpoint
-	in      *transport.Inbox
-	prop    uint64
-	timeout time.Duration
-	retries int
+	env  recoverEnv // all but the partition, which each call names
+	prop uint64
 }
 
 // NewRecoverer binds a recovery endpoint at addr. proposer must be unique
@@ -130,30 +128,41 @@ func NewRecoverer(net transport.Network, t topo.Topology, addr message.Addr, pro
 	if retries == 0 {
 		retries = 10
 	}
-	return &Recoverer{topoCfg: t, ep: ep, in: in, prop: proposer, timeout: timeout, retries: retries}, nil
+	env := recoverEnv{ep: ep, mb: &mailbox{in: in}, topo: t, timeout: timeout, retries: retries}
+	return &Recoverer{env: env, prop: proposer}, nil
 }
 
 // Close releases the recovery endpoint.
-func (r *Recoverer) Close() { r.ep.Close() }
+func (r *Recoverer) Close() { r.env.ep.Close() }
 
 // Recover completes tid in partition p with a consistent outcome, returning
 // whether it committed.
 func (r *Recoverer) Recover(p int, tid timestamp.TxnID, coreID uint32, seenView uint64) (bool, error) {
-	return recoverTxn(recoverEnv{
-		ep: r.ep, in: r.in, topo: r.topoCfg, p: p,
-		timeout: r.timeout, retries: r.retries,
-	}, tid, coreID, r.prop, seenView)
+	env := r.env
+	env.p = p
+	return recoverTxn(env, tid, coreID, r.prop, seenView)
 }
 
 // recoverEnv carries the plumbing shared by client- and replica-initiated
 // recovery.
 type recoverEnv struct {
 	ep      transport.Endpoint
-	in      *transport.Inbox
+	mb      *mailbox
 	topo    topo.Topology
 	p       int
 	timeout time.Duration
 	retries int
+}
+
+// await returns the next message for this recovery — one from partition p's
+// group, whatever else shares the mailbox — or nil once deadline has passed.
+func (env *recoverEnv) await(deadline time.Time) *message.Message {
+	for {
+		m, _ := env.mb.await(context.Background(), deadline)
+		if m == nil || env.topo.PartitionOf(m.Src.Node) == env.p {
+			return m
+		}
+	}
 }
 
 // recoverTxn is Bernstein's cooperative termination protocol instantiated
@@ -168,7 +177,7 @@ func recoverTxn(env recoverEnv, tid timestamp.TxnID, coreID uint32, proposer, se
 
 	for attempt := 0; attempt <= env.retries; attempt++ {
 		view := MakeView(round, proposer)
-		env.in.Drain()
+		env.mb.in.Drain()
 
 		// Phase 1: coordinator change — a majority promises to ignore
 		// lower-viewed proposals and reports its record for tid.
@@ -177,33 +186,26 @@ func recoverTxn(env recoverEnv, tid timestamp.TxnID, coreID uint32, proposer, se
 		records := make([]message.TRecordEntry, 0, len(group))
 		acked := make(map[uint32]bool, len(group))
 		higher := uint64(0)
-		deadline := time.NewTimer(env.timeout)
-	collect:
-		for {
-			select {
-			case m := <-env.in.C:
-				if m.Type != message.TypeCoordChangeAck || m.TID != tid {
-					continue
+		for deadline := time.Now().Add(env.timeout); len(acked) < majority; {
+			m := env.await(deadline)
+			if m == nil {
+				break
+			}
+			if m.Type != message.TypeCoordChangeAck || m.TID != tid {
+				continue
+			}
+			if !m.OK {
+				if m.View > higher {
+					higher = m.View
 				}
-				if !m.OK {
-					if m.View > higher {
-						higher = m.View
-					}
-					continue
-				}
-				if m.View != view || acked[m.ReplicaID] {
-					continue
-				}
-				acked[m.ReplicaID] = true
-				if len(m.Records) > 0 {
-					records = append(records, m.Records[0])
-				}
-				if len(acked) >= majority {
-					deadline.Stop()
-					break collect
-				}
-			case <-deadline.C:
-				break collect
+				continue
+			}
+			if m.View != view || acked[m.ReplicaID] {
+				continue
+			}
+			acked[m.ReplicaID] = true
+			if len(m.Records) > 0 {
+				records = append(records, m.Records[0])
 			}
 		}
 		if len(acked) < majority {
@@ -242,32 +244,28 @@ func recoverTxn(env recoverEnv, tid timestamp.TxnID, coreID uint32, proposer, se
 		outs, _ = broadcast(env.ep, group, &accept, outs)
 		acks := make(map[uint32]bool, len(group))
 		higher = 0
-		deadline = time.NewTimer(env.timeout)
-	collectAccept:
-		for {
-			select {
-			case m := <-env.in.C:
-				if m.Type != message.TypeAcceptReply || m.TID != tid {
-					continue
+		for deadline := time.Now().Add(env.timeout); ; {
+			m := env.await(deadline)
+			if m == nil {
+				break
+			}
+			if m.Type != message.TypeAcceptReply || m.TID != tid {
+				continue
+			}
+			if !m.OK {
+				if m.View > higher {
+					higher = m.View
 				}
-				if !m.OK {
-					if m.View > higher {
-						higher = m.View
-					}
-					continue
-				}
-				if m.View != view {
-					continue
-				}
-				acks[m.ReplicaID] = true
-				if len(acks) >= majority {
-					deadline.Stop()
-					committed := proposal == message.StatusAcceptCommit
-					broadcastCommit(env.ep, group, tid, committed, coreID)
-					return committed, nil
-				}
-			case <-deadline.C:
-				break collectAccept
+				continue
+			}
+			if m.View != view {
+				continue
+			}
+			acks[m.ReplicaID] = true
+			if len(acks) >= majority {
+				committed := proposal == message.StatusAcceptCommit
+				broadcastCommit(env.ep, group, tid, committed, coreID)
+				return committed, nil
 			}
 		}
 		if higher >= view {

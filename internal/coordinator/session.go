@@ -36,19 +36,18 @@ const (
 // idles between round trips and every message costs its own syscalls. A
 // Session binds the same endpoints a single coordinator would (one read
 // endpoint plus one commit endpoint per partition) and hands them to
-// `window` workers — each a full Coordinator driven by its own goroutine —
-// demultiplexing replies by the worker index carried in transaction ids and
-// read sequence numbers. Combined with the transport's batched sends, the
-// pipelined workers fill sendmmsg/recvmmsg rings instead of moving one
-// datagram per syscall.
+// `window` workers — each a full Coordinator driven by its caller's goroutine
+// — demultiplexing replies onto each worker's one mailbox by the worker index
+// carried in transaction ids and read sequence numbers. Combined with the
+// transport's batched sends, the pipelined workers fill sendmmsg/recvmmsg
+// rings instead of moving one datagram per syscall.
 //
 // Each worker is single-goroutine exactly like a plain Coordinator; the
 // Session itself has no locks on any hot path (the routing handlers read
 // immutable state).
 type Session struct {
 	cfg     Config
-	readEp  transport.Endpoint
-	commit  []transport.Endpoint
+	eps     []transport.Endpoint
 	workers []*Coordinator
 }
 
@@ -73,7 +72,6 @@ func NewSession(cfg Config, window int) (*Session, error) {
 	}
 
 	s := &Session{cfg: cfg}
-	depth := inboxDepth(cfg.Topo)
 	// Shared broadcast-address table: workers never mutate it, so one copy
 	// serves the whole pipeline.
 	var groups [][]message.Addr
@@ -89,60 +87,32 @@ func NewSession(cfg Config, window int) (*Session, error) {
 		}
 		w.shared = true
 		w.readSeq = uint64(i) << readSeqShift
-		w.readInbox = transport.NewInbox(depth)
-		for p := 0; p < cfg.Topo.Partitions; p++ {
-			w.commitIns = append(w.commitIns, transport.NewInbox(depth))
-		}
 		s.workers = append(s.workers, w)
 	}
 
-	base := cfg.Topo.ClientAddr(cfg.ClientID)
-	ep, err := cfg.Net.Listen(base, s.routeRead)
-	if err != nil {
+	var err error
+	if s.eps, err = listen(&s.cfg, s.route); err != nil {
 		return nil, err
 	}
-	s.readEp = ep
-	for p := 0; p < cfg.Topo.Partitions; p++ {
-		p := p
-		ep, err := cfg.Net.Listen(message.Addr{Node: base.Node, Core: uint32(1 + p)},
-			func(m *message.Message) { s.routeCommit(p, m) })
-		if err != nil {
-			s.Close()
-			return nil, err
-		}
-		s.commit = append(s.commit, ep)
-	}
 	for _, w := range s.workers {
-		w.readEp = s.readEp
-		w.commitEps = s.commit
+		w.eps = s.eps
 	}
 	return s, nil
 }
 
-// routeRead demultiplexes execution-phase replies (which echo the request's
-// Seq) onto the issuing worker's read inbox. A reply no worker can own is a
-// straggler the router itself consumes.
-func (s *Session) routeRead(m *message.Message) {
-	if i := int(m.Seq >> readSeqShift); i < len(s.workers) {
-		s.workers[i].readInbox.Handle(m)
-		return
-	}
-	message.ReleaseMessage(m)
-}
-
-// routeCommit demultiplexes partition p's commit-protocol replies. Multi-read
-// replies ride the commit endpoints and carry Seq; everything else in the
-// commit protocol carries the transaction id, whose ClientID holds the
-// worker index.
-func (s *Session) routeCommit(p int, m *message.Message) {
+// route demultiplexes a reply, whichever endpoint it arrived on, onto the
+// issuing worker's mailbox: read and multi-read replies echo the request's
+// Seq, everything else carries the transaction id, whose ClientID holds the
+// worker index. A reply no worker can own the router itself consumes.
+func (s *Session) route(m *message.Message) {
 	var i int
-	if m.Type == message.TypeMultiReadReply {
+	if m.Type == message.TypeReadReply || m.Type == message.TypeMultiReadReply {
 		i = int(m.Seq >> readSeqShift)
 	} else {
 		i = int(m.TID.ClientID >> workerIDShift)
 	}
 	if i < len(s.workers) {
-		s.workers[i].commitIns[p].Handle(m)
+		s.workers[i].in.Handle(m)
 		return
 	}
 	message.ReleaseMessage(m)
@@ -160,11 +130,4 @@ func (s *Session) Worker(i int) *Coordinator { return s.workers[i] }
 func (s *Session) Topology() topo.Topology { return s.cfg.Topo }
 
 // Close releases the session's endpoints. Workers must be idle.
-func (s *Session) Close() {
-	if s.readEp != nil {
-		s.readEp.Close()
-	}
-	for _, ep := range s.commit {
-		ep.Close()
-	}
-}
+func (s *Session) Close() { closeAll(s.eps) }

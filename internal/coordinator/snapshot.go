@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"time"
 
 	"meerkat/internal/message"
 	"meerkat/internal/obs"
@@ -116,7 +117,7 @@ func (s *roKeyState) settled() bool {
 func (c *Coordinator) sendSnapshotRead(p int, keys []string, snap timestamp.Timestamp, seq uint64) {
 	core := uint32(c.rng.Intn(c.cfg.Topo.Cores))
 	req := message.Message{Type: message.TypeMultiRead, Keys: keys, TS: snap, Seq: seq, MapVersion: c.mapVersion()}
-	c.roOuts, _ = broadcast(c.commitEps[p], c.group(p, core), &req, c.roOuts)
+	c.outs, _ = broadcast(c.eps[1+p], c.group(p, core), &req, c.outs)
 }
 
 // snapshotRound reads keys at snapshot timestamp snap: one snapshot
@@ -124,187 +125,118 @@ func (c *Coordinator) sendSnapshotRead(p int, keys []string, snap timestamp.Time
 // replies whose merged answers settle. Results are index-aligned with keys
 // in the scratch reused by the next read operation. minW is the lowest
 // watermark observed across all replies (snap when none was lower) — the
-// round-down hint on failure. The only errors are errROUnconfirmed and
-// context/timeout errors from waitBudget.
+// round-down hint on failure. The only errors are errROUnconfirmed,
+// ErrWrongShard and the error of an expired context.
 func (c *Coordinator) snapshotRound(ctx context.Context, keys []string, snap timestamp.Timestamp) ([]message.ReadResult, timestamp.Timestamp, error) {
 	minW := snap
 	if len(keys) == 0 {
 		return nil, minW, nil
 	}
-	nparts := c.cfg.Topo.Partitions
 	n := c.cfg.Topo.Replicas
 	quorum := c.roQuorum()
-
-	// Group keys by partition, exactly as ReadMany does (shared scratch;
-	// the two paths never run concurrently on one coordinator).
-	if c.partIdx == nil || len(c.partIdx) < nparts {
-		c.partIdx = make([]int, nparts)
-		c.partOff = make([]int, nparts+1)
-	}
-	cursor, off := c.partIdx, c.partOff
-	for p := 0; p < nparts; p++ {
-		cursor[p] = 0
-	}
-	if cap(c.keyParts) < len(keys) {
-		c.keyParts = make([]int, len(keys))
-	}
-	if cap(c.origIdx) < len(keys) {
-		c.origIdx = make([]int, len(keys))
-	}
-	kp, origIdx := c.keyParts[:len(keys)], c.origIdx[:len(keys)]
-	for i, k := range keys {
-		p := c.partitionFor(k)
-		kp[i] = p
-		cursor[p]++
-	}
-	sum := 0
-	for p := 0; p < nparts; p++ {
-		off[p] = sum
-		sum += cursor[p]
-		cursor[p] = off[p]
-	}
-	off[nparts] = sum
-	// The keys slice inside a sent message belongs to the transport; like
-	// ReadMany, allocate it fresh per operation, never a reused scratch.
-	grouped := make([]string, len(keys))
-	for i, p := range kp {
-		grouped[cursor[p]] = keys[i]
-		origIdx[cursor[p]] = i
-		cursor[p]++
-	}
-
-	if cap(c.readRes) < len(keys) {
-		c.readRes = make([]message.ReadResult, len(keys))
-	}
-	out := c.readRes[:len(keys)]
+	rr := c.groupKeys(keys)
 	if cap(c.roKeys) < len(keys) {
 		c.roKeys = make([]roKeyState, len(keys))
 	}
-	state := c.roKeys[:len(keys)]
+	state := c.roKeys[:len(keys)] // aligned with rr.grouped
+	c.in.Drain()
 
-	c.readSeq++
-	seq := c.readSeq
-	// Fire every partition before collecting any reply, as in ReadMany.
-	for p := 0; p < nparts; p++ {
-		if off[p+1] == off[p] {
-			continue
+	for attempt := 0; attempt < roAttempts; attempt++ {
+		if err := c.backoff(ctx, attempt); err != nil {
+			return nil, minW, err
 		}
-		c.commitIns[p].Drain()
-		c.sendSnapshotRead(p, grouped[off[p]:off[p+1]], snap, seq)
-	}
-
-	ok := true
-	for p := 0; p < nparts && ok; p++ {
-		want := off[p+1] - off[p]
-		if want == 0 {
-			continue
-		}
-		in := c.commitIns[p]
-		pseq := seq
-		pstate := state[off[p]:off[p+1]]
-		settledP := false
-		for attempt := 0; attempt < roAttempts && !settledP; attempt++ {
+		// Every attempt has its own Seq and starts its partitions from
+		// scratch: a stale reply from an earlier attempt at the same snapshot
+		// must not poison the settlement flags. Every open partition's
+		// request goes out before any reply is collected, as in ReadMany.
+		c.readSeq++
+		seq := c.readSeq
+		waiting := 0 // open partitions some replica of which has yet to answer
+		for p := range rr.tally {
+			if !rr.tally[p].open {
+				continue
+			}
 			if attempt > 0 {
 				c.obs.Inc(obs.ROReadRetry)
-				sleep(ctx, backoffDelay(c.cfg.BackoffBase, c.cfg.BackoffMax, attempt-1, &c.rng), &c.rt)
-				in.Drain()
-				c.readSeq++
-				pseq = c.readSeq
-				c.sendSnapshotRead(p, grouped[off[p]:off[p+1]], snap, pseq)
 			}
-			// Every attempt starts from scratch: a stale reply from an
-			// earlier attempt at the same snapshot must not poison the
-			// settlement flags.
+			rr.tally[p] = readTally{open: true}
+			pstate := state[rr.off[p]:rr.off[p+1]]
 			for j := range pstate {
 				pstate[j] = roKeyState{}
 			}
-			budget, berr := c.waitBudget(ctx)
-			if berr != nil {
-				return nil, minW, berr
+			c.sendSnapshotRead(p, rr.keys(p), snap, seq)
+			waiting++
+		}
+		for deadline := time.Now().Add(c.cfg.Timeout); waiting > 0; {
+			m, _ := c.await(ctx, deadline)
+			if m == nil {
+				break
 			}
-			var seen uint64
-			replied, confirmed := 0, 0
-			deadline := c.rt.arm(budget)
-		collect:
-			for {
-				var m *message.Message
-				select {
-				case m = <-in.C:
-				default:
-					select {
-					case m = <-in.C:
-					case <-ctx.Done():
-						break collect
-					case <-deadline:
-						break collect
-					}
-				}
-				// The reply is consumed here: a confirmed reply's answers are
-				// merged (by value) into pstate, then the struct is recycled.
-				stale := m.Type != message.TypeMultiReadReply || m.Seq != pseq
-				wrongShard, watermark := m.WrongShard, m.Watermark
-				fresh := !stale && !wrongShard && len(m.Reads) == want &&
-					m.ReplicaID < 64 && seen&(1<<m.ReplicaID) == 0
-				if fresh {
-					seen |= 1 << m.ReplicaID
-					if watermark == snap {
-						for j := range m.Reads {
-							pstate[j].merge(&m.Reads[j])
-						}
-					}
-				}
-				message.ReleaseMessage(m)
-				if stale {
-					continue
-				}
-				if wrongShard {
-					// The replica no longer owns some requested key and, by
-					// design, refused before touching its store — a sealed
-					// copy must never raise read timestamps for a snapshot it
-					// cannot vouch for. Refresh and re-route.
-					c.obs.Inc(obs.TxnWrongShard)
-					c.noteRedirect()
-					return nil, minW, ErrWrongShard
-				}
-				if !fresh {
-					continue // wrong length or a duplicate replier
-				}
-				replied++
-				if watermark.Less(minW) {
-					minW = watermark
-				}
+			// The reply is consumed here: a confirmed reply's answers are
+			// merged (by value) into the partition's key states, then the
+			// struct is recycled.
+			p := c.cfg.Topo.PartitionOf(m.Src.Node)
+			mine := m.Type == message.TypeMultiReadReply && m.Seq == seq && p < len(rr.tally) &&
+				rr.tally[p].open && rr.tally[p].replied < n
+			wrongShard, watermark := mine && m.WrongShard, m.Watermark
+			fresh := mine && !wrongShard && len(m.Reads) == len(rr.keys(p)) &&
+				m.ReplicaID < 64 && rr.tally[p].seen&(1<<m.ReplicaID) == 0
+			if fresh {
+				rr.tally[p].seen |= 1 << m.ReplicaID
 				if watermark == snap {
-					confirmed++
-					if confirmed >= quorum {
-						settledP = true
-						for j := range pstate {
-							if !pstate[j].settled() {
-								settledP = false
-								break
-							}
-						}
-						if settledP {
-							break collect
-						}
+					for j := range m.Reads {
+						state[rr.off[p]+j].merge(&m.Reads[j])
 					}
 				}
-				if replied == n {
-					break collect // everyone answered; not settled, retry
+			}
+			message.ReleaseMessage(m)
+			if wrongShard {
+				// The replica no longer owns some requested key and, by
+				// design, refused before touching its store — a sealed copy
+				// must never raise read timestamps for a snapshot it cannot
+				// vouch for. Refresh and re-route.
+				c.obs.Inc(obs.TxnWrongShard)
+				c.noteRedirect()
+				return nil, minW, ErrWrongShard
+			}
+			if !fresh {
+				continue // a straggler, a wrong length or a duplicate replier
+			}
+			t := &rr.tally[p]
+			t.replied++
+			if watermark.Less(minW) {
+				minW = watermark
+			}
+			if watermark == snap {
+				t.confirmed++
+			}
+			pstate := state[rr.off[p]:rr.off[p+1]]
+			switch {
+			case t.confirmed >= quorum && allSettled(pstate):
+				for j := range pstate {
+					*rr.result(p, j) = pstate[j].res
 				}
+				rr.close(p)
+				waiting--
+			case t.replied == n:
+				waiting-- // everyone answered; not settled, retry
 			}
 		}
-		if !settledP {
-			ok = false
-			break
-		}
-		for j := range pstate {
-			out[origIdx[off[p]+j]] = pstate[j].res
+		if rr.open == 0 {
+			return rr.out, minW, nil
 		}
 	}
-	if !ok {
-		return nil, minW, errROUnconfirmed
+	return nil, minW, errROUnconfirmed
+}
+
+// allSettled reports whether every key's merged answer is final.
+func allSettled(keys []roKeyState) bool {
+	for i := range keys {
+		if !keys[i].settled() {
+			return false
+		}
 	}
-	return out, minW, nil
+	return true
 }
 
 // snapshotBegin runs the first snapshot operation of a read-only

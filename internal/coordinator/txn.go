@@ -1,0 +1,437 @@
+package coordinator
+
+import (
+	"context"
+	"errors"
+	"fmt"
+
+	"meerkat/internal/message"
+	"meerkat/internal/obs"
+	"meerkat/internal/timestamp"
+)
+
+// Txn accumulates a transaction's read and write sets on the client, with
+// read-your-writes and read-caching semantics.
+//
+// Set membership is checked by linear scan, not an index map: OLTP read/write
+// sets are a handful of entries (YCSB-T touches 4 keys, Retwis at most a
+// dozen), where scanning a slice beats hashing and — unlike two lazily built
+// maps — costs the commit hot path zero allocations.
+type Txn struct {
+	c *Coordinator
+	// ctx bounds every blocking call the transaction makes — Read, ReadMany,
+	// Commit. It enters in exactly one place: Run binds the context it was
+	// given, Begin binds context.Background().
+	ctx      context.Context
+	reads    []message.ReadSetEntry
+	readVals [][]byte
+	writes   []message.WriteSetEntry
+	ops      []message.OpSetEntry
+
+	// opErr latches a misuse of the op API (mixing op kinds on one key);
+	// Commit surfaces it instead of shipping a transaction the replicas
+	// cannot merge.
+	opErr error
+
+	// committedAt is the serialization timestamp, set once Commit decides.
+	committedAt timestamp.Timestamp
+	id          timestamp.TxnID
+
+	// coreID and unresolved record where a timed-out commit was in flight —
+	// the processing core and the touched partitions — so Resolve can drive
+	// the recovery procedure for exactly those (partition, core) groups.
+	// unresolved is non-empty only after Commit returned ErrTimeout.
+	coreID     uint32
+	unresolved []int
+
+	// ro marks the transaction read-only (ReadOnly was called). roViable is
+	// true while the snapshot fast path is still serving it, and clears on
+	// demotion — a buffered write or op, or a snapshot that would not
+	// confirm. snapTS is the snapshot timestamp, fixed by the first snapshot
+	// read so the whole transaction observes one consistent cut.
+	ro       bool
+	roViable bool
+	snapTS   timestamp.Timestamp
+	// roCommitted records that Commit took the read-only fast path, in which
+	// case committedAt is the snapshot timestamp.
+	roCommitted bool
+}
+
+// Begin starts a new transaction bounded only by the coordinator's retry
+// budget. Transactions that must stop when a caller gives up run under Run.
+func (c *Coordinator) Begin() *Txn {
+	return &Txn{c: c, ctx: context.Background()}
+}
+
+// findWrite returns the write-set position of key, or -1.
+func (t *Txn) findWrite(key string) int {
+	for i := range t.writes {
+		if t.writes[i].Key == key {
+			return i
+		}
+	}
+	return -1
+}
+
+// findRead returns the read-set position of key, or -1.
+func (t *Txn) findRead(key string) int {
+	for i := range t.reads {
+		if t.reads[i].Key == key {
+			return i
+		}
+	}
+	return -1
+}
+
+// findOp returns the op-set position of key, or -1.
+func (t *Txn) findOp(key string) int {
+	for i := range t.ops {
+		if t.ops[i].Key == key {
+			return i
+		}
+	}
+	return -1
+}
+
+// Read returns the value of key as of this transaction's snapshot: a
+// buffered write if the transaction wrote the key, the previously read value
+// if it already read it, or a fresh versioned read from a replica, bounded by
+// the transaction's context (see Coordinator.Read).
+//
+// Reading a key with a buffered commutative op performs a real versioned read
+// (which joins the read set and is validated like any other) and returns the
+// op applied to the value read — read-your-ops. Note that this trades back
+// the op's abort immunity for that key: the transaction now carries a read
+// version a conflicting writer can invalidate.
+func (t *Txn) Read(key string) ([]byte, error) {
+	if i := t.findWrite(key); i >= 0 {
+		return t.writes[i].Value, nil
+	}
+	if i := t.findRead(key); i >= 0 {
+		return t.applyPendingOp(key, t.readVals[i]), nil
+	}
+	if t.roViable {
+		t.c.ro1[0] = key
+		res, served, err := t.snapshotFetch(t.c.ro1[:])
+		if err != nil {
+			return nil, err
+		}
+		if served {
+			// The snapshot read still joins the read set: if the transaction
+			// later demotes (a write, or an unconfirmable second fetch), it
+			// commits classically and these reads validate like any others.
+			v := res[0]
+			t.reads = append(t.reads, message.ReadSetEntry{Key: key, WTS: v.WTS, VHash: message.HashValue(v.Value)})
+			t.readVals = append(t.readVals, v.Value)
+			return t.applyPendingOp(key, v.Value), nil
+		}
+		// Demoted: fall through to the classic read.
+	}
+	val, ver, _, err := t.c.Read(t.ctx, key)
+	if err != nil {
+		return nil, err
+	}
+	// VHash identifies the observed value, not just its timestamp: a
+	// commutative op merging below ver would change the value without
+	// moving ver, and validation must notice (see message.ReadSetEntry).
+	t.reads = append(t.reads, message.ReadSetEntry{Key: key, WTS: ver, VHash: message.HashValue(val)})
+	t.readVals = append(t.readVals, val)
+	return t.applyPendingOp(key, val), nil
+}
+
+// applyPendingOp materializes the transaction's buffered op for key on top of
+// a value read from the store, so reads observe the transaction's own ops.
+func (t *Txn) applyPendingOp(key string, val []byte) []byte {
+	if i := t.findOp(key); i >= 0 {
+		o := &t.ops[i]
+		return message.ApplyOp(nil, val, o.Kind, o.Delta, o.Arg)
+	}
+	return val
+}
+
+// ReadMany reads every key in keys as of this transaction's snapshot,
+// batching all keys that need a replica round trip into one coordinator
+// ReadMany call (one multi-read per touched partition, in parallel). The
+// returned values are index-aligned with keys. Buffered writes, earlier
+// reads, and duplicate keys within the batch are honored exactly as per-key
+// Read would: each key is fetched at most once and lands in the read set at
+// most once. The transaction's context bounds the round trips (see
+// Coordinator.ReadMany).
+func (t *Txn) ReadMany(keys []string) ([][]byte, error) {
+	vals := make([][]byte, len(keys))
+	fetch := make([]string, 0, len(keys))
+	for _, key := range keys {
+		if t.findWrite(key) >= 0 || t.findRead(key) >= 0 {
+			continue
+		}
+		dup := false
+		for _, f := range fetch {
+			if f == key {
+				dup = true
+				break
+			}
+		}
+		if !dup {
+			fetch = append(fetch, key)
+		}
+	}
+	if len(fetch) > 0 {
+		var res []message.ReadResult
+		if t.roViable {
+			r, served, err := t.snapshotFetch(fetch)
+			if err != nil {
+				return nil, err
+			}
+			if served {
+				res = r
+			}
+		}
+		if res == nil {
+			r, err := t.c.ReadMany(t.ctx, fetch)
+			if err != nil {
+				return nil, err
+			}
+			res = r
+		}
+		// Grow the read set once for the whole batch rather than along the
+		// append doubling chain — under GOMAXPROCS=1 the GC competes with the
+		// replicas for the CPU, so batch-path garbage is latency.
+		if cap(t.reads)-len(t.reads) < len(fetch) {
+			reads := make([]message.ReadSetEntry, len(t.reads), len(t.reads)+len(fetch))
+			copy(reads, t.reads)
+			t.reads = reads
+			readVals := make([][]byte, len(t.readVals), len(t.readVals)+len(fetch))
+			copy(readVals, t.readVals)
+			t.readVals = readVals
+		}
+		for j, key := range fetch {
+			t.reads = append(t.reads, message.ReadSetEntry{Key: key, WTS: res[j].WTS, VHash: message.HashValue(res[j].Value)})
+			t.readVals = append(t.readVals, res[j].Value)
+		}
+	}
+	for i, key := range keys {
+		if j := t.findWrite(key); j >= 0 {
+			vals[i] = t.writes[j].Value
+		} else {
+			vals[i] = t.applyPendingOp(key, t.readVals[t.findRead(key)])
+		}
+	}
+	return vals, nil
+}
+
+// Write buffers a write; nothing reaches any replica until Commit. A write
+// replaces any commutative op previously buffered for the key — the blind
+// write's value does not depend on the op's outcome.
+func (t *Txn) Write(key string, value []byte) {
+	t.roViable = false // no longer read-only; commit classically
+	if i := t.findOp(key); i >= 0 {
+		t.ops = append(t.ops[:i], t.ops[i+1:]...)
+	}
+	if i := t.findWrite(key); i >= 0 {
+		t.writes[i].Value = value
+		return
+	}
+	t.writes = append(t.writes, message.WriteSetEntry{Key: key, Value: value})
+}
+
+// errMixedOps reports op kinds that cannot be folded into one entry.
+var errMixedOps = errors.New("coordinator: mixed op kinds on one key in a single transaction")
+
+// addOp buffers one commutative op for key. Ops on a key the transaction has
+// already written fold into the buffered write immediately (the write is this
+// transaction's view of the key). Repeat ops of the same kind fold into a
+// single entry — increments sum, max/min keep the extreme, appends
+// concatenate — so a key carries at most one op-set entry, which is what the
+// replicas' merge requires (two ops at the same commit timestamp are
+// indistinguishable from a replay). Mixing kinds on one key is not foldable
+// without the key's value; it latches an error that Commit returns.
+func (t *Txn) addOp(key string, kind message.OpKind, delta int64, arg []byte) {
+	t.roViable = false // no longer read-only; commit classically
+	if i := t.findWrite(key); i >= 0 {
+		t.writes[i].Value = message.ApplyOp(nil, t.writes[i].Value, kind, delta, arg)
+		return
+	}
+	i := t.findOp(key)
+	if i < 0 {
+		t.ops = append(t.ops, message.OpSetEntry{Key: key, Kind: kind, Delta: delta, Arg: arg})
+		return
+	}
+	o := &t.ops[i]
+	if o.Kind != kind {
+		if t.opErr == nil {
+			t.opErr = fmt.Errorf("%w: %s then %s on %q", errMixedOps, o.Kind, kind, key)
+		}
+		return
+	}
+	switch kind {
+	case message.OpIncrement:
+		o.Delta += delta
+	case message.OpMax:
+		if delta > o.Delta {
+			o.Delta = delta
+		}
+	case message.OpMin:
+		if delta < o.Delta {
+			o.Delta = delta
+		}
+	case message.OpAppend:
+		// Never append in place: arg may alias caller memory, and o.Arg may
+		// alias a previous caller's.
+		merged := make([]byte, 0, len(o.Arg)+len(arg))
+		merged = append(merged, o.Arg...)
+		merged = append(merged, arg...)
+		o.Arg = merged
+	}
+}
+
+// Add buffers a server-side increment of key by delta (negative deltas
+// decrement). The op ships to the replicas instead of a read-version plus
+// blind write, so concurrent Adds to the same key merge at their commit
+// timestamps rather than aborting each other.
+func (t *Txn) Add(key string, delta int64) { t.addOp(key, message.OpIncrement, delta, nil) }
+
+// Append buffers a server-side append of b to key's value. The caller must
+// not mutate b until Commit returns.
+func (t *Txn) Append(key string, b []byte) { t.addOp(key, message.OpAppend, 0, b) }
+
+// MergeMax buffers a server-side monotone merge: key's value becomes
+// max(current, v), treating a missing or non-numeric value as v.
+func (t *Txn) MergeMax(key string, v int64) { t.addOp(key, message.OpMax, v, nil) }
+
+// MergeMin buffers the min-merge counterpart of MergeMax.
+func (t *Txn) MergeMin(key string, v int64) { t.addOp(key, message.OpMin, v, nil) }
+
+// ReadSetSize, WriteSetSize, and OpSetSize expose set sizes for tests and
+// stats.
+func (t *Txn) ReadSetSize() int  { return len(t.reads) }
+func (t *Txn) WriteSetSize() int { return len(t.writes) }
+func (t *Txn) OpSetSize() int    { return len(t.ops) }
+
+// Commit runs the validation and write phases. It returns true if the
+// transaction committed, false if it aborted due to conflicts, and an error
+// if the outcome could not be determined within the retry budget. The error
+// always unwraps to ErrTimeout; Resolve can then learn the final outcome.
+//
+// The transaction's context maps onto the commit protocol's per-attempt
+// waits, and its cancellation ends the retry loops early. A context-expired
+// commit is outcome-unknown exactly like a retry-budget timeout — the
+// returned error unwraps to both ErrTimeout and the context's error, and
+// Resolve applies.
+func (t *Txn) Commit() (bool, error) {
+	return t.c.commit(t.ctx, t)
+}
+
+// Resolve learns — or, if still undecided, forces — the final outcome of a
+// transaction whose Commit returned ErrTimeout, by driving the
+// cooperative-termination recovery procedure (§5.3.2) in every partition the
+// commit touched. It returns whether the transaction committed. Without
+// this, a client that timed out can never tell whether its writes landed;
+// with it, a history survives fault injection with no maybe-committed holes.
+//
+// Each touched partition is driven to its recorded decision and the results
+// are conjoined, mirroring how commit itself combines per-partition
+// verdicts. The coordinator's single-goroutine contract applies: Resolve
+// reuses the commit endpoints.
+func (t *Txn) Resolve() (bool, error) {
+	if len(t.unresolved) == 0 {
+		return false, errors.New("coordinator: nothing to resolve (commit did not time out)")
+	}
+	committed := true
+	for _, p := range t.unresolved {
+		ok, err := t.c.RecoverTxn(p, t.id, t.coreID, 0)
+		if err != nil {
+			return false, err
+		}
+		committed = committed && ok
+	}
+	t.unresolved = t.unresolved[:0]
+	if committed {
+		t.c.obs.Inc(obs.TxnResolveCommit)
+	} else {
+		t.c.obs.Inc(obs.TxnResolveAbort)
+	}
+	return committed, nil
+}
+
+// Run executes fn inside transactions until one commits: the canonical
+// retry loop. Conflict aborts retry after the capped, jittered backoff;
+// read timeouts inside fn retry the same way (reads are idempotent); a
+// commit timeout is resolved through the recovery procedure, so Run never
+// reports success or failure while the outcome is actually unknown. Run
+// returns nil once a transaction commits, the context's error (wrapped in
+// ErrTimeout) once ctx expires, and fn's own error — aborting the loop — for
+// anything else. fn may be called many times and must be safe to re-execute;
+// it should build the transaction and return, leaving Commit to Run.
+func (c *Coordinator) Run(ctx context.Context, fn func(*Txn) error) error {
+	immediate := false
+	for attempt := 0; ; attempt++ {
+		k := attempt
+		if immediate {
+			k, immediate = 0, false // re-routed: no backoff
+		}
+		if err := c.backoff(ctx, k); err != nil {
+			return err
+		}
+		t := &Txn{c: c, ctx: ctx}
+		if err := fn(t); err != nil {
+			if errors.Is(err, ErrWrongShard) && ctx.Err() == nil {
+				// A read hit a moved range; the map cache was refreshed at
+				// the reply site. Retry — immediately if the refresh
+				// advanced the map (the re-routed attempt goes to a
+				// different group), with backoff if the split is still
+				// mid-fence and the new map is not published yet.
+				immediate, c.rerouted = c.rerouted, false
+				continue
+			}
+			if errors.Is(err, ErrTimeout) && ctx.Err() == nil {
+				continue // a timed-out read is safe to retry
+			}
+			return err
+		}
+		ok, err := t.Commit()
+		if err != nil {
+			if errors.Is(err, ErrWrongShard) && ctx.Err() == nil {
+				// The commit aborted on a wrong-shard redirect — a known
+				// outcome, not a timeout. Re-route and retry, as above.
+				immediate, c.rerouted = c.rerouted, false
+				continue
+			}
+			if !errors.Is(err, ErrTimeout) || ctx.Err() != nil {
+				return err
+			}
+			// Outcome unknown: resolve it rather than guess. A resolve
+			// failure keeps the uncertainty, so surface the original error.
+			committed, rerr := t.Resolve()
+			if rerr != nil {
+				return err
+			}
+			if committed {
+				return nil
+			}
+			continue // resolved to abort: retry
+		}
+		if ok {
+			return nil
+		}
+		// Conflict abort: back off and retry.
+	}
+}
+
+// Timestamp returns the transaction's serialization timestamp (valid after
+// Commit returned true): committed transactions are one-copy serializable in
+// timestamp order.
+func (t *Txn) Timestamp() timestamp.Timestamp { return t.committedAt }
+
+// ID returns the transaction id assigned at commit time.
+func (t *Txn) ID() timestamp.TxnID { return t.id }
+
+// CommittedReadOnly reports whether Commit went through the read-only fast
+// path — zero validation rounds — in which case Timestamp is the snapshot
+// timestamp rather than a fresh generator draw.
+func (t *Txn) CommittedReadOnly() bool { return t.roCommitted }
+
+// ReadSet, WriteSet, and OpSet expose the transaction's sets for verification
+// tooling (the serializability checker); callers must not mutate them.
+func (t *Txn) ReadSet() []message.ReadSetEntry   { return t.reads }
+func (t *Txn) WriteSet() []message.WriteSetEntry { return t.writes }
+func (t *Txn) OpSet() []message.OpSetEntry       { return t.ops }

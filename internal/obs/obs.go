@@ -109,6 +109,11 @@ const (
 	TxnWrongShard
 	MapRefresh
 
+	// TxnCommitMultiShard counts committed transactions whose validation
+	// phase ran in more than one partition (§5.2.4); they are also counted
+	// by TxnCommitFast or TxnCommitSlow.
+	TxnCommitMultiShard
+
 	// NumCounters sizes shard arrays; keep it last.
 	NumCounters
 )
@@ -150,6 +155,7 @@ var counterNames = [NumCounters]string{
 	WrongShardRedirect:  "replica_wrong_shard_redirect",
 	TxnWrongShard:       "txn_wrong_shard",
 	MapRefresh:          "map_refresh",
+	TxnCommitMultiShard: "txn_commit_multi_shard",
 }
 
 // Name returns the counter's export name.
@@ -164,14 +170,20 @@ const (
 	HistCommit Hist = iota
 	// HistAbort is the same for transactions that aborted.
 	HistAbort
+	// HistValidateRound is the validation phase of one commit attempt as
+	// the coordinator sees it: from the first validate broadcast until
+	// every touched partition is decided, slow path and recovery included,
+	// whatever the outcome.
+	HistValidateRound
 
 	// NumHists sizes shard arrays; keep it last.
 	NumHists
 )
 
 var histNames = [NumHists]string{
-	HistCommit: "commit_latency",
-	HistAbort:  "abort_latency",
+	HistCommit:        "commit_latency",
+	HistAbort:         "abort_latency",
+	HistValidateRound: "validate_round_latency",
 }
 
 // Name returns the histogram's export name.

@@ -14,8 +14,10 @@ func TestRecordPathZeroAllocs(t *testing.T) {
 	s := r.NewShard()
 	allocs := testing.AllocsPerRun(1000, func() {
 		s.Inc(TxnCommitFast)
+		s.Inc(TxnCommitMultiShard)
 		s.Add(ValidateOK, 3)
 		s.Observe(HistCommit, 123*time.Microsecond)
+		s.Observe(HistValidateRound, 45*time.Microsecond)
 	})
 	if allocs != 0 {
 		t.Fatalf("record path allocates %v allocs/op, want 0", allocs)

@@ -44,6 +44,14 @@ func (t Topology) ReplicaNode(p, r int) uint32 {
 	return uint32(p*t.Replicas + r)
 }
 
+// PartitionOf returns the partition whose replica group owns node — the
+// inverse of ReplicaNode. A replica's ReplicaID is only unique inside its
+// group, so whoever collects replies of several groups in one queue tells
+// them apart by the partition of the sender's address.
+func (t Topology) PartitionOf(node uint32) int {
+	return int(node) / t.Replicas
+}
+
 // ReplicaAddr returns the address of core c on replica r of partition p.
 func (t Topology) ReplicaAddr(p, r int, core uint32) message.Addr {
 	return message.Addr{Node: t.ReplicaNode(p, r), Core: core}

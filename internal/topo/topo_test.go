@@ -91,5 +91,8 @@ func TestGroupAddrs(t *testing.T) {
 		if a.Node != tp.ReplicaNode(1, r) {
 			t.Errorf("addr %d node = %d", r, a.Node)
 		}
+		if p := tp.PartitionOf(a.Node); p != 1 {
+			t.Errorf("addr %d: PartitionOf(%d) = %d, want 1", r, a.Node, p)
+		}
 	}
 }

@@ -48,10 +48,21 @@ type Record struct {
 	LastRecovery int64
 }
 
+// slabRecords is how many records one slab holds: creating a record costs one
+// allocation per slabRecords transactions instead of one each.
+const slabRecords = 128
+
 // Partition is one core's slice of the trecord. Not safe for concurrent use;
 // see the package comment.
+//
+// Records created here are carved out of slabs that are never reallocated, so
+// a *Record stays valid for as long as its record is in the table, exactly as
+// when each was its own heap object. Delete and Compact hand a slab record
+// back to a free list, which GetOrCreate drains before it opens a new slab.
 type Partition struct {
-	m map[timestamp.TxnID]*Record
+	m    map[timestamp.TxnID]*Record
+	slab []Record  // the open slab: len handed out, the rest of cap still unused
+	free []*Record // zeroed records returned by Delete and Compact
 }
 
 // NewPartition returns an empty partition.
@@ -68,16 +79,40 @@ func (p *Partition) GetOrCreate(tid timestamp.TxnID) (r *Record, created bool) {
 	if r = p.m[tid]; r != nil {
 		return r, false
 	}
-	r = &Record{Txn: message.Txn{ID: tid}}
+	if n := len(p.free); n > 0 {
+		r, p.free = p.free[n-1], p.free[:n-1]
+	} else {
+		if len(p.slab) == cap(p.slab) {
+			p.slab = make([]Record, 0, slabRecords)
+		}
+		p.slab = p.slab[:len(p.slab)+1]
+		r = &p.slab[len(p.slab)-1]
+	}
+	r.Txn.ID = tid
 	p.m[tid] = r
 	return r, true
+}
+
+// release drops r's payload and queues it for reuse. The caller has already
+// removed r from the table and holds the last pointer to it. Records
+// installed through Put are the caller's own objects; reusing them is just as
+// safe.
+func (p *Partition) release(r *Record) {
+	*r = Record{}
+	p.free = append(p.free, r)
 }
 
 // Put installs rec under its transaction id, replacing any existing record.
 func (p *Partition) Put(rec *Record) { p.m[rec.Txn.ID] = rec }
 
-// Delete removes the record for tid.
-func (p *Partition) Delete(tid timestamp.TxnID) { delete(p.m, tid) }
+// Delete removes the record for tid. The record is recycled: pointers to it
+// obtained earlier must not be used again.
+func (p *Partition) Delete(tid timestamp.TxnID) {
+	if r := p.m[tid]; r != nil {
+		delete(p.m, tid)
+		p.release(r)
+	}
+}
 
 // Len returns the number of records.
 func (p *Partition) Len() int { return len(p.m) }
@@ -110,12 +145,13 @@ func (p *Partition) Snapshot(coreID uint32) []message.TRecordEntry {
 
 // Compact removes records with a final status (COMMITTED or ABORTED), the
 // trimming the paper performs after an epoch change checkpoint. It returns
-// the number of records removed.
+// the number of records removed. Like Delete, it recycles what it removes.
 func (p *Partition) Compact() int {
 	n := 0
 	for tid, r := range p.m {
 		if r.Status.Final() {
 			delete(p.m, tid)
+			p.release(r)
 			n++
 		}
 	}

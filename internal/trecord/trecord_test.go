@@ -141,3 +141,59 @@ func TestSharedConcurrentAccess(t *testing.T) {
 		t.Fatalf("Len = %d, want 8000", s.Len())
 	}
 }
+
+// TestRecordsStayPutAcrossSlabs: a *Record handed out stays the record of its
+// transaction while later creations open slab after slab.
+func TestRecordsStayPutAcrossSlabs(t *testing.T) {
+	p := NewPartition()
+	const n = 3*slabRecords + 7
+	recs := make([]*Record, n)
+	for i := range recs {
+		recs[i], _ = p.GetOrCreate(tid(uint64(i)))
+		recs[i].View = uint64(i)
+	}
+	for i, r := range recs {
+		if got := p.Get(tid(uint64(i))); got != r || r.View != uint64(i) || r.Txn.ID != tid(uint64(i)) {
+			t.Fatalf("record %d moved or was overwritten: %p vs %p, %+v", i, got, r, r)
+		}
+	}
+}
+
+// TestRemovedRecordsAreReused: Delete and Compact feed the free list, a
+// reused record comes back zeroed but for its id, and steady-state churn
+// allocates nothing.
+func TestRemovedRecordsAreReused(t *testing.T) {
+	p := NewPartition()
+	a, _ := p.GetOrCreate(tid(1))
+	a.Status, a.View, a.Registered = message.StatusCommitted, 9, true
+	a.Txn.WriteSet = []message.WriteSetEntry{{Key: "k"}}
+	b, _ := p.GetOrCreate(tid(2))
+	b.Status = message.StatusAborted
+	p.Delete(tid(1))
+	if n := p.Compact(); n != 1 {
+		t.Fatalf("Compact removed %d, want 1", n)
+	}
+	for seq := uint64(3); seq <= 4; seq++ {
+		r, created := p.GetOrCreate(tid(seq))
+		if !created || (r != a && r != b) {
+			t.Fatalf("record %d is %p, want one of the removed %p %p", seq, r, a, b)
+		}
+		if r.Status != message.StatusNone || r.View != 0 || r.Registered || r.Txn.WriteSet != nil || r.Txn.ID != tid(seq) {
+			t.Fatalf("reused record not reset: %+v", r)
+		}
+	}
+	if c, _ := p.GetOrCreate(tid(5)); c == a || c == b {
+		t.Fatal("a record still in the table was handed out again")
+	}
+
+	seq := uint64(100)
+	churn := func() {
+		p.GetOrCreate(tid(seq))
+		p.Delete(tid(seq))
+		seq++
+	}
+	churn()
+	if allocs := testing.AllocsPerRun(1000, churn); allocs != 0 {
+		t.Fatalf("create/delete churn allocates %v objects/op, want 0", allocs)
+	}
+}

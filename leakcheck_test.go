@@ -1,6 +1,7 @@
 package meerkat
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -8,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"meerkat/internal/faultnet"
 )
 
 // verifyCleanShutdown fails the test if anything this package started
@@ -18,9 +21,13 @@ import (
 // cleanup runs after every Close the test registers or defers and before the
 // temp dir is removed.
 //
-// Most goroutines are given a short grace period to finish: Close hands an
-// endpoint's delivery goroutine a quit signal without joining it, and a
-// fired timer callback may be mid-flight. A write to the data directory
+// Most goroutines are given a short grace period to finish: two families are
+// still signalled by Close rather than joined — an inproc endpoint's
+// delivery goroutine and the sweeper's per-transaction recoveries — and a
+// fired timer callback may be mid-flight. (The coordinator is no third
+// family any more: it starts no goroutine, which
+// TestCloseMidCommitLeavesNoCoordinatorGoroutine holds it to without any
+// grace.) A write to the data directory
 // after Close returned is exactly what this exists to catch, so open fds and
 // goroutines inside internal/wal — the only code that writes there — get no
 // grace at all.
@@ -107,4 +114,70 @@ func openFilesUnder(dir string) []string {
 		}
 	}
 	return open
+}
+
+// TestCloseMidCommitLeavesNoCoordinatorGoroutine closes a client while its
+// cross-shard commit is stuck on a replica group no message reaches. The
+// commit runs wholly on the goroutine that called it, so once that call has
+// returned nothing of internal/coordinator may be running anywhere — checked
+// at once, with no grace period.
+func TestCloseMidCommitLeavesNoCoordinatorGoroutine(t *testing.T) {
+	const cut = 3                // the replica group behind the partition,
+	nodes := []uint32{9, 10, 11} // its three replicas' nodes (checked below)
+	db, err := Open(Config{Shards: 4, Seed: 1, CommitTimeout: 20 * time.Millisecond, Retries: 3, Faults: &faultnet.Plan{
+		Events: []faultnet.Event{{At: 0, Op: faultnet.OpPartition, Groups: [][]uint32{nodes}}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for r, n := range nodes {
+		if got := db.Admin().NodeOf(cut, r); got != n {
+			t.Fatalf("replica %d of group %d is node %d, the plan cuts off %d", r, cut, got, n)
+		}
+	}
+	cl, err := db.Client()
+	if err != nil {
+		t.Fatal(err)
+	}
+	txn := cl.Begin()
+	for g := 0; g < 4; g++ {
+		txn.Write(keysOnShard(db, g, 1)[0], []byte("v"))
+	}
+
+	inCoordinator := func() (stacks []string) {
+		for _, stack := range meerkatGoroutines() {
+			if strings.Contains(stack, "meerkat/internal/coordinator.") {
+				stacks = append(stacks, stack)
+			}
+		}
+		return stacks
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := txn.Commit()
+		done <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); len(inCoordinator()) == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the commit never reached the coordinator")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cl.Close()
+	select {
+	case err := <-done:
+		// The injector drops what is bound for the cut-off group before the
+		// closed endpoint sees it, so the resends report loss, not closure,
+		// and the commit ends at its retry budget; a resend that does reach
+		// the endpoint ends it at once with ErrClusterClosed.
+		if !errors.Is(err, ErrTimeout) && !errors.Is(err, ErrClusterClosed) {
+			t.Errorf("commit on a client closed under it: %v, want ErrTimeout or ErrClusterClosed", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the commit did not notice its client was closed")
+	}
+	if left := inCoordinator(); len(left) > 0 {
+		t.Errorf("coordinator goroutines still running after the commit returned:\n%s", strings.Join(left, "\n\n"))
+	}
 }

@@ -294,3 +294,30 @@ func TestMetricsHTTPMatchesClient(t *testing.T) {
 		t.Errorf("commit latency count = %d, want %d", count, wantCommitted)
 	}
 }
+
+// TestValidateRoundObserved: every commit that runs a validate round records
+// its length once, and one that spans partitions is counted as such (the
+// export of both names is internal/obs's TestPrometheusEndpoint).
+func TestValidateRoundObserved(t *testing.T) {
+	db := obsCluster(t, meerkat.Config{Shards: 4})
+	keys := crossShardKeys(t, db, 3, 1)
+	cl, err := db.Client()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	before := db.Admin().Obs().Snapshot()
+	commitRMW(t, cl, keys)        // one group
+	commitCrossShard(t, cl, keys) // three groups
+	commitReadOnly(t, cl, keys)   // no round at all
+	d := db.Admin().Obs().Snapshot().Sub(before)
+	if got := d.Counter(obs.TxnCommitMultiShard); got != 1 {
+		t.Errorf("txn_commit_multi_shard = %d, want 1", got)
+	}
+	if got := d.Hists[obs.HistValidateRound].Count(); got != 2 {
+		t.Errorf("validate rounds observed = %d, want 2", got)
+	}
+	if got := d.Hists[obs.HistCommit].Count(); got != 3 {
+		t.Errorf("commits observed = %d, want 3", got)
+	}
+}
