@@ -78,7 +78,10 @@ bench-exp:
 # per-experiment cell runner next to runCell in internal/bench. So a second
 # generation cannot grow back unnoticed. And one goroutine per commit: the
 # coordinator runs on its caller's, so non-test internal/coordinator has no
-# go statement, and its one time.NewTimer is the lazily armed rtimer's.
+# go statement, and its one time.NewTimer is the lazily armed mailbox's. And
+# one place that waits, under one retry policy and the caller's context:
+# exactly one .await( call site (link.run), no hand-written `for attempt`
+# loop, and context.Background() only where Begin binds it.
 api-guard:
 	@! grep -rnE --include='*.go' --exclude='*_test.go' 'Deprecated:|^func .*Ctx\(' . \
 		| grep -vE '^\./internal/(kuafu|meerkatpb|pbclient|sim)/'
@@ -87,3 +90,8 @@ api-guard:
 	@! grep -nE --exclude='*_test.go' '^[[:space:]]*go[[:space:]]' internal/coordinator/*.go
 	@test "$$(cat $$(ls internal/coordinator/*.go | grep -v _test.go) | grep -c 'time\.NewTimer(')" -le 1 \
 		|| { echo "more than one time.NewTimer in internal/coordinator"; exit 1; }
+	@test "$$(cat $$(ls internal/coordinator/*.go | grep -v _test.go) | grep -c '\.await(')" -eq 1 \
+		|| { echo "internal/coordinator must have exactly one .await( call site"; exit 1; }
+	@! grep -nE --exclude='*_test.go' 'for attempt' internal/coordinator/*.go
+	@! grep -n --exclude='*_test.go' 'context\.Background()' internal/coordinator/*.go \
+		| grep -vE 'return &Txn\{c: c, ctx: context\.Background\(\)\}|^[^:]*:[0-9]*:[[:space:]]*//'

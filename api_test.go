@@ -321,9 +321,6 @@ func TestErrorContract(t *testing.T) {
 		return cl.Run(ctx, func(tx *Txn) error { _, err := tx.Read(key); return err })
 	}}
 	put := op{"Client.Put", func(cl *Client) error { return cl.Put(key, []byte("v")) }}
-	// GetStrong has no context and falls back to a Run that retries read
-	// timeouts, so with every replica down it does not return at all (see
-	// ROADMAP, robustness (d)); it joins the closed-DB case only.
 	getStrong := op{"Client.GetStrong", func(cl *Client) error { _, err := cl.GetStrong(key); return err }}
 	// Resolve needs a commit that timed out first.
 	resolve := op{"Txn.Resolve", func(cl *Client) error {
@@ -343,7 +340,7 @@ func TestErrorContract(t *testing.T) {
 		ops   []op
 		build func(t *testing.T) *DB
 	}{
-		{"replicas crashed", ErrTimeout, with(resolve, run, put), func(t *testing.T) *DB {
+		{"replicas crashed", ErrTimeout, with(resolve, run, put, getStrong), func(t *testing.T) *DB {
 			db := newTestDB(t, Config{CommitTimeout: 2 * time.Millisecond, Retries: 1, BackoffMax: time.Millisecond})
 			for r := 0; r < 3; r++ {
 				db.Admin().CrashReplica(0, r)

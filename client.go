@@ -237,7 +237,9 @@ func (t *Txn) Commit() (bool, error) {
 // transaction whose Commit returned ErrTimeout, by running the coordinator
 // recovery procedure (§5.3.2) in every partition the commit touched. It
 // reports whether the transaction committed; after Resolve the outcome is
-// final and the uncertainty ErrTimeout left behind is gone.
+// final and the uncertainty ErrTimeout left behind is gone. The transaction's
+// context bounds it while it lasts; once that has ended only the retry budget
+// does.
 func (t *Txn) Resolve() (bool, error) {
 	ok, err := t.inner.Resolve()
 	if err == nil {
@@ -321,8 +323,9 @@ func (cl *Client) Get(key string) ([]byte, error) {
 // GetStrong returns a value of key serializable with respect to every
 // committed transaction. It rides the read-only fast path — one snapshot
 // round, no validation — and demotes to a validated read-only transaction
-// when the snapshot cannot be confirmed. A failure unwraps to ErrTimeout or
-// ErrClusterClosed.
+// when the snapshot cannot be confirmed. It gives up with ErrTimeout once a
+// read has spent its whole retry budget, as Get does; a failure unwraps to
+// ErrTimeout or ErrClusterClosed.
 func (cl *Client) GetStrong(key string) ([]byte, error) {
 	val, _, _, err := cl.coord.SnapshotRead(context.Background(), key)
 	if err != nil {

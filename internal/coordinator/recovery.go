@@ -10,6 +10,14 @@ import (
 	"meerkat/internal/transport"
 )
 
+// Coordinator recovery is Bernstein's cooperative termination protocol
+// instantiated with per-transaction consensus: a prepare-like coordinator
+// change, the outcome decision, and a Paxos-like accept — the slow path's, in
+// the view the coordinator change established. They are phases of the commit
+// round (round.go): a commit enters them for a partition whose proposal was
+// superseded or whose wrong-shard redirects cannot rule out a commit;
+// Txn.Resolve and a replica's backup coordinator (Recoverer) begin in them.
+
 // Views uniquely identify proposals for one transaction (§5.3.2). A view
 // packs a round number with a proposer id so that two proposers can never
 // issue the same view: view = round<<20 | proposer. The original transaction
@@ -90,198 +98,126 @@ func DecideOutcome(records []message.TRecordEntry, f int) (proposal message.Stat
 	}
 }
 
-// RecoverTxn runs the coordinator recovery protocol for tid in partition p,
-// starting above view seenView. It is used by an original coordinator whose
-// slow-path proposal was superseded; replicas use a Recoverer. It returns
-// the transaction's final outcome. It blocks on the coordinator's mailbox and
-// drops everything that is not its own, so no other round may be collecting.
-func (c *Coordinator) RecoverTxn(p int, tid timestamp.TxnID, coreID uint32, seenView uint64) (bool, error) {
-	// Client proposer ids live in the upper half of the proposer space so
-	// they cannot collide with replica indices.
-	proposer := (c.cfg.ClientID % (1 << (viewProposerBits - 1))) + (1 << (viewProposerBits - 1))
-	return recoverTxn(recoverEnv{
-		ep: c.eps[1+p], mb: &c.mailbox,
-		topo: c.cfg.Topo, p: p,
-		timeout: c.cfg.Timeout, retries: c.cfg.Retries,
-	}, tid, coreID, proposer, seenView)
+// recover starts coordinator recovery of p in a view above every one it has
+// seen: at once when p comes from the commit's own phases, after the policy's
+// backoff and against its budget when an earlier view of the recovery failed —
+// two proposers outbidding each other must not duel in lockstep.
+func (r *round) recover(p *partState, now time.Time) {
+	first := p.view == 0
+	p.view = MakeView(RoundOf(max(p.view, p.superseded))+1, r.proposer)
+	p.phase, p.slow = phCoordChange, true
+	if first {
+		p.attempt = 0
+		r.request(p, now)
+	} else {
+		r.retry(p, now)
+	}
+}
+
+// coordChangeAck is phase 1 as seen by the proposer: a replica that acks
+// promises to ignore lower-viewed proposals and reports its record of the
+// transaction; one that refuses names the higher view it has promised.
+func (r *round) coordChangeAck(p *partState, m *message.Message) {
+	if !m.OK {
+		p.superseded = max(p.superseded, m.View)
+		return
+	}
+	if m.View != p.view || !p.count(m.ReplicaID) {
+		return
+	}
+	if len(m.Records) > 0 {
+		p.records = append(p.records, m.Records[0])
+	}
+	if p.replied >= r.cfg.Topo.Majority() {
+		r.wake = time.Time{} // tick decides
+	}
+}
+
+// closeCoordChange decides the safe outcome from a majority's records. A final
+// one only needs telling; any other is proposed in p.view, with the body of
+// any record that has it, so replicas that missed the validate can apply it.
+func (r *round) closeCoordChange(p *partState, now time.Time) {
+	proposal, final := DecideOutcome(p.records, r.cfg.Topo.F())
+	if final {
+		r.decide(p, proposal == message.StatusCommitted, nil)
+		p.send = true
+		return
+	}
+	for i := range p.records {
+		if rec := &p.records[i]; len(rec.Txn.ReadSet) > 0 || len(rec.Txn.WriteSet) > 0 {
+			p.txn, p.ts = rec.Txn, rec.TS
+			break
+		}
+	}
+	p.phase, p.proposal = phAccept, proposal
+	r.request(p, now)
+}
+
+// beginRecovery starts a round that drives tid, which ran on core coreID of
+// every partition in parts, to a consistent outcome in all of them, side by
+// side, in views above seenView.
+func (r *round) beginRecovery(parts []int, tid timestamp.TxnID, coreID uint32, seenView uint64, now time.Time) {
+	r.tid, r.coreID, r.open, r.redirected = tid, coreID, len(parts), false
+	r.parts = r.parts[:0]
+	clear(r.index)
+	for i, p := range parts {
+		r.parts = append(r.parts, partState{p: p, tally: tally{superseded: seenView}})
+		r.index[p] = i + 1
+		r.recover(&r.parts[i], now)
+	}
+	r.wake = now.Add(r.cfg.Timeout)
+}
+
+// resolve runs a recovery round to its end, or ctx's, and returns the
+// conjunction of the partitions' outcomes.
+func (l *link) resolve(ctx context.Context, r *round, parts []int, tid timestamp.TxnID, coreID uint32, seenView uint64) (bool, error) {
+	l.in.Drain()
+	r.beginRecovery(parts, tid, coreID, seenView, time.Now())
+	r.abandon(l.run(ctx, r))
+	committed := true
+	for i := range r.parts {
+		if p := &r.parts[i]; p.err != nil {
+			return false, p.err
+		} else if !p.commit {
+			committed = false
+		}
+	}
+	return committed, nil
 }
 
 // Recoverer runs coordinator recovery on behalf of a replica acting as a
 // backup coordinator. Each replica core that initiates recoveries shares one
 // Recoverer; calls are serialized by the caller.
 type Recoverer struct {
-	env  recoverEnv // all but the partition, which each call names
-	prop uint64
+	cfg Config
+	link
+	round round
 }
 
 // NewRecoverer binds a recovery endpoint at addr. proposer must be unique
 // among backup coordinators (the replica index serves).
 func NewRecoverer(net transport.Network, t topo.Topology, addr message.Addr, proposer uint64, timeout time.Duration, retries int) (*Recoverer, error) {
-	in := transport.NewInbox(256)
-	ep, err := net.Listen(addr, in.Handle)
+	r := &Recoverer{cfg: Config{Topo: t, ClientID: proposer, Timeout: timeout, Retries: retries}}
+	r.cfg.fill()
+	r.link = link{mailbox: mailbox{in: transport.NewInbox(256)}, groups: groupTable(t), cores: t.Cores}
+	ep, err := net.Listen(addr, r.in.Handle)
 	if err != nil {
 		return nil, err
 	}
-	if timeout == 0 {
-		timeout = 100 * time.Millisecond
+	// The one endpoint sends to every partition.
+	r.eps = make([]transport.Endpoint, 1+t.Partitions)
+	for i := range r.eps {
+		r.eps[i] = ep
 	}
-	if retries == 0 {
-		retries = 10
-	}
-	env := recoverEnv{ep: ep, mb: &mailbox{in: in}, topo: t, timeout: timeout, retries: retries}
-	return &Recoverer{env: env, prop: proposer}, nil
+	r.round.init(&r.cfg, proposer)
+	return r, nil
 }
 
 // Close releases the recovery endpoint.
-func (r *Recoverer) Close() { r.env.ep.Close() }
+func (r *Recoverer) Close() { r.eps[0].Close() }
 
 // Recover completes tid in partition p with a consistent outcome, returning
-// whether it committed.
-func (r *Recoverer) Recover(p int, tid timestamp.TxnID, coreID uint32, seenView uint64) (bool, error) {
-	env := r.env
-	env.p = p
-	return recoverTxn(env, tid, coreID, r.prop, seenView)
-}
-
-// recoverEnv carries the plumbing shared by client- and replica-initiated
-// recovery.
-type recoverEnv struct {
-	ep      transport.Endpoint
-	mb      *mailbox
-	topo    topo.Topology
-	p       int
-	timeout time.Duration
-	retries int
-}
-
-// await returns the next message for this recovery — one from partition p's
-// group, whatever else shares the mailbox — or nil once deadline has passed.
-func (env *recoverEnv) await(deadline time.Time) *message.Message {
-	for {
-		m, _ := env.mb.await(context.Background(), deadline)
-		if m == nil || env.topo.PartitionOf(m.Src.Node) == env.p {
-			return m
-		}
-	}
-}
-
-// recoverTxn is Bernstein's cooperative termination protocol instantiated
-// with per-transaction consensus: a prepare-like coordinator change, the
-// outcome decision, and a Paxos-like accept round.
-func recoverTxn(env recoverEnv, tid timestamp.TxnID, coreID uint32, proposer, seenView uint64) (bool, error) {
-	group := env.topo.GroupAddrs(env.p, coreID)
-	majority := env.topo.Majority()
-	f := env.topo.F()
-	round := RoundOf(seenView) + 1
-	var outs []transport.Outgoing // broadcast scratch, reused across phases
-
-	for attempt := 0; attempt <= env.retries; attempt++ {
-		view := MakeView(round, proposer)
-		env.mb.in.Drain()
-
-		// Phase 1: coordinator change — a majority promises to ignore
-		// lower-viewed proposals and reports its record for tid.
-		req := message.Message{Type: message.TypeCoordChange, TID: tid, View: view, CoreID: coreID}
-		outs, _ = broadcast(env.ep, group, &req, outs)
-		records := make([]message.TRecordEntry, 0, len(group))
-		acked := make(map[uint32]bool, len(group))
-		higher := uint64(0)
-		for deadline := time.Now().Add(env.timeout); len(acked) < majority; {
-			m := env.await(deadline)
-			if m == nil {
-				break
-			}
-			if m.Type != message.TypeCoordChangeAck || m.TID != tid {
-				continue
-			}
-			if !m.OK {
-				if m.View > higher {
-					higher = m.View
-				}
-				continue
-			}
-			if m.View != view || acked[m.ReplicaID] {
-				continue
-			}
-			acked[m.ReplicaID] = true
-			if len(m.Records) > 0 {
-				records = append(records, m.Records[0])
-			}
-		}
-		if len(acked) < majority {
-			if higher >= view {
-				round = RoundOf(higher) + 1
-			} else {
-				round++
-			}
-			continue
-		}
-
-		// Decide the safe outcome from the gathered records.
-		proposal, final := DecideOutcome(records, f)
-		if final {
-			committed := proposal == message.StatusCommitted
-			broadcastCommit(env.ep, group, tid, committed, coreID)
-			return committed, nil
-		}
-
-		// Phase 2: accept. Recover the transaction body from any record
-		// that has it, so replicas that missed the validate can still
-		// apply the writes.
-		var body message.Txn
-		var ts timestamp.Timestamp
-		for i := range records {
-			if len(records[i].Txn.ReadSet) > 0 || len(records[i].Txn.WriteSet) > 0 {
-				body = records[i].Txn
-				ts = records[i].TS
-				break
-			}
-		}
-		accept := message.Message{
-			Type: message.TypeAccept, TID: tid, Status: proposal, View: view,
-			Txn: body, TS: ts, CoreID: coreID,
-		}
-		outs, _ = broadcast(env.ep, group, &accept, outs)
-		acks := make(map[uint32]bool, len(group))
-		higher = 0
-		for deadline := time.Now().Add(env.timeout); ; {
-			m := env.await(deadline)
-			if m == nil {
-				break
-			}
-			if m.Type != message.TypeAcceptReply || m.TID != tid {
-				continue
-			}
-			if !m.OK {
-				if m.View > higher {
-					higher = m.View
-				}
-				continue
-			}
-			if m.View != view {
-				continue
-			}
-			acks[m.ReplicaID] = true
-			if len(acks) >= majority {
-				committed := proposal == message.StatusAcceptCommit
-				broadcastCommit(env.ep, group, tid, committed, coreID)
-				return committed, nil
-			}
-		}
-		if higher >= view {
-			round = RoundOf(higher) + 1
-		} else {
-			round++
-		}
-	}
-	return false, ErrTimeout
-}
-
-func broadcastCommit(ep transport.Endpoint, group []message.Addr, tid timestamp.TxnID, committed bool, coreID uint32) {
-	st := message.StatusAborted
-	if committed {
-		st = message.StatusCommitted
-	}
-	req := message.Message{Type: message.TypeCommit, TID: tid, Status: st, CoreID: coreID}
-	broadcast(ep, group, &req, nil)
+// whether it committed. The end of ctx ends it with the outcome unknown.
+func (r *Recoverer) Recover(ctx context.Context, p int, tid timestamp.TxnID, coreID uint32, seenView uint64) (bool, error) {
+	return r.resolve(ctx, &r.round, []int{p}, tid, coreID, seenView)
 }

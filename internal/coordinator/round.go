@@ -1,8 +1,6 @@
 package coordinator
 
 import (
-	"context"
-	"errors"
 	"time"
 
 	"meerkat/internal/message"
@@ -22,26 +20,18 @@ import (
 //
 // The logic is a step machine (round) that neither blocks, sends nor reads a
 // clock: reply folds one message in, tick folds the time in, and what they
-// want done — a broadcast, a recovery — they flag on the partition.
-// Coordinator.runRound is the thin driver that performs it and parks.
+// want done — a broadcast — they flag on the partition for perform. Coordinator
+// recovery (§5.3.2, recovery.go) is two more phases of the same machine: a
+// coordinator change, then the slow path's accept in the view it established.
 
 // phase is where one partition stands in the round.
 type phase uint8
 
 const (
-	phValidate phase = iota // collecting validate-replies
-	phAccept                // slow path: collecting accept-replies for proposal
-	phRecover               // waiting for the driver to run coordinator recovery
-	phDone                  // decided: commit, slow and err are final
-)
-
-// waitKind says what a partition's wake instant means.
-type waitKind uint8
-
-const (
-	waitReplies waitKind = iota // a broadcast is out; wake is its deadline
-	waitGrace                   // a majority replied without deciding; wake ends the stragglers' window
-	waitResend                  // the deadline passed below a majority; wake ends the backoff
+	phValidate    phase = iota // collecting validate-replies
+	phAccept                   // slow path: collecting accept-replies for proposal in view
+	phCoordChange              // recovery: collecting a majority's promises and records for view
+	phDone                     // decided: commit, slow and err are final
 )
 
 // tally counts the replies to one attempt of a partition's request; a resend
@@ -49,9 +39,19 @@ const (
 // the new one. Repliers are a bitmask, not a map: quorums are 3 or 5.
 type tally struct {
 	seen             uint64 // bit i set <=> replica i counted
-	replied          int    // validate-replies, or accept acks
-	ok, abort, wrong int    // validate-replies by verdict
-	superseded       uint64 // accept: highest view a replica refused us for
+	replied          int    // validate-replies, accept or coordinator-change acks, snapshot replies
+	ok, abort, wrong int    // validate-replies by verdict; ok also counts confirmed snapshot replies
+	superseded       uint64 // accept, coordinator change: highest view a replica refused us for
+}
+
+// count admits one reply per replica and attempt.
+func (t *tally) count(replica uint32) bool {
+	if replica >= 64 || t.seen&(1<<replica) != 0 {
+		return false
+	}
+	t.seen |= 1 << replica
+	t.replied++
+	return true
 }
 
 // partState is one touched partition's slice of the transaction and where
@@ -59,33 +59,32 @@ type tally struct {
 type partState struct {
 	p   int
 	txn message.Txn
+	ts  timestamp.Timestamp // the timestamp txn is proposed at
 
 	phase phase
-	send  bool // the driver is to broadcast the phase's request
-	wait  waitKind
-	wake  time.Time
+	wait
 	tally
-	attempt      int            // resends of the current phase's request so far
-	proposal     message.Status // accept: ACCEPT-COMMIT or ACCEPT-ABORT
+	view         uint64                 // accept, coordinator change: 0 is the original coordinator's
+	proposal     message.Status         // accept: ACCEPT-COMMIT or ACCEPT-ABORT
+	records      []message.TRecordEntry // coordinator change: what the acks reported
 	commit, slow bool
+	moved        bool // a replica's map no longer has this piece: an abort reports ErrWrongShard
 	err          error
 }
 
-// round is the state of one commit: the touched partitions in ascending
-// order, their tallies, and what the driver has to do next. It lives in the
-// coordinator and is reused commit after commit.
+// round is the state of one commit or recovery: the touched partitions in
+// ascending order, their tallies, and what the driver has to do next. It lives
+// in the coordinator and is reused commit after commit.
 type round struct {
-	cfg    *Config
-	rng    transport.SplitMix64 // backoff jitter
-	tid    timestamp.TxnID
-	ts     timestamp.Timestamp
-	coreID uint32
+	policy
+	proposer uint64 // this coordinator's id inside the views it recovers in
+	tid      timestamp.TxnID
+	coreID   uint32
 
 	parts []partState
 	index []int // partition id -> 1 + position in parts; 0 = untouched
 
-	open       int // partitions not yet phDone
-	recovering int // partitions in phRecover
+	open int // partitions not yet phDone
 	// wake is when tick next has to run: the earliest wake of any waiting
 	// partition as of the last tick, or zero — at once, as soon as the
 	// mailbox is empty — when a reply has since completed a tally.
@@ -93,35 +92,53 @@ type round struct {
 	redirected bool // a partition closed on wrong-shard replies: the driver refreshes the map
 }
 
-func (r *round) init(cfg *Config) {
-	*r = round{cfg: cfg, rng: transport.SeedSplitMix64(uint64(cfg.Seed) + 1), index: make([]int, cfg.Topo.Partitions)}
+func (r *round) init(cfg *Config, proposer uint64) {
+	*r = round{
+		policy:   policy{cfg: cfg, rng: transport.SeedSplitMix64(uint64(cfg.Seed) + 1)},
+		proposer: proposer, index: make([]int, cfg.Topo.Partitions),
+	}
 }
 
 // begin starts the round over the partitions split left in parts: every one
 // is to be sent its validate.
 func (r *round) begin(tid timestamp.TxnID, ts timestamp.Timestamp, coreID uint32, now time.Time) {
-	r.tid, r.ts, r.coreID = tid, ts, coreID
-	r.open, r.recovering, r.redirected = len(r.parts), 0, false
+	r.tid, r.coreID = tid, coreID
+	r.open, r.redirected = len(r.parts), false
 	for i := range r.parts {
+		r.parts[i].ts = ts
 		r.request(&r.parts[i], now)
 	}
 	r.wake = now.Add(r.cfg.Timeout)
 }
 
+func (r *round) pending() (int, time.Time) { return r.open, r.wake }
+
 // request asks the driver to broadcast p's current request and starts the
 // attempt's tally and deadline.
 func (r *round) request(p *partState, now time.Time) {
-	p.tally = tally{}
-	p.send, p.wait, p.wake = true, waitReplies, now.Add(r.cfg.Timeout)
+	p.tally, p.records = tally{}, p.records[:0]
+	r.policy.request(&p.wait, now)
 }
 
 // decide closes p with its final verdict.
 func (r *round) decide(p *partState, commit bool, err error) {
-	if p.phase == phRecover {
-		r.recovering--
+	if p.moved && !commit && err == nil {
+		// A known abort, through recovery or outright: surface the redirect
+		// so the caller re-routes instead of conflict-backing-off.
+		err = ErrWrongShard
 	}
 	p.phase, p.commit, p.err = phDone, commit, err
 	r.open--
+}
+
+// abandon closes what run left open when the caller gave up: the outcome is
+// unknown.
+func (r *round) abandon(err error) {
+	for i := range r.parts {
+		if p := &r.parts[i]; p.phase != phDone {
+			r.decide(p, false, err)
+		}
+	}
 }
 
 // reply folds one message into the tally of the partition whose group sent
@@ -140,17 +157,17 @@ func (r *round) reply(m *message.Message) {
 		r.validateReply(p, m)
 	case m.Type == message.TypeAcceptReply && p.phase == phAccept:
 		r.acceptReply(p, m)
+	case m.Type == message.TypeCoordChangeAck && p.phase == phCoordChange:
+		r.coordChangeAck(p, m)
 	}
 }
 
 // validateReply is step 3: count the reply and watch for the fast-path
 // supermajority of matching verdicts.
 func (r *round) validateReply(p *partState, m *message.Message) {
-	if m.ReplicaID >= 64 || p.seen&(1<<m.ReplicaID) != 0 {
+	if !p.count(m.ReplicaID) {
 		return
 	}
-	p.seen |= 1 << m.ReplicaID
-	p.replied++
 	if m.WrongShard {
 		// The replica refused: under its current map it no longer owns part
 		// of this piece — a shard split sealed the range between the
@@ -173,27 +190,25 @@ func (r *round) validateReply(p *partState, m *message.Message) {
 			return
 		}
 	}
-	if t := r.cfg.Topo; p.replied == t.Replicas || (p.replied >= t.Majority() && p.wait != waitGrace) {
+	if t := r.cfg.Topo; p.replied == t.Replicas || (p.replied >= t.Majority() && p.kind != waitGrace) {
 		r.wake = time.Time{} // tick closes the collect, or opens the grace window
 	}
 }
 
-// acceptReply is step 5 as seen by the proposer. The original coordinator
-// always proposes in view 0.
+// acceptReply is step 5 as seen by the proposer, in whichever view it
+// proposed: the original coordinator's 0, or the one a coordinator change
+// established. A refusal names the higher view the replica has promised.
 func (r *round) acceptReply(p *partState, m *message.Message) {
 	if !m.OK {
-		if m.View > p.superseded {
-			p.superseded = m.View
-		}
+		p.superseded = max(p.superseded, m.View)
 		return
 	}
-	if m.View != 0 || m.ReplicaID >= 64 || p.seen&(1<<m.ReplicaID) != 0 {
+	if m.View != p.view || !p.count(m.ReplicaID) {
 		return
 	}
-	p.seen |= 1 << m.ReplicaID
-	p.replied++
 	if p.replied >= r.cfg.Topo.Majority() {
 		r.decide(p, p.proposal == message.StatusAcceptCommit, nil)
+		p.send = p.view != 0 // a recovery tells the group; a commit joins the partitions' verdicts first
 	}
 }
 
@@ -206,33 +221,38 @@ func (r *round) tick(now time.Time) {
 	t := r.cfg.Topo
 	for i := range r.parts {
 		p := &r.parts[i]
-		if p.phase != phValidate && p.phase != phAccept {
+		if p.phase == phDone {
 			continue
 		}
 		expired := !now.Before(p.wake)
 		switch {
-		case p.wait == waitResend && expired:
+		case p.kind == waitResend && expired:
 			r.request(p, now)
-		case p.phase == phAccept && expired && p.wait == waitReplies:
-			// The attempt's deadline. If the proposal was superseded by a
-			// higher view (a backup coordinator took over), join the
-			// recovery protocol above it to learn the decided outcome.
-			if p.superseded > 0 {
-				r.recover(p)
+		case p.phase == phCoordChange && p.replied >= t.Majority():
+			r.closeCoordChange(p, now)
+		case p.phase != phValidate:
+			// The attempt's deadline. An accept superseded by a higher view (a
+			// backup coordinator took over) joins the recovery protocol above
+			// it to learn the decided outcome, and a recovery that was refused
+			// or starved of a majority starts over in a higher view.
+			if !expired || p.kind != waitReplies {
+				break
+			}
+			if p.view != 0 || p.superseded > 0 {
+				r.recover(p, now)
 			} else {
 				r.retry(p, now)
 			}
-		case p.phase == phAccept: // the rest is about validate tallies
-		case p.replied == t.Replicas || expired && p.wait != waitResend:
+		case p.replied == t.Replicas || expired && p.kind != waitResend:
 			r.closeValidate(p, now)
-		case p.replied >= t.Majority() && p.wait != waitGrace:
+		case p.replied >= t.Majority() && p.kind != waitGrace:
 			// Once a majority is in, the stragglers get only a short window
 			// before the slow path: a crashed replica must not cost a full
 			// timeout per transaction.
-			p.wait, p.wake = waitGrace, now.Add(max(r.cfg.Timeout/10, time.Millisecond))
+			p.kind, p.wake = waitGrace, now.Add(max(r.cfg.Timeout/10, time.Millisecond))
 		}
-		if (p.phase == phValidate || p.phase == phAccept) && (r.wake.IsZero() || p.wake.Before(r.wake)) {
-			r.wake = p.wake
+		if p.phase != phDone {
+			r.wake = earlier(r.wake, p.wake)
 		}
 	}
 }
@@ -253,11 +273,11 @@ func (r *round) closeValidate(p *partState, now time.Time) {
 		// safe abort; at or above it, learn the authoritative outcome
 		// through coordinator recovery instead of guessing.
 		r.cfg.Obs.Inc(obs.TxnWrongShard)
-		r.redirected = true
+		r.redirected, p.moved = true, true
 		if p.ok+(t.Replicas-p.replied) >= (t.F()+1)/2+1 {
-			r.recover(p)
+			r.recover(p, now)
 		} else {
-			r.decide(p, false, ErrWrongShard)
+			r.decide(p, false, nil)
 		}
 	case p.replied >= t.Majority():
 		// With a majority of replies, take the slow path: an accept round
@@ -273,281 +293,54 @@ func (r *round) closeValidate(p *partState, now time.Time) {
 	}
 }
 
-// recover hands p to the driver for coordinator recovery above p.superseded.
-func (r *round) recover(p *partState) {
-	p.phase, p.slow = phRecover, true
-	r.recovering++
-}
-
 // retry schedules a resend of p's request after the capped, jittered
 // backoff, or gives up once the retry budget is spent. Only partitions still
 // below a majority ever get here.
 func (r *round) retry(p *partState, now time.Time) {
-	if p.attempt == r.cfg.Retries {
+	if !r.policy.retry(&p.wait, now, 0) {
 		r.decide(p, false, ErrTimeout)
 		return
 	}
 	r.cfg.Obs.Inc(obs.TxnRetry)
 	p.tally = tally{}
-	p.wait, p.wake = waitResend, now.Add(backoffDelay(r.cfg.BackoffBase, r.cfg.BackoffMax, p.attempt, &r.rng))
-	p.attempt++
-}
-
-// runRound drives the round begin started until every partition is decided:
-// it performs what the step functions asked for and otherwise waits for the
-// next reply, the round's next wake instant or the end of ctx.
-func (c *Coordinator) runRound(ctx context.Context) {
-	r := &c.round
-	err := expired(ctx)
-	for err == nil && r.open > 0 {
-		if c.perform(); r.open == 0 {
-			return
-		}
-		m, now := c.await(ctx, r.wake)
-		if m != nil {
-			// The reply is consumed here: what the tally keeps is scalars.
-			r.reply(m)
-			message.ReleaseMessage(m)
-		} else if err = expired(ctx); err == nil {
-			r.tick(now)
-			if r.redirected {
-				r.redirected = false
-				c.noteRedirect()
-			}
-		}
-	}
-	for i := range r.parts {
-		if p := &r.parts[i]; p.phase != phDone {
-			r.decide(p, false, err) // the caller gave up: the outcome is unknown
-		}
-	}
 }
 
 // perform does what the step functions flagged. It broadcasts the request of
-// every partition that asked for one — its validate, or on the slow path its
-// accept — one after another: on a transport that never blocks the sender
-// that costs nothing over doing it side by side, and the groups work in
-// parallel all the same. And it settles the partitions in phRecover through
-// coordinator recovery, which blocks on the same mailbox and drops what is
-// not its own — so only once no other partition is collecting.
-func (c *Coordinator) perform() {
-	r := &c.round
+// every partition that asked for one — its validate, on the slow path its
+// accept, in recovery its coordinator change, and once recovery has decided
+// the outcome — one after another: on a transport that never blocks the
+// sender that costs nothing over doing it side by side, and the groups work
+// in parallel all the same.
+func (r *round) perform(l *link) {
+	if r.redirected {
+		r.redirected = false
+		l.noteRedirect()
+	}
 	for i := range r.parts {
 		p := &r.parts[i]
-		switch {
-		case p.send:
-			p.send = false
-			req := message.Message{Type: message.TypeValidate, Txn: p.txn, TID: r.tid, TS: r.ts, CoreID: r.coreID}
-			if p.phase == phAccept {
-				req.Type, req.Status = message.TypeAccept, p.proposal
-			} else {
-				req.MapVersion = c.mapVersion()
+		if !p.send {
+			continue
+		}
+		p.send = false
+		req := message.Message{TID: r.tid, CoreID: r.coreID}
+		switch p.phase {
+		case phValidate:
+			req.Type, req.Txn, req.TS, req.MapVersion = message.TypeValidate, p.txn, p.ts, l.mapVersion()
+		case phAccept:
+			req.Type, req.Txn, req.TS, req.Status, req.View = message.TypeAccept, p.txn, p.ts, p.proposal, p.view
+		case phCoordChange:
+			req.Type, req.View = message.TypeCoordChange, p.view
+		case phDone:
+			// Steps 3 and 6: asynchronously broadcast the final outcome. The
+			// paper piggybacks this on the client's next message; sending
+			// immediately on a non-blocking transport is equivalent.
+			req.Type, req.Status = message.TypeCommit, message.StatusAborted
+			if p.commit {
+				req.Status = message.StatusCommitted
 			}
-			var closed bool
-			if c.outs, closed = broadcast(c.eps[1+p.p], c.group(p.p, r.coreID), &req, c.outs); closed {
-				r.decide(p, false, transport.ErrClosed)
-			}
-		case p.phase == phRecover && r.recovering == r.open:
-			commit, err := c.RecoverTxn(p.p, r.tid, r.coreID, p.superseded)
-			if err == nil && !commit && p.wrong > 0 {
-				// Known abort via recovery: surface the redirect so the caller
-				// re-routes instead of conflict-backing-off.
-				err = ErrWrongShard
-			}
-			r.decide(p, commit, err)
+		}
+		if l.broadcast(l.eps[1+p.p], l.group(p.p, r.coreID), &req) && p.phase != phDone {
+			r.decide(p, false, transport.ErrClosed)
 		}
 	}
-}
-
-// carve appends the entries of set that partition p owns (kp[i] is entry i's
-// partition) to arena and returns them as a capacity-capped span of it.
-func carve[E any](arena *[]E, set []E, kp []int, p int) []E {
-	start := len(*arena)
-	for i := range set {
-		if kp[i] == p {
-			*arena = append(*arena, set[i])
-		}
-	}
-	if start == len(*arena) {
-		return nil
-	}
-	return (*arena)[start:len(*arena):len(*arena)]
-}
-
-// split carves the transaction into per-partition pieces, left in the round
-// in ascending partition order so the send order is deterministic (and tests
-// can assert on it). The partState headers are scratch; the sets are not —
-// validated replicas alias them into their trecords: a transaction touching
-// one partition ships its own read, write and op sets as they are, one
-// touching several gets one exact-size backing array per set kind, each
-// partition's piece a capacity-capped span of it.
-func (c *Coordinator) split(t *Txn, tid timestamp.TxnID) []partState {
-	r := &c.round
-	r.parts = r.parts[:0]
-	nr, nw := len(t.reads), len(t.writes)
-	if nr+nw+len(t.ops) == 0 {
-		return nil // empty transaction: nothing to validate anywhere
-	}
-	for p := range r.index {
-		r.index[p] = 0
-	}
-	kp := c.keyParts[:0] // partition of each read, then write, then op
-	route := func(key string) {
-		kp = append(kp, c.partitionFor(key))
-		r.index[kp[len(kp)-1]] = 1
-	}
-	for i := range t.reads {
-		route(t.reads[i].Key)
-	}
-	for i := range t.writes {
-		route(t.writes[i].Key)
-	}
-	for i := range t.ops {
-		route(t.ops[i].Key)
-	}
-	c.keyParts = kp
-	for p := range r.index {
-		if r.index[p] != 0 {
-			r.parts = append(r.parts, partState{p: p, txn: message.Txn{ID: tid}})
-			r.index[p] = len(r.parts)
-		}
-	}
-	if len(r.parts) == 1 {
-		r.parts[0].txn = message.Txn{ID: tid, ReadSet: t.reads, WriteSet: t.writes, OpSet: t.ops}
-		return r.parts
-	}
-	reads := make([]message.ReadSetEntry, 0, nr)
-	writes := make([]message.WriteSetEntry, 0, nw)
-	ops := make([]message.OpSetEntry, 0, len(t.ops))
-	for i := range r.parts {
-		p := &r.parts[i]
-		p.txn.ReadSet = carve(&reads, t.reads, kp, p.p)
-		p.txn.WriteSet = carve(&writes, t.writes, kp[nr:], p.p)
-		p.txn.OpSet = carve(&ops, t.ops, kp[nr+nw:], p.p)
-	}
-	return r.parts
-}
-
-// commit runs steps 1–6 of §5.2.2 for t.
-func (c *Coordinator) commit(ctx context.Context, t *Txn) (bool, error) {
-	if t.opErr != nil {
-		return false, t.opErr
-	}
-	start := time.Now()
-	// Read-only fast path: a transaction whose every read was served and
-	// confirmed at one snapshot timestamp, and that buffered no writes or
-	// ops, is already serialized at that snapshot — each touched replica
-	// vouched, under the per-key read-timestamp guard, that nothing can
-	// commit at or below it on the keys read. Commit is local: zero
-	// validation rounds, zero messages.
-	if t.roViable && len(t.writes) == 0 && len(t.ops) == 0 && !t.snapTS.IsZero() {
-		t.committedAt = t.snapTS
-		t.id = c.gen.NextID()
-		t.roCommitted = true
-		if c.lastTS.Less(t.snapTS) {
-			c.lastTS = t.snapTS
-		}
-		c.obs.Inc(obs.TxnCommitRO)
-		c.obs.Observe(obs.HistCommit, time.Since(start))
-		return true, nil
-	}
-	// Step 1: pick the processing core, the proposed timestamp, and the
-	// transaction id. The timestamp comes from the client's loosely
-	// synchronized clock — no coordination.
-	coreID := uint32(c.rng.Intn(c.cfg.Topo.Cores))
-	ts := c.gen.NextTimestamp()
-	tid := c.gen.NextID()
-	t.committedAt = ts
-	t.id = tid
-	t.coreID = coreID
-	t.unresolved = t.unresolved[:0]
-
-	parts := c.split(t, tid)
-	if len(parts) == 0 {
-		return true, nil // empty transaction commits trivially; no lifecycle
-	}
-
-	// Steps 2–5 in every touched partition at once.
-	c.in.Drain()
-	c.round.begin(tid, ts, coreID, start)
-	c.runRound(ctx)
-	c.obs.Observe(obs.HistValidateRound, time.Since(start))
-
-	// The transaction commits fast only if every partition decided on the
-	// fast path; one slow partition makes it a slow-path commit. An abort's
-	// reason is taken from how the aborting partition decided: a fast-path
-	// supermajority of VALIDATED-ABORT is a validation conflict, a slow-path
-	// decision is an accept-abort.
-	committed, anySlow, abortSlow, redirected := true, false, false, false
-	for i := range parts {
-		p := &parts[i]
-		anySlow = anySlow || p.slow
-		switch {
-		case p.err == nil:
-			if !p.commit {
-				committed = false
-				abortSlow = abortSlow || p.slow
-			}
-		case errors.Is(p.err, ErrWrongShard):
-			// A known abort on a wrong-shard redirect (see closeValidate),
-			// not an unknown outcome: record it and keep joining, so the
-			// abort broadcast below still reaches every partition and
-			// finalizes any straggler VALIDATED-OK records.
-			committed = false
-			redirected = true
-		default:
-			if errors.Is(p.err, ErrTimeout) {
-				c.obs.Inc(obs.TxnAbortTimeout)
-				// Outcome unknown: remember which (partition, core) groups
-				// the protocol ran in, so Resolve can finish the job.
-				for j := range parts {
-					t.unresolved = append(t.unresolved, parts[j].p)
-				}
-			}
-			return false, p.err
-		}
-	}
-
-	// Step 3/6: asynchronously broadcast the final outcome. The paper
-	// piggybacks this on the client's next message; sending immediately on
-	// a non-blocking transport is equivalent.
-	st := message.StatusCommitted
-	if !committed {
-		st = message.StatusAborted
-	}
-	outcome := message.Message{Type: message.TypeCommit, TID: tid, Status: st, CoreID: coreID}
-	for i := range parts {
-		// One batch per partition endpoint: the whole replica group's
-		// commit notifications leave in one syscall on the real wire.
-		c.outs, _ = broadcast(c.eps[1+parts[i].p], c.group(parts[i].p, coreID), &outcome, c.outs)
-	}
-
-	if committed && c.lastTS.Less(ts) {
-		c.lastTS = ts // snapshot round-down floor (see snapshotBegin)
-	}
-	var err error
-	switch {
-	case redirected:
-		// Surface the redirect: Run refreshes its routing and retries the
-		// whole transaction against the new map instead of treating this as
-		// a conflict. TxnWrongShard was counted where the redirect landed.
-		err = ErrWrongShard
-	case committed && !anySlow:
-		c.obs.Inc(obs.TxnCommitFast)
-	case committed:
-		c.obs.Inc(obs.TxnCommitSlow)
-	case abortSlow:
-		c.obs.Inc(obs.TxnAbortAcceptAbort)
-	default:
-		c.obs.Inc(obs.TxnAbortValidation)
-	}
-	if committed {
-		if len(parts) > 1 {
-			c.obs.Inc(obs.TxnCommitMultiShard)
-		}
-		c.obs.Observe(obs.HistCommit, time.Since(start))
-	} else {
-		c.obs.Observe(obs.HistAbort, time.Since(start))
-	}
-	return committed, err
 }

@@ -29,6 +29,7 @@ var (
 )
 
 const (
+	testProposer = 1<<19 + 1 // what newCore derives from ClientID 1
 	roundTimeout = 100 * time.Millisecond
 	roundGrace   = roundTimeout / 10
 	roundBackoff = time.Millisecond // BackoffMax: every backoff is over by then
@@ -38,7 +39,7 @@ const (
 func newTestRound(touched ...int) *round {
 	cfg := &Config{Topo: roundTopo, ClientID: 1, Timeout: roundTimeout, Retries: 2, BackoffBase: roundBackoff, BackoffMax: roundBackoff}
 	r := new(round)
-	r.init(cfg)
+	r.init(cfg, testProposer)
 	for _, p := range touched {
 		r.parts = append(r.parts, partState{p: p, txn: message.Txn{ID: roundTID}})
 		r.index[p] = len(r.parts)
@@ -69,6 +70,15 @@ func accepted(p, replica int, ok bool, view uint64) *message.Message {
 	return from(p, replica, message.Message{Type: message.TypeAcceptReply, OK: ok, View: view})
 }
 
+// changed is a coordinator-change ack for view carrying the replica's record,
+// refused (recs nil) a refusal that names the higher view promised.
+func changed(p, replica int, view uint64, recs ...message.TRecordEntry) *message.Message {
+	return from(p, replica, message.Message{Type: message.TypeCoordChangeAck, OK: recs != nil, View: view, Records: recs})
+}
+
+// view1 is the first view a recovery by the test round's proposer runs in.
+var view1 = MakeView(1, testProposer)
+
 const (
 	vOK    = message.StatusValidatedOK
 	vAbort = message.StatusValidatedAbort
@@ -76,7 +86,8 @@ const (
 
 // A step is a reply to fold in, or (msg == nil) a tick at roundT0 + at.
 // sends is what the step must make the round ask the driver to broadcast,
-// as "validate:<p>" / "accept:<p>" in partition order.
+// as "validate:<p>" / "accept:<p>" / "coordchange:<p>" / "outcome:<p>" in
+// partition order.
 type step struct {
 	msg   *message.Message
 	at    time.Duration
@@ -100,10 +111,7 @@ func (r *round) takeSends() string {
 			continue
 		}
 		p.send = false
-		kind := "validate"
-		if p.phase == phAccept {
-			kind = "accept"
-		}
+		kind := [...]string{phValidate: "validate", phAccept: "accept", phCoordChange: "coordchange", phDone: "outcome"}[p.phase]
 		out = append(out, fmt.Sprintf("%s:%d", kind, p.p))
 	}
 	return strings.Join(out, " ")
@@ -114,8 +122,11 @@ func TestRoundSteps(t *testing.T) {
 		name    string
 		touched []int
 		noFast  bool
-		script  []step
-		want    []verdict // one per touched partition
+		// recovery begins the round in the coordinator change (Resolve, a
+		// replica's backup coordinator) instead of the validate.
+		recovery bool
+		script   []step
+		want     []verdict // one per touched partition
 		// probe, when set, checks tallies the verdicts do not show.
 		probe func(t *testing.T, r *round)
 	}{
@@ -209,12 +220,12 @@ func TestRoundSteps(t *testing.T) {
 			name: "wrong shard at the threshold goes to recovery", touched: []int{1},
 			script: []step{
 				{msg: wrongShard(1, 0)},
-				{at: roundTimeout}, // deadline: 0 OK + 2 silent replicas >= 2
+				{at: roundTimeout, sends: "coordchange:1"}, // deadline: 0 OK + 2 silent replicas >= 2
 			},
-			want: []verdict{{phRecover, "", true}},
+			want: []verdict{{phCoordChange, "", true}},
 			probe: func(t *testing.T, r *round) {
-				if !r.redirected || r.recovering != 1 {
-					t.Errorf("redirected=%v recovering=%d, want true and 1", r.redirected, r.recovering)
+				if !r.redirected || r.parts[0].view != MakeView(1, testProposer) {
+					t.Errorf("redirected=%v view=%d, want true and round 1", r.redirected, r.parts[0].view)
 				}
 			},
 		},
@@ -249,12 +260,12 @@ func TestRoundSteps(t *testing.T) {
 			script: []step{
 				{msg: validated(0, 0, vOK)}, {msg: validated(0, 1, vOK)}, {at: 0}, {at: roundGrace, sends: "accept:0"},
 				{msg: accepted(0, 0, false, MakeView(1, 2))}, {msg: accepted(0, 1, false, MakeView(3, 2))},
-				{at: roundGrace + roundTimeout},
+				{at: roundGrace + roundTimeout, sends: "coordchange:0"},
 			},
-			want: []verdict{{phRecover, "", true}},
+			want: []verdict{{phCoordChange, "", true}},
 			probe: func(t *testing.T, r *round) {
-				if v := r.parts[0].superseded; v != MakeView(3, 2) {
-					t.Errorf("superseded by view %d, want %d", v, MakeView(3, 2))
+				if v := r.parts[0].view; v != MakeView(4, testProposer) {
+					t.Errorf("recovering in view %d, want %d", v, MakeView(4, testProposer))
 				}
 			},
 		},
@@ -266,16 +277,90 @@ func TestRoundSteps(t *testing.T) {
 			},
 			want: []verdict{{phAccept, "", true}},
 		},
+		{
+			name: "recovery: a final record among a majority's is told, not proposed", touched: []int{2}, recovery: true,
+			script: []step{
+				{msg: changed(2, 0, view1, rec(vOK, 0))}, {msg: changed(2, 1, view1, rec(message.StatusCommitted, 0))},
+				{at: 0, sends: "outcome:2"},
+			},
+			want: []verdict{{phDone, "commit", true}},
+		},
+		{
+			name: "recovery: the accepted proposal with the latest view wins, and is accepted in the new view", touched: []int{0}, recovery: true,
+			script: []step{
+				{msg: changed(0, 0, view1, rec(message.StatusAcceptCommit, 2))},
+				{msg: changed(0, 0, view1, rec(message.StatusAcceptCommit, 2))}, // a duplicate ack counts once
+				{msg: changed(0, 2, view1, rec(message.StatusAcceptAbort, 7))},
+				{at: 0, sends: "accept:0"},
+				{msg: accepted(0, 0, true, 0)}, {msg: accepted(0, 1, true, 0)}, // acks of the original coordinator's view 0
+				{msg: accepted(0, 0, true, view1)},
+				{msg: accepted(0, 1, true, view1), sends: "outcome:0"},
+			},
+			want: []verdict{{phDone, "abort", true}},
+		},
+		{
+			name: "recovery: a refusal bumps the view, and the next coordinator change waits out the backoff", touched: []int{1}, recovery: true,
+			script: []step{
+				{msg: changed(1, 0, MakeView(5, 2))}, {msg: changed(1, 1, view1, rec(vOK, 0))},
+				{at: roundTimeout}, // no majority: outbid the view that refused us, but not in lockstep
+				{at: roundTimeout + roundBackoff, sends: "coordchange:1"},
+				{msg: changed(1, 1, view1, rec(vOK, 0))}, // the first attempt's view
+			},
+			want: []verdict{{phCoordChange, "", true}},
+			probe: func(t *testing.T, r *round) {
+				if p := &r.parts[0]; p.view != MakeView(6, testProposer) || p.attempt != 1 || p.replied != 0 {
+					t.Errorf("view %d attempt %d replied %d, want round 6, 1 and 0", p.view, p.attempt, p.replied)
+				}
+			},
+		},
+		{
+			name: "recovery: a starved accept starts over above its own view, inside one budget", touched: []int{0}, recovery: true,
+			script: []step{
+				{msg: changed(0, 0, view1, rec(vOK, 0))}, {msg: changed(0, 1, view1, rec(vOK, 0))}, {at: 0, sends: "accept:0"},
+				{msg: accepted(0, 2, true, view1)},
+				{at: roundTimeout}, {at: roundTimeout + roundBackoff, sends: "coordchange:0"}, // round 2, resend 1
+				{at: 3 * roundTimeout}, {at: 3*roundTimeout + roundBackoff, sends: "coordchange:0"}, // round 3, resend 2
+				{at: 5 * roundTimeout},
+			},
+			want: []verdict{{phDone, ErrTimeout.Error(), true}},
+			probe: func(t *testing.T, r *round) {
+				if v := r.parts[0].view; v != MakeView(4, testProposer) {
+					t.Errorf("gave up in view %d, want round 4", v)
+				}
+			},
+		},
+		{
+			name: "recovery: two partitions side by side, and group A's late ack never counts for B", touched: []int{0, 3}, recovery: true,
+			script: []step{
+				{msg: changed(0, 0, view1, rec(vAbort, 0))}, {msg: changed(3, 0, view1, rec(vOK, 0))},
+				{msg: changed(0, 1, view1, rec(vAbort, 0))}, // A has its majority
+				{msg: changed(0, 2, view1, rec(vAbort, 0))}, // A's replica 2: B's has not answered
+				{at: 0, sends: "accept:0"},
+				{msg: accepted(0, 0, true, view1)}, {msg: accepted(0, 1, true, view1), sends: "outcome:0"},
+				{msg: accepted(0, 2, true, view1)}, // nor does A's accept-reply count in B's coordinator change
+			},
+			want: []verdict{{phDone, "abort", true}, {phCoordChange, "", true}},
+			probe: func(t *testing.T, r *round) {
+				if p := &r.parts[1]; p.replied != 1 || len(p.records) != 1 {
+					t.Errorf("partition 3 counts %d acks and %d records, want 1 and 1", p.replied, len(p.records))
+				}
+			},
+		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newTestRound(tc.touched...)
 			r.cfg.DisableFastPath = tc.noFast
+			kind := "validate"
+			if tc.recovery {
+				r.beginRecovery(tc.touched, roundTID, 0, 0, roundT0)
+				kind = "coordchange"
+			}
 			var first []string
 			for _, p := range tc.touched {
-				first = append(first, fmt.Sprintf("validate:%d", p))
+				first = append(first, fmt.Sprintf("%s:%d", kind, p))
 			}
 			if got := r.takeSends(); got != strings.Join(first, " ") {
-				t.Fatalf("begin asked for %q, want every touched partition's validate", got)
+				t.Fatalf("begin asked for %q, want every touched partition's %s", got, kind)
 			}
 			for i, s := range tc.script {
 				if s.msg != nil {
@@ -536,9 +621,57 @@ func TestSessionRoutesEveryEndpointToTheIssuingWorker(t *testing.T) {
 	if got := len(w0.in.C); got != 0 {
 		t.Fatalf("worker 0's mailbox still holds %d replies", got)
 	}
-	net.deliver(&message.Message{Type: message.TypeMultiReadReply, Seq: w1.readSeq + 1})
+	net.deliver(&message.Message{Type: message.TypeMultiReadReply, Seq: w1.reads.seq + 1})
 	net.deliver(&message.Message{Type: message.TypeReadReply, Seq: 7 << readSeqShift}) // no such worker
 	if got := len(w1.in.C); got != 7 {
 		t.Fatalf("worker 1's mailbox holds %d replies after a read reply by Seq, want 7", got)
+	}
+}
+
+// TestRunDeadlineBoundsRecovery: the context given to Run reaches a commit
+// that has gone into coordinator recovery. One replica refuses the validate as
+// wrong-shard and the other two validate OK, which is the rule-4 threshold, so
+// the partition goes to the coordinator change — and no replica answers that.
+// With 100 ms attempts and 10 resends the recovery alone could run a second
+// and more; under a 30 ms deadline Run must be back at once, its outcome
+// unknown and the partition left for Resolve.
+func TestRunDeadlineBoundsRecovery(t *testing.T) {
+	net := &scriptNet{}
+	c := newScriptedCoordinator(t, net)
+	key := keysOn(c, 2)[0]
+	changes := 0
+	net.onSend = func(dst message.Addr, m *message.Message) {
+		switch replica := dst.Node % uint32(roundTopo.Replicas); m.Type {
+		case message.TypeValidate:
+			net.deliver(&message.Message{
+				Type: message.TypeValidateReply, TID: m.TID, Status: vOK, WrongShard: replica == 0,
+				Src: dst, ReplicaID: replica,
+			})
+		case message.TypeCoordChange:
+			changes++
+		default:
+			t.Errorf("unexpected %v", m.Type)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
+	var txn *Txn
+	start := time.Now()
+	err := c.Run(ctx, func(tx *Txn) error {
+		txn = tx
+		tx.Write(key, []byte("v"))
+		return nil
+	})
+	if took := time.Since(start); took > 250*time.Millisecond {
+		t.Errorf("Run under a 30ms deadline returned after %v", took)
+	}
+	if !errors.Is(err, ErrTimeout) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("Run error %v, want ErrTimeout wrapping context.DeadlineExceeded", err)
+	}
+	if changes != roundTopo.Replicas {
+		t.Errorf("%d coordinator-change messages sent, want one broadcast", changes)
+	}
+	if len(txn.unresolved) != 1 || txn.unresolved[0] != 2 {
+		t.Errorf("unresolved partitions %v, want [2]", txn.unresolved)
 	}
 }

@@ -18,7 +18,7 @@ import (
 //     client (base | i<<workerIDShift), so the index is recoverable from the
 //     id's high bits without widening any message.
 //   - read sequence numbers: read and multi-read replies echo Seq. Worker i
-//     seeds its readSeq at i<<readSeqShift, leaving 2^48 sequence numbers per
+//     seeds its read Seq at i<<readSeqShift, leaving 2^48 sequence numbers per
 //     worker — centuries of reads — before streams could collide.
 const (
 	workerIDShift = 32 // worker index lives in ClientID bits [32, 48)
@@ -86,7 +86,7 @@ func NewSession(cfg Config, window int) (*Session, error) {
 			w.groups = groups
 		}
 		w.shared = true
-		w.readSeq = uint64(i) << readSeqShift
+		w.reads.seq = uint64(i) << readSeqShift
 		s.workers = append(s.workers, w)
 	}
 

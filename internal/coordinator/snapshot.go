@@ -4,11 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"time"
 
 	"meerkat/internal/message"
 	"meerkat/internal/obs"
 	"meerkat/internal/timestamp"
+	"meerkat/internal/topo"
 )
 
 // This file implements the client half of the read-only fast path: snapshot
@@ -56,19 +56,16 @@ import (
 // at a rounded-down snapshot or demotes to the classic validated path.
 var errROUnconfirmed = errors.New("coordinator: snapshot not confirmed")
 
-// roAttempts bounds snapshot-read rounds per partition before giving up.
-// The fast path is an optimization with a sound fallback, so the budget is
-// deliberately tiny compared to cfg.Retries.
-const roAttempts = 3
+// roRetries bounds the resends of a snapshot read per partition before the
+// round gives up. The fast path is an optimization with a sound fallback, so
+// the budget is deliberately tiny compared to cfg.Retries.
+const roRetries = 2
 
 // roQuorum returns the confirmed-reply quorum the fast path needs per
 // partition: Replicas - ceil(f/2), so that any transaction holding enough
 // VALIDATED-OK records to ever commit (>= ceil(f/2)+1, recovery rule 4)
 // must hold one inside the confirmed set.
-func (c *Coordinator) roQuorum() int {
-	f := c.cfg.Topo.F()
-	return c.cfg.Topo.Replicas - (f+1)/2
-}
+func roQuorum(t topo.Topology) int { return t.Replicas - (t.F()+1)/2 }
 
 // roKeyState accumulates one key's answers across confirmed replies.
 type roKeyState struct {
@@ -112,123 +109,6 @@ func (s *roKeyState) settled() bool {
 	return !s.below
 }
 
-// sendSnapshotRead broadcasts one snapshot multi-read for partition p at
-// snap to every replica (a uniformly chosen core on each).
-func (c *Coordinator) sendSnapshotRead(p int, keys []string, snap timestamp.Timestamp, seq uint64) {
-	core := uint32(c.rng.Intn(c.cfg.Topo.Cores))
-	req := message.Message{Type: message.TypeMultiRead, Keys: keys, TS: snap, Seq: seq, MapVersion: c.mapVersion()}
-	c.outs, _ = broadcast(c.eps[1+p], c.group(p, core), &req, c.outs)
-}
-
-// snapshotRound reads keys at snapshot timestamp snap: one snapshot
-// multi-read round per touched partition, each requiring roQuorum confirmed
-// replies whose merged answers settle. Results are index-aligned with keys
-// in the scratch reused by the next read operation. minW is the lowest
-// watermark observed across all replies (snap when none was lower) — the
-// round-down hint on failure. The only errors are errROUnconfirmed,
-// ErrWrongShard and the error of an expired context.
-func (c *Coordinator) snapshotRound(ctx context.Context, keys []string, snap timestamp.Timestamp) ([]message.ReadResult, timestamp.Timestamp, error) {
-	minW := snap
-	if len(keys) == 0 {
-		return nil, minW, nil
-	}
-	n := c.cfg.Topo.Replicas
-	quorum := c.roQuorum()
-	rr := c.groupKeys(keys)
-	if cap(c.roKeys) < len(keys) {
-		c.roKeys = make([]roKeyState, len(keys))
-	}
-	state := c.roKeys[:len(keys)] // aligned with rr.grouped
-	c.in.Drain()
-
-	for attempt := 0; attempt < roAttempts; attempt++ {
-		if err := c.backoff(ctx, attempt); err != nil {
-			return nil, minW, err
-		}
-		// Every attempt has its own Seq and starts its partitions from
-		// scratch: a stale reply from an earlier attempt at the same snapshot
-		// must not poison the settlement flags. Every open partition's
-		// request goes out before any reply is collected, as in ReadMany.
-		c.readSeq++
-		seq := c.readSeq
-		waiting := 0 // open partitions some replica of which has yet to answer
-		for p := range rr.tally {
-			if !rr.tally[p].open {
-				continue
-			}
-			if attempt > 0 {
-				c.obs.Inc(obs.ROReadRetry)
-			}
-			rr.tally[p] = readTally{open: true}
-			pstate := state[rr.off[p]:rr.off[p+1]]
-			for j := range pstate {
-				pstate[j] = roKeyState{}
-			}
-			c.sendSnapshotRead(p, rr.keys(p), snap, seq)
-			waiting++
-		}
-		for deadline := time.Now().Add(c.cfg.Timeout); waiting > 0; {
-			m, _ := c.await(ctx, deadline)
-			if m == nil {
-				break
-			}
-			// The reply is consumed here: a confirmed reply's answers are
-			// merged (by value) into the partition's key states, then the
-			// struct is recycled.
-			p := c.cfg.Topo.PartitionOf(m.Src.Node)
-			mine := m.Type == message.TypeMultiReadReply && m.Seq == seq && p < len(rr.tally) &&
-				rr.tally[p].open && rr.tally[p].replied < n
-			wrongShard, watermark := mine && m.WrongShard, m.Watermark
-			fresh := mine && !wrongShard && len(m.Reads) == len(rr.keys(p)) &&
-				m.ReplicaID < 64 && rr.tally[p].seen&(1<<m.ReplicaID) == 0
-			if fresh {
-				rr.tally[p].seen |= 1 << m.ReplicaID
-				if watermark == snap {
-					for j := range m.Reads {
-						state[rr.off[p]+j].merge(&m.Reads[j])
-					}
-				}
-			}
-			message.ReleaseMessage(m)
-			if wrongShard {
-				// The replica no longer owns some requested key and, by
-				// design, refused before touching its store — a sealed copy
-				// must never raise read timestamps for a snapshot it cannot
-				// vouch for. Refresh and re-route.
-				c.obs.Inc(obs.TxnWrongShard)
-				c.noteRedirect()
-				return nil, minW, ErrWrongShard
-			}
-			if !fresh {
-				continue // a straggler, a wrong length or a duplicate replier
-			}
-			t := &rr.tally[p]
-			t.replied++
-			if watermark.Less(minW) {
-				minW = watermark
-			}
-			if watermark == snap {
-				t.confirmed++
-			}
-			pstate := state[rr.off[p]:rr.off[p+1]]
-			switch {
-			case t.confirmed >= quorum && allSettled(pstate):
-				for j := range pstate {
-					*rr.result(p, j) = pstate[j].res
-				}
-				rr.close(p)
-				waiting--
-			case t.replied == n:
-				waiting-- // everyone answered; not settled, retry
-			}
-		}
-		if rr.open == 0 {
-			return rr.out, minW, nil
-		}
-	}
-	return nil, minW, errROUnconfirmed
-}
-
 // allSettled reports whether every key's merged answer is final.
 func allSettled(keys []roKeyState) bool {
 	for i := range keys {
@@ -240,24 +120,25 @@ func allSettled(keys []roKeyState) bool {
 }
 
 // snapshotBegin runs the first snapshot operation of a read-only
-// transaction: it picks a fresh snapshot timestamp, and on an unconfirmed
-// round makes one retry at the rounded-down watermark the replies
+// transaction: a read round at a fresh snapshot timestamp, and on an
+// unconfirmed round one retry at the rounded-down watermark the replies
 // advertised — provided it stays above lastTS, so one session's reads never
 // travel backwards past its own commits. It returns the merged results and
-// the snapshot timestamp that settled.
+// the snapshot timestamp that settled. The only errors are errROUnconfirmed,
+// ErrWrongShard and the error of an expired context or a closed endpoint.
 func (c *Coordinator) snapshotBegin(ctx context.Context, keys []string) ([]message.ReadResult, timestamp.Timestamp, error) {
 	s := c.gen.NextTimestamp()
-	res, minW, err := c.snapshotRound(ctx, keys, s)
-	if err == nil {
-		return res, s, nil
-	}
-	if errors.Is(err, errROUnconfirmed) && c.lastTS.Less(minW) && minW.Less(s) && !minW.IsZero() {
+	res, err := c.read(ctx, keys, s, false)
+	if minW := c.reads.minW; errors.Is(err, errROUnconfirmed) && c.lastTS.Less(minW) && minW.Less(s) && !minW.IsZero() {
 		c.obs.Inc(obs.RORoundDown)
-		if res, _, err2 := c.snapshotRound(ctx, keys, minW); err2 == nil {
+		if res, err2 := c.read(ctx, keys, minW, false); err2 == nil {
 			return res, minW, nil
 		}
 	}
-	return nil, timestamp.Timestamp{}, err
+	if err != nil {
+		s = timestamp.Timestamp{}
+	}
+	return res, s, err
 }
 
 // ReadOnly declares the transaction read-only, routing its reads through the
@@ -276,78 +157,37 @@ func (t *Txn) ReadOnly() {
 	t.roViable = true
 }
 
-// snapshotFetch serves keys for a read-only-marked transaction via the
-// snapshot path. The first call fixes the transaction's snapshot timestamp;
-// later calls must confirm at exactly that timestamp (reads at two
-// different snapshots would not be one consistent cut). On failure the
-// transaction demotes: roViable is cleared and the caller re-reads through
-// the classic path. The bool reports whether the snapshot path served the
-// keys; a non-nil error is a hard context/timeout failure.
-func (t *Txn) snapshotFetch(keys []string) ([]message.ReadResult, bool, error) {
-	c, ctx := t.c, t.ctx
-	var (
-		res []message.ReadResult
-		err error
-	)
-	if t.snapTS.IsZero() {
-		var s timestamp.Timestamp
-		res, s, err = c.snapshotBegin(ctx, keys)
-		if err == nil {
-			t.snapTS = s
-			return res, true, nil
-		}
-	} else {
-		res, _, err = c.snapshotRound(ctx, keys, t.snapTS)
-		if err == nil {
-			return res, true, nil
-		}
-	}
-	if !errors.Is(err, errROUnconfirmed) {
-		return nil, false, err
-	}
-	c.obs.Inc(obs.ROFallback)
-	t.roViable = false
-	return nil, false, nil
-}
-
-// SnapshotRead performs a one-round strongly-consistent read of key: the
-// value is serializable with respect to every committed transaction, like a
-// validated read-only transaction, but costs a single snapshot round on the
-// fast path. On an unconfirmed snapshot it demotes to the classic validated
-// read. ok is false for a key that has never been written.
+// SnapshotRead performs a strongly-consistent read of key: a read-only
+// transaction of one read, retried until it commits. The value is
+// serializable with respect to every committed transaction; on the fast path
+// it costs a single snapshot round, and on an unconfirmed snapshot it demotes
+// to the classic validated read. ok is false for a key that has never been
+// written.
 func (c *Coordinator) SnapshotRead(ctx context.Context, key string) ([]byte, timestamp.Timestamp, bool, error) {
-	if !c.cfg.DisableReadOnlyFastPath {
-		c.ro1[0] = key
-		res, s, err := c.snapshotBegin(ctx, c.ro1[:])
-		if err == nil {
-			if c.lastTS.Less(s) {
-				c.lastTS = s
-			}
-			c.obs.Inc(obs.TxnCommitRO)
-			return res[0].Value, res[0].WTS, res[0].OK, nil
-		}
-		if errors.Is(err, errROUnconfirmed) {
-			c.obs.Inc(obs.ROFallback)
-		} else if !errors.Is(err, ErrWrongShard) {
-			return nil, timestamp.Timestamp{}, false, err
-		}
-		// A wrong-shard redirect falls through too: the classic path's Run
-		// loop re-routes with the refreshed map and retries.
-	}
-	// Classic path: a validated read-only transaction (read round plus
-	// validation round), retried until it commits.
 	var (
-		val []byte
-		ver timestamp.Timestamp
+		val      []byte
+		ver      timestamp.Timestamp
+		timedOut error
 	)
 	err := c.Run(ctx, func(t *Txn) error {
-		v, rerr := t.Read(key)
-		if rerr != nil {
-			return rerr
+		t.ReadOnly()
+		v, err := t.Read(key)
+		if errors.Is(err, ErrTimeout) {
+			// The read has spent a whole retry budget. Run would go on
+			// retrying it for as long as ctx lasts, which for a caller without
+			// a deadline is forever.
+			timedOut = err
+			return errROUnconfirmed // anything Run does not retry
+		}
+		if err != nil {
+			return err
 		}
 		val, ver = v, t.reads[0].WTS
 		return nil
 	})
+	if timedOut != nil {
+		err = timedOut
+	}
 	if err != nil {
 		return nil, timestamp.Timestamp{}, false, err
 	}

@@ -110,33 +110,48 @@ func (t *Txn) Read(key string) ([]byte, error) {
 	if i := t.findRead(key); i >= 0 {
 		return t.applyPendingOp(key, t.readVals[i]), nil
 	}
-	if t.roViable {
-		t.c.ro1[0] = key
-		res, served, err := t.snapshotFetch(t.c.ro1[:])
-		if err != nil {
-			return nil, err
-		}
-		if served {
-			// The snapshot read still joins the read set: if the transaction
-			// later demotes (a write, or an unconfirmable second fetch), it
-			// commits classically and these reads validate like any others.
-			v := res[0]
-			t.reads = append(t.reads, message.ReadSetEntry{Key: key, WTS: v.WTS, VHash: message.HashValue(v.Value)})
-			t.readVals = append(t.readVals, v.Value)
-			return t.applyPendingOp(key, v.Value), nil
-		}
-		// Demoted: fall through to the classic read.
-	}
-	val, ver, _, err := t.c.Read(t.ctx, key)
+	t.c.ro1[0] = key
+	res, err := t.fetch(t.c.ro1[:], true)
 	if err != nil {
 		return nil, err
 	}
-	// VHash identifies the observed value, not just its timestamp: a
-	// commutative op merging below ver would change the value without
-	// moving ver, and validation must notice (see message.ReadSetEntry).
-	t.reads = append(t.reads, message.ReadSetEntry{Key: key, WTS: ver, VHash: message.HashValue(val)})
-	t.readVals = append(t.readVals, val)
-	return t.applyPendingOp(key, val), nil
+	t.record(key, &res[0])
+	return t.applyPendingOp(key, res[0].Value), nil
+}
+
+// fetch reads keys from the replicas. A read-only-marked transaction is
+// served by snapshot rounds for as long as they confirm: the first fixes the
+// transaction's snapshot timestamp, later ones must confirm at exactly that
+// timestamp (reads at two different snapshots would not be one consistent
+// cut). A snapshot that will not confirm demotes the transaction, for good,
+// to plain rounds — single says whether this one is the one-key Read — and
+// the classic validated commit.
+func (t *Txn) fetch(keys []string, single bool) (res []message.ReadResult, err error) {
+	c := t.c
+	if t.roViable {
+		if t.snapTS.IsZero() {
+			res, t.snapTS, err = c.snapshotBegin(t.ctx, keys)
+		} else {
+			res, err = c.read(t.ctx, keys, t.snapTS, false)
+		}
+		if !errors.Is(err, errROUnconfirmed) {
+			return res, err
+		}
+		c.obs.Inc(obs.ROFallback)
+		t.roViable = false
+	}
+	return c.read(t.ctx, keys, timestamp.Timestamp{}, single)
+}
+
+// record adds a fetched key to the read set. A snapshot read joins it too: if
+// the transaction later demotes (a write, or an unconfirmable second fetch),
+// it commits classically and these reads validate like any others. VHash
+// identifies the observed value, not just its timestamp: a commutative op
+// merging below the version would change the value without moving it, and
+// validation must notice (see message.ReadSetEntry).
+func (t *Txn) record(key string, r *message.ReadResult) {
+	t.reads = append(t.reads, message.ReadSetEntry{Key: key, WTS: r.WTS, VHash: message.HashValue(r.Value)})
+	t.readVals = append(t.readVals, r.Value)
 }
 
 // applyPendingOp materializes the transaction's buffered op for key on top of
@@ -176,22 +191,9 @@ func (t *Txn) ReadMany(keys []string) ([][]byte, error) {
 		}
 	}
 	if len(fetch) > 0 {
-		var res []message.ReadResult
-		if t.roViable {
-			r, served, err := t.snapshotFetch(fetch)
-			if err != nil {
-				return nil, err
-			}
-			if served {
-				res = r
-			}
-		}
-		if res == nil {
-			r, err := t.c.ReadMany(t.ctx, fetch)
-			if err != nil {
-				return nil, err
-			}
-			res = r
+		res, err := t.fetch(fetch, false)
+		if err != nil {
+			return nil, err
 		}
 		// Grow the read set once for the whole batch rather than along the
 		// append doubling chain — under GOMAXPROCS=1 the GC competes with the
@@ -205,8 +207,7 @@ func (t *Txn) ReadMany(keys []string) ([][]byte, error) {
 			t.readVals = readVals
 		}
 		for j, key := range fetch {
-			t.reads = append(t.reads, message.ReadSetEntry{Key: key, WTS: res[j].WTS, VHash: message.HashValue(res[j].Value)})
-			t.readVals = append(t.readVals, res[j].Value)
+			t.record(key, &res[j])
 		}
 	}
 	for i, key := range keys {
@@ -328,21 +329,23 @@ func (t *Txn) Commit() (bool, error) {
 // this, a client that timed out can never tell whether its writes landed;
 // with it, a history survives fault injection with no maybe-committed holes.
 //
-// Each touched partition is driven to its recorded decision and the results
-// are conjoined, mirroring how commit itself combines per-partition
-// verdicts. The coordinator's single-goroutine contract applies: Resolve
-// reuses the commit endpoints.
+// The touched partitions are driven to their recorded decisions in one round,
+// side by side, and the results are conjoined, mirroring how commit itself
+// combines per-partition verdicts. The transaction's context bounds it while
+// it lasts; once it has ended — the very reason the commit's outcome may be
+// unknown — only the retry budget does. The coordinator's single-goroutine
+// contract applies: Resolve reuses the commit endpoints.
 func (t *Txn) Resolve() (bool, error) {
 	if len(t.unresolved) == 0 {
 		return false, errors.New("coordinator: nothing to resolve (commit did not time out)")
 	}
-	committed := true
-	for _, p := range t.unresolved {
-		ok, err := t.c.RecoverTxn(p, t.id, t.coreID, 0)
-		if err != nil {
-			return false, err
-		}
-		committed = committed && ok
+	ctx := t.ctx
+	if ctx.Err() != nil {
+		ctx = context.WithoutCancel(ctx) // the caller is back to learn what became of the commit
+	}
+	committed, err := t.c.resolve(ctx, &t.c.round, t.unresolved, t.id, t.coreID, 0)
+	if err != nil {
+		return false, err
 	}
 	t.unresolved = t.unresolved[:0]
 	if committed {
@@ -364,12 +367,15 @@ func (t *Txn) Resolve() (bool, error) {
 // it should build the transaction and return, leaving Commit to Run.
 func (c *Coordinator) Run(ctx context.Context, fn func(*Txn) error) error {
 	immediate := false
-	for attempt := 0; ; attempt++ {
-		k := attempt
+	for txns := 0; ; txns++ { // transactions tried so far: the next one's backoff grows with them
+		k := txns
 		if immediate {
 			k, immediate = 0, false // re-routed: no backoff
 		}
-		if err := c.backoff(ctx, k); err != nil {
+		if k > 0 {
+			c.sleep(ctx, backoffDelay(c.cfg.BackoffBase, c.cfg.BackoffMax, k-1, &c.rng))
+		}
+		if err := expired(ctx); err != nil {
 			return err
 		}
 		t := &Txn{c: c, ctx: ctx}

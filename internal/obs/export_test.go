@@ -35,6 +35,7 @@ func TestPrometheusEndpoint(t *testing.T) {
 	s.Observe(HistCommit, 2*time.Millisecond)
 	s.Inc(TxnCommitMultiShard)
 	s.Observe(HistValidateRound, time.Millisecond)
+	s.Observe(HistReadRound, time.Millisecond)
 	r.RegisterGauge("vstore_keys", func() uint64 { return 99 })
 
 	srv := httptest.NewServer(Handler(r))
@@ -48,6 +49,7 @@ func TestPrometheusEndpoint(t *testing.T) {
 		"meerkat_commit_latency_seconds_count 1",
 		"meerkat_txn_commit_multi_shard_total 1",
 		"meerkat_validate_round_latency_seconds_count 1",
+		"meerkat_read_round_latency_seconds_count 1",
 		`meerkat_commit_latency_seconds{quantile="0.5"}`,
 		"# TYPE meerkat_txn_commit_fast_total counter",
 		"# TYPE meerkat_vstore_keys gauge",

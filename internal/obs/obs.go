@@ -175,6 +175,11 @@ const (
 	// every touched partition is decided, slow path and recovery included,
 	// whatever the outcome.
 	HistValidateRound
+	// HistReadRound is one execution-phase read round as the coordinator
+	// sees it — a single-key read, a batched multi-read or a snapshot round
+	// alike: from its first request going out until the round closes, resends
+	// included, whatever the outcome.
+	HistReadRound
 
 	// NumHists sizes shard arrays; keep it last.
 	NumHists
@@ -184,6 +189,7 @@ var histNames = [NumHists]string{
 	HistCommit:        "commit_latency",
 	HistAbort:         "abort_latency",
 	HistValidateRound: "validate_round_latency",
+	HistReadRound:     "read_round_latency",
 }
 
 // Name returns the histogram's export name.

@@ -18,6 +18,7 @@ func TestRecordPathZeroAllocs(t *testing.T) {
 		s.Add(ValidateOK, 3)
 		s.Observe(HistCommit, 123*time.Microsecond)
 		s.Observe(HistValidateRound, 45*time.Microsecond)
+		s.Observe(HistReadRound, 30*time.Microsecond)
 	})
 	if allocs != 0 {
 		t.Fatalf("record path allocates %v allocs/op, want 0", allocs)

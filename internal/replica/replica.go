@@ -17,8 +17,8 @@
 package replica
 
 import (
+	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -116,8 +116,13 @@ type Replica struct {
 	shared *trecord.Shared // non-nil iff cfg.SharedRecord
 	epoch  atomic.Uint64
 
-	recoverer *coordinator.Recoverer
-	recMu     sync.Mutex // serializes recovery runs initiated here
+	// The sweepers' recoveries run one at a time on one goroutine, which owns
+	// the recoverer: recoverLoop takes them off stale until shutdown cancels
+	// it, and closes recovered on its way out.
+	recoverer     *coordinator.Recoverer
+	stale         chan staleTxn
+	cancelRecover context.CancelFunc
+	recovered     chan struct{}
 
 	// recovering is set at construction for crash-recovered replicas and
 	// cleared once every core has installed an epoch-change merge; while
@@ -278,6 +283,12 @@ func (r *Replica) Start() error {
 			return err
 		}
 		r.recoverer = rec
+		// Room for every transaction a coordinator crash can strand at once; a
+		// sweep that finds the queue full leaves the rest to the next one.
+		r.stale, r.recovered = make(chan staleTxn, 1024), make(chan struct{})
+		ctx, cancel := context.WithCancel(context.Background())
+		r.cancelRecover = cancel
+		go r.recoverLoop(ctx)
 		for _, c := range r.cores {
 			c.sweepStop = make(chan struct{})
 			go c.sweepLoop()
@@ -315,6 +326,9 @@ func (r *Replica) shutdown(crash bool) {
 		}
 	}
 	if r.recoverer != nil {
+		// Join the recovery in flight before its endpoint goes.
+		r.cancelRecover()
+		<-r.recovered
 		r.recoverer.Close()
 	}
 	if r.cfg.WAL != nil {
@@ -895,34 +909,44 @@ func (c *core) handleSweep() {
 	}
 	now := nanotime()
 	stale := int64(c.r.cfg.StaleAfter)
-	type job struct {
-		tid  timestamp.TxnID
-		view uint64
-	}
-	var jobs []job
+	found := 0
 	c.withRecords(func(p *trecord.Partition) {
 		p.Range(func(rec *trecord.Record) bool {
-			if rec.Status.Final() {
+			if rec.Status.Final() || now-rec.CreatedAt < stale || now-rec.LastRecovery < stale {
 				return true
 			}
-			if now-rec.CreatedAt < stale || now-rec.LastRecovery < stale {
+			select {
+			case c.r.stale <- staleTxn{tid: rec.Txn.ID, core: c.id, view: rec.View}:
+				rec.LastRecovery = now
+				found++
 				return true
+			default:
+				return false
 			}
-			rec.LastRecovery = now
-			jobs = append(jobs, job{tid: rec.Txn.ID, view: rec.View})
-			return true
 		})
 	})
-	c.obs.Add(obs.SweepRecovery, uint64(len(jobs)))
-	for _, j := range jobs {
-		go func(j job) {
-			c.r.recMu.Lock()
-			defer c.r.recMu.Unlock()
-			if c.r.stopped.Load() {
-				return
-			}
-			c.r.recoverer.Recover(c.r.cfg.Partition, j.tid, c.id, j.view)
-		}(j)
+	c.obs.Add(obs.SweepRecovery, uint64(found))
+}
+
+// staleTxn names a transaction a sweep found stalled: its record on core, and
+// the view that record has reached.
+type staleTxn struct {
+	tid  timestamp.TxnID
+	core uint32
+	view uint64
+}
+
+// recoverLoop completes the transactions the sweeps found, one at a time,
+// until ctx ends, which also ends the recovery then in flight.
+func (r *Replica) recoverLoop(ctx context.Context) {
+	defer close(r.recovered)
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case j := <-r.stale:
+			r.recoverer.Recover(ctx, r.cfg.Partition, j.tid, j.core, j.view)
+		}
 	}
 }
 

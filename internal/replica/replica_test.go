@@ -1,6 +1,7 @@
 package replica_test
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -255,7 +256,7 @@ func TestBackupCoordinatorCompletesOrphan(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rec.Close()
-	committed, err := rec.Recover(0, txn.ID, 0, 0)
+	committed, err := rec.Recover(context.Background(), 0, txn.ID, 0, 0)
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
@@ -291,7 +292,7 @@ func TestBackupCoordinatorAbortsUnvalidatedOrphan(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rec.Close()
-	committed, err := rec.Recover(0, txn.ID, 0, 0)
+	committed, err := rec.Recover(context.Background(), 0, txn.ID, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +336,7 @@ func TestConcurrentBackupCoordinatorsAgree(t *testing.T) {
 				return
 			}
 			defer rec.Close()
-			committed, err := rec.Recover(0, txn.ID, 0, 0)
+			committed, err := rec.Recover(context.Background(), 0, txn.ID, 0, 0)
 			if err != nil {
 				t.Errorf("recover %d: %v", i, err)
 			}

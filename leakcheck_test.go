@@ -21,16 +21,16 @@ import (
 // cleanup runs after every Close the test registers or defers and before the
 // temp dir is removed.
 //
-// Most goroutines are given a short grace period to finish: two families are
-// still signalled by Close rather than joined — an inproc endpoint's
-// delivery goroutine and the sweeper's per-transaction recoveries — and a
-// fired timer callback may be mid-flight. (The coordinator is no third
-// family any more: it starts no goroutine, which
-// TestCloseMidCommitLeavesNoCoordinatorGoroutine holds it to without any
-// grace.) A write to the data directory
-// after Close returned is exactly what this exists to catch, so open fds and
-// goroutines inside internal/wal — the only code that writes there — get no
-// grace at all.
+// Most goroutines are given a short grace period to finish: one family is
+// still signalled by Close rather than joined — an inproc endpoint's delivery
+// goroutine — and a fired timer callback may be mid-flight. Three get none. A
+// write to the data directory after Close returned is exactly what this
+// exists to catch, so open fds and goroutines inside internal/wal — the only
+// code that writes there — must be gone at once. So must the sweeper's
+// per-transaction recoveries, which Close and CrashReplica join
+// (TestStopJoinsSweeperRecoveries), and anything else running coordinator
+// code: the coordinator starts no goroutine of its own
+// (TestCloseMidCommitLeavesNoCoordinatorGoroutine).
 func verifyCleanShutdown(t *testing.T, dataDir string) {
 	t.Helper()
 	before := meerkatGoroutines()
@@ -50,6 +50,9 @@ func verifyCleanShutdown(t *testing.T, dataDir string) {
 				if first && strings.Contains(stack, "meerkat/internal/wal.") {
 					t.Errorf("a WAL goroutine was still running when Close returned:\n%s", stack)
 				}
+				if first && inRecovery(stack) {
+					t.Errorf("a sweeper recovery or coordinator goroutine was still running when Close returned:\n%s", stack)
+				}
 				leaked += "\n" + stack + "\n"
 			}
 			if leaked == "" {
@@ -62,6 +65,16 @@ func verifyCleanShutdown(t *testing.T, dataDir string) {
 			time.Sleep(5 * time.Millisecond)
 		}
 	})
+}
+
+// inRecovery reports a goroutine of a replica's sweeper — its recovery worker,
+// idle or not — or any other that runs coordinator code.
+func inRecovery(stack string) bool {
+	return strings.Contains(stack, "handleSweep") || strings.Contains(stack, "recoverLoop") || runsCoordinator(stack)
+}
+
+func runsCoordinator(stack string) bool {
+	return strings.Contains(stack, "meerkat/internal/coordinator.")
 }
 
 var goroutineHeader = regexp.MustCompile(`^goroutine (\d+) \[`)
@@ -179,5 +192,68 @@ func TestCloseMidCommitLeavesNoCoordinatorGoroutine(t *testing.T) {
 	}
 	if left := inCoordinator(); len(left) > 0 {
 		t.Errorf("coordinator goroutines still running after the commit returned:\n%s", strings.Join(left, "\n\n"))
+	}
+}
+
+// TestStopJoinsSweeperRecoveries strands a transaction at one replica — the
+// other two are cut off before the validate reaches them — so that replica's
+// sweeper starts a recovery that cannot find a majority and keeps retrying.
+// CrashReplica, and Close, must wait for it: once they return no recovery is
+// running anywhere (the two replicas still up have nothing to recover), and
+// after Close no recovery worker is left either — both checked at once, with
+// no grace period.
+func TestStopJoinsSweeperRecoveries(t *testing.T) {
+	stops := map[string]func(db *DB){
+		"CrashReplica": func(db *DB) { db.Admin().CrashReplica(0, 0) },
+		"Close":        func(db *DB) { db.Close() },
+	}
+	for name, stop := range stops {
+		t.Run(name, func(t *testing.T) {
+			verifyCleanShutdown(t, "")
+			cutOff := []uint32{1, 2} // replicas 1 and 2 of the one group (checked below)
+			db, err := Open(Config{
+				Seed: 1, CommitTimeout: 5 * time.Millisecond, Retries: 1,
+				SweepInterval: 10 * time.Millisecond, StaleAfter: 20 * time.Millisecond,
+				Faults: &faultnet.Plan{Events: []faultnet.Event{{At: 0, Op: faultnet.OpPartition, Groups: [][]uint32{cutOff}}}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			for i, n := range cutOff {
+				if got := db.Admin().NodeOf(0, 1+i); got != n {
+					t.Fatalf("replica %d is node %d, the plan cuts off %d", 1+i, got, n)
+				}
+			}
+			cl, err := db.Client()
+			if err != nil {
+				t.Fatal(err)
+			}
+			txn := cl.Begin()
+			txn.Write("stranded", []byte("v"))
+			if _, err := txn.Commit(); !errors.Is(err, ErrTimeout) {
+				t.Fatalf("commit with two replicas cut off: %v, want ErrTimeout", err)
+			}
+			cl.Close()
+
+			recovering := func() (stacks []string) {
+				for _, stack := range meerkatGoroutines() {
+					if runsCoordinator(stack) {
+						stacks = append(stacks, stack)
+					}
+				}
+				return stacks
+			}
+			for deadline := time.Now().Add(5 * time.Second); len(recovering()) == 0; {
+				if time.Now().After(deadline) {
+					t.Fatal("the sweeper never started a recovery")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			stop(db)
+			if left := recovering(); len(left) > 0 {
+				t.Errorf("sweeper recoveries still running after the stop returned:\n%s", strings.Join(left, "\n\n"))
+			}
+		})
 	}
 }

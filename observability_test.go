@@ -320,4 +320,9 @@ func TestValidateRoundObserved(t *testing.T) {
 	if got := d.Hists[obs.HistCommit].Count(); got != 3 {
 		t.Errorf("commits observed = %d, want 3", got)
 	}
+	// Every one of the three read its keys in one round first, whatever the
+	// kind: a single-key read, a batched multi-read, a snapshot round.
+	if got := d.Hists[obs.HistReadRound].Count(); got != 3 {
+		t.Errorf("read rounds observed = %d, want 3", got)
+	}
 }
