@@ -81,7 +81,11 @@ bench-exp:
 # go statement, and its one time.NewTimer is the lazily armed mailbox's. And
 # one place that waits, under one retry policy and the caller's context:
 # exactly one .await( call site (link.run), no hand-written `for attempt`
-# loop, and context.Background() only where Begin binds it.
+# loop, and context.Background() only where Begin binds it. And one address
+# per party, one address plan, one fault injector: no `eps` slice and at most
+# one .Listen( per file (each constructor has its own) in internal/coordinator,
+# no fault knob in internal/transport (faultnet injects), and no port stride
+# computed from the shard count anywhere (topo.EndpointsPerNode is the stride).
 api-guard:
 	@! grep -rnE --include='*.go' --exclude='*_test.go' 'Deprecated:|^func .*Ctx\(' . \
 		| grep -vE '^\./internal/(kuafu|meerkatpb|pbclient|sim)/'
@@ -95,3 +99,8 @@ api-guard:
 	@! grep -nE --exclude='*_test.go' 'for attempt' internal/coordinator/*.go
 	@! grep -n --exclude='*_test.go' 'context\.Background()' internal/coordinator/*.go \
 		| grep -vE 'return &Txn\{c: c, ctx: context\.Background\(\)\}|^[^:]*:[0-9]*:[[:space:]]*//'
+	@! grep -nwE --exclude='*_test.go' 'eps' internal/coordinator/*.go
+	@for f in $$(ls internal/coordinator/*.go | grep -v _test.go); do \
+		test "$$(grep -c '\.Listen(' $$f)" -le 1 || { echo "$$f binds more than one endpoint"; exit 1; }; done
+	@! grep -rnE --include='*.go' --exclude='*_test.go' 'DropProb|SetLinkFilter|Isolate\(' internal/transport/
+	@! grep -rnE --include='*.go' --exclude='*_test.go' '2 *\+ *\*?(shards|.*MaxShards)' .

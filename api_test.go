@@ -32,7 +32,7 @@ func TestConfigValidate(t *testing.T) {
 		{Replicas: -3},
 		{Shards: -1},
 		{Shards: 3, MaxShards: 2},
-		{DropProb: 1.5},
+		{Faults: lossy(1, 1.5)},
 		{CommitTimeout: -time.Second},
 		{BackoffBase: time.Second, BackoffMax: time.Millisecond},
 		{Faults: &faultnet.Plan{Rules: []faultnet.Rule{{DropProb: 7}}}},
@@ -218,7 +218,7 @@ func TestRunPropagatesFnError(t *testing.T) {
 func TestClusterFaultPlan(t *testing.T) {
 	plan := &faultnet.Plan{
 		Seed:  11,
-		Rules: []faultnet.Rule{{SrcNode: faultnet.Any, DstNode: faultnet.Any, SrcCore: faultnet.Any, DstCore: faultnet.Any, DropProb: 0.05}},
+		Rules: []faultnet.Rule{faultnet.EveryLink(faultnet.Rule{DropProb: 0.05})},
 		Events: []faultnet.Event{
 			{At: 1, Op: faultnet.OpHeal}, // benign marker event
 		},

@@ -130,7 +130,7 @@ func (cl *Client) Stats() (committed, aborted uint64) {
 	return cl.committed, cl.aborted
 }
 
-// Close releases the client's endpoints.
+// Close releases the client's endpoint.
 func (cl *Client) Close() { cl.coord.Close() }
 
 // Txn is an in-progress interactive transaction. Reads see the latest

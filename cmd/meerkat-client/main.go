@@ -36,13 +36,13 @@ func main() {
 		replicas  = flag.Int("replicas", 3, "replicas per partition group")
 		shards    = flag.Int("shards", 1, "route by the versioned hash-range shard map over this many shards (must match the servers' -shards)")
 		cores     = flag.Int("cores", 4, "server threads per replica")
-		clientID  = flag.Uint64("id", defaultClientID(os.Getpid()), "unique client id; picks the client's UDP port slot (default 1 + pid mod 1024)")
+		clientID  = flag.Uint64("id", defaultClientID(os.Getpid()), "unique client id; picks the client's one UDP port (default 1 + pid mod 1024)")
 		op        = flag.String("op", "get", "operation: get|mget|put|incr|append|bench")
 		key       = flag.String("key", "", "key (for mget: comma-separated keys)")
 		value     = flag.String("value", "", "value (put)")
 		duration  = flag.Duration("duration", 3*time.Second, "bench duration")
 		benchKeys = flag.Int("bench-keys", 1024, "bench keyspace (pre-load with meerkat-server -keys)")
-		pipeline  = flag.Int("pipeline", 1, "bench: transactions kept in flight over one socket set (pipelined session workers)")
+		pipeline  = flag.Int("pipeline", 1, "bench: transactions kept in flight over the client's one socket (pipelined session workers)")
 	)
 	flag.Parse()
 
@@ -57,13 +57,9 @@ func main() {
 		os.Exit(2)
 	}
 	sm := shardmap.NewCache(shardmap.NewSource(shardmap.New(*shards)))
-	coresPerNode := *cores
-	if coresPerNode < 2+*shards {
-		coresPerNode = 2 + *shards
-	}
-	net := transport.NewUDP(*host, *port, coresPerNode)
+	net := transport.NewUDP(*host, *port, t.EndpointsPerNode())
 	defer net.Close()
-	if err := checkClientID(net, t, coresPerNode, *clientID); err != nil {
+	if err := checkClientID(net, t, *clientID); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -76,7 +72,7 @@ func main() {
 		Timeout:  200 * time.Millisecond,
 		ShardMap: sm,
 	}
-	// A pipelined bench multiplexes *pipeline workers over one socket set;
+	// A pipelined bench multiplexes *pipeline workers over one socket;
 	// everything else drives a single stop-and-wait coordinator. Both paths
 	// bind the same client address, so they are built mutually exclusively.
 	var workers []*coordinator.Coordinator
@@ -192,7 +188,7 @@ func main() {
 
 	case "bench":
 		// One goroutine per pipelined worker; with -pipeline 1 this is the
-		// original single closed loop. All workers share the socket set, so
+		// original single closed loop. All workers share the one socket, so
 		// their concurrent round trips batch into shared sendmmsg calls.
 		val := workload.Value(64)
 		var committed, aborted atomic.Uint64
@@ -247,19 +243,19 @@ const defaultClientIDs = 1024
 
 func defaultClientID(pid int) uint64 { return 1 + uint64(pid)%defaultClientIDs }
 
-// checkClientID rejects an -id whose port slot lies past port 65535 under
-// net's map, naming the largest id that fits, so the mistake surfaces at the
-// flags instead of as ErrPortRange from the first bind. The bound is
-// ValidatePortMap's: the last core of client id's slot.
-func checkClientID(net *transport.UDP, t topo.Topology, coresPerNode int, id uint64) error {
-	largest := (65535 - (coresPerNode - 1) - net.Port(t.ClientAddr(0))) / coresPerNode
-	if largest < 0 {
-		return fmt.Errorf("-port leaves no room for client ports (client slot 0 starts at %d)", net.Port(t.ClientAddr(0)))
+// checkClientID rejects an -id whose port lies past 65535 under net's map,
+// naming the largest id that fits, so the mistake surfaces at the flags
+// instead of as ErrPortRange from the first bind. The bound is
+// ValidatePortMap's: the one port client id binds.
+func checkClientID(net *transport.UDP, t topo.Topology, id uint64) error {
+	first := net.Port(t.ClientAddr(0))
+	if first > 65535 {
+		return fmt.Errorf("-port leaves no room for client ports (client 0 would bind %d)", first)
 	}
-	if id > uint64(largest) {
-		return fmt.Errorf("-id %d is past the UDP port budget of -port/-cores/-shards: the largest usable id is %d", id, largest)
+	if largest := uint64(65535-first) / uint64(t.EndpointsPerNode()); id > largest {
+		return fmt.Errorf("-id %d is past the UDP port budget of -port/-cores: the largest usable id is %d", id, largest)
 	}
-	return net.ValidatePortMap(t.Partitions, t.Replicas, int(id)+1)
+	return net.ValidatePortMap(t, int(id)+1)
 }
 
 // newRng seeds per-client randomness from the client id.

@@ -10,8 +10,9 @@
 //	meerkat-client -op put -key hello -value world
 //	meerkat-client -op get -key hello
 //
-// All processes must agree on -host, -port, -replicas, -cores, and -shards
-// (they define the address map).
+// All processes must agree on -host, -port, -replicas, -cores, and -shards:
+// -host, -port and -cores define the port map (internal/topo's address plan,
+// cores+1 ports per node), -replicas and -shards who sits where in it.
 //
 // With -data-dir the replica persists commits to per-core write-ahead logs
 // and restarts from disk (see the durability section of DESIGN.md); -sync
@@ -68,11 +69,7 @@ func main() {
 	// it redirects keys it does not own, so a client with a mismatched shard
 	// count fails loudly instead of reading the wrong group.
 	own := shardmap.NewOwnership(shardmap.New(*shards), *partition)
-	coresPerNode := *cores
-	if coresPerNode < 2+*shards {
-		coresPerNode = 2 + *shards // client endpoints need port slots
-	}
-	net := transport.NewUDP(*host, *port, coresPerNode)
+	net := transport.NewUDP(*host, *port, t.EndpointsPerNode())
 	defer net.Close()
 
 	reg := obs.NewRegistry()

@@ -8,6 +8,7 @@ import (
 
 	"meerkat/internal/faultnet"
 	"meerkat/internal/obs"
+	"meerkat/internal/topo"
 	"meerkat/internal/transport"
 	"meerkat/internal/wal"
 )
@@ -125,7 +126,8 @@ type Config struct {
 	UDPBasePort int
 	// UDPMaxClients is the client budget the UDP port map is validated
 	// against: Validate fails with ErrPortMap if that many clients (plus
-	// all replica and recovery slots) cannot fit the 16-bit port range.
+	// every replica, backup-coordinator and epoch-change address of the
+	// plan in internal/topo) cannot fit the 16-bit port range.
 	// Creating more clients than this is still caught, at DB.Client time,
 	// by the transport's own typed port checks. Default 64.
 	UDPMaxClients int
@@ -138,11 +140,6 @@ type Config struct {
 	// datagram path even where sendmmsg/recvmmsg are available. It exists
 	// so benchmarks can measure the per-message baseline; leave it off.
 	UDPNoBatch bool
-
-	// DropProb injects random message loss on the inproc transport, and
-	// Delay adds constant per-message latency, for fault-tolerance tests.
-	DropProb float64
-	Delay    time.Duration
 
 	// InprocServiceTime, when positive, caps every replica endpoint of the
 	// inproc transport at one message per this much time (client endpoints
@@ -175,9 +172,11 @@ type Config struct {
 	BackoffMax  time.Duration
 
 	// Faults, when non-nil, wraps the cluster's transport in the
-	// deterministic fault-injection layer (internal/faultnet) running this
-	// schedule: per-link drop/delay/reorder/duplicate rules, partitions,
-	// and crash/restart black-holes triggered at global message counts.
+	// deterministic fault-injection layer (internal/faultnet) — the one
+	// place message loss, delay, reordering and duplication are injected,
+	// over either transport — running this schedule: per-link
+	// drop/delay/reorder/duplicate rules, partitions, and crash/restart
+	// black-holes triggered at global message counts.
 	// Crash/restart events black-hole the node's traffic; pair them with
 	// Admin.FaultEvents to also stop and recover the real replica. The
 	// plan must pass its Validate; Open rejects the config otherwise.
@@ -233,11 +232,8 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("meerkat: negative size in config %+v", *c)
 	}
 	if c.CommitTimeout < 0 || c.BackoffBase < 0 || c.BackoffMax < 0 ||
-		c.SweepInterval < 0 || c.StaleAfter < 0 || c.Delay < 0 || c.InprocServiceTime < 0 {
+		c.SweepInterval < 0 || c.StaleAfter < 0 || c.InprocServiceTime < 0 {
 		return errors.New("meerkat: negative duration in config")
-	}
-	if c.DropProb < 0 || c.DropProb > 1 {
-		return fmt.Errorf("meerkat: DropProb %v out of [0,1]", c.DropProb)
 	}
 	if c.Replicas == 0 {
 		c.Replicas = 3
@@ -267,12 +263,12 @@ func (c *Config) Validate() error {
 		c.UDPMaxClients = 64
 	}
 	if c.Transport == TransportUDP {
-		// Statically check the port map before anything binds: replica ids
-		// must stay clear of the recovery-coordinator slots, and the
-		// highest client address must fit 16 bits. The throwaway network
-		// only does arithmetic here; no socket is created.
-		probe := transport.NewUDP(c.UDPHost, c.UDPBasePort, c.udpCoresPerNode())
-		if err := probe.ValidatePortMap(c.MaxShards, c.Replicas, c.UDPMaxClients); err != nil {
+		// Statically check the port map before anything binds: the plan's
+		// node ranges must stay apart, every node's endpoints — a replica's
+		// backup coordinator included — must fit the stride, and the highest
+		// client address must fit 16 bits. The throwaway network only does
+		// arithmetic here; no socket is created.
+		if err := c.newUDP().ValidatePortMap(c.topology(), c.UDPMaxClients); err != nil {
 			return fmt.Errorf("%w: %w", ErrPortMap, err)
 		}
 	}
@@ -361,6 +357,13 @@ func (c *Config) deriveDeltaMargin() time.Duration {
 	return m
 }
 
-// udpCoresPerNode is the ports-per-node stride of the UDP port map: cores
-// per node must also cover the highest client core index (1+MaxShards).
-func (c *Config) udpCoresPerNode() int { return max(c.Cores, 2+c.MaxShards) }
+// topology is the deployment a normalized config describes.
+func (c *Config) topology() topo.Topology {
+	return topo.Topology{Partitions: c.MaxShards, Replicas: c.Replicas, Cores: c.Cores}
+}
+
+// newUDP returns the UDP fabric of a normalized config, its port stride the
+// address plan's.
+func (c *Config) newUDP() *transport.UDP {
+	return transport.NewUDP(c.UDPHost, c.UDPBasePort, c.topology().EndpointsPerNode())
+}

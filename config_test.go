@@ -86,7 +86,7 @@ func TestRecoverNonCrashedReplicaRejected(t *testing.T) {
 
 func TestDropConfigStillCommits(t *testing.T) {
 	c := newTestDB(t, Config{
-		DropProb:      0.05,
+		Faults:        lossy(5, 0.05),
 		Seed:          5,
 		CommitTimeout: 20 * time.Millisecond,
 		Retries:       30,

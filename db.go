@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"meerkat/internal/faultnet"
 	"meerkat/internal/obs"
@@ -74,7 +73,7 @@ func Open(cfg Config) (*DB, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	t := topo.Topology{Partitions: cfg.MaxShards, Replicas: cfg.Replicas, Cores: cfg.Cores}
+	t := cfg.topology()
 	if !t.Validate() {
 		return nil, fmt.Errorf("meerkat: invalid configuration %+v", cfg)
 	}
@@ -121,24 +120,14 @@ func Open(cfg Config) (*DB, error) {
 	db.recObs = db.obs.NewShard()
 	switch cfg.Transport {
 	case TransportInproc:
-		var delay func() time.Duration
-		if cfg.Delay > 0 {
-			d := cfg.Delay
-			delay = func() time.Duration { return d }
-		}
 		db.inet = transport.NewInproc(transport.InprocConfig{
-			DropProb:         cfg.DropProb,
-			Delay:            delay,
-			Seed:             cfg.Seed,
 			ServiceTime:      cfg.InprocServiceTime,
 			ServiceNodeLimit: topo.ClientNodeBase,
 		})
 		db.inet.RegisterObs(db.obs)
 		db.net = db.inet
 	case TransportUDP:
-		// One port per (node, core); cores per node must cover the
-		// highest client core index (1+MaxShards).
-		db.unet = transport.NewUDP(cfg.UDPHost, cfg.UDPBasePort, cfg.udpCoresPerNode())
+		db.unet = cfg.newUDP()
 		db.unet.SetFlushDelay(cfg.UDPFlushDelay)
 		db.unet.SetBatchDisabled(cfg.UDPNoBatch)
 		db.unet.RegisterObs(db.obs)

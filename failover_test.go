@@ -1,14 +1,19 @@
 package meerkat
 
 import (
+	"errors"
 	"fmt"
+	"net"
 	"strconv"
 	"sync"
 	"testing"
 	"time"
 
 	"meerkat/internal/checker"
+	"meerkat/internal/faultnet"
+	"meerkat/internal/obs"
 	"meerkat/internal/timestamp"
+	"meerkat/internal/topo"
 )
 
 func TestCrashedReplicaTxnsContinue(t *testing.T) {
@@ -192,7 +197,7 @@ func TestSerializabilityUnderMessageLoss(t *testing.T) {
 	// be one-copy serializable in timestamp order.
 	c := newTestDB(t, Config{
 		Cores:         2,
-		DropProb:      0.02,
+		Faults:        lossy(7, 0.02),
 		Seed:          7,
 		CommitTimeout: 20 * time.Millisecond,
 		Retries:       20,
@@ -324,7 +329,7 @@ func TestSweeperFinishesOrphanedTxns(t *testing.T) {
 	// keeps the system live: after the noise, fresh transactions commit.
 	c := newTestDB(t, Config{
 		Cores:         2,
-		DropProb:      0.3,
+		Faults:        lossy(11, 0.3),
 		Seed:          11,
 		CommitTimeout: 10 * time.Millisecond,
 		Retries:       3,
@@ -350,5 +355,51 @@ func TestSweeperFinishesOrphanedTxns(t *testing.T) {
 	cl2 := newDBClient(t, c2)
 	if err := cl2.Put("fresh", []byte("v")); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSweeperOverUDP: coordinator-failure recovery (§5.3.2) runs over the real
+// wire. A replica's backup coordinator is one more address of the plan — one
+// past the server threads — so it has a UDP port like everybody else. The
+// first client never hears a reply, so its write is validated at every
+// replica and then orphaned; a backup coordinator must finish it, and a
+// second client must read what it wrote.
+func TestSweeperOverUDP(t *testing.T) {
+	deaf := int(topo.ClientNodeBase + 1) // DB.Client numbers clients from 1
+	db, err := Open(Config{
+		Transport: TransportUDP, UDPBasePort: 26000, Cores: 2,
+		CommitTimeout: 10 * time.Millisecond, Retries: 2,
+		SweepInterval: 25 * time.Millisecond, StaleAfter: 50 * time.Millisecond,
+		Faults: &faultnet.Plan{Seed: 1, Rules: []faultnet.Rule{{
+			SrcNode: faultnet.Any, SrcCore: faultnet.Any, DstNode: deaf, DstCore: faultnet.Any, DropProb: 1,
+		}}},
+	})
+	if sock := new(*net.OpError); errors.As(err, sock) {
+		t.Skipf("cannot bind UDP sockets: %v", err)
+	} else if err != nil {
+		t.Fatalf("Open with a sweeper over UDP: %v", err)
+	}
+	defer db.Close()
+	orphan := newDBClient(t, db)
+	if got := db.topo.ClientAddr(orphan.ID()).Node; int(got) != deaf {
+		t.Fatalf("the first client is node %d, the plan deafens %d", got, deaf)
+	}
+	if err := orphan.Put("k", []byte("orphaned")); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("put by a client that hears no reply: %v, want ErrTimeout", err)
+	}
+	reader := newDBClient(t, db)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		val, err := reader.GetStrong("k")
+		if err == nil && string(val) == "orphaned" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the orphaned write was never finished: read %q, %v", val, err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := db.Admin().Obs().Snapshot().Counter(obs.SweepRecovery); n == 0 {
+		t.Error("the write is there but no sweep handed it to a backup coordinator")
 	}
 }

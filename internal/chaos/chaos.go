@@ -121,13 +121,8 @@ func DefaultPlan(seed int64) *faultnet.Plan {
 	iso := t.ReplicaNode(0, 1)
 	victim := t.ReplicaNode(0, 2)
 	return &faultnet.Plan{
-		Seed: seed,
-		Rules: []faultnet.Rule{{
-			ID:      "ambient-loss",
-			SrcNode: faultnet.Any, DstNode: faultnet.Any,
-			SrcCore: faultnet.Any, DstCore: faultnet.Any,
-			DropProb: 0.02,
-		}},
+		Seed:  seed,
+		Rules: []faultnet.Rule{faultnet.EveryLink(faultnet.Rule{ID: "ambient-loss", DropProb: 0.02})},
 		Events: []faultnet.Event{
 			{At: 500, Op: faultnet.OpPartition, Groups: [][]uint32{{iso}}},
 			{At: 1500, Op: faultnet.OpHeal},

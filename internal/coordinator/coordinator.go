@@ -106,8 +106,8 @@ type Coordinator struct {
 	gen *timestamp.Generator
 
 	// The link is the coordinator's own, except that a Session's workers send
-	// through the session's endpoints: shared is true for them, so Close
-	// leaves the endpoints alone.
+	// through the session's endpoint: shared is true for them, so Close
+	// leaves the endpoint alone.
 	link
 	shared bool
 
@@ -144,7 +144,7 @@ func groupTable(t topo.Topology) [][]message.Addr {
 	return groups
 }
 
-// newCore builds a coordinator without endpoints: New binds its own, Session
+// newCore builds a coordinator without an endpoint: New binds its own, Session
 // workers share the session's. cfg is already filled and validated.
 func newCore(cfg Config) *Coordinator {
 	c := &Coordinator{cfg: cfg, gen: timestamp.NewGenerator(cfg.ClientID, cfg.Clock.Now)}
@@ -166,28 +166,7 @@ func newCore(cfg Config) *Coordinator {
 // partition's group plus stragglers of retried attempts, with headroom.
 func inboxDepth(t topo.Topology) int { return max(256, 8*t.Replicas*t.Partitions) }
 
-// listen binds the endpoints of one client id — the read endpoint at core 0,
-// partition p's commit endpoint at core 1+p — every one delivering to h.
-func listen(cfg *Config, h transport.Handler) (eps []transport.Endpoint, err error) {
-	base := cfg.Topo.ClientAddr(cfg.ClientID)
-	for core := 0; core <= cfg.Topo.Partitions; core++ {
-		ep, err := cfg.Net.Listen(message.Addr{Node: base.Node, Core: uint32(core)}, h)
-		if err != nil {
-			closeAll(eps)
-			return nil, err
-		}
-		eps = append(eps, ep)
-	}
-	return eps, nil
-}
-
-func closeAll(eps []transport.Endpoint) {
-	for _, ep := range eps {
-		ep.Close()
-	}
-}
-
-// New binds a coordinator's endpoints on cfg.Net.
+// New binds a coordinator's endpoint, the client's one address, on cfg.Net.
 func New(cfg Config) (*Coordinator, error) {
 	cfg.fill()
 	if !cfg.Topo.Validate() || cfg.ShardMap == nil {
@@ -195,16 +174,16 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	c := newCore(cfg)
 	var err error
-	if c.eps, err = listen(&c.cfg, c.in.Handle); err != nil {
+	if c.ep, err = cfg.Net.Listen(cfg.Topo.ClientAddr(cfg.ClientID), c.in.Handle); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
-// Close releases the coordinator's endpoints. Session workers share the
-// session's endpoints and leave closing them to Session.Close.
+// Close releases the coordinator's endpoint. Session workers share the
+// session's and leave closing it to Session.Close.
 func (c *Coordinator) Close() {
 	if !c.shared {
-		closeAll(c.eps)
+		c.ep.Close()
 	}
 }

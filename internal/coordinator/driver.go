@@ -184,12 +184,11 @@ func (mb *mailbox) await(ctx context.Context, wake time.Time) (*message.Message,
 }
 
 // link is what a round is driven over: the mailbox its replies arrive in, the
-// endpoints its requests leave by, the routing map they are stamped with.
+// endpoint its requests leave by, the routing map they are stamped with. One
+// endpoint, one mailbox: a party is one address (topo's plan).
 type link struct {
 	mailbox
-	// eps[0] sends single-key reads, eps[1+p] everything else bound for
-	// partition p: for sending only, every one delivers into the mailbox.
-	eps []transport.Endpoint
+	ep transport.Endpoint
 	// groups[p*cores+core] is the broadcast destination set for (p, core),
 	// precomputed once so no round allocates it. Immutable once built; a
 	// session's workers share one table.
@@ -229,22 +228,22 @@ func (l *link) noteRedirect() bool {
 	return advanced
 }
 
-// broadcast hands one copy of req per destination in group to ep as a single
-// batch — one syscall on the real wire instead of one per replica. Every
-// destination gets its own pooled copy (the transport owns a message once
+// broadcast hands one copy of req per destination in group to the endpoint as
+// a single batch — one syscall on the real wire instead of one per replica.
+// Every destination gets its own pooled copy (the transport owns a message once
 // handed over, stamps Src per send, and its receiver recycles it); the
 // copies share req's payload slices, which no receiver writes. req stays the
 // caller's. A send error is message loss to every round — the retry policy
 // covers it — except closed, which reports that this link's own endpoint is
 // shut: no resend can succeed, so the round stops.
-func (l *link) broadcast(ep transport.Endpoint, group []message.Addr, req *message.Message) (closed bool) {
+func (l *link) broadcast(group []message.Addr, req *message.Message) (closed bool) {
 	l.outs = l.outs[:0]
 	for _, dst := range group {
 		m := message.AcquireMessage()
 		*m = *req
 		l.outs = append(l.outs, transport.Outgoing{Dst: dst, M: m})
 	}
-	return errors.Is(ep.SendBatch(l.outs), transport.ErrClosed)
+	return errors.Is(l.ep.SendBatch(l.outs), transport.ErrClosed)
 }
 
 // run drives the round m has begun until none of its partitions is open: it

@@ -260,15 +260,15 @@ func (rr *readRound) perform(l *link) {
 		t.send = false
 		rr.count(l, t.attempt)
 		req := message.Message{Type: message.TypeMultiRead, Keys: rr.span(p), TS: rr.snap, Seq: t.seq, MapVersion: l.mapVersion()}
-		ep, group := l.eps[1+p], l.group(p, uint32(l.rng.Intn(topo.Cores)))
+		group := l.group(p, uint32(l.rng.Intn(topo.Cores)))
 		if rr.snap.IsZero() {
 			r := l.rng.Intn(topo.Replicas)
 			group = group[r : r+1]
 		}
 		if rr.single {
-			ep, req.Type, req.Key, req.Keys = l.eps[0], message.TypeRead, rr.grouped[0], nil
+			req.Type, req.Key, req.Keys = message.TypeRead, rr.grouped[0], nil
 		}
-		if l.broadcast(ep, group, &req) {
+		if l.broadcast(group, &req) {
 			rr.fail(transport.ErrClosed)
 			return
 		}

@@ -200,21 +200,16 @@ func NewRecoverer(net transport.Network, t topo.Topology, addr message.Addr, pro
 	r := &Recoverer{cfg: Config{Topo: t, ClientID: proposer, Timeout: timeout, Retries: retries}}
 	r.cfg.fill()
 	r.link = link{mailbox: mailbox{in: transport.NewInbox(256)}, groups: groupTable(t), cores: t.Cores}
-	ep, err := net.Listen(addr, r.in.Handle)
-	if err != nil {
+	var err error
+	if r.ep, err = net.Listen(addr, r.in.Handle); err != nil {
 		return nil, err
-	}
-	// The one endpoint sends to every partition.
-	r.eps = make([]transport.Endpoint, 1+t.Partitions)
-	for i := range r.eps {
-		r.eps[i] = ep
 	}
 	r.round.init(&r.cfg, proposer)
 	return r, nil
 }
 
 // Close releases the recovery endpoint.
-func (r *Recoverer) Close() { r.eps[0].Close() }
+func (r *Recoverer) Close() { r.ep.Close() }
 
 // Recover completes tid in partition p with a consistent outcome, returning
 // whether it committed. The end of ctx ends it with the outcome unknown.

@@ -339,7 +339,7 @@ func (r *round) perform(l *link) {
 				req.Status = message.StatusCommitted
 			}
 		}
-		if l.broadcast(l.eps[1+p.p], l.group(p.p, r.coreID), &req) && p.phase != phDone {
+		if l.broadcast(l.group(p.p, r.coreID), &req) && p.phase != phDone {
 			r.decide(p, false, transport.ErrClosed)
 		}
 	}

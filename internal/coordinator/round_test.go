@@ -425,11 +425,13 @@ func TestRoundWakeIsEarliestWait(t *testing.T) {
 }
 
 // scriptNet is a transport.Network without goroutines, sockets or loss:
-// Listen hands out endpoints whose sends go to onSend, synchronously, and
-// deliver returns the handler a reply is to be pushed into.
+// Listen hands out endpoints whose sends go to onSend, synchronously and
+// stamped with the sender's address as a transport stamps them, and deliver
+// is the handler a reply is to be pushed into. bound lists what was bound.
 type scriptNet struct {
 	deliver transport.Handler
 	onSend  func(dst message.Addr, m *message.Message)
+	bound   []message.Addr
 }
 
 type scriptEp struct {
@@ -438,19 +440,20 @@ type scriptEp struct {
 }
 
 func (n *scriptNet) Listen(addr message.Addr, h transport.Handler) (transport.Endpoint, error) {
-	n.deliver = h
+	n.deliver, n.bound = h, append(n.bound, addr)
 	return &scriptEp{net: n, addr: addr}, nil
 }
 func (n *scriptNet) Close() error { return nil }
 
 func (e *scriptEp) Addr() message.Addr { return e.addr }
 func (e *scriptEp) Send(dst message.Addr, m *message.Message) error {
+	m.Src = e.addr
 	e.net.onSend(dst, m)
 	return nil
 }
 func (e *scriptEp) SendBatch(batch []transport.Outgoing) error {
 	for _, o := range batch {
-		e.net.onSend(o.Dst, o.M)
+		e.Send(o.Dst, o.M)
 	}
 	return nil
 }
@@ -584,12 +587,91 @@ func TestCrossShardCommitOnCallerGoroutine(t *testing.T) {
 	}
 }
 
-// TestSessionRoutesEveryEndpointToTheIssuingWorker: a session's endpoints all
-// deliver through one router, which hands a reply to the worker named by its
-// transaction id or read Seq — whichever partition's endpoint it arrived on —
-// so a reply for worker 1 that lands in the middle of worker 0's cross-shard
-// commit waits in worker 1's mailbox and counts for nobody else.
-func TestSessionRoutesEveryEndpointToTheIssuingWorker(t *testing.T) {
+// TestOneAddressCarriesEveryPartition: a coordinator binds its client address
+// and nothing else, every request of every partition — validates, outcome
+// broadcasts, multi-reads and the one-key read — leaves from it, and a reply
+// folds into the tally of the partition its sender's node belongs to: the
+// replicas of all four groups answer under the same three ReplicaIDs, so
+// nothing but PartitionOf(Src.Node) tells them apart.
+func TestOneAddressCarriesEveryPartition(t *testing.T) {
+	net := &scriptNet{}
+	c := newScriptedCoordinator(t, net)
+	self := roundTopo.ClientAddr(c.cfg.ClientID)
+	if len(net.bound) != 1 || net.bound[0] != self {
+		t.Fatalf("coordinator bound %v, want only %v", net.bound, self)
+	}
+	keys := keysOn(c, 0, 1, 2, 3)
+	sent := map[message.Type]map[int]int{} // requests by type and partition
+	net.onSend = func(dst message.Addr, m *message.Message) {
+		p, replica := roundTopo.PartitionOf(dst.Node), dst.Node%uint32(roundTopo.Replicas)
+		if m.Src != self {
+			t.Errorf("%v for partition %d left from %v, want %v", m.Type, p, m.Src, self)
+		}
+		if sent[m.Type] == nil {
+			sent[m.Type] = map[int]int{}
+		}
+		sent[m.Type][p]++
+		reply := message.Message{Src: dst, ReplicaID: replica, TID: m.TID, Seq: m.Seq}
+		named := []byte(fmt.Sprint("from group ", p))
+		switch m.Type {
+		case message.TypeValidate:
+			reply.Type, reply.Status = message.TypeValidateReply, vOK
+			if p == 2 {
+				reply.Status = vAbort // one group disagrees, under the same ReplicaIDs
+			}
+		case message.TypeMultiRead:
+			reply.Type, reply.Reads = message.TypeMultiReadReply, []message.ReadResult{{Value: named, OK: true}}
+		case message.TypeRead:
+			reply.Type, reply.Value, reply.OK = message.TypeReadReply, named, true
+		default:
+			return
+		}
+		net.deliver(&reply)
+	}
+
+	txn := c.Begin()
+	for _, k := range keys {
+		txn.Write(k, []byte("v"))
+	}
+	if ok, err := txn.Commit(); err != nil || ok {
+		t.Fatalf("commit with group 2 aborting: ok=%v err=%v", ok, err)
+	}
+	for i := range c.round.parts {
+		p, n := &c.round.parts[i], roundTopo.Replicas
+		if want := [2]int{n, 0}; p.p != 2 && [2]int{p.ok, p.abort} != want || p.p == 2 && [2]int{p.abort, p.ok} != want {
+			t.Errorf("partition %d tallied %d OK and %d ABORT, want its own group's %d verdicts only", p.p, p.ok, p.abort, n)
+		}
+	}
+	res, err := c.ReadMany(context.Background(), keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p, r := range res {
+		if want := fmt.Sprint("from group ", p); string(r.Value) != want {
+			t.Errorf("key of partition %d read %q, want %q", p, r.Value, want)
+		}
+	}
+	if val, _, _, err := c.Read(context.Background(), keys[3]); err != nil || string(val) != "from group 3" {
+		t.Errorf("one-key read of partition 3: %q, %v", val, err)
+	}
+	for typ, want := range map[message.Type]int{message.TypeValidate: 3, message.TypeCommit: 3, message.TypeMultiRead: 1} {
+		for p := 0; p < roundTopo.Partitions; p++ {
+			if got := sent[typ][p]; got != want {
+				t.Errorf("partition %d was sent %d %v, want %d", p, got, typ, want)
+			}
+		}
+	}
+	if got := sent[message.TypeRead]; len(got) != 1 || got[3] != 1 {
+		t.Errorf("one-key reads sent %v, want one to partition 3", got)
+	}
+}
+
+// TestSessionRoutesEveryReplyToTheIssuingWorker: a session's one endpoint
+// delivers through one router, which hands a reply to the worker named by its
+// transaction id or read Seq — whichever group sent it — so a reply for
+// worker 1 that lands in the middle of worker 0's cross-shard commit waits in
+// worker 1's mailbox and counts for nobody else.
+func TestSessionRoutesEveryReplyToTheIssuingWorker(t *testing.T) {
 	net := &scriptNet{}
 	s, err := NewSession(scriptedConfig(net), 2)
 	if err != nil {

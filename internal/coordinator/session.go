@@ -9,7 +9,7 @@ import (
 )
 
 // Worker-demux bit layout. A session multiplexes several logical clients
-// ("workers") over one set of endpoints, so every reply must carry enough to
+// ("workers") over one endpoint, so every reply must carry enough to
 // route it back to the worker whose transaction it answers. Two existing
 // fields already round-trip through the replicas untouched:
 //
@@ -31,27 +31,26 @@ const (
 )
 
 // Session multiplexes up to `window` concurrently outstanding transactions
-// over ONE set of client sockets. A plain Coordinator is stop-and-wait: one
+// over ONE client socket. A plain Coordinator is stop-and-wait: one
 // transaction in flight per endpoint, so on the real-UDP transport the wire
 // idles between round trips and every message costs its own syscalls. A
-// Session binds the same endpoints a single coordinator would (one read
-// endpoint plus one commit endpoint per partition) and hands them to
-// `window` workers — each a full Coordinator driven by its caller's goroutine
-// — demultiplexing replies onto each worker's one mailbox by the worker index
-// carried in transaction ids and read sequence numbers. Combined with the
-// transport's batched sends, the pipelined workers fill sendmmsg/recvmmsg
-// rings instead of moving one datagram per syscall.
+// Session binds the one address a single coordinator would and hands the
+// endpoint to `window` workers — each a full Coordinator driven by its
+// caller's goroutine — demultiplexing replies onto each worker's one mailbox
+// by the worker index carried in transaction ids and read sequence numbers.
+// Combined with the transport's batched sends, the pipelined workers fill
+// sendmmsg/recvmmsg rings instead of moving one datagram per syscall.
 //
 // Each worker is single-goroutine exactly like a plain Coordinator; the
 // Session itself has no locks on any hot path (the routing handlers read
 // immutable state).
 type Session struct {
 	cfg     Config
-	eps     []transport.Endpoint
+	ep      transport.Endpoint
 	workers []*Coordinator
 }
 
-// NewSession binds one endpoint set on cfg.Net and builds window pipelined
+// NewSession binds one endpoint on cfg.Net and builds window pipelined
 // workers over it. cfg.ClientID must leave the worker-index bits clear (ids
 // below 1<<32, which every id the public API hands out satisfies). Worker i
 // operates as client id cfg.ClientID | i<<32, with derived seeds; cfg.Obs,
@@ -91,19 +90,18 @@ func NewSession(cfg Config, window int) (*Session, error) {
 	}
 
 	var err error
-	if s.eps, err = listen(&s.cfg, s.route); err != nil {
+	if s.ep, err = cfg.Net.Listen(cfg.Topo.ClientAddr(cfg.ClientID), s.route); err != nil {
 		return nil, err
 	}
 	for _, w := range s.workers {
-		w.eps = s.eps
+		w.ep = s.ep
 	}
 	return s, nil
 }
 
-// route demultiplexes a reply, whichever endpoint it arrived on, onto the
-// issuing worker's mailbox: read and multi-read replies echo the request's
-// Seq, everything else carries the transaction id, whose ClientID holds the
-// worker index. A reply no worker can own the router itself consumes.
+// route demultiplexes a reply onto the issuing worker's mailbox: read and
+// multi-read replies echo the request's Seq, everything else carries the
+// transaction id, whose ClientID holds the worker index. A reply no worker can own the router itself consumes.
 func (s *Session) route(m *message.Message) {
 	var i int
 	if m.Type == message.TypeReadReply || m.Type == message.TypeMultiReadReply {
@@ -129,5 +127,5 @@ func (s *Session) Worker(i int) *Coordinator { return s.workers[i] }
 // Topology returns the topology the session was built for.
 func (s *Session) Topology() topo.Topology { return s.cfg.Topo }
 
-// Close releases the session's endpoints. Workers must be idle.
-func (s *Session) Close() { closeAll(s.eps) }
+// Close releases the session's endpoint. Workers must be idle.
+func (s *Session) Close() { s.ep.Close() }

@@ -97,18 +97,7 @@ type heldMsg struct {
 // Callers hold l.mu.
 func (l *linkState) next() float64 {
 	l.rng += 0x9e3779b97f4a7c15
-	return float64(mix64(l.rng)>>11) / (1 << 53)
-}
-
-// mix64 is the splitmix64 finalizer (the same stream discipline the inproc
-// transport uses for its drop PRNGs).
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
+	return float64(transport.Mix64(l.rng)>>11) / (1 << 53)
 }
 
 // Network wraps a transport.Network and injects the plan's faults into every
@@ -275,7 +264,7 @@ func (n *Network) link(src, dst message.Addr) *linkState {
 	seed := uint64(n.plan.Seed) ^
 		uint64(src.Node)<<48 ^ uint64(src.Core)<<32 ^
 		uint64(dst.Node)<<16 ^ uint64(dst.Core)
-	l = &linkState{rng: mix64(seed)}
+	l = &linkState{rng: transport.Mix64(seed)}
 	n.links[key] = l
 	return l
 }
@@ -339,7 +328,7 @@ func (ep *endpoint) Send(dst message.Addr, m *message.Message) error {
 		delay = rule.Delay
 		if rule.Jitter > 0 {
 			l.rng += 0x9e3779b97f4a7c15
-			delay += time.Duration(mix64(l.rng) % uint64(rule.Jitter))
+			delay += time.Duration(transport.Mix64(l.rng) % uint64(rule.Jitter))
 		}
 	}
 

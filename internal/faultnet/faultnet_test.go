@@ -115,6 +115,43 @@ func TestDropIsDeterministicPerSeed(t *testing.T) {
 	}
 }
 
+// TestDropAllCountsEveryDrop: a certain-loss rule on every link delivers
+// nothing and counts each message it swallowed.
+func TestDropAllCountsEveryDrop(t *testing.T) {
+	n, src, col := pipe(t, &Plan{Seed: 1, Rules: []Rule{EveryLink(Rule{DropProb: 1})}})
+	for i := 0; i < 100; i++ {
+		src.Send(addr(2, 0), &message.Message{Type: message.TypePut})
+	}
+	if got := col.wait(1, 20*time.Millisecond); got != 0 {
+		t.Fatalf("%d messages delivered with DropProb=1", got)
+	}
+	if got := n.Stats().Dropped.Load(); got != 100 {
+		t.Fatalf("Dropped = %d, want 100", got)
+	}
+}
+
+// TestLinksDropIndependently: two links under one rule and one seed draw from
+// different streams — the link's addresses are mixed into its seed — so their
+// drop schedules differ.
+func TestLinksDropIndependently(t *testing.T) {
+	n, src1, _ := pipe(t, &Plan{Seed: 7, Rules: []Rule{EveryLink(Rule{DropProb: 0.5})}})
+	src3, err := n.Listen(addr(3, 0), func(*message.Message) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	schedule := func(src transport.Endpoint) (out [64]bool) {
+		for i := range out {
+			before := n.Stats().Dropped.Load()
+			src.Send(addr(2, 0), &message.Message{Type: message.TypePut})
+			out[i] = n.Stats().Dropped.Load() > before
+		}
+		return out
+	}
+	if schedule(src1) == schedule(src3) {
+		t.Fatal("two links produced identical 64-send drop schedules")
+	}
+}
+
 func TestCrashAndRestartEvents(t *testing.T) {
 	plan := &Plan{Events: []Event{
 		{At: 10, Op: OpCrash, Node: 2},
@@ -260,7 +297,7 @@ func TestStallRuleInstalledAndCleared(t *testing.T) {
 func TestPlanDumpRoundTripAndDeterminism(t *testing.T) {
 	plan := &Plan{
 		Seed:  42,
-		Rules: []Rule{{ID: "loss", SrcNode: Any, DstNode: Any, SrcCore: Any, DstCore: Any, DropProb: 0.01}},
+		Rules: []Rule{EveryLink(Rule{ID: "loss", DropProb: 0.01})},
 		Events: []Event{
 			{At: 100, Op: OpCrash, Node: 3},
 			{At: 500, Op: OpRestart, Node: 3},
@@ -281,6 +318,15 @@ func TestPlanDumpRoundTripAndDeterminism(t *testing.T) {
 	c, _ := back.Dump()
 	if !bytes.Equal(a, c) {
 		t.Fatal("Dump/Load/Dump changed the schedule")
+	}
+	// EveryLink is the four wildcards and nothing else: the rule survives the
+	// round trip selecting every link, where a bare literal selects node 0.
+	spelled := Rule{ID: "loss", SrcNode: Any, DstNode: Any, SrcCore: Any, DstCore: Any, DropProb: 0.01}
+	if back.Rules[0] != spelled || !back.Rules[0].matches(7, 3, 1<<16, 0) {
+		t.Fatalf("EveryLink rule came back as %+v", back.Rules[0])
+	}
+	if (&Rule{DropProb: 0.01}).matches(7, 3, 1<<16, 0) {
+		t.Fatal("a rule with zero-valued selectors matched a link off node 0")
 	}
 }
 

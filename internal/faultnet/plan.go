@@ -68,6 +68,13 @@ type Rule struct {
 	Jitter time.Duration `json:"jitter,omitempty"`
 }
 
+// EveryLink returns r selecting every link: all four selectors Any. A rule
+// literal that leaves them out selects node 0, core 0 — the zero values.
+func EveryLink(r Rule) Rule {
+	r.SrcNode, r.DstNode, r.SrcCore, r.DstCore = Any, Any, Any, Any
+	return r
+}
+
 // matches reports whether the rule selects the (src, dst) link.
 func (r *Rule) matches(srcNode, srcCore, dstNode, dstCore uint32) bool {
 	return (r.SrcNode == Any || uint32(r.SrcNode) == srcNode) &&

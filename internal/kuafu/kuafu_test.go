@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"meerkat/internal/clock"
+	"meerkat/internal/faultnet"
 	"meerkat/internal/kuafu"
 	"meerkat/internal/pbclient"
 	"meerkat/internal/timestamp"
@@ -216,7 +217,8 @@ func TestSharedLogGrows(t *testing.T) {
 func TestSubmitRetryIsIdempotent(t *testing.T) {
 	// Lossy network: client retries must not double-apply a transaction.
 	tp := topo.Topology{Partitions: 1, Replicas: 3, Cores: 2}
-	net := transport.NewInproc(transport.InprocConfig{DropProb: 0.05, Seed: 3})
+	net := faultnet.Wrap(transport.NewInproc(transport.InprocConfig{}),
+		&faultnet.Plan{Seed: 3, Rules: []faultnet.Rule{faultnet.EveryLink(faultnet.Rule{DropProb: 0.05})}})
 	var reps []*kuafu.Replica
 	for i := 0; i < 3; i++ {
 		rep, _ := kuafu.New(kuafu.Config{Topo: tp, Index: i, Net: net})

@@ -24,10 +24,6 @@ import (
 	"meerkat/internal/vstore"
 )
 
-// epochCoordNodeBase is the node id space for ephemeral epoch-change
-// coordinator endpoints: above all replica ids, below client ids.
-const epochCoordNodeBase = 1 << 15
-
 // ErrNoQuorum means the epoch change could not reach a majority of replicas.
 var ErrNoQuorum = errors.New("recovery: no quorum of replicas reachable")
 
@@ -76,7 +72,7 @@ type coreKey struct {
 func RunEpochChange(net transport.Network, t topo.Topology, p int, epoch uint64, opts Options) ([]message.TRecordEntry, error) {
 	opts.fill()
 	in := transport.NewInbox(4096)
-	ep, err := net.Listen(message.Addr{Node: epochCoordNodeBase + uint32(p), Core: 0}, in.Handle)
+	ep, err := net.Listen(t.EpochChangeAddr(p), in.Handle)
 	if err != nil {
 		return nil, err
 	}
@@ -370,7 +366,7 @@ func mergeTrecords(perReplica map[uint32][]message.TRecordEntry, f int, o *obs.S
 func SyncStoreRemote(net transport.Network, t topo.Topology, p, from int, dst *vstore.Store, opts Options) error {
 	opts.fill()
 	in := transport.NewInbox(64)
-	ep, err := net.Listen(message.Addr{Node: epochCoordNodeBase + uint32(p), Core: 1}, in.Handle)
+	ep, err := net.Listen(t.StateTransferAddr(p), in.Handle)
 	if err != nil {
 		return err
 	}

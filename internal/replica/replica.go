@@ -35,10 +35,6 @@ import (
 	"meerkat/internal/wal"
 )
 
-// RecovererCore is the core number used for a replica's backup-coordinator
-// endpoint; it is outside the range of real server threads.
-const RecovererCore = 1 << 20
-
 // Config parameterizes a replica.
 type Config struct {
 	Topo      topo.Topology
@@ -274,7 +270,7 @@ func (r *Replica) Start() error {
 	if r.cfg.SweepInterval > 0 {
 		rec, err := coordinator.NewRecoverer(
 			r.cfg.Net, r.cfg.Topo,
-			message.Addr{Node: r.Node(), Core: RecovererCore},
+			r.cfg.Topo.RecovererAddr(r.cfg.Partition, r.cfg.Index),
 			uint64(r.cfg.Index),
 			r.cfg.RecoveryTimeout, r.cfg.RecoveryRetries,
 		)

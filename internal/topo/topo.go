@@ -1,15 +1,56 @@
 // Package topo describes a Meerkat deployment: how many partitions the data
 // is split across (§5.2.4), how many replicas each partition group has
-// (n = 2f+1), and how many cores (server threads) each replica runs. It also
-// fixes the address conventions every component uses, and the quorum sizes
-// of the commit protocol.
+// (n = 2f+1), and how many cores (server threads) each replica runs. It owns
+// the address plan — who binds which (node, core) — and the quorum sizes of
+// the commit protocol.
+//
+// The address plan. Every party is one address:
+//
+//	party                                      node                 core
+//	server thread c of replica r, partition p  p*Replicas + r       c
+//	that replica's backup coordinator          p*Replicas + r       Cores
+//	partition p's epoch-change coordinator     EpochNodeBase + p    0
+//	partition p's state-transfer receiver      EpochNodeBase + p    1
+//	client id                                  ClientNodeBase + id  0
+//
+// so a node binds at most EndpointsPerNode addresses, whatever the number of
+// partitions, and a transport that needs dense indices (UDP ports) lays the
+// three node ranges side by side with Slot.
 package topo
 
-import "meerkat/internal/message"
+import (
+	"fmt"
 
-// ClientNodeBase is the first node id assigned to clients; replica node ids
-// stay below it.
-const ClientNodeBase = 1 << 16
+	"meerkat/internal/message"
+)
+
+// The node id ranges of the plan: replicas below EpochNodeBase, the ephemeral
+// per-partition epoch-change and state-transfer endpoints from there, clients
+// from ClientNodeBase.
+const (
+	EpochNodeBase  = 1 << 15
+	ClientNodeBase = 1 << 16
+)
+
+// Slot bases: where Slot puts the second and third node range.
+const (
+	epochSlotBase  = 192
+	clientSlotBase = 256
+)
+
+// Slot compacts a node id into a dense index, so the sparse ranges above fit
+// a 16-bit port space: replicas keep their ids, partition p's epoch node is
+// slot epochSlotBase+p, client id's node slot clientSlotBase+id.
+func Slot(node uint32) int {
+	switch {
+	case node < EpochNodeBase:
+		return int(node)
+	case node < ClientNodeBase:
+		return epochSlotBase + int(node-EpochNodeBase)
+	default:
+		return clientSlotBase + int(node-ClientNodeBase)
+	}
+}
 
 // Topology is an immutable description of a deployment.
 type Topology struct {
@@ -67,8 +108,45 @@ func (t Topology) GroupAddrs(p int, core uint32) []message.Addr {
 	return out
 }
 
-// ClientAddr returns the address for client id. Each client owns one
-// endpoint (core 0 of its own node).
+// RecovererAddr returns the address of the backup coordinator of replica r of
+// partition p: one past its server threads.
+func (t Topology) RecovererAddr(p, r int) message.Addr {
+	return t.ReplicaAddr(p, r, uint32(t.Cores))
+}
+
+// EpochChangeAddr returns the address partition p's epoch change runs from.
+func (t Topology) EpochChangeAddr(p int) message.Addr {
+	return message.Addr{Node: EpochNodeBase + uint32(p), Core: 0}
+}
+
+// StateTransferAddr returns the address a recovering replica of partition p
+// fetches a donor's state from.
+func (t Topology) StateTransferAddr(p int) message.Addr {
+	return message.Addr{Node: EpochNodeBase + uint32(p), Core: 1}
+}
+
+// ClientAddr returns the address of client id. Each client owns one endpoint:
+// flow steering by core is a server-side device that keeps a transaction on
+// one trecord partition, while a client — a coordinator, or a session and all
+// its workers — collects every group's replies in one mailbox and tells them
+// apart by PartitionOf the sender.
 func (t Topology) ClientAddr(clientID uint64) message.Addr {
 	return message.Addr{Node: ClientNodeBase + uint32(clientID), Core: 0}
+}
+
+// EndpointsPerNode returns the number of cores a node can bind under the
+// plan — a replica's server threads plus its backup coordinator, an epoch
+// node's two — which is the per-node stride of a port map.
+func (t Topology) EndpointsPerNode() int { return max(t.Cores+1, 2) }
+
+// CheckSlots reports whether the deployment's node ranges stay apart under
+// Slot: replica nodes below the epoch slots, those below the client slots.
+func (t Topology) CheckSlots() error {
+	if n := t.Partitions * t.Replicas; n > epochSlotBase {
+		return fmt.Errorf("topo: %d replica nodes overlap the epoch-change slots starting at %d", n, epochSlotBase)
+	}
+	if t.Partitions > clientSlotBase-epochSlotBase {
+		return fmt.Errorf("topo: %d epoch-change slots overlap the client slots starting at %d", t.Partitions, clientSlotBase)
+	}
+	return nil
 }

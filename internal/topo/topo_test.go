@@ -1,6 +1,11 @@
 package topo
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+
+	"meerkat/internal/message"
+)
 
 func TestQuorumSizes(t *testing.T) {
 	cases := []struct {
@@ -94,5 +99,56 @@ func TestGroupAddrs(t *testing.T) {
 		if p := tp.PartitionOf(a.Node); p != 1 {
 			t.Errorf("addr %d: PartitionOf(%d) = %d, want 1", r, a.Node, p)
 		}
+	}
+}
+
+// TestAddressPlan pins the plan: for every shape no two parties — server
+// threads, backup coordinators, epoch-change and state-transfer endpoints,
+// clients — share an address or, under Slot and the stride EndpointsPerNode, a
+// port-map index; and the stride depends on Cores alone, so a server and a
+// client that agree on -cores agree on every port whatever their -shards.
+func TestAddressPlan(t *testing.T) {
+	for _, cores := range []int{1, 2, 4, 8} {
+		stride := Topology{Partitions: 1, Replicas: 3, Cores: cores}.EndpointsPerNode()
+		for _, shards := range []int{1, 4, 64} {
+			tp := Topology{Partitions: shards, Replicas: 3, Cores: cores}
+			if got := tp.EndpointsPerNode(); got != stride {
+				t.Errorf("cores %d: stride %d at %d shards, %d at 1", cores, got, shards, stride)
+			}
+			if err := tp.CheckSlots(); err != nil {
+				t.Errorf("%+v: %v", tp, err)
+			}
+			addrs, index := map[message.Addr]string{}, map[int]string{}
+			bind := func(a message.Addr, who string) {
+				if prev, ok := addrs[a]; ok {
+					t.Errorf("%+v: %s and %s share address %v", tp, prev, who, a)
+				}
+				addrs[a] = who
+				if int(a.Core) >= stride {
+					t.Errorf("%+v: %s binds core %d, past the stride %d", tp, who, a.Core, stride)
+				}
+				i := Slot(a.Node)*stride + int(a.Core)
+				if prev, ok := index[i]; ok {
+					t.Errorf("%+v: %s and %s share port index %d", tp, prev, who, i)
+				}
+				index[i] = who
+			}
+			for p := 0; p < shards; p++ {
+				for r := 0; r < tp.Replicas; r++ {
+					for c := 0; c < cores; c++ {
+						bind(tp.ReplicaAddr(p, r, uint32(c)), fmt.Sprintf("core %d of replica %d/%d", c, p, r))
+					}
+					bind(tp.RecovererAddr(p, r), fmt.Sprintf("recoverer of replica %d/%d", p, r))
+				}
+				bind(tp.EpochChangeAddr(p), fmt.Sprintf("epoch change of %d", p))
+				bind(tp.StateTransferAddr(p), fmt.Sprintf("state transfer of %d", p))
+			}
+			for id := uint64(0); id < 100; id++ {
+				bind(tp.ClientAddr(id), fmt.Sprintf("client %d", id))
+			}
+		}
+	}
+	if err := (Topology{Partitions: 65, Replicas: 3, Cores: 1}).CheckSlots(); err == nil {
+		t.Error("195 replica nodes fit below the epoch-change slots at 192")
 	}
 }

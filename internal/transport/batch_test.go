@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"meerkat/internal/message"
+	"meerkat/internal/topo"
 )
 
 // sendAndCollect pushes a batch through ep and waits until the receiver's
@@ -241,17 +242,28 @@ func TestUDPFlushDelayCoalesces(t *testing.T) {
 }
 
 func TestUDPValidatePortMap(t *testing.T) {
+	shape := func(partitions, cores int) topo.Topology {
+		return topo.Topology{Partitions: partitions, Replicas: 3, Cores: cores}
+	}
 	n := NewUDP("127.0.0.1", 29000, 8)
-	if err := n.ValidatePortMap(1, 3, 64); err != nil {
+	if err := n.ValidatePortMap(shape(1, 7), 64); err != nil {
 		t.Fatalf("valid map rejected: %v", err)
 	}
 	// 65 partitions x 3 replicas = 195 replica nodes, reaching into the
-	// recovery-coordinator slots at 192.
-	if err := n.ValidatePortMap(65, 3, 4); !errors.Is(err, ErrPortCollision) {
+	// epoch-change slots at 192.
+	if err := n.ValidatePortMap(shape(65, 4), 4); !errors.Is(err, ErrPortCollision) {
 		t.Fatalf("collision map: %v, want ErrPortCollision", err)
 	}
+	// 8 server threads leave no port for the replica's backup coordinator:
+	// it would land on core 0 of the next node.
+	if err := n.ValidatePortMap(shape(1, 8), 4); !errors.Is(err, ErrPortCollision) {
+		t.Fatalf("stride too small for the recoverer: %v, want ErrPortCollision", err)
+	}
+	if _, err := n.Listen(shape(1, 8).RecovererAddr(0, 0), nil); !errors.Is(err, ErrPortCollision) {
+		t.Fatalf("listen past the stride: %v, want ErrPortCollision", err)
+	}
 	// Enough clients to push the top port past 65535.
-	if err := n.ValidatePortMap(1, 3, 10000); !errors.Is(err, ErrPortRange) {
+	if err := n.ValidatePortMap(shape(1, 4), 10000); !errors.Is(err, ErrPortRange) {
 		t.Fatalf("overflow map: %v, want ErrPortRange", err)
 	}
 }
@@ -259,12 +271,12 @@ func TestUDPValidatePortMap(t *testing.T) {
 func TestUDPListenPortCollision(t *testing.T) {
 	n := NewUDP("127.0.0.1", 28000, 4)
 	defer n.Close()
-	// Plain node 195 occupies the slot of recovery coordinator partition 3
-	// (recovery slots start at 192).
+	// Plain node 195 occupies the slot of partition 3's epoch-change node
+	// (those slots start at 192).
 	if _, err := n.Listen(message.Addr{Node: 195, Core: 0}, func(*message.Message) {}); err != nil {
 		t.Skipf("cannot bind UDP socket: %v", err)
 	}
-	_, err := n.Listen(message.Addr{Node: 1<<15 + 3, Core: 0}, func(*message.Message) {})
+	_, err := n.Listen(message.Addr{Node: topo.EpochNodeBase + 3, Core: 0}, func(*message.Message) {})
 	if !errors.Is(err, ErrPortCollision) {
 		t.Fatalf("colliding listen: %v, want ErrPortCollision", err)
 	}

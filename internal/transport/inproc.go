@@ -14,20 +14,6 @@ type InprocConfig struct {
 	// a NIC receive ring. Sends to a full queue are dropped, as a NIC
 	// would. Defaults to 8192.
 	QueueDepth int
-	// DropProb is the probability each message is silently dropped.
-	DropProb float64
-	// Delay, if non-nil, returns an extra delivery delay sampled per
-	// message. Delayed messages may be reordered relative to later sends.
-	Delay func() time.Duration
-	// Seed seeds the drop-decision PRNGs so fault schedules are repeatable.
-	// Each endpoint derives its own PRNG state as
-	//
-	//	mix64(uint64(Seed) ^ node<<32 ^ core)
-	//
-	// (mix64 is the splitmix64 finalizer), so drop decisions are
-	// deterministic given Seed and each endpoint's send sequence, without
-	// any cross-endpoint synchronization.
-	Seed int64
 	// Batch is the maximum number of queued messages a delivery goroutine
 	// drains per wakeup, the analogue of polling a NIC ring in bursts:
 	// under load the handler loop runs without re-entering the scheduler
@@ -52,7 +38,7 @@ type InprocConfig struct {
 type InprocStats struct {
 	Sent      uint64
 	Delivered uint64
-	Dropped   uint64 // random drops + full queues + filtered links
+	Dropped   uint64 // full queues + unbound destinations
 }
 
 // inprocCounters is one endpoint's share of InprocStats, counted by whoever
@@ -85,10 +71,6 @@ type Inproc struct {
 	mu     sync.Mutex // guards table writes, closed, final
 	closed bool
 	final  InprocStats // counters folded in from closed endpoints
-
-	// filter, when set, decides per (src, dst) whether a message may pass.
-	// It implements partitions and crashed nodes.
-	filter atomic.Pointer[func(src, dst message.Addr) bool]
 }
 
 // NewInproc returns an in-process network with the given configuration.
@@ -139,32 +121,6 @@ func (n *Inproc) setEndpoint(addr message.Addr, ep *inprocEndpoint) {
 	n.table.Store(&next)
 }
 
-// SetLinkFilter installs f as the per-link admission check: messages from
-// src to dst are dropped when f(src, dst) is false. Pass nil to clear.
-// Safe to call while the network is in use.
-func (n *Inproc) SetLinkFilter(f func(src, dst message.Addr) bool) {
-	if f == nil {
-		n.filter.Store(nil)
-		return
-	}
-	n.filter.Store(&f)
-}
-
-// Isolate drops all traffic to and from the given nodes, simulating crashed
-// or partitioned replicas. It replaces any previous filter.
-func (n *Inproc) Isolate(nodes ...uint32) {
-	down := make(map[uint32]bool, len(nodes))
-	for _, id := range nodes {
-		down[id] = true
-	}
-	n.SetLinkFilter(func(src, dst message.Addr) bool {
-		return !down[src.Node] && !down[dst.Node]
-	})
-}
-
-// Heal removes any link filter, restoring full connectivity.
-func (n *Inproc) Heal() { n.SetLinkFilter(nil) }
-
 // Listen implements Network.
 func (n *Inproc) Listen(addr message.Addr, h Handler) (Endpoint, error) {
 	n.mu.Lock()
@@ -181,10 +137,13 @@ func (n *Inproc) Listen(addr message.Addr, h Handler) (Endpoint, error) {
 		h:    h,
 		ch:   make(chan *message.Message, n.cfg.QueueDepth),
 		quit: make(chan struct{}),
+		done: make(chan struct{}),
 	}
-	ep.rng.state.Store(mix64(uint64(n.cfg.Seed) ^ uint64(addr.Node)<<32 ^ uint64(addr.Core)))
 	n.setEndpoint(addr, ep)
-	go ep.run()
+	go func() {
+		ep.run()
+		close(ep.done) // after run has returned, so a joiner never sees its frame
+	}()
 	return ep, nil
 }
 
@@ -200,47 +159,24 @@ func (n *Inproc) Close() error {
 	return nil
 }
 
-// dispatch routes m from the sending endpoint to dst, applying drops,
-// filters, and delays. Drop decisions come from the sender's own PRNG and
-// every count goes to the sender's own counters, so concurrent senders share
-// nothing but the destination's queue. The network owns m from here on: it
-// reaches dst's handler or is released.
+// dispatch routes m from the sending endpoint to dst: count, look up,
+// enqueue or drop. An unbound destination or a full ring drops silently, as a
+// NIC would; every other fault is internal/faultnet's to inject. Every count
+// goes to the sender's own counters, so concurrent senders share nothing but
+// the destination's queue. The network owns m from here on: it reaches dst's
+// handler or is released.
 func (n *Inproc) dispatch(src *inprocEndpoint, dst message.Addr, m *message.Message) {
 	src.stats.sent.Add(1)
-
-	if f := n.filter.Load(); f != nil && !(*f)(src.addr, dst) {
-		src.drop(m) // silently dropped, like a real network
-		return
-	}
-	if n.cfg.DropProb > 0 && src.rng.float64() < n.cfg.DropProb {
+	if ep, ok := (*n.table.Load())[dst]; ok {
+		ep.enqueue(src, m)
+	} else {
 		src.drop(m)
-		return
 	}
-	ep, ok := (*n.table.Load())[dst]
-	if !ok {
-		src.drop(m) // unreachable destination: a silent drop, not an error
-		return
-	}
-	if n.cfg.Delay != nil {
-		if d := n.cfg.Delay(); d > 0 {
-			time.AfterFunc(d, func() { ep.enqueue(src, m) })
-			return
-		}
-	}
-	ep.enqueue(src, m)
 }
 
-// dropRNG is a lock-free splitmix64 PRNG: each draw is one atomic add plus
-// the finalizer, so concurrent sends on one endpoint neither race nor
-// serialize. For a single-goroutine sender the sequence is exactly
-// splitmix64(seed), making fault schedules repeatable given InprocConfig.Seed.
-type dropRNG struct {
-	state atomic.Uint64
-}
-
-// mix64 is the splitmix64 finalizer, used both to derive endpoint seeds and
-// to whiten each draw.
-func mix64(x uint64) uint64 {
+// Mix64 is the splitmix64 finalizer: the whitening step of SplitMix64 and of
+// the fault injector's per-link streams.
+func Mix64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 27
@@ -249,30 +185,23 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// float64 returns a uniform draw in [0, 1).
-func (r *dropRNG) float64() float64 {
-	x := mix64(r.state.Add(0x9e3779b97f4a7c15))
-	return float64(x>>11) / (1 << 53)
-}
-
 // SplitMix64 is a tiny single-goroutine PRNG for replica/core selection on
-// the coordinator hot path: no lock, no heap allocation, and the same
-// deterministic sequence per seed as the endpoint drop PRNGs (it is the same
-// splitmix64 stream, unsynchronized). The zero value is a valid seed.
+// the coordinator hot path: no lock, no heap allocation, and a deterministic
+// sequence per seed. The zero value is a valid seed.
 type SplitMix64 struct {
 	state uint64
 }
 
 // SeedSplitMix64 returns a SplitMix64 whose stream is derived from seed via
-// the splitmix64 finalizer, matching how endpoints derive their drop PRNGs.
+// the splitmix64 finalizer.
 func SeedSplitMix64(seed uint64) SplitMix64 {
-	return SplitMix64{state: mix64(seed)}
+	return SplitMix64{state: Mix64(seed)}
 }
 
 // Uint64 returns the next draw.
 func (r *SplitMix64) Uint64() uint64 {
 	r.state += 0x9e3779b97f4a7c15
-	return mix64(r.state)
+	return Mix64(r.state)
 }
 
 // Intn returns a draw in [0, n). n must be positive.
@@ -286,8 +215,8 @@ type inprocEndpoint struct {
 	h      Handler
 	ch     chan *message.Message
 	quit   chan struct{}
+	done   chan struct{} // closed once run has returned
 	closed atomic.Bool
-	rng    dropRNG        // per-endpoint drop PRNG; see InprocConfig.Seed
 	stats  inprocCounters // what this endpoint sent, and what became of it
 }
 
@@ -378,12 +307,14 @@ func (ep *inprocEndpoint) SendBatch(batch []Outgoing) error {
 // Flush implements Endpoint. Inproc buffers nothing on the send side.
 func (ep *inprocEndpoint) Flush() error { return nil }
 
-// Close implements Endpoint.
+// Close implements Endpoint. It returns once the delivery goroutine has: the
+// handler is not running and never will again. A handler must therefore not
+// close its own endpoint.
 func (ep *inprocEndpoint) Close() error {
-	if ep.closed.Swap(true) {
-		return nil
+	if !ep.closed.Swap(true) {
+		close(ep.quit)
 	}
-	close(ep.quit)
+	<-ep.done
 	n := ep.net
 	n.mu.Lock()
 	if (*n.table.Load())[ep.addr] == ep {

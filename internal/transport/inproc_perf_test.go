@@ -8,96 +8,6 @@ import (
 	"meerkat/internal/message"
 )
 
-// TestInprocDropDeterminism asserts the per-endpoint PRNG contract: for a
-// fixed Seed and a fixed single-goroutine send sequence, exactly the same
-// messages are dropped on every run.
-func TestInprocDropDeterminism(t *testing.T) {
-	deliveredSeqs := func() []uint64 {
-		n := NewInproc(InprocConfig{DropProb: 0.5, Seed: 1234})
-		defer n.Close()
-		inbox := NewInbox(2048)
-		dst := message.Addr{Node: 1, Core: 0}
-		if _, err := n.Listen(dst, inbox.Handle); err != nil {
-			t.Fatal(err)
-		}
-		src, err := n.Listen(message.Addr{Node: 0, Core: 0}, func(*message.Message) {})
-		if err != nil {
-			t.Fatal(err)
-		}
-		const total = 1000
-		for i := uint64(0); i < total; i++ {
-			src.Send(dst, &message.Message{Type: message.TypePut, Seq: i})
-		}
-		// Sends are synchronous, so the drop/deliver split is final here;
-		// wait for the delivery goroutine to forward everything it got.
-		waitFor(t, "deliveries to settle", func() bool {
-			return uint64(len(inbox.C)) == n.Stats().Delivered
-		})
-		var seqs []uint64
-		for {
-			select {
-			case m := <-inbox.C:
-				seqs = append(seqs, m.Seq)
-				continue
-			default:
-			}
-			break
-		}
-		return seqs
-	}
-
-	a, b := deliveredSeqs(), deliveredSeqs()
-	if len(a) == 0 || len(a) == 1000 {
-		t.Fatalf("degenerate drop schedule: %d/1000 delivered", len(a))
-	}
-	if len(a) != len(b) {
-		t.Fatalf("runs delivered %d vs %d messages", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("delivery schedules diverge at %d: %d vs %d", i, a[i], b[i])
-		}
-	}
-}
-
-// TestInprocEndpointsDropIndependently asserts that two endpoints with the
-// same network Seed still see different (derived) drop schedules — the seed
-// derivation mixes the endpoint address.
-func TestInprocEndpointsDropIndependently(t *testing.T) {
-	n := NewInproc(InprocConfig{DropProb: 0.5, Seed: 7})
-	defer n.Close()
-	dst := message.Addr{Node: 9, Core: 0}
-	var count atomic.Uint64
-	n.Listen(dst, func(*message.Message) { count.Add(1) })
-
-	schedule := func(node uint32) []bool {
-		src, err := n.Listen(message.Addr{Node: node, Core: 0}, func(*message.Message) {})
-		if err != nil {
-			t.Fatal(err)
-		}
-		before := n.Stats().Dropped
-		var out []bool
-		for i := 0; i < 64; i++ {
-			src.Send(dst, &message.Message{Type: message.TypePut})
-			after := n.Stats().Dropped
-			out = append(out, after > before)
-			before = after
-		}
-		return out
-	}
-	a, b := schedule(1), schedule(2)
-	same := true
-	for i := range a {
-		if a[i] != b[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("two endpoints produced identical 64-send drop schedules")
-	}
-}
-
 // TestInprocBatchedDelivery checks that batched draining neither drops nor
 // reorders: a burst much larger than Batch arrives complete and in order.
 func TestInprocBatchedDelivery(t *testing.T) {

@@ -58,14 +58,12 @@ func TestInprocDropsVisibleInScrape(t *testing.T) {
 			gauges["net_inproc_sent"], gauges["net_inproc_delivered"], gauges["net_inproc_dropped"])
 	}
 
-	// Link-filter drops (partitions/crashes) must be visible too.
-	n.Isolate(1)
+	// Drops at an unbound destination (a crashed node) must be visible too.
 	for i := 0; i < 3; i++ {
-		if err := src.Send(sink, &message.Message{Type: message.TypeRead}); err != nil {
+		if err := src.Send(message.Addr{Node: 7}, &message.Message{Type: message.TypeRead}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	n.Heal()
 
 	srv := httptest.NewServer(obs.Handler(reg))
 	defer srv.Close()

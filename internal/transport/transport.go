@@ -46,8 +46,8 @@ type Endpoint interface {
 	// Addr returns the endpoint's own address.
 	Addr() message.Addr
 	// Send delivers m to the endpoint at dst, asynchronously and
-	// unreliably: the message may be dropped, delayed, or reordered, per
-	// the network's fault configuration (or the whims of a real kernel).
+	// unreliably: the message may be dropped, delayed, or reordered (a full
+	// ring, a real kernel, or internal/faultnet wrapped around either).
 	// The transport stamps m.Src before delivery. Send transfers ownership
 	// of m to the transport, delivered or not: the caller must not touch
 	// the struct again — not even to read it or to send it a second time
@@ -73,7 +73,8 @@ type Endpoint interface {
 	// except where a transport is configured with an explicit
 	// coalescing delay.
 	Flush() error
-	// Close unbinds the endpoint and stops its delivery goroutine.
+	// Close unbinds the endpoint and stops its delivery goroutine; on
+	// inproc it returns only once the handler can no longer run.
 	Close() error
 }
 
@@ -89,5 +90,4 @@ type Network interface {
 var (
 	ErrClosed    = errors.New("transport: closed")
 	ErrAddrInUse = errors.New("transport: address already bound")
-	ErrNoRoute   = errors.New("transport: no such destination")
 )

@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -98,94 +100,36 @@ func TestInprocPerCoreOrdering(t *testing.T) {
 	}
 }
 
-func TestInprocDropAll(t *testing.T) {
-	n := NewInproc(InprocConfig{DropProb: 1.0, Seed: 1})
-	defer n.Close()
-	var count atomic.Int64
+// TestInprocCloseJoinsDelivery: closing an endpoint returns only once its
+// handler has, and closing the network leaves no delivery goroutine behind —
+// checked at once, with no grace period.
+func TestInprocCloseJoinsDelivery(t *testing.T) {
+	loops := func() int {
+		buf := make([]byte, 1<<20)
+		return strings.Count(string(buf[:runtime.Stack(buf, true)]), "(*inprocEndpoint).run")
+	}
+	before := loops() // an earlier test may have left a network open
+	n := NewInproc(InprocConfig{})
+	var entered, finished atomic.Bool
 	dst := message.Addr{Node: 1, Core: 0}
-	n.Listen(dst, func(*message.Message) { count.Add(1) })
-	src, _ := n.Listen(message.Addr{Node: 0, Core: 0}, func(*message.Message) {})
-	for i := 0; i < 100; i++ {
-		src.Send(dst, &message.Message{Type: message.TypePut})
-	}
-	time.Sleep(20 * time.Millisecond)
-	if count.Load() != 0 {
-		t.Fatalf("%d messages delivered with DropProb=1", count.Load())
-	}
-	if n.Stats().Dropped != 100 {
-		t.Fatalf("Dropped = %d, want 100", n.Stats().Dropped)
-	}
-}
-
-func TestInprocPartialDrop(t *testing.T) {
-	n := NewInproc(InprocConfig{DropProb: 0.5, Seed: 42})
-	defer n.Close()
-	var count atomic.Int64
-	dst := message.Addr{Node: 1, Core: 0}
-	n.Listen(dst, func(*message.Message) { count.Add(1) })
-	src, _ := n.Listen(message.Addr{Node: 0, Core: 0}, func(*message.Message) {})
-	const total = 2000
-	for i := 0; i < total; i++ {
-		src.Send(dst, &message.Message{Type: message.TypePut})
-	}
-	waitFor(t, "deliveries to settle", func() bool {
-		c := count.Load()
-		time.Sleep(5 * time.Millisecond)
-		return count.Load() == c && c > 0
+	ep, _ := n.Listen(dst, func(*message.Message) {
+		entered.Store(true)
+		time.Sleep(20 * time.Millisecond)
+		finished.Store(true)
 	})
-	got := count.Load()
-	if got < total/4 || got > 3*total/4 {
-		t.Fatalf("delivered %d of %d with DropProb=0.5", got, total)
-	}
-}
-
-func TestInprocIsolateAndHeal(t *testing.T) {
-	n := NewInproc(InprocConfig{})
-	defer n.Close()
-	var count atomic.Int64
-	dst := message.Addr{Node: 2, Core: 0}
-	n.Listen(dst, func(*message.Message) { count.Add(1) })
 	src, _ := n.Listen(message.Addr{Node: 0, Core: 0}, func(*message.Message) {})
-
-	n.Isolate(2)
 	src.Send(dst, &message.Message{Type: message.TypePut})
-	time.Sleep(10 * time.Millisecond)
-	if count.Load() != 0 {
-		t.Fatal("message crossed an isolated link")
+	waitFor(t, "the handler to start", entered.Load)
+	ep.Close()
+	if !finished.Load() {
+		t.Fatal("Close returned while the handler was still running")
 	}
-
-	n.Heal()
-	src.Send(dst, &message.Message{Type: message.TypePut})
-	waitFor(t, "post-heal delivery", func() bool { return count.Load() == 1 })
-}
-
-func TestInprocIsolateBlocksOutbound(t *testing.T) {
-	n := NewInproc(InprocConfig{})
-	defer n.Close()
-	var count atomic.Int64
-	dst := message.Addr{Node: 1, Core: 0}
-	n.Listen(dst, func(*message.Message) { count.Add(1) })
-	src, _ := n.Listen(message.Addr{Node: 2, Core: 0}, func(*message.Message) {})
-	n.Isolate(2) // the *sender* is isolated
-	src.Send(dst, &message.Message{Type: message.TypePut})
-	time.Sleep(10 * time.Millisecond)
-	if count.Load() != 0 {
-		t.Fatal("isolated node's outbound message was delivered")
+	for core := uint32(1); core < 8; core++ {
+		n.Listen(message.Addr{Node: 1, Core: core}, func(*message.Message) {})
 	}
-}
-
-func TestInprocDelay(t *testing.T) {
-	n := NewInproc(InprocConfig{Delay: func() time.Duration { return 30 * time.Millisecond }})
-	defer n.Close()
-	var deliveredAt atomic.Int64
-	dst := message.Addr{Node: 1, Core: 0}
-	n.Listen(dst, func(*message.Message) { deliveredAt.Store(time.Now().UnixNano()) })
-	src, _ := n.Listen(message.Addr{Node: 0, Core: 0}, func(*message.Message) {})
-	start := time.Now()
-	src.Send(dst, &message.Message{Type: message.TypePut})
-	waitFor(t, "delayed delivery", func() bool { return deliveredAt.Load() != 0 })
-	if lat := time.Duration(deliveredAt.Load() - start.UnixNano()); lat < 25*time.Millisecond {
-		t.Fatalf("latency %v, want >= ~30ms", lat)
+	n.Close()
+	if after := loops(); after != before {
+		t.Fatalf("%d delivery goroutines outlived Inproc.Close", after-before)
 	}
 }
 

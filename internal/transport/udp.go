@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"meerkat/internal/message"
+	"meerkat/internal/topo"
 )
 
 // Batching geometry shared by the Linux mmsg path and the portable fallback.
@@ -23,24 +24,14 @@ const (
 	maxDatagram = 64 << 10
 )
 
-// Slot compaction bases for the UDP port map; see Port.
-const (
-	// recoverySlotBase is the first slot for per-partition recovery
-	// coordinators (node ids >= 1<<15); replica node ids must stay below it.
-	recoverySlotBase = 192
-	// clientSlotBase is the first slot for clients (node ids >= 1<<16);
-	// recovery-coordinator slots must stay below it.
-	clientSlotBase = 256
-)
-
 // Typed port-map errors, so deployments can fail loudly at configuration
 // time instead of binding (or sending to) the wrong socket.
 var (
 	// ErrPortRange means an address maps outside the 16-bit UDP port range.
 	ErrPortRange = errors.New("transport: UDP port out of range")
-	// ErrPortCollision means two distinct addresses compact onto the same
-	// UDP port (e.g. a replica node id reaching into the recovery-
-	// coordinator slot range).
+	// ErrPortCollision means two distinct addresses of the plan map onto
+	// the same UDP port (e.g. a replica node id reaching into the epoch-
+	// change slot range, or a stride too small for a node's endpoints).
 	ErrPortCollision = errors.New("transport: UDP port map collision")
 )
 
@@ -57,12 +48,11 @@ var (
 // is being delivered the endpoint is "corked": replies the handlers emit
 // pile into the send ring and leave in a single syscall when the burst ends.
 type UDP struct {
-	host         string
-	ip           net.IP // parsed once; per-send parsing is pure overhead
-	basePort     int
-	coresPerNode int
-	flushDelay   time.Duration
-	noBatch      bool
+	ip         net.IP // parsed once; per-send parsing is pure overhead
+	basePort   int
+	stride     int // ports per node
+	flushDelay time.Duration
+	noBatch    bool
 
 	// addrs caches resolved *net.UDPAddr per destination so the send path
 	// does not rebuild (and re-allocate) the same sockaddr per message.
@@ -79,18 +69,18 @@ type UDP struct {
 }
 
 // NewUDP returns a UDP network on host (usually "127.0.0.1"). The port for
-// address (node, core) is basePort + slot(node)*coresPerNode + core, so all
-// processes sharing the same parameters agree on the port map.
-func NewUDP(host string, basePort, coresPerNode int) *UDP {
-	if coresPerNode <= 0 {
-		coresPerNode = 128
+// address (node, core) is basePort + topo.Slot(node)*stride + core, so all
+// processes sharing the same parameters agree on the port map; a deployment's
+// stride is its topology's EndpointsPerNode.
+func NewUDP(host string, basePort, stride int) *UDP {
+	if stride <= 0 {
+		stride = 128
 	}
 	return &UDP{
-		host:         host,
-		ip:           net.ParseIP(host),
-		basePort:     basePort,
-		coresPerNode: coresPerNode,
-		ports:        make(map[int]message.Addr),
+		ip:       net.ParseIP(host),
+		basePort: basePort,
+		stride:   stride,
+		ports:    make(map[int]message.Addr),
 	}
 }
 
@@ -115,23 +105,10 @@ func (n *UDP) udpAddr(dst message.Addr) *net.UDPAddr {
 	return a.(*net.UDPAddr)
 }
 
-// Port returns the UDP port assigned to addr. Node ids are compacted into
-// slots so the large client and recovery-coordinator id spaces (see
-// internal/topo) still land in the 16-bit port range: replicas keep their
-// ids, per-partition recovery coordinators (node >= 1<<15) map to slots from
-// recoverySlotBase, and clients (node >= 1<<16) to slots from clientSlotBase.
+// Port returns the UDP port assigned to addr: the address plan's dense slot
+// for the node (topo.Slot), stride ports apart, plus the core.
 func (n *UDP) Port(addr message.Addr) int {
-	node := addr.Node
-	var slot int
-	switch {
-	case node < 1<<15:
-		slot = int(node)
-	case node < 1<<16:
-		slot = recoverySlotBase + int(node-1<<15)
-	default:
-		slot = clientSlotBase + int(node-1<<16)
-	}
-	return n.basePort + slot*n.coresPerNode + int(addr.Core)
+	return n.basePort + topo.Slot(addr.Node)*n.stride + int(addr.Core)
 }
 
 // checkPort validates that addr's port lands inside the 16-bit range and
@@ -140,36 +117,30 @@ func (n *UDP) Port(addr message.Addr) int {
 func (n *UDP) checkPort(addr message.Addr) (int, error) {
 	port := n.Port(addr)
 	if port < 1 || port > 65535 {
-		return 0, fmt.Errorf("%w: addr %+v maps to port %d (basePort=%d coresPerNode=%d)",
-			ErrPortRange, addr, port, n.basePort, n.coresPerNode)
+		return 0, fmt.Errorf("%w: addr %+v maps to port %d (basePort=%d stride=%d)",
+			ErrPortRange, addr, port, n.basePort, n.stride)
 	}
 	return port, nil
 }
 
-// ValidatePortMap statically checks that a deployment of the given shape —
-// partitions×replicas replica nodes, one recovery coordinator per partition,
-// and up to clients client nodes — maps every address it will bind onto a
-// distinct in-range port. It returns ErrPortCollision when the compacted
-// slot ranges overlap and ErrPortRange when the highest port overflows
-// 16 bits, so misconfigurations surface before the first socket binds.
-func (n *UDP) ValidatePortMap(partitions, replicas, clients int) error {
-	if replicaNodes := partitions * replicas; replicaNodes > recoverySlotBase {
-		return fmt.Errorf("%w: %d replica node ids overlap the recovery-coordinator slots starting at %d",
-			ErrPortCollision, replicaNodes, recoverySlotBase)
+// ValidatePortMap statically checks that deployment t with up to clients
+// clients maps every address of the plan (see internal/topo) onto a distinct
+// in-range port. It returns ErrPortCollision when the node ranges overlap or
+// the stride cannot hold a node's endpoints — a replica's backup coordinator
+// sits one past its server threads — and ErrPortRange when the highest client
+// overflows 16 bits, so misconfigurations surface before the first socket
+// binds.
+func (n *UDP) ValidatePortMap(t topo.Topology, clients int) error {
+	if err := t.CheckSlots(); err != nil {
+		return fmt.Errorf("%w: %v", ErrPortCollision, err)
 	}
-	if partitions > clientSlotBase-recoverySlotBase {
-		return fmt.Errorf("%w: %d recovery-coordinator slots overlap the client slots starting at %d",
-			ErrPortCollision, partitions, clientSlotBase)
+	if need := t.EndpointsPerNode(); need > n.stride {
+		return fmt.Errorf("%w: a node binds %d endpoints, %d ports apart", ErrPortCollision, need, n.stride)
 	}
-	if clients < 1 {
-		clients = 1
-	}
-	// Highest port any of these addresses can bind: the last core of the
-	// last client slot.
-	maxPort := n.basePort + (clientSlotBase+clients-1)*n.coresPerNode + n.coresPerNode - 1
-	if maxPort > 65535 {
-		return fmt.Errorf("%w: %d clients at coresPerNode=%d reach port %d (basePort=%d)",
-			ErrPortRange, clients, n.coresPerNode, maxPort, n.basePort)
+	// In int arithmetic: a client budget past 32 bits must not wrap the node id.
+	if port := n.Port(t.ClientAddr(0)) + (max(clients, 1)-1)*n.stride; port > 65535 {
+		return fmt.Errorf("%w: %d clients at stride %d reach port %d (basePort=%d)",
+			ErrPortRange, clients, n.stride, port, n.basePort)
 	}
 	return nil
 }
@@ -181,8 +152,9 @@ func (n *UDP) Listen(addr message.Addr, h Handler) (Endpoint, error) {
 	if n.closed {
 		return nil, ErrClosed
 	}
-	if int(addr.Core) >= n.coresPerNode {
-		return nil, fmt.Errorf("transport: core %d out of range (coresPerNode=%d)", addr.Core, n.coresPerNode)
+	if int(addr.Core) >= n.stride {
+		return nil, fmt.Errorf("%w: core %d of addr %+v reaches the next node's ports (stride=%d)",
+			ErrPortCollision, addr.Core, addr, n.stride)
 	}
 	port, err := n.checkPort(addr)
 	if err != nil {

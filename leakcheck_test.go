@@ -21,16 +21,17 @@ import (
 // cleanup runs after every Close the test registers or defers and before the
 // temp dir is removed.
 //
-// Most goroutines are given a short grace period to finish: one family is
-// still signalled by Close rather than joined — an inproc endpoint's delivery
-// goroutine — and a fired timer callback may be mid-flight. Three get none. A
-// write to the data directory after Close returned is exactly what this
-// exists to catch, so open fds and goroutines inside internal/wal — the only
-// code that writes there — must be gone at once. So must the sweeper's
-// per-transaction recoveries, which Close and CrashReplica join
-// (TestStopJoinsSweeperRecoveries), and anything else running coordinator
-// code: the coordinator starts no goroutine of its own
-// (TestCloseMidCommitLeavesNoCoordinatorGoroutine).
+// A short grace period covers fired timer callbacks that may be mid-flight
+// and goroutines past their last statement but not yet gone. Four families
+// get none. A write to the data directory after Close returned is exactly
+// what this exists to catch, so open fds and goroutines inside internal/wal —
+// the only code that writes there — must be gone at once. So must the
+// sweeper's per-transaction recoveries, which Close and CrashReplica join
+// (TestStopJoinsSweeperRecoveries), anything else running coordinator code —
+// the coordinator starts no goroutine of its own
+// (TestCloseMidCommitLeavesNoCoordinatorGoroutine) — and every inproc delivery
+// loop, which closing its endpoint or the network joins: no handler runs
+// after Close.
 func verifyCleanShutdown(t *testing.T, dataDir string) {
 	t.Helper()
 	before := meerkatGoroutines()
@@ -52,6 +53,9 @@ func verifyCleanShutdown(t *testing.T, dataDir string) {
 				}
 				if first && inRecovery(stack) {
 					t.Errorf("a sweeper recovery or coordinator goroutine was still running when Close returned:\n%s", stack)
+				}
+				if first && strings.Contains(stack, "transport.(*inprocEndpoint).run") {
+					t.Errorf("an inproc delivery loop was still running when Close returned:\n%s", stack)
 				}
 				leaked += "\n" + stack + "\n"
 			}

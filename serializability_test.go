@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"meerkat/internal/checker"
+	"meerkat/internal/faultnet"
 	"meerkat/internal/obs"
 	"meerkat/internal/timestamp"
 )
@@ -129,12 +130,16 @@ func TestSerializabilityMultiPartition(t *testing.T) {
 }
 
 func TestSerializabilityUnderReordering(t *testing.T) {
-	// Randomized per-message delays reorder deliveries; the protocol must
-	// stay serializable (timestamps, not arrival order, decide).
+	// Randomized per-message delays and held-back messages reorder
+	// deliveries on every link; the protocol must stay serializable
+	// (timestamps, not arrival order, decide).
 	runSerializabilityStress(t, stressConfig{
 		cluster: Config{
-			Cores:         2,
-			Delay:         500 * time.Microsecond, // base; jitter comes from scheduling
+			Cores: 2,
+			Faults: &faultnet.Plan{Seed: 200, Rules: []faultnet.Rule{faultnet.EveryLink(faultnet.Rule{
+				DelayProb: 0.5, Delay: 200 * time.Microsecond, Jitter: 600 * time.Microsecond,
+				ReorderProb: 0.1,
+			})}},
 			CommitTimeout: 50 * time.Millisecond,
 			Retries:       20,
 		},

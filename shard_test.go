@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"meerkat/internal/checker"
+	"meerkat/internal/faultnet"
 	"meerkat/internal/shardmap"
 	"meerkat/internal/timestamp"
 )
@@ -25,6 +26,12 @@ func newTestDB(t *testing.T, cfg Config) *DB {
 	}
 	t.Cleanup(db.Close)
 	return db
+}
+
+// lossy is a fault plan that drops every message, on every link, with
+// probability p.
+func lossy(seed int64, p float64) *faultnet.Plan {
+	return &faultnet.Plan{Seed: seed, Rules: []faultnet.Rule{faultnet.EveryLink(faultnet.Rule{DropProb: p})}}
 }
 
 func newDBClient(t *testing.T, db *DB, opts ...ClientOption) *Client {
@@ -343,7 +350,7 @@ func TestChaosShardSplit(t *testing.T) {
 		Shards:        1,
 		MaxShards:     2,
 		Cores:         2,
-		DropProb:      0.02,
+		Faults:        lossy(13, 0.02),
 		Seed:          13,
 		CommitTimeout: 20 * time.Millisecond,
 		Retries:       20,
