@@ -86,6 +86,11 @@ bench-exp:
 # one .Listen( per file (each constructor has its own) in internal/coordinator,
 # no fault knob in internal/transport (faultnet injects), and no port stride
 # computed from the shard count anywhere (topo.EndpointsPerNode is the stride).
+# And one read, end to end: no one-key read message pair outside the suite's
+# own comment, one read handler on the replica that builds its Reads in the
+# pooled reply, and no whole-struct copy of one pointed-to value into another
+# outside internal/message — a copied Message would share the arrays its
+# source keeps across release (message.CopyFrom re-homes them).
 api-guard:
 	@! grep -rnE --include='*.go' --exclude='*_test.go' 'Deprecated:|^func .*Ctx\(' . \
 		| grep -vE '^\./internal/(kuafu|meerkatpb|pbclient|sim)/'
@@ -104,3 +109,9 @@ api-guard:
 		test "$$(grep -c '\.Listen(' $$f)" -le 1 || { echo "$$f binds more than one endpoint"; exit 1; }; done
 	@! grep -rnE --include='*.go' --exclude='*_test.go' 'DropProb|SetLinkFilter|Isolate\(' internal/transport/
 	@! grep -rnE --include='*.go' --exclude='*_test.go' '2 *\+ *\*?(shards|.*MaxShards)' .
+	@! grep -rnE --include='*.go' --exclude='*_test.go' 'TypeRead\b|TypeReadReply' . | grep -v '^\./benchmark/'
+	@! grep -nF --exclude='*_test.go' 'make([]message.ReadResult' internal/replica/*.go
+	@test "$$(cat $$(ls internal/replica/*.go | grep -v _test.go) | grep -cE '^func \(c \*core\) handle.*Read')" -eq 1 \
+		|| { echo "internal/replica must have exactly one read handler"; exit 1; }
+	@! grep -rnE --include='*.go' --exclude='*_test.go' '^[[:space:]]*\*[A-Za-z_][A-Za-z0-9_]* = \*[A-Za-z_][A-Za-z0-9_.]*$$' . \
+		| grep -v '^\./internal/message/'

@@ -311,10 +311,11 @@ func (cl *Client) Run(ctx context.Context, fn func(*Txn) error) error {
 }
 
 // Get is a convenience bare read: it returns the committed value of key as
-// seen by one replica. Because commit messages propagate asynchronously, a
-// bare read may briefly lag the latest commit. For a read that is guaranteed
-// serializable with respect to all committed transactions, use GetStrong or
-// read inside a transaction.
+// seen by one replica — the plain read round of one key, the same round and
+// the same message pair Txn.Read and Txn.ReadMany use. Because commit messages
+// propagate asynchronously, a bare read may briefly lag the latest commit. For
+// a read that is guaranteed serializable with respect to all committed
+// transactions, use GetStrong or read inside a transaction.
 func (cl *Client) Get(key string) ([]byte, error) {
 	val, _, _, err := cl.coord.Read(context.Background(), key)
 	return val, mapErr(err)

@@ -179,16 +179,22 @@ func benchTimeline10(b *testing.B, readOnly bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		txn := cl.Begin()
-		if readOnly {
-			txn.ReadOnly()
-		}
-		if _, err := txn.ReadMany(keys); err != nil {
-			b.Fatal(err)
-		}
-		if ok, err := txn.Commit(); err != nil || !ok {
-			b.Fatalf("commit: ok=%v err=%v", ok, err)
-		}
+		commitTimeline(b, cl, keys, readOnly)
+	}
+}
+
+// commitTimeline reads every key in one ReadMany and commits: validated, or
+// with readOnly on the snapshot fast path.
+func commitTimeline(tb testing.TB, cl *meerkat.Client, keys []string, readOnly bool) {
+	txn := cl.Begin()
+	if readOnly {
+		txn.ReadOnly()
+	}
+	if _, err := txn.ReadMany(keys); err != nil {
+		tb.Fatal(err)
+	}
+	if ok, err := txn.Commit(); err != nil || !ok {
+		tb.Fatalf("commit: ok=%v err=%v", ok, err)
 	}
 }
 
@@ -202,7 +208,8 @@ func TestCommitAllocGate(t *testing.T) {
 	for _, g := range []struct {
 		name   string
 		cfg    meerkat.Config
-		groups int // 0: the one pre-loaded key; else two keys on each of that many groups
+		groups int // 0: the pre-loaded keys; else two keys on each of that many groups
+		keys   int // keys to pre-load; 0 means one
 		commit func(testing.TB, *meerkat.Client, []string)
 		runs   int
 		max    float64
@@ -213,33 +220,41 @@ func TestCommitAllocGate(t *testing.T) {
 		// every message recycled by its final consumer. With the replicas'
 		// records carved out of slabs and the coordinator's one lazily armed
 		// timer it measures 5.
-		{"single", meerkat.Config{}, 0, commitRMW, 200, 6},
+		{"single", meerkat.Config{}, 0, 0, commitRMW, 200, 6},
 		// The same commit over a real two-range map. Shard-map routing is
 		// an atomic load, a hash, and a binary search, and a transaction
 		// that touches one group ships its own read and write sets: equal
 		// to "single".
-		{"sharded", meerkat.Config{Shards: 2}, 0, commitRMW, 200, 6},
+		{"sharded", meerkat.Config{Shards: 2}, 0, 0, commitRMW, 200, 6},
 		// Appending the commit record to the per-core write-ahead log stays
 		// allocation-free steady-state (persistent scratch message, reused
 		// pending buffer): the same gate as in memory.
-		{"durable", meerkat.Config{Durability: meerkat.Durability{DataDir: t.TempDir()}}, 0, commitRMW, 1000, 6},
+		{"durable", meerkat.Config{Durability: meerkat.Durability{DataDir: t.TempDir()}}, 0, 0, commitRMW, 1000, 6},
 		// Shipping the operation instead of read-version + blind write adds
 		// no churn (the op entries ride the same pooled messages and scratch
 		// buffers). It measures 7, three of them each replica materializing
 		// the merged value.
-		{"increment", meerkat.Config{}, 0, commitIncrement, 200, 8},
+		{"increment", meerkat.Config{}, 0, 0, commitIncrement, 200, 8},
 		// Dropping the validation round must not smuggle in churn: 12 at
 		// introduction, six of them the broadcast snapshot read and its
-		// three replies; 6 with messages recycled.
-		{"read-only", meerkat.Config{}, 0, commitReadOnly, 200, 7},
+		// three replies; 6 with messages recycled; 2 with the request's keys
+		// and every reply's reads in arrays the pooled messages keep.
+		{"read-only", meerkat.Config{}, 0, 0, commitReadOnly, 200, 3},
 		// 6 reads and 3 writes over three of four groups: one validate round
-		// on the caller's goroutine, 18 objects. It was 52 when every touched
+		// on the caller's goroutine, 13 objects. It was 52 when every touched
 		// group cost a goroutine, two timers, a broadcast scratch and its own
-		// read and write sets grown by append.
-		{"cross-shard", meerkat.Config{Shards: 4}, 3, commitCrossShard, 200, 19},
+		// read and write sets grown by append, and 18 when every read request
+		// and reply allocated its keys and reads.
+		{"cross-shard", meerkat.Config{Shards: 4}, 3, 0, commitCrossShard, 200, 14},
+		// The Retwis get-timeline shape, validated: one ReadMany of ten keys
+		// and a commit, 3 objects, all Txn.ReadMany's: the values it returns
+		// and the read set's two slices. The read round allocates nothing.
+		{"timeline-10", meerkat.Config{}, 0, 10, func(tb testing.TB, cl *meerkat.Client, keys []string) {
+			commitTimeline(tb, cl, keys, false)
+		}, 200, 4},
 	} {
 		t.Run(g.name, func(t *testing.T) {
-			db, cl, keys := newHotpath(t, g.cfg, 1)
+			db, cl, keys := newHotpath(t, g.cfg, max(g.keys, 1))
 			if g.groups > 0 {
 				keys = crossShardKeys(t, db, g.groups, 2)
 			}

@@ -113,12 +113,14 @@ type Coordinator struct {
 
 	// Per-coordinator scratch, reused across operations (the coordinator is
 	// single-goroutine by contract). None of it is ever placed into a sent
-	// message: the transport may deliver a message after the send times out
+	// message — a read request copies its keys into the message's own array —
+	// because the transport may deliver a message after the send times out
 	// here, so the slices a message carries must never be written again.
 	round    round     // the commit or recovery in progress: one quorum tally per touched partition
 	reads    readRound // the read round in progress
 	keyParts []int     // split: partition of each read, write and op
 	ro1      [1]string // the key of a single-key read
+	fetch    []string  // Txn.ReadMany: the keys that need the round trip
 
 	// lastTS is the highest timestamp this coordinator has committed at, on
 	// either path. Snapshot round-down never goes below it, so one session's

@@ -231,16 +231,17 @@ func (l *link) noteRedirect() bool {
 // broadcast hands one copy of req per destination in group to the endpoint as
 // a single batch — one syscall on the real wire instead of one per replica.
 // Every destination gets its own pooled copy (the transport owns a message once
-// handed over, stamps Src per send, and its receiver recycles it); the
-// copies share req's payload slices, which no receiver writes. req stays the
-// caller's. A send error is message loss to every round — the retry policy
-// covers it — except closed, which reports that this link's own endpoint is
-// shut: no resend can succeed, so the round stops.
+// handed over, stamps Src per send, and its receiver recycles it); the copies
+// share req's Txn sets, which no receiver writes, and each carries the Keys in
+// an array of its own (message.CopyFrom). req, and whatever scratch its Keys
+// alias, stays the caller's. A send error is message loss to every round — the
+// retry policy covers it — except closed, which reports that this link's own
+// endpoint is shut: no resend can succeed, so the round stops.
 func (l *link) broadcast(group []message.Addr, req *message.Message) (closed bool) {
 	l.outs = l.outs[:0]
 	for _, dst := range group {
 		m := message.AcquireMessage()
-		*m = *req
+		m.CopyFrom(req)
 		l.outs = append(l.outs, transport.Outgoing{Dst: dst, M: m})
 	}
 	return errors.Is(l.ep.SendBatch(l.outs), transport.ErrClosed)

@@ -15,7 +15,7 @@ import (
 // asked of one uniformly chosen replica core and the first good reply closes
 // it; with one, every replica is asked and the partition closes on roQuorum
 // confirmed replies whose merged answers settle (snapshot.go). A single-key
-// Read is the one-key round whose request happens to be encoded as TypeRead.
+// Read is the plain round over one key, and nothing else.
 
 // readPart is one partition's part of a read round. Only a snapshot round
 // tallies: replied counts the replicas that answered the attempt, ok the
@@ -27,19 +27,18 @@ type readPart struct {
 	seq  uint64 // Seq of the attempt: replies to any other are stragglers
 }
 
-// readRound is the state of one read round. Everything but grouped is scratch
-// reused by the next round.
+// readRound is the state of one read round, all of it scratch reused by the
+// next: a request carries its keys in an array of its own (message.OwnKeys),
+// so nothing sent aliases any of it.
 type readRound struct {
 	policy
 	seq    uint64              // last Seq handed out; a session seeds it with the worker's index
 	keysIn []string            // the caller's keys
 	snap   timestamp.Timestamp // zero: a plain round, first good reply wins
-	single bool                // one key, asked for with TypeRead
 
 	// grouped holds the keys in contiguous ascending-partition spans,
 	// partition p's at grouped[off[p]:off[p+1]]; origIdx maps each grouped
-	// slot back to its position in the caller's keys. Sent multi-reads carry
-	// sub-slices of grouped, which therefore is allocated fresh per grouping.
+	// slot back to its position in the caller's keys.
 	grouped []string
 	off     []int // len Partitions+1
 	origIdx []int
@@ -65,12 +64,9 @@ func (rr *readRound) init(cfg *Config) {
 	}
 }
 
-// span returns partition p's span of the grouped keys.
-func (rr *readRound) span(p int) []string { return rr.grouped[rr.off[p]:rr.off[p+1]] }
-
 // begin starts a round over keys: every touched partition is sent its request.
-func (rr *readRound) begin(keys []string, snap timestamp.Timestamp, single bool, now time.Time) {
-	rr.keysIn, rr.snap, rr.single, rr.minW, rr.err, rr.redirected = keys, snap, single, snap, nil, false
+func (rr *readRound) begin(keys []string, snap timestamp.Timestamp, now time.Time) {
+	rr.keysIn, rr.snap, rr.minW, rr.err, rr.redirected = keys, snap, snap, nil, false
 	rr.regroup()
 	rr.tick(now)
 }
@@ -83,11 +79,12 @@ func (rr *readRound) regroup() {
 	nparts, n := len(rr.parts), len(keys)
 	if cap(rr.kp) < n {
 		rr.kp = make([]int, n)
+		rr.grouped = make([]string, n)
 		rr.origIdx = make([]int, n)
 		rr.out = make([]message.ReadResult, n)
 		rr.state = make([]roKeyState, n)
 	}
-	rr.kp, rr.origIdx, rr.out, rr.state = rr.kp[:n], rr.origIdx[:n], rr.out[:n], rr.state[:n]
+	rr.kp, rr.grouped, rr.origIdx, rr.out, rr.state = rr.kp[:n], rr.grouped[:n], rr.origIdx[:n], rr.out[:n], rr.state[:n]
 	off := rr.off
 	for p := range off {
 		off[p] = 0
@@ -108,11 +105,6 @@ func (rr *readRound) regroup() {
 			rr.open++
 		}
 		off[p+1] += off[p]
-	}
-	if rr.single {
-		rr.grouped = keys // never shipped: the request carries the key itself
-	} else {
-		rr.grouped = make([]string, n)
 	}
 	for i, p := range rr.kp {
 		rr.grouped[off[p]] = keys[i]
@@ -146,12 +138,8 @@ func (rr *readRound) request(p int, now time.Time) {
 // a partition still open is a straggler, whichever group's replica of the
 // same number sent it.
 func (rr *readRound) reply(m *message.Message) {
-	want := message.TypeMultiReadReply
-	if rr.single {
-		want = message.TypeReadReply
-	}
 	p := rr.cfg.Topo.PartitionOf(m.Src.Node)
-	if m.Type != want || p >= len(rr.parts) || !rr.parts[p].open || m.Seq != rr.parts[p].seq {
+	if m.Type != message.TypeMultiReadReply || p >= len(rr.parts) || !rr.parts[p].open || m.Seq != rr.parts[p].seq {
 		return
 	}
 	t := &rr.parts[p]
@@ -165,13 +153,11 @@ func (rr *readRound) reply(m *message.Message) {
 			rr.cfg.Obs.Inc(obs.TxnWrongShard)
 			rr.redirected, rr.wake = true, time.Time{}
 		}
-	case rr.single:
-		rr.out[0] = message.ReadResult{Value: m.Value, WTS: m.TS, OK: m.OK}
-		rr.close(t)
 	case len(m.Reads) != hi-lo:
 	case rr.snap.IsZero():
-		// The results move out (the value bytes are the replica's immutable
-		// version storage).
+		// The results are copied out, element by element: the reply owns its
+		// Reads array and empties it on release. (The value bytes are the
+		// replica's immutable version storage, or the decoder's own.)
 		for j := range m.Reads {
 			rr.out[rr.origIdx[lo+j]] = m.Reads[j]
 		}
@@ -259,14 +245,11 @@ func (rr *readRound) perform(l *link) {
 		}
 		t.send = false
 		rr.count(l, t.attempt)
-		req := message.Message{Type: message.TypeMultiRead, Keys: rr.span(p), TS: rr.snap, Seq: t.seq, MapVersion: l.mapVersion()}
+		req := message.Message{Type: message.TypeMultiRead, Keys: rr.grouped[rr.off[p]:rr.off[p+1]], TS: rr.snap, Seq: t.seq, MapVersion: l.mapVersion()}
 		group := l.group(p, uint32(l.rng.Intn(topo.Cores)))
 		if rr.snap.IsZero() {
 			r := l.rng.Intn(topo.Replicas)
 			group = group[r : r+1]
-		}
-		if rr.single {
-			req.Type, req.Key, req.Keys = message.TypeRead, rr.grouped[0], nil
 		}
 		if l.broadcast(group, &req) {
 			rr.fail(transport.ErrClosed)
@@ -275,15 +258,13 @@ func (rr *readRound) perform(l *link) {
 	}
 }
 
-// count records a request going out: a multi-read round counts per partition
-// sent, and every kind counts its resends.
+// count records a request going out: a plain round counts per partition sent,
+// and both kinds count their resends.
 func (rr *readRound) count(l *link, attempt int) {
 	switch plain := rr.snap.IsZero(); {
-	case attempt == 0 && plain && !rr.single:
+	case attempt == 0 && plain:
 		l.obs.Inc(obs.ReadMultiRound)
 	case attempt == 0:
-	case rr.single:
-		l.obs.Inc(obs.ReadRetry)
 	case plain:
 		l.obs.Inc(obs.ReadMultiRetry)
 	default:
@@ -294,11 +275,11 @@ func (rr *readRound) count(l *link, attempt int) {
 // read runs one read round over keys and returns the results, index-aligned
 // with keys, in a scratch reused by the next round. The end of ctx ends it;
 // reads are idempotent, so a context-expired read is always safe to retry.
-func (c *Coordinator) read(ctx context.Context, keys []string, snap timestamp.Timestamp, single bool) ([]message.ReadResult, error) {
+func (c *Coordinator) read(ctx context.Context, keys []string, snap timestamp.Timestamp) ([]message.ReadResult, error) {
 	rr := &c.reads
 	start := time.Now()
 	c.in.Drain()
-	rr.begin(keys, snap, single, start)
+	rr.begin(keys, snap, start)
 	err := c.run(ctx, rr)
 	c.obs.Observe(obs.HistReadRound, time.Since(start))
 	if err == nil {
@@ -316,7 +297,7 @@ func (c *Coordinator) read(ctx context.Context, keys []string, snap timestamp.Ti
 // validation phase will check.
 func (c *Coordinator) Read(ctx context.Context, key string) (value []byte, version timestamp.Timestamp, ok bool, err error) {
 	c.ro1[0] = key
-	res, err := c.read(ctx, c.ro1[:], timestamp.Timestamp{}, true)
+	res, err := c.read(ctx, c.ro1[:], timestamp.Timestamp{})
 	if err != nil {
 		return nil, timestamp.Timestamp{}, false, err
 	}
@@ -337,5 +318,5 @@ func (c *Coordinator) Read(ctx context.Context, key string) (value []byte, versi
 // The returned slice is a scratch reused by the next read on this
 // coordinator; callers that need the results past that must copy them out.
 func (c *Coordinator) ReadMany(ctx context.Context, keys []string) ([]message.ReadResult, error) {
-	return c.read(ctx, keys, timestamp.Timestamp{}, false)
+	return c.read(ctx, keys, timestamp.Timestamp{})
 }

@@ -94,11 +94,10 @@ func TestReadRoundSteps(t *testing.T) {
 	below := timestamp.Timestamp{Time: 40, ClientID: 3}
 
 	for _, tc := range []struct {
-		name   string
-		keys   []string
-		snap   timestamp.Timestamp
-		single bool
-		first  string // what begin must ask for
+		name  string
+		keys  []string
+		snap  timestamp.Timestamp
+		first string // what begin must ask for
 		// publish, when set, is the map a redirect's refresh finds.
 		publish *shardmap.Map
 		script  []readStep
@@ -147,11 +146,11 @@ func TestReadRoundSteps(t *testing.T) {
 			wantErr: ErrTimeout,
 		},
 		{
-			name: "the one-key round accepts only a read-reply", keys: []string{on(1)}, single: true,
+			name: "the one-key round is the plain round over one key: only a multi-read reply answers it", keys: []string{on(1)},
 			first: "read:1",
 			script: []readStep{
-				{p: 1, msg: multi(val("batched", 1))},
-				{p: 1, msg: &message.Message{Type: message.TypeReadReply, Value: []byte("single"), OK: true}},
+				{p: 1, msg: &message.Message{Type: message.TypeValidateReply, Value: []byte("other"), OK: true}},
+				{p: 1, msg: multi(val("single", 1))},
 			},
 			want: []string{"single"},
 		},
@@ -230,7 +229,7 @@ func TestReadRoundSteps(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rr, src := newTestReads()
-			rr.begin(tc.keys, tc.snap, tc.single, roundT0)
+			rr.begin(tc.keys, tc.snap, roundT0)
 			if got := rr.takeSends(); got != tc.first {
 				t.Fatalf("begin asked for %q, want %q", got, tc.first)
 			}

@@ -144,7 +144,7 @@ func (r *round) closeCoordChange(p *partState, now time.Time) {
 		return
 	}
 	for i := range p.records {
-		if rec := &p.records[i]; len(rec.Txn.ReadSet) > 0 || len(rec.Txn.WriteSet) > 0 {
+		if rec := &p.records[i]; !rec.Txn.Empty() {
 			p.txn, p.ts = rec.Txn, rec.TS
 			break
 		}

@@ -79,6 +79,14 @@ func changed(p, replica int, view uint64, recs ...message.TRecordEntry) *message
 // view1 is the first view a recovery by the test round's proposer runs in.
 var view1 = MakeView(1, testProposer)
 
+// opOnlyRec is a replica's VALIDATED-OK record of a transaction that is one
+// increment: no read set, no write set, and still a body.
+var opOnlyRec = message.TRecordEntry{
+	Txn:    message.Txn{ID: roundTID, OpSet: []message.OpSetEntry{{Key: "ctr", Kind: message.OpIncrement, Delta: 1}}},
+	TS:     timestamp.Timestamp{Time: 7, ClientID: 1},
+	Status: vOK,
+}
+
 const (
 	vOK    = message.StatusValidatedOK
 	vAbort = message.StatusValidatedAbort
@@ -326,6 +334,21 @@ func TestRoundSteps(t *testing.T) {
 			probe: func(t *testing.T, r *round) {
 				if v := r.parts[0].view; v != MakeView(4, testProposer) {
 					t.Errorf("gave up in view %d, want round 4", v)
+				}
+			},
+		},
+		{
+			name: "recovery: an increment-only transaction is re-proposed with its body", touched: []int{1}, recovery: true,
+			script: []step{
+				{msg: changed(1, 2, view1, rec(message.StatusNone, 0))}, // this replica missed the validate
+				{msg: changed(1, 0, view1, opOnlyRec)},
+				{msg: changed(1, 1, view1, opOnlyRec)},
+				{at: 0, sends: "accept:1"},
+			},
+			want: []verdict{{phAccept, "", true}},
+			probe: func(t *testing.T, r *round) {
+				if p := &r.parts[0]; len(p.txn.OpSet) != 1 || p.txn.OpSet[0].Key != "ctr" || p.ts != opOnlyRec.TS || p.proposal != message.StatusAcceptCommit {
+					t.Errorf("accept proposes %v at %v with body %+v, want ACCEPT-COMMIT at %v carrying the increment", p.proposal, p.ts, p.txn, opOnlyRec.TS)
 				}
 			},
 		},
@@ -621,8 +644,6 @@ func TestOneAddressCarriesEveryPartition(t *testing.T) {
 			}
 		case message.TypeMultiRead:
 			reply.Type, reply.Reads = message.TypeMultiReadReply, []message.ReadResult{{Value: named, OK: true}}
-		case message.TypeRead:
-			reply.Type, reply.Value, reply.OK = message.TypeReadReply, named, true
 		default:
 			return
 		}
@@ -651,9 +672,6 @@ func TestOneAddressCarriesEveryPartition(t *testing.T) {
 			t.Errorf("key of partition %d read %q, want %q", p, r.Value, want)
 		}
 	}
-	if val, _, _, err := c.Read(context.Background(), keys[3]); err != nil || string(val) != "from group 3" {
-		t.Errorf("one-key read of partition 3: %q, %v", val, err)
-	}
 	for typ, want := range map[message.Type]int{message.TypeValidate: 3, message.TypeCommit: 3, message.TypeMultiRead: 1} {
 		for p := 0; p < roundTopo.Partitions; p++ {
 			if got := sent[typ][p]; got != want {
@@ -661,8 +679,11 @@ func TestOneAddressCarriesEveryPartition(t *testing.T) {
 			}
 		}
 	}
-	if got := sent[message.TypeRead]; len(got) != 1 || got[3] != 1 {
-		t.Errorf("one-key reads sent %v, want one to partition 3", got)
+	if val, _, _, err := c.Read(context.Background(), keys[3]); err != nil || string(val) != "from group 3" {
+		t.Errorf("one-key read of partition 3: %q, %v", val, err)
+	}
+	if got := sent[message.TypeMultiRead]; got[3] != 2 || got[0]+got[1]+got[2] != 3 {
+		t.Errorf("after the one-key read, multi-reads sent %v, want one more to partition 3", got)
 	}
 }
 
@@ -704,7 +725,7 @@ func TestSessionRoutesEveryReplyToTheIssuingWorker(t *testing.T) {
 		t.Fatalf("worker 0's mailbox still holds %d replies", got)
 	}
 	net.deliver(&message.Message{Type: message.TypeMultiReadReply, Seq: w1.reads.seq + 1})
-	net.deliver(&message.Message{Type: message.TypeReadReply, Seq: 7 << readSeqShift}) // no such worker
+	net.deliver(&message.Message{Type: message.TypeMultiReadReply, Seq: 7 << readSeqShift}) // no such worker
 	if got := len(w1.in.C); got != 7 {
 		t.Fatalf("worker 1's mailbox holds %d replies after a read reply by Seq, want 7", got)
 	}

@@ -17,7 +17,7 @@ import (
 //     the TxnID, whose ClientID is the issuing worker's id. Worker i runs as
 //     client (base | i<<workerIDShift), so the index is recoverable from the
 //     id's high bits without widening any message.
-//   - read sequence numbers: read and multi-read replies echo Seq. Worker i
+//   - read sequence numbers: multi-read replies echo Seq. Worker i
 //     seeds its read Seq at i<<readSeqShift, leaving 2^48 sequence numbers per
 //     worker — centuries of reads — before streams could collide.
 const (
@@ -99,12 +99,13 @@ func NewSession(cfg Config, window int) (*Session, error) {
 	return s, nil
 }
 
-// route demultiplexes a reply onto the issuing worker's mailbox: read and
-// multi-read replies echo the request's Seq, everything else carries the
-// transaction id, whose ClientID holds the worker index. A reply no worker can own the router itself consumes.
+// route demultiplexes a reply onto the issuing worker's mailbox: multi-read
+// replies echo the request's Seq, everything else carries the transaction id,
+// whose ClientID holds the worker index. A reply no worker can own the router
+// itself consumes.
 func (s *Session) route(m *message.Message) {
 	var i int
-	if m.Type == message.TypeReadReply || m.Type == message.TypeMultiReadReply {
+	if m.Type == message.TypeMultiReadReply {
 		i = int(m.Seq >> readSeqShift)
 	} else {
 		i = int(m.TID.ClientID >> workerIDShift)

@@ -128,10 +128,10 @@ func allSettled(keys []roKeyState) bool {
 // ErrWrongShard and the error of an expired context or a closed endpoint.
 func (c *Coordinator) snapshotBegin(ctx context.Context, keys []string) ([]message.ReadResult, timestamp.Timestamp, error) {
 	s := c.gen.NextTimestamp()
-	res, err := c.read(ctx, keys, s, false)
+	res, err := c.read(ctx, keys, s)
 	if minW := c.reads.minW; errors.Is(err, errROUnconfirmed) && c.lastTS.Less(minW) && minW.Less(s) && !minW.IsZero() {
 		c.obs.Inc(obs.RORoundDown)
-		if res, err2 := c.read(ctx, keys, minW, false); err2 == nil {
+		if res, err2 := c.read(ctx, keys, minW); err2 == nil {
 			return res, minW, nil
 		}
 	}

@@ -111,7 +111,7 @@ func (t *Txn) Read(key string) ([]byte, error) {
 		return t.applyPendingOp(key, t.readVals[i]), nil
 	}
 	t.c.ro1[0] = key
-	res, err := t.fetch(t.c.ro1[:], true)
+	res, err := t.fetch(t.c.ro1[:])
 	if err != nil {
 		return nil, err
 	}
@@ -124,15 +124,14 @@ func (t *Txn) Read(key string) ([]byte, error) {
 // transaction's snapshot timestamp, later ones must confirm at exactly that
 // timestamp (reads at two different snapshots would not be one consistent
 // cut). A snapshot that will not confirm demotes the transaction, for good,
-// to plain rounds — single says whether this one is the one-key Read — and
-// the classic validated commit.
-func (t *Txn) fetch(keys []string, single bool) (res []message.ReadResult, err error) {
+// to plain rounds and the classic validated commit.
+func (t *Txn) fetch(keys []string) (res []message.ReadResult, err error) {
 	c := t.c
 	if t.roViable {
 		if t.snapTS.IsZero() {
 			res, t.snapTS, err = c.snapshotBegin(t.ctx, keys)
 		} else {
-			res, err = c.read(t.ctx, keys, t.snapTS, false)
+			res, err = c.read(t.ctx, keys, t.snapTS)
 		}
 		if !errors.Is(err, errROUnconfirmed) {
 			return res, err
@@ -140,7 +139,7 @@ func (t *Txn) fetch(keys []string, single bool) (res []message.ReadResult, err e
 		c.obs.Inc(obs.ROFallback)
 		t.roViable = false
 	}
-	return c.read(t.ctx, keys, timestamp.Timestamp{}, single)
+	return c.read(t.ctx, keys, timestamp.Timestamp{})
 }
 
 // record adds a fetched key to the read set. A snapshot read joins it too: if
@@ -174,7 +173,7 @@ func (t *Txn) applyPendingOp(key string, val []byte) []byte {
 // Coordinator.ReadMany).
 func (t *Txn) ReadMany(keys []string) ([][]byte, error) {
 	vals := make([][]byte, len(keys))
-	fetch := make([]string, 0, len(keys))
+	fetch := t.c.fetch[:0]
 	for _, key := range keys {
 		if t.findWrite(key) >= 0 || t.findRead(key) >= 0 {
 			continue
@@ -190,8 +189,9 @@ func (t *Txn) ReadMany(keys []string) ([][]byte, error) {
 			fetch = append(fetch, key)
 		}
 	}
+	t.c.fetch = fetch
 	if len(fetch) > 0 {
-		res, err := t.fetch(fetch, false)
+		res, err := t.fetch(fetch)
 		if err != nil {
 			return nil, err
 		}

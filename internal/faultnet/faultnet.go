@@ -377,14 +377,16 @@ func (ep *endpoint) Flush() error { return ep.inner.Flush() }
 // send delivers m (and its duplicate) now or after the injected delay. The
 // duplicate is a distinct Message struct, copied before the original is
 // handed on — the inner transport owns m from that moment and its receiver
-// may already be recycling it. The two share payload slices, which nobody
-// writes: exactly a duplicating network, whose receivers each see the bytes.
+// may already be recycling it. The two share the Txn sets, which nobody
+// writes, and each owns its Keys and Reads (message.CopyFrom), which the
+// original's receiver empties on release: exactly a duplicating network, whose
+// receivers each see the bytes.
 func (ep *endpoint) send(dst message.Addr, m *message.Message, dup bool, delay time.Duration) error {
 	var m2 *message.Message
 	if dup {
 		ep.net.stats.Duplicated.Add(1)
 		m2 = message.AcquireMessage()
-		*m2 = *m
+		m2.CopyFrom(m)
 	}
 	if delay > 0 {
 		ep.net.stats.Delayed.Add(1)

@@ -67,7 +67,7 @@ func pipe(t *testing.T, plan *Plan) (*Network, transport.Endpoint, *collector) {
 func TestTransparentWithoutFaults(t *testing.T) {
 	_, src, col := pipe(t, nil)
 	for i := 0; i < 100; i++ {
-		if err := src.Send(addr(2, 0), &message.Message{Type: message.TypeRead, Seq: uint64(i)}); err != nil {
+		if err := src.Send(addr(2, 0), &message.Message{Type: message.TypeMultiRead, Seq: uint64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -83,7 +83,7 @@ func TestDropIsDeterministicPerSeed(t *testing.T) {
 		}}}
 		_, src, col := pipe(t, plan)
 		for i := 0; i < 400; i++ {
-			src.Send(addr(2, 0), &message.Message{Type: message.TypeRead, Seq: uint64(i)})
+			src.Send(addr(2, 0), &message.Message{Type: message.TypeMultiRead, Seq: uint64(i)})
 		}
 		col.wait(400, 200*time.Millisecond) // waits out the tail
 		return col.seqs()
@@ -160,20 +160,20 @@ func TestCrashAndRestartEvents(t *testing.T) {
 	n, src, col := pipe(t, plan)
 
 	for i := 0; i < 9; i++ { // sends 1..9: before the crash
-		src.Send(addr(2, 0), &message.Message{Type: message.TypeRead, Seq: uint64(i)})
+		src.Send(addr(2, 0), &message.Message{Type: message.TypeMultiRead, Seq: uint64(i)})
 	}
 	if got := col.wait(9, time.Second); got != 9 {
 		t.Fatalf("pre-crash delivered %d/9", got)
 	}
 	for i := 9; i < 19; i++ { // sends 10..19: black-holed
-		src.Send(addr(2, 0), &message.Message{Type: message.TypeRead, Seq: uint64(i)})
+		src.Send(addr(2, 0), &message.Message{Type: message.TypeMultiRead, Seq: uint64(i)})
 	}
 	time.Sleep(10 * time.Millisecond)
 	if got := col.wait(9, 50*time.Millisecond); got != 9 {
 		t.Fatalf("black-holed messages leaked through: %d", got)
 	}
 	for i := 19; i < 29; i++ { // send 20 fires the restart
-		src.Send(addr(2, 0), &message.Message{Type: message.TypeRead, Seq: uint64(i)})
+		src.Send(addr(2, 0), &message.Message{Type: message.TypeMultiRead, Seq: uint64(i)})
 	}
 	if got := col.wait(19, time.Second); got != 19 {
 		t.Fatalf("post-restart delivered %d, want 19", got)
@@ -201,7 +201,7 @@ func TestPartitionSeparatesGroups(t *testing.T) {
 	}}
 	_, src, col := pipe(t, plan)
 	for i := 0; i < 10; i++ {
-		src.Send(addr(2, 0), &message.Message{Type: message.TypeRead, Seq: uint64(i)})
+		src.Send(addr(2, 0), &message.Message{Type: message.TypeMultiRead, Seq: uint64(i)})
 	}
 	if got := col.wait(1, 30*time.Millisecond); got != 0 {
 		t.Fatalf("partitioned nodes exchanged %d messages", got)
@@ -217,7 +217,7 @@ func TestPartitionImplicitGroup(t *testing.T) {
 	}}
 	_, src, col := pipe(t, plan)
 	for i := 0; i < 10; i++ {
-		src.Send(addr(2, 0), &message.Message{Type: message.TypeRead, Seq: uint64(i)})
+		src.Send(addr(2, 0), &message.Message{Type: message.TypeMultiRead, Seq: uint64(i)})
 	}
 	if got := col.wait(10, time.Second); got != 10 {
 		t.Fatalf("implicit-group traffic blocked: %d/10", got)
@@ -229,7 +229,7 @@ func TestDuplicateAndReorder(t *testing.T) {
 		SrcNode: Any, DstNode: Any, SrcCore: Any, DstCore: Any, DupProb: 1,
 	}}}
 	_, src, col := pipe(t, plan)
-	src.Send(addr(2, 0), &message.Message{Type: message.TypeRead, Seq: 1})
+	src.Send(addr(2, 0), &message.Message{Type: message.TypeMultiRead, Seq: 1})
 	if got := col.wait(2, time.Second); got != 2 {
 		t.Fatalf("DupProb=1 delivered %d copies, want 2", got)
 	}
@@ -238,9 +238,9 @@ func TestDuplicateAndReorder(t *testing.T) {
 		SrcNode: Any, DstNode: Any, SrcCore: Any, DstCore: Any, ReorderProb: 1,
 	}}}
 	_, src2, col2 := pipe(t, plan2)
-	src2.Send(addr(2, 0), &message.Message{Type: message.TypeRead, Seq: 1})
-	src2.Send(addr(2, 0), &message.Message{Type: message.TypeRead, Seq: 2})
-	src2.Send(addr(2, 0), &message.Message{Type: message.TypeRead, Seq: 3})
+	src2.Send(addr(2, 0), &message.Message{Type: message.TypeMultiRead, Seq: 1})
+	src2.Send(addr(2, 0), &message.Message{Type: message.TypeMultiRead, Seq: 2})
+	src2.Send(addr(2, 0), &message.Message{Type: message.TypeMultiRead, Seq: 3})
 	// Every message is held and released by its successor: 1 and 2 arrive
 	// (each popped when the next message passes), 3 stays held.
 	if got := col2.wait(2, time.Second); got != 2 {
@@ -259,7 +259,7 @@ func TestDelayRuleDefersDelivery(t *testing.T) {
 	}}}
 	_, src, col := pipe(t, plan)
 	start := time.Now()
-	src.Send(addr(2, 0), &message.Message{Type: message.TypeRead, Seq: 1})
+	src.Send(addr(2, 0), &message.Message{Type: message.TypeMultiRead, Seq: 1})
 	if got := col.wait(1, time.Second); got != 1 {
 		t.Fatal("delayed message never arrived")
 	}
@@ -278,16 +278,16 @@ func TestStallRuleInstalledAndCleared(t *testing.T) {
 	}}
 	_, src, col := pipe(t, plan)
 	for i := 0; i < 4; i++ { // sends 1..4 pass
-		src.Send(addr(2, 0), &message.Message{Type: message.TypeRead, Seq: uint64(i)})
+		src.Send(addr(2, 0), &message.Message{Type: message.TypeMultiRead, Seq: uint64(i)})
 	}
 	if got := col.wait(4, time.Second); got != 4 {
 		t.Fatalf("pre-stall delivered %d/4", got)
 	}
 	for i := 4; i < 9; i++ { // sends 5..9 dropped by the stall rule
-		src.Send(addr(2, 0), &message.Message{Type: message.TypeRead, Seq: uint64(i)})
+		src.Send(addr(2, 0), &message.Message{Type: message.TypeMultiRead, Seq: uint64(i)})
 	}
 	for i := 9; i < 14; i++ { // send 10 clears; 10..14 pass
-		src.Send(addr(2, 0), &message.Message{Type: message.TypeRead, Seq: uint64(i)})
+		src.Send(addr(2, 0), &message.Message{Type: message.TypeMultiRead, Seq: uint64(i)})
 	}
 	if got := col.wait(9, time.Second); got != 9 {
 		t.Fatalf("delivered %d, want 9 (4 before + 5 after the stall)", got)
@@ -351,58 +351,86 @@ func TestPlanValidation(t *testing.T) {
 
 // TestDuplicateAndDelayedCopiesAreDistinctStructs pins the injector's half of
 // the ownership contract: a duplicated message reaches the receiver as two
-// different structs, so the first delivery's release (which zeroes or poisons
-// that struct) cannot touch the second — on the immediate path and on the
-// delayed one, where the copies leave from a timer goroutine.
+// different structs, each with Keys and Reads of its own, so the first
+// delivery's release (which zeroes or poisons that struct, and empties the
+// arrays it owns for the pool's next message to refill) cannot touch the
+// second — on the immediate path and on the delayed one, where the copies
+// leave from a timer goroutine; for a literal whose Keys alias its sender's
+// array, which must come through unwritten, and for a pooled message that owns
+// them. (A duplicate sharing its original's arrays fails the second case.)
 func TestDuplicateAndDelayedCopiesAreDistinctStructs(t *testing.T) {
-	for _, delay := range []time.Duration{0, 2 * time.Millisecond} {
-		rule := Rule{SrcNode: Any, DstNode: Any, SrcCore: Any, DstCore: Any, DupProb: 1}
-		if delay > 0 {
-			rule.DelayProb, rule.Delay = 1, delay
-		}
-		n := Wrap(transport.NewInproc(transport.InprocConfig{}), &Plan{Seed: 1, Rules: []Rule{rule}})
-		type seen struct {
-			m    *message.Message
-			keys []string
-		}
-		got := make(chan seen, 2)
-		if _, err := n.Listen(addr(2, 0), func(m *message.Message) {
-			s := seen{m: m, keys: m.Keys}
-			message.ReleaseMessage(m) // the final consumer recycles its copy
-			got <- s
-		}); err != nil {
-			t.Fatal(err)
-		}
-		src, err := n.Listen(addr(1, 0), func(*message.Message) {})
-		if err != nil {
-			t.Fatal(err)
-		}
-		keys := []string{"a", "b"}
-		if err := src.Send(addr(2, 0), &message.Message{Type: message.TypeMultiRead, Seq: 7, Keys: keys}); err != nil {
-			t.Fatal(err)
-		}
-		var first, second seen
-		select {
-		case first = <-got:
-		case <-time.After(time.Second):
-			t.Fatalf("delay %v: no delivery", delay)
-		}
-		select {
-		case second = <-got:
-		case <-time.After(time.Second):
-			t.Fatalf("delay %v: duplicate never delivered", delay)
-		}
-		if first.m == second.m {
-			t.Fatalf("delay %v: duplicate delivered as the same struct", delay)
-		}
-		for _, s := range []seen{first, second} {
-			if len(s.keys) != 2 || s.keys[0] != "a" || s.keys[1] != "b" {
-				t.Fatalf("delay %v: a copy arrived with keys %v after the other's release", delay, s.keys)
+	keys := []string{"a", "b"}
+	reads := []message.ReadResult{{Value: []byte("v"), OK: true}}
+	literal := func() *message.Message {
+		return &message.Message{Type: message.TypeMultiRead, Seq: 7, Keys: keys, Reads: reads}
+	}
+	owned := func() *message.Message {
+		m := message.AcquireMessage()
+		m.Type, m.Seq = message.TypeMultiRead, 7
+		copy(m.OwnKeys(len(keys)), keys)
+		copy(m.OwnReads(len(reads)), reads)
+		return m
+	}
+	for _, build := range []func() *message.Message{literal, owned} {
+		for _, delay := range []time.Duration{0, 2 * time.Millisecond} {
+			rule := Rule{SrcNode: Any, DstNode: Any, SrcCore: Any, DstCore: Any, DupProb: 1}
+			if delay > 0 {
+				rule.DelayProb, rule.Delay = 1, delay
 			}
+			n := Wrap(transport.NewInproc(transport.InprocConfig{}), &Plan{Seed: 1, Rules: []Rule{rule}})
+			type seen struct {
+				m     *message.Message
+				keys  []string
+				value string
+			}
+			got := make(chan seen, 2)
+			if _, err := n.Listen(addr(2, 0), func(m *message.Message) {
+				s := seen{m: m, keys: append([]string(nil), m.Keys...)} // copied out before the release
+				if len(m.Reads) == 1 {
+					s.value = string(m.Reads[0].Value)
+				}
+				// The final consumer recycles its copy, and the pool's next
+				// messages refill whatever arrays it kept.
+				message.ReleaseMessage(m)
+				for i := 0; i < 4; i++ {
+					next := message.AcquireMessage()
+					next.OwnKeys(2)[0], next.Keys[1] = "overwritten", "overwritten"
+					next.OwnReads(1)[0].Value = []byte("overwritten")
+				}
+				got <- s
+			}); err != nil {
+				t.Fatal(err)
+			}
+			src, err := n.Listen(addr(1, 0), func(*message.Message) {})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := src.Send(addr(2, 0), build()); err != nil {
+				t.Fatal(err)
+			}
+			var first, second seen
+			select {
+			case first = <-got:
+			case <-time.After(time.Second):
+				t.Fatalf("delay %v: no delivery", delay)
+			}
+			select {
+			case second = <-got:
+			case <-time.After(time.Second):
+				t.Fatalf("delay %v: duplicate never delivered", delay)
+			}
+			if first.m == second.m {
+				t.Fatalf("delay %v: duplicate delivered as the same struct", delay)
+			}
+			for _, s := range []seen{first, second} {
+				if len(s.keys) != 2 || s.keys[0] != "a" || s.keys[1] != "b" || s.value != "v" {
+					t.Fatalf("delay %v: a copy arrived with keys %v, value %q after the other's release", delay, s.keys, s.value)
+				}
+			}
+			if keys[0] != "a" || keys[1] != "b" || string(reads[0].Value) != "v" {
+				t.Fatalf("delay %v: sender's slices changed: %v %+v", delay, keys, reads)
+			}
+			n.Close()
 		}
-		if keys[0] != "a" || keys[1] != "b" {
-			t.Fatalf("delay %v: sender's slice changed: %v", delay, keys)
-		}
-		n.Close()
 	}
 }

@@ -123,13 +123,14 @@ func (r *Replica) Stop() {
 
 func (c *core) handle(m *message.Message) {
 	switch m.Type {
-	case message.TypeRead:
-		v, ok := c.r.store.Read(m.Key)
-		c.send(m.Src, &message.Message{
-			Type: message.TypeReadReply, Key: m.Key, Seq: m.Seq,
-			Value: v.Value, TS: v.WTS, OK: ok,
-			ReplicaID: uint32(c.r.cfg.Index),
-		})
+	case message.TypeMultiRead:
+		r := &message.Message{Type: message.TypeMultiReadReply, Seq: m.Seq, ReplicaID: uint32(c.r.cfg.Index)}
+		reads := r.OwnReads(len(m.Keys))
+		for i, k := range m.Keys {
+			v, ok := c.r.store.Read(k)
+			reads[i] = message.ReadResult{Value: v.Value, WTS: v.WTS, OK: ok}
+		}
+		c.send(m.Src, r)
 	case message.TypePBSubmit:
 		c.handleSubmit(m)
 	case message.TypePBReplicate:

@@ -311,10 +311,11 @@ func Decode(buf []byte) (*Message, error) {
 }
 
 // DecodeInto parses one message from buf into m, overwriting every field and
-// reusing m's slice capacity where it suffices — a Message recycled through
-// the pool (or reused across a receive loop) decodes without reallocating
-// its sets. On error m's contents are unspecified. Trailing bytes are an
-// error, as in Decode.
+// reusing m's slice capacity where it suffices — a Message reused across a
+// receive loop decodes without reallocating its sets, and one recycled through
+// the pool decodes Keys and Reads into the arrays it kept (OwnKeys, OwnReads).
+// On error m's contents are unspecified. Trailing bytes are an error, as in
+// Decode.
 func DecodeInto(m *Message, buf []byte) error {
 	d := decoder{buf: buf}
 	m.Type = Type(d.u8())
@@ -382,17 +383,17 @@ func DecodeInto(m *Message, buf []byte) error {
 	if d.err != nil {
 		n = 0
 	}
-	m.Keys = grow(m.Keys, n)
+	keys := m.OwnKeys(n)
 	for i := 0; i < n && d.err == nil; i++ {
-		m.Keys[i] = d.str()
+		keys[i] = d.str()
 	}
 	n = d.length()
 	if d.err != nil {
 		n = 0
 	}
-	m.Reads = grow(m.Reads, n)
+	reads := m.OwnReads(n)
 	for i := 0; i < n && d.err == nil; i++ {
-		r := &m.Reads[i]
+		r := &reads[i]
 		r.Value = d.bytes(r.Value)
 		r.WTS = d.ts()
 		r.OK = d.bool()

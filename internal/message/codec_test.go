@@ -2,6 +2,7 @@ package message
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -72,6 +73,15 @@ func sampleMessage() *Message {
 	}
 }
 
+// same compares two messages field by field, leaving out the arrays a message
+// keeps for itself: a decoded message holds its Keys and Reads in them, a
+// literal does not.
+func same(a, b *Message) bool {
+	x, y := *a, *b
+	x.keys, x.reads, y.keys, y.reads = nil, nil, nil, nil
+	return reflect.DeepEqual(x, y)
+}
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	m := sampleMessage()
 	buf := Encode(nil, m)
@@ -79,7 +89,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
-	if !reflect.DeepEqual(m, got) {
+	if !same(m, got) {
 		t.Fatalf("round trip mismatch:\n in: %+v\nout: %+v", m, got)
 	}
 }
@@ -91,7 +101,7 @@ func TestEncodeDecodeEmptyMessage(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
-	if !reflect.DeepEqual(m, got) {
+	if !same(m, got) {
 		t.Fatalf("round trip mismatch:\n in: %+v\nout: %+v", m, got)
 	}
 }
@@ -142,7 +152,7 @@ func TestDecodeRandomBytesNeverPanics(t *testing.T) {
 
 func TestDecodeCorruptLengthPrefix(t *testing.T) {
 	// A huge uvarint length must fail cleanly, not attempt the allocation.
-	m := &Message{Type: TypeRead, Key: "abc"}
+	m := &Message{Type: TypePut, Key: "abc"}
 	buf := Encode(nil, m)
 	// Corrupt a byte in the middle and ensure no panic.
 	for i := range buf {
@@ -193,7 +203,7 @@ func TestQuickRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return reflect.DeepEqual(m, got)
+		return same(m, got)
 	}
 	cfg := &quick.Config{MaxCount: 200}
 	if err := quick.Check(f, cfg); err != nil {
@@ -272,7 +282,63 @@ func TestStateTransferRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
-	if !reflect.DeepEqual(m, got) {
+	if !same(m, got) {
 		t.Fatalf("round trip mismatch:\n in: %+v\nout: %+v", m, got)
+	}
+}
+
+// TestTypeNumbersArePinned pins every message type to its number. The type
+// byte leads every wire message and every write-ahead-log and snapshot record
+// (DESIGN.md §11), so deleting or inserting a type must not renumber another:
+// a log written before the change has to reopen after it. 1 and 2 are the
+// retired one-key read pair and stay unassigned.
+func TestTypeNumbersArePinned(t *testing.T) {
+	pinned := map[Type]uint8{
+		TypeInvalid:                0,
+		TypeValidate:               3,
+		TypeValidateReply:          4,
+		TypeAccept:                 5,
+		TypeAcceptReply:            6,
+		TypeCommit:                 7,
+		TypeEpochChange:            8,
+		TypeEpochChangeAck:         9,
+		TypeEpochChangeComplete:    10,
+		TypeCoordChange:            11,
+		TypeCoordChangeAck:         12,
+		TypePBSubmit:               13,
+		TypePBReply:                14,
+		TypePBReplicate:            15,
+		TypePBAck:                  16,
+		TypePut:                    17,
+		TypePutReply:               18,
+		TypeEpochChangeCompleteAck: 19,
+		TypeSweep:                  20,
+		TypeStateRequest:           21,
+		TypeStateReply:             22,
+		TypeMultiRead:              23,
+		TypeMultiReadReply:         24,
+		TypeWALRecord:              25,
+		TypeWALSnapshot:            26,
+	}
+	for typ, want := range pinned {
+		if uint8(typ) != want {
+			t.Errorf("%v = %d, pinned at %d", typ, uint8(typ), want)
+		}
+	}
+	// Every number up to the last is either pinned or a reserved blank, and
+	// nothing is named past it: a new type extends this table.
+	for n := 0; n < len(typeNames); n++ {
+		_, ok := pinned[Type(n)]
+		if named := typeNames[n] != ""; named != ok {
+			t.Errorf("type number %d: named %v, pinned %v", n, named, ok)
+		}
+	}
+	if len(typeNames) != int(TypeWALSnapshot)+1 {
+		t.Errorf("%d type names, want %d", len(typeNames), int(TypeWALSnapshot)+1)
+	}
+	for _, blank := range []Type{1, 2} {
+		if got := blank.String(); got != fmt.Sprintf("type(%d)", uint8(blank)) {
+			t.Errorf("retired type %d prints as %q", uint8(blank), got)
+		}
 	}
 }

@@ -142,7 +142,7 @@ func TestDecodeCorruptedBytes(t *testing.T) {
 // length belongs and asserts Decode fails cheaply instead of attempting the
 // multi-gigabyte allocation the prefix claims.
 func TestDecodeHugeLengthPrefix(t *testing.T) {
-	m := &Message{Type: TypeRead, Key: "abc"}
+	m := &Message{Type: TypePut, Key: "abc"}
 	buf := Encode(nil, m)
 	// Locate the key's length-prefixed bytes (0x03 'a' 'b' 'c') and replace
 	// the 1-byte length with a 5-byte uvarint claiming ~17 GiB.
@@ -226,7 +226,7 @@ func FuzzDecode(f *testing.F) {
 		if err := DecodeInto(m3, data); err != nil {
 			t.Fatalf("DecodeInto disagrees with Decode: %v", err)
 		}
-		if !reflect.DeepEqual(m, m3) {
+		if !same(m, m3) {
 			t.Fatal("DecodeInto result differs from Decode")
 		}
 	})

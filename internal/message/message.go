@@ -23,9 +23,11 @@ type Type uint8
 const (
 	TypeInvalid Type = iota
 
-	// Execution phase.
-	TypeRead      // coordinator -> any replica: read one key
-	TypeReadReply // replica -> coordinator: value + version
+	// 1 and 2 were the one-key read pair, retired for TypeMultiRead. They stay
+	// blank: the type byte is part of the log format (TypeWALRecord,
+	// TypeWALSnapshot), so no surviving type may be renumbered.
+	_
+	_
 
 	// Validation phase (Meerkat and TAPIR-like).
 	TypeValidate      // coordinator -> all replicas: OCC-validate txn at ts
@@ -81,8 +83,6 @@ const (
 
 var typeNames = [...]string{
 	TypeInvalid:             "invalid",
-	TypeRead:                "read",
-	TypeReadReply:           "read-reply",
 	TypeValidate:            "validate",
 	TypeValidateReply:       "validate-reply",
 	TypeAccept:              "accept",
@@ -112,7 +112,7 @@ var typeNames = [...]string{
 
 // String returns the message type's protocol name.
 func (t Type) String() string {
-	if int(t) < len(typeNames) {
+	if int(t) < len(typeNames) && typeNames[t] != "" {
 		return typeNames[t]
 	}
 	return fmt.Sprintf("type(%d)", uint8(t))
@@ -266,7 +266,7 @@ type Message struct {
 	View   uint64
 	CoreID uint32
 
-	// Read / Put fields.
+	// Put fields.
 	Key   string
 	Value []byte
 	OK    bool
@@ -294,6 +294,9 @@ type Message struct {
 	// answers every key at that timestamp (newest version at or below TS) and
 	// raises each key's read timestamp to TS so no later validation can slip
 	// a write underneath the snapshot.
+	//
+	// A message that fills them itself does so through OwnKeys and OwnReads,
+	// into arrays it owns; a literal may point them at the caller's.
 	Keys  []string
 	Reads []ReadResult
 
@@ -313,15 +316,17 @@ type Message struct {
 	// client must refresh its map and re-route.
 	MapVersion uint64
 	WrongShard bool
+
+	// keys and reads are the arrays OwnKeys and OwnReads hand out: the only
+	// payload storage that survives ReleaseMessage. Unexported, so an array a
+	// caller put into Keys or Reads can never enter the pool through them.
+	keys  []string
+	reads []ReadResult
 }
 
 // String gives a short human-readable rendering for logs and test failures.
 func (m *Message) String() string {
 	switch m.Type {
-	case TypeRead:
-		return fmt.Sprintf("read{%q}", m.Key)
-	case TypeReadReply:
-		return fmt.Sprintf("read-reply{%q @%v ok=%v}", m.Key, m.TS, m.OK)
 	case TypeValidate:
 		return fmt.Sprintf("validate{%v @%v core=%d}", m.Txn.ID, m.TS, m.CoreID)
 	case TypeValidateReply:

@@ -65,10 +65,13 @@ func AcquireMessage() *Message { return messagePool.Get().(*Message) }
 // merely collected — so messages built as plain literals may be sent and may
 // be released like any other. Releasing nil is a no-op.
 //
-// The whole struct is zeroed, slice headers included: a recycled message
+// Every exported field is zeroed, slice headers included: a recycled message
 // never carries a slice anyone else can still reach. The arrays a released
-// message pointed at belong to whoever moved them out (a trecord, a read
-// result) or to the collector, never to the next sender.
+// message pointed at belong to whoever moved them out (a trecord) or put them
+// there (a literal's caller) or to the collector, never to the next sender —
+// except the two the message handed out itself (OwnKeys, OwnReads), which it
+// keeps, emptied of every string and value pointer, for its next use. Whoever
+// wants a key or a read result past the release copies the element out.
 func ReleaseMessage(m *Message) {
 	if m == nil {
 		return
@@ -80,8 +83,55 @@ func ReleaseMessage(m *Message) {
 		*m = Message{Type: typePoisoned, TID: PoisonTID}
 		return
 	}
-	*m = Message{}
+	keys, reads := m.keys, m.reads
+	clear(keys)
+	clear(reads)
+	*m = Message{keys: keys[:0], reads: reads[:0]}
 	messagePool.Put(m)
+}
+
+// own resizes buf, an array a message owns, to n slots and returns it twice:
+// to keep, and as the view to publish — nil when empty, as the codec has it,
+// and capped, so an append cannot reach the slots past it. Slots below n keep
+// what they held for the caller to overwrite (DecodeInto reuses their value
+// capacity); slots past n are emptied, so a release need only clear its length.
+func own[T any](buf []T, n int) (kept, view []T) {
+	switch {
+	case n > cap(buf):
+		buf = make([]T, n)
+	case n < len(buf):
+		clear(buf[n:])
+	}
+	if buf = buf[:n]; n == 0 {
+		return buf, nil
+	}
+	return buf, buf[:n:n]
+}
+
+// OwnKeys makes m.Keys n slots of an array the message owns and keeps across
+// ReleaseMessage, and returns them for the caller to fill, every one.
+func (m *Message) OwnKeys(n int) []string {
+	m.keys, m.Keys = own(m.keys, n)
+	return m.Keys
+}
+
+// OwnReads is OwnKeys for m.Reads.
+func (m *Message) OwnReads(n int) []ReadResult {
+	m.reads, m.Reads = own(m.reads, n)
+	return m.Reads
+}
+
+// CopyFrom makes m a second message with src's contents, for a sender that
+// hands one request to several receivers. The copy shares src's Txn sets and
+// the bytes its values point at, which no receiver writes, but carries Keys
+// and Reads in arrays of its own: each receiver releases, and thereby
+// empties, the arrays of the message it was given.
+func (m *Message) CopyFrom(src *Message) {
+	keys, reads := m.keys, m.reads
+	*m = *src
+	m.keys, m.reads = keys, reads
+	copy(m.OwnKeys(len(src.Keys)), src.Keys)
+	copy(m.OwnReads(len(src.Reads)), src.Reads)
 }
 
 // typePoisoned marks a message released in poison mode; no handler
@@ -101,20 +151,3 @@ var poisonOnRelease atomic.Bool
 // the race detector sees the overwrite) instead of a plausible recycled
 // message. It reports the previous setting.
 func SetPoisonOnRelease(on bool) (was bool) { return poisonOnRelease.Swap(on) }
-
-// Reset clears m for reuse, keeping top-level slice capacity so the next
-// DecodeInto or rebuild does not reallocate its sets. Only for a message
-// that provably owns every slice it carries — a codec round-trip buffer, a
-// log's scratch record — never for one that crossed a transport, whose
-// slices its sender or receiver may still hold.
-func (m *Message) Reset() {
-	rs, ws, ops := m.Txn.ReadSet[:0], m.Txn.WriteSet[:0], m.Txn.OpSet[:0]
-	recs, ents, sts := m.Records[:0], m.Entries[:0], m.State[:0]
-	keys, reads := m.Keys[:0], m.Reads[:0]
-	val := m.Value[:0]
-	*m = Message{}
-	m.Txn.ReadSet, m.Txn.WriteSet, m.Txn.OpSet = rs, ws, ops
-	m.Records, m.Entries, m.State = recs, ents, sts
-	m.Keys, m.Reads = keys, reads
-	m.Value = val
-}

@@ -59,25 +59,10 @@ func TestDecodeIntoRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(m, want) {
+		if !same(m, want) {
 			t.Fatalf("reused decode mismatch for %v:\ngot:  %+v\nwant: %+v", src.Type, m, want)
 		}
 	}
-}
-
-func TestMessageReset(t *testing.T) {
-	m := AcquireMessage()
-	buf := Encode(nil, sampleMessage())
-	if err := DecodeInto(m, buf); err != nil {
-		t.Fatal(err)
-	}
-	m.Reset()
-	if m.Type != TypeInvalid || m.Key != "" || m.OK || len(m.Txn.ReadSet) != 0 ||
-		len(m.Records) != 0 || len(m.Entries) != 0 || len(m.State) != 0 || len(m.Value) != 0 ||
-		len(m.Keys) != 0 || len(m.Reads) != 0 {
-		t.Fatalf("Reset left state behind: %+v", m)
-	}
-	ReleaseMessage(m)
 }
 
 // TestPooledEncodeZeroAllocs is the allocation regression gate for the send
@@ -142,9 +127,10 @@ func TestPooledMultiReadZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestReleaseDropsEverySlice pins the pool's one invariant: a released
-// message keeps no slice header, so the next acquirer can never write into
-// (or read from) an array the previous owner moved out or still holds.
+// TestReleaseDropsEverySlice pins the pool's first invariant: a released
+// message keeps no slice header anyone else can reach, so the next acquirer can
+// never write into (or read from) an array the previous owner moved out or
+// still holds.
 func TestReleaseDropsEverySlice(t *testing.T) {
 	defer SetPoisonOnRelease(SetPoisonOnRelease(false))
 	m := AcquireMessage()
@@ -153,13 +139,116 @@ func TestReleaseDropsEverySlice(t *testing.T) {
 	}
 	kept := m.Txn // a handler moving the payload out
 	ReleaseMessage(m)
-	if !reflect.DeepEqual(*m, Message{}) {
+	if !same(m, &Message{}) {
 		t.Fatalf("released message is not zero: %+v", m)
 	}
 	if !reflect.DeepEqual(kept, sampleMessage().Txn) {
 		t.Fatal("moved-out payload changed on release")
 	}
 	ReleaseMessage(nil) // nil is a no-op
+}
+
+// reacquire takes messages from the pool until it is handed m again, which
+// without the race detector is at once. It reports whether it was.
+func reacquire(m *Message) bool {
+	for i := 0; i < 64; i++ {
+		if AcquireMessage() == m {
+			return true
+		}
+	}
+	return false
+}
+
+// TestLiteralArraysNeverEnterThePool pins the second: the arrays a message
+// keeps across a release are the ones it handed out itself, never one a caller
+// put into Keys or Reads. A literal whose Keys and Reads alias its sender's
+// arrays is released, re-acquired and refilled; the sender's arrays must not
+// have been written. (Keeping cap(m.Keys) on release would fail here.)
+func TestLiteralArraysNeverEnterThePool(t *testing.T) {
+	defer SetPoisonOnRelease(SetPoisonOnRelease(false))
+	callerKeys := [3]string{"a", "b", "c"}
+	callerReads := [2]ReadResult{{Value: []byte("v"), OK: true}, {OK: true}}
+	wantKeys, wantReads := callerKeys, callerReads
+	m := &Message{Type: TypeMultiRead, Keys: callerKeys[:], Reads: callerReads[:]}
+	ReleaseMessage(m)
+	if !raceEnabled && !reacquire(m) {
+		t.Fatal("the pool did not hand the released literal back")
+	}
+	for i := 0; i < 8; i++ {
+		n := AcquireMessage()
+		for j := range n.OwnKeys(3) {
+			n.Keys[j] = "overwritten"
+		}
+		for j := range n.OwnReads(2) {
+			n.Reads[j] = ReadResult{Value: []byte("overwritten")}
+		}
+		defer ReleaseMessage(n)
+	}
+	for j := range m.OwnKeys(3) {
+		m.Keys[j] = "overwritten"
+	}
+	m.OwnReads(2)[0].Value = []byte("overwritten")
+	if callerKeys != wantKeys || !reflect.DeepEqual(callerReads, wantReads) {
+		t.Fatalf("a recycled message wrote into its sender's arrays: %q %+v", callerKeys, callerReads)
+	}
+}
+
+// TestReleasedArraysHoldNoPointers pins the third: the arrays a message keeps
+// are emptied on release — past their length too, after a shrink — so a pooled
+// message pins no key string and no version's value bytes.
+func TestReleasedArraysHoldNoPointers(t *testing.T) {
+	defer SetPoisonOnRelease(SetPoisonOnRelease(false))
+	m := AcquireMessage()
+	if err := DecodeInto(m, Encode(nil, sampleMessage())); err != nil {
+		t.Fatal(err)
+	}
+	m.OwnKeys(1)[0] = "k"
+	m.OwnReads(1)[0] = ReadResult{Value: []byte("v")}
+	ReleaseMessage(m)
+	if cap(m.keys) < 3 || cap(m.reads) < 2 {
+		t.Fatalf("released message kept no arrays: cap %d keys, %d reads", cap(m.keys), cap(m.reads))
+	}
+	for _, k := range m.keys[:cap(m.keys)] {
+		if k != "" {
+			t.Fatalf("released message pins key %q", k)
+		}
+	}
+	for _, r := range m.reads[:cap(m.reads)] {
+		if !reflect.DeepEqual(r, ReadResult{}) {
+			t.Fatalf("released message pins read result %+v", r)
+		}
+	}
+}
+
+// TestCopyFromOwnsItsKeysAndReads: a copy outlives the release of its source
+// (a duplicated datagram delivered after the original was handled) with Keys
+// and Reads intact, while the Txn sets are shared, not copied.
+func TestCopyFromOwnsItsKeysAndReads(t *testing.T) {
+	defer SetPoisonOnRelease(SetPoisonOnRelease(false))
+	src := AcquireMessage()
+	if err := DecodeInto(src, Encode(nil, sampleMessage())); err != nil {
+		t.Fatal(err)
+	}
+	cp := AcquireMessage()
+	cp.CopyFrom(src)
+	if !same(cp, src) {
+		t.Fatalf("copy differs:\n got: %+v\nwant: %+v", cp, src)
+	}
+	if &cp.Keys[0] == &src.Keys[0] || &cp.Reads[0] == &src.Reads[0] {
+		t.Fatal("copy shares its source's Keys or Reads array")
+	}
+	if &cp.Txn.ReadSet[0] != &src.Txn.ReadSet[0] {
+		t.Fatal("copy does not share its source's read set")
+	}
+	ReleaseMessage(src)
+	refill := AcquireMessage()
+	refill.OwnKeys(3)[0] = "overwritten"
+	refill.OwnReads(2)[0].Value = []byte("overwritten")
+	if want := sampleMessage(); !reflect.DeepEqual(cp.Keys, want.Keys) || !reflect.DeepEqual(cp.Reads, want.Reads) {
+		t.Fatalf("copy changed when its source was released: %q %+v", cp.Keys, cp.Reads)
+	}
+	ReleaseMessage(cp)
+	ReleaseMessage(refill)
 }
 
 // TestAcquireReleaseZeroAllocs gates the struct recycling itself.
@@ -184,10 +273,17 @@ func TestAcquireReleaseZeroAllocs(t *testing.T) {
 // release panics.
 func TestPoisonOnRelease(t *testing.T) {
 	defer SetPoisonOnRelease(SetPoisonOnRelease(true))
-	m := &Message{Type: TypeValidateReply, TID: timestamp.TxnID{Seq: 1, ClientID: 2}, Keys: []string{"k"}}
+	m := &Message{Type: TypeValidateReply, TID: timestamp.TxnID{Seq: 1, ClientID: 2}}
+	m.OwnKeys(1)[0] = "k"
+	m.OwnReads(1)[0].OK = true
 	ReleaseMessage(m)
-	if m.Type.String() != "type(255)" || m.TID != PoisonTID || m.Keys != nil {
+	if m.Type.String() != "type(255)" || m.TID != PoisonTID {
 		t.Fatalf("released message not poisoned: %+v", m)
+	}
+	// A read of Keys or Reads after the release is loud too: the poisoned
+	// message keeps neither the views nor the arrays behind them.
+	if m.Keys != nil || m.Reads != nil || m.keys != nil || m.reads != nil {
+		t.Fatalf("poisoned message still carries Keys or Reads: %+v", m)
 	}
 	if got := AcquireMessage(); got == m {
 		t.Fatal("poisoned message went back into the pool")

@@ -53,12 +53,16 @@ const (
 	// the transaction).
 	TxnAbortTimeout
 	// TxnRetry counts validate/accept round resends beyond the first
-	// attempt; ReadRetry the same for execution-phase reads.
+	// attempt.
 	TxnRetry
+	// ReadRetry counted the resends of the one-key read protocol. Reads of
+	// one key are plain read rounds now and count under ReadMultiRetry; this
+	// is never incremented, and stays declared only because the benchmark's
+	// per-layer report still names it.
 	ReadRetry
-	// ReadMultiRound counts batched multi-read round trips issued (one per
-	// partition per ReadMany call); ReadMultiRetry the resends beyond each
-	// round's first attempt.
+	// ReadMultiRound counts plain read round trips issued (one per touched
+	// partition per Read or ReadMany call); ReadMultiRetry the resends beyond
+	// each round's first attempt.
 	ReadMultiRound
 	ReadMultiRetry
 	// TxnResolveCommit/TxnResolveAbort count unknown-outcome transactions
@@ -90,7 +94,7 @@ const (
 	CoordChange      // coordinator-change promises granted (backup recovery)
 	SweepRecovery    // stalled transactions handed to the backup coordinator
 	EpochChangePause // cores paused and snapshotted by an epoch change
-	MultiReadServed  // multi-read requests answered (keys served in batches)
+	MultiReadServed  // plain read requests answered, of one key or a batch
 	OpCommitApplied  // committed transactions carrying commutative ops
 	OpMerged         // commutative ops folded into version chains on commit
 	SnapshotRead     // snapshot multi-read requests answered (RO fast path)

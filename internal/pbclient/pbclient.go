@@ -97,18 +97,18 @@ func (c *Client) Read(key string) (value []byte, version timestamp.Timestamp, ok
 	for attempt := 0; attempt <= c.cfg.Retries; attempt++ {
 		r := c.rng.Intn(c.cfg.Topo.Replicas)
 		core := uint32(c.rng.Intn(c.cfg.Topo.Cores))
-		c.ep.Send(c.cfg.Topo.ReplicaAddr(0, r, core), &message.Message{
-			Type: message.TypeRead, Key: key, Seq: seq,
-		})
+		req := &message.Message{Type: message.TypeMultiRead, Seq: seq}
+		req.OwnKeys(1)[0] = key
+		c.ep.Send(c.cfg.Topo.ReplicaAddr(0, r, core), req)
 		deadline := time.NewTimer(c.cfg.Timeout)
 		for {
 			select {
 			case m := <-c.in.C:
-				if m.Type != message.TypeReadReply || m.Seq != seq {
+				if m.Type != message.TypeMultiReadReply || m.Seq != seq || len(m.Reads) != 1 {
 					continue
 				}
 				deadline.Stop()
-				return m.Value, m.TS, m.OK, nil
+				return m.Reads[0].Value, m.Reads[0].WTS, m.Reads[0].OK, nil
 			case <-deadline.C:
 			}
 			break

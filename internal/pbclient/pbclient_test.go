@@ -37,10 +37,10 @@ func startFake(t *testing.T, net *transport.Inproc, tp topo.Topology, decision b
 					return
 				}
 				switch m.Type {
-				case message.TypeRead:
+				case message.TypeMultiRead:
 					(*self).Send(m.Src, &message.Message{
-						Type: message.TypeReadReply, Key: m.Key, Seq: m.Seq,
-						Value: []byte("v0"), TS: timestamp.Timestamp{Time: 1}, OK: true,
+						Type: message.TypeMultiReadReply, Seq: m.Seq,
+						Reads: []message.ReadResult{{Value: []byte("v0"), WTS: timestamp.Timestamp{Time: 1}, OK: true}},
 					})
 				case message.TypePBSubmit:
 					select {

@@ -386,10 +386,8 @@ func (c *core) unlockRecords() {
 // record by the time it returns. It runs on the core's delivery goroutine.
 func (c *core) handle(m *message.Message) {
 	switch m.Type {
-	case message.TypeRead:
-		c.handleRead(m)
 	case message.TypeMultiRead:
-		c.handleMultiRead(m)
+		c.handleRead(m)
 	case message.TypeValidate:
 		c.handleValidate(m)
 	case message.TypeAccept:
@@ -483,99 +481,69 @@ func ownsTxn(v *shardmap.View, t *message.Txn) bool {
 	return true
 }
 
-// handleRead serves an execution-phase read from the versioned store. Reads
-// never touch the trecord, so any core of any replica can serve them.
+// handleRead serves the execution phase (§5.2.1): one reply slot per requested
+// key, index-aligned with the request and built in the pooled reply's own
+// array. A request without a timestamp is a plain read of every key's latest
+// committed version; it only touches the lock-free versioned store — never the
+// trecord — so any core of any replica can serve it, and batching adds no
+// coordination.
+//
+// A request with one is a snapshot read pinned at m.TS for the read-only fast
+// path. Every key is answered at that timestamp (newest version at or below
+// it), and — inside the same per-key critical section — the store raises the
+// key's read timestamp to it, so no yet-unvalidated write can ever commit
+// under the snapshot. The reply's Watermark is then the minimum per-key
+// confirmation bound: it equals m.TS exactly when no pending
+// (prepared-but-undecided) writer sits at or below the snapshot on any
+// requested key, i.e. when every answered version is final with respect to
+// this replica.
 func (c *core) handleRead(m *message.Message) {
-	if v := c.ownView(); v != nil && !v.Owns(shardmap.Hash(m.Key)) {
+	r := c.newReply(message.TypeMultiReadReply)
+	r.Seq = m.Seq
+	// Ownership is checked once, before any store access: an unowned snapshot
+	// read must not raise read timestamps here — the moved range's rts now
+	// lives with the new owner, and raising it on a sealed copy would be dead
+	// state.
+	if v := c.ownView(); !ownsKeys(v, m.Keys) {
 		c.obs.Inc(obs.WrongShardRedirect)
-		r := c.newReply(message.TypeReadReply)
-		r.Key, r.Seq = m.Key, m.Seq
 		r.WrongShard, r.MapVersion = true, v.Version()
 		c.send(m.Src, r)
 		return
 	}
-	v, ok := c.r.store.Read(m.Key)
-	r := c.newReply(message.TypeReadReply)
-	r.Key, r.Seq = m.Key, m.Seq
-	r.Value, r.TS, r.OK = v.Value, v.WTS, ok
-	c.send(m.Src, r)
-}
-
-// handleMultiRead serves a whole batch of execution-phase reads in one
-// handler pass: one reply slot per requested key, index-aligned with the
-// request. Like single reads, the batch only touches the lock-free versioned
-// store — never the trecord — so any core of any replica can serve it, and
-// batching adds no coordination.
-func (c *core) handleMultiRead(m *message.Message) {
-	if !m.TS.IsZero() {
-		c.handleSnapshotRead(m)
-		return
-	}
-	if v := c.ownView(); !ownsKeys(v, m.Keys) {
-		c.redirectMultiRead(m, v)
-		return
-	}
-	reads := make([]message.ReadResult, len(m.Keys))
+	snap, plain := m.TS, m.TS.IsZero()
+	reads, wmin := r.OwnReads(len(m.Keys)), snap
 	for i, k := range m.Keys {
-		v, ok := c.r.store.Read(k)
-		reads[i] = message.ReadResult{Value: v.Value, WTS: v.WTS, OK: ok, Op: v.Op}
-	}
-	c.obs.Inc(obs.MultiReadServed)
-	r := c.newReply(message.TypeMultiReadReply)
-	r.Seq, r.Reads, r.Watermark = m.Seq, reads, c.wm.Watermark()
-	c.send(m.Src, r)
-}
-
-// redirectMultiRead answers a (multi-)read whose key set is no longer fully
-// owned here with a WrongShard redirect. No store state is touched.
-func (c *core) redirectMultiRead(m *message.Message, v *shardmap.View) {
-	c.obs.Inc(obs.WrongShardRedirect)
-	r := c.newReply(message.TypeMultiReadReply)
-	r.Seq = m.Seq
-	r.WrongShard, r.MapVersion = true, v.Version()
-	c.send(m.Src, r)
-}
-
-// handleSnapshotRead serves a multi-read pinned at snapshot timestamp m.TS
-// for the read-only fast path. Every key is answered at that timestamp
-// (newest version at or below it), and — inside the same per-key critical
-// section — the store raises the key's read timestamp to it, so no
-// yet-unvalidated write can ever commit under the snapshot. The reply's
-// Watermark is the minimum per-key confirmation bound: it equals m.TS
-// exactly when no pending (prepared-but-undecided) writer sits at or below
-// the snapshot on any requested key, i.e. when every answered version is
-// final with respect to this replica.
-func (c *core) handleSnapshotRead(m *message.Message) {
-	// Ownership is checked before any store access: an unowned snapshot read
-	// must not raise read timestamps here — the moved range's rts now lives
-	// with the new owner, and raising it on a sealed copy would be dead state.
-	if v := c.ownView(); !ownsKeys(v, m.Keys) {
-		c.redirectMultiRead(m, v)
-		return
-	}
-	reads := make([]message.ReadResult, len(m.Keys))
-	wmin := m.TS
-	for i, k := range m.Keys {
-		v, bound, ok := c.r.store.SnapshotRead(k, m.TS)
-		reads[i] = message.ReadResult{Value: v.Value, WTS: v.WTS, OK: ok, Op: v.Op}
-		if bound.Less(wmin) {
-			wmin = bound
+		var (
+			v  vstore.Version
+			ok bool
+		)
+		if plain {
+			v, ok = c.r.store.Read(k)
+		} else {
+			var bound timestamp.Timestamp
+			if v, bound, ok = c.r.store.SnapshotRead(k, snap); bound.Less(wmin) {
+				wmin = bound
+			}
 		}
+		reads[i] = message.ReadResult{Value: v.Value, WTS: v.WTS, OK: ok, Op: v.Op}
 	}
-	c.wm.Advance(wmin)
-	if c.paused || c.r.recovering.Load() {
+	if plain {
+		c.obs.Inc(obs.MultiReadServed)
+		r.Watermark = c.wm.Watermark()
+	} else {
+		c.obs.Inc(obs.SnapshotRead)
+		c.wm.Advance(wmin)
 		// A crash-recovered replica is blind to transactions in flight
 		// around its state transfer (their pending registrations died with
 		// the old process), so its per-key bound cannot be trusted until the
 		// first epoch change decides and applies all of them. Likewise a
 		// core paused mid-epoch-change hasn't installed the merge yet and
 		// may be missing outcomes it is about to learn. Serve the values in
-		// both cases, but never confirm.
-		wmin = timestamp.Zero
+		// both cases, but never confirm: the watermark stays zero.
+		if !c.paused && !c.r.recovering.Load() {
+			r.Watermark = wmin
+		}
 	}
-	c.obs.Inc(obs.SnapshotRead)
-	r := c.newReply(message.TypeMultiReadReply)
-	r.Seq, r.Reads, r.Watermark = m.Seq, reads, wmin
 	c.send(m.Src, r)
 }
 

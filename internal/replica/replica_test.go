@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"meerkat/internal/coordinator"
+	"meerkat/internal/faultnet"
 	"meerkat/internal/message"
 	"meerkat/internal/replica"
 	"meerkat/internal/timestamp"
@@ -18,16 +19,24 @@ import (
 type harness struct {
 	t    *testing.T
 	topo topo.Topology
-	net  *transport.Inproc
+	net  transport.Network
 	reps []*replica.Replica
 	ep   transport.Endpoint
 	in   *transport.Inbox
 }
 
+var harnessTopo = topo.Topology{Partitions: 1, Replicas: 3, Cores: 2}
+
 func newHarness(t *testing.T, shared bool, sweep time.Duration) *harness {
 	t.Helper()
-	tp := topo.Topology{Partitions: 1, Replicas: 3, Cores: 2}
-	h := &harness{t: t, topo: tp, net: transport.NewInproc(transport.InprocConfig{})}
+	return newHarnessOn(t, transport.NewInproc(transport.InprocConfig{}), shared, sweep)
+}
+
+// newHarnessOn starts the three replicas and the test's endpoint on net.
+func newHarnessOn(t *testing.T, net transport.Network, shared bool, sweep time.Duration) *harness {
+	t.Helper()
+	tp := harnessTopo
+	h := &harness{t: t, topo: tp, net: net}
 	for i := 0; i < 3; i++ {
 		rep, err := replica.New(replica.Config{
 			Topo: tp, Partition: 0, Index: i, Net: h.net,
@@ -278,6 +287,46 @@ func TestBackupCoordinatorCompletesOrphan(t *testing.T) {
 	}
 }
 
+// TestBackupCoordinatorCarriesOpOnlyBody: an orphan that is one increment —
+// no read set, no write set — validated at a bare majority. The backup
+// coordinator's accept must carry the increment, or the replica that missed
+// the validate commits an empty body and its counter never moves. (That
+// replica's acks are lost, so the recovery decides on the two records that
+// make the commit safe, whichever order the acks are sent in.)
+func TestBackupCoordinatorCarriesOpOnlyBody(t *testing.T) {
+	recoverer := message.Addr{Node: topo.ClientNodeBase + 500, Core: 0}
+	deaf := faultnet.EveryLink(faultnet.Rule{DropProb: 1})
+	deaf.SrcNode, deaf.DstNode = int(harnessTopo.ReplicaAddr(0, 2, 0).Node), int(recoverer.Node)
+	h := newHarnessOn(t, faultnet.Wrap(transport.NewInproc(transport.InprocConfig{}), &faultnet.Plan{Rules: []faultnet.Rule{deaf}}), false, 0)
+	txn := message.Txn{
+		ID:    timestamp.TxnID{Seq: 1, ClientID: 1},
+		OpSet: []message.OpSetEntry{{Key: "ctr", Kind: message.OpIncrement, Delta: 5}},
+	}
+	for rep := 0; rep < 2; rep++ {
+		h.send(rep, &message.Message{Type: message.TypeValidate, Txn: txn, TID: txn.ID, TS: ts(10, 1), CoreID: 0})
+		h.recv(message.TypeValidateReply)
+	}
+	rec, err := coordinator.NewRecoverer(h.net, h.topo, recoverer, 2, 100*time.Millisecond, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	if committed, err := rec.Recover(context.Background(), 0, txn.ID, 0, 0); err != nil || !committed {
+		t.Fatalf("Recover: committed=%v err=%v", committed, err)
+	}
+	want := string(message.ApplyOp(nil, nil, message.OpIncrement, 5, nil))
+	deadline := time.Now().Add(time.Second)
+	for rep := 0; rep < 3; {
+		if v, ok := h.reps[rep].Store().Read("ctr"); ok && string(v.Value) == want {
+			rep++
+		} else if time.Now().After(deadline) {
+			t.Fatalf("replica %d reads the counter as %q (ok=%v), want %q", rep, v.Value, ok, want)
+		} else {
+			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
 func TestBackupCoordinatorAbortsUnvalidatedOrphan(t *testing.T) {
 	// The orphan only reached one replica: recovery cannot prove a commit,
 	// so it must abort everywhere.
@@ -406,16 +455,33 @@ func TestSharedRecordModeProtocol(t *testing.T) {
 func TestReadServedByAnyCore(t *testing.T) {
 	h := newHarness(t, false, 0)
 	h.reps[2].Store().Load("k", []byte("v"), ts(1, 0))
-	h.send(2, &message.Message{Type: message.TypeRead, Key: "k", Seq: 7, CoreID: 1})
-	r := h.recv(message.TypeReadReply)
-	if !r.OK || string(r.Value) != "v" || r.Seq != 7 || r.TS != ts(1, 0) {
+	// The request is a literal whose Keys alias the sender's array, as the
+	// benchmark's probes send them.
+	keys := [2]string{"k", "nope"}
+	h.send(2, &message.Message{Type: message.TypeMultiRead, Keys: keys[:], Seq: 7, CoreID: 1})
+	r := h.recv(message.TypeMultiReadReply)
+	if len(r.Reads) != 2 || r.Seq != 7 {
 		t.Fatalf("read reply %+v", r)
 	}
+	if got := r.Reads[0]; !got.OK || string(got.Value) != "v" || got.WTS != ts(1, 0) {
+		t.Fatalf("read of k: %+v", got)
+	}
 	// Missing key reads as not-found with version Zero.
-	h.send(2, &message.Message{Type: message.TypeRead, Key: "nope", Seq: 8, CoreID: 0})
-	r = h.recv(message.TypeReadReply)
-	if r.OK || !r.TS.IsZero() {
-		t.Fatalf("missing-key reply %+v", r)
+	if got := r.Reads[1]; got.OK || !got.WTS.IsZero() {
+		t.Fatalf("missing-key read: %+v", got)
+	}
+	// The core released the literal into the pool; the requests and replies
+	// that follow refill pooled messages, and none of them may have kept, and
+	// now write, the sender's array.
+	for seq := uint64(8); seq < 40; seq++ {
+		req := message.AcquireMessage()
+		req.Type, req.Seq = message.TypeMultiRead, seq
+		req.OwnKeys(2)[0], req.Keys[1] = "nope", "nope"
+		h.send(2, req)
+		message.ReleaseMessage(h.recv(message.TypeMultiReadReply))
+	}
+	if keys != [2]string{"k", "nope"} {
+		t.Fatalf("the sender's key array was written: %q", keys)
 	}
 }
 

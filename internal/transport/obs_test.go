@@ -36,7 +36,7 @@ func TestInprocDropsVisibleInScrape(t *testing.T) {
 	// second sits in the queue; everything after overflows the ring.
 	const sends = 10
 	for i := 0; i < sends; i++ {
-		if err := src.Send(sink, &message.Message{Type: message.TypeRead}); err != nil {
+		if err := src.Send(sink, &message.Message{Type: message.TypeMultiRead}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -60,7 +60,7 @@ func TestInprocDropsVisibleInScrape(t *testing.T) {
 
 	// Drops at an unbound destination (a crashed node) must be visible too.
 	for i := 0; i < 3; i++ {
-		if err := src.Send(message.Addr{Node: 7}, &message.Message{Type: message.TypeRead}); err != nil {
+		if err := src.Send(message.Addr{Node: 7}, &message.Message{Type: message.TypeMultiRead}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -123,7 +123,7 @@ func TestUDPStatsVisibleInScrape(t *testing.T) {
 	}
 	const sends = 5
 	for i := 0; i < sends; i++ {
-		if err := src.Send(message.Addr{Node: 1}, &message.Message{Type: message.TypeRead}); err != nil {
+		if err := src.Send(message.Addr{Node: 1}, &message.Message{Type: message.TypeMultiRead}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -300,16 +300,19 @@ func TestMetricsHTTPMatchesClient(t *testing.T) {
 // export of both names is internal/obs's TestPrometheusEndpoint).
 func TestValidateRoundObserved(t *testing.T) {
 	db := obsCluster(t, meerkat.Config{Shards: 4})
-	keys := crossShardKeys(t, db, 3, 1)
+	// Two keys per group: the one-group commit's outcome reaches the replicas
+	// asynchronously, so the cross-shard commit that follows reads other keys
+	// — a plain read of the just-written one may lag and abort the commit.
+	keys := crossShardKeys(t, db, 3, 2)
 	cl, err := db.Client()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
 	before := db.Admin().Obs().Snapshot()
-	commitRMW(t, cl, keys)        // one group
-	commitCrossShard(t, cl, keys) // three groups
-	commitReadOnly(t, cl, keys)   // no round at all
+	commitRMW(t, cl, keys[3:])        // one group
+	commitCrossShard(t, cl, keys[:3]) // three groups
+	commitReadOnly(t, cl, keys[3:])   // no round at all
 	d := db.Admin().Obs().Snapshot().Sub(before)
 	if got := d.Counter(obs.TxnCommitMultiShard); got != 1 {
 		t.Errorf("txn_commit_multi_shard = %d, want 1", got)
@@ -321,7 +324,7 @@ func TestValidateRoundObserved(t *testing.T) {
 		t.Errorf("commits observed = %d, want 3", got)
 	}
 	// Every one of the three read its keys in one round first, whatever the
-	// kind: a single-key read, a batched multi-read, a snapshot round.
+	// kind: a read of one key, a batched multi-read, a snapshot round.
 	if got := d.Hists[obs.HistReadRound].Count(); got != 3 {
 		t.Errorf("read rounds observed = %d, want 3", got)
 	}
