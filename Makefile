@@ -90,7 +90,12 @@ bench-exp:
 # own comment, one read handler on the replica that builds its Reads in the
 # pooled reply, and no whole-struct copy of one pointed-to value into another
 # outside internal/message — a copied Message would share the arrays its
-# source keeps across release (message.CopyFrom re-homes them).
+# source keeps across release (message.CopyFrom re-homes them). And a
+# transaction's working memory belongs to its coordinator: exactly one &Txn{
+# in non-test internal/coordinator (Begin's — Run recycles the coordinator's
+# own), none in the root Client.Run, and no message.Txn literal in
+# internal/coordinator that ships t.reads, t.writes or t.ops themselves (split
+# carves copies out of the bump chunks).
 api-guard:
 	@! grep -rnE --include='*.go' --exclude='*_test.go' 'Deprecated:|^func .*Ctx\(' . \
 		| grep -vE '^\./internal/(kuafu|meerkatpb|pbclient|sim)/'
@@ -115,3 +120,7 @@ api-guard:
 		|| { echo "internal/replica must have exactly one read handler"; exit 1; }
 	@! grep -rnE --include='*.go' --exclude='*_test.go' '^[[:space:]]*\*[A-Za-z_][A-Za-z0-9_]* = \*[A-Za-z_][A-Za-z0-9_.]*$$' . \
 		| grep -v '^\./internal/message/'
+	@test "$$(cat $$(ls internal/coordinator/*.go | grep -v _test.go) | grep -c '&Txn{')" -eq 1 \
+		|| { echo "internal/coordinator must have exactly one &Txn{ (Begin's)"; exit 1; }
+	@! sed -n '/^func (cl \*Client) Run(/,/^}/p' client.go | grep -n '&Txn{'
+	@! grep -nE --exclude='*_test.go' 'message\.Txn\{.*(ReadSet|WriteSet|OpSet): *t\.(reads|writes|ops)\b' internal/coordinator/*.go

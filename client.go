@@ -26,6 +26,10 @@ type Client struct {
 	// moment it writes); set by DB.Client's WithReadOnlyDefault option.
 	roDefault bool
 
+	// txn is the one wrapper Run hands its body, around the coordinator's one
+	// recycled transaction.
+	txn Txn
+
 	committed uint64
 	aborted   uint64
 }
@@ -174,6 +178,10 @@ func (t *Txn) Read(key string) ([]byte, error) {
 // up front — a timeline fetch, a multi-get — to avoid paying one network
 // round trip per key. The transaction's context bounds it exactly as it
 // bounds Read.
+//
+// The returned slice belongs to the transaction and is valid for its life —
+// under Run, until the body returns; copy it to keep it longer. The []byte
+// values in it stay valid for as long as the caller keeps them.
 func (t *Txn) ReadMany(keys []string) ([][]byte, error) {
 	vals, err := t.inner.ReadMany(keys)
 	return vals, mapErr(err)
@@ -265,8 +273,9 @@ func (t *Txn) Timestamp() timestamp.Timestamp { return t.inner.Timestamp() }
 // the snapshot timestamp.
 func (t *Txn) CommittedReadOnly() bool { return t.inner.CommittedReadOnly() }
 
-// ReadSet, WriteSet, and OpSet expose the transaction's sets for verification
-// tooling (e.g. the serializability checker); callers must not mutate them.
+// ReadSet, WriteSet, and OpSet return copies of the transaction's sets for
+// verification tooling (e.g. the serializability checker); the caller owns
+// them, and later transactions on the client do not change them.
 func (t *Txn) ReadSet() []message.ReadSetEntry   { return t.inner.ReadSet() }
 func (t *Txn) WriteSet() []message.WriteSetEntry { return t.inner.WriteSet() }
 func (t *Txn) OpSet() []message.OpSetEntry       { return t.inner.OpSet() }
@@ -290,14 +299,27 @@ var ErrTxnAborted = errors.New("meerkat: transaction aborted by caller")
 //
 // fn may run many times and must be safe to re-execute; it must not call
 // Commit itself.
+//
+// The Txn handed to fn is the client's own, recycled by every attempt and
+// every Run: fn must not keep it, or a slice ReadMany returned, past its own
+// return. The last attempt's Txn stays readable — ID, Timestamp,
+// CommittedReadOnly, the set accessors — after Run returns and until the
+// client's next Run, Put or GetStrong. Calling those three on this client from
+// inside fn is defined: the nested call is a transaction of its own, on a
+// fresh Txn, and leaves fn's untouched.
 func (cl *Client) Run(ctx context.Context, fn func(*Txn) error) error {
+	t := &cl.txn
+	if cl.coord.Running() {
+		t = new(Txn) // nested: the outer body still holds cl.txn
+	}
 	attempts := 0
 	err := cl.coord.Run(ctx, func(inner *coordinator.Txn) error {
 		attempts++
 		if cl.roDefault {
 			inner.ReadOnly()
 		}
-		return fn(&Txn{inner: inner, cl: cl})
+		*t = Txn{inner: inner, cl: cl}
+		return fn(t)
 	})
 	if err == nil {
 		cl.committed++

@@ -1,6 +1,7 @@
 package meerkat_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -66,15 +67,52 @@ func crossShardKeys(tb testing.TB, db *meerkat.DB, groups, perGroup int) []strin
 
 var hotpathValue = []byte("v2")
 
-// commitRMW is the commit hot path in its cheapest shape: one read, one
+// The shapes are what a transaction does before it commits; commitX takes
+// one through Begin + Commit, the gate's run- rows hand one to Client.Run.
+
+// buildRMW is the commit hot path in its cheapest shape: one read, one
 // write, one partition — the N = 1 case of the coordinator's validate round.
+func buildRMW(txn *meerkat.Txn, keys []string) error {
+	if _, err := txn.Read(keys[0]); err != nil {
+		return err
+	}
+	txn.Write(keys[0], hotpathValue)
+	return nil
+}
+
+// buildReadOnly is the read-only fast path in its cheapest shape: one
+// snapshot read, local commit — zero validation rounds, zero commit
+// messages.
+func buildReadOnly(txn *meerkat.Txn, keys []string) error {
+	txn.ReadOnly()
+	_, err := txn.Read(keys[0])
+	return err
+}
+
+// buildTimeline is the Retwis get-timeline shape: every key in one ReadMany.
+func buildTimeline(txn *meerkat.Txn, keys []string) error {
+	_, err := txn.ReadMany(keys)
+	return err
+}
+
+// buildCrossShard is the multi-partition commit: one batched read of all
+// the keys, a write to the first of every group, one validate round over
+// every group touched (keys come from crossShardKeys, three groups).
+func buildCrossShard(txn *meerkat.Txn, keys []string) error {
+	if err := buildTimeline(txn, keys); err != nil {
+		return err
+	}
+	for _, key := range keys[:3] {
+		txn.Write(key, hotpathValue)
+	}
+	return nil
+}
+
 func commitRMW(tb testing.TB, cl *meerkat.Client, keys []string) {
-	key := keys[0]
 	txn := cl.Begin()
-	if _, err := txn.Read(key); err != nil {
+	if err := buildRMW(txn, keys); err != nil {
 		tb.Fatal(err)
 	}
-	txn.Write(key, hotpathValue)
 	if _, err := txn.Commit(); err != nil {
 		tb.Fatal(err)
 	}
@@ -90,13 +128,9 @@ func commitIncrement(tb testing.TB, cl *meerkat.Client, keys []string) {
 	}
 }
 
-// commitReadOnly is the read-only fast path in its cheapest shape: one
-// snapshot read, local commit — zero validation rounds, zero commit
-// messages.
 func commitReadOnly(tb testing.TB, cl *meerkat.Client, keys []string) {
 	txn := cl.Begin()
-	txn.ReadOnly()
-	if _, err := txn.Read(keys[0]); err != nil {
+	if err := buildReadOnly(txn, keys); err != nil {
 		tb.Fatal(err)
 	}
 	if ok, err := txn.Commit(); err != nil || !ok {
@@ -107,16 +141,10 @@ func commitReadOnly(tb testing.TB, cl *meerkat.Client, keys []string) {
 	}
 }
 
-// commitCrossShard is the multi-partition commit: one batched read of all
-// the keys, a write to the first of every group, one validate round over
-// every group touched (keys come from crossShardKeys, three groups).
 func commitCrossShard(tb testing.TB, cl *meerkat.Client, keys []string) {
 	txn := cl.Begin()
-	if _, err := txn.ReadMany(keys); err != nil {
+	if err := buildCrossShard(txn, keys); err != nil {
 		tb.Fatal(err)
-	}
-	for _, key := range keys[:3] {
-		txn.Write(key, hotpathValue)
 	}
 	if _, err := txn.Commit(); err != nil {
 		tb.Fatal(err)
@@ -190,7 +218,7 @@ func commitTimeline(tb testing.TB, cl *meerkat.Client, keys []string, readOnly b
 	if readOnly {
 		txn.ReadOnly()
 	}
-	if _, err := txn.ReadMany(keys); err != nil {
+	if err := buildTimeline(txn, keys); err != nil {
 		tb.Fatal(err)
 	}
 	if ok, err := txn.Commit(); err != nil || !ok {
@@ -201,6 +229,9 @@ func commitTimeline(tb testing.TB, cl *meerkat.Client, keys []string, readOnly b
 // TestCommitAllocGate pins each commit shape's allocation count end to end
 // (coordinator + transport + all three replicas' handler goroutines, since
 // AllocsPerRun counts global mallocs). Every gate is the measured count + 1.
+// A row commits through Begin + Commit, or — the run- rows, the path every
+// suite workload, every example and internal/chaos take — hands a shape,
+// bound once, to Client.Run.
 func TestCommitAllocGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation adds allocations; gate runs without -race")
@@ -211,6 +242,7 @@ func TestCommitAllocGate(t *testing.T) {
 		groups int // 0: the pre-loaded keys; else two keys on each of that many groups
 		keys   int // keys to pre-load; 0 means one
 		commit func(testing.TB, *meerkat.Client, []string)
+		run    func(*meerkat.Txn, []string) error
 		runs   int
 		max    float64
 	}{
@@ -219,39 +251,56 @@ func TestCommitAllocGate(t *testing.T) {
 		// (read + reply, three validates + replies, three commits); 8 with
 		// every message recycled by its final consumer. With the replicas'
 		// records carved out of slabs and the coordinator's one lazily armed
-		// timer it measures 5.
-		{"single", meerkat.Config{}, 0, 0, commitRMW, 200, 6},
+		// timer it measures 5: the three arrays a fresh Txn from Begin grows
+		// (read set, read values, write set) and the replicas' version nodes —
+		// three when the commit lands, none when the read met a replica that
+		// had not applied the previous commit yet and the attempt aborted. What
+		// is shipped is a span of the coordinator's bump chunks: 1/256 of an
+		// object for the read and again for the write.
+		{name: "single", commit: commitRMW, runs: 200, max: 6},
 		// The same commit over a real two-range map. Shard-map routing is
 		// an atomic load, a hash, and a binary search, and a transaction
-		// that touches one group ships its own read and write sets: equal
-		// to "single".
-		{"sharded", meerkat.Config{Shards: 2}, 0, 0, commitRMW, 200, 6},
+		// that touches one group is carved like any other: equal to
+		// "single".
+		{name: "sharded", cfg: meerkat.Config{Shards: 2}, commit: commitRMW, runs: 200, max: 6},
 		// Appending the commit record to the per-core write-ahead log stays
 		// allocation-free steady-state (persistent scratch message, reused
 		// pending buffer): the same gate as in memory.
-		{"durable", meerkat.Config{Durability: meerkat.Durability{DataDir: t.TempDir()}}, 0, 0, commitRMW, 1000, 6},
+		{name: "durable", cfg: meerkat.Config{Durability: meerkat.Durability{DataDir: t.TempDir()}}, commit: commitRMW, runs: 1000, max: 6},
 		// Shipping the operation instead of read-version + blind write adds
 		// no churn (the op entries ride the same pooled messages and scratch
 		// buffers). It measures 7, three of them each replica materializing
 		// the merged value.
-		{"increment", meerkat.Config{}, 0, 0, commitIncrement, 200, 8},
+		{name: "increment", commit: commitIncrement, runs: 200, max: 8},
 		// Dropping the validation round must not smuggle in churn: 12 at
 		// introduction, six of them the broadcast snapshot read and its
 		// three replies; 6 with messages recycled; 2 with the request's keys
 		// and every reply's reads in arrays the pooled messages keep.
-		{"read-only", meerkat.Config{}, 0, 0, commitReadOnly, 200, 3},
+		{name: "read-only", commit: commitReadOnly, runs: 200, max: 3},
 		// 6 reads and 3 writes over three of four groups: one validate round
-		// on the caller's goroutine, 13 objects. It was 52 when every touched
+		// on the caller's goroutine, 11 objects. It was 52 when every touched
 		// group cost a goroutine, two timers, a broadcast scratch and its own
-		// read and write sets grown by append, and 18 when every read request
-		// and reply allocated its keys and reads.
-		{"cross-shard", meerkat.Config{Shards: 4}, 3, 0, commitCrossShard, 200, 14},
+		// read and write sets grown by append, 18 when every read request and
+		// reply allocated its keys and reads, and 13 when every commit made the
+		// two arrays its pieces were carved from.
+		{name: "cross-shard", cfg: meerkat.Config{Shards: 4}, groups: 3, commit: commitCrossShard, runs: 200, max: 12},
 		// The Retwis get-timeline shape, validated: one ReadMany of ten keys
-		// and a commit, 3 objects, all Txn.ReadMany's: the values it returns
-		// and the read set's two slices. The read round allocates nothing.
-		{"timeline-10", meerkat.Config{}, 0, 10, func(tb testing.TB, cl *meerkat.Client, keys []string) {
+		// and a commit, 3 objects, all the fresh Txn's: its results buffer and
+		// the read set's two arrays. The read round allocates nothing.
+		{name: "timeline-10", keys: 10, commit: func(tb testing.TB, cl *meerkat.Client, keys []string) {
 			commitTimeline(tb, cl, keys, false)
-		}, 200, 4},
+		}, runs: 200, max: 4},
+		// Under Run the client's half of a transaction allocates nothing: the
+		// Txn and its wrapper are the client's, its sets keep their capacity,
+		// the shipped body is a span of a bump chunk. What is left is what the
+		// replicas keep — one version node per write per replica, and in the
+		// cross-shard row, where nearly every Run takes two attempts (the first
+		// reads at a replica still applying the previous commit), half an
+		// object of record slabs and record-map growth.
+		{name: "run-rmw", run: buildRMW, runs: 200, max: 4},
+		{name: "run-read-only", run: buildReadOnly, runs: 200, max: 1},
+		{name: "run-timeline-10", keys: 10, run: buildTimeline, runs: 200, max: 1},
+		{name: "run-cross-shard", cfg: meerkat.Config{Shards: 4}, groups: 3, run: buildCrossShard, runs: 200, max: 11},
 	} {
 		t.Run(g.name, func(t *testing.T) {
 			db, cl, keys := newHotpath(t, g.cfg, max(g.keys, 1))
@@ -259,6 +308,14 @@ func TestCommitAllocGate(t *testing.T) {
 				keys = crossShardKeys(t, db, g.groups, 2)
 			}
 			commit := func() { g.commit(t, cl, keys) }
+			if g.run != nil {
+				ctx, body := context.Background(), func(txn *meerkat.Txn) error { return g.run(txn, keys) }
+				commit = func() {
+					if err := cl.Run(ctx, body); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
 			// Warm the coordinator's timer, the trecord maps and the WAL
 			// pending/spare buffer pair, and let the group-commit goroutine
 			// complete a few cycles, so the gate measures steady state
@@ -267,7 +324,9 @@ func TestCommitAllocGate(t *testing.T) {
 				commit()
 			}
 			time.Sleep(10 * time.Millisecond)
-			if allocs := testing.AllocsPerRun(g.runs, commit); allocs > g.max {
+			allocs := testing.AllocsPerRun(g.runs, commit)
+			t.Logf("%s: %v objects/op, gate %v", g.name, allocs, g.max)
+			if allocs > g.max {
 				t.Fatalf("%s commit allocated %v objects/op, want <= %v", g.name, allocs, g.max)
 			}
 		})

@@ -122,6 +122,13 @@ type Coordinator struct {
 	ro1      [1]string // the key of a single-key read
 	fetch    []string  // Txn.ReadMany: the keys that need the round trip
 
+	// txn is the one transaction Run recycles across attempts and calls;
+	// running marks a Run in progress, whose body must not lose it to a nested
+	// Run. body is what commits ship instead of txn's working sets (see split).
+	txn     Txn
+	running bool
+	body    body
+
 	// lastTS is the highest timestamp this coordinator has committed at, on
 	// either path. Snapshot round-down never goes below it, so one session's
 	// reads can never miss that session's own writes.
@@ -161,6 +168,7 @@ func newCore(cfg Config) *Coordinator {
 	const half = 1 << (viewProposerBits - 1)
 	c.round.init(&c.cfg, cfg.ClientID%half+half)
 	c.reads.init(&c.cfg)
+	c.txn.c = c
 	return c
 }
 

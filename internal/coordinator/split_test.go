@@ -32,7 +32,10 @@ func newSplitCoordinator(t *testing.T, partitions int) *Coordinator {
 	return c
 }
 
-func TestSplitSinglePartitionPassthrough(t *testing.T) {
+// TestSplitSinglePartitionCopies: a one-partition transaction goes down the
+// same path as any other — its piece is a capacity-capped span of the bump
+// chunks, not the working sets.
+func TestSplitSinglePartitionCopies(t *testing.T) {
 	c := newSplitCoordinator(t, 1)
 	txn := c.Begin()
 	txn.reads = []message.ReadSetEntry{{Key: "a"}, {Key: "b"}}
@@ -41,8 +44,15 @@ func TestSplitSinglePartitionPassthrough(t *testing.T) {
 	if len(parts) != 1 || parts[0].p != 0 {
 		t.Fatalf("parts %+v", parts)
 	}
-	if len(parts[0].txn.ReadSet) != 2 || len(parts[0].txn.WriteSet) != 1 {
-		t.Fatalf("sets %+v", parts[0].txn)
+	got := parts[0].txn
+	if len(got.ReadSet) != 2 || len(got.WriteSet) != 1 || got.OpSet != nil {
+		t.Fatalf("sets %+v", got)
+	}
+	if &got.ReadSet[0] == &txn.reads[0] || &got.WriteSet[0] == &txn.writes[0] {
+		t.Fatal("split shipped the transaction's working sets")
+	}
+	if cap(got.ReadSet) != 2 || cap(got.WriteSet) != 1 {
+		t.Fatalf("spans not capacity-capped: %d %d", cap(got.ReadSet), cap(got.WriteSet))
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"meerkat/internal/message"
 	"meerkat/internal/obs"
@@ -17,6 +18,10 @@ import (
 // sets are a handful of entries (YCSB-T touches 4 keys, Retwis at most a
 // dozen), where scanning a slice beats hashing and — unlike two lazily built
 // maps — costs the commit hot path zero allocations.
+//
+// The sets are the transaction's working memory and never leave the
+// coordinator: split copies what a commit ships, the accessors hand out
+// copies. That is what lets Run recycle one Txn (see reset).
 type Txn struct {
 	c *Coordinator
 	// ctx bounds every blocking call the transaction makes — Read, ReadMany,
@@ -27,6 +32,8 @@ type Txn struct {
 	readVals [][]byte
 	writes   []message.WriteSetEntry
 	ops      []message.OpSetEntry
+	// vals is the results buffer: every ReadMany returns a span of it.
+	vals [][]byte
 
 	// opErr latches a misuse of the op API (mixing op kinds on one key);
 	// Commit surfaces it instead of shipping a transaction the replicas
@@ -59,8 +66,30 @@ type Txn struct {
 
 // Begin starts a new transaction bounded only by the coordinator's retry
 // budget. Transactions that must stop when a caller gives up run under Run.
+//
+// The Txn is fresh and the caller's own — two may be open at once; only Run
+// recycles.
 func (c *Coordinator) Begin() *Txn {
 	return &Txn{c: c, ctx: context.Background()}
+}
+
+// recycle empties s and zeroes its whole backing array, so that what an
+// earlier transaction left in it — store versions, caller buffers — is not
+// pinned by a parked client.
+func recycle[E any](s []E) []E {
+	clear(s[:cap(s)])
+	return s[:0]
+}
+
+// reset makes t a new transaction under ctx that keeps only the capacity of
+// its sets. Every other field is cleared by construction.
+func (t *Txn) reset(ctx context.Context) {
+	*t = Txn{
+		c: t.c, ctx: ctx,
+		reads: recycle(t.reads), readVals: recycle(t.readVals), vals: recycle(t.vals),
+		writes: recycle(t.writes), ops: recycle(t.ops),
+		unresolved: t.unresolved[:0],
+	}
 }
 
 // findWrite returns the write-set position of key, or -1.
@@ -171,8 +200,12 @@ func (t *Txn) applyPendingOp(key string, val []byte) []byte {
 // Read would: each key is fetched at most once and lands in the read set at
 // most once. The transaction's context bounds the round trips (see
 // Coordinator.ReadMany).
+//
+// The returned slice is a span of the transaction's results buffer, valid for
+// the life of the transaction — under Run, until the body returns; a later
+// ReadMany appends its own span and leaves earlier ones intact. The []byte
+// values themselves stay valid for as long as the caller keeps them.
 func (t *Txn) ReadMany(keys []string) ([][]byte, error) {
-	vals := make([][]byte, len(keys))
 	fetch := t.c.fetch[:0]
 	for _, key := range keys {
 		if t.findWrite(key) >= 0 || t.findRead(key) >= 0 {
@@ -196,20 +229,18 @@ func (t *Txn) ReadMany(keys []string) ([][]byte, error) {
 			return nil, err
 		}
 		// Grow the read set once for the whole batch rather than along the
-		// append doubling chain — under GOMAXPROCS=1 the GC competes with the
-		// replicas for the CPU, so batch-path garbage is latency.
-		if cap(t.reads)-len(t.reads) < len(fetch) {
-			reads := make([]message.ReadSetEntry, len(t.reads), len(t.reads)+len(fetch))
-			copy(reads, t.reads)
-			t.reads = reads
-			readVals := make([][]byte, len(t.readVals), len(t.readVals)+len(fetch))
-			copy(readVals, t.readVals)
-			t.readVals = readVals
-		}
+		// append doubling chain; a recycled Txn already has the room.
+		t.reads = slices.Grow(t.reads, len(fetch))
+		t.readVals = slices.Grow(t.readVals, len(fetch))
 		for j, key := range fetch {
 			t.record(key, &res[j])
 		}
 	}
+	// Grown once, never per key; if it moves, the spans handed out earlier
+	// keep the array they were cut from.
+	n := len(t.vals) + len(keys)
+	t.vals = slices.Grow(t.vals, len(keys))[:n]
+	vals := t.vals[n-len(keys) : n : n]
 	for i, key := range keys {
 		if j := t.findWrite(key); j >= 0 {
 			vals[i] = t.writes[j].Value
@@ -226,7 +257,7 @@ func (t *Txn) ReadMany(keys []string) ([][]byte, error) {
 func (t *Txn) Write(key string, value []byte) {
 	t.roViable = false // no longer read-only; commit classically
 	if i := t.findOp(key); i >= 0 {
-		t.ops = append(t.ops[:i], t.ops[i+1:]...)
+		t.ops = slices.Delete(t.ops, i, i+1)
 	}
 	if i := t.findWrite(key); i >= 0 {
 		t.writes[i].Value = value
@@ -365,7 +396,20 @@ func (t *Txn) Resolve() (bool, error) {
 // ErrTimeout) once ctx expires, and fn's own error — aborting the loop — for
 // anything else. fn may be called many times and must be safe to re-execute;
 // it should build the transaction and return, leaving Commit to Run.
+//
+// Every attempt runs on the coordinator's one recycled Txn, reset at the top
+// of the attempt: fn must not keep it, or a slice ReadMany returned, past its
+// own return. The Txn of the last attempt stays readable — ID, Timestamp,
+// CommittedReadOnly, the set accessors — after Run returns and until the
+// coordinator's next Run. A Run called from inside fn (SnapshotRead is one)
+// would reset the transaction it is inside of, so it gets a fresh Txn instead.
 func (c *Coordinator) Run(ctx context.Context, fn func(*Txn) error) error {
+	t, outer := &c.txn, c.running
+	if outer {
+		t = c.Begin()
+	}
+	c.running = true
+	defer func() { c.running = outer }()
 	immediate := false
 	for txns := 0; ; txns++ { // transactions tried so far: the next one's backoff grows with them
 		k := txns
@@ -378,7 +422,7 @@ func (c *Coordinator) Run(ctx context.Context, fn func(*Txn) error) error {
 		if err := expired(ctx); err != nil {
 			return err
 		}
-		t := &Txn{c: c, ctx: ctx}
+		t.reset(ctx)
 		if err := fn(t); err != nil {
 			if errors.Is(err, ErrWrongShard) && ctx.Err() == nil {
 				// A read hit a moved range; the map cache was refreshed at
@@ -423,6 +467,9 @@ func (c *Coordinator) Run(ctx context.Context, fn func(*Txn) error) error {
 	}
 }
 
+// Running reports whether the call comes from inside a Run body.
+func (c *Coordinator) Running() bool { return c.running }
+
 // Timestamp returns the transaction's serialization timestamp (valid after
 // Commit returned true): committed transactions are one-copy serializable in
 // timestamp order.
@@ -436,8 +483,10 @@ func (t *Txn) ID() timestamp.TxnID { return t.id }
 // timestamp rather than a fresh generator draw.
 func (t *Txn) CommittedReadOnly() bool { return t.roCommitted }
 
-// ReadSet, WriteSet, and OpSet expose the transaction's sets for verification
-// tooling (the serializability checker); callers must not mutate them.
-func (t *Txn) ReadSet() []message.ReadSetEntry   { return t.reads }
-func (t *Txn) WriteSet() []message.WriteSetEntry { return t.writes }
-func (t *Txn) OpSet() []message.OpSetEntry       { return t.ops }
+// ReadSet, WriteSet, and OpSet return copies of the transaction's sets for
+// verification tooling (the serializability checker keeps them in its
+// history): the caller owns the copy, which the next transaction on a
+// recycled Txn does not rewrite.
+func (t *Txn) ReadSet() []message.ReadSetEntry   { return slices.Clone(t.reads) }
+func (t *Txn) WriteSet() []message.WriteSetEntry { return slices.Clone(t.writes) }
+func (t *Txn) OpSet() []message.OpSetEntry       { return slices.Clone(t.ops) }
