@@ -144,9 +144,9 @@ func (c *Coordinator) commit(ctx context.Context, t *Txn) (bool, error) {
 	}
 
 	// Steps 2–5 in every touched partition at once.
-	c.in.Drain()
+	c.In.Drain()
 	c.round.begin(tid, ts, coreID, start)
-	c.round.abandon(c.run(ctx, &c.round))
+	c.round.abandon(c.link.Run(ctx, &c.round))
 	c.obs.Observe(obs.HistValidateRound, time.Since(start))
 
 	// The transaction commits fast only if every partition decided on the
@@ -186,9 +186,9 @@ func (c *Coordinator) commit(ctx context.Context, t *Txn) (bool, error) {
 
 	// Tell every partition the joined outcome (perform's phDone).
 	for i := range parts {
-		parts[i].commit, parts[i].send = committed, true
+		parts[i].commit, parts[i].Send = committed, true
 	}
-	c.round.perform(&c.link)
+	c.round.Perform()
 
 	if committed && c.lastTS.Less(ts) {
 		c.lastTS = ts // snapshot round-down floor (see snapshotBegin)

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"meerkat/internal/clock"
+	"meerkat/internal/drive"
 	"meerkat/internal/message"
 	"meerkat/internal/obs"
 	"meerkat/internal/shardmap"
@@ -27,7 +28,7 @@ var (
 	// ErrTimeout means the coordinator could not assemble the quorums it
 	// needed within its retry budget; the transaction's outcome is
 	// unknown (a backup coordinator will eventually finish it).
-	ErrTimeout = errors.New("coordinator: timed out, outcome unknown")
+	ErrTimeout = drive.ErrTimeout
 	// ErrWrongShard means a replica refused a request because, under its
 	// current shard map, it no longer owns some of the keys — the client
 	// routed with a stale map. The coordinator's map cache has already been
@@ -98,6 +99,57 @@ func (c *Config) fill() {
 	}
 }
 
+// link is what a coordinator's rounds are driven over: the drive.Link their
+// requests leave by and their replies arrive on, and the routing map the
+// requests are stamped with.
+type link struct {
+	drive.Link
+	// groups[p*cores+core] is the broadcast destination set for (p, core),
+	// precomputed once so no round allocates it. Immutable once built; a
+	// session's workers share one table.
+	groups [][]message.Addr
+	cores  int
+	rng    transport.SplitMix64 // replica/core load balancing and Run's backoff jitter; no lock, no heap
+
+	routes *shardmap.Cache // nil on a replica's recovery link, which routes nothing
+	obs    *obs.Shard      // nil-safe lifecycle recorder (see Config.Obs)
+	// rerouted latches that a wrong-shard redirect refreshed the shard-map
+	// cache to a newer version, so Run's next retry can skip the backoff —
+	// the re-routed attempt goes to a different replica group and cannot
+	// re-collide with whatever aborted this one.
+	rerouted bool
+}
+
+// group returns the broadcast addresses of core `core` on every replica of
+// partition p.
+func (l *link) group(p int, core uint32) []message.Addr {
+	return l.groups[p*l.cores+int(core)]
+}
+
+// mapVersion is the shard-map version outgoing requests are stamped with, so
+// replicas can tell how stale a redirected client is.
+func (l *link) mapVersion() uint64 { return l.routes.Current().Version() }
+
+// noteRedirect refreshes the shard-map cache after a wrong-shard reply and
+// reports whether the refresh advanced to a newer map — in which case an
+// immediate re-routed retry is worthwhile, and rerouted is latched for Run.
+func (l *link) noteRedirect() bool {
+	_, advanced := l.routes.Refresh()
+	if advanced {
+		l.obs.Inc(obs.MapRefresh)
+		l.rerouted = true
+	}
+	return advanced
+}
+
+// policy is cfg's retry policy with a jitter stream of its own.
+func (c *Config) policy(stream uint64) drive.Policy {
+	return drive.Policy{
+		Timeout: c.Timeout, Retries: c.Retries, BackoffBase: c.BackoffBase, BackoffMax: c.BackoffMax,
+		Rng: transport.SeedSplitMix64(uint64(c.Seed) + stream),
+	}
+}
+
 // Coordinator drives transactions for one client. It is not safe for
 // concurrent use: each closed-loop client owns one. Everything it does runs
 // on the caller's goroutine; it starts none of its own.
@@ -158,16 +210,16 @@ func groupTable(t topo.Topology) [][]message.Addr {
 func newCore(cfg Config) *Coordinator {
 	c := &Coordinator{cfg: cfg, gen: timestamp.NewGenerator(cfg.ClientID, cfg.Clock.Now)}
 	c.link = link{
-		mailbox: mailbox{in: transport.NewInbox(inboxDepth(cfg.Topo))},
-		groups:  groupTable(cfg.Topo), cores: cfg.Topo.Cores,
+		Link:   drive.Link{Mailbox: drive.Mailbox{In: transport.NewInbox(inboxDepth(cfg.Topo))}},
+		groups: groupTable(cfg.Topo), cores: cfg.Topo.Cores,
 		rng:    transport.SeedSplitMix64(uint64(cfg.Seed)),
 		routes: cfg.ShardMap, obs: cfg.Obs,
 	}
 	// Client proposer ids live in the upper half of the proposer space so
 	// they cannot collide with replica indices.
 	const half = 1 << (viewProposerBits - 1)
-	c.round.init(&c.cfg, cfg.ClientID%half+half)
-	c.reads.init(&c.cfg)
+	c.round.init(&c.cfg, &c.link, cfg.ClientID%half+half)
+	c.reads.init(&c.cfg, &c.link)
 	c.txn.c = c
 	return c
 }
@@ -184,7 +236,7 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	c := newCore(cfg)
 	var err error
-	if c.ep, err = cfg.Net.Listen(cfg.Topo.ClientAddr(cfg.ClientID), c.in.Handle); err != nil {
+	if c.Ep, err = cfg.Net.Listen(cfg.Topo.ClientAddr(cfg.ClientID), c.In.Handle); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -194,6 +246,6 @@ func New(cfg Config) (*Coordinator, error) {
 // session's and leave closing it to Session.Close.
 func (c *Coordinator) Close() {
 	if !c.shared {
-		c.ep.Close()
+		c.Ep.Close()
 	}
 }

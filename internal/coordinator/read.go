@@ -4,6 +4,7 @@ import (
 	"context"
 	"time"
 
+	"meerkat/internal/drive"
 	"meerkat/internal/message"
 	"meerkat/internal/obs"
 	"meerkat/internal/timestamp"
@@ -21,7 +22,7 @@ import (
 // tallies: replied counts the replicas that answered the attempt, ok the
 // confirmed ones among them.
 type readPart struct {
-	wait
+	drive.Wait
 	tally
 	open bool   // a request is out, or due, and no (settled) answer is in
 	seq  uint64 // Seq of the attempt: replies to any other are stragglers
@@ -31,7 +32,9 @@ type readPart struct {
 // next: a request carries its keys in an array of its own (message.OwnKeys),
 // so nothing sent aliases any of it.
 type readRound struct {
-	policy
+	drive.Policy
+	cfg    *Config
+	l      *link               // what perform sends on and routes by
 	seq    uint64              // last Seq handed out; a session seeds it with the worker's index
 	keysIn []string            // the caller's keys
 	snap   timestamp.Timestamp // zero: a plain round, first good reply wins
@@ -56,11 +59,11 @@ type readRound struct {
 	err  error // why the round closed without its answers
 }
 
-func (rr *readRound) init(cfg *Config) {
+func (rr *readRound) init(cfg *Config, l *link) {
 	*rr = readRound{
-		policy: policy{cfg: cfg, rng: transport.SeedSplitMix64(uint64(cfg.Seed) + 2)},
-		off:    make([]int, cfg.Topo.Partitions+1),
-		parts:  make([]readPart, cfg.Topo.Partitions),
+		Policy: cfg.policy(2), cfg: cfg, l: l,
+		off:   make([]int, cfg.Topo.Partitions+1),
+		parts: make([]readPart, cfg.Topo.Partitions),
 	}
 }
 
@@ -68,7 +71,7 @@ func (rr *readRound) init(cfg *Config) {
 func (rr *readRound) begin(keys []string, snap timestamp.Timestamp, now time.Time) {
 	rr.keysIn, rr.snap, rr.minW, rr.err, rr.redirected = keys, snap, snap, nil, false
 	rr.regroup()
-	rr.tick(now)
+	rr.Tick(now)
 }
 
 // regroup groups the caller's keys by owning partition under the current
@@ -100,7 +103,7 @@ func (rr *readRound) regroup() {
 	rr.seq++
 	rr.open = 0
 	for p := 0; p < nparts; p++ {
-		rr.parts[p] = readPart{open: off[p+1] > 0, seq: rr.seq, wait: wait{kind: waitResend}}
+		rr.parts[p] = readPart{open: off[p+1] > 0, seq: rr.seq, Wait: drive.Wait{Kind: drive.WaitResend}}
 		if rr.parts[p].open {
 			rr.open++
 		}
@@ -116,7 +119,7 @@ func (rr *readRound) regroup() {
 	rr.wake = time.Time{}
 }
 
-func (rr *readRound) pending() (int, time.Time) { return rr.open, rr.wake }
+func (rr *readRound) Pending() (int, time.Time) { return rr.open, rr.wake }
 
 // fail closes the round without its answers.
 func (rr *readRound) fail(err error) { rr.err, rr.open = err, 0 }
@@ -131,13 +134,13 @@ func (rr *readRound) request(p int, now time.Time) {
 		t.seq, t.tally = rr.seq, tally{}
 		clear(rr.state[rr.off[p]:rr.off[p+1]])
 	}
-	rr.policy.request(&t.wait, now)
+	rr.Policy.Request(&t.Wait, now)
 }
 
 // reply folds one message in. Anything but the current attempt's answer from
 // a partition still open is a straggler, whichever group's replica of the
 // same number sent it.
-func (rr *readRound) reply(m *message.Message) {
+func (rr *readRound) Reply(m *message.Message) {
 	p := rr.cfg.Topo.PartitionOf(m.Src.Node)
 	if m.Type != message.TypeMultiReadReply || p >= len(rr.parts) || !rr.parts[p].open || m.Seq != rr.parts[p].seq {
 		return
@@ -197,27 +200,27 @@ func (rr *readRound) close(t *readPart) {
 // attempts whose deadline passed — or whose every replica answered without
 // settling — are retried, until a partition's budget is spent and the round
 // fails.
-func (rr *readRound) tick(now time.Time) {
+func (rr *readRound) Tick(now time.Time) {
 	rr.wake = time.Time{}
 	for p := range rr.parts {
 		t := &rr.parts[p]
 		if !t.open {
 			continue
 		}
-		switch expired := !now.Before(t.wake); {
-		case t.kind == waitResend && expired:
+		switch expired := !now.Before(t.Wake); {
+		case t.Kind == drive.WaitResend && expired:
 			rr.request(p, now)
-		case t.kind == waitReplies && (expired || t.replied == rr.cfg.Topo.Replicas):
+		case t.Kind == drive.WaitReplies && (expired || t.replied == rr.cfg.Topo.Replicas):
 			limit, err := 0, ErrTimeout
 			if !rr.snap.IsZero() {
 				limit, err = roRetries, errROUnconfirmed
 			}
-			if !rr.retry(&t.wait, now, limit) {
+			if !rr.Retry(&t.Wait, now, limit) {
 				rr.fail(err)
 				return
 			}
 		}
-		rr.wake = earlier(rr.wake, t.wake)
+		rr.wake = drive.Earlier(rr.wake, t.Wake)
 	}
 }
 
@@ -228,7 +231,8 @@ func (rr *readRound) tick(now time.Time) {
 // by the one wrong-shard rule of all reads: refresh the map; if that advanced
 // it, regroup under it and start over at once; if not, the split is still
 // mid-fence and the caller must back off before asking again.
-func (rr *readRound) perform(l *link) {
+func (rr *readRound) Perform() {
+	l := rr.l
 	if rr.redirected {
 		if rr.redirected = false; l.noteRedirect() {
 			rr.regroup()
@@ -240,18 +244,18 @@ func (rr *readRound) perform(l *link) {
 	topo := rr.cfg.Topo
 	for p := range rr.parts {
 		t := &rr.parts[p]
-		if !t.send {
+		if !t.Send {
 			continue
 		}
-		t.send = false
-		rr.count(l, t.attempt)
+		t.Send = false
+		rr.count(l, t.Attempt)
 		req := message.Message{Type: message.TypeMultiRead, Keys: rr.grouped[rr.off[p]:rr.off[p+1]], TS: rr.snap, Seq: t.seq, MapVersion: l.mapVersion()}
 		group := l.group(p, uint32(l.rng.Intn(topo.Cores)))
 		if rr.snap.IsZero() {
 			r := l.rng.Intn(topo.Replicas)
 			group = group[r : r+1]
 		}
-		if l.broadcast(group, &req) {
+		if l.Broadcast(group, &req) {
 			rr.fail(transport.ErrClosed)
 			return
 		}
@@ -278,9 +282,9 @@ func (rr *readRound) count(l *link, attempt int) {
 func (c *Coordinator) read(ctx context.Context, keys []string, snap timestamp.Timestamp) ([]message.ReadResult, error) {
 	rr := &c.reads
 	start := time.Now()
-	c.in.Drain()
+	c.In.Drain()
 	rr.begin(keys, snap, start)
-	err := c.run(ctx, rr)
+	err := c.link.Run(ctx, rr)
 	c.obs.Observe(obs.HistReadRound, time.Since(start))
 	if err == nil {
 		err = rr.err

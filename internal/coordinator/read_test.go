@@ -29,7 +29,7 @@ func newTestReads() (*readRound, *shardmap.Source) {
 		BackoffBase: roundBackoff, BackoffMax: roundBackoff, ShardMap: shardmap.NewCache(src),
 	}
 	rr := new(readRound)
-	rr.init(cfg)
+	rr.init(cfg, nil)
 	return rr, src
 }
 
@@ -45,8 +45,8 @@ func keyOf(pred func(string) bool) string {
 func (rr *readRound) takeSends() string {
 	var out []string
 	for p := range rr.parts {
-		if rr.parts[p].send {
-			rr.parts[p].send = false
+		if rr.parts[p].Send {
+			rr.parts[p].Send = false
 			out = append(out, fmt.Sprintf("read:%d", p))
 		}
 	}
@@ -129,7 +129,7 @@ func TestReadRoundSteps(t *testing.T) {
 			},
 			want: []string{"zero", "one"},
 			probe: func(t *testing.T, rr *readRound) {
-				if a0, a1 := rr.parts[0].attempt, rr.parts[1].attempt; a0 != 0 || a1 != 1 {
+				if a0, a1 := rr.parts[0].Attempt, rr.parts[1].Attempt; a0 != 0 || a1 != 1 {
 					t.Errorf("attempts %d and %d, want 0 and 1", a0, a1)
 				}
 			},
@@ -240,9 +240,9 @@ func TestReadRoundSteps(t *testing.T) {
 					if s.stale {
 						m.Seq--
 					}
-					rr.reply(&m)
+					rr.Reply(&m)
 				} else {
-					rr.tick(roundT0.Add(s.at))
+					rr.Tick(roundT0.Add(s.at))
 				}
 				if rr.redirected { // the driver's part, as in perform
 					rr.redirected = false

@@ -4,6 +4,7 @@ import (
 	"context"
 	"time"
 
+	"meerkat/internal/drive"
 	"meerkat/internal/message"
 	"meerkat/internal/timestamp"
 	"meerkat/internal/topo"
@@ -107,7 +108,7 @@ func (r *round) recover(p *partState, now time.Time) {
 	p.view = MakeView(RoundOf(max(p.view, p.superseded))+1, r.proposer)
 	p.phase, p.slow = phCoordChange, true
 	if first {
-		p.attempt = 0
+		p.Attempt = 0
 		r.request(p, now)
 	} else {
 		r.retry(p, now)
@@ -140,7 +141,7 @@ func (r *round) closeCoordChange(p *partState, now time.Time) {
 	proposal, final := DecideOutcome(p.records, r.cfg.Topo.F())
 	if final {
 		r.decide(p, proposal == message.StatusCommitted, nil)
-		p.send = true
+		p.Send = true
 		return
 	}
 	for i := range p.records {
@@ -171,9 +172,9 @@ func (r *round) beginRecovery(parts []int, tid timestamp.TxnID, coreID uint32, s
 // resolve runs a recovery round to its end, or ctx's, and returns the
 // conjunction of the partitions' outcomes.
 func (l *link) resolve(ctx context.Context, r *round, parts []int, tid timestamp.TxnID, coreID uint32, seenView uint64) (bool, error) {
-	l.in.Drain()
+	l.In.Drain()
 	r.beginRecovery(parts, tid, coreID, seenView, time.Now())
-	r.abandon(l.run(ctx, r))
+	r.abandon(l.Run(ctx, r))
 	committed := true
 	for i := range r.parts {
 		if p := &r.parts[i]; p.err != nil {
@@ -199,17 +200,17 @@ type Recoverer struct {
 func NewRecoverer(net transport.Network, t topo.Topology, addr message.Addr, proposer uint64, timeout time.Duration, retries int) (*Recoverer, error) {
 	r := &Recoverer{cfg: Config{Topo: t, ClientID: proposer, Timeout: timeout, Retries: retries}}
 	r.cfg.fill()
-	r.link = link{mailbox: mailbox{in: transport.NewInbox(256)}, groups: groupTable(t), cores: t.Cores}
+	r.link = link{Link: drive.Link{Mailbox: drive.Mailbox{In: transport.NewInbox(256)}}, groups: groupTable(t), cores: t.Cores}
 	var err error
-	if r.ep, err = net.Listen(addr, r.in.Handle); err != nil {
+	if r.Ep, err = net.Listen(addr, r.In.Handle); err != nil {
 		return nil, err
 	}
-	r.round.init(&r.cfg, proposer)
+	r.round.init(&r.cfg, &r.link, proposer)
 	return r, nil
 }
 
 // Close releases the recovery endpoint.
-func (r *Recoverer) Close() { r.ep.Close() }
+func (r *Recoverer) Close() { r.Ep.Close() }
 
 // Recover completes tid in partition p with a consistent outcome, returning
 // whether it committed. The end of ctx ends it with the outcome unknown.

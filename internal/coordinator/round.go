@@ -3,6 +3,7 @@ package coordinator
 import (
 	"time"
 
+	"meerkat/internal/drive"
 	"meerkat/internal/message"
 	"meerkat/internal/obs"
 	"meerkat/internal/timestamp"
@@ -62,7 +63,7 @@ type partState struct {
 	ts  timestamp.Timestamp // the timestamp txn is proposed at
 
 	phase phase
-	wait
+	drive.Wait
 	tally
 	view         uint64                 // accept, coordinator change: 0 is the original coordinator's
 	proposal     message.Status         // accept: ACCEPT-COMMIT or ACCEPT-ABORT
@@ -76,7 +77,9 @@ type partState struct {
 // ascending order, their tallies, and what the driver has to do next. It lives
 // in the coordinator and is reused commit after commit.
 type round struct {
-	policy
+	drive.Policy
+	cfg      *Config
+	l        *link  // what perform sends on and routes by
 	proposer uint64 // this coordinator's id inside the views it recovers in
 	tid      timestamp.TxnID
 	coreID   uint32
@@ -92,9 +95,9 @@ type round struct {
 	redirected bool // a partition closed on wrong-shard replies: the driver refreshes the map
 }
 
-func (r *round) init(cfg *Config, proposer uint64) {
+func (r *round) init(cfg *Config, l *link, proposer uint64) {
 	*r = round{
-		policy:   policy{cfg: cfg, rng: transport.SeedSplitMix64(uint64(cfg.Seed) + 1)},
+		Policy: cfg.policy(1), cfg: cfg, l: l,
 		proposer: proposer, index: make([]int, cfg.Topo.Partitions),
 	}
 }
@@ -111,13 +114,13 @@ func (r *round) begin(tid timestamp.TxnID, ts timestamp.Timestamp, coreID uint32
 	r.wake = now.Add(r.cfg.Timeout)
 }
 
-func (r *round) pending() (int, time.Time) { return r.open, r.wake }
+func (r *round) Pending() (int, time.Time) { return r.open, r.wake }
 
 // request asks the driver to broadcast p's current request and starts the
 // attempt's tally and deadline.
 func (r *round) request(p *partState, now time.Time) {
 	p.tally, p.records = tally{}, p.records[:0]
-	r.policy.request(&p.wait, now)
+	r.Policy.Request(&p.Wait, now)
 }
 
 // decide closes p with its final verdict.
@@ -146,7 +149,7 @@ func (r *round) abandon(err error) {
 // transaction, an untouched partition or a phase the partition has left
 // falls through, and a late reply of group A never counts towards group B's
 // quorum although both number their replicas from zero.
-func (r *round) reply(m *message.Message) {
+func (r *round) Reply(m *message.Message) {
 	q := r.cfg.Topo.PartitionOf(m.Src.Node)
 	if m.TID != r.tid || q >= len(r.index) || r.index[q] == 0 {
 		return
@@ -190,7 +193,7 @@ func (r *round) validateReply(p *partState, m *message.Message) {
 			return
 		}
 	}
-	if t := r.cfg.Topo; p.replied == t.Replicas || (p.replied >= t.Majority() && p.kind != waitGrace) {
+	if t := r.cfg.Topo; p.replied == t.Replicas || (p.replied >= t.Majority() && p.Kind != drive.WaitGrace) {
 		r.wake = time.Time{} // tick closes the collect, or opens the grace window
 	}
 }
@@ -208,7 +211,7 @@ func (r *round) acceptReply(p *partState, m *message.Message) {
 	}
 	if p.replied >= r.cfg.Topo.Majority() {
 		r.decide(p, p.proposal == message.StatusAcceptCommit, nil)
-		p.send = p.view != 0 // a recovery tells the group; a commit joins the partitions' verdicts first
+		p.Send = p.view != 0 // a recovery tells the group; a commit joins the partitions' verdicts first
 	}
 }
 
@@ -216,7 +219,7 @@ func (r *round) acceptReply(p *partState, m *message.Message) {
 // windows and backoffs that have run out, tallies that are complete — and
 // leaves in r.wake the instant it next has to run. The driver calls it when
 // r.wake has come and the mailbox is empty, before it parks.
-func (r *round) tick(now time.Time) {
+func (r *round) Tick(now time.Time) {
 	r.wake = time.Time{}
 	t := r.cfg.Topo
 	for i := range r.parts {
@@ -224,9 +227,9 @@ func (r *round) tick(now time.Time) {
 		if p.phase == phDone {
 			continue
 		}
-		expired := !now.Before(p.wake)
+		expired := !now.Before(p.Wake)
 		switch {
-		case p.kind == waitResend && expired:
+		case p.Kind == drive.WaitResend && expired:
 			r.request(p, now)
 		case p.phase == phCoordChange && p.replied >= t.Majority():
 			r.closeCoordChange(p, now)
@@ -235,7 +238,7 @@ func (r *round) tick(now time.Time) {
 			// backup coordinator took over) joins the recovery protocol above
 			// it to learn the decided outcome, and a recovery that was refused
 			// or starved of a majority starts over in a higher view.
-			if !expired || p.kind != waitReplies {
+			if !expired || p.Kind != drive.WaitReplies {
 				break
 			}
 			if p.view != 0 || p.superseded > 0 {
@@ -243,16 +246,16 @@ func (r *round) tick(now time.Time) {
 			} else {
 				r.retry(p, now)
 			}
-		case p.replied == t.Replicas || expired && p.kind != waitResend:
+		case p.replied == t.Replicas || expired && p.Kind != drive.WaitResend:
 			r.closeValidate(p, now)
-		case p.replied >= t.Majority() && p.kind != waitGrace:
+		case p.replied >= t.Majority() && p.Kind != drive.WaitGrace:
 			// Once a majority is in, the stragglers get only a short window
 			// before the slow path: a crashed replica must not cost a full
 			// timeout per transaction.
-			p.kind, p.wake = waitGrace, now.Add(max(r.cfg.Timeout/10, time.Millisecond))
+			r.Grace(&p.Wait, now)
 		}
 		if p.phase != phDone {
-			r.wake = earlier(r.wake, p.wake)
+			r.wake = drive.Earlier(r.wake, p.Wake)
 		}
 	}
 }
@@ -286,7 +289,7 @@ func (r *round) closeValidate(p *partState, now time.Time) {
 		if p.ok >= t.Majority() {
 			p.proposal = message.StatusAcceptCommit
 		}
-		p.phase, p.slow, p.attempt = phAccept, true, 0
+		p.phase, p.slow, p.Attempt = phAccept, true, 0
 		r.request(p, now)
 	default:
 		r.retry(p, now)
@@ -297,7 +300,7 @@ func (r *round) closeValidate(p *partState, now time.Time) {
 // backoff, or gives up once the retry budget is spent. Only partitions still
 // below a majority ever get here.
 func (r *round) retry(p *partState, now time.Time) {
-	if !r.policy.retry(&p.wait, now, 0) {
+	if !r.Policy.Retry(&p.Wait, now, 0) {
 		r.decide(p, false, ErrTimeout)
 		return
 	}
@@ -311,17 +314,18 @@ func (r *round) retry(p *partState, now time.Time) {
 // the outcome — one after another: on a transport that never blocks the
 // sender that costs nothing over doing it side by side, and the groups work
 // in parallel all the same.
-func (r *round) perform(l *link) {
+func (r *round) Perform() {
+	l := r.l
 	if r.redirected {
 		r.redirected = false
 		l.noteRedirect()
 	}
 	for i := range r.parts {
 		p := &r.parts[i]
-		if !p.send {
+		if !p.Send {
 			continue
 		}
-		p.send = false
+		p.Send = false
 		req := message.Message{TID: r.tid, CoreID: r.coreID}
 		switch p.phase {
 		case phValidate:
@@ -339,7 +343,7 @@ func (r *round) perform(l *link) {
 				req.Status = message.StatusCommitted
 			}
 		}
-		if l.broadcast(l.group(p.p, r.coreID), &req) && p.phase != phDone {
+		if l.Broadcast(l.group(p.p, r.coreID), &req) && p.phase != phDone {
 			r.decide(p, false, transport.ErrClosed)
 		}
 	}

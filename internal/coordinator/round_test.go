@@ -39,7 +39,7 @@ const (
 func newTestRound(touched ...int) *round {
 	cfg := &Config{Topo: roundTopo, ClientID: 1, Timeout: roundTimeout, Retries: 2, BackoffBase: roundBackoff, BackoffMax: roundBackoff}
 	r := new(round)
-	r.init(cfg, testProposer)
+	r.init(cfg, nil, testProposer)
 	for _, p := range touched {
 		r.parts = append(r.parts, partState{p: p, txn: message.Txn{ID: roundTID}})
 		r.index[p] = len(r.parts)
@@ -115,10 +115,10 @@ func (r *round) takeSends() string {
 	var out []string
 	for i := range r.parts {
 		p := &r.parts[i]
-		if !p.send {
+		if !p.Send {
 			continue
 		}
-		p.send = false
+		p.Send = false
 		kind := [...]string{phValidate: "validate", phAccept: "accept", phCoordChange: "coordchange", phDone: "outcome"}[p.phase]
 		out = append(out, fmt.Sprintf("%s:%d", kind, p.p))
 	}
@@ -316,8 +316,8 @@ func TestRoundSteps(t *testing.T) {
 			},
 			want: []verdict{{phCoordChange, "", true}},
 			probe: func(t *testing.T, r *round) {
-				if p := &r.parts[0]; p.view != MakeView(6, testProposer) || p.attempt != 1 || p.replied != 0 {
-					t.Errorf("view %d attempt %d replied %d, want round 6, 1 and 0", p.view, p.attempt, p.replied)
+				if p := &r.parts[0]; p.view != MakeView(6, testProposer) || p.Attempt != 1 || p.replied != 0 {
+					t.Errorf("view %d attempt %d replied %d, want round 6, 1 and 0", p.view, p.Attempt, p.replied)
 				}
 			},
 		},
@@ -387,9 +387,9 @@ func TestRoundSteps(t *testing.T) {
 			}
 			for i, s := range tc.script {
 				if s.msg != nil {
-					r.reply(s.msg)
+					r.Reply(s.msg)
 				} else {
-					r.tick(roundT0.Add(s.at))
+					r.Tick(roundT0.Add(s.at))
 				}
 				if got := r.takeSends(); got != s.sends {
 					t.Fatalf("step %d asked for %q, want %q", i, got, s.sends)
@@ -431,17 +431,17 @@ func TestRoundWakeIsEarliestWait(t *testing.T) {
 	if !r.wake.Equal(roundT0.Add(roundTimeout)) {
 		t.Fatalf("wake after begin %v, want the deadline", r.wake.Sub(roundT0))
 	}
-	r.reply(validated(1, 0, vOK))
-	r.reply(validated(1, 1, vOK))
+	r.Reply(validated(1, 0, vOK))
+	r.Reply(validated(1, 1, vOK))
 	if !r.wake.IsZero() {
 		t.Fatal("a majority without a decision must make tick due before the driver parks")
 	}
-	r.tick(roundT0.Add(time.Millisecond))
+	r.Tick(roundT0.Add(time.Millisecond))
 	if want := roundT0.Add(time.Millisecond + roundGrace); !r.wake.Equal(want) {
 		t.Fatalf("wake %v, want the grace end %v", r.wake.Sub(roundT0), want.Sub(roundT0))
 	}
-	r.reply(validated(1, 2, vOK)) // decided: only partition 0's deadline is left
-	r.tick(roundT0.Add(2 * time.Millisecond))
+	r.Reply(validated(1, 2, vOK)) // decided: only partition 0's deadline is left
+	r.Tick(roundT0.Add(2 * time.Millisecond))
 	if !r.wake.Equal(roundT0.Add(roundTimeout)) {
 		t.Fatalf("wake %v, want partition 0's deadline", r.wake.Sub(roundT0))
 	}
@@ -718,15 +718,15 @@ func TestSessionRoutesEveryReplyToTheIssuingWorker(t *testing.T) {
 	if ok, err := txn.Commit(); err != nil || !ok {
 		t.Fatalf("worker 0 commit: ok=%v err=%v", ok, err)
 	}
-	if got := len(w1.in.C); got != 6 {
+	if got := len(w1.In.C); got != 6 {
 		t.Fatalf("worker 1's mailbox holds %d replies, want the 6 addressed to it", got)
 	}
-	if got := len(w0.in.C); got != 0 {
+	if got := len(w0.In.C); got != 0 {
 		t.Fatalf("worker 0's mailbox still holds %d replies", got)
 	}
 	net.deliver(&message.Message{Type: message.TypeMultiReadReply, Seq: w1.reads.seq + 1})
 	net.deliver(&message.Message{Type: message.TypeMultiReadReply, Seq: 7 << readSeqShift}) // no such worker
-	if got := len(w1.in.C); got != 7 {
+	if got := len(w1.In.C); got != 7 {
 		t.Fatalf("worker 1's mailbox holds %d replies after a read reply by Seq, want 7", got)
 	}
 }

@@ -94,7 +94,7 @@ func NewSession(cfg Config, window int) (*Session, error) {
 		return nil, err
 	}
 	for _, w := range s.workers {
-		w.ep = s.ep
+		w.Ep = s.ep
 	}
 	return s, nil
 }
@@ -111,7 +111,7 @@ func (s *Session) route(m *message.Message) {
 		i = int(m.TID.ClientID >> workerIDShift)
 	}
 	if i < len(s.workers) {
-		s.workers[i].in.Handle(m)
+		s.workers[i].In.Handle(m)
 		return
 	}
 	message.ReleaseMessage(m)

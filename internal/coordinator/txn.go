@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 
+	"meerkat/internal/drive"
 	"meerkat/internal/message"
 	"meerkat/internal/obs"
 	"meerkat/internal/timestamp"
@@ -417,9 +418,9 @@ func (c *Coordinator) Run(ctx context.Context, fn func(*Txn) error) error {
 			k, immediate = 0, false // re-routed: no backoff
 		}
 		if k > 0 {
-			c.sleep(ctx, backoffDelay(c.cfg.BackoffBase, c.cfg.BackoffMax, k-1, &c.rng))
+			c.Sleep(ctx, drive.BackoffDelay(c.cfg.BackoffBase, c.cfg.BackoffMax, k-1, &c.rng))
 		}
-		if err := expired(ctx); err != nil {
+		if err := drive.Expired(ctx); err != nil {
 			return err
 		}
 		t.reset(ctx)

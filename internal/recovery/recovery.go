@@ -6,15 +6,24 @@
 // The protocol is inspired by Viewstamped Replication: a designated recovery
 // coordinator (the (epoch mod n)th replica; the designation is enforced by
 // the caller) polls all replicas, which pause validation and ship their
-// trecords; the coordinator merges them with the rules of §5.3.1 and
-// installs the merged, all-final trecord everywhere.
+// trecords; the coordinator merges the whole-record replicas' with the rules
+// of §5.3.1 and installs the merged, all-final trecord everywhere.
+//
+// Both things this package waits for — the epoch change and the state
+// transfer a recovering replica runs before it — are step machines
+// (EpochChange, stateTransfer) on the protocol's one driver and one retry
+// policy (internal/drive): they neither block, send on their own nor read a
+// clock, so a test can step them through any schedule. RunEpochChange and
+// SyncStoreRemote bind an endpoint and hand them to drive.Link.Run.
 package recovery
 
 import (
+	"context"
 	"errors"
 	"sort"
 	"time"
 
+	"meerkat/internal/drive"
 	"meerkat/internal/message"
 	"meerkat/internal/obs"
 	"meerkat/internal/occ"
@@ -24,15 +33,14 @@ import (
 	"meerkat/internal/vstore"
 )
 
-// ErrNoQuorum means the epoch change could not reach a majority of replicas.
+// ErrNoQuorum means the epoch change could not reach a majority of replicas
+// whose acknowledgements report their whole record, or the state transfer
+// could not reach its donor.
 var ErrNoQuorum = errors.New("recovery: no quorum of replicas reachable")
 
-// Options tunes an epoch change run.
+// Options carries what an epoch change or a state transfer is told beside the
+// retry policy and the context that bound it.
 type Options struct {
-	// Timeout bounds each wait for acknowledgements. Defaults to 1s.
-	Timeout time.Duration
-	// Retries is how many times requests are resent. Defaults to 5.
-	Retries int
 	// Obs, when non-nil, records epoch-change lifecycle counters
 	// (runs completed, merged entries, rule-4 re-validations).
 	Obs *obs.Shard
@@ -50,168 +58,221 @@ type Options struct {
 	SinceWall int64
 }
 
-func (o *Options) fill() {
-	if o.Timeout == 0 {
-		o.Timeout = time.Second
-	}
-	if o.Retries == 0 {
-		o.Retries = 5
+// coreAck is what one core of one replica has told the epoch change.
+type coreAck struct {
+	answered bool // phase 1: its epoch-change-ack is in
+	whole    bool // the ack's snapshot is the core's whole record (PROTOCOL.md: an ack without evidence)
+	resumed  bool // phase 2: its epoch-change-complete-ack is in
+	records  []message.TRecordEntry
+}
+
+// ecPhase is where the epoch change stands.
+type ecPhase uint8
+
+const (
+	ecCollect ecPhase = iota // phase 1: pausing cores and collecting their trecord snapshots
+	ecInstall                // phase 2: installing the merged trecord and resuming
+	ecDone
+)
+
+// EpochChange is the epoch change of one partition group to one epoch, as a
+// step machine. Each phase has one request, resent under the policy to the
+// cores that have not answered it.
+type EpochChange struct {
+	drive.Policy
+	l     *drive.Link
+	t     topo.Topology
+	p     int
+	epoch uint64
+	obs   *obs.Shard
+
+	phase ecPhase
+	drive.Wait
+	acks []coreAck // [replica*Cores+core]
+	// wake is when Tick next has to run: the request's wake instant, or zero —
+	// at once — when a reply has since completed a tally.
+	wake   time.Time
+	merged []message.TRecordEntry
+	err    error
+}
+
+// NewEpochChange returns the machine with its first request due at once.
+func NewEpochChange(l *drive.Link, t topo.Topology, p int, epoch uint64, pol drive.Policy, o *obs.Shard) *EpochChange {
+	return &EpochChange{
+		Policy: pol, l: l, t: t, p: p, epoch: epoch, obs: o,
+		Wait: drive.Wait{Kind: drive.WaitResend}, acks: make([]coreAck, t.Replicas*t.Cores),
 	}
 }
 
-// coreKey identifies one core of one replica.
-type coreKey struct {
-	replica uint32
-	core    uint32
+func (ec *EpochChange) Pending() (int, time.Time) {
+	if ec.phase == ecDone {
+		return 0, time.Time{}
+	}
+	return 1, ec.wake
+}
+
+// Result returns, once nothing is pending, the merged trecord the change
+// installed (nil if it never merged) and why it ended: nil, ErrNoQuorum or the
+// endpoint's closing.
+func (ec *EpochChange) Result() ([]message.TRecordEntry, error) { return ec.merged, ec.err }
+
+// replica reports whether every core of replica r has answered phase 1,
+// whether every one did so with its whole record, and whether every one has
+// resumed.
+func (ec *EpochChange) replica(r int) (answered, whole, resumed bool) {
+	answered, whole, resumed = true, true, true
+	for _, c := range ec.acks[r*ec.t.Cores : (r+1)*ec.t.Cores] {
+		answered, whole, resumed = answered && c.answered, whole && c.answered && c.whole, resumed && c.resumed
+	}
+	return answered, whole, resumed
+}
+
+// count is replica, counted over the group.
+func (ec *EpochChange) count() (answered, whole, resumed int) {
+	for r := 0; r < ec.t.Replicas; r++ {
+		a, w, d := ec.replica(r)
+		if a {
+			answered++
+		}
+		if w {
+			whole++
+		}
+		if d {
+			resumed++
+		}
+	}
+	return answered, whole, resumed
+}
+
+// Reply folds one acknowledgement in: of this epoch, of the phase the change
+// is in, once per core.
+func (ec *EpochChange) Reply(m *message.Message) {
+	if m.Epoch != ec.epoch || int(m.ReplicaID) >= ec.t.Replicas || int(m.CoreID) >= ec.t.Cores {
+		return
+	}
+	a := &ec.acks[int(m.ReplicaID)*ec.t.Cores+int(m.CoreID)]
+	switch {
+	case m.Type == message.TypeEpochChangeAck && ec.phase == ecCollect && !a.answered:
+		// The snapshot is moved out: the driver releases the message.
+		a.answered, a.whole, a.records = true, m.OK, m.Records
+		if n, whole, _ := ec.count(); n == ec.t.Replicas || whole >= ec.t.Majority() && ec.Kind != drive.WaitGrace {
+			ec.wake = time.Time{} // Tick closes the collect, or opens the grace window
+		}
+	case m.Type == message.TypeEpochChangeCompleteAck && ec.phase == ecInstall && !a.resumed:
+		a.resumed = true
+		if _, _, n := ec.count(); n == ec.t.Replicas {
+			ec.finish(nil)
+		}
+	}
+}
+
+// Tick folds the time in. Phase 1 closes the way a validate collect does:
+// every replica answered, or a majority of whole-record replicas answered and
+// the stragglers' grace window passed. Which replies count is the safety
+// rule (PROTOCOL.md, "Epoch change"): below a majority of whole records there
+// is no merge, however long the change has waited.
+func (ec *EpochChange) Tick(now time.Time) {
+	if ec.phase == ecDone {
+		return
+	}
+	n, whole, back := ec.count()
+	all, quorum := n == ec.t.Replicas, whole >= ec.t.Majority()
+	switch expired := !now.Before(ec.Wake); {
+	case ec.Kind == drive.WaitResend && expired:
+		ec.Request(&ec.Wait, now)
+	case ec.phase == ecInstall:
+		// Phase 2's deadline: a majority of fully resumed replicas suffices;
+		// a straggler resumes when a resent complete reaches it, or at the
+		// next epoch change.
+		if expired && ec.Kind == drive.WaitReplies {
+			if back >= ec.t.Majority() {
+				ec.finish(nil)
+			} else {
+				ec.retry(now)
+			}
+		}
+	case all && !quorum:
+		ec.finish(ErrNoQuorum) // nobody is left to ask
+	case all || quorum && expired && ec.Kind != drive.WaitResend:
+		ec.install(now)
+	case quorum && ec.Kind != drive.WaitGrace:
+		ec.Grace(&ec.Wait, now)
+	case expired && ec.Kind == drive.WaitReplies:
+		ec.retry(now)
+	}
+	ec.wake = ec.Wake
+}
+
+// install merges the whole-record replicas' snapshots — and only theirs — and
+// opens phase 2.
+func (ec *EpochChange) install(now time.Time) {
+	perReplica := make(map[uint32][]message.TRecordEntry)
+	for r := 0; r < ec.t.Replicas; r++ {
+		if _, whole, _ := ec.replica(r); !whole {
+			continue
+		}
+		for _, c := range ec.acks[r*ec.t.Cores : (r+1)*ec.t.Cores] {
+			perReplica[uint32(r)] = append(perReplica[uint32(r)], c.records...)
+		}
+	}
+	ec.merged = mergeTrecords(perReplica, ec.t.F(), ec.obs)
+	ec.obs.Add(obs.EpochMergedTxn, uint64(len(ec.merged)))
+	ec.phase, ec.Attempt = ecInstall, 0
+	ec.Request(&ec.Wait, now)
+}
+
+// retry schedules the phase's resend, or gives up once the budget is spent.
+func (ec *EpochChange) retry(now time.Time) {
+	if !ec.Retry(&ec.Wait, now, 0) {
+		ec.finish(ErrNoQuorum)
+	}
+}
+
+func (ec *EpochChange) finish(err error) {
+	if err == nil {
+		ec.obs.Inc(obs.EpochChangeRun)
+	}
+	ec.phase, ec.err = ecDone, err
+}
+
+// Perform sends the phase's request to every core that has not answered it.
+func (ec *EpochChange) Perform() {
+	if !ec.Send || ec.phase == ecDone {
+		return
+	}
+	ec.Send = false
+	req := message.Message{Type: message.TypeEpochChange, Epoch: ec.epoch}
+	if ec.phase == ecInstall {
+		req.Type, req.Records = message.TypeEpochChangeComplete, ec.merged
+	}
+	var dsts []message.Addr
+	for i, a := range ec.acks {
+		if ec.phase == ecCollect && !a.answered || ec.phase == ecInstall && !a.resumed {
+			dsts = append(dsts, ec.t.ReplicaAddr(ec.p, i/ec.t.Cores, uint32(i%ec.t.Cores)))
+		}
+	}
+	if ec.l.Broadcast(dsts, &req) {
+		ec.finish(transport.ErrClosed)
+	}
 }
 
 // RunEpochChange drives an epoch change to the given epoch number in
-// partition p. It returns the merged trecord it installed. The caller is
-// responsible for invoking it on (or on behalf of) the designated recovery
-// coordinator and for choosing epoch strictly greater than the current one.
-func RunEpochChange(net transport.Network, t topo.Topology, p int, epoch uint64, opts Options) ([]message.TRecordEntry, error) {
-	opts.fill()
-	in := transport.NewInbox(4096)
-	ep, err := net.Listen(t.EpochChangeAddr(p), in.Handle)
+// partition p, under the caller's retry policy and until ctx ends. It returns
+// the merged trecord it installed. The caller is responsible for invoking it
+// on (or on behalf of) the designated recovery coordinator and for choosing
+// epoch strictly greater than the current one.
+func RunEpochChange(ctx context.Context, net transport.Network, t topo.Topology, p int, epoch uint64, pol drive.Policy, opts Options) ([]message.TRecordEntry, error) {
+	// Room for every core's ack and the stragglers of its resends.
+	l, err := drive.Listen(net, t.EpochChangeAddr(p), 4096)
 	if err != nil {
 		return nil, err
 	}
-	defer ep.Close()
-
-	// All cores of all replicas in the group.
-	var targets []message.Addr
-	for r := 0; r < t.Replicas; r++ {
-		for c := 0; c < t.Cores; c++ {
-			targets = append(targets, t.ReplicaAddr(p, r, uint32(c)))
-		}
+	defer l.Ep.Close()
+	ec := NewEpochChange(l, t, p, epoch, pol, opts.Obs)
+	if err := l.Run(ctx, ec); err != nil {
+		return ec.merged, err
 	}
-
-	// Phase 1: pause and collect per-core trecord snapshots. A replica
-	// counts once all of its cores have acknowledged.
-	//
-	// The merge wants the records of every replica it can possibly reach, not
-	// just a bare majority: a transaction's only commit evidence can live
-	// wholly on one replica (its finalize message was dropped elsewhere, and
-	// the peer that did apply it crashed and recovered with an empty record),
-	// and a merge built without that replica silently aborts a transaction
-	// whose coordinator already reported commit. So keep resending to
-	// stragglers until every replica has answered, and settle for a majority
-	// only once the retry budget is spent.
-	acks := make(map[coreKey][]message.TRecordEntry)
-	replicaDone := func() int {
-		counts := make(map[uint32]int)
-		for k := range acks {
-			counts[k.replica]++
-		}
-		n := 0
-		for _, c := range counts {
-			if c == t.Cores {
-				n++
-			}
-		}
-		return n
-	}
-
-	for attempt := 0; attempt <= opts.Retries && replicaDone() < t.Replicas; attempt++ {
-		for _, dst := range targets {
-			if _, ok := acks[coreKey{dst.Node - t.ReplicaNode(p, 0), dst.Core}]; ok {
-				continue
-			}
-			ep.Send(dst, &message.Message{Type: message.TypeEpochChange, Epoch: epoch})
-		}
-		// Once a majority is in, later rounds only chase stragglers whose
-		// messages were lost; don't stall recovery a full timeout for each.
-		wait := opts.Timeout
-		if replicaDone() >= t.Majority() {
-			wait = opts.Timeout / 5
-		}
-		deadline := time.NewTimer(wait)
-	collect:
-		for {
-			select {
-			case m := <-in.C:
-				if m.Type != message.TypeEpochChangeAck || m.Epoch != epoch {
-					continue
-				}
-				acks[coreKey{m.ReplicaID, m.CoreID}] = m.Records
-				if replicaDone() == t.Replicas {
-					deadline.Stop()
-					break collect
-				}
-			case <-deadline.C:
-				break collect
-			}
-		}
-	}
-	if replicaDone() < t.Majority() {
-		return nil, ErrNoQuorum
-	}
-
-	// Merge the snapshots from replicas that fully acknowledged.
-	perReplica := make(map[uint32][]message.TRecordEntry)
-	counts := make(map[uint32]int)
-	for k := range acks {
-		counts[k.replica]++
-	}
-	for k, recs := range acks {
-		if counts[k.replica] == t.Cores {
-			perReplica[k.replica] = append(perReplica[k.replica], recs...)
-		}
-	}
-	merged := mergeTrecords(perReplica, t.F(), opts.Obs)
-	opts.Obs.Add(obs.EpochMergedTxn, uint64(len(merged)))
-
-	// Phase 2: install the merged trecord and resume.
-	done := make(map[coreKey]bool)
-	for attempt := 0; attempt <= opts.Retries; attempt++ {
-		for _, dst := range targets {
-			if done[coreKey{dst.Node - t.ReplicaNode(p, 0), dst.Core}] {
-				continue
-			}
-			ep.Send(dst, &message.Message{
-				Type: message.TypeEpochChangeComplete, Epoch: epoch, Records: merged,
-			})
-		}
-		deadline := time.NewTimer(opts.Timeout)
-		for {
-			stop := false
-			select {
-			case m := <-in.C:
-				if m.Type != message.TypeEpochChangeCompleteAck || m.Epoch != epoch {
-					continue
-				}
-				done[coreKey{m.ReplicaID, m.CoreID}] = true
-				if len(done) == t.Replicas*t.Cores {
-					deadline.Stop()
-					opts.Obs.Inc(obs.EpochChangeRun)
-					return merged, nil
-				}
-			case <-deadline.C:
-				stop = true
-			}
-			if stop {
-				break
-			}
-		}
-		// A majority of fully-resumed replicas suffices to declare the
-		// epoch change complete; stragglers resume when the resent
-		// complete message reaches them.
-		resumed := make(map[uint32]int)
-		for k := range done {
-			resumed[k.replica]++
-		}
-		full := 0
-		for _, c := range resumed {
-			if c == t.Cores {
-				full++
-			}
-		}
-		if full >= t.Majority() {
-			opts.Obs.Inc(obs.EpochChangeRun)
-			return merged, nil
-		}
-	}
-	return merged, ErrNoQuorum
+	return ec.Result()
 }
 
 // MergeTrecords applies the merge rules of §5.3.1 to per-replica trecord
@@ -358,62 +419,96 @@ func mergeTrecords(perReplica map[uint32][]message.TRecordEntry, f int, o *obs.S
 	return merged
 }
 
+// stateTransfer fetches a donor's committed state into dst, one store shard
+// per request, as a step machine.
+type stateTransfer struct {
+	drive.Policy
+	l     *drive.Link
+	donor message.Addr
+	opts  Options
+	dst   *vstore.Store
+
+	shard uint64 // the shard being asked for
+	drive.Wait
+	done bool
+	err  error
+}
+
+// newStateTransfer returns the machine with the request for shard 0 due at once.
+func newStateTransfer(l *drive.Link, donor message.Addr, dst *vstore.Store, pol drive.Policy, opts Options) *stateTransfer {
+	return &stateTransfer{Policy: pol, l: l, donor: donor, opts: opts, dst: dst, Wait: drive.Wait{Kind: drive.WaitResend}}
+}
+
+func (st *stateTransfer) Pending() (int, time.Time) {
+	if st.done {
+		return 0, time.Time{}
+	}
+	return 1, st.Wake
+}
+
+// Reply imports the shard being asked for; a reply for any other is a
+// straggler of a resent request. The next shard's request is due at once.
+func (st *stateTransfer) Reply(m *message.Message) {
+	if st.done || m.Type != message.TypeStateReply || m.Seq != st.shard {
+		return
+	}
+	states := make([]vstore.KeyState, len(m.State))
+	for i := range m.State {
+		states[i] = vstore.KeyState{
+			Key: m.State[i].Key, Value: m.State[i].Value,
+			WTS: m.State[i].WTS, RTS: m.State[i].RTS,
+		}
+	}
+	st.dst.ImportState(states)
+	if st.done = !m.OK; !st.done { // OK: more shards remain
+		st.shard++
+		st.Wait = drive.Wait{Kind: drive.WaitResend}
+	}
+}
+
+func (st *stateTransfer) Tick(now time.Time) {
+	switch expired := !now.Before(st.Wake); {
+	case st.done || !expired:
+	case st.Kind == drive.WaitResend:
+		st.Request(&st.Wait, now)
+	case !st.Retry(&st.Wait, now, 0):
+		st.done, st.err = true, ErrNoQuorum
+	}
+}
+
+func (st *stateTransfer) Perform() {
+	if !st.Send || st.done {
+		return
+	}
+	st.Send = false
+	// View carries the wall-clock bound: unused by TypeStateRequest
+	// otherwise, so this adds nothing to the wire format.
+	err := st.l.Ep.Send(st.donor, &message.Message{
+		Type: message.TypeStateRequest, Seq: st.shard,
+		TS: st.opts.Since, View: uint64(st.opts.SinceWall),
+	})
+	if errors.Is(err, transport.ErrClosed) {
+		st.done, st.err = true, err
+	}
+}
+
 // SyncStoreRemote transfers the committed state of a live replica into dst
 // over the network, shard by shard — the state-transfer step a recovering
 // replica runs before the epoch change reconciles in-flight transactions.
 // It works across processes (unlike SyncStore, which needs both stores in
 // memory). from is the donor replica's index in partition p.
-func SyncStoreRemote(net transport.Network, t topo.Topology, p, from int, dst *vstore.Store, opts Options) error {
-	opts.fill()
-	in := transport.NewInbox(64)
-	ep, err := net.Listen(t.StateTransferAddr(p), in.Handle)
+func SyncStoreRemote(ctx context.Context, net transport.Network, t topo.Topology, p, from int, dst *vstore.Store, pol drive.Policy, opts Options) error {
+	// A shard's reply and the stragglers of its resends.
+	l, err := drive.Listen(net, t.StateTransferAddr(p), 64)
 	if err != nil {
 		return err
 	}
-	defer ep.Close()
-
-	donor := t.ReplicaAddr(p, from, 0)
-	for shard := uint64(0); ; {
-		got := false
-		for attempt := 0; attempt <= opts.Retries && !got; attempt++ {
-			// View carries the wall-clock bound: unused by TypeStateRequest
-			// otherwise, so this adds nothing to the wire format.
-			ep.Send(donor, &message.Message{
-				Type: message.TypeStateRequest, Seq: shard,
-				TS: opts.Since, View: uint64(opts.SinceWall),
-			})
-			deadline := time.NewTimer(opts.Timeout)
-		wait:
-			for {
-				select {
-				case m := <-in.C:
-					if m.Type != message.TypeStateReply || m.Seq != shard {
-						continue
-					}
-					deadline.Stop()
-					states := make([]vstore.KeyState, len(m.State))
-					for i := range m.State {
-						states[i] = vstore.KeyState{
-							Key: m.State[i].Key, Value: m.State[i].Value,
-							WTS: m.State[i].WTS, RTS: m.State[i].RTS,
-						}
-					}
-					dst.ImportState(states)
-					if !m.OK {
-						return nil // last shard
-					}
-					got = true
-					break wait
-				case <-deadline.C:
-					break wait
-				}
-			}
-		}
-		if !got {
-			return ErrNoQuorum
-		}
-		shard++
+	defer l.Ep.Close()
+	st := newStateTransfer(l, t.ReplicaAddr(p, from, 0), dst, pol, opts)
+	if err := l.Run(ctx, st); err != nil {
+		return err
 	}
+	return st.err
 }
 
 // SyncStore copies the committed state of src into dst: each key's latest

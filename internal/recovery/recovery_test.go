@@ -1,10 +1,12 @@
 package recovery
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
 
+	"meerkat/internal/drive"
 	"meerkat/internal/message"
 	"meerkat/internal/replica"
 	"meerkat/internal/timestamp"
@@ -12,6 +14,9 @@ import (
 	"meerkat/internal/transport"
 	"meerkat/internal/vstore"
 )
+
+// testPolicy is the retry policy the tests run the machines under.
+var testPolicy = drive.Policy{Timeout: 200 * time.Millisecond, Retries: 2, BackoffBase: time.Millisecond, BackoffMax: time.Millisecond}
 
 func tid(seq uint64) timestamp.TxnID { return timestamp.TxnID{Seq: seq, ClientID: 1} }
 func ts(t int64) timestamp.Timestamp { return timestamp.Timestamp{Time: t, ClientID: 1} }
@@ -261,7 +266,7 @@ func TestSyncStoreRemote(t *testing.T) {
 	defer rep.Stop()
 
 	dst := vstore.New(vstore.Config{})
-	if err := SyncStoreRemote(net, tp, 0, 1, dst, Options{Timeout: 200 * time.Millisecond}); err != nil {
+	if err := SyncStoreRemote(context.Background(), net, tp, 0, 1, dst, testPolicy, Options{}); err != nil {
 		t.Fatalf("SyncStoreRemote: %v", err)
 	}
 	if dst.Len() != 500 {

@@ -100,7 +100,9 @@ type Config struct {
 	// wrongly confirm snapshots those transactions can still commit under.
 	// Until the first epoch change completes (which decides and applies
 	// every in-flight transaction), the replica serves snapshot reads with
-	// an unconfirmed watermark.
+	// an unconfirmed watermark, refuses validate, accept, commit and
+	// coordinator-change like a core an epoch change has paused, and marks its
+	// epoch-change-acks as carrying no evidence.
 	Recovering bool
 }
 
@@ -142,7 +144,7 @@ type core struct {
 	// invoke the handler before Listen returns to Start.
 	ep     atomic.Pointer[transport.Endpoint]
 	part   *trecord.Partition // used only when !SharedRecord
-	paused bool
+	paused bool // an epoch change is in progress, or (Config.Recovering) the first is still to come
 	// recovered marks that this core has installed an epoch-change merge
 	// since a crash recovery (see Replica.recoveryLeft).
 	recovered bool
@@ -201,7 +203,10 @@ func New(cfg Config) (*Replica, error) {
 		r.shared = trecord.NewShared()
 	}
 	for c := 0; c < cfg.Topo.Cores; c++ {
-		cc := &core{r: r, id: uint32(c), obs: cfg.Obs.NewShard(), wm: occ.NewWatermarkTracker()}
+		// A recovering replica is paused from birth (PROTOCOL.md, "Epoch
+		// change"): its record table is empty, and an empty record must not
+		// count toward anyone's majority before the first merge fills it.
+		cc := &core{r: r, id: uint32(c), paused: cfg.Recovering, obs: cfg.Obs.NewShard(), wm: occ.NewWatermarkTracker()}
 		if !cfg.SharedRecord {
 			cc.part = trecord.NewPartition()
 		}
@@ -231,6 +236,10 @@ func (r *Replica) WAL() *wal.Store { return r.cfg.WAL }
 func (r *Replica) Node() uint32 {
 	return r.cfg.Topo.ReplicaNode(r.cfg.Partition, r.cfg.Index)
 }
+
+// Recovering reports whether the replica is still waiting for its first epoch
+// change since crash recovery (Config.Recovering).
+func (r *Replica) Recovering() bool { return r.recovering.Load() }
 
 // Epoch returns the replica's current epoch number.
 func (r *Replica) Epoch() uint64 { return r.epoch.Load() }
@@ -762,8 +771,11 @@ func (c *core) handleEpochChange(m *message.Message) {
 	c.withRecords(func(p *trecord.Partition) {
 		snap = p.Snapshot(c.id)
 	})
+	// OK says the snapshot is this core's whole record. Before its first merge
+	// a crash-recovered core's is not — what it promised before the crash is
+	// gone — so its ack carries no evidence for the merge.
 	c.send(m.Src, &message.Message{
-		Type: message.TypeEpochChangeAck, Epoch: m.Epoch,
+		Type: message.TypeEpochChangeAck, Epoch: m.Epoch, OK: !c.r.recovering.Load() || c.recovered,
 		Records: snap, ReplicaID: uint32(c.r.cfg.Index), CoreID: c.id,
 	})
 }

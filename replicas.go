@@ -1,9 +1,11 @@
 package meerkat
 
 import (
+	"context"
 	"errors"
 	"time"
 
+	"meerkat/internal/drive"
 	"meerkat/internal/recovery"
 	"meerkat/internal/replica"
 	"meerkat/internal/timestamp"
@@ -47,11 +49,24 @@ func (a *Admin) CrashReplica(p, r int) {
 // every in-flight transaction, so the rejoined replica is exactly
 // consistent with the group — and it adopts the group's current ownership
 // view, post-split included.
+//
+// The rejoined replica is paused until that epoch change completes at it:
+// its record table is empty, so it refuses validates, accepts, commits and
+// coordinator changes rather than let an empty record count toward anyone's
+// majority, and the epoch change merges only the records of the replicas
+// that kept theirs — it needs a majority of those. If the epoch change
+// fails (ErrNoQuorum: too few of them reachable), RecoverReplica returns the
+// error with the replica left registered and paused; it is not crashed, and
+// any later EpochChange(p) that succeeds admits it — calling RecoverReplica
+// again runs just that.
 func (a *Admin) RecoverReplica(p, r int) error {
 	db := a.db
 	db.mu.Lock()
-	if db.replicas[p][r] != nil {
+	if rep := db.replicas[p][r]; rep != nil {
 		db.mu.Unlock()
+		if rep.Recovering() {
+			return a.EpochChange(p) // an earlier call's epoch change failed: that is all that is left
+		}
 		return errors.New("meerkat: replica is not crashed")
 	}
 	crashStamp := db.crashedAt[[2]int{p, r}]
@@ -99,11 +114,8 @@ func (a *Admin) RecoverReplica(p, r int) error {
 	} else {
 		store = vstore.New(vstore.Config{})
 	}
-	if err := recovery.SyncStoreRemote(db.net, db.topo, p, donor, store, recovery.Options{
-		Timeout:   db.cfg.CommitTimeout * 5,
-		Since:     since,
-		SinceWall: sinceWall,
-	}); err != nil {
+	if err := recovery.SyncStoreRemote(context.Background(), db.net, db.topo, p, donor, store, db.policy(),
+		recovery.Options{Since: since, SinceWall: sinceWall}); err != nil {
 		if w != nil {
 			w.Close()
 		}
@@ -143,11 +155,18 @@ func (a *Admin) EpochChange(p int) error {
 	db.epochs[p]++
 	epoch := db.epochs[p]
 	db.mu.Unlock()
-	_, err := recovery.RunEpochChange(db.net, db.topo, p, epoch, recovery.Options{
-		Timeout: db.cfg.CommitTimeout * 5,
-		Obs:     db.recObs,
-	})
+	_, err := recovery.RunEpochChange(context.Background(), db.net, db.topo, p, epoch, db.policy(), recovery.Options{Obs: db.recObs})
 	return err
+}
+
+// policy is the deployment's one retry policy, as the epoch change and the
+// state transfer run under it; the coordinators take the same four values
+// from their Config.
+func (db *DB) policy() drive.Policy {
+	return drive.Policy{
+		Timeout: db.cfg.CommitTimeout, Retries: db.cfg.Retries,
+		BackoffBase: db.cfg.BackoffBase, BackoffMax: db.cfg.BackoffMax,
+	}
 }
 
 // replicaAt returns the live replica instance (tests, stats); nil if
