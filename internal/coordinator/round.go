@@ -202,6 +202,13 @@ func (r *round) validateReply(p *partState, m *message.Message) {
 // proposed: the original coordinator's 0, or the one a coordinator change
 // established. A refusal names the higher view the replica has promised.
 func (r *round) acceptReply(p *partState, m *message.Message) {
+	if m.Status.Final() {
+		// The record was finalized under the proposal: by another coordinator,
+		// or by an epoch change's merge, whose verdict need not be this one.
+		r.decide(p, m.Status == message.StatusCommitted, nil)
+		p.Send = p.view != 0
+		return
+	}
 	if !m.OK {
 		p.superseded = max(p.superseded, m.View)
 		return

@@ -142,12 +142,18 @@ type core struct {
 	id uint32
 	// ep is published atomically: a transport's delivery goroutine may
 	// invoke the handler before Listen returns to Start.
-	ep     atomic.Pointer[transport.Endpoint]
-	part   *trecord.Partition // used only when !SharedRecord
-	paused bool // an epoch change is in progress, or (Config.Recovering) the first is still to come
+	ep   atomic.Pointer[transport.Endpoint]
+	part *trecord.Partition // used only when !SharedRecord
+	// paused: an epoch change is in progress, or (Config.Recovering) the first
+	// is still to come.
+	paused bool
 	// recovered marks that this core has installed an epoch-change merge
 	// since a crash recovery (see Replica.recoveryLeft).
 	recovered bool
+	// installed is the epoch whose merge this core last installed: requests of
+	// an epoch up to it are stragglers of resends (PROTOCOL.md, "Epoch
+	// change", step 5).
+	installed uint64
 	obs       *obs.Shard            // per-core lifecycle recorder (nil-safe)
 	log       *wal.Log              // this core's write-ahead log (nil without durability)
 	wm        *occ.WatermarkTracker // this core's commit watermark (advisory)
@@ -630,11 +636,12 @@ func (c *core) handleAccept(m *message.Message) {
 	}
 	switch {
 	case rec.Status.Final():
-		// Already decided; ack so the (backup) coordinator finishes.
-		// Consistency is guaranteed: all coordinators reach the same
-		// decision (§5.3.2).
+		// Already decided; ack with the outcome, so the (backup) coordinator
+		// finishes with it. All coordinators reach the same decision
+		// (§5.3.2), but an epoch change's merge may have decided first — and
+		// aborted what this proposer, short of a majority, proposes to commit.
 		c.obs.Inc(obs.AcceptAcked)
-		reply.OK, reply.View = true, m.View
+		reply.OK, reply.View, reply.Status = true, m.View, rec.Status
 	case m.View < rec.View:
 		c.obs.Inc(obs.AcceptRejected)
 		reply.OK, reply.View = false, rec.View
@@ -760,9 +767,8 @@ func (c *core) handleCoordChange(m *message.Message) {
 // handleEpochChange pauses the core and ships its trecord partition to the
 // recovery coordinator (§5.3.1).
 func (c *core) handleEpochChange(m *message.Message) {
-	cur := c.r.epoch.Load()
-	if m.Epoch < cur {
-		return // stale epoch change
+	if m.Epoch < c.r.epoch.Load() || m.Epoch <= c.installed {
+		return // stale: of an older epoch, or of one this core has finished — nobody would un-pause it
 	}
 	c.r.epoch.Store(m.Epoch)
 	c.paused = true
@@ -781,17 +787,23 @@ func (c *core) handleEpochChange(m *message.Message) {
 }
 
 // handleEpochChangeComplete installs the merged trecord and resumes normal
-// operation. Every entry in the merged trecord is final; local records
-// absent from it are aborted (they did not survive the merge).
+// operation. Every entry in the merged trecord is final. A local non-final
+// record the merge does not mention is kept (PROTOCOL.md, "Epoch change",
+// step 4): a core whose snapshot went into the merge has none, and at any
+// other the merge knows nothing about it — it may be newer than the merge.
 func (c *core) handleEpochChangeComplete(m *message.Message) {
 	if m.Epoch < c.r.epoch.Load() {
 		return
 	}
-	c.r.epoch.Store(m.Epoch)
-	merged := make(map[timestamp.TxnID]bool, len(m.Records))
-	for i := range m.Records {
-		merged[m.Records[i].Txn.ID] = true
+	ack := &message.Message{
+		Type: message.TypeEpochChangeCompleteAck, Epoch: m.Epoch,
+		ReplicaID: uint32(c.r.cfg.Index), CoreID: c.id,
 	}
+	if m.Epoch <= c.installed {
+		c.send(m.Src, ack) // a resend whose first copy this core installed and resumed on
+		return
+	}
+	c.r.epoch.Store(m.Epoch)
 	c.withRecords(func(p *trecord.Partition) {
 		for i := range m.Records {
 			e := &m.Records[i]
@@ -802,16 +814,6 @@ func (c *core) handleEpochChangeComplete(m *message.Message) {
 				continue
 			}
 			c.install(p, e)
-		}
-		var drop []*trecord.Record
-		p.Range(func(rec *trecord.Record) bool {
-			if !rec.Status.Final() && !merged[rec.Txn.ID] {
-				drop = append(drop, rec)
-			}
-			return true
-		})
-		for _, rec := range drop {
-			c.finalize(rec, message.StatusAborted)
 		}
 		if c.r.cfg.CompactOnEpochChange {
 			p.Compact()
@@ -827,11 +829,8 @@ func (c *core) handleEpochChangeComplete(m *message.Message) {
 			c.r.recovering.Store(false)
 		}
 	}
-	c.paused = false
-	c.send(m.Src, &message.Message{
-		Type: message.TypeEpochChangeCompleteAck, Epoch: m.Epoch,
-		ReplicaID: uint32(c.r.cfg.Index), CoreID: c.id,
-	})
+	c.paused, c.installed = false, m.Epoch
+	c.send(m.Src, ack)
 }
 
 // install merges one final entry from an epoch change into the record table
