@@ -78,10 +78,15 @@ bench-exp:
 # per-experiment cell runner next to runCell in internal/bench. So a second
 # generation cannot grow back unnoticed. And one goroutine per commit: the
 # coordinator runs on its caller's, so non-test internal/coordinator has no
-# go statement, and its one time.NewTimer is the lazily armed mailbox's. And
-# one place that waits, under one retry policy and the caller's context:
-# exactly one .await( call site (link.run), no hand-written `for attempt`
-# loop, and context.Background() only where Begin binds it. And one address
+# go statement. And one driver for the whole protocol — commit, read,
+# coordinator recovery, epoch change and state transfer — under one retry
+# policy and the caller's context: across non-test internal/coordinator,
+# internal/recovery and internal/drive there is one time.NewTimer (the lazily
+# armed mailbox's), exactly one .await( call site (drive.Link.Run), one
+# Policy type, no go statement and no hand-written `for attempt` loop;
+# internal/recovery has no timer, no inbox and no select of its own and its
+# Options carry no Timeout or Retries; context.Background() appears in
+# internal/coordinator only where Begin binds it. And one address
 # per party, one address plan, one fault injector: no `eps` slice and at most
 # one .Listen( per file (each constructor has its own) in internal/coordinator,
 # no fault knob in internal/transport (faultnet injects), and no port stride
@@ -96,17 +101,20 @@ bench-exp:
 # own), none in the root Client.Run, and no message.Txn literal in
 # internal/coordinator that ships t.reads, t.writes or t.ops themselves (split
 # carves copies out of the bump chunks).
+DRIVEN = internal/coordinator/*.go internal/recovery/*.go internal/drive/*.go
 api-guard:
 	@! grep -rnE --include='*.go' --exclude='*_test.go' 'Deprecated:|^func .*Ctx\(' . \
 		| grep -vE '^\./internal/(kuafu|meerkatpb|pbclient|sim)/'
 	@! git ls-files 'BENCH_pr*.json' experiments_output.txt cmd/bench2json | grep .
 	@! grep -nE '^func run[A-Z][A-Za-z]*Point\(' internal/bench/*.go
-	@! grep -nE --exclude='*_test.go' '^[[:space:]]*go[[:space:]]' internal/coordinator/*.go
-	@test "$$(cat $$(ls internal/coordinator/*.go | grep -v _test.go) | grep -c 'time\.NewTimer(')" -le 1 \
-		|| { echo "more than one time.NewTimer in internal/coordinator"; exit 1; }
-	@test "$$(cat $$(ls internal/coordinator/*.go | grep -v _test.go) | grep -c '\.await(')" -eq 1 \
-		|| { echo "internal/coordinator must have exactly one .await( call site"; exit 1; }
-	@! grep -nE --exclude='*_test.go' 'for attempt' internal/coordinator/*.go
+	@! grep -nE --exclude='*_test.go' '^[[:space:]]*go[[:space:]]|for attempt' $(DRIVEN)
+	@test "$$(cat $$(ls $(DRIVEN) | grep -v _test.go) | grep -c 'time\.NewTimer(')" -eq 1 \
+		|| { echo "the round driver and its machines must have exactly one time.NewTimer (the mailbox's)"; exit 1; }
+	@test "$$(cat $$(ls $(DRIVEN) | grep -v _test.go) | grep -c '\.await(')" -eq 1 \
+		|| { echo "the round driver and its machines must have exactly one .await( call site"; exit 1; }
+	@test "$$(cat $$(ls $(DRIVEN) | grep -v _test.go) | grep -ciE '^type policy struct')" -eq 1 \
+		|| { echo "there must be exactly one retry policy type"; exit 1; }
+	@! grep -nE --exclude='*_test.go' 'time\.(NewTimer|After|AfterFunc|NewTicker)\(|NewInbox\(|select \{|^[[:space:]]*(Timeout|Retries)[[:space:]]' internal/recovery/*.go
 	@! grep -n --exclude='*_test.go' 'context\.Background()' internal/coordinator/*.go \
 		| grep -vE 'return &Txn\{c: c, ctx: context\.Background\(\)\}|^[^:]*:[0-9]*:[[:space:]]*//'
 	@! grep -nwE --exclude='*_test.go' 'eps' internal/coordinator/*.go

@@ -160,6 +160,17 @@ func TestRoundSteps(t *testing.T) {
 			want: []verdict{{phDone, "commit", true}},
 		},
 		{
+			name: "an accept-reply from a finalized record decides with its status, not the proposal", touched: []int{1},
+			script: []step{
+				{msg: validated(1, 0, vOK)}, {msg: validated(1, 2, vOK)},
+				{at: 5 * time.Millisecond}, {at: 5*time.Millisecond + roundGrace, sends: "accept:1"}, // ACCEPT-COMMIT
+				{msg: accepted(1, 0, true, 0)},
+				// An epoch change's merge aborted it meanwhile: the ack is ok and says so.
+				{msg: from(1, 2, message.Message{Type: message.TypeAcceptReply, OK: true, Status: message.StatusAborted})},
+			},
+			want: []verdict{{phDone, "abort", true}},
+		},
+		{
 			name: "fast abort in one partition while the other commits", touched: []int{0, 3},
 			script: []step{
 				{msg: validated(0, 0, vAbort)}, {msg: validated(3, 0, vOK)}, {msg: validated(0, 1, vAbort)},

@@ -20,7 +20,7 @@ import (
 // ErrTimeout means a round could not assemble the quorums it needed within
 // its retry budget or its caller's context; the outcome of what it drove is
 // unknown.
-var ErrTimeout = errors.New("timed out, outcome unknown")
+var ErrTimeout = errors.New("drive: timed out, outcome unknown")
 
 // Machine is a round. Its owner gives it the link it sends on.
 type Machine interface {

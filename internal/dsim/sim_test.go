@@ -472,12 +472,6 @@ func (s *scenario) finish() []string {
 	var bad []string
 	s.w.held = nil
 	s.settle()
-	for r, rep := range s.reps {
-		if rep == nil {
-			s.restart(r, (r+1)%len(s.reps))
-			s.settle()
-		}
-	}
 	s.admin.start()
 	s.settle()
 	if err := s.admin.errs[len(s.admin.errs)-1]; err != nil {
