@@ -81,9 +81,10 @@ bench-exp:
 # go statement. And one driver for the whole protocol — commit, read,
 # coordinator recovery, epoch change and state transfer — under one retry
 # policy and the caller's context: across non-test internal/coordinator,
-# internal/recovery and internal/drive there is one time.NewTimer (the lazily
-# armed mailbox's), exactly one .await( call site (drive.Link.Run), one
-# Policy type, no go statement and no hand-written `for attempt` loop;
+# internal/recovery and internal/drive there is no time.NewTimer (the lazily
+# armed mailbox's timer is the clock's), exactly one .await( call site
+# (drive.Link.Run), one Policy type, no go statement and no hand-written
+# `for attempt` loop;
 # internal/recovery has no timer, no inbox and no select of its own and its
 # Options carry no Timeout or Retries; context.Background() appears in
 # internal/coordinator only where Begin binds it. And one address
@@ -100,16 +101,31 @@ bench-exp:
 # in non-test internal/coordinator (Begin's — Run recycles the coordinator's
 # own), none in the root Client.Run, and no message.Txn literal in
 # internal/coordinator that ships t.reads, t.writes or t.ops themselves (split
-# carves copies out of the bump chunks).
+# carves copies out of the bump chunks). And one clock, one lifetime: outside
+# internal/clock, the obs HTTP server only cmd/meerkat-server starts and the
+# packages that stay on the wall clock by name (WALLCLOCK: the three baselines,
+# the analytic simulator and the pre-suite experiment and chaos harnesses), no
+# non-test file of the root package or internal/ arms a timer, sleeps or has a
+# go statement — a wait is a clock.Timer, a goroutine a clock.Group's — and
+# internal/clock has exactly one time.NewTimer and one go statement; and
+# internal/transport, internal/wal, internal/replica and internal/faultnet
+# declare no stop channel, Once, WaitGroup or CancelFunc field of their own.
 DRIVEN = internal/coordinator/*.go internal/recovery/*.go internal/drive/*.go
+WALLCLOCK = kuafu|meerkatpb|pbclient|sim|bench|chaos
+CLOCKED = $$(ls *.go internal/*/*.go | grep -v _test.go | grep -vE '^internal/($(WALLCLOCK)|clock)/|^internal/obs/export\.go$$')
 api-guard:
 	@! grep -rnE --include='*.go' --exclude='*_test.go' 'Deprecated:|^func .*Ctx\(' . \
 		| grep -vE '^\./internal/(kuafu|meerkatpb|pbclient|sim)/'
 	@! git ls-files 'BENCH_pr*.json' experiments_output.txt cmd/bench2json | grep .
 	@! grep -nE '^func run[A-Z][A-Za-z]*Point\(' internal/bench/*.go
 	@! grep -nE --exclude='*_test.go' '^[[:space:]]*go[[:space:]]|for attempt' $(DRIVEN)
-	@test "$$(cat $$(ls $(DRIVEN) | grep -v _test.go) | grep -c 'time\.NewTimer(')" -eq 1 \
-		|| { echo "the round driver and its machines must have exactly one time.NewTimer (the mailbox's)"; exit 1; }
+	@! grep -nE 'time\.(NewTimer|After|AfterFunc|NewTicker|Sleep)\(|^[[:space:]]*go[[:space:]]' $(CLOCKED)
+	@test "$$(cat $$(ls internal/clock/*.go | grep -v _test.go) | grep -c 'time\.NewTimer(')" -eq 1 \
+		&& test "$$(cat $$(ls internal/clock/*.go | grep -v _test.go) | grep -cE '^[[:space:]]*go[[:space:]]')" -eq 1 \
+		&& ! grep -nE --exclude='*_test.go' 'time\.(After|AfterFunc|NewTicker|Sleep)\(' internal/clock/*.go \
+		|| { echo "internal/clock must have exactly one time.NewTimer (Real's), one go statement (Group's) and no other timer"; exit 1; }
+	@! grep -nE --exclude='*_test.go' '^[[:space:]]*[A-Za-z_][A-Za-z0-9_, ]*[[:space:]]+(chan struct\{\}|sync\.(Once|WaitGroup)\b|context\.CancelFunc\b)' \
+		internal/transport/*.go internal/wal/*.go internal/replica/*.go internal/faultnet/*.go
 	@test "$$(cat $$(ls $(DRIVEN) | grep -v _test.go) | grep -c '\.await(')" -eq 1 \
 		|| { echo "the round driver and its machines must have exactly one .await( call site"; exit 1; }
 	@test "$$(cat $$(ls $(DRIVEN) | grep -v _test.go) | grep -ciE '^type policy struct')" -eq 1 \

@@ -84,7 +84,7 @@ func (db *DB) coordConfig() (coordinator.Config, error) {
 	id := db.nextCli
 	db.mu.Unlock()
 
-	var clk clock.Clock = clock.NewReal()
+	clk := db.clk
 	if db.cfg.ClockSkew != 0 {
 		clk = clock.NewSkewed(clk, (int64(id)-4)*int64(db.cfg.ClockSkew), 0)
 	}

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"meerkat/internal/clock"
 	"meerkat/internal/faultnet"
 	"meerkat/internal/obs"
 	"meerkat/internal/topo"
@@ -69,20 +70,6 @@ type Durability struct {
 
 // Enabled reports whether durability is configured.
 func (d *Durability) Enabled() bool { return d.DataDir != "" }
-
-// walOptions translates the validated config into internal/wal options.
-// sched is the cluster-wide group-commit scheduler: every replica the
-// process hosts shares one, so their per-core log fsyncs coalesce into
-// (almost) one journal commit per tick instead of replicas×cores.
-func (d *Durability) walOptions(sched *wal.Scheduler) wal.Options {
-	return wal.Options{
-		Sync:                d.Sync,
-		GroupCommitInterval: d.GroupCommitInterval,
-		SnapshotInterval:    d.SnapshotInterval,
-		MaxSegmentBytes:     d.MaxLogSegment,
-		Scheduler:           sched,
-	}
-}
 
 // replicaDir is the durability directory of one replica.
 func (d *Durability) replicaDir(p, r int) string {
@@ -211,6 +198,10 @@ type Config struct {
 	// changes, transport and storage gauges). When nil, Open creates one;
 	// retrieve it with Admin.Obs.
 	Obs *obs.Registry
+
+	// clock, when non-nil, replaces the machine's clock as the deployment's:
+	// this package's tests run a deployment on a clock.Manual.
+	clock clock.Clock
 }
 
 // Validate checks the configuration and normalizes it in place, applying the

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"sync"
 
+	"meerkat/internal/clock"
 	"meerkat/internal/faultnet"
 	"meerkat/internal/obs"
 	"meerkat/internal/recovery"
@@ -31,6 +32,10 @@ import (
 type DB struct {
 	cfg  Config
 	topo topo.Topology
+	// clk is the deployment's one clock: every wait, tick, record age and
+	// apply stamp under Open reads it — through net, which carries it, or
+	// through the WAL options and the stores built from it.
+	clk  clock.Clock
 	net  transport.Network
 	inet *transport.Inproc // non-nil iff inproc transport
 	unet *transport.UDP    // non-nil iff UDP transport
@@ -59,7 +64,7 @@ type DB struct {
 	mu        sync.Mutex
 	replicas  [][]*replica.Replica // [shard][index]
 	epochs    []uint64             // per-shard epoch counters
-	crashedAt map[[2]int]int64     // wall clock (UnixNano) of each CrashReplica
+	crashedAt map[[2]int]int64     // clk's reading at each CrashReplica
 	nextCli   uint64
 	closed    bool
 }
@@ -99,7 +104,7 @@ func Open(cfg Config) (*DB, error) {
 	}
 
 	db := &DB{
-		cfg: cfg, topo: t,
+		cfg: cfg, topo: t, clk: clock.Or(cfg.clock),
 		source:    shardmap.NewSource(m),
 		mapPath:   mapPath,
 		epochs:    make([]uint64, cfg.MaxShards),
@@ -123,11 +128,13 @@ func Open(cfg Config) (*DB, error) {
 		db.inet = transport.NewInproc(transport.InprocConfig{
 			ServiceTime:      cfg.InprocServiceTime,
 			ServiceNodeLimit: topo.ClientNodeBase,
+			Clock:            db.clk,
 		})
 		db.inet.RegisterObs(db.obs)
 		db.net = db.inet
 	case TransportUDP:
 		db.unet = cfg.newUDP()
+		db.unet.SetClock(db.clk)
 		db.unet.SetFlushDelay(cfg.UDPFlushDelay)
 		db.unet.SetBatchDisabled(cfg.UDPNoBatch)
 		db.unet.RegisterObs(db.obs)
@@ -151,7 +158,7 @@ func Open(cfg Config) (*DB, error) {
 	db.obs.RegisterGauge("vstore_ops_recovered", func() uint64 { _, r := db.storeOpStats(); return r })
 
 	if cfg.Durability.Enabled() {
-		db.walSched = wal.NewScheduler(cfg.Durability.GroupCommitInterval)
+		db.walSched = wal.NewScheduler(cfg.Durability.GroupCommitInterval, db.clk)
 	}
 	for p := 0; p < cfg.MaxShards; p++ {
 		group, err := db.startGroup(p)
@@ -183,7 +190,7 @@ func (db *DB) startGroup(p int) ([]*replica.Replica, error) {
 		// with every committed transaction.
 		replayed := false
 		for r := 0; r < cfg.Replicas; r++ {
-			w, recov, err := wal.Open(cfg.Durability.replicaDir(p, r), cfg.Cores, cfg.Durability.walOptions(db.walSched))
+			w, recov, err := wal.Open(cfg.Durability.replicaDir(p, r), cfg.Cores, db.walOptions())
 			if err != nil {
 				for i := 0; i < r; i++ {
 					wals[i].Close()
@@ -238,8 +245,9 @@ func (db *DB) startGroup(p int) ([]*replica.Replica, error) {
 	return group, nil
 }
 
-func (db *DB) newReplica(p, r int, store *vstore.Store, w *wal.Store, recovering bool) (*replica.Replica, error) {
-	rep, err := replica.New(replica.Config{
+// replicaConfig is replica r of shard p as the deployment configures it.
+func (db *DB) replicaConfig(p, r int, store *vstore.Store, w *wal.Store, recovering bool) replica.Config {
+	return replica.Config{
 		Topo:                 db.topo,
 		Partition:            p,
 		Index:                r,
@@ -250,10 +258,31 @@ func (db *DB) newReplica(p, r int, store *vstore.Store, w *wal.Store, recovering
 		SharedRecord:         db.cfg.SharedTRecord,
 		SweepInterval:        db.cfg.SweepInterval,
 		StaleAfter:           db.cfg.StaleAfter,
+		Policy:               db.policy(),
 		CompactOnEpochChange: db.cfg.CompactOnEpochChange,
 		Obs:                  db.obs,
 		Recovering:           recovering,
-	})
+	}
+}
+
+// walOptions translates the validated config into internal/wal options. Every
+// replica the process hosts shares the one group-commit scheduler, so their
+// per-core log fsyncs coalesce into (almost) one journal commit per tick
+// instead of replicas×cores — and the deployment's one clock.
+func (db *DB) walOptions() wal.Options {
+	d := &db.cfg.Durability
+	return wal.Options{
+		Sync:                d.Sync,
+		GroupCommitInterval: d.GroupCommitInterval,
+		SnapshotInterval:    d.SnapshotInterval,
+		MaxSegmentBytes:     d.MaxLogSegment,
+		Scheduler:           db.walSched,
+		Clock:               db.clk,
+	}
+}
+
+func (db *DB) newReplica(p, r int, store *vstore.Store, w *wal.Store, recovering bool) (*replica.Replica, error) {
+	rep, err := replica.New(db.replicaConfig(p, r, store, w, recovering))
 	if err != nil {
 		return nil, err
 	}

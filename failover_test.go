@@ -10,10 +10,13 @@ import (
 	"time"
 
 	"meerkat/internal/checker"
+	"meerkat/internal/clock"
 	"meerkat/internal/faultnet"
+	"meerkat/internal/message"
 	"meerkat/internal/obs"
 	"meerkat/internal/timestamp"
 	"meerkat/internal/topo"
+	"meerkat/internal/transport"
 )
 
 func TestCrashedReplicaTxnsContinue(t *testing.T) {
@@ -322,39 +325,68 @@ func TestSerializabilityUnderCrashRecovery(t *testing.T) {
 	t.Logf("committed %d transactions across crash and recovery", hist.Len())
 }
 
+// TestSweeperFinishesOrphanedTxns: a coordinator validates its write and
+// dies; the replicas' sweepers must find the record once it is StaleAfter old
+// and their backup coordinators commit it — on virtual time, so the test moves
+// the clock to that instant instead of sleeping past it. The test is the dead
+// coordinator and, having crashed replica 2, also sits at that replica's
+// address: it hears the backup coordinator's commit when the real replicas do.
 func TestSweeperFinishesOrphanedTxns(t *testing.T) {
 	verifyCleanShutdown(t, "")
-	// Stop a client mid-protocol is hard from the public API, so approximate
-	// a failed coordinator with heavy message loss and verify the sweeper
-	// keeps the system live: after the noise, fresh transactions commit.
-	c := newTestDB(t, Config{
-		Cores:         2,
-		Faults:        lossy(11, 0.3),
-		Seed:          11,
-		CommitTimeout: 10 * time.Millisecond,
-		Retries:       3,
-		SweepInterval: 20 * time.Millisecond,
-		StaleAfter:    40 * time.Millisecond,
-	})
-	c.Load("k", []byte("0"))
-	cl := newDBClient(t, c)
-	for i := 0; i < 30; i++ {
-		txn := cl.Begin()
-		if _, err := txn.Read("k"); err != nil {
-			continue
+	const sweep, stale = 20 * time.Millisecond, 40 * time.Millisecond
+	clk := clock.NewManual(int64(time.Hour))
+	db := newTestDB(t, Config{Seed: 11, SweepInterval: sweep, StaleAfter: stale, clock: clk})
+	db.Admin().CrashReplica(0, 2)
+
+	in := transport.NewInbox(64)
+	listen := func(addr message.Addr) transport.Endpoint {
+		ep, err := db.net.Listen(addr, in.Handle)
+		if err != nil {
+			t.Fatal(err)
 		}
-		txn.Write("k", []byte(strconv.Itoa(i)))
-		txn.Commit() // outcome may be unknown; that's the point
+		t.Cleanup(func() { ep.Close() })
+		return ep
+	}
+	recv := func(want message.Type) *message.Message {
+		for watchdog := time.After(10 * time.Second); ; {
+			select {
+			case m := <-in.C:
+				if m.Type == want {
+					return m
+				}
+			case <-watchdog:
+				t.Fatalf("never received a %v", want)
+			}
+		}
+	}
+	listen(db.topo.ReplicaAddr(0, 2, 0))
+	coord := listen(db.topo.ClientAddr(900))
+
+	tid := timestamp.TxnID{Seq: 1, ClientID: 900}
+	txn := message.Txn{ID: tid, WriteSet: []message.WriteSetEntry{{Key: "k", Value: []byte("orphaned")}}}
+	for r := 0; r < 2; r++ {
+		coord.Send(db.topo.ReplicaAddr(0, r, 0), &message.Message{
+			Type: message.TypeValidate, Txn: txn, TID: tid, TS: timestamp.Timestamp{Time: clk.Now(), ClientID: 900},
+		})
+		if m := recv(message.TypeValidateReply); m.Status != message.StatusValidatedOK {
+			t.Fatalf("validate at replica %d: %v", r, m.Status)
+		}
 	}
 
-	// Let the sweeper finish stragglers (its retries ride out the loss).
-	time.Sleep(200 * time.Millisecond)
-
-	// Fresh clean cluster traffic must proceed.
-	c2 := newTestDB(t, Config{SweepInterval: 20 * time.Millisecond})
-	cl2 := newDBClient(t, c2)
-	if err := cl2.Put("fresh", []byte("v")); err != nil {
-		t.Fatal(err)
+	clk.Advance(int64(stale)) // two ticks: the second finds the record StaleAfter old
+	if m := recv(message.TypeCommit); m.TID != tid || m.Status != message.StatusCommitted {
+		t.Fatalf("the backup coordinator's outcome for %v: %v of %v", tid, m.Status, m.TID)
+	}
+	// The commit went to the real replicas in the same broadcast, ahead of this
+	// read in their core's queue.
+	for r := 0; r < 2; r++ {
+		coord.Send(db.topo.ReplicaAddr(0, r, 0), &message.Message{Type: message.TypeMultiRead, Keys: []string{"k"}})
+		if m := recv(message.TypeMultiReadReply); len(m.Reads) != 1 || string(m.Reads[0].Value) != "orphaned" {
+			t.Fatalf("replica %d after the sweep reads %+v", r, m.Reads)
+		}
+	}
+	if n := db.Admin().Obs().Snapshot().Counter(obs.SweepRecovery); n == 0 {
+		t.Error("the sweepers report no recovery")
 	}
 }
 
@@ -365,6 +397,7 @@ func TestSweeperFinishesOrphanedTxns(t *testing.T) {
 // replica and then orphaned; a backup coordinator must finish it, and a
 // second client must read what it wrote.
 func TestSweeperOverUDP(t *testing.T) {
+	verifyCleanShutdown(t, "")
 	deaf := int(topo.ClientNodeBase + 1) // DB.Client numbers clients from 1
 	db, err := Open(Config{
 		Transport: TransportUDP, UDPBasePort: 26000, Cores: 2,

@@ -192,7 +192,7 @@ func faultTimeline(w io.Writer, size timelineSize) ([]Point, error) {
 		// Mirror the injector's crash/restart onto the real replica so the
 		// dip exercises state transfer and epoch change.
 		action: func(ctx context.Context, adm *meerkat.Admin, began, finished func()) error {
-			faultnet.Mirror(ctx, adm.FaultEvents(), adm, func(ev faultnet.Event) {
+			adm.FaultNetwork().Mirror(ctx, adm, func(ev faultnet.Event) {
 				if ev.Op == faultnet.OpCrash {
 					began()
 				} else {

@@ -222,7 +222,7 @@ func Run(cfg Config) (*Result, error) {
 	ctlDone := make(chan struct{})
 	go func() {
 		defer close(ctlDone)
-		faultnet.Mirror(ctx, adm.FaultEvents(), adm, func(ev faultnet.Event) {
+		adm.FaultNetwork().Mirror(ctx, adm, func(ev faultnet.Event) {
 			if ev.Op == faultnet.OpCrash {
 				res.Crashes++
 			} else {

@@ -91,10 +91,83 @@ func TestManualConcurrent(t *testing.T) {
 	}
 }
 
-func TestFuncAdapter(t *testing.T) {
-	n := int64(0)
-	c := Func(func() int64 { n++; return n })
-	if c.Now() != 1 || c.Now() != 2 {
-		t.Fatal("Func adapter did not call through")
+// ticked reports, without waiting, whether t's tick is in its channel.
+func ticked(t Timer) bool {
+	select {
+	case <-t.C():
+		return true
+	default:
+		return false
+	}
+}
+
+func TestRealTimer(t *testing.T) {
+	tm := NewReal().NewTimer()
+	if tm.Stop() || ticked(tm) {
+		t.Fatal("a new timer is armed")
+	}
+	tm.Reset(time.Millisecond)
+	select {
+	case <-tm.C():
+	case <-time.After(5 * time.Second):
+		t.Fatal("timer never fired")
+	}
+	// An unreceived tick does not survive the next arming.
+	tm.Reset(0)
+	for !ticked(tm) {
+	}
+	tm.Reset(0)
+	<-tm.C()
+	tm.Reset(time.Hour)
+	if ticked(tm) {
+		t.Fatal("Reset kept the earlier arming's tick")
+	}
+	if !tm.Stop() || tm.Stop() {
+		t.Fatal("Stop must report an arming exactly once")
+	}
+}
+
+func TestManualTimerStopAndReset(t *testing.T) {
+	m := NewManual(0)
+	tm := m.NewTimer()
+	if tm.Stop() {
+		t.Fatal("a new timer is armed")
+	}
+
+	tm.Reset(10)
+	if m.Advance(9); ticked(tm) {
+		t.Fatal("fired before its deadline")
+	}
+	if !tm.Stop() || tm.Stop() {
+		t.Fatal("Stop before due must report the arming exactly once")
+	}
+	if m.Advance(10); ticked(tm) {
+		t.Fatal("a stopped timer fired")
+	}
+
+	tm.Reset(10) // due at 29
+	tm.Reset(20) // re-armed before due: now 39
+	if m.Advance(15); ticked(tm) {
+		t.Fatal("fired at the deadline a Reset replaced")
+	}
+	if m.Advance(5); !ticked(tm) {
+		t.Fatal("did not fire at its deadline")
+	}
+
+	tm.Reset(1)
+	m.Advance(1) // fired, tick unreceived
+	if tm.Stop() {
+		t.Fatal("Stop after due reports an arming")
+	}
+	tm.Reset(5)
+	if ticked(tm) {
+		t.Fatal("Reset after due kept the earlier tick")
+	}
+	if m.Advance(5); !ticked(tm) {
+		t.Fatal("did not fire after a Reset that followed a firing")
+	}
+
+	if tm.Reset(0); !ticked(tm) {
+		t.Fatal("a timer armed with no delay must fire inside Reset")
 	}
 }

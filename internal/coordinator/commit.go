@@ -3,7 +3,6 @@ package coordinator
 import (
 	"context"
 	"errors"
-	"time"
 
 	"meerkat/internal/message"
 	"meerkat/internal/obs"
@@ -109,7 +108,7 @@ func (c *Coordinator) commit(ctx context.Context, t *Txn) (bool, error) {
 	if t.opErr != nil {
 		return false, t.opErr
 	}
-	start := time.Now()
+	start := c.Now()
 	// Read-only fast path: a transaction whose every read was served and
 	// confirmed at one snapshot timestamp, and that buffered no writes or
 	// ops, is already serialized at that snapshot — each touched replica
@@ -124,7 +123,7 @@ func (c *Coordinator) commit(ctx context.Context, t *Txn) (bool, error) {
 			c.lastTS = t.snapTS
 		}
 		c.obs.Inc(obs.TxnCommitRO)
-		c.obs.Observe(obs.HistCommit, time.Since(start))
+		c.obs.Observe(obs.HistCommit, c.Now().Sub(start))
 		return true, nil
 	}
 	// Step 1: pick the processing core, the proposed timestamp, and the
@@ -147,7 +146,7 @@ func (c *Coordinator) commit(ctx context.Context, t *Txn) (bool, error) {
 	c.In.Drain()
 	c.round.begin(tid, ts, coreID, start)
 	c.round.abandon(c.link.Run(ctx, &c.round))
-	c.obs.Observe(obs.HistValidateRound, time.Since(start))
+	c.obs.Observe(obs.HistValidateRound, c.Now().Sub(start))
 
 	// The transaction commits fast only if every partition decided on the
 	// fast path; one slow partition makes it a slow-path commit. An abort's
@@ -213,9 +212,9 @@ func (c *Coordinator) commit(ctx context.Context, t *Txn) (bool, error) {
 		if len(parts) > 1 {
 			c.obs.Inc(obs.TxnCommitMultiShard)
 		}
-		c.obs.Observe(obs.HistCommit, time.Since(start))
+		c.obs.Observe(obs.HistCommit, c.Now().Sub(start))
 	} else {
-		c.obs.Observe(obs.HistAbort, time.Since(start))
+		c.obs.Observe(obs.HistAbort, c.Now().Sub(start))
 	}
 	return committed, err
 }

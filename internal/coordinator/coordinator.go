@@ -44,7 +44,9 @@ type Config struct {
 	Topo     topo.Topology
 	ClientID uint64
 	Net      transport.Network
-	Clock    clock.Clock
+	// Clock proposes the timestamps: the client's own, possibly skewed, view
+	// of the time of day. What the coordinator waits on is Net's clock.
+	Clock clock.Clock
 
 	// Timeout bounds each wait for a quorum of replies before the request
 	// is resent. Defaults to 100ms.
@@ -210,7 +212,7 @@ func groupTable(t topo.Topology) [][]message.Addr {
 func newCore(cfg Config) *Coordinator {
 	c := &Coordinator{cfg: cfg, gen: timestamp.NewGenerator(cfg.ClientID, cfg.Clock.Now)}
 	c.link = link{
-		Link:   drive.Link{Mailbox: drive.Mailbox{In: transport.NewInbox(inboxDepth(cfg.Topo))}},
+		Link:   drive.Link{Mailbox: drive.Mailbox{In: transport.NewInbox(inboxDepth(cfg.Topo)), Clock: cfg.Net.Clock()}},
 		groups: groupTable(cfg.Topo), cores: cfg.Topo.Cores,
 		rng:    transport.SeedSplitMix64(uint64(cfg.Seed)),
 		routes: cfg.ShardMap, obs: cfg.Obs,

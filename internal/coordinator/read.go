@@ -281,11 +281,11 @@ func (rr *readRound) count(l *link, attempt int) {
 // reads are idempotent, so a context-expired read is always safe to retry.
 func (c *Coordinator) read(ctx context.Context, keys []string, snap timestamp.Timestamp) ([]message.ReadResult, error) {
 	rr := &c.reads
-	start := time.Now()
+	start := c.Now()
 	c.In.Drain()
 	rr.begin(keys, snap, start)
 	err := c.link.Run(ctx, rr)
-	c.obs.Observe(obs.HistReadRound, time.Since(start))
+	c.obs.Observe(obs.HistReadRound, c.Now().Sub(start))
 	if err == nil {
 		err = rr.err
 	}

@@ -173,7 +173,7 @@ func (r *round) beginRecovery(parts []int, tid timestamp.TxnID, coreID uint32, s
 // conjunction of the partitions' outcomes.
 func (l *link) resolve(ctx context.Context, r *round, parts []int, tid timestamp.TxnID, coreID uint32, seenView uint64) (bool, error) {
 	l.In.Drain()
-	r.beginRecovery(parts, tid, coreID, seenView, time.Now())
+	r.beginRecovery(parts, tid, coreID, seenView, l.Now())
 	r.abandon(l.Run(ctx, r))
 	committed := true
 	for i := range r.parts {
@@ -195,12 +195,16 @@ type Recoverer struct {
 	round round
 }
 
-// NewRecoverer binds a recovery endpoint at addr. proposer must be unique
-// among backup coordinators (the replica index serves).
-func NewRecoverer(net transport.Network, t topo.Topology, addr message.Addr, proposer uint64, timeout time.Duration, retries int) (*Recoverer, error) {
-	r := &Recoverer{cfg: Config{Topo: t, ClientID: proposer, Timeout: timeout, Retries: retries}}
+// NewRecoverer binds a recovery endpoint at addr, to run recoveries under pol,
+// the deployment's retry policy (zero fields take the coordinator defaults).
+// proposer must be unique among backup coordinators (the replica index serves).
+func NewRecoverer(net transport.Network, t topo.Topology, addr message.Addr, proposer uint64, pol drive.Policy) (*Recoverer, error) {
+	r := &Recoverer{cfg: Config{
+		Topo: t, ClientID: proposer,
+		Timeout: pol.Timeout, Retries: pol.Retries, BackoffBase: pol.BackoffBase, BackoffMax: pol.BackoffMax,
+	}}
 	r.cfg.fill()
-	r.link = link{Link: drive.Link{Mailbox: drive.Mailbox{In: transport.NewInbox(256)}}, groups: groupTable(t), cores: t.Cores}
+	r.link = link{Link: drive.Link{Mailbox: drive.Mailbox{In: transport.NewInbox(256), Clock: net.Clock()}}, groups: groupTable(t), cores: t.Cores}
 	var err error
 	if r.Ep, err = net.Listen(addr, r.In.Handle); err != nil {
 		return nil, err

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"meerkat/internal/clock"
+	"meerkat/internal/drive"
 	"meerkat/internal/message"
 	"meerkat/internal/shardmap"
 	"meerkat/internal/timestamp"
@@ -458,6 +459,37 @@ func TestRoundWakeIsEarliestWait(t *testing.T) {
 	}
 }
 
+// TestRecovererRunsUnderThePolicyItIsGiven: a backup coordinator's requests
+// carry the deadline, the budget and the backoff of the deployment's policy,
+// not the coordinator defaults (100 ms × 10) every sweeper used to run on.
+func TestRecovererRunsUnderThePolicyItIsGiven(t *testing.T) {
+	pol := drive.Policy{Timeout: 5 * time.Millisecond, Retries: 2, BackoffBase: time.Microsecond, BackoffMax: time.Microsecond}
+	rec, err := NewRecoverer(&scriptNet{onSend: func(message.Addr, *message.Message) {}}, roundTopo, roundTopo.RecovererAddr(0, 0), 0, pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &rec.round
+	r.beginRecovery([]int{0}, roundTID, 0, 0, roundT0)
+	if _, wake := r.Pending(); wake.Sub(roundT0) != pol.Timeout {
+		t.Fatalf("the recoverer's request deadline is %v from its start, want the policy's %v", wake.Sub(roundT0), pol.Timeout)
+	}
+	// Nobody answers: every deadline is followed by a backoff and a resend,
+	// Retries times, and then the recovery gives up.
+	var sends []string
+	for open, wake := r.Pending(); open > 0; open, wake = r.Pending() {
+		if wake.Sub(roundT0) > time.Second {
+			t.Fatal("the recovery outlived any budget the policy could give it")
+		}
+		r.Tick(wake)
+		if s := r.takeSends(); s != "" {
+			sends = append(sends, s)
+		}
+	}
+	if got := strings.Join(sends, " "); got != "coordchange:0 coordchange:0 coordchange:0" || !errors.Is(r.parts[0].err, ErrTimeout) {
+		t.Fatalf("sent %q, err %v; want the request, %d resends and ErrTimeout", got, r.parts[0].err, pol.Retries)
+	}
+}
+
 // scriptNet is a transport.Network without goroutines, sockets or loss:
 // Listen hands out endpoints whose sends go to onSend, synchronously and
 // stamped with the sender's address as a transport stamps them, and deliver
@@ -477,7 +509,12 @@ func (n *scriptNet) Listen(addr message.Addr, h transport.Handler) (transport.En
 	n.deliver, n.bound = h, append(n.bound, addr)
 	return &scriptEp{net: n, addr: addr}, nil
 }
-func (n *scriptNet) Close() error { return nil }
+func (n *scriptNet) Close() error       { return nil }
+func (n *scriptNet) Clock() clock.Clock { return scriptClock }
+
+// scriptClock is every scripted network's: the scripts answer at once, so no
+// test here waits on it.
+var scriptClock = clock.NewReal()
 
 func (e *scriptEp) Addr() message.Addr { return e.addr }
 func (e *scriptEp) Send(dst message.Addr, m *message.Message) error {

@@ -4,7 +4,7 @@
 // coordinator change of recovery (§5.3.2), the epoch change and the state
 // transfer before it (§5.3.1) — is a round: a step machine that neither
 // blocks nor reads a clock. Link.Run drives them all, and is the only place
-// that waits.
+// that waits — on the clock of the network the link is bound to.
 package drive
 
 import (
@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"time"
 
+	"meerkat/internal/clock"
 	"meerkat/internal/message"
 	"meerkat/internal/transport"
 )
@@ -121,11 +122,12 @@ func Expired(ctx context.Context) error {
 	return nil
 }
 
-// Mailbox is one reply queue and the one timer its owner waits with.
-// Everything addressed to a party — from every partition's group, for reads,
-// validates, accepts and recovery alike — lands in its one mailbox, and await
-// is the one place it blocks. Whoever collects tells the groups apart by the
-// partition of a reply's Src: ReplicaID is only unique inside a group.
+// Mailbox is one reply queue, the clock its owner reads and the one timer its
+// owner waits with. Everything addressed to a party — from every partition's
+// group, for reads, validates, accepts and recovery alike — lands in its one
+// mailbox, and await is the one place it blocks. Whoever collects tells the
+// groups apart by the partition of a reply's Src: ReplicaID is only unique
+// inside a group.
 //
 // The timer is armed lazily: only when the goroutine is about to park and no
 // earlier arming fires in time. A wake-up left over from an earlier wait is
@@ -133,36 +135,34 @@ func Expired(ctx context.Context) error {
 // came early — so in steady state a commit arms nothing: the stale deadline
 // of a commit long finished fires once per Timeout.
 type Mailbox struct {
-	In *transport.Inbox
-	t  *time.Timer
-	at time.Time // when t fires, or fired unread; zero when it is neither
+	In    *transport.Inbox
+	Clock clock.Clock
+	t     clock.Timer
+	at    time.Time // when t fires, or fired unread; zero when it is neither
 }
+
+// Now is the clock's reading as the instant the rounds compute with: the one
+// place a reading becomes a time.Time.
+func (mb *Mailbox) Now() time.Time { return time.Unix(0, mb.Clock.Now()) }
 
 // timer returns a channel that delivers no later than wake. now is the
 // caller's fresh clock reading. After a receive the caller zeroes mb.at.
 func (mb *Mailbox) timer(wake, now time.Time) <-chan time.Time {
-	switch {
-	case mb.t == nil:
-		mb.t = time.NewTimer(wake.Sub(now))
-		mb.at = wake
-	case mb.at.IsZero() || wake.Before(mb.at):
-		if !mb.t.Stop() {
-			select {
-			case <-mb.t.C:
-			default:
-			}
-		}
+	if mb.t == nil {
+		mb.t = mb.Clock.NewTimer()
+	}
+	if mb.at.IsZero() || wake.Before(mb.at) {
 		mb.t.Reset(wake.Sub(now))
 		mb.at = wake
 	}
-	return mb.t.C
+	return mb.t.C()
 }
 
 // Sleep parks the goroutine for d, or less if ctx expires first. Callers
 // re-check the context right after, so no error is returned.
 func (mb *Mailbox) Sleep(ctx context.Context, d time.Duration) {
-	now := time.Now()
-	for until := now.Add(d); now.Before(until); now = time.Now() {
+	now := mb.Now()
+	for until := now.Add(d); now.Before(until); now = mb.Now() {
 		select {
 		case <-mb.timer(until, now):
 			mb.at = time.Time{}
@@ -183,7 +183,7 @@ func (mb *Mailbox) await(ctx context.Context, wake time.Time) (*message.Message,
 	default:
 	}
 	for {
-		now := time.Now()
+		now := mb.Now()
 		if !now.Before(wake) {
 			return nil, now
 		}
@@ -207,9 +207,10 @@ type Link struct {
 	outs []transport.Outgoing // broadcast headers, reused
 }
 
-// Listen binds addr on net to a new link whose mailbox holds depth messages.
+// Listen binds addr on net to a new link, on net's clock, whose mailbox holds
+// depth messages.
 func Listen(net transport.Network, addr message.Addr, depth int) (*Link, error) {
-	l := &Link{Mailbox: Mailbox{In: transport.NewInbox(depth)}}
+	l := &Link{Mailbox: Mailbox{In: transport.NewInbox(depth), Clock: net.Clock()}}
 	var err error
 	if l.Ep, err = net.Listen(addr, l.In.Handle); err != nil {
 		return nil, err

@@ -118,7 +118,7 @@ run:
 		case waiting && rng.Intn(2) == 0:
 			s.advance(wake)
 		case waiting:
-			s.advance(s.w.now.Add(time.Duration(rng.Intn(int(simTimeout / 4)))))
+			s.advance(s.w.now().Add(time.Duration(rng.Intn(int(simTimeout / 4)))))
 		case step > restartAt && step > lateAt && step >= holdTo:
 			break run // nothing in flight, nobody waiting, nothing still to begin
 		}

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"time"
 
+	"meerkat/internal/clock"
 	"meerkat/internal/drive"
 	"meerkat/internal/message"
 	"meerkat/internal/recovery"
@@ -51,7 +52,7 @@ type op struct {
 
 // world is the fake network, the bag and the clock.
 type world struct {
-	now      time.Time
+	clk      *clock.Manual
 	handlers map[message.Addr]transport.Handler
 	bag      []envelope
 	held     func(e *envelope) bool // messages the scheduler may not touch yet; nil: none
@@ -59,7 +60,7 @@ type world struct {
 }
 
 func newWorld() *world {
-	return &world{now: simT0, handlers: make(map[message.Addr]transport.Handler)}
+	return &world{clk: clock.NewManual(simT0.UnixNano()), handlers: make(map[message.Addr]transport.Handler)}
 }
 
 func (w *world) Listen(addr message.Addr, h transport.Handler) (transport.Endpoint, error) {
@@ -71,6 +72,12 @@ func (w *world) Listen(addr message.Addr, h transport.Handler) (transport.Endpoi
 }
 
 func (w *world) Close() error { return nil }
+
+// Clock is what the replicas age their records by. Nothing under the harness
+// waits on it yet: the scheduler ticks the machines itself.
+func (w *world) Clock() clock.Clock { return w.clk }
+
+func (w *world) now() time.Time { return time.Unix(0, w.clk.Now()) }
 
 type endpoint struct {
 	w    *world
@@ -210,7 +217,7 @@ func (c *client) start() {
 
 // request sends the phase's request and starts its deadline.
 func (c *client) request() {
-	c.wake = c.w.now.Add(simTimeout)
+	c.wake = c.w.now().Add(simTimeout)
 	c.seen, c.ok, c.abort, c.acks = 0, 0, 0, 0
 	switch c.phase {
 	case cReading:
@@ -365,10 +372,10 @@ func (a *admin) pump() {
 			a.errs = append(a.errs, err)
 			a.w.event('E', "epoch change %d ends: %v, %d merged", a.epoch, err, len(merged))
 			a.ec = nil
-		} else if wake.After(a.w.now) {
+		} else if wake.After(a.w.now()) {
 			return
 		} else {
-			a.ec.Tick(a.w.now)
+			a.ec.Tick(a.w.now())
 		}
 	}
 }
@@ -425,12 +432,13 @@ func (s *scenario) restart(r, donor int) {
 
 // advance moves the clock to t and lets every machine whose wake has come act.
 func (s *scenario) advance(t time.Time) {
-	if t.After(s.w.now) {
-		s.w.now = t
+	if t.After(s.w.now()) {
+		s.w.clk.Set(t.UnixNano())
 	}
-	s.w.trace = append(s.w.trace, op{kind: 't', at: s.w.now.Sub(simT0)})
-	s.a.tick(s.w.now)
-	s.b.tick(s.w.now)
+	now := s.w.now()
+	s.w.trace = append(s.w.trace, op{kind: 't', at: now.Sub(simT0)})
+	s.a.tick(now)
+	s.b.tick(now)
 	s.admin.pump()
 }
 

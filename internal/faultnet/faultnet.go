@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"meerkat/internal/clock"
 	"meerkat/internal/message"
 	"meerkat/internal/transport"
 )
@@ -107,6 +108,7 @@ type Network struct {
 	inner transport.Network
 	plan  *Plan
 	stats Stats
+	g     *clock.Group // the delayed sends in flight, on inner's clock; Close cancels them
 
 	msgCount atomic.Uint64
 	state    atomic.Pointer[netState]
@@ -136,6 +138,7 @@ func Wrap(inner transport.Network, plan *Plan) *Network {
 	n := &Network{
 		inner: inner,
 		plan:  plan,
+		g:     clock.NewGroup(inner.Clock()),
 		links: make(map[[2]message.Addr]*linkState),
 		// Buffered to the event count: the firing send never blocks on a
 		// slow consumer, and no event is ever lost.
@@ -178,8 +181,15 @@ func (n *Network) Listen(addr message.Addr, h transport.Handler) (transport.Endp
 	return &endpoint{net: n, inner: ep}, nil
 }
 
-// Close implements transport.Network.
-func (n *Network) Close() error { return n.inner.Close() }
+// Clock implements transport.Network: the wrapped fabric's.
+func (n *Network) Clock() clock.Clock { return n.g.Clock }
+
+// Close implements transport.Network. The delayed messages still waiting are
+// released, not sent: nothing leaves the injector once Close has returned.
+func (n *Network) Close() error {
+	n.g.Close()
+	return n.inner.Close()
+}
 
 // fireDue applies every event with At <= count, in plan order, exactly once.
 func (n *Network) fireDue(count uint64) {
@@ -380,7 +390,9 @@ func (ep *endpoint) Flush() error { return ep.inner.Flush() }
 // may already be recycling it. The two share the Txn sets, which nobody
 // writes, and each owns its Keys and Reads (message.CopyFrom), which the
 // original's receiver empties on release: exactly a duplicating network, whose
-// receivers each see the bytes.
+// receivers each see the bytes. A delayed message belongs to the network's
+// group until it is due: closing the network releases it unsent (and an
+// endpoint found closed when the delay ends releases what it is handed).
 func (ep *endpoint) send(dst message.Addr, m *message.Message, dup bool, delay time.Duration) error {
 	var m2 *message.Message
 	if dup {
@@ -390,11 +402,15 @@ func (ep *endpoint) send(dst message.Addr, m *message.Message, dup bool, delay t
 	}
 	if delay > 0 {
 		ep.net.stats.Delayed.Add(1)
-		inner := ep.inner
-		time.AfterFunc(delay, func() {
-			inner.Send(dst, m)
+		ep.net.g.After(delay, func(due bool) {
+			if !due {
+				message.ReleaseMessage(m)
+				message.ReleaseMessage(m2)
+				return
+			}
+			ep.inner.Send(dst, m)
 			if m2 != nil {
-				inner.Send(dst, m2)
+				ep.inner.Send(dst, m2)
 			}
 		})
 		return nil

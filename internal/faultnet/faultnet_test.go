@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"meerkat/internal/clock"
 	"meerkat/internal/message"
 	"meerkat/internal/transport"
 )
@@ -432,5 +433,61 @@ func TestDuplicateAndDelayedCopiesAreDistinctStructs(t *testing.T) {
 			}
 			n.Close()
 		}
+	}
+}
+
+// TestCloseReleasesDelayedSends: a message held back by a delay rule — and the
+// duplicate made of it — belongs to the network until it is due. Closing the
+// network first cancels the send: once Close has returned nothing more leaves
+// the injector, however far the clock then moves, and the structs have been
+// released, not left with a timer nobody owns.
+func TestCloseReleasesDelayedSends(t *testing.T) {
+	clk := clock.NewManual(0)
+	inner := transport.NewInproc(transport.InprocConfig{Clock: clk})
+	n := Wrap(inner, &Plan{Seed: 1, Rules: []Rule{EveryLink(Rule{DupProb: 1, DelayProb: 1, Delay: 50 * time.Millisecond})}})
+	var col collector
+	if _, err := n.Listen(addr(2, 0), col.handle); err != nil {
+		t.Fatal(err)
+	}
+	src, err := n.Listen(addr(1, 0), func(*message.Message) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := message.AcquireMessage()
+	m.Type, m.Seq = message.TypeMultiRead, 7
+	if err := src.Send(addr(2, 0), m); err != nil {
+		t.Fatal(err)
+	}
+	if st := n.Stats().Summary(); st.Delayed != 1 || st.Duplicated != 1 {
+		t.Fatalf("stats %+v, want one message delayed and duplicated", st)
+	}
+
+	n.Close()
+	if m.Seq == 7 {
+		t.Error("Close left the delayed message unreleased")
+	}
+	clk.Advance(int64(time.Second))
+	if st := inner.Stats(); st.Sent != 0 || len(col.seqs()) != 0 {
+		t.Errorf("after Close the injector still sent: inner stats %+v, delivered %v", st, col.seqs())
+	}
+}
+
+// TestDelayedSendFindsItsEndpointClosed: the delay ends after the sending
+// endpoint has gone; the endpoint releases what it is handed.
+func TestDelayedSendFindsItsEndpointClosed(t *testing.T) {
+	clk := clock.NewManual(0)
+	n := Wrap(transport.NewInproc(transport.InprocConfig{Clock: clk}),
+		&Plan{Seed: 1, Rules: []Rule{EveryLink(Rule{DelayProb: 1, Delay: 50 * time.Millisecond})}})
+	defer n.Close()
+	src, err := n.Listen(addr(1, 0), func(*message.Message) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := message.AcquireMessage()
+	m.Type, m.Seq = message.TypeMultiRead, 7
+	src.Send(addr(2, 0), m)
+	src.Close()
+	if clk.Advance(int64(50 * time.Millisecond)); m.Seq == 7 {
+		t.Error("a delayed message that found its endpoint closed was not released")
 	}
 }

@@ -14,19 +14,21 @@ type Lifecycle interface {
 	RecoverReplica(p, r int) error
 }
 
-// Mirror applies the OpCrash/OpRestart events fired on events (a Network's
-// Events channel) to the real replicas, so a black-holed node also loses its
-// volatile state and a restarted one goes through state transfer and epoch
-// change. A restart is retried until it succeeds: right after the black-hole
-// lifts, an ambient drop rule can still fail a state transfer. onFired, when
-// non-nil, is called on Mirror's goroutine after each event has been applied.
-// Mirror returns when ctx is done.
-func Mirror(ctx context.Context, events <-chan Event, target Lifecycle, onFired func(Event)) {
+// Mirror applies the OpCrash/OpRestart events the network fires to the real
+// replicas, so a black-holed node also loses its volatile state and a
+// restarted one goes through state transfer and epoch change. A restart is
+// retried, paced on the network's clock, until it succeeds: right after the
+// black-hole lifts, an ambient drop rule can still fail a state transfer.
+// onFired, when non-nil, is called on Mirror's goroutine after each event has
+// been applied. Mirror returns when ctx is done.
+func (n *Network) Mirror(ctx context.Context, target Lifecycle, onFired func(Event)) {
+	pace := n.g.NewTimer()
+	defer pace.Stop()
 	for {
 		select {
 		case <-ctx.Done():
 			return
-		case ev := <-events:
+		case ev := <-n.events:
 			p, r, ok := target.ReplicaOf(ev.Node)
 			if !ok {
 				continue
@@ -36,10 +38,11 @@ func Mirror(ctx context.Context, events <-chan Event, target Lifecycle, onFired 
 				target.CrashReplica(p, r)
 			case OpRestart:
 				for target.RecoverReplica(p, r) != nil {
+					pace.Reset(10 * time.Millisecond)
 					select {
 					case <-ctx.Done():
 						return
-					case <-time.After(10 * time.Millisecond): // pace the retries
+					case <-pace.C():
 					}
 				}
 			default:

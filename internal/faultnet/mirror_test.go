@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"meerkat/internal/transport"
 )
 
 // fakeLifecycle records lifecycle calls; RecoverReplica fails failRecover
@@ -36,14 +38,16 @@ func (f *fakeLifecycle) RecoverReplica(p, r int) error {
 }
 
 func TestMirror(t *testing.T) {
-	events := make(chan Event, 4)
+	n := Wrap(transport.NewInproc(transport.InprocConfig{}), nil)
+	defer n.Close()
+	events := n.events // unbuffered without a plan: each send below waits for Mirror to take it
 	target := &fakeLifecycle{failRecover: 2}
 	fired := make(chan Event, 4)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		Mirror(ctx, events, target, func(ev Event) { fired <- ev })
+		n.Mirror(ctx, target, func(ev Event) { fired <- ev })
 	}()
 
 	events <- Event{Op: OpPartition}            // not a lifecycle event

@@ -341,4 +341,26 @@ func TestTypeNumbersArePinned(t *testing.T) {
 			t.Errorf("retired type %d prints as %q", uint8(blank), got)
 		}
 	}
+
+	// One state-request, byte for byte: its apply-time bound has a name of its
+	// own (SinceWall) but no slot of its own — it travels where View does.
+	req := &Message{Type: TypeStateRequest, Seq: 3, TS: timestamp.Timestamp{Time: 0x0102030405060708, ClientID: 9}}
+	req.SetSinceWall(0x1122334455667788)
+	const golden = "15" + "00000000" + "00000000" + // type 21; src
+		"00000000000000000000000000000000" + "000000" + // txn: id, three empty sets
+		"00000000000000000000000000000000" + // tid
+		"0807060504030201" + "0900000000000000" + // ts
+		"00" + "8877665544332211" + "00000000" + // status; view — the bound; core id
+		"00" + "00" + "00" + // key, value, ok
+		"0000000000000000" + "00" + // epoch, records
+		"0300000000000000" + "00" + // seq — the shard; entries
+		"00" + "00000000" + "00" + "00" + // state, replica id, keys, reads
+		"00000000000000000000000000000000" + "0000000000000000" + "00" // watermark, map version, wrong-shard
+	if got := fmt.Sprintf("%x", Encode(nil, req)); got != golden {
+		t.Errorf("state-request encodes as\n%s, pinned at\n%s", got, golden)
+	}
+	var back Message
+	if err := DecodeInto(&back, Encode(nil, req)); err != nil || back.SinceWall() != 0x1122334455667788 || back.View != req.View {
+		t.Errorf("decoded SinceWall %#x (View %#x), err %v", back.SinceWall(), back.View, err)
+	}
 }

@@ -60,9 +60,8 @@ const (
 
 	// Replica state transfer (recovery, §5.3.1). A StateRequest paginates by
 	// shard in Seq and carries two optional delta bounds: TS (ship keys whose
-	// WTS/RTS passed it) and — reusing the otherwise-unused View field as a
-	// UnixNano wall clock — the donor-side apply-time bound (ship keys whose
-	// commit the donor applied at or after it).
+	// WTS/RTS passed it) and SinceWall, the donor-side apply-time bound (ship
+	// keys whose commit the donor applied at or after it).
 	TypeStateRequest // recovering replica -> live replica: one shard
 	TypeStateReply   // live replica -> recovering replica
 
@@ -323,6 +322,16 @@ type Message struct {
 	keys  []string
 	reads []ReadResult
 }
+
+// SinceWall is a state-request's apply-time bound: a reading of the
+// deployment's clock (0: none). It travels in the slot the transaction
+// protocol calls View, which a state-request has no other use for — the codec
+// is flat and shared with the write-ahead log, so the slot is named here and
+// no byte moves.
+func (m *Message) SinceWall() int64 { return int64(m.View) }
+
+// SetSinceWall sets a state-request's apply-time bound.
+func (m *Message) SetSinceWall(t int64) { m.View = uint64(t) }
 
 // String gives a short human-readable rendering for logs and test failures.
 func (m *Message) String() string {

@@ -49,12 +49,12 @@ type Options struct {
 	// replayed its local write-ahead log uses. Zero (the default) transfers
 	// everything.
 	Since timestamp.Timestamp
-	// SinceWall (UnixNano, 0 = disabled) widens the delta along a second
-	// axis: donors also ship keys whose commit they applied at or after this
-	// local wall-clock instant, regardless of the commit's timestamp. It
-	// covers transactions finalized late with old timestamps (sweeper or
+	// SinceWall (a reading of the deployment's clock, 0 = disabled) widens
+	// the delta along a second axis: donors also ship keys whose commit they
+	// applied at or after this instant, regardless of the commit's timestamp.
+	// It covers transactions finalized late with old timestamps (sweeper or
 	// backup-coordinator outcomes) that a pure TS filter would miss. Pass
-	// the moment the recovering replica went down, minus clock-skew slack.
+	// the moment the recovering replica went down, minus slack.
 	SinceWall int64
 }
 
@@ -481,12 +481,9 @@ func (st *stateTransfer) Perform() {
 		return
 	}
 	st.Send = false
-	// View carries the wall-clock bound: unused by TypeStateRequest
-	// otherwise, so this adds nothing to the wire format.
-	err := st.l.Ep.Send(st.donor, &message.Message{
-		Type: message.TypeStateRequest, Seq: st.shard,
-		TS: st.opts.Since, View: uint64(st.opts.SinceWall),
-	})
+	req := &message.Message{Type: message.TypeStateRequest, Seq: st.shard, TS: st.opts.Since}
+	req.SetSinceWall(st.opts.SinceWall)
+	err := st.l.Ep.Send(st.donor, req)
 	if errors.Is(err, transport.ErrClosed) {
 		st.done, st.err = true, err
 	}

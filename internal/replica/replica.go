@@ -22,7 +22,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"meerkat/internal/clock"
 	"meerkat/internal/coordinator"
+	"meerkat/internal/drive"
 	"meerkat/internal/message"
 	"meerkat/internal/obs"
 	"meerkat/internal/occ"
@@ -66,10 +68,9 @@ type Config struct {
 	// sweeper considers its coordinator failed. Defaults to 5x
 	// SweepInterval.
 	StaleAfter time.Duration
-	// RecoveryTimeout/RecoveryRetries parameterize the recovery runs this
-	// replica initiates.
-	RecoveryTimeout time.Duration
-	RecoveryRetries int
+	// Policy is the deployment's retry policy, under which this replica's
+	// backup coordinator runs its recoveries.
+	Policy drive.Policy
 
 	// CompactOnEpochChange trims finalized records from the trecord after
 	// an epoch change installs the merged (all-final) trecord — the
@@ -114,13 +115,15 @@ type Replica struct {
 	shared *trecord.Shared // non-nil iff cfg.SharedRecord
 	epoch  atomic.Uint64
 
+	// g is the replica's clock — Net's, which ages the records — and the
+	// lifetime of what it runs in the background: the sweep tick and the
+	// recovery worker. Stop and Crash close it.
+	g *clock.Group
+
 	// The sweepers' recoveries run one at a time on one goroutine, which owns
-	// the recoverer: recoverLoop takes them off stale until shutdown cancels
-	// it, and closes recovered on its way out.
-	recoverer     *coordinator.Recoverer
-	stale         chan staleTxn
-	cancelRecover context.CancelFunc
-	recovered     chan struct{}
+	// the recoverer: recoverLoop takes them off stale until g closes.
+	recoverer *coordinator.Recoverer
+	stale     chan staleTxn
 
 	// recovering is set at construction for crash-recovered replicas and
 	// cleared once every core has installed an epoch-change merge; while
@@ -157,8 +160,6 @@ type core struct {
 	obs       *obs.Shard            // per-core lifecycle recorder (nil-safe)
 	log       *wal.Log              // this core's write-ahead log (nil without durability)
 	wm        *occ.WatermarkTracker // this core's commit watermark (advisory)
-
-	sweepStop chan struct{}
 }
 
 // send transmits m from this core's endpoint, dropping it if the endpoint
@@ -189,6 +190,9 @@ func New(cfg Config) (*Replica, error) {
 	if cfg.Index < 0 || cfg.Index >= cfg.Topo.Replicas {
 		return nil, fmt.Errorf("replica: index %d out of range", cfg.Index)
 	}
+	if cfg.Net == nil {
+		return nil, fmt.Errorf("replica: no network")
+	}
 	if cfg.StaleAfter == 0 {
 		cfg.StaleAfter = 5 * cfg.SweepInterval
 	}
@@ -198,9 +202,9 @@ func New(cfg Config) (*Replica, error) {
 	}
 	st := cfg.Store
 	if st == nil {
-		st = vstore.New(vstore.Config{})
+		st = vstore.New(vstore.Config{Clock: cfg.Net.Clock()})
 	}
-	r := &Replica{cfg: cfg, store: st}
+	r := &Replica{cfg: cfg, store: st, g: clock.NewGroup(cfg.Net.Clock())}
 	r.recovering.Store(cfg.Recovering)
 	if cfg.Recovering {
 		r.recoveryLeft.Store(int32(cfg.Topo.Cores))
@@ -286,8 +290,7 @@ func (r *Replica) Start() error {
 		rec, err := coordinator.NewRecoverer(
 			r.cfg.Net, r.cfg.Topo,
 			r.cfg.Topo.RecovererAddr(r.cfg.Partition, r.cfg.Index),
-			uint64(r.cfg.Index),
-			r.cfg.RecoveryTimeout, r.cfg.RecoveryRetries,
+			uint64(r.cfg.Index), r.cfg.Policy,
 		)
 		if err != nil {
 			r.Stop()
@@ -296,14 +299,15 @@ func (r *Replica) Start() error {
 		r.recoverer = rec
 		// Room for every transaction a coordinator crash can strand at once; a
 		// sweep that finds the queue full leaves the rest to the next one.
-		r.stale, r.recovered = make(chan staleTxn, 1024), make(chan struct{})
-		ctx, cancel := context.WithCancel(context.Background())
-		r.cancelRecover = cancel
-		go r.recoverLoop(ctx)
-		for _, c := range r.cores {
-			c.sweepStop = make(chan struct{})
-			go c.sweepLoop()
-		}
+		r.stale = make(chan staleTxn, 1024)
+		r.g.Go(r.recoverLoop)
+		// Each tick injects a sweep message into every core's own queue, so
+		// the scan itself runs on the delivery goroutine like everything else.
+		r.g.Every(r.cfg.SweepInterval, func() {
+			for _, c := range r.cores {
+				c.send((*c.ep.Load()).Addr(), &message.Message{Type: message.TypeSweep})
+			}
+		})
 	}
 	return nil
 }
@@ -328,18 +332,15 @@ func (r *Replica) shutdown(crash bool) {
 	if r.stopped.Swap(true) {
 		return
 	}
+	// The sweep tick and the recovery in flight end first, before the
+	// endpoints they send on go.
+	r.g.Close()
 	for _, c := range r.cores {
-		if c.sweepStop != nil {
-			close(c.sweepStop)
-		}
 		if ep := c.ep.Load(); ep != nil {
 			(*ep).Close()
 		}
 	}
 	if r.recoverer != nil {
-		// Join the recovery in flight before its endpoint goes.
-		r.cancelRecover()
-		<-r.recovered
 		r.recoverer.Close()
 	}
 	if r.cfg.WAL != nil {
@@ -428,13 +429,13 @@ func (c *core) handle(m *message.Message) {
 // shard index in Seq; OK reports whether more shards remain. TS, when
 // non-zero, is a delta watermark: only keys written or read after it are
 // shipped, so a replica that replayed its local write-ahead log fetches a
-// fraction of the store. View, when non-zero, carries a second, wall-clock
-// bound (UnixNano): also ship keys whose commit was applied on this donor
+// fraction of the store. SinceWall, when non-zero, is a second bound, on the
+// deployment's clock: also ship keys whose commit was applied on this donor
 // at or after it, which covers commits finalized late with old timestamps
 // (sweeper / backup-coordinator outcomes) that the TS filter would miss.
 func (c *core) handleStateRequest(m *message.Message) {
 	shard := int(m.Seq)
-	exported := c.r.store.ExportShardSince(shard, m.TS, int64(m.View))
+	exported := c.r.store.ExportShardSince(shard, m.TS, m.SinceWall())
 	state := make([]message.KeyState, 0, len(exported))
 	for _, ks := range exported {
 		state = append(state, message.KeyState{
@@ -594,7 +595,7 @@ func (c *core) handleValidate(m *message.Message) {
 		// message, which is recycled when this handler returns.
 		rec.Txn, m.Txn = m.Txn, message.Txn{}
 		rec.TS = m.TS
-		rec.CreatedAt = nanotime()
+		rec.CreatedAt = c.r.g.Now()
 		st := occ.Validate(c.r.store, &rec.Txn, m.TS)
 		rec.Status = st
 		rec.Registered = st == message.StatusValidatedOK
@@ -622,7 +623,7 @@ func (c *core) handleAccept(m *message.Message) {
 	reply.TID = m.TID
 	rec, created := p.GetOrCreate(m.TID)
 	if created {
-		rec.CreatedAt = nanotime()
+		rec.CreatedAt = c.r.g.Now()
 	}
 	// A replica that missed the validate learns the transaction body
 	// from the accept, so it can apply the write phase on commit (moved
@@ -739,7 +740,7 @@ func (c *core) handleCoordChange(m *message.Message) {
 	c.withRecords(func(p *trecord.Partition) {
 		rec, created := p.GetOrCreate(m.TID)
 		if created {
-			rec.CreatedAt = nanotime()
+			rec.CreatedAt = c.r.g.Now()
 		}
 		if m.View <= rec.View {
 			// Only strictly newer views supersede. View 0 belongs to the
@@ -841,7 +842,7 @@ func (c *core) install(p *trecord.Partition, e *message.TRecordEntry) {
 		rec = &trecord.Record{
 			Txn: e.Txn, TS: e.TS,
 			View: e.View, AcceptView: e.AcceptView,
-			CreatedAt: nanotime(),
+			CreatedAt: c.r.g.Now(),
 		}
 		p.Put(rec)
 		c.finalize(rec, e.Status)
@@ -859,22 +860,6 @@ func (c *core) install(p *trecord.Partition, e *message.TRecordEntry) {
 	c.finalize(rec, e.Status)
 }
 
-// sweepLoop periodically injects a sweep message into the core's own queue,
-// so the scan itself runs on the delivery goroutine like everything else.
-func (c *core) sweepLoop() {
-	t := time.NewTicker(c.r.cfg.SweepInterval)
-	defer t.Stop()
-	self := (*c.ep.Load()).Addr() // sweepLoop starts after the bind
-	for {
-		select {
-		case <-c.sweepStop:
-			return
-		case <-t.C:
-			c.send(self, &message.Message{Type: message.TypeSweep})
-		}
-	}
-}
-
 // handleSweep scans for transactions whose coordinator appears to have
 // failed — non-final records older than StaleAfter — and completes each via
 // coordinator recovery (§5.3.2).
@@ -882,7 +867,7 @@ func (c *core) handleSweep() {
 	if c.paused || c.r.recoverer == nil {
 		return
 	}
-	now := nanotime()
+	now := c.r.g.Now()
 	stale := int64(c.r.cfg.StaleAfter)
 	found := 0
 	c.withRecords(func(p *trecord.Partition) {
@@ -914,7 +899,6 @@ type staleTxn struct {
 // recoverLoop completes the transactions the sweeps found, one at a time,
 // until ctx ends, which also ends the recovery then in flight.
 func (r *Replica) recoverLoop(ctx context.Context) {
-	defer close(r.recovered)
 	for {
 		select {
 		case <-ctx.Done():
@@ -924,8 +908,3 @@ func (r *Replica) recoverLoop(ctx context.Context) {
 		}
 	}
 }
-
-// nanotime returns a monotonic reading for record aging.
-func nanotime() int64 { return time.Since(processStart).Nanoseconds() }
-
-var processStart = time.Now()

@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"meerkat/internal/clock"
 	"meerkat/internal/coordinator"
+	"meerkat/internal/drive"
 	"meerkat/internal/faultnet"
 	"meerkat/internal/message"
 	"meerkat/internal/replica"
@@ -23,6 +25,31 @@ type harness struct {
 	reps []*replica.Replica
 	ep   transport.Endpoint
 	in   *transport.Inbox
+
+	done chan handling    // what the handlers have finished, in order
+	seen map[handling]int // taken off done and not yet waited for
+}
+
+// handling is one message of type typ that the handler bound at `at` has
+// returned from.
+type handling struct {
+	at  message.Addr
+	typ message.Type
+}
+
+// tapNet reports every message a handler has finished with, so that a test
+// waits for the handling it is after and not for time to pass.
+type tapNet struct {
+	transport.Network
+	done chan handling
+}
+
+func (n tapNet) Listen(addr message.Addr, h transport.Handler) (transport.Endpoint, error) {
+	return n.Network.Listen(addr, func(m *message.Message) {
+		typ := m.Type // the handler recycles m
+		h(m)
+		n.done <- handling{addr, typ}
+	})
 }
 
 var harnessTopo = topo.Topology{Partitions: 1, Replicas: 3, Cores: 2}
@@ -36,7 +63,10 @@ func newHarness(t *testing.T, shared bool, sweep time.Duration) *harness {
 func newHarnessOn(t *testing.T, net transport.Network, shared bool, sweep time.Duration) *harness {
 	t.Helper()
 	tp := harnessTopo
-	h := &harness{t: t, topo: tp, net: net}
+	// Room for everything a test's handlers ever finish: none of them waits on
+	// the tap.
+	h := &harness{t: t, topo: tp, done: make(chan handling, 1<<16), seen: make(map[handling]int)}
+	h.net = tapNet{net, h.done}
 	for i := 0; i < 3; i++ {
 		rep, err := replica.New(replica.Config{
 			Topo: tp, Partition: 0, Index: i, Net: h.net,
@@ -87,6 +117,22 @@ func (h *harness) recv(want message.Type) *message.Message {
 			h.t.Fatalf("timed out waiting for %v", want)
 		}
 	}
+}
+
+// handled blocks until core `core` of replica rep has finished handling one
+// more message of type typ than earlier calls have waited for.
+func (h *harness) handled(rep int, core uint32, typ message.Type) {
+	h.t.Helper()
+	want := handling{h.topo.ReplicaAddr(0, rep, core), typ}
+	for watchdog := time.After(5 * time.Second); h.seen[want] == 0; {
+		select {
+		case got := <-h.done:
+			h.seen[got]++
+		case <-watchdog:
+			h.t.Fatalf("replica %d core %d never handled a %v", rep, core, typ)
+		}
+	}
+	h.seen[want]--
 }
 
 func ts(t int64, c uint64) timestamp.Timestamp { return timestamp.Timestamp{Time: t, ClientID: c} }
@@ -144,21 +190,15 @@ func TestCommitAppliesWrites(t *testing.T) {
 	h.send(0, &message.Message{Type: message.TypeValidate, Txn: txn, TID: txn.ID, TS: ts(10, 1), CoreID: 0})
 	h.recv(message.TypeValidateReply)
 	h.send(0, &message.Message{Type: message.TypeCommit, TID: txn.ID, Status: message.StatusCommitted, CoreID: 0})
-
-	deadline := time.Now().Add(time.Second)
-	for {
-		if v, ok := h.reps[0].Store().Read("k"); ok && string(v.Value) == "v" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("commit never applied")
-		}
-		time.Sleep(time.Millisecond)
+	h.handled(0, 0, message.TypeCommit)
+	if v, ok := h.reps[0].Store().Read("k"); !ok || string(v.Value) != "v" {
+		t.Fatalf("commit not applied: read %q, %v", v.Value, ok)
 	}
 	// Duplicate commit and commit for an unknown txn are ignored.
 	h.send(0, &message.Message{Type: message.TypeCommit, TID: txn.ID, Status: message.StatusCommitted, CoreID: 0})
 	h.send(0, &message.Message{Type: message.TypeCommit, TID: timestamp.TxnID{Seq: 99, ClientID: 9}, Status: message.StatusCommitted, CoreID: 0})
-	time.Sleep(10 * time.Millisecond)
+	h.handled(0, 0, message.TypeCommit)
+	h.handled(0, 0, message.TypeCommit)
 	if vs := h.reps[0].Store().Versions("k"); len(vs) != 1 {
 		t.Fatalf("duplicate commit re-applied: %d versions", len(vs))
 	}
@@ -170,16 +210,9 @@ func TestAbortCleansPendingState(t *testing.T) {
 	h.send(0, &message.Message{Type: message.TypeValidate, Txn: txn, TID: txn.ID, TS: ts(10, 1), CoreID: 0})
 	h.recv(message.TypeValidateReply)
 	h.send(0, &message.Message{Type: message.TypeCommit, TID: txn.ID, Status: message.StatusAborted, CoreID: 0})
-	deadline := time.Now().Add(time.Second)
-	for {
-		r, w := h.reps[0].Store().Pending("k")
-		if r == 0 && w == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("pending state leaked: (%d,%d)", r, w)
-		}
-		time.Sleep(time.Millisecond)
+	h.handled(0, 0, message.TypeCommit)
+	if r, w := h.reps[0].Store().Pending("k"); r != 0 || w != 0 {
+		t.Fatalf("pending state leaked: (%d,%d)", r, w)
 	}
 	if _, ok := h.reps[0].Store().Read("k"); ok {
 		t.Fatal("aborted write visible")
@@ -260,7 +293,7 @@ func TestBackupCoordinatorCompletesOrphan(t *testing.T) {
 	}
 
 	rec, err := coordinator.NewRecoverer(h.net, h.topo,
-		message.Addr{Node: topo.ClientNodeBase + 500, Core: 0}, 2, 100*time.Millisecond, 5)
+		message.Addr{Node: topo.ClientNodeBase + 500, Core: 0}, 2, drive.Policy{Timeout: 100 * time.Millisecond, Retries: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,17 +306,10 @@ func TestBackupCoordinatorCompletesOrphan(t *testing.T) {
 		t.Fatal("validated-everywhere transaction was aborted by recovery")
 	}
 	// The write must be applied and pending state cleared.
-	deadline := time.Now().Add(time.Second)
-	for {
-		v, ok := h.reps[0].Store().Read("k")
-		r, w := h.reps[0].Store().Pending("k")
-		if ok && string(v.Value) == "v" && r == 0 && w == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("recovery did not finish cleanly: ok=%v pending=(%d,%d)", ok, r, w)
-		}
-		time.Sleep(time.Millisecond)
+	h.handled(0, 0, message.TypeCommit)
+	v, ok := h.reps[0].Store().Read("k")
+	if r, w := h.reps[0].Store().Pending("k"); !ok || string(v.Value) != "v" || r != 0 || w != 0 {
+		t.Fatalf("recovery did not finish cleanly: ok=%v pending=(%d,%d)", ok, r, w)
 	}
 }
 
@@ -306,7 +332,7 @@ func TestBackupCoordinatorCarriesOpOnlyBody(t *testing.T) {
 		h.send(rep, &message.Message{Type: message.TypeValidate, Txn: txn, TID: txn.ID, TS: ts(10, 1), CoreID: 0})
 		h.recv(message.TypeValidateReply)
 	}
-	rec, err := coordinator.NewRecoverer(h.net, h.topo, recoverer, 2, 100*time.Millisecond, 5)
+	rec, err := coordinator.NewRecoverer(h.net, h.topo, recoverer, 2, drive.Policy{Timeout: 100 * time.Millisecond, Retries: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,14 +341,10 @@ func TestBackupCoordinatorCarriesOpOnlyBody(t *testing.T) {
 		t.Fatalf("Recover: committed=%v err=%v", committed, err)
 	}
 	want := string(message.ApplyOp(nil, nil, message.OpIncrement, 5, nil))
-	deadline := time.Now().Add(time.Second)
-	for rep := 0; rep < 3; {
-		if v, ok := h.reps[rep].Store().Read("ctr"); ok && string(v.Value) == want {
-			rep++
-		} else if time.Now().After(deadline) {
+	for rep := 0; rep < 3; rep++ {
+		h.handled(rep, 0, message.TypeCommit)
+		if v, ok := h.reps[rep].Store().Read("ctr"); !ok || string(v.Value) != want {
 			t.Fatalf("replica %d reads the counter as %q (ok=%v), want %q", rep, v.Value, ok, want)
-		} else {
-			time.Sleep(time.Millisecond)
 		}
 	}
 }
@@ -336,7 +358,7 @@ func TestBackupCoordinatorAbortsUnvalidatedOrphan(t *testing.T) {
 	h.recv(message.TypeValidateReply)
 
 	rec, err := coordinator.NewRecoverer(h.net, h.topo,
-		message.Addr{Node: topo.ClientNodeBase + 500, Core: 0}, 2, 100*time.Millisecond, 5)
+		message.Addr{Node: topo.ClientNodeBase + 500, Core: 0}, 2, drive.Policy{Timeout: 100 * time.Millisecond, Retries: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,16 +370,9 @@ func TestBackupCoordinatorAbortsUnvalidatedOrphan(t *testing.T) {
 	if committed {
 		t.Fatal("under-validated orphan committed")
 	}
-	deadline := time.Now().Add(time.Second)
-	for {
-		r, w := h.reps[0].Store().Pending("k")
-		if r == 0 && w == 0 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("abort did not clean pending state: (%d,%d)", r, w)
-		}
-		time.Sleep(time.Millisecond)
+	h.handled(0, 0, message.TypeCommit)
+	if r, w := h.reps[0].Store().Pending("k"); r != 0 || w != 0 {
+		t.Fatalf("abort did not clean pending state: (%d,%d)", r, w)
 	}
 }
 
@@ -378,7 +393,7 @@ func TestConcurrentBackupCoordinatorsAgree(t *testing.T) {
 		go func(i int) {
 			rec, err := coordinator.NewRecoverer(h.net, h.topo,
 				message.Addr{Node: topo.ClientNodeBase + 600 + uint32(i), Core: 0},
-				uint64(i), 50*time.Millisecond, 10)
+				uint64(i), drive.Policy{Timeout: 50 * time.Millisecond, Retries: 10})
 			if err != nil {
 				t.Error(err)
 				results <- false
@@ -403,8 +418,11 @@ func TestConcurrentBackupCoordinatorsAgree(t *testing.T) {
 
 func TestSweeperFinishesOrphan(t *testing.T) {
 	// With sweeping enabled, an orphaned transaction is finished by the
-	// replicas themselves, no external recovery needed.
-	h := newHarness(t, false, 20*time.Millisecond)
+	// replicas themselves, no external recovery needed — on virtual time: the
+	// records age, and the sweep ticks, only as the test moves the clock.
+	const sweep = 20 * time.Millisecond // the harness makes StaleAfter two of them
+	clk := clock.NewManual(int64(time.Hour))
+	h := newHarnessOn(t, transport.NewInproc(transport.InprocConfig{Clock: clk}), false, sweep)
 	txn := rmwTxn(1, 1, "k", "v", timestamp.Zero)
 	for rep := 0; rep < 3; rep++ {
 		h.send(rep, &message.Message{Type: message.TypeValidate, Txn: txn, TID: txn.ID, TS: ts(10, 1), CoreID: 0})
@@ -412,17 +430,24 @@ func TestSweeperFinishesOrphan(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		h.recv(message.TypeValidateReply)
 	}
-	deadline := time.Now().Add(3 * time.Second)
-	for {
-		v, ok := h.reps[0].Store().Read("k")
-		r, w := h.reps[0].Store().Pending("k")
-		if ok && string(v.Value) == "v" && r == 0 && w == 0 {
-			return
+
+	// One sweep short of StaleAfter nothing may touch the record.
+	clk.Advance(int64(sweep))
+	for rep := 0; rep < 3; rep++ {
+		h.handled(rep, 0, message.TypeSweep)
+	}
+	if _, w := h.reps[0].Store().Pending("k"); w != 1 {
+		t.Fatalf("a record younger than StaleAfter was swept: %d pending writers", w)
+	}
+	// At StaleAfter the tick's sweep finds it, and whichever replica's backup
+	// coordinator gets there first commits it everywhere.
+	clk.Advance(int64(sweep))
+	for rep := 0; rep < 3; rep++ {
+		h.handled(rep, 0, message.TypeCommit)
+		v, ok := h.reps[rep].Store().Read("k")
+		if r, w := h.reps[rep].Store().Pending("k"); !ok || string(v.Value) != "v" || r != 0 || w != 0 {
+			t.Fatalf("replica %d after the sweep: read %q, %v, pending (%d,%d)", rep, v.Value, ok, r, w)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("sweeper never finished the orphan: ok=%v pending=(%d,%d)", ok, r, w)
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -440,15 +465,9 @@ func TestSharedRecordModeProtocol(t *testing.T) {
 		t.Fatalf("cross-core duplicate: %+v", r)
 	}
 	h.send(0, &message.Message{Type: message.TypeCommit, TID: txn.ID, Status: message.StatusCommitted, CoreID: 0})
-	deadline := time.Now().Add(time.Second)
-	for {
-		if v, ok := h.reps[0].Store().Read("k"); ok && string(v.Value) == "v" {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("commit not applied in shared mode")
-		}
-		time.Sleep(time.Millisecond)
+	h.handled(0, 0, message.TypeCommit)
+	if v, ok := h.reps[0].Store().Read("k"); !ok || string(v.Value) != "v" {
+		t.Fatal("commit not applied in shared mode")
 	}
 }
 

@@ -1,10 +1,12 @@
 package transport
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"meerkat/internal/clock"
 	"meerkat/internal/message"
 )
 
@@ -32,6 +34,9 @@ type InprocConfig struct {
 	// endpoints are throttled, never client reply inboxes. Zero applies the
 	// model to every endpoint.
 	ServiceNodeLimit uint32
+	// Clock is the clock of the deployment this network carries (see
+	// Network.Clock). Nil means the machine's.
+	Clock clock.Clock
 }
 
 // InprocStats is a point-in-time aggregate of the network's counters.
@@ -81,10 +86,14 @@ func NewInproc(cfg InprocConfig) *Inproc {
 	if cfg.Batch <= 0 {
 		cfg.Batch = 32
 	}
+	cfg.Clock = clock.Or(cfg.Clock)
 	n := &Inproc{cfg: cfg}
 	n.table.Store(&endpointTable{})
 	return n
 }
+
+// Clock implements Network.
+func (n *Inproc) Clock() clock.Clock { return n.cfg.Clock }
 
 // Stats sums the per-endpoint counters (plus those of endpoints already
 // closed), so the aggregation cost lands on the scrape path, not the send
@@ -136,14 +145,10 @@ func (n *Inproc) Listen(addr message.Addr, h Handler) (Endpoint, error) {
 		addr: addr,
 		h:    h,
 		ch:   make(chan *message.Message, n.cfg.QueueDepth),
-		quit: make(chan struct{}),
-		done: make(chan struct{}),
+		g:    clock.NewGroup(n.cfg.Clock),
 	}
 	n.setEndpoint(addr, ep)
-	go func() {
-		ep.run()
-		close(ep.done) // after run has returned, so a joiner never sees its frame
-	}()
+	ep.g.Go(ep.run)
 	return ep, nil
 }
 
@@ -214,8 +219,7 @@ type inprocEndpoint struct {
 	addr   message.Addr
 	h      Handler
 	ch     chan *message.Message
-	quit   chan struct{}
-	done   chan struct{} // closed once run has returned
+	g      *clock.Group // the delivery goroutine; Close joins it
 	closed atomic.Bool
 	stats  inprocCounters // what this endpoint sent, and what became of it
 }
@@ -224,15 +228,20 @@ type inprocEndpoint struct {
 // non-blocking drain of up to Batch-1 more queued messages. Bursts are
 // handled without bouncing through the scheduler per message — the software
 // analogue of NIC-ring burst polling.
-func (ep *inprocEndpoint) run() {
+func (ep *inprocEndpoint) run(ctx context.Context) {
 	batch := ep.net.cfg.Batch
 	service := ep.net.cfg.ServiceTime
 	if limit := ep.net.cfg.ServiceNodeLimit; service > 0 && limit > 0 && ep.addr.Node >= limit {
 		service = 0
 	}
+	var busy clock.Timer // the capacity model's simulated server time
+	if service > 0 {
+		busy = ep.g.NewTimer()
+	}
+	done := ctx.Done()
 	for {
 		select {
-		case <-ep.quit:
+		case <-done:
 			return
 		case m := <-ep.ch:
 			ep.h(m)
@@ -250,7 +259,12 @@ func (ep *inprocEndpoint) run() {
 			if service > 0 {
 				// Capacity model: this endpoint spent handled*service of
 				// simulated server time on the burst (see ServiceTime).
-				time.Sleep(time.Duration(handled) * service)
+				busy.Reset(time.Duration(handled) * service)
+				select {
+				case <-busy.C():
+				case <-done:
+					return
+				}
 			}
 		}
 	}
@@ -282,6 +296,7 @@ func (ep *inprocEndpoint) Addr() message.Addr { return ep.addr }
 // Send implements Endpoint.
 func (ep *inprocEndpoint) Send(dst message.Addr, m *message.Message) error {
 	if ep.closed.Load() {
+		message.ReleaseMessage(m)
 		return ErrClosed
 	}
 	m.Src = ep.addr
@@ -295,6 +310,7 @@ func (ep *inprocEndpoint) Send(dst message.Addr, m *message.Message) error {
 // wakeup (see run), which is where inproc's batching lives.
 func (ep *inprocEndpoint) SendBatch(batch []Outgoing) error {
 	if ep.closed.Load() {
+		releaseBatch(batch)
 		return ErrClosed
 	}
 	for i := range batch {
@@ -304,6 +320,14 @@ func (ep *inprocEndpoint) SendBatch(batch []Outgoing) error {
 	return nil
 }
 
+// releaseBatch recycles the messages of a batch a closed endpoint was handed:
+// a send owns its message, delivered or not.
+func releaseBatch(batch []Outgoing) {
+	for i := range batch {
+		message.ReleaseMessage(batch[i].M)
+	}
+}
+
 // Flush implements Endpoint. Inproc buffers nothing on the send side.
 func (ep *inprocEndpoint) Flush() error { return nil }
 
@@ -311,10 +335,8 @@ func (ep *inprocEndpoint) Flush() error { return nil }
 // handler is not running and never will again. A handler must therefore not
 // close its own endpoint.
 func (ep *inprocEndpoint) Close() error {
-	if !ep.closed.Swap(true) {
-		close(ep.quit)
-	}
-	<-ep.done
+	ep.closed.Store(true)
+	ep.g.Close()
 	n := ep.net
 	n.mu.Lock()
 	if (*n.table.Load())[ep.addr] == ep {

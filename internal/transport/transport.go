@@ -22,6 +22,7 @@ package transport
 import (
 	"errors"
 
+	"meerkat/internal/clock"
 	"meerkat/internal/message"
 )
 
@@ -73,16 +74,22 @@ type Endpoint interface {
 	// except where a transport is configured with an explicit
 	// coalescing delay.
 	Flush() error
-	// Close unbinds the endpoint and stops its delivery goroutine; on
-	// inproc it returns only once the handler can no longer run.
+	// Close unbinds the endpoint and joins its delivery goroutine: it
+	// returns only once the handler can no longer run. A handler must
+	// therefore not close its own endpoint.
 	Close() error
 }
 
-// Network creates endpoints sharing one message fabric.
+// Network creates endpoints sharing one message fabric — and one clock: a
+// party waits, ages its records and paces its background work on the clock of
+// the fabric it is attached to, so a deployment has exactly one.
 type Network interface {
 	// Listen binds addr and dispatches inbound messages to h.
 	Listen(addr message.Addr, h Handler) (Endpoint, error)
-	// Close shuts down the network and all endpoints.
+	// Clock is the deployment's clock.
+	Clock() clock.Clock
+	// Close shuts down the network and all endpoints, and returns once no
+	// handler is running or will run again.
 	Close() error
 }
 

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -8,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"meerkat/internal/clock"
 	"meerkat/internal/message"
 	"meerkat/internal/topo"
 )
@@ -53,6 +55,7 @@ type UDP struct {
 	stride     int // ports per node
 	flushDelay time.Duration
 	noBatch    bool
+	clk        clock.Clock
 
 	// addrs caches resolved *net.UDPAddr per destination so the send path
 	// does not rebuild (and re-allocate) the same sockaddr per message.
@@ -81,8 +84,16 @@ func NewUDP(host string, basePort, stride int) *UDP {
 		basePort: basePort,
 		stride:   stride,
 		ports:    make(map[int]message.Addr),
+		clk:      clock.NewReal(),
 	}
 }
+
+// SetClock makes clk the clock of the deployment this network carries (see
+// Network.Clock) in place of the machine's. Must be called before Listen.
+func (n *UDP) SetClock(clk clock.Clock) { n.clk = clk }
+
+// Clock implements Network.
+func (n *UDP) Clock() clock.Clock { return n.clk }
 
 // SetFlushDelay installs a coalescing window: instead of flushing on every
 // Send/SendBatch boundary, an endpoint may hold buffered datagrams up to d
@@ -174,10 +185,14 @@ func (n *UDP) Listen(addr message.Addr, h Handler) (Endpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	ep := &udpEndpoint{net: n, addr: addr, conn: conn, h: h, port: port}
+	ep := &udpEndpoint{net: n, addr: addr, conn: conn, h: h, port: port, g: clock.NewGroup(n.clk)}
 	ep.pend = make([]sendSlot, 0, sendRing)
 	ep.wireInit()
-	go ep.readLoop()
+	ep.g.Go(func(context.Context) { ep.readLoop() }) // ends when Close closes the socket
+	if n.flushDelay > 0 {
+		ep.flushTimer = ep.g.NewTimer()
+		ep.g.Go(ep.flushLoop)
+	}
 	n.eps = append(n.eps, ep)
 	n.ports[port] = addr
 	return ep, nil
@@ -290,6 +305,7 @@ type udpEndpoint struct {
 	conn   *net.UDPConn
 	h      Handler
 	port   int
+	g      *clock.Group // the read loop and the flush timer's; Close joins both
 	closed atomic.Bool
 
 	sent      atomic.Uint64
@@ -305,7 +321,7 @@ type udpEndpoint struct {
 	pend       []sendSlot
 	corked     bool
 	timerArmed bool
-	flushTimer *time.Timer
+	flushTimer clock.Timer // non-nil iff a flush delay is configured
 
 	wire udpWire // per-platform mmsg state; zero value = fallback path
 }
@@ -319,6 +335,7 @@ func (ep *udpEndpoint) Addr() message.Addr { return ep.addr }
 // like the unbatched transport did.
 func (ep *udpEndpoint) Send(dst message.Addr, m *message.Message) error {
 	if ep.closed.Load() {
+		message.ReleaseMessage(m)
 		return ErrClosed
 	}
 	m.Src = ep.addr
@@ -334,6 +351,7 @@ func (ep *udpEndpoint) Send(dst message.Addr, m *message.Message) error {
 // allows (one, for batches up to sendRing).
 func (ep *udpEndpoint) SendBatch(batch []Outgoing) error {
 	if ep.closed.Load() {
+		releaseBatch(batch)
 		return ErrClosed
 	}
 	ep.mu.Lock()
@@ -407,28 +425,31 @@ func (ep *udpEndpoint) flushLocked() error {
 	return err
 }
 
-// armTimerLocked schedules a flush d from now, reusing one timer so the
-// coalescing path stays allocation-free after the first send. Callers hold
-// ep.mu.
+// armTimerLocked schedules a flush d from now on the endpoint's one timer, so
+// the coalescing path allocates nothing. Callers hold ep.mu.
 func (ep *udpEndpoint) armTimerLocked(d time.Duration) {
 	if ep.timerArmed {
 		return
 	}
 	ep.timerArmed = true
-	if ep.flushTimer == nil {
-		ep.flushTimer = time.AfterFunc(d, ep.timerFlush)
-	} else {
-		ep.flushTimer.Reset(d)
-	}
+	ep.flushTimer.Reset(d)
 }
 
-func (ep *udpEndpoint) timerFlush() {
-	ep.mu.Lock()
-	ep.timerArmed = false
-	if !ep.corked {
-		ep.flushLocked()
+// flushLoop flushes the ring each time the coalescing window closes.
+func (ep *udpEndpoint) flushLoop(ctx context.Context) {
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-ep.flushTimer.C():
+		}
+		ep.mu.Lock()
+		ep.timerArmed = false
+		if !ep.corked {
+			ep.flushLocked()
+		}
+		ep.mu.Unlock()
 	}
-	ep.mu.Unlock()
 }
 
 // cork holds the send ring open: Sends buffer but do not flush. The read
@@ -501,17 +522,17 @@ func (ep *udpEndpoint) deliver(datagram []byte) {
 	ep.h(m)
 }
 
-// Close implements Endpoint.
+// Close implements Endpoint: flush what is buffered, close the socket — which
+// ends the read loop — and join it.
 func (ep *udpEndpoint) Close() error {
 	if ep.closed.Swap(true) {
 		return nil
 	}
 	ep.mu.Lock()
 	ep.flushLocked()
-	if ep.flushTimer != nil {
-		ep.flushTimer.Stop()
-	}
 	ep.mu.Unlock()
 	ep.net.releasePort(ep)
-	return ep.conn.Close()
+	err := ep.conn.Close()
+	ep.g.Close()
+	return err
 }

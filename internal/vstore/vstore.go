@@ -36,8 +36,8 @@ package vstore
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
+	"meerkat/internal/clock"
 	"meerkat/internal/message"
 	"meerkat/internal/timestamp"
 )
@@ -195,7 +195,7 @@ type entry struct {
 	writers tsSet
 	readers tsSet
 
-	// appliedAt is the local wall clock (UnixNano) of the last committed
+	// appliedAt is the deployment clock's reading at the last committed
 	// mutation of this entry — version install, rts advance, or load. It is
 	// deliberately NOT the transaction timestamp: a transaction finalized via
 	// the sweeper or a backup coordinator can commit with a TS assigned long
@@ -215,6 +215,9 @@ type Config struct {
 	// trimmed on install. 0 means keep 8 (enough for the out-of-order
 	// reads the protocol generates). Negative means unbounded.
 	MaxVersions int
+	// Clock stamps each entry's last committed mutation (appliedAt), the
+	// wall axis of delta state transfer. Nil means the machine's clock.
+	Clock clock.Clock
 }
 
 // Store is the versioned storage layer.
@@ -222,6 +225,7 @@ type Store struct {
 	shards      []shard
 	mask        uint64
 	maxVersions int
+	clk         clock.Clock
 
 	// Commutative-op telemetry: opsMerged counts committed ops folded into
 	// version chains; opsRecovered counts the out-of-window folds that had
@@ -244,7 +248,7 @@ func New(cfg Config) *Store {
 	if maxV == 0 {
 		maxV = 8
 	}
-	s := &Store{shards: make([]shard, n), mask: uint64(n - 1), maxVersions: maxV}
+	s := &Store{shards: make([]shard, n), mask: uint64(n - 1), maxVersions: maxV, clk: clock.Or(cfg.Clock)}
 	for i := range s.shards {
 		s.shards[i].table.Store(emptyTable)
 	}
@@ -256,7 +260,7 @@ func New(cfg Config) *Store {
 func (s *Store) Load(key string, value []byte, ts timestamp.Timestamp) {
 	e := s.getOrCreate(key)
 	e.mu.Lock()
-	e.insertLocked(&node{value: value, wts: ts}, s.maxVersions)
+	e.insertLocked(&node{value: value, wts: ts}, s)
 	e.mu.Unlock()
 }
 
@@ -305,7 +309,7 @@ func (s *Store) SnapshotRead(key string, snap timestamp.Timestamp) (Version, tim
 	defer e.mu.Unlock()
 	if e.rts.Less(snap) {
 		e.rts = snap
-		e.appliedAt = time.Now().UnixNano()
+		e.appliedAt = s.clk.Now()
 	}
 	bound := snap
 	if w, ok := e.writers.min(); ok && w.LessEq(snap) {
@@ -420,7 +424,7 @@ func (s *Store) CommitRead(key string, ts timestamp.Timestamp) {
 	e.mu.Lock()
 	if e.rts.Less(ts) {
 		e.rts = ts
-		e.appliedAt = time.Now().UnixNano()
+		e.appliedAt = s.clk.Now()
 	}
 	e.readers.remove(ts)
 	e.mu.Unlock()
@@ -434,7 +438,7 @@ func (s *Store) CommitWrite(key string, value []byte, ts timestamp.Timestamp) {
 	e := s.getOrCreate(key)
 	e.mu.Lock()
 	e.writers.remove(ts)
-	e.insertLocked(&node{value: value, wts: ts}, s.maxVersions)
+	e.insertLocked(&node{value: value, wts: ts}, s)
 	e.mu.Unlock()
 }
 
@@ -458,7 +462,7 @@ func (s *Store) CommitOp(key string, kind message.OpKind, delta int64, arg []byt
 	n.op = &n.rec
 	e.mu.Lock()
 	e.writers.remove(ts)
-	recovered := e.insertLocked(&n.node, s.maxVersions)
+	recovered := e.insertLocked(&n.node, s)
 	e.mu.Unlock()
 	s.opsMerged.Add(1)
 	if recovered {
@@ -510,7 +514,8 @@ func (s *Store) OpStats() (merged, recovered uint64) {
 //     bottom run arithmetically instead; n itself is then not retained.
 //
 // Returns true when the op had to take the arithmetic-recovery path.
-func (e *entry) insertLocked(n *node, maxVersions int) (recovered bool) {
+func (e *entry) insertLocked(n *node, s *Store) (recovered bool) {
+	maxVersions := s.maxVersions
 	if !timestamp.Zero.Less(n.wts) {
 		// The empty chain behaves as a plain write at the Zero timestamp:
 		// versions at or below it are never observable.
@@ -570,7 +575,7 @@ func (e *entry) insertLocked(n *node, maxVersions int) (recovered bool) {
 		e.baseTrimmed = true
 	}
 	e.latest.Store(head)
-	e.appliedAt = time.Now().UnixNano()
+	e.appliedAt = s.clk.Now()
 	return recovered
 }
 
@@ -772,7 +777,7 @@ func (s *Store) ImportState(states []KeyState) {
 		}
 		e := s.getOrCreate(st.Key)
 		e.mu.Lock()
-		e.insertLocked(&node{value: st.Value, wts: st.WTS}, s.maxVersions)
+		e.insertLocked(&node{value: st.Value, wts: st.WTS}, s)
 		// A transferred state carries only the materialized latest value —
 		// the history beneath it lives on the exporting replica. Mark the
 		// base unknown so a commutative op replayed from below the imported

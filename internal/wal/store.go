@@ -1,14 +1,15 @@
 package wal
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
-	"time"
 
+	"meerkat/internal/clock"
 	"meerkat/internal/message"
 	"meerkat/internal/occ"
 	"meerkat/internal/timestamp"
@@ -56,16 +57,14 @@ type Store struct {
 	snapMu  sync.Mutex // serializes snapshots (and protects snapSeq)
 	snapSeq uint64
 
-	snapStop chan struct{} // closed to stop the periodic snapshotter
+	// g runs every background snapshot this store starts — the periodic
+	// snapshotter and SnapshotAsync's one-shots — so Close and Crash return
+	// only once nothing can still write under dir.
+	g *clock.Group
 
-	// bg tracks every background snapshot goroutine this store started —
-	// the periodic snapshotter and SnapshotAsync's one-shots — so Close and
-	// Crash return only once nothing can still write under dir. Add is
-	// called under mu with closed false, which orders it before their Wait.
-	bg sync.WaitGroup
-
-	mu     sync.Mutex
-	closed bool
+	mu           sync.Mutex
+	snapshotting bool // the periodic snapshotter is started
+	closed       bool
 }
 
 // Open opens (creating if necessary) the durability directory for a replica
@@ -82,7 +81,7 @@ func Open(dir string, cores int, opts Options) (*Store, *Recovered, error) {
 		return nil, nil, err
 	}
 
-	vs := vstore.New(vstore.Config{})
+	vs := vstore.New(vstore.Config{Clock: opts.Clock})
 	rec := &Recovered{Store: vs}
 
 	// Snapshot first: logs replay over it.
@@ -102,14 +101,14 @@ func Open(dir string, cores int, opts Options) (*Store, *Recovered, error) {
 		}
 	}
 
-	s := &Store{dir: dir, opts: opts, snapSeq: 0}
+	s := &Store{dir: dir, opts: opts, snapSeq: 0, g: clock.NewGroup(opts.Clock)}
 	if man != nil {
 		s.snapSeq = man.Seq
 	}
 	if opts.Scheduler == nil {
 		// One scheduler for all of this store's cores: their fsyncs batch
 		// into (almost) one journal commit per tick instead of one each.
-		s.ownSched = NewScheduler(opts.GroupCommitInterval)
+		s.ownSched = NewScheduler(opts.GroupCommitInterval, opts.Clock)
 		opts.Scheduler = s.ownSched
 	}
 	for c := 0; c < cores; c++ {
@@ -358,42 +357,20 @@ func renameAndSyncDir(oldPath, newPath, dir string) error {
 func (s *Store) StartSnapshotter(vs *vstore.Store) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed || s.snapStop != nil || s.opts.SnapshotInterval < 0 {
+	if s.closed || s.snapshotting || s.opts.SnapshotInterval < 0 {
 		return
 	}
-	s.snapStop = make(chan struct{})
-	s.bg.Add(1)
-	go func(stop chan struct{}) {
-		defer s.bg.Done()
-		t := time.NewTicker(s.opts.SnapshotInterval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				// Snapshot failures are not fatal: the logs keep growing and
-				// the next tick retries.
-				s.Snapshot(vs)
-			}
-		}
-	}(s.snapStop)
+	s.snapshotting = true
+	// Snapshot failures are not fatal: the logs keep growing and the next
+	// tick retries.
+	s.g.Every(s.opts.SnapshotInterval, func() { s.Snapshot(vs) })
 }
 
 // SnapshotAsync takes one best-effort snapshot of vs in the background. The
 // store owns the goroutine: Close and Crash wait for it, so no snapshot file
 // lands after either has returned. A no-op on a closed store.
 func (s *Store) SnapshotAsync(vs *vstore.Store) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return
-	}
-	s.bg.Add(1)
-	go func() {
-		defer s.bg.Done()
-		s.Snapshot(vs)
-	}()
+	s.g.Go(func(context.Context) { s.Snapshot(vs) })
 }
 
 // shutdown marks the store closed, stops the periodic snapshotter and waits
@@ -401,17 +378,13 @@ func (s *Store) SnapshotAsync(vs *vstore.Store) {
 // already closed.
 func (s *Store) shutdown() bool {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return false
-	}
+	was := s.closed
 	s.closed = true
-	if s.snapStop != nil {
-		close(s.snapStop)
-	}
 	s.mu.Unlock()
-	s.bg.Wait()
-	return true
+	if !was {
+		s.g.Close()
+	}
+	return !was
 }
 
 // Flush forces every core's pending records to disk (write + fsync).

@@ -42,6 +42,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"meerkat/internal/clock"
 	"meerkat/internal/message"
 	"meerkat/internal/timestamp"
 )
@@ -111,6 +112,9 @@ type Options struct {
 	// this size; whole segments behind the latest snapshot are deleted at
 	// truncation. Default 64 MiB.
 	MaxSegmentBytes int64
+	// Clock paces group commit and the snapshotter, and stamps what the
+	// replayed store applies. Nil means the machine's.
+	Clock clock.Clock
 }
 
 func (o *Options) fill() {
@@ -159,31 +163,23 @@ const maxRetainedBuffer = 4 << 20
 // batch with each other); a cluster hosting several replicas in one process
 // should share a single scheduler across them.
 type Scheduler struct {
-	interval time.Duration
-
 	mu      sync.Mutex
 	logs    []*Log
 	scratch []*Log // reused snapshot of logs for lock-free passes
 
-	kickCh   chan struct{}
-	stopCh   chan struct{}
-	doneCh   chan struct{}
-	stopOnce sync.Once
+	g    *clock.Group // the ticking goroutine; Stop joins it
+	kick func()       // wakes it ahead of its tick (high-water backstop)
 }
 
 // NewScheduler starts a group-commit scheduler ticking every interval
-// (default 2ms). Stop it after every log registered with it has closed.
-func NewScheduler(interval time.Duration) *Scheduler {
+// (default 2ms) on clk (nil: the machine's clock). Stop it after every log
+// registered with it has closed.
+func NewScheduler(interval time.Duration, clk clock.Clock) *Scheduler {
 	if interval <= 0 {
 		interval = 2 * time.Millisecond
 	}
-	s := &Scheduler{
-		interval: interval,
-		kickCh:   make(chan struct{}, 1),
-		stopCh:   make(chan struct{}),
-		doneCh:   make(chan struct{}),
-	}
-	go s.run()
+	s := &Scheduler{g: clock.NewGroup(clk)}
+	s.kick = s.g.Every(interval, s.pass)
 	return s
 }
 
@@ -204,49 +200,28 @@ func (s *Scheduler) unregister(l *Log) {
 	s.mu.Unlock()
 }
 
-// kick wakes the scheduler ahead of its tick (high-water backstop).
-func (s *Scheduler) kick() {
-	select {
-	case s.kickCh <- struct{}{}:
-	default:
+// pass is one group commit: the write pass, then the sync pass.
+func (s *Scheduler) pass() {
+	s.mu.Lock()
+	logs := append(s.scratch[:0], s.logs...)
+	s.mu.Unlock()
+	for _, l := range logs {
+		l.flush(false)
 	}
+	for _, l := range logs {
+		if l.opts.Sync == SyncBatch {
+			l.syncOnly()
+		}
+	}
+	s.mu.Lock()
+	s.scratch = logs[:0]
+	s.mu.Unlock()
 }
 
-// run is the group-commit goroutine: write pass, then sync pass.
-func (s *Scheduler) run() {
-	defer close(s.doneCh)
-	t := time.NewTicker(s.interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stopCh:
-			return
-		case <-t.C:
-		case <-s.kickCh:
-		}
-		s.mu.Lock()
-		logs := append(s.scratch[:0], s.logs...)
-		s.mu.Unlock()
-		for _, l := range logs {
-			l.flush(false)
-		}
-		for _, l := range logs {
-			if l.opts.Sync == SyncBatch {
-				l.syncOnly()
-			}
-		}
-		s.mu.Lock()
-		s.scratch = logs[:0]
-		s.mu.Unlock()
-	}
-}
-
-// Stop shuts the scheduler goroutine down. Pending records are not flushed —
-// close the logs first (Log.Close flushes and fsyncs on its own).
-func (s *Scheduler) Stop() {
-	s.stopOnce.Do(func() { close(s.stopCh) })
-	<-s.doneCh
-}
+// Stop ends the scheduler and returns once its goroutine has. Pending records
+// are not flushed — close the logs first (Log.Close flushes and fsyncs on its
+// own).
+func (s *Scheduler) Stop() { s.g.Close() }
 
 // appendFrame appends one CRC frame carrying the encoding of m to buf.
 func appendFrame(buf []byte, m *message.Message) []byte {
@@ -407,7 +382,7 @@ func openLog(dir string, opts Options, apply func(m *message.Message) error) (*L
 	if opts.Scheduler != nil {
 		l.sched = opts.Scheduler
 	} else {
-		l.sched = NewScheduler(opts.GroupCommitInterval)
+		l.sched = NewScheduler(opts.GroupCommitInterval, opts.Clock)
 		l.ownSched = true
 	}
 

@@ -2,10 +2,12 @@ package meerkat
 
 import (
 	"errors"
+	"net"
 	"os"
 	"path/filepath"
 	"regexp"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -21,17 +23,9 @@ import (
 // cleanup runs after every Close the test registers or defers and before the
 // temp dir is removed.
 //
-// A short grace period covers fired timer callbacks that may be mid-flight
-// and goroutines past their last statement but not yet gone. Four families
-// get none. A write to the data directory after Close returned is exactly
-// what this exists to catch, so open fds and goroutines inside internal/wal —
-// the only code that writes there — must be gone at once. So must the
-// sweeper's per-transaction recoveries, which Close and CrashReplica join
-// (TestStopJoinsSweeperRecoveries), anything else running coordinator code —
-// the coordinator starts no goroutine of its own
-// (TestCloseMidCommitLeavesNoCoordinatorGoroutine) — and every inproc delivery
-// loop, which closing its endpoint or the network joins: no handler runs
-// after Close.
+// It looks once, the moment the last Close has returned: every goroutine under
+// Open belongs to a clock.Group that the Close of its owner joins, and a joined
+// goroutine has left this module's code (see clock.Group).
 func verifyCleanShutdown(t *testing.T, dataDir string) {
 	t.Helper()
 	before := meerkatGoroutines()
@@ -41,40 +35,12 @@ func verifyCleanShutdown(t *testing.T, dataDir string) {
 				t.Errorf("file descriptors still open under the data dir after Close:\n  %s", strings.Join(open, "\n  "))
 			}
 		}
-		deadline := time.Now().Add(2 * time.Second)
-		for first := true; ; first = false {
-			leaked := ""
-			for id, stack := range meerkatGoroutines() {
-				if _, ok := before[id]; ok {
-					continue
-				}
-				if first && strings.Contains(stack, "meerkat/internal/wal.") {
-					t.Errorf("a WAL goroutine was still running when Close returned:\n%s", stack)
-				}
-				if first && inRecovery(stack) {
-					t.Errorf("a sweeper recovery or coordinator goroutine was still running when Close returned:\n%s", stack)
-				}
-				if first && strings.Contains(stack, "transport.(*inprocEndpoint).run") {
-					t.Errorf("an inproc delivery loop was still running when Close returned:\n%s", stack)
-				}
-				leaked += "\n" + stack + "\n"
+		for id, stack := range meerkatGoroutines() {
+			if _, ok := before[id]; !ok {
+				t.Errorf("a goroutine outlived Close:\n%s", stack)
 			}
-			if leaked == "" {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Errorf("goroutines outlived Close:%s", leaked)
-				return
-			}
-			time.Sleep(5 * time.Millisecond)
 		}
 	})
-}
-
-// inRecovery reports a goroutine of a replica's sweeper — its recovery worker,
-// idle or not — or any other that runs coordinator code.
-func inRecovery(stack string) bool {
-	return strings.Contains(stack, "handleSweep") || strings.Contains(stack, "recoverLoop") || runsCoordinator(stack)
 }
 
 func runsCoordinator(stack string) bool {
@@ -139,6 +105,7 @@ func openFilesUnder(dir string) []string {
 // returned nothing of internal/coordinator may be running anywhere — checked
 // at once, with no grace period.
 func TestCloseMidCommitLeavesNoCoordinatorGoroutine(t *testing.T) {
+	verifyCleanShutdown(t, "")
 	const cut = 3                // the replica group behind the partition,
 	nodes := []uint32{9, 10, 11} // its three replicas' nodes (checked below)
 	db, err := Open(Config{Shards: 4, Seed: 1, CommitTimeout: 20 * time.Millisecond, Retries: 3, Faults: &faultnet.Plan{
@@ -259,5 +226,72 @@ func TestStopJoinsSweeperRecoveries(t *testing.T) {
 				t.Errorf("sweeper recoveries still running after the stop returned:\n%s", strings.Join(left, "\n\n"))
 			}
 		})
+	}
+}
+
+// TestCloseLeavesNothingRunning opens a deployment of each shape, puts it to
+// work and closes it, with the leak check — one look, no grace — armed: the
+// delivery loops of inproc and the read loops of UDP, the WAL's group commit
+// and snapshotter, the sweepers and, with a fault plan that delays every
+// datagram past the commit's whole retry budget, the injector's delayed sends
+// still in flight at the Close.
+func TestCloseLeavesNothingRunning(t *testing.T) {
+	slow := &faultnet.Plan{Seed: 1, Rules: []faultnet.Rule{faultnet.EveryLink(faultnet.Rule{DelayProb: 1, Delay: 50 * time.Millisecond})}}
+	shapes := map[string]func(dir string) Config{
+		"inproc": func(string) Config { return Config{Shards: 2, SweepInterval: 5 * time.Millisecond} },
+		"udp": func(string) Config {
+			return Config{Transport: TransportUDP, UDPBasePort: 25000, UDPFlushDelay: 50 * time.Microsecond}
+		},
+		"durable": func(dir string) Config {
+			return Config{Durability: Durability{DataDir: dir, SnapshotInterval: time.Millisecond}}
+		},
+		"delayed datagrams": func(string) Config {
+			return Config{Transport: TransportUDP, UDPBasePort: 25200, Faults: slow,
+				CommitTimeout: 5 * time.Millisecond, Retries: 1, BackoffMax: time.Millisecond}
+		},
+	}
+	for name, shape := range shapes {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			verifyCleanShutdown(t, dir)
+			cfg := shape(dir)
+			cfg.Cores = 2
+			db, err := Open(cfg)
+			if sock := new(*net.OpError); errors.As(err, sock) {
+				t.Skipf("cannot bind UDP sockets: %v", err)
+			} else if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			cl, err := db.Client()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			for i := 0; i < 20 && err == nil; i++ {
+				err = cl.Put(strconv.Itoa(i), []byte("v"))
+			}
+			if cfg.Faults == nil && err != nil {
+				t.Fatalf("put: %v", err)
+			}
+			if cfg.Faults != nil {
+				if !errors.Is(err, ErrTimeout) {
+					t.Fatalf("put with every datagram 50 ms late: %v, want ErrTimeout", err)
+				}
+				if st := db.Admin().FaultNetwork().Stats().Summary(); st.Delayed == 0 {
+					t.Fatalf("no send was delayed: %+v", st)
+				}
+			}
+		})
+	}
+}
+
+// TestReplicasRecoverUnderTheDeploymentsPolicy: the backup coordinator of
+// every replica runs under the retry policy the deployment was configured
+// with, as its clients, its epoch changes and its state transfers do.
+func TestReplicasRecoverUnderTheDeploymentsPolicy(t *testing.T) {
+	db := newTestDB(t, Config{CommitTimeout: 5 * time.Millisecond, Retries: 2, BackoffBase: time.Millisecond, BackoffMax: 3 * time.Millisecond})
+	if got := db.replicaConfig(0, 0, nil, nil, false).Policy; got != db.policy() || got.Timeout != 5*time.Millisecond {
+		t.Fatalf("replica recovery policy %+v, want the deployment's %+v", got, db.policy())
 	}
 }

@@ -25,11 +25,12 @@ func (a *Admin) CrashReplica(p, r int) {
 	rep := db.replicas[p][r]
 	db.replicas[p][r] = nil
 	if rep != nil {
-		// Stamp the crash instant: RecoverReplica hands it to donors as the
-		// wall-clock delta bound (ship every key whose commit you applied
-		// since), which catches commits finalized during the outage with
-		// timestamps older than any TS margin.
-		db.crashedAt[[2]int{p, r}] = time.Now().UnixNano()
+		// Stamp the crash instant on the clock the stores stamp their applies
+		// with: RecoverReplica hands it to donors as the wall-axis delta bound
+		// (ship every key whose commit you applied since), which catches
+		// commits finalized during the outage with timestamps older than any
+		// TS margin.
+		db.crashedAt[[2]int{p, r}] = db.clk.Now()
 	}
 	db.mu.Unlock()
 	if rep != nil {
@@ -92,7 +93,7 @@ func (a *Admin) RecoverReplica(p, r int) error {
 	if db.cfg.Durability.Enabled() {
 		var recov *wal.Recovered
 		var err error
-		w, recov, err = wal.Open(db.cfg.Durability.replicaDir(p, r), db.cfg.Cores, db.cfg.Durability.walOptions(db.walSched))
+		w, recov, err = wal.Open(db.cfg.Durability.replicaDir(p, r), db.cfg.Cores, db.walOptions())
 		if err != nil {
 			return err
 		}
@@ -112,7 +113,7 @@ func (a *Admin) RecoverReplica(p, r int) error {
 			sinceWall = crashStamp - slack.Nanoseconds()
 		}
 	} else {
-		store = vstore.New(vstore.Config{})
+		store = vstore.New(vstore.Config{Clock: db.clk})
 	}
 	if err := recovery.SyncStoreRemote(context.Background(), db.net, db.topo, p, donor, store, db.policy(),
 		recovery.Options{Since: since, SinceWall: sinceWall}); err != nil {
