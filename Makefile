@@ -19,7 +19,9 @@ vet:
 
 # Seeded fault-injection run under the race detector: ambient loss, a
 # partition window, one replica crash+restart; the checker must accept the
-# history and the crash window must force slow-path commits. Set
+# history and the crash window must force slow-path commits. TestChaosUDP runs
+# the schedule over loopback UDP, where every message is decoded and — under
+# the race detector — the bytes of a released one are poisoned. Set
 # CHAOS_ARTIFACT_DIR to keep the fault-schedule JSON on failure.
 chaos:
 	$(GO) test -race -count=1 -run 'TestChaos' -v ./internal/chaos/
@@ -110,6 +112,10 @@ bench-exp:
 # internal/clock has exactly one time.NewTimer and one go statement; and
 # internal/transport, internal/wal, internal/replica and internal/faultnet
 # declare no stop channel, Once, WaitGroup or CancelFunc field of their own.
+# And the decoder owns its bytes, in one place: "unsafe" is imported, in non-test
+# Go, by the mmsg syscall file and by internal/message/arena.go (a decoded key
+# is a string over its message's arena; DESIGN.md §7 rule 5) and nowhere else,
+# and the codec has no allocating string(d.buf[...]) conversion beside it.
 DRIVEN = internal/coordinator/*.go internal/recovery/*.go internal/drive/*.go
 WALLCLOCK = kuafu|meerkatpb|pbclient|sim|bench|chaos
 CLOCKED = $$(ls *.go internal/*/*.go | grep -v _test.go | grep -vE '^internal/($(WALLCLOCK)|clock)/|^internal/obs/export\.go$$')
@@ -148,3 +154,6 @@ api-guard:
 		|| { echo "internal/coordinator must have exactly one &Txn{ (Begin's)"; exit 1; }
 	@! sed -n '/^func (cl \*Client) Run(/,/^}/p' client.go | grep -n '&Txn{'
 	@! grep -nE --exclude='*_test.go' 'message\.Txn\{.*(ReadSet|WriteSet|OpSet): *t\.(reads|writes|ops)\b' internal/coordinator/*.go
+	@! grep -rl --include='*.go' --exclude='*_test.go' '"unsafe"' . \
+		| grep -vxE '\./internal/(transport/udp_mmsg_linux|message/arena)\.go'
+	@! grep -nF 'string(d.buf[' internal/message/codec.go

@@ -436,3 +436,131 @@ func TestSweeperOverUDP(t *testing.T) {
 		t.Error("the write is there but no sweep handed it to a backup coordinator")
 	}
 }
+
+// TestColdKeepersOverUDP drives, across a real decode, the four cold paths that
+// keep what a decoded message carries (DESIGN.md §7 rule 5) and then looks into
+// every replica's store for the exact bytes: a backup coordinator re-proposing
+// the body it read in a coordinator-change ack, to a replica that never saw the
+// validate; a state import; the epoch change's acks, whose records make the
+// merge; and the merge's install. A message's bytes die at its release — under
+// -race they are poisoned there, otherwise the next datagram decoded into that
+// struct overwrites them, and the later traffic here makes sure one is — so a
+// keeper that goes on aliasing them leaves garbage under a key, or the write
+// under a garbage key, at some replica.
+func TestColdKeepersOverUDP(t *testing.T) {
+	verifyCleanShutdown(t, "")
+	db, err := Open(Config{
+		Transport: TransportUDP, UDPBasePort: 26500, Cores: 1,
+		CommitTimeout: 10 * time.Millisecond,
+		SweepInterval: 25 * time.Millisecond, StaleAfter: 100 * time.Millisecond,
+	})
+	if sock := new(*net.OpError); errors.As(err, sock) {
+		t.Skipf("cannot bind UDP sockets: %v", err)
+	} else if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	in := transport.NewInbox(64)
+	raw, err := db.net.Listen(db.topo.ClientAddr(900), in.Handle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	// orphan validates a one-write transaction at replicas 0 and 1 — and, asked
+	// to, has them accept its commit in view 0, which makes commit the only
+	// outcome a backup coordinator may reach — and walks away: replica 2 never
+	// hears of it and nobody sends the commit.
+	orphan := func(seq uint64, key, value string, accept bool) {
+		t.Helper()
+		tid := timestamp.TxnID{Seq: seq, ClientID: 900}
+		txn := message.Txn{ID: tid, WriteSet: []message.WriteSetEntry{{Key: key, Value: []byte(value)}}}
+		ts := timestamp.Timestamp{Time: time.Now().UnixNano(), ClientID: 900}
+		reqs := []message.Message{{Type: message.TypeValidate, Txn: txn, TID: tid, TS: ts}}
+		if accept {
+			reqs = append(reqs, message.Message{Type: message.TypeAccept, TID: tid, TS: ts, Status: message.StatusAcceptCommit})
+		}
+		for i := range reqs {
+			for r := 0; r < 2; r++ {
+				req := new(message.Message)
+				req.CopyFrom(&reqs[i])
+				raw.Send(db.topo.ReplicaAddr(0, r, 0), req)
+				select {
+				case m := <-in.C:
+					if m.Type != reqs[i].Type+1 || m.Type == message.TypeValidateReply && m.Status != message.StatusValidatedOK ||
+						m.Type == message.TypeAcceptReply && !m.OK {
+						t.Fatalf("%v of %v at replica %d: %v", reqs[i].Type, tid, r, m)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatalf("no reply to the %v from replica %d", reqs[i].Type, r)
+				}
+			}
+		}
+	}
+	want := map[string]string{}
+	// everywhere waits until every live replica's store reads want, byte for byte.
+	everywhere := func(when string) {
+		t.Helper()
+		var diff string
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			diff = ""
+			for r := 0; r < 3 && diff == ""; r++ {
+				rep := db.replicaAt(0, r)
+				for k, v := range want {
+					if rep == nil {
+						break
+					}
+					if got, ok := rep.Store().Read(k); !ok || string(got.Value) != v {
+						diff = fmt.Sprintf("replica %d reads %q = %q (found %v), want %q", r, k, got.Value, ok, v)
+						break
+					}
+				}
+			}
+			if diff == "" {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %s", when, diff)
+			}
+		}
+	}
+
+	// 1. The sweeper's backup coordinator reads the body in a decoded
+	// coordinator-change ack and proposes it in an accept; replica 2 learns it
+	// from that — a decoded accept — alone.
+	orphan(1, "orphan-1", "re-proposed by a backup coordinator", true)
+	want["orphan-1"] = "re-proposed by a backup coordinator"
+	everywhere("after the sweep")
+
+	// 2. Replica 2 crashes, misses ten commits and is rebuilt: the commits
+	// reach it in decoded state replies. A second orphan is validated at the
+	// survivors just before, so the epoch change finds it undecided in their
+	// decoded acks, decides it in the merge and installs it — at replica 2 body
+	// and all, out of the decoded epoch-change-complete.
+	cl := newDBClient(t, db)
+	db.Admin().CrashReplica(0, 2)
+	for i := 0; i < 10; i++ {
+		k, v := fmt.Sprintf("missed-%d", i), fmt.Sprintf("%064d", i)
+		if err := cl.Put(k, []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+		want[k] = v
+	}
+	orphan(2, "orphan-2", "decided by the epoch change's merge", false)
+	want["orphan-2"] = "decided by the epoch change's merge"
+	if err := db.Admin().RecoverReplica(0, 2); err != nil {
+		t.Fatal(err)
+	}
+	everywhere("after the recovery")
+
+	// The structs that carried all of the above carry three hundred other
+	// messages each; what was kept out of them does not change.
+	for i := 0; i < 300; i++ {
+		if err := cl.Put(fmt.Sprintf("later-%d", i%7), []byte(fmt.Sprintf("%064d", -i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 7; i++ {
+		delete(want, fmt.Sprintf("later-%d", i))
+	}
+	everywhere("after 300 later transactions")
+}

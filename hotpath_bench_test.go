@@ -9,6 +9,10 @@ import (
 	"meerkat"
 )
 
+// udpHotpath is the deployment of the UDP rows of TestCommitAllocGate, one at a
+// time on the same ports.
+var udpHotpath = meerkat.Config{Transport: meerkat.TransportUDP, UDPBasePort: 21000}
+
 // newHotpath opens a deployment per cfg with nkeys pre-loaded keys and one
 // client, for the end-to-end hot-path benchmarks and allocation gates.
 func newHotpath(tb testing.TB, cfg meerkat.Config, nkeys int) (*meerkat.DB, *meerkat.Client, []string) {
@@ -78,6 +82,19 @@ func buildRMW(txn *meerkat.Txn, keys []string) error {
 	}
 	txn.Write(keys[0], hotpathValue)
 	return nil
+}
+
+// buildRMWRing is buildRMW on the next key of the ring at every call. Over UDP
+// a commit reaches the replicas well after Run has returned, and a closed loop
+// on one key reads it, two times in three, at a replica that has not applied
+// the last write yet — an abort and a second attempt, which is not what an
+// allocation gate is counting.
+func buildRMWRing() func(*meerkat.Txn, []string) error {
+	next := 0
+	return func(txn *meerkat.Txn, keys []string) error {
+		next++
+		return buildRMW(txn, keys[next%len(keys):])
+	}
 }
 
 // buildReadOnly is the read-only fast path in its cheapest shape: one
@@ -301,6 +318,18 @@ func TestCommitAllocGate(t *testing.T) {
 		{name: "run-read-only", run: buildReadOnly, runs: 200, max: 1},
 		{name: "run-timeline-10", keys: 10, run: buildTimeline, runs: 200, max: 1},
 		{name: "run-cross-shard", cfg: meerkat.Config{Shards: 4}, groups: 3, run: buildCrossShard, runs: 200, max: 11},
+		// The same bodies over loopback UDP, where every message is decoded.
+		// A decoded key or value is a span of the arena its pooled message
+		// keeps, so what is left is what somebody keeps: per replica the
+		// version node, the record's two set arrays and its one compact body
+		// (4 × 3), and the client's one buffer per read round that returned a
+		// value — which is all a read-only transaction costs. The timeline is
+		// not marked read-only and validates its ten reads: per replica the
+		// record's read-set array and its body of ten keys (2 × 3), and the
+		// round's buffer.
+		{name: "udp-run-rmw", cfg: udpHotpath, keys: 8, run: buildRMWRing(), runs: 200, max: 14},
+		{name: "udp-run-read-only", cfg: udpHotpath, run: buildReadOnly, runs: 200, max: 2},
+		{name: "udp-run-timeline-10", cfg: udpHotpath, keys: 10, run: buildTimeline, runs: 200, max: 8},
 	} {
 		t.Run(g.name, func(t *testing.T) {
 			db, cl, keys := newHotpath(t, g.cfg, max(g.keys, 1))

@@ -81,6 +81,16 @@ type Config struct {
 	// either way the committed reads join the history, and the checker
 	// verifies they saw a consistent cut.
 	ReadOnlyMix float64
+	// UDPBasePort, when non-zero, opens the deployment over loopback UDP
+	// sockets from that port up instead of in process: every message is
+	// encoded and decoded, so the run also drives the epoch-change install, the
+	// state import and a backup coordinator's re-proposal across a real decode,
+	// with released bytes poisoned under -race. A record that keeps decoded
+	// bytes without copying them loses committed writes and fails the checker;
+	// a replica that merely holds a garbage value is routed around by
+	// validation, so the cold paths have a deterministic test of their own
+	// (TestColdKeepersOverUDP in the root package).
+	UDPBasePort int
 }
 
 func (c *Config) fill() {
@@ -191,13 +201,17 @@ func Run(cfg Config) (*Result, error) {
 	}
 	res := &Result{Plan: planBytes}
 
-	db, err := meerkat.Open(meerkat.Config{
+	mcfg := meerkat.Config{
 		Cores:         cfg.Cores,
 		Seed:          cfg.Seed,
 		Faults:        cfg.Plan,
 		CommitTimeout: cfg.CommitTimeout,
 		Durability:    cfg.Durability,
-	})
+	}
+	if cfg.UDPBasePort != 0 {
+		mcfg.Transport, mcfg.UDPBasePort = meerkat.TransportUDP, cfg.UDPBasePort
+	}
+	db, err := meerkat.Open(mcfg)
 	if err != nil {
 		return nil, err
 	}

@@ -66,6 +66,38 @@ func TestChaosSmoke(t *testing.T) {
 		res.Committed, res.Resolved, res.RunErrors, res.FastCommits, res.SlowCommits, res.Faults)
 }
 
+// TestChaosUDP is the smoke schedule over loopback UDP: every message is
+// decoded into a pooled struct whose bytes die at its release, so the crash
+// window's slow path and backup coordinators, the restart's state import and
+// the epoch change's merge install all run across a real decode, with released
+// arenas poisoned under -race. A record that aliased decoded bytes would apply
+// its commit under a 0xDB key — a committed write lost at every replica, which
+// the run cannot resolve and the checker rejects. (A cold path that aliased
+// them is not caught here: validation routes around one replica's garbage.
+// TestColdKeepersOverUDP in the root package is that gate.)
+func TestChaosUDP(t *testing.T) {
+	res, err := Run(Config{Seed: 7, Ops: true, ReadOnlyMix: 0.2, Timeout: 90 * time.Second, UDPBasePort: 31000})
+	if err != nil {
+		t.Fatalf("chaos run: %v", err)
+	}
+	if !res.Ok() {
+		dumpArtifact(t, res)
+		t.Fatalf("checker rejected history over UDP: unresolved=%d violations=%v dup_ts=%d",
+			res.Unresolved, res.Violations, res.DupTimestamps)
+	}
+	if res.Committed == 0 || res.Crashes != 1 || res.Restarts != 1 || res.SlowCommits == 0 {
+		dumpArtifact(t, res)
+		t.Fatalf("committed=%d crashes=%d restarts=%d slow=%d: the schedule did not run",
+			res.Committed, res.Crashes, res.Restarts, res.SlowCommits)
+	}
+	if res.Faults.Dropped == 0 || res.Faults.Blackholed == 0 {
+		dumpArtifact(t, res)
+		t.Fatalf("injector idle: %+v", res.Faults)
+	}
+	t.Logf("committed=%d resolved=%d run_errors=%d fast=%d slow=%d ro=%d faults=%+v",
+		res.Committed, res.Resolved, res.RunErrors, res.FastCommits, res.SlowCommits, res.ROCommits, res.Faults)
+}
+
 // TestChaosReproducible runs the same seeded configuration twice and checks
 // the determinism contract: byte-identical fault schedules and the same
 // checker verdict.

@@ -49,6 +49,11 @@ type readRound struct {
 	parts   []readPart           // len Partitions
 	state   []roKeyState         // snapshot settlement, aligned with grouped
 	out     []message.ReadResult // index-aligned with the caller's keys and handed back to it
+	// park holds, until the round closes, the values adopted from replies that
+	// own their bytes (message.OwnsBytes: decoded ones — their arena dies at the
+	// release that follows Reply); own then moves what the round hands back
+	// into the one buffer the caller keeps.
+	park []byte
 
 	open       int       // partitions whose part is open
 	wake       time.Time // when tick next has to run; zero: at once
@@ -70,6 +75,7 @@ func (rr *readRound) init(cfg *Config, l *link) {
 // begin starts a round over keys: every touched partition is sent its request.
 func (rr *readRound) begin(keys []string, snap timestamp.Timestamp, now time.Time) {
 	rr.keysIn, rr.snap, rr.minW, rr.err, rr.redirected = keys, snap, snap, nil, false
+	rr.park = rr.park[:0]
 	rr.regroup()
 	rr.Tick(now)
 }
@@ -159,10 +165,13 @@ func (rr *readRound) Reply(m *message.Message) {
 	case len(m.Reads) != hi-lo:
 	case rr.snap.IsZero():
 		// The results are copied out, element by element: the reply owns its
-		// Reads array and empties it on release. (The value bytes are the
-		// replica's immutable version storage, or the decoder's own.)
+		// Reads array and empties it on release. The value bytes stay where
+		// they are when they are the replica's immutable version storage, and
+		// are parked when they are the reply's own.
 		for j := range m.Reads {
-			rr.out[rr.origIdx[lo+j]] = m.Reads[j]
+			res := &rr.out[rr.origIdx[lo+j]]
+			*res = m.Reads[j]
+			rr.keep(m, res)
 		}
 		rr.close(t)
 	case t.replied < rr.cfg.Topo.Replicas && t.count(m.ReplicaID):
@@ -175,7 +184,9 @@ func (rr *readRound) Reply(m *message.Message) {
 			// partition's key states.
 			t.ok++
 			for j := range m.Reads {
-				keys[j].merge(&m.Reads[j])
+				if keys[j].merge(&m.Reads[j]) {
+					rr.keep(m, &keys[j].res)
+				}
 			}
 		}
 		switch {
@@ -186,6 +197,36 @@ func (rr *readRound) Reply(m *message.Message) {
 			rr.close(t)
 		case t.replied == rr.cfg.Topo.Replicas:
 			rr.wake = time.Time{} // everyone answered, not settled: tick retries now, not at the deadline
+		}
+	}
+}
+
+// keep makes res, just copied out of m, safe to hold past m's release: a value
+// cut from m's own arena moves into the round's scratch. (An append that moves
+// the scratch leaves the earlier results on the array they were cut from.)
+func (rr *readRound) keep(m *message.Message, res *message.ReadResult) {
+	if n := len(res.Value); n > 0 && m.OwnsBytes() {
+		rr.park = append(rr.park, res.Value...)
+		res.Value = rr.park[len(rr.park)-n:]
+	}
+}
+
+// own ends a round that parked values: every value the round hands back moves
+// into one exact-size buffer the collector owns, for the caller to keep for as
+// long as it likes, and the scratch is the next round's.
+func (rr *readRound) own() {
+	if len(rr.park) == 0 {
+		return
+	}
+	n := 0
+	for i := range rr.out {
+		n += len(rr.out[i].Value)
+	}
+	buf := make([]byte, 0, n)
+	for i := range rr.out {
+		if v := rr.out[i].Value; len(v) > 0 {
+			buf = append(buf, v...)
+			rr.out[i].Value = buf[len(buf)-len(v) : len(buf) : len(buf)]
 		}
 	}
 }
@@ -292,6 +333,7 @@ func (c *Coordinator) read(ctx context.Context, keys []string, snap timestamp.Ti
 	if err != nil {
 		return nil, err
 	}
+	rr.own()
 	return rr.out, nil
 }
 

@@ -127,6 +127,7 @@ func (r *round) coordChangeAck(p *partState, m *message.Message) {
 		return
 	}
 	if len(m.Records) > 0 {
+		m.Disown() // the record's body outlives the ack: it may be proposed in the accept
 		p.records = append(p.records, m.Records[0])
 	}
 	if p.replied >= r.cfg.Topo.Majority() {

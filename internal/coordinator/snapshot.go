@@ -75,12 +75,14 @@ type roKeyState struct {
 	below bool // some confirmed reply is strictly older than res
 }
 
-// merge folds one confirmed reply's answer into the state.
-func (s *roKeyState) merge(r *message.ReadResult) {
+// merge folds one confirmed reply's answer into the state and reports whether
+// it became the state's result — copied by value, its bytes still the reply's
+// (readRound.keep).
+func (s *roKeyState) merge(r *message.ReadResult) (adopted bool) {
 	if s.seen == 0 {
 		s.seen = 1
 		s.res = *r
-		return
+		return true
 	}
 	s.seen++
 	switch {
@@ -91,9 +93,11 @@ func (s *roKeyState) merge(r *message.ReadResult) {
 	case r.OK && (!s.res.OK || s.res.WTS.Less(r.WTS)):
 		s.below = true // previous best is now known to lag
 		s.res = *r
+		return true
 	default:
 		s.below = true // r lags the best
 	}
+	return false
 }
 
 // settled reports whether the key's merged answer is final with respect to

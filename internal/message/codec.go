@@ -129,46 +129,63 @@ func (d *decoder) uvarint() uint64 {
 	return v
 }
 
-// length reads a uvarint length prefix and bounds-checks it against the
-// remaining buffer so a corrupt prefix cannot force a huge allocation.
-func (d *decoder) length() int {
+// length reads the uvarint length prefix of a string or byte field and
+// bounds-checks it against the remaining buffer.
+func (d *decoder) length() int { return d.count(1) }
+
+// count reads the uvarint count prefix of a repeated field whose elements take
+// at least min bytes each on the wire, and fails unless that many can still
+// follow: a corrupt prefix cannot size an array the rest of the datagram could
+// not fill.
+func (d *decoder) count(min int) int {
 	n := d.uvarint()
 	if d.err != nil {
 		return 0
 	}
-	if n > uint64(len(d.buf)-d.off) {
+	if n > uint64((len(d.buf)-d.off)/min) {
 		d.fail()
 		return 0
 	}
 	return int(n)
 }
 
+// The least an element of each repeated field takes on the wire: its fixed
+// fields plus one byte per length or count prefix.
+const (
+	minKey      = 1
+	minWrite    = 1 + 1
+	minOp       = 1 + 1 + 8 + 1
+	minRead     = 1 + 16 + 8
+	minTxn      = 16 + 3
+	minRecord   = minTxn + 16 + 1 + 8 + 8 + 4
+	minLogEntry = 8 + 16 + 16 + 1
+	minKeyState = 1 + 1 + 16 + 16
+	minResult   = 1 + 16 + 1 + 1
+)
+
+// str cuts a length-prefixed string out of the buffer — the message's arena —
+// without copying it (arena.go has the lifetime rule).
 func (d *decoder) str() string {
 	n := d.length()
 	if d.err != nil {
 		return ""
 	}
-	s := string(d.buf[d.off : d.off+n])
+	s := cut(d.buf[d.off : d.off+n])
 	d.off += n
 	return s
 }
 
-// bytes decodes a length-prefixed byte slice into dst, reusing dst's
-// capacity when it suffices. An empty field decodes as nil, so round trips
-// preserve nil-ness.
-func (d *decoder) bytes(dst []byte) []byte {
+// bytes cuts a length-prefixed byte field out of the buffer as a
+// capacity-capped span: an append to it cannot reach the field behind it. An
+// empty field decodes as nil, so round trips preserve nil-ness.
+func (d *decoder) bytes() []byte {
 	n := d.length()
 	if d.err != nil || n == 0 {
 		return nil
 	}
-	if cap(dst) >= n {
-		dst = dst[:n]
-	} else {
-		dst = make([]byte, n)
-	}
-	copy(dst, d.buf[d.off:d.off+n])
+	b := d.buf[d.off : d.off+n : d.off+n]
 	d.off += n
-	return dst
+	return b
 }
 
 func (d *decoder) bool() bool { return d.u8() != 0 }
@@ -201,35 +218,26 @@ func grow[T any](s []T, n int) []T {
 // txn decodes a transaction into t, reusing t's read/write-set capacity.
 func (d *decoder) txn(t *Txn) {
 	t.ID = d.tid()
-	n := d.length()
-	if d.err != nil {
-		n = 0
-	}
+	n := d.count(minRead)
 	t.ReadSet = grow(t.ReadSet, n)
 	for i := 0; i < n && d.err == nil; i++ {
 		t.ReadSet[i].Key = d.str()
 		t.ReadSet[i].WTS = d.ts()
 		t.ReadSet[i].VHash = d.u64()
 	}
-	n = d.length()
-	if d.err != nil {
-		n = 0
-	}
+	n = d.count(minWrite)
 	t.WriteSet = grow(t.WriteSet, n)
 	for i := 0; i < n && d.err == nil; i++ {
 		t.WriteSet[i].Key = d.str()
-		t.WriteSet[i].Value = d.bytes(t.WriteSet[i].Value)
+		t.WriteSet[i].Value = d.bytes()
 	}
-	n = d.length()
-	if d.err != nil {
-		n = 0
-	}
+	n = d.count(minOp)
 	t.OpSet = grow(t.OpSet, n)
 	for i := 0; i < n && d.err == nil; i++ {
 		t.OpSet[i].Key = d.str()
 		t.OpSet[i].Kind = OpKind(d.u8())
 		t.OpSet[i].Delta = d.i64()
-		t.OpSet[i].Arg = d.bytes(t.OpSet[i].Arg)
+		t.OpSet[i].Arg = d.bytes()
 	}
 }
 
@@ -300,8 +308,9 @@ func Encode(buf []byte, m *Message) []byte {
 	return e.buf
 }
 
-// Decode parses one message from buf. Trailing bytes are an error, so framing
-// bugs surface immediately rather than as silent field corruption.
+// Decode parses one message from buf into a fresh Message, whose arena is the
+// collector's for as long as nobody releases it. Trailing bytes are an error, so
+// framing bugs surface immediately rather than as silent field corruption.
 func Decode(buf []byte) (*Message, error) {
 	m := &Message{}
 	if err := DecodeInto(m, buf); err != nil {
@@ -310,14 +319,17 @@ func Decode(buf []byte) (*Message, error) {
 	return m, nil
 }
 
-// DecodeInto parses one message from buf into m, overwriting every field and
-// reusing m's slice capacity where it suffices — a Message reused across a
-// receive loop decodes without reallocating its sets, and one recycled through
-// the pool decodes Keys and Reads into the arrays it kept (OwnKeys, OwnReads).
-// On error m's contents are unspecified. Trailing bytes are an error, as in
-// Decode.
+// DecodeInto parses one message from buf into m, overwriting every field. It
+// copies buf into m's arena once and cuts every key and value from there, and
+// reuses m's slice capacity where it suffices: a Message reused across a
+// receive loop decodes without allocating, and one recycled through the pool
+// decodes into the arena and the Keys and Reads arrays it kept. Nothing decoded
+// aliases buf; everything decoded aliases the arena and dies at m's release or
+// its next decode (arena.go). On error m's contents are unspecified. Trailing
+// bytes are an error, as in Decode.
 func DecodeInto(m *Message, buf []byte) error {
-	d := decoder{buf: buf}
+	m.arena = append(m.arena[:0], buf...)
+	d := decoder{buf: m.arena}
 	m.Type = Type(d.u8())
 	m.Src.Node = d.u32()
 	m.Src.Core = d.u32()
@@ -328,13 +340,10 @@ func DecodeInto(m *Message, buf []byte) error {
 	m.View = d.u64()
 	m.CoreID = d.u32()
 	m.Key = d.str()
-	m.Value = d.bytes(m.Value)
+	m.Value = d.bytes()
 	m.OK = d.bool()
 	m.Epoch = d.u64()
-	n := d.length()
-	if d.err != nil {
-		n = 0
-	}
+	n := d.count(minRecord)
 	m.Records = grow(m.Records, n)
 	for i := 0; i < n && d.err == nil; i++ {
 		r := &m.Records[i]
@@ -346,55 +355,40 @@ func DecodeInto(m *Message, buf []byte) error {
 		r.CoreID = d.u32()
 	}
 	m.Seq = d.u64()
-	n = d.length()
-	if d.err != nil {
-		n = 0
-	}
+	n = d.count(minLogEntry)
 	m.Entries = grow(m.Entries, n)
 	for i := 0; i < n && d.err == nil; i++ {
 		le := &m.Entries[i]
 		le.Seq = d.u64()
 		le.TID = d.tid()
 		le.TS = d.ts()
-		wn := d.length()
-		if d.err != nil {
-			wn = 0
-		}
+		wn := d.count(minWrite)
 		le.WriteSet = grow(le.WriteSet, wn)
 		for j := 0; j < wn && d.err == nil; j++ {
 			le.WriteSet[j].Key = d.str()
-			le.WriteSet[j].Value = d.bytes(le.WriteSet[j].Value)
+			le.WriteSet[j].Value = d.bytes()
 		}
 	}
-	n = d.length()
-	if d.err != nil {
-		n = 0
-	}
+	n = d.count(minKeyState)
 	m.State = grow(m.State, n)
 	for i := 0; i < n && d.err == nil; i++ {
 		ks := &m.State[i]
 		ks.Key = d.str()
-		ks.Value = d.bytes(ks.Value)
+		ks.Value = d.bytes()
 		ks.WTS = d.ts()
 		ks.RTS = d.ts()
 	}
 	m.ReplicaID = d.u32()
-	n = d.length()
-	if d.err != nil {
-		n = 0
-	}
+	n = d.count(minKey)
 	keys := m.OwnKeys(n)
 	for i := 0; i < n && d.err == nil; i++ {
 		keys[i] = d.str()
 	}
-	n = d.length()
-	if d.err != nil {
-		n = 0
-	}
+	n = d.count(minResult)
 	reads := m.OwnReads(n)
 	for i := 0; i < n && d.err == nil; i++ {
 		r := &reads[i]
-		r.Value = d.bytes(r.Value)
+		r.Value = d.bytes()
 		r.WTS = d.ts()
 		r.OK = d.bool()
 		r.Op = OpKind(d.u8())

@@ -73,12 +73,12 @@ func sampleMessage() *Message {
 	}
 }
 
-// same compares two messages field by field, leaving out the arrays a message
-// keeps for itself: a decoded message holds its Keys and Reads in them, a
-// literal does not.
+// same compares two messages field by field, leaving out the storage a message
+// keeps for itself: a decoded message holds its Keys and Reads in arrays of its
+// own and its bytes in its arena, a literal does not.
 func same(a, b *Message) bool {
 	x, y := *a, *b
-	x.keys, x.reads, y.keys, y.reads = nil, nil, nil, nil
+	x.keys, x.reads, x.arena, y.keys, y.reads, y.arena = nil, nil, nil, nil, nil, nil
 	return reflect.DeepEqual(x, y)
 }
 

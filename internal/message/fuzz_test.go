@@ -1,9 +1,12 @@
 package message
 
 import (
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 
 	"meerkat/internal/timestamp"
@@ -131,7 +134,7 @@ func TestDecodeCorruptedBytes(t *testing.T) {
 			if err != nil {
 				t.Fatalf("msg %d: byte %d: re-decode of decoded corrupt message failed: %v", i, off, err)
 			}
-			if !reflect.DeepEqual(m, m2) {
+			if !same(m, m2) {
 				t.Fatalf("msg %d: byte %d: corrupted decode does not round-trip", i, off)
 			}
 		}
@@ -165,14 +168,77 @@ func TestDecodeHugeLengthPrefix(t *testing.T) {
 			t.Fatal("decode with huge length prefix succeeded")
 		}
 	})
-	// One Message allocation per run is expected; the claimed 17 GiB is not.
+	// One Message and its arena per run are expected; the claimed 17 GiB is not.
 	if allocs > 4 {
 		t.Fatalf("decode of corrupt length prefix allocated %v objects/op", allocs)
 	}
 }
 
+// countPrefixes names every repeated field of the wire format: where its count
+// prefix sits in the encoding of an empty message (a single 0 byte there), the
+// least one element takes on the wire, and how many the decoded message holds.
+var countPrefixes = []struct {
+	name     string
+	off, min int
+	n        func(*Message) int
+}{
+	{"Txn.ReadSet", 25, minRead, func(m *Message) int { return len(m.Txn.ReadSet) }},
+	{"Txn.WriteSet", 26, minWrite, func(m *Message) int { return len(m.Txn.WriteSet) }},
+	{"Txn.OpSet", 27, minOp, func(m *Message) int { return len(m.Txn.OpSet) }},
+	{"Records", 84, minRecord, func(m *Message) int { return len(m.Records) }},
+	{"Entries", 93, minLogEntry, func(m *Message) int { return len(m.Entries) }},
+	{"State", 94, minKeyState, func(m *Message) int { return len(m.State) }},
+	{"Keys", 99, minKey, func(m *Message) int { return len(m.Keys) }},
+	{"Reads", 100, minResult, func(m *Message) int { return len(m.Reads) }},
+}
+
+// TestDecodeHugeCountPrefix plants, in a datagram of the largest size, the
+// largest count the decoder used to admit — one element per byte left — where
+// each repeated field's count belongs, and asserts the decode fails before it
+// sizes an array by it: a count is bounded by what its elements occupy on the
+// wire, so the bytes a decode allocates stay within twice the datagram (its
+// arena and change), where 65 000 records of 136 B were 8.8 MB.
+func TestDecodeHugeCountPrefix(t *testing.T) {
+	const datagram = 64 << 10
+	empty := Encode(nil, &Message{})
+	for _, f := range countPrefixes {
+		// The table is right: one zeroed element of the least size decodes.
+		one := append(append([]byte(nil), empty[:f.off]...), 1)
+		one = append(append(one, make([]byte, f.min)...), empty[f.off+1:]...)
+		if m, err := Decode(one); err != nil || f.n(m) != 1 {
+			t.Fatalf("%s: one minimal element at offset %d: %v", f.name, f.off, err)
+		}
+
+		left := datagram - f.off - 3 // a count this size takes three bytes
+		count := left
+		if f.min == 1 {
+			count++ // one byte each is the old rule: only more than fit is corrupt
+		}
+		evil := binary.AppendUvarint(append([]byte(nil), empty[:f.off]...), uint64(count))
+		evil = append(evil, make([]byte, datagram-len(evil))...)
+		var before, after runtime.MemStats
+		const runs = 10
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if _, err := Decode(evil); !errors.Is(err, ErrTruncated) {
+				t.Fatalf("%s: decode with a count of %d: %v, want ErrTruncated", f.name, count, err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if got := (after.TotalAlloc - before.TotalAlloc) / runs; got > 2*datagram {
+			t.Errorf("%s: a corrupt count of %d made the decode allocate %d bytes for a %d-byte datagram",
+				f.name, count, got, datagram)
+		}
+	}
+}
+
 // FuzzDecode is the codec-hardening fuzz target: arbitrary bytes must never
-// panic the decoder, and anything that decodes must round-trip exactly.
+// panic the decoder, and anything that decodes must round-trip exactly. It is
+// differential too: every input is also decoded into one long-lived message
+// recycled through the pool between inputs, which must agree with the fresh
+// Decode field by field, and the body cloned out of it must not change while
+// the next input is decoded over the arena it came from — arena reuse may never
+// be observable.
 func FuzzDecode(f *testing.F) {
 	rng := rand.New(rand.NewSource(3))
 	f.Add([]byte{})
@@ -203,13 +269,40 @@ func FuzzDecode(f *testing.F) {
 			{Key: "lo", Kind: OpMin, Delta: 12},
 		},
 	}}))
-	for i := 0; i < 8; i++ {
-		f.Add(Encode(nil, randomMessage(rng)))
+	// One of every pinned type, every slice-bearing field filled.
+	for n := 0; n < len(typeNames); n++ {
+		if typ := Type(n); typeNames[typ] != "" {
+			m := randomMessage(rng)
+			m.Type = typ
+			f.Add(Encode(nil, m))
+		}
 	}
+	// The fuzz engine calls the target from one goroutine per process; the lock
+	// says so rather than relies on it.
+	var (
+		mu       sync.Mutex
+		recycled = AcquireMessage()
+		kept     Txn // cloned out of recycled at the last input that decoded
+		keptWant Txn // the same body, cut from that input's fresh, never-released Decode
+	)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Decode(data)
+		mu.Lock()
+		defer mu.Unlock()
+		ReleaseMessage(recycled)
+		recycled = AcquireMessage()
+		errRecycled := DecodeInto(recycled, data)
+		if !reflect.DeepEqual(kept, keptWant) {
+			t.Fatalf("a body cloned from the last input changed while this one was decoded:\n got: %+v\nwant: %+v", kept, keptWant)
+		}
+		if (err == nil) != (errRecycled == nil) {
+			t.Fatalf("DecodeInto disagrees with Decode: %v / %v", errRecycled, err)
+		}
 		if err != nil {
 			return
+		}
+		if !same(m, recycled) {
+			t.Fatal("DecodeInto on a recycled message differs from Decode")
 		}
 		// Byte identity can differ (non-canonical varints decode fine), but
 		// the value must round-trip exactly.
@@ -217,17 +310,12 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
-		if !reflect.DeepEqual(m, m2) {
+		if !same(m, m2) {
 			t.Fatal("decoded message does not round-trip")
 		}
-		// DecodeInto on a recycled message must agree with Decode.
-		m3 := AcquireMessage()
-		defer ReleaseMessage(m3)
-		if err := DecodeInto(m3, data); err != nil {
-			t.Fatalf("DecodeInto disagrees with Decode: %v", err)
-		}
-		if !same(m, m3) {
-			t.Fatal("DecodeInto result differs from Decode")
+		kept, keptWant = recycled.TakeTxn(), m.Txn
+		if !reflect.DeepEqual(kept, keptWant) {
+			t.Fatalf("TakeTxn changed the body:\n got: %+v\nwant: %+v", kept, keptWant)
 		}
 	})
 }

@@ -316,11 +316,15 @@ type Message struct {
 	MapVersion uint64
 	WrongShard bool
 
-	// keys and reads are the arrays OwnKeys and OwnReads hand out: the only
-	// payload storage that survives ReleaseMessage. Unexported, so an array a
-	// caller put into Keys or Reads can never enter the pool through them.
+	// keys and reads are the arrays OwnKeys and OwnReads hand out, and arena
+	// the image of the datagram the message was last decoded from, which every
+	// decoded key and value is cut from (arena.go): the only payload storage
+	// that survives ReleaseMessage. Unexported, so an array a caller put into
+	// Keys or Reads can never enter the pool through them. arena is empty
+	// unless the message was decoded and has not disowned its bytes.
 	keys  []string
 	reads []ReadResult
+	arena []byte
 }
 
 // SinceWall is a state-request's apply-time bound: a reading of the

@@ -14,9 +14,9 @@ import (
 // allocator, so a steady-state request/reply exchange feeds the collector no
 // message structs at all. The ownership contract is DESIGN.md §7.
 
-// maxPooledEncoderCap bounds the buffer capacity an Encoder may carry back
-// into the pool, so one huge state-transfer encoding does not pin its buffer
-// for the rest of the process lifetime.
+// maxPooledEncoderCap bounds the buffer capacity an Encoder — or a Message, as
+// its arena — may carry back into the pool, so one huge state-transfer encoding
+// does not pin its buffer for the rest of the process lifetime.
 const maxPooledEncoderCap = 64 << 10
 
 // Encoder is a reusable encode buffer with acquire/release semantics. The
@@ -70,8 +70,10 @@ func AcquireMessage() *Message { return messagePool.Get().(*Message) }
 // message pointed at belong to whoever moved them out (a trecord) or put them
 // there (a literal's caller) or to the collector, never to the next sender —
 // except the two the message handed out itself (OwnKeys, OwnReads), which it
-// keeps, emptied of every string and value pointer, for its next use. Whoever
-// wants a key or a read result past the release copies the element out.
+// keeps, emptied of every string and value pointer, and the arena it was last
+// decoded from, for its next use. Whoever wants a key, a value or a read result
+// past the release copies it out: the element out of the array, the bytes out
+// of the arena (arena.go).
 func ReleaseMessage(m *Message) {
 	if m == nil {
 		return
@@ -80,13 +82,19 @@ func ReleaseMessage(m *Message) {
 		if m.Type == typePoisoned && m.TID == PoisonTID {
 			panic("message: double release")
 		}
+		for i := range m.arena {
+			m.arena[i] = poisonByte
+		}
 		*m = Message{Type: typePoisoned, TID: PoisonTID}
 		return
 	}
-	keys, reads := m.keys, m.reads
+	keys, reads, arena := m.keys, m.reads, m.arena
 	clear(keys)
 	clear(reads)
-	*m = Message{keys: keys[:0], reads: reads[:0]}
+	if cap(arena) > maxPooledEncoderCap {
+		arena = nil
+	}
+	*m = Message{keys: keys[:0], reads: reads[:0], arena: arena[:0]}
 	messagePool.Put(m)
 }
 
@@ -126,17 +134,28 @@ func (m *Message) OwnReads(n int) []ReadResult {
 // the bytes its values point at, which no receiver writes, but carries Keys
 // and Reads in arrays of its own: each receiver releases, and thereby
 // empties, the arrays of the message it was given.
+//
+// src must not own its bytes: a copy of a decoded message would point into an
+// arena that dies at src's release. Every caller is a sender duplicating what
+// it built (link.broadcast's template, faultnet on the send side); nothing
+// forwards a message it received, and whoever comes to would Disown it first.
 func (m *Message) CopyFrom(src *Message) {
-	keys, reads := m.keys, m.reads
+	if src.OwnsBytes() {
+		panic("message: CopyFrom of a decoded message that still owns its bytes")
+	}
+	keys, reads, arena := m.keys, m.reads, m.arena
 	*m = *src
-	m.keys, m.reads = keys, reads
+	m.keys, m.reads, m.arena = keys, reads, arena[:0]
 	copy(m.OwnKeys(len(src.Keys)), src.Keys)
 	copy(m.OwnReads(len(src.Reads)), src.Reads)
 }
 
 // typePoisoned marks a message released in poison mode; no handler
-// dispatches on it.
-const typePoisoned Type = 0xff
+// dispatches on it. poisonByte is what its arena is overwritten with.
+const (
+	typePoisoned Type = 0xff
+	poisonByte        = 0xDB
+)
 
 // PoisonTID is the transaction id a poisoned message carries, chosen so that
 // a use-after-release matches no live transaction.
@@ -145,9 +164,10 @@ var PoisonTID = timestamp.TxnID{Seq: ^uint64(0), ClientID: ^uint64(0)}
 var poisonOnRelease atomic.Bool
 
 // SetPoisonOnRelease is a test hook that makes use-after-release loud:
-// while on, ReleaseMessage overwrites the struct with an invalid Type, the
-// PoisonTID sentinel and nil slices instead of pooling it, and panics on a
-// second release. A stale reader then sees garbage that matches nothing (and
-// the race detector sees the overwrite) instead of a plausible recycled
-// message. It reports the previous setting.
+// while on, ReleaseMessage overwrites the arena with 0xDB bytes and the struct
+// with an invalid Type, the PoisonTID sentinel and nil slices instead of
+// pooling either, and panics on a second release. A stale reader then sees
+// garbage that matches nothing (and the race detector sees the overwrite)
+// instead of a plausible recycled message or a plausible key. It reports the
+// previous setting.
 func SetPoisonOnRelease(on bool) (was bool) { return poisonOnRelease.Swap(on) }

@@ -1,6 +1,7 @@
 package message
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -88,22 +89,22 @@ func TestPooledEncodeZeroAllocs(t *testing.T) {
 
 // TestPooledMultiReadZeroAllocs gates the batched execution phase's codec
 // cost: encoding a multi-read request and a multi-read reply through pooled
-// Encoders, and decoding the reply into a Message the decoder keeps across
-// iterations (a codec round-trip buffer owns its slices, so DecodeInto reuses
-// their capacity), must not allocate. Request decode is exempt: key strings
-// are freshly allocated by design, since the replica's vstore lookup retains
-// them.
+// Encoders, and decoding both — the request's keys and the reply's values are
+// cut from the arena of the Message they are decoded into — must not allocate,
+// neither into a Message the decoder keeps across iterations nor into one
+// recycled through the pool between datagrams, as a receive loop does.
 func TestPooledMultiReadZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation adds allocations; gate runs without -race")
 	}
+	defer SetPoisonOnRelease(SetPoisonOnRelease(false))
 	req := &Message{Type: TypeMultiRead, Seq: 9, Keys: []string{"user_1", "user_2", "user_3"}}
 	reply := &Message{Type: TypeMultiReadReply, Seq: 9, ReplicaID: 2, Reads: []ReadResult{
 		{Value: []byte("balance=42"), WTS: timestamp.Timestamp{Time: 10, ClientID: 1}, OK: true},
 		{Value: []byte("balance=43"), WTS: timestamp.Timestamp{Time: 11, ClientID: 1}, OK: true},
 		{OK: false},
 	}}
-	replyBuf := Encode(nil, reply)
+	reqBuf, replyBuf := Encode(nil, req), Encode(nil, reply)
 	// Prime the encoder pool with a sized buffer and dst with sized sets.
 	e := AcquireEncoder()
 	e.EncodeInto(req)
@@ -118,12 +119,22 @@ func TestPooledMultiReadZeroAllocs(t *testing.T) {
 		enc.EncodeInto(req)
 		enc.EncodeInto(reply)
 		enc.Release()
-		if err := DecodeInto(dst, replyBuf); err != nil {
-			t.Fatal(err)
+		for _, buf := range [][]byte{reqBuf, replyBuf} {
+			if err := DecodeInto(dst, buf); err != nil {
+				t.Fatal(err)
+			}
+			m := AcquireMessage()
+			if err := DecodeInto(m, buf); err != nil {
+				t.Fatal(err)
+			}
+			ReleaseMessage(m)
 		}
 	})
 	if allocs != 0 {
 		t.Fatalf("pooled multi-read codec allocated %v objects/op, want 0", allocs)
+	}
+	if dst.Reads[1].WTS != reply.Reads[1].WTS || string(dst.Reads[1].Value) != "balance=43" {
+		t.Fatalf("decoded reply: %+v", dst.Reads)
 	}
 }
 
@@ -137,15 +148,124 @@ func TestReleaseDropsEverySlice(t *testing.T) {
 	if err := DecodeInto(m, Encode(nil, sampleMessage())); err != nil {
 		t.Fatal(err)
 	}
-	kept := m.Txn // a handler moving the payload out
+	kept := m.TakeTxn() // a handler taking the payload out
 	ReleaseMessage(m)
 	if !same(m, &Message{}) {
 		t.Fatalf("released message is not zero: %+v", m)
 	}
 	if !reflect.DeepEqual(kept, sampleMessage().Txn) {
-		t.Fatal("moved-out payload changed on release")
+		t.Fatal("taken-out payload changed on release")
+	}
+	if len(m.arena) != 0 || cap(m.arena) == 0 {
+		t.Fatalf("released message's arena: len %d cap %d, want it kept and emptied", len(m.arena), cap(m.arena))
 	}
 	ReleaseMessage(nil) // nil is a no-op
+
+	// Past the encoder's cap the arena is dropped, not pooled.
+	big := AcquireMessage()
+	if err := DecodeInto(big, Encode(nil, &Message{Type: TypePut, Value: make([]byte, maxPooledEncoderCap+1)})); err != nil {
+		t.Fatal(err)
+	}
+	ReleaseMessage(big)
+	if big.arena != nil {
+		t.Fatalf("released message kept an arena of %d bytes", cap(big.arena))
+	}
+}
+
+// TestReleasedBytesAreUnreachable pins the rule one level down: the keys and
+// values of a decoded message are cut from its arena and die at its release.
+// Poisoned, a key and a value held across the release read 0xDB; the compact
+// body TakeTxn cloned beforehand does not change — not at the release, and not
+// while the struct decodes 300 other datagrams.
+func TestReleasedBytesAreUnreachable(t *testing.T) {
+	defer SetPoisonOnRelease(SetPoisonOnRelease(true))
+	want := sampleMessage()
+	wire := Encode(nil, want)
+	m := AcquireMessage()
+	if err := DecodeInto(m, wire); err != nil {
+		t.Fatal(err)
+	}
+	if !m.OwnsBytes() || want.OwnsBytes() {
+		t.Fatalf("OwnsBytes: decoded %v, literal %v", m.OwnsBytes(), want.OwnsBytes())
+	}
+	key, value := m.Txn.WriteSet[0].Key, m.Txn.WriteSet[0].Value
+	if cap(value) != len(value) {
+		t.Fatalf("decoded value has %d bytes of the arena behind it", cap(value)-len(value))
+	}
+	body := m.TakeTxn()
+	if !reflect.DeepEqual(body, want.Txn) || !m.Txn.Empty() {
+		t.Fatalf("TakeTxn: got %+v, left %+v", body, m.Txn)
+	}
+	ReleaseMessage(m)
+	for i := 0; i < len(key); i++ {
+		if key[i] != poisonByte {
+			t.Fatalf("key held across the release reads %q, want poison", key)
+		}
+	}
+	for _, b := range value {
+		if b != poisonByte {
+			t.Fatalf("value held across the release reads %x, want poison", value)
+		}
+	}
+	if !reflect.DeepEqual(body, want.Txn) {
+		t.Fatalf("cloned body changed at the release: %+v", body)
+	}
+
+	SetPoisonOnRelease(false)
+	rng := rand.New(rand.NewSource(5))
+	m = AcquireMessage()
+	if err := DecodeInto(m, wire); err != nil {
+		t.Fatal(err)
+	}
+	body = m.TakeTxn()
+	for i := 0; i < 300; i++ {
+		ReleaseMessage(m)
+		m = AcquireMessage()
+		if err := DecodeInto(m, Encode(nil, randomMessage(rng))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ReleaseMessage(m)
+	if !reflect.DeepEqual(body, want.Txn) {
+		t.Fatalf("cloned body changed while its struct was reused: %+v", body)
+	}
+
+	// A sender-built message's bytes are not the message's: TakeTxn moves the
+	// sets out and aliases what they point at, exactly as before.
+	lit := sampleMessage()
+	v0 := &lit.Txn.WriteSet[0].Value[0]
+	if got := lit.TakeTxn(); &got.WriteSet[0].Value[0] != v0 {
+		t.Fatal("TakeTxn copied a sender-built message's value")
+	}
+}
+
+// TestDisownLeavesTheArenaToTheCollector: what a disowned message carries
+// outlives its release, poisoned or pooled, and the message starts a new arena.
+func TestDisownLeavesTheArenaToTheCollector(t *testing.T) {
+	for _, poison := range []bool{true, false} {
+		was := SetPoisonOnRelease(poison)
+		m := AcquireMessage()
+		if err := DecodeInto(m, Encode(nil, sampleMessage())); err != nil {
+			t.Fatal(err)
+		}
+		m.Disown()
+		if m.OwnsBytes() {
+			t.Fatal("a disowned message still owns its bytes")
+		}
+		recs, state := m.Records, m.Txn
+		ReleaseMessage(m)
+		for i := 0; i < 8; i++ {
+			n := AcquireMessage()
+			if err := DecodeInto(n, Encode(nil, smallMessage())); err != nil {
+				t.Fatal(err)
+			}
+			defer ReleaseMessage(n)
+		}
+		if want := sampleMessage(); !reflect.DeepEqual(recs, want.Records) || !reflect.DeepEqual(state, want.Txn) {
+			t.Fatalf("poison=%v: disowned payload changed after the release", poison)
+		}
+		SetPoisonOnRelease(was)
+	}
 }
 
 // reacquire takes messages from the pool until it is handed m again, which
@@ -226,9 +346,7 @@ func TestReleasedArraysHoldNoPointers(t *testing.T) {
 func TestCopyFromOwnsItsKeysAndReads(t *testing.T) {
 	defer SetPoisonOnRelease(SetPoisonOnRelease(false))
 	src := AcquireMessage()
-	if err := DecodeInto(src, Encode(nil, sampleMessage())); err != nil {
-		t.Fatal(err)
-	}
+	src.CopyFrom(sampleMessage()) // a pooled message a sender filled: Keys and Reads in its own arrays
 	cp := AcquireMessage()
 	cp.CopyFrom(src)
 	if !same(cp, src) {
@@ -249,6 +367,32 @@ func TestCopyFromOwnsItsKeysAndReads(t *testing.T) {
 	}
 	ReleaseMessage(cp)
 	ReleaseMessage(refill)
+}
+
+// TestCopyFromRefusesDecodedBytes: a copy of a decoded message would point into
+// an arena that dies with its source, so CopyFrom panics rather than make one;
+// a source that has disowned its bytes copies like any sender-built message.
+func TestCopyFromRefusesDecodedBytes(t *testing.T) {
+	defer SetPoisonOnRelease(SetPoisonOnRelease(true))
+	src := AcquireMessage()
+	if err := DecodeInto(src, Encode(nil, sampleMessage())); err != nil {
+		t.Fatal(err)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("CopyFrom of a decoded message did not panic")
+			}
+		}()
+		AcquireMessage().CopyFrom(src)
+	}()
+	src.Disown()
+	cp := AcquireMessage()
+	cp.CopyFrom(src)
+	ReleaseMessage(src)
+	if !same(cp, sampleMessage()) {
+		t.Fatalf("copy of a disowned message changed when its source was released: %+v", cp)
+	}
 }
 
 // TestAcquireReleaseZeroAllocs gates the struct recycling itself.

@@ -153,7 +153,8 @@ func (ec *EpochChange) Reply(m *message.Message) {
 	a := &ec.acks[int(m.ReplicaID)*ec.t.Cores+int(m.CoreID)]
 	switch {
 	case m.Type == message.TypeEpochChangeAck && ec.phase == ecCollect && !a.answered:
-		// The snapshot is moved out: the driver releases the message.
+		// The snapshot is moved out, bytes and all: the driver releases the message.
+		m.Disown()
 		a.answered, a.whole, a.records = true, m.OK, m.Records
 		if n, whole, _ := ec.count(); n == ec.t.Replicas || whole >= ec.t.Majority() && ec.Kind != drive.WaitGrace {
 			ec.wake = time.Time{} // Tick closes the collect, or opens the grace window
@@ -452,6 +453,7 @@ func (st *stateTransfer) Reply(m *message.Message) {
 	if st.done || m.Type != message.TypeStateReply || m.Seq != st.shard {
 		return
 	}
+	m.Disown() // the store keeps the imported values
 	states := make([]vstore.KeyState, len(m.State))
 	for i := range m.State {
 		states[i] = vstore.KeyState{

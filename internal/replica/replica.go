@@ -396,10 +396,13 @@ func (c *core) unlockRecords() {
 	}
 }
 
-// handle dispatches one inbound message and then recycles it: the core is
-// the message's final consumer, and a handler that keeps any of its payload
-// (validate and accept keep the transaction body) has moved it out into the
-// record by the time it returns. It runs on the core's delivery goroutine.
+// handle dispatches one inbound message and then recycles it, and with it the
+// bytes a decoded message's keys and values are cut from: the core is the
+// message's final consumer, and a handler that keeps any of its payload has
+// taken it out by the time it returns — validate and accept the transaction
+// body (TakeTxn), the epoch change's install the whole merge (Disown), a read
+// nothing (the store copies the name of an entry it creates). It runs on the
+// core's delivery goroutine.
 func (c *core) handle(m *message.Message) {
 	switch m.Type {
 	case message.TypeMultiRead:
@@ -591,9 +594,9 @@ func (c *core) handleValidate(m *message.Message) {
 		if rec == nil {
 			rec, _ = p.GetOrCreate(tid)
 		}
-		// The record keeps the transaction body: move it out of the
-		// message, which is recycled when this handler returns.
-		rec.Txn, m.Txn = m.Txn, message.Txn{}
+		// The record keeps the transaction body: take it out of the message,
+		// which is recycled — its bytes with it — when this handler returns.
+		rec.Txn = m.TakeTxn()
 		rec.TS = m.TS
 		rec.CreatedAt = c.r.g.Now()
 		st := occ.Validate(c.r.store, &rec.Txn, m.TS)
@@ -626,10 +629,10 @@ func (c *core) handleAccept(m *message.Message) {
 		rec.CreatedAt = c.r.g.Now()
 	}
 	// A replica that missed the validate learns the transaction body
-	// from the accept, so it can apply the write phase on commit (moved
+	// from the accept, so it can apply the write phase on commit (taken
 	// out of the message, as in handleValidate).
 	if rec.Txn.Empty() && !m.Txn.Empty() {
-		rec.Txn, m.Txn = m.Txn, message.Txn{}
+		rec.Txn = m.TakeTxn()
 		rec.TS = m.TS
 	}
 	if rec.Txn.ID.IsZero() {
@@ -805,6 +808,7 @@ func (c *core) handleEpochChangeComplete(m *message.Message) {
 		return
 	}
 	c.r.epoch.Store(m.Epoch)
+	m.Disown() // the records installed below keep the merged bodies
 	c.withRecords(func(p *trecord.Partition) {
 		for i := range m.Records {
 			e := &m.Records[i]

@@ -504,17 +504,14 @@ func TestReadServedByAnyCore(t *testing.T) {
 	}
 }
 
-// TestUDPValidateRetainedByRecordSurvivesStructReuse: over UDP the receive
-// loop decodes every datagram into a pooled struct that the core recycles
-// when its handler returns. handleValidate keeps the transaction body, so it
-// must have moved it out: after the same struct has carried a few hundred
-// other validates, the record of the first one still holds exactly the body
-// it arrived with (read back through a coordinator-change ack, which ships
-// the record).
-func TestUDPValidateRetainedByRecordSurvivesStructReuse(t *testing.T) {
+// udpReplica starts replica 0 of a one-core group on loopback UDP sockets from
+// port up, and returns it with a function that sends it one message from a
+// client endpoint and waits for the reply of type want (TypeInvalid: for none).
+func udpReplica(t *testing.T, port int) (*replica.Replica, func(m *message.Message, want message.Type) *message.Message) {
+	t.Helper()
 	tp := topo.Topology{Partitions: 1, Replicas: 3, Cores: 1}
-	net := transport.NewUDP("127.0.0.1", 29100, 2)
-	defer net.Close()
+	net := transport.NewUDP("127.0.0.1", port, 2)
+	t.Cleanup(func() { net.Close() })
 	rep, err := replica.New(replica.Config{Topo: tp, Partition: 0, Index: 0, Net: net})
 	if err != nil {
 		t.Fatal(err)
@@ -522,17 +519,20 @@ func TestUDPValidateRetainedByRecordSurvivesStructReuse(t *testing.T) {
 	if err := rep.Start(); err != nil {
 		t.Skipf("cannot bind UDP sockets: %v", err)
 	}
-	defer rep.Stop()
+	t.Cleanup(rep.Stop)
 	in := transport.NewInbox(64)
 	ep, err := net.Listen(tp.ClientAddr(1), in.Handle)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dst := tp.ReplicaAddr(0, 0, 0)
-	call := func(m *message.Message, want message.Type) *message.Message {
+	return rep, func(m *message.Message, want message.Type) *message.Message {
 		t.Helper()
 		if err := ep.Send(dst, m); err != nil {
 			t.Fatal(err)
+		}
+		if want == message.TypeInvalid {
+			return nil
 		}
 		select {
 		case r := <-in.C:
@@ -545,22 +545,79 @@ func TestUDPValidateRetainedByRecordSurvivesStructReuse(t *testing.T) {
 			return nil
 		}
 	}
+}
 
+// TestUDPValidateRetainedByRecordSurvivesStructReuse: over UDP the receive
+// loop decodes every datagram into a pooled struct that the core recycles —
+// the arena its keys and values are cut from included — when its handler
+// returns. handleValidate keeps the transaction body, so it must have taken it
+// out, bytes and all: after the same struct has carried a few hundred other
+// validates, the record of the first one still holds exactly the body it
+// arrived with, key for key and byte for byte (read back through a
+// coordinator-change ack, which ships the record), and the version its commit
+// installs — which aliases the record's value — reads back whole.
+func TestUDPValidateRetainedByRecordSurvivesStructReuse(t *testing.T) {
+	_, call := udpReplica(t, 29100)
 	first := rmwTxn(1, 1, "first-key", "first-value", timestamp.Zero)
 	r := call(&message.Message{Type: message.TypeValidate, Txn: first, TID: first.ID, TS: ts(10, 1)}, message.TypeValidateReply)
 	if r.Status != message.StatusValidatedOK {
 		t.Fatalf("first validate: %v", r.Status)
 	}
-	for i := uint64(2); i < 300; i++ {
-		other := rmwTxn(i, 1, fmt.Sprintf("other-key-%d", i), "other-value", timestamp.Zero)
-		message.ReleaseMessage(call(&message.Message{Type: message.TypeValidate, Txn: other, TID: other.ID, TS: ts(int64(10*i), 1)}, message.TypeValidateReply))
+	others := func(from, to uint64) {
+		for i := from; i < to; i++ {
+			other := rmwTxn(i, 1, fmt.Sprintf("other-key-%d", i), "other-value", timestamp.Zero)
+			message.ReleaseMessage(call(&message.Message{Type: message.TypeValidate, Txn: other, TID: other.ID, TS: ts(int64(10*i), 1)}, message.TypeValidateReply))
+		}
 	}
+	others(2, 300)
 
 	ack := call(&message.Message{Type: message.TypeCoordChange, TID: first.ID, View: 5}, message.TypeCoordChangeAck)
 	if !ack.OK || len(ack.Records) != 1 {
 		t.Fatalf("coordinator-change ack: %+v", ack)
 	}
-	if got := ack.Records[0].Txn; !reflect.DeepEqual(got, first) {
+	got := ack.Records[0].Txn
+	if !reflect.DeepEqual(got, first) {
 		t.Fatalf("record body changed after struct reuse:\ngot  %+v\nwant %+v", got, first)
+	}
+	if k, v := got.WriteSet[0].Key, got.WriteSet[0].Value; k != "first-key" || string(v) != "first-value" || got.ReadSet[0].Key != "first-key" {
+		t.Fatalf("record keeps key %q (read %q), value %q", k, got.ReadSet[0].Key, v)
+	}
+
+	// A commit has no reply; the validates behind it on the same core do.
+	call(&message.Message{Type: message.TypeCommit, TID: first.ID, Status: message.StatusCommitted}, message.TypeInvalid)
+	others(300, 400)
+	rd := message.AcquireMessage()
+	rd.Type, rd.Seq = message.TypeMultiRead, 1
+	rd.OwnKeys(1)[0] = "first-key"
+	if res := call(rd, message.TypeMultiReadReply); len(res.Reads) != 1 || !res.Reads[0].OK || string(res.Reads[0].Value) != "first-value" {
+		t.Fatalf("the committed version reads back as %+v", res.Reads)
+	}
+}
+
+// TestSnapshotReadOfUnknownKeyOwnsItsKey: a snapshot read of a key nobody has
+// written creates its store entry (the read timestamp has to live somewhere),
+// and the name it is handed is cut from the request's arena. The entry must
+// own a copy: once the struct has carried a few hundred other datagrams the
+// store still finds it by that name, with the snapshot's read timestamp on it.
+func TestSnapshotReadOfUnknownKeyOwnsItsKey(t *testing.T) {
+	rep, call := udpReplica(t, 29140)
+	read := func(seq uint64, key string, snap timestamp.Timestamp) *message.Message {
+		m := message.AcquireMessage()
+		m.Type, m.Seq, m.TS = message.TypeMultiRead, seq, snap
+		m.OwnKeys(1)[0] = key
+		return call(m, message.TypeMultiReadReply)
+	}
+	snap := ts(50, 1)
+	if r := read(1, "ghost-key", snap); len(r.Reads) != 1 || r.Reads[0].OK {
+		t.Fatalf("snapshot read of an unknown key: %+v", r.Reads)
+	}
+	for i := uint64(2); i < 300; i++ {
+		message.ReleaseMessage(read(i, fmt.Sprintf("other-key-%d", i), timestamp.Timestamp{}))
+	}
+	if _, rts := rep.Store().Meta("ghost-key"); rts != snap {
+		t.Fatalf("the store lost the entry of the snapshot-read key: rts %v, want %v", rts, snap)
+	}
+	if n := rep.Store().Len(); n != 1 {
+		t.Fatalf("store holds %d keys, want the one snapshot-read key", n)
 	}
 }

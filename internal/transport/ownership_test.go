@@ -83,9 +83,10 @@ func TestInprocRoundTripAllocGate(t *testing.T) {
 }
 
 // TestUDPReceiveAllocGate pins the receive loop: the struct a datagram
-// decodes into comes from the pool, so a payload-free message costs the
-// receive path nothing and a validate costs exactly its payload (read-set
-// slice, write-set slice, key strings, value bytes).
+// decodes into comes from the pool and its keys and values are cut from the
+// arena the struct keeps, so a message costs the receive path nothing — a
+// multi-read's ten keys or ten values included — except a validate, whose two
+// set arrays leave with the record that keeps the body and are made anew.
 func TestUDPReceiveAllocGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
@@ -109,14 +110,22 @@ func TestUDPReceiveAllocGate(t *testing.T) {
 		ReadSet:  []message.ReadSetEntry{{Key: "user_1"}},
 		WriteSet: []message.WriteSetEntry{{Key: "user_1", Value: []byte("v")}},
 	}
+	keys := make([]string, 10)
+	reads := make([]message.ReadResult, 10)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("user_%d", i)
+		reads[i] = message.ReadResult{Value: make([]byte, 64), OK: true}
+	}
 	for _, c := range []struct {
 		name    string
 		fill    func(m *message.Message)
 		payload float64
 	}{
 		{"commit", func(m *message.Message) { m.Type, m.TID = message.TypeCommit, txn.ID }, 0},
-		// Read-set slice + key, write-set slice + key + value.
-		{"validate", func(m *message.Message) { m.Type, m.Txn = message.TypeValidate, txn }, 5},
+		// The read-set and write-set arrays; no key, no value.
+		{"validate", func(m *message.Message) { m.Type, m.Txn = message.TypeValidate, txn }, 2},
+		{"multi-read of 10 keys", func(m *message.Message) { m.Type = message.TypeMultiRead; copy(m.OwnKeys(10), keys) }, 0},
+		{"multi-read reply of 10 values", func(m *message.Message) { m.Type = message.TypeMultiReadReply; copy(m.OwnReads(10), reads) }, 0},
 	} {
 		send := func() {
 			m := message.AcquireMessage()
@@ -128,7 +137,7 @@ func TestUDPReceiveAllocGate(t *testing.T) {
 		}
 		send() // warm the ring buffers, the sockaddr cache and the pool
 		if allocs := testing.AllocsPerRun(200, send); allocs > c.payload {
-			t.Errorf("%s over UDP allocates %v objects per message, want <= %v (payload only)", c.name, allocs, c.payload)
+			t.Errorf("%s over UDP allocates %v objects per message, want <= %v", c.name, allocs, c.payload)
 		}
 	}
 }

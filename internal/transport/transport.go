@@ -32,8 +32,10 @@ import (
 // never run concurrently with each other.
 //
 // The handler owns m: nothing else holds a reference, so it may pass m on
-// (an Inbox does) or, once it has read it and moved out whatever payload it
-// keeps, recycle it with message.ReleaseMessage. Releasing is optional.
+// (an Inbox does) or, once it has read it and taken out whatever payload it
+// keeps — copying the bytes a decoded message cut from its own arena
+// (message.TakeTxn, message.Disown) — recycle it with message.ReleaseMessage.
+// Releasing is optional.
 type Handler func(m *message.Message)
 
 // Outgoing pairs one message with its destination, for batched sends.

@@ -509,8 +509,10 @@ func (ep *udpEndpoint) readLoopFallback() {
 }
 
 // deliver decodes one datagram into a pooled message and hands it to the
-// handler, which owns it from then on (see message.ReleaseMessage); only the
-// payload the datagram carries is allocated.
+// handler, which owns it from then on (see message.ReleaseMessage). The message
+// keeps a copy of the datagram — its arena, which the decoded keys and values
+// are cut from — so the ring buffer is free again at once and nothing but a
+// transaction's set arrays is allocated.
 func (ep *udpEndpoint) deliver(datagram []byte) {
 	m := message.AcquireMessage()
 	if err := message.DecodeInto(m, datagram); err != nil {

@@ -131,7 +131,8 @@ func TestFirstCommitAllocGate(t *testing.T) {
 		t.Fatalf("first validate+commit of a loaded key allocated %v objects, want 1", got)
 	}
 
-	// A key nobody has seen costs its entry on top.
+	// A key nobody has seen costs its entry, and the entry's own copy of its
+	// name, on top.
 	fresh := make([]string, n)
 	for i := range fresh {
 		fresh[i] = fmt.Sprintf("new%04d", i)
@@ -146,10 +147,10 @@ func TestFirstCommitAllocGate(t *testing.T) {
 		}
 		s.CommitWrite(k, value, ts)
 	})
-	// Entry + node, plus the amortized share of the index growing to hold
-	// the new keys (AllocsPerRun truncates the mean).
-	if got != 2 {
-		t.Fatalf("first commit of a new key allocated %v objects, want 2 (entry + node)", got)
+	// Entry + key + node, plus the amortized share of the index growing to
+	// hold the new keys (AllocsPerRun truncates the mean).
+	if got != 3 {
+		t.Fatalf("first commit of a new key allocated %v objects, want 3 (entry + key + node)", got)
 	}
 	if s.Len() != before+n {
 		t.Fatalf("Len = %d, want %d", s.Len(), before+n)

@@ -2,6 +2,7 @@ package vstore
 
 import (
 	"math/bits"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -94,7 +95,10 @@ func (t *table) grown() *table {
 
 // insert returns key's entry, creating it if the locked re-check still misses:
 // the caller's lock-free probe may have lost a race to another creator, or run
-// on a generation that has since been superseded.
+// on a generation that has since been superseded. A new entry names itself with
+// a copy of key: an entry lives as long as the store, and the caller's key may
+// be cut from a decoded message's arena, which the next datagram overwrites (a
+// snapshot read creates entries for keys nobody has written).
 func (sh *shard) insert(key string, hash uint64) *entry {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -106,7 +110,7 @@ func (sh *shard) insert(key string, hash uint64) *entry {
 		t = t.grown()
 		sh.table.Store(t)
 	}
-	e := &entry{key: key, hash: hash}
+	e := &entry{key: strings.Clone(key), hash: hash}
 	t.put(e)
 	sh.n.Add(1)
 	return e

@@ -167,8 +167,9 @@ func replaySnapshot(path string, vs *vstore.Store) (int, timestamp.Timestamp, er
 	keys := 0
 	var states []vstore.KeyState
 	_, _, err = validPrefix(buf, func(payload []byte) error {
-		// Fresh message per page: the store retains the imported value
-		// slices, so they must not share DecodeInto's recycled buffers.
+		// A fresh message per page, never released: the store retains the
+		// imported values, which are spans of the message's arena — the
+		// collector's, this way, not a recycled target's.
 		dec := &message.Message{}
 		if err := message.DecodeInto(dec, payload); err != nil {
 			return fmt.Errorf("wal: %s: %w", path, err)

@@ -395,9 +395,10 @@ func openLog(dir string, opts Options, apply func(m *message.Message) error) (*L
 			return nil, stats, err
 		}
 		n, torn, err := validPrefix(buf, func(payload []byte) error {
-			// A fresh message per frame: apply retains the decoded value
-			// slices (replay loads them into the store), and DecodeInto
-			// reuses buffer capacity across calls on a recycled target.
+			// A fresh message per frame, never released: apply retains the
+			// decoded values (replay loads them into the store), which are
+			// spans of the message's arena — the collector's, this way, where
+			// a recycled target's would be overwritten by the next frame.
 			dec := &message.Message{}
 			if err := message.DecodeInto(dec, payload); err != nil {
 				return fmt.Errorf("wal: %s: %w", path, err)

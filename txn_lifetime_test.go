@@ -194,6 +194,79 @@ func TestReadManySliceOutlivesLaterReadMany(t *testing.T) {
 	}
 }
 
+// TestReadValuesOutliveTheirRepliesUDP is the public contract of Read and
+// ReadMany — "the []byte values stay valid for as long as the caller keeps
+// them" — where it is hardest to keep: over UDP a value arrives as a span of
+// the reply's arena, which the next datagram decoded into that struct
+// overwrites (and which a release poisons under -race). Values kept from a
+// plain ReadMany, a read-only one and single Reads, the latter two on the
+// one-round snapshot path, are unchanged after 300 later transactions have
+// pushed their own replies through the same client.
+func TestReadValuesOutliveTheirRepliesUDP(t *testing.T) {
+	db := newTestDB(t, Config{Transport: TransportUDP, UDPBasePort: 22000})
+	cl := newDBClient(t, db)
+	keys := make([]string, 10)
+	want := make([][]byte, len(keys))
+	for i := range keys {
+		keys[i] = fmt.Sprintf("kept-%d", i)
+		want[i] = []byte(fmt.Sprintf("%064d", i))
+		db.Load(keys[i], want[i])
+	}
+	db.Load("churn", []byte("0"))
+	ctx := context.Background()
+	kept := map[string][][]byte{}
+	for name, body := range map[string]func(*Txn) ([][]byte, error){
+		"ReadMany": func(txn *Txn) ([][]byte, error) { return txn.ReadMany(keys) },
+		"read-only ReadMany": func(txn *Txn) ([][]byte, error) {
+			txn.ReadOnly()
+			return txn.ReadMany(keys)
+		},
+		"read-only Reads": func(txn *Txn) ([][]byte, error) {
+			txn.ReadOnly()
+			vals := make([][]byte, len(keys))
+			for i, k := range keys {
+				v, err := txn.Read(k)
+				if err != nil {
+					return nil, err
+				}
+				vals[i] = v
+			}
+			return vals, nil
+		},
+	} {
+		err := cl.Run(ctx, func(txn *Txn) error {
+			vals, err := body(txn)
+			kept[name] = append([][]byte(nil), vals...) // the slice is the transaction's, the values are ours
+			return err
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	for i := 0; i < 300; i++ {
+		err := cl.Run(ctx, func(txn *Txn) error {
+			if i%2 == 0 {
+				txn.ReadOnly()
+			}
+			if _, err := txn.ReadMany(keys[i%len(keys):]); err != nil {
+				return err
+			}
+			if i%2 == 1 {
+				txn.Write("churn", []byte(fmt.Sprintf("%064d", -i)))
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, vals := range kept {
+		if !reflect.DeepEqual(vals, want) {
+			t.Errorf("%s: the values kept read %q after 300 later transactions", name, vals)
+		}
+	}
+}
+
 // replicaRecords pauses every replica core of db with an epoch change request
 // and returns the transaction records each answered with, per group and
 // replica. On the in-process transport the records' sets are the very arrays
