@@ -115,7 +115,7 @@ bench-exp:
 # And the decoder owns its bytes, in one place: "unsafe" is imported, in non-test
 # Go, by the mmsg syscall file and by internal/message/arena.go (a decoded key
 # is a string over its message's arena; DESIGN.md §7 rule 5) and nowhere else,
-# and the codec has no allocating string(d.buf[...]) conversion beside it.
+# and the codec's walk has no allocating string(c.buf[...]) conversion beside it.
 DRIVEN = internal/coordinator/*.go internal/recovery/*.go internal/drive/*.go
 WALLCLOCK = kuafu|meerkatpb|pbclient|sim|bench|chaos
 CLOCKED = $$(ls *.go internal/*/*.go | grep -v _test.go | grep -vE '^internal/($(WALLCLOCK)|clock)/')
@@ -156,4 +156,4 @@ api-guard:
 	@! grep -nE --exclude='*_test.go' 'message\.Txn\{.*(ReadSet|WriteSet|OpSet): *t\.(reads|writes|ops)\b' internal/coordinator/*.go
 	@! grep -rl --include='*.go' --exclude='*_test.go' '"unsafe"' . \
 		| grep -vxE '\./internal/(transport/udp_mmsg_linux|message/arena)\.go'
-	@! grep -nF 'string(d.buf[' internal/message/codec.go
+	@! grep -nF 'string(c.buf[' internal/message/codec.go

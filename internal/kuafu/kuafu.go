@@ -56,7 +56,7 @@ type Replica struct {
 	// log is the shared replication log, protected by one mutex on every
 	// node — the second deliberate contention point.
 	logMu sync.Mutex
-	log   []message.LogEntry
+	log   []logEntry
 
 	// rec is the shared transaction record ("KuaFu++ and TAPIR share a
 	// single record per replica").
@@ -82,6 +82,15 @@ func (c *core) send(dst message.Addr, m *message.Message) {
 	if ep := c.ep.Load(); ep != nil {
 		(*ep).Send(dst, m)
 	}
+}
+
+// logEntry is one ordered entry of the shared replication log: the position the
+// primary's counter assigned, the transaction's identity and writes, and its
+// timestamp. The log is never truncated, so it keeps no read or op set.
+type logEntry struct {
+	seq uint64
+	txn message.Txn
+	ts  timestamp.Timestamp
 }
 
 type pendingTxn struct {
@@ -208,13 +217,7 @@ func (c *core) handleSubmit(m *message.Message) {
 		// replicate (or its ack) was lost; the reply comes from handleAck.
 		for seq, pt := range c.pending {
 			if pt.txn.ID == m.Txn.ID {
-				entry := message.LogEntry{Seq: seq, TID: pt.txn.ID, TS: pt.ts, WriteSet: pt.txn.WriteSet}
-				for b := 1; b < c.r.cfg.Topo.Replicas; b++ {
-					c.send(c.r.cfg.Topo.ReplicaAddr(0, b, c.id), &message.Message{
-						Type: message.TypePBReplicate, Seq: seq,
-						Entries: []message.LogEntry{entry},
-					})
-				}
+				c.replicate(logEntry{seq: seq, txn: pt.txn, ts: pt.ts})
 				pt.client = m.Src
 				break
 			}
@@ -228,19 +231,25 @@ func (c *core) handleSubmit(m *message.Message) {
 	}
 
 	// Append the committed order to the shared log...
-	entry := message.LogEntry{Seq: seq, TID: m.Txn.ID, TS: ts, WriteSet: m.Txn.WriteSet}
+	entry := logEntry{seq: seq, txn: message.Txn{ID: m.Txn.ID, WriteSet: m.Txn.WriteSet}, ts: ts}
 	c.r.logMu.Lock()
 	c.r.log = append(c.r.log, entry)
 	c.r.logMu.Unlock()
 
-	// ...and ship it to the backups (same core id, so acks return here).
+	// ...and ship it to the backups.
+	c.replicate(entry)
+	c.pending[seq] = &pendingTxn{client: m.Src, txn: m.Txn, ts: ts, acks: make(map[uint32]bool)}
+}
+
+// replicate ships one log entry's writes to the backups' cores of the same id,
+// so their acks return here.
+func (c *core) replicate(e logEntry) {
 	for b := 1; b < c.r.cfg.Topo.Replicas; b++ {
 		c.send(c.r.cfg.Topo.ReplicaAddr(0, b, c.id), &message.Message{
-			Type: message.TypePBReplicate, Seq: seq,
-			Entries: []message.LogEntry{entry},
+			Type: message.TypePBReplicate, Seq: e.seq, TS: e.ts,
+			Txn: message.Txn{ID: e.txn.ID, WriteSet: e.txn.WriteSet},
 		})
 	}
-	c.pending[seq] = &pendingTxn{client: m.Src, txn: m.Txn, ts: ts, acks: make(map[uint32]bool)}
 }
 
 // handleReplicate runs at a backup: append to the shared log (the paper's
@@ -248,13 +257,10 @@ func (c *core) handleSubmit(m *message.Message) {
 // timestamped versioned writes commute, so no replay order is needed.
 func (c *core) handleReplicate(m *message.Message) {
 	c.r.logMu.Lock()
-	c.r.log = append(c.r.log, m.Entries...)
+	c.r.log = append(c.r.log, logEntry{seq: m.Seq, txn: m.Txn, ts: m.TS})
 	c.r.logMu.Unlock()
-	for i := range m.Entries {
-		e := &m.Entries[i]
-		for j := range e.WriteSet {
-			c.r.store.CommitWrite(e.WriteSet[j].Key, e.WriteSet[j].Value, e.TS)
-		}
+	for _, w := range m.Txn.WriteSet {
+		c.r.store.CommitWrite(w.Key, w.Value, m.TS)
 	}
 	c.send(m.Src, &message.Message{
 		Type: message.TypePBAck, Seq: m.Seq, ReplicaID: uint32(c.r.cfg.Index),

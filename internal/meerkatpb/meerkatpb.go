@@ -181,11 +181,10 @@ func (c *core) handleSubmit(m *message.Message) {
 // replicate ships the transaction's writes to this core's matched backup
 // cores.
 func (c *core) replicate(pt *pendingTxn) {
-	entry := message.LogEntry{TID: pt.txn.ID, TS: pt.ts, WriteSet: pt.txn.WriteSet}
 	for b := 1; b < c.r.cfg.Topo.Replicas; b++ {
 		c.send(c.r.cfg.Topo.ReplicaAddr(0, b, c.id), &message.Message{
-			Type: message.TypePBReplicate, TID: pt.txn.ID,
-			Entries: []message.LogEntry{entry},
+			Type: message.TypePBReplicate, TS: pt.ts,
+			Txn: message.Txn{ID: pt.txn.ID, WriteSet: pt.txn.WriteSet},
 		})
 	}
 }
@@ -194,14 +193,11 @@ func (c *core) replicate(pt *pendingTxn) {
 // Versioned installs commute (Thomas write rule), so no ordering or shared
 // state is needed — the matched core applies its primary twin's stream.
 func (c *core) handleReplicate(m *message.Message) {
-	for i := range m.Entries {
-		e := &m.Entries[i]
-		for j := range e.WriteSet {
-			c.r.store.CommitWrite(e.WriteSet[j].Key, e.WriteSet[j].Value, e.TS)
-		}
+	for _, w := range m.Txn.WriteSet {
+		c.r.store.CommitWrite(w.Key, w.Value, m.TS)
 	}
 	c.send(m.Src, &message.Message{
-		Type: message.TypePBAck, TID: m.TID, ReplicaID: uint32(c.r.cfg.Index),
+		Type: message.TypePBAck, TID: m.Txn.ID, ReplicaID: uint32(c.r.cfg.Index),
 	})
 }
 

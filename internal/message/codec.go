@@ -1,6 +1,7 @@
 package message
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -8,145 +9,85 @@ import (
 	"meerkat/internal/timestamp"
 )
 
-// The binary wire format is a flat little-endian encoding. Every field of
-// Message is encoded unconditionally; slices and strings carry a uvarint
-// length prefix. The format is only consumed by this package, so there is no
-// versioning beyond the leading type byte.
+// The binary format is flat little-endian: the type byte, then the fields its
+// layout row names, in walk's order; strings, byte fields and repeated fields
+// carry a uvarint length prefix. A field the row leaves out costs no byte and
+// decodes as zero. Only this package reads the format, on the wire and in the
+// write-ahead log, so the type byte is its only version: a type whose row
+// changes takes a new number.
 
 // ErrTruncated is returned by Decode when the buffer ends mid-message.
 var ErrTruncated = errors.New("message: truncated buffer")
 
-type encoder struct {
-	buf []byte
-}
+// field is one bit of a layout row: a field of Message, or for fRoute the two
+// shard-routing fields, MapVersion and WrongShard, which travel together.
+type field uint32
 
-func (e *encoder) u8(v uint8)   { e.buf = append(e.buf, v) }
-func (e *encoder) u32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
-func (e *encoder) u64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
-func (e *encoder) i64(v int64)  { e.u64(uint64(v)) }
-func (e *encoder) uvarint(v uint64) {
-	e.buf = binary.AppendUvarint(e.buf, v)
-}
-func (e *encoder) str(s string) {
-	e.uvarint(uint64(len(s)))
-	e.buf = append(e.buf, s...)
-}
-func (e *encoder) bytes(b []byte) {
-	e.uvarint(uint64(len(b)))
-	e.buf = append(e.buf, b...)
-}
-func (e *encoder) bool(v bool) {
-	if v {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
-}
-func (e *encoder) ts(t timestamp.Timestamp) {
-	e.i64(t.Time)
-	e.u64(t.ClientID)
-}
-func (e *encoder) tid(id timestamp.TxnID) {
-	e.u64(id.Seq)
-	e.u64(id.ClientID)
-}
-func (e *encoder) txn(t *Txn) {
-	e.tid(t.ID)
-	e.uvarint(uint64(len(t.ReadSet)))
-	for i := range t.ReadSet {
-		e.str(t.ReadSet[i].Key)
-		e.ts(t.ReadSet[i].WTS)
-		e.u64(t.ReadSet[i].VHash)
-	}
-	e.uvarint(uint64(len(t.WriteSet)))
-	for i := range t.WriteSet {
-		e.str(t.WriteSet[i].Key)
-		e.bytes(t.WriteSet[i].Value)
-	}
-	e.uvarint(uint64(len(t.OpSet)))
-	for i := range t.OpSet {
-		e.str(t.OpSet[i].Key)
-		e.u8(uint8(t.OpSet[i].Kind))
-		e.i64(t.OpSet[i].Delta)
-		e.bytes(t.OpSet[i].Arg)
-	}
-}
+const (
+	fSrc field = 1 << iota
+	fTxn
+	fTID
+	fTS
+	fStatus
+	fView
+	fCoreID
+	fKey
+	fValue
+	fOK
+	fEpoch
+	fRecords
+	fSeq
+	fState
+	fReplicaID
+	fKeys
+	fReads
+	fWatermark
+	fRoute
+)
 
-type decoder struct {
-	buf []byte
-	off int
-	err error
-}
+// layout is the one description of what each type carries; a type it does not
+// name carries its type byte. A row names what its type's odd slots mean.
+var layout = [256]field{
+	TypeValidate:      fSrc | fTxn | fTID | fTS | fCoreID | fRoute,
+	TypeValidateReply: fSrc | fTID | fStatus | fView | fReplicaID | fRoute,
+	TypeAccept:        fSrc | fTxn | fTID | fTS | fStatus | fView | fCoreID,
+	TypeAcceptReply:   fSrc | fTID | fStatus | fView | fOK | fReplicaID,
+	TypeCommit:        fSrc | fTID | fStatus | fCoreID,
 
-func (d *decoder) fail() {
-	if d.err == nil {
-		d.err = ErrTruncated
-	}
-}
+	TypeCoordChange:    fSrc | fTID | fView | fCoreID,
+	TypeCoordChangeAck: fSrc | fTID | fView | fOK | fRecords | fReplicaID,
+	TypeEpochChange:    fSrc | fEpoch,
+	// OK: Records is the core's whole record, so it is evidence for the merge.
+	TypeEpochChangeAck:         fSrc | fEpoch | fOK | fRecords | fReplicaID | fCoreID,
+	TypeEpochChangeComplete:    fSrc | fEpoch | fRecords,
+	TypeEpochChangeCompleteAck: fSrc | fEpoch | fReplicaID | fCoreID,
+	// View: SinceWall, the donor-side apply-time bound; Seq: the shard; a
+	// non-zero TS: ship only keys whose WTS or RTS passed it.
+	TypeStateRequest: fSrc | fTS | fView | fSeq,
+	// Seq: the shard served; OK: more shards remain.
+	TypeStateReply: fSrc | fOK | fSeq | fState | fReplicaID,
 
-func (d *decoder) u8() uint8 {
-	if d.err != nil || d.off+1 > len(d.buf) {
-		d.fail()
-		return 0
-	}
-	v := d.buf[d.off]
-	d.off++
-	return v
-}
+	// A non-zero TS: a snapshot read at TS. Seq: the reader's round, echoed.
+	TypeMultiRead:      fSrc | fTS | fSeq | fKeys | fRoute,
+	TypeMultiReadReply: fSrc | fSeq | fReplicaID | fReads | fWatermark | fRoute,
 
-func (d *decoder) u32() uint32 {
-	if d.err != nil || d.off+4 > len(d.buf) {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.buf[d.off:])
-	d.off += 4
-	return v
-}
+	TypePBSubmit: fSrc | fTxn | fTS | fCoreID,
+	// OK: the transaction committed.
+	TypePBReply: fSrc | fTID | fOK,
+	// A committed Txn's identity and writes at TS; KuaFu++ also names its log
+	// position (Seq).
+	TypePBReplicate: fSrc | fTxn | fTS | fSeq,
+	TypePBAck:       fSrc | fTID | fSeq | fReplicaID,
 
-func (d *decoder) u64() uint64 {
-	if d.err != nil || d.off+8 > len(d.buf) {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.buf[d.off:])
-	d.off += 8
-	return v
-}
+	// Seq: the client's request number, echoed.
+	TypePut:      fSrc | fKey | fValue | fSeq,
+	TypePutReply: fSrc | fSeq,
+	// Sent by a core to itself, through its endpoint, which stamps Src.
+	TypeSweep: fSrc,
 
-func (d *decoder) i64() int64 { return int64(d.u64()) }
-
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-// length reads the uvarint length prefix of a string or byte field and
-// bounds-checks it against the remaining buffer.
-func (d *decoder) length() int { return d.count(1) }
-
-// count reads the uvarint count prefix of a repeated field whose elements take
-// at least min bytes each on the wire, and fails unless that many can still
-// follow: a corrupt prefix cannot size an array the rest of the datagram could
-// not fill.
-func (d *decoder) count(min int) int {
-	n := d.uvarint()
-	if d.err != nil {
-		return 0
-	}
-	if n > uint64((len(d.buf)-d.off)/min) {
-		d.fail()
-		return 0
-	}
-	return int(n)
+	TypeWALRecord: fTxn | fTS,
+	// Seq: the shard the page exports.
+	TypeWALSnapshot: fSeq | fState,
 }
 
 // The least an element of each repeated field takes on the wire: its fixed
@@ -156,156 +97,277 @@ const (
 	minWrite    = 1 + 1
 	minOp       = 1 + 1 + 8 + 1
 	minRead     = 1 + 16 + 8
-	minTxn      = 16 + 3
-	minRecord   = minTxn + 16 + 1 + 8 + 8 + 4
-	minLogEntry = 8 + 16 + 16 + 1
+	minRecord   = 16 + 3 + 16 + 1 + 8 + 8 + 4 // an empty Txn, then the record's own
 	minKeyState = 1 + 1 + 16 + 16
 	minResult   = 1 + 16 + 1 + 1
 )
 
-// str cuts a length-prefixed string out of the buffer — the message's arena —
-// without copying it (arena.go has the lifetime rule).
-func (d *decoder) str() string {
-	n := d.length()
-	if d.err != nil {
-		return ""
-	}
-	s := cut(d.buf[d.off : d.off+n])
-	d.off += n
-	return s
+// coder codes a message one way: an encode appends to buf, a decode reads buf
+// (the message's arena) from off. Each primitive takes a pointer and branches on
+// the direction, so walk lists the format once. An encode only reads through
+// its pointers: broadcast copies share Txn arrays, so even writing back the
+// value just read would race.
+type coder struct {
+	buf []byte
+	off int
+	dec bool
+	all bool // every field, whatever the row (checkRow)
+	err error
 }
 
-// bytes cuts a length-prefixed byte field out of the buffer as a
-// capacity-capped span: an append to it cannot reach the field behind it. An
-// empty field decodes as nil, so round trips preserve nil-ness.
-func (d *decoder) bytes() []byte {
-	n := d.length()
-	if d.err != nil || n == 0 {
+// next consumes the next n bytes of the input, or fails and returns nil.
+func (c *coder) next(n int) []byte {
+	if c.err == nil && n > len(c.buf)-c.off {
+		c.err = ErrTruncated
+	}
+	if c.err != nil {
 		return nil
 	}
-	b := d.buf[d.off : d.off+n : d.off+n]
-	d.off += n
-	return b
+	c.off += n
+	return c.buf[c.off-n : c.off : c.off]
 }
 
-func (d *decoder) bool() bool { return d.u8() != 0 }
-
-func (d *decoder) ts() timestamp.Timestamp {
-	t := d.i64()
-	c := d.u64()
-	return timestamp.Timestamp{Time: t, ClientID: c}
+func (c *coder) u8(v *uint8) {
+	if !c.dec {
+		c.buf = append(c.buf, *v)
+	} else if b := c.next(1); b != nil {
+		*v = b[0]
+	}
 }
 
-func (d *decoder) tid() timestamp.TxnID {
-	s := d.u64()
-	c := d.u64()
-	return timestamp.TxnID{Seq: s, ClientID: c}
+func (c *coder) u32(v *uint32) {
+	if !c.dec {
+		c.buf = binary.LittleEndian.AppendUint32(c.buf, *v)
+	} else if b := c.next(4); b != nil {
+		*v = binary.LittleEndian.Uint32(b)
+	}
 }
 
-// grow resizes s to n elements, reusing its backing array when the capacity
-// suffices. n == 0 yields nil so decoded empty slices stay nil, matching the
-// encoder's treatment of empty fields.
-func grow[T any](s []T, n int) []T {
-	if n == 0 {
-		return nil
+func (c *coder) u64(v *uint64) {
+	if !c.dec {
+		c.buf = binary.LittleEndian.AppendUint64(c.buf, *v)
+	} else if b := c.next(8); b != nil {
+		*v = binary.LittleEndian.Uint64(b)
 	}
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]T, n)
 }
 
-// txn decodes a transaction into t, reusing t's read/write-set capacity.
-func (d *decoder) txn(t *Txn) {
-	t.ID = d.tid()
-	n := d.count(minRead)
-	t.ReadSet = grow(t.ReadSet, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		t.ReadSet[i].Key = d.str()
-		t.ReadSet[i].WTS = d.ts()
-		t.ReadSet[i].VHash = d.u64()
+func (c *coder) i64(v *int64) {
+	u := uint64(*v)
+	c.u64(&u)
+	if c.dec {
+		*v = int64(u)
 	}
-	n = d.count(minWrite)
-	t.WriteSet = grow(t.WriteSet, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		t.WriteSet[i].Key = d.str()
-		t.WriteSet[i].Value = d.bytes()
+}
+
+func (c *coder) flag(v *bool) {
+	var b uint8
+	if *v {
+		b = 1
 	}
-	n = d.count(minOp)
-	t.OpSet = grow(t.OpSet, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		t.OpSet[i].Key = d.str()
-		t.OpSet[i].Kind = OpKind(d.u8())
-		t.OpSet[i].Delta = d.i64()
-		t.OpSet[i].Arg = d.bytes()
+	c.u8(&b)
+	if c.dec {
+		*v = b != 0
+	}
+}
+
+func (c *coder) ts(t *timestamp.Timestamp) {
+	c.i64(&t.Time)
+	c.u64(&t.ClientID)
+}
+
+func (c *coder) tid(id *timestamp.TxnID) {
+	c.u64(&id.Seq)
+	c.u64(&id.ClientID)
+}
+
+// count codes a length prefix and returns the length: n, or the one read,
+// failing unless that many elements of at least min bytes can still follow — a
+// corrupt prefix cannot size an array the input could not fill.
+func (c *coder) count(n, min int) int {
+	if !c.dec {
+		c.buf = binary.AppendUvarint(c.buf, uint64(n))
+		return n
+	}
+	v, k := binary.Uvarint(c.buf[c.off:])
+	if c.err == nil && (k <= 0 || v > uint64((len(c.buf)-c.off-k)/min)) {
+		c.err = ErrTruncated
+	}
+	if c.err != nil {
+		return 0
+	}
+	c.off += k
+	return int(v)
+}
+
+// str codes a string; a decode cuts it from the arena (arena.go).
+func (c *coder) str(s *string) {
+	if n := c.count(len(*s), 1); !c.dec {
+		c.buf = append(c.buf, *s...)
+	} else {
+		*s = cut(c.next(n))
+	}
+}
+
+// span codes a byte field; a decode cuts it from the arena capacity-capped, so
+// an append cannot reach the next field, and an empty one as nil.
+func (c *coder) span(b *[]byte) {
+	if n := c.count(len(*b), 1); !c.dec {
+		c.buf = append(c.buf, *b...)
+	} else if *b = c.next(n); n == 0 {
+		*b = nil
+	}
+}
+
+// elems codes a repeated field's count and returns its elements: *s, or a new
+// array of the count read (DecodeInto emptied the message first).
+func elems[T any](c *coder, s *[]T, min int) []T {
+	if n := c.count(len(*s), min); c.dec && n > 0 {
+		*s = make([]T, n)
+	}
+	return *s
+}
+
+func (c *coder) txn(t *Txn) {
+	c.tid(&t.ID)
+	for i := range elems(c, &t.ReadSet, minRead) {
+		r := &t.ReadSet[i]
+		c.str(&r.Key)
+		c.ts(&r.WTS)
+		c.u64(&r.VHash)
+	}
+	for i := range elems(c, &t.WriteSet, minWrite) {
+		w := &t.WriteSet[i]
+		c.str(&w.Key)
+		c.span(&w.Value)
+	}
+	for i := range elems(c, &t.OpSet, minOp) {
+		o := &t.OpSet[i]
+		c.str(&o.Key)
+		c.u8((*uint8)(&o.Kind))
+		c.i64(&o.Delta)
+		c.span(&o.Arg)
+	}
+}
+
+// walk codes m's type byte, then its row's fields: the one list of the format.
+func (c *coder) walk(m *Message) {
+	c.u8((*uint8)(&m.Type))
+	row := layout[m.Type]
+	if c.all {
+		row = ^field(0)
+	}
+	if row&fSrc != 0 {
+		c.u32(&m.Src.Node)
+		c.u32(&m.Src.Core)
+	}
+	if row&fTxn != 0 {
+		c.txn(&m.Txn)
+	}
+	if row&fTID != 0 {
+		c.tid(&m.TID)
+	}
+	if row&fTS != 0 {
+		c.ts(&m.TS)
+	}
+	if row&fStatus != 0 {
+		c.u8((*uint8)(&m.Status))
+	}
+	if row&fView != 0 {
+		c.u64(&m.View)
+	}
+	if row&fCoreID != 0 {
+		c.u32(&m.CoreID)
+	}
+	if row&fKey != 0 {
+		c.str(&m.Key)
+	}
+	if row&fValue != 0 {
+		c.span(&m.Value)
+	}
+	if row&fOK != 0 {
+		c.flag(&m.OK)
+	}
+	if row&fEpoch != 0 {
+		c.u64(&m.Epoch)
+	}
+	if row&fRecords != 0 {
+		for i := range elems(c, &m.Records, minRecord) {
+			r := &m.Records[i]
+			c.txn(&r.Txn)
+			c.ts(&r.TS)
+			c.u8((*uint8)(&r.Status))
+			c.u64(&r.View)
+			c.u64(&r.AcceptView)
+			c.u32(&r.CoreID)
+		}
+	}
+	if row&fSeq != 0 {
+		c.u64(&m.Seq)
+	}
+	if row&fState != 0 {
+		for i := range elems(c, &m.State, minKeyState) {
+			ks := &m.State[i]
+			c.str(&ks.Key)
+			c.span(&ks.Value)
+			c.ts(&ks.WTS)
+			c.ts(&ks.RTS)
+		}
+	}
+	if row&fReplicaID != 0 {
+		c.u32(&m.ReplicaID)
+	}
+	if row&fKeys != 0 {
+		if n := c.count(len(m.Keys), minKey); c.dec {
+			m.OwnKeys(n)
+		}
+		for i := range m.Keys {
+			c.str(&m.Keys[i])
+		}
+	}
+	if row&fReads != 0 {
+		if n := c.count(len(m.Reads), minResult); c.dec {
+			m.OwnReads(n)
+		}
+		for i := range m.Reads {
+			r := &m.Reads[i]
+			c.span(&r.Value)
+			c.ts(&r.WTS)
+			c.flag(&r.OK)
+			c.u8((*uint8)(&r.Op))
+		}
+	}
+	if row&fWatermark != 0 {
+		c.ts(&m.Watermark)
+	}
+	if row&fRoute != 0 {
+		c.u64(&m.MapVersion)
+		c.flag(&m.WrongShard)
 	}
 }
 
 // Encode appends the wire encoding of m to buf and returns the extended
 // slice. Pass nil to allocate a fresh buffer.
 func Encode(buf []byte, m *Message) []byte {
-	e := encoder{buf: buf}
-	e.u8(uint8(m.Type))
-	e.u32(m.Src.Node)
-	e.u32(m.Src.Core)
-	e.txn(&m.Txn)
-	e.tid(m.TID)
-	e.ts(m.TS)
-	e.u8(uint8(m.Status))
-	e.u64(m.View)
-	e.u32(m.CoreID)
-	e.str(m.Key)
-	e.bytes(m.Value)
-	e.bool(m.OK)
-	e.u64(m.Epoch)
-	e.uvarint(uint64(len(m.Records)))
-	for i := range m.Records {
-		r := &m.Records[i]
-		e.txn(&r.Txn)
-		e.ts(r.TS)
-		e.u8(uint8(r.Status))
-		e.u64(r.View)
-		e.u64(r.AcceptView)
-		e.u32(r.CoreID)
+	c := coder{buf: buf}
+	c.walk(m)
+	if poisonOnRelease.Load() {
+		checkRow(m, c.buf[len(buf):])
 	}
-	e.u64(m.Seq)
-	e.uvarint(uint64(len(m.Entries)))
-	for i := range m.Entries {
-		le := &m.Entries[i]
-		e.u64(le.Seq)
-		e.tid(le.TID)
-		e.ts(le.TS)
-		e.uvarint(uint64(len(le.WriteSet)))
-		for j := range le.WriteSet {
-			e.str(le.WriteSet[j].Key)
-			e.bytes(le.WriteSet[j].Value)
-		}
+	return c.buf
+}
+
+// checkRow panics, naming m's type, if m carries a field its row leaves out,
+// which no receiver would see: under the SetPoisonOnRelease test hook, every
+// field of m must equal that of the message its encoding decodes to.
+func checkRow(m *Message, wire []byte) {
+	sent, got := coder{all: true}, coder{all: true}
+	sent.walk(m)
+	if back, err := Decode(wire); err == nil {
+		got.walk(back)
 	}
-	e.uvarint(uint64(len(m.State)))
-	for i := range m.State {
-		ks := &m.State[i]
-		e.str(ks.Key)
-		e.bytes(ks.Value)
-		e.ts(ks.WTS)
-		e.ts(ks.RTS)
+	if !bytes.Equal(sent.buf, got.buf) {
+		panic(fmt.Sprintf("message: a %v carries a field its layout drops", m.Type))
 	}
-	e.u32(m.ReplicaID)
-	e.uvarint(uint64(len(m.Keys)))
-	for i := range m.Keys {
-		e.str(m.Keys[i])
-	}
-	e.uvarint(uint64(len(m.Reads)))
-	for i := range m.Reads {
-		r := &m.Reads[i]
-		e.bytes(r.Value)
-		e.ts(r.WTS)
-		e.bool(r.OK)
-		e.u8(uint8(r.Op))
-	}
-	e.ts(m.Watermark)
-	e.u64(m.MapVersion)
-	e.bool(m.WrongShard)
-	return e.buf
 }
 
 // Decode parses one message from buf into a fresh Message, whose arena is the
@@ -319,88 +381,24 @@ func Decode(buf []byte) (*Message, error) {
 	return m, nil
 }
 
-// DecodeInto parses one message from buf into m, overwriting every field. It
-// copies buf into m's arena once and cuts every key and value from there, and
-// reuses m's slice capacity where it suffices: a Message reused across a
-// receive loop decodes without allocating, and one recycled through the pool
-// decodes into the arena and the Keys and Reads arrays it kept. Nothing decoded
-// aliases buf; everything decoded aliases the arena and dies at m's release or
-// its next decode (arena.go). On error m's contents are unspecified. Trailing
-// bytes are an error, as in Decode.
+// DecodeInto parses one message from buf into m, overwriting every field: one
+// the type's row leaves out is zero, whatever m held. It copies buf into m's
+// arena once, cuts every key and value from there, and reuses the arena and the
+// Keys and Reads arrays m kept, so a multi-read or its reply decodes without
+// allocating. Everything decoded dies at m's release or next decode (arena.go).
+// On error m is unspecified but for Type, which a non-empty buf always sets.
+// Trailing bytes are an error, as in Decode.
 func DecodeInto(m *Message, buf []byte) error {
-	m.arena = append(m.arena[:0], buf...)
-	d := decoder{buf: m.arena}
-	m.Type = Type(d.u8())
-	m.Src.Node = d.u32()
-	m.Src.Core = d.u32()
-	d.txn(&m.Txn)
-	m.TID = d.tid()
-	m.TS = d.ts()
-	m.Status = Status(d.u8())
-	m.View = d.u64()
-	m.CoreID = d.u32()
-	m.Key = d.str()
-	m.Value = d.bytes()
-	m.OK = d.bool()
-	m.Epoch = d.u64()
-	n := d.count(minRecord)
-	m.Records = grow(m.Records, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		r := &m.Records[i]
-		d.txn(&r.Txn)
-		r.TS = d.ts()
-		r.Status = Status(d.u8())
-		r.View = d.u64()
-		r.AcceptView = d.u64()
-		r.CoreID = d.u32()
+	m.OwnKeys(0)
+	m.OwnReads(0)
+	*m = Message{keys: m.keys, reads: m.reads, arena: append(m.arena[:0], buf...)}
+	c := coder{buf: m.arena, dec: true}
+	c.walk(m)
+	if c.err != nil {
+		return c.err
 	}
-	m.Seq = d.u64()
-	n = d.count(minLogEntry)
-	m.Entries = grow(m.Entries, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		le := &m.Entries[i]
-		le.Seq = d.u64()
-		le.TID = d.tid()
-		le.TS = d.ts()
-		wn := d.count(minWrite)
-		le.WriteSet = grow(le.WriteSet, wn)
-		for j := 0; j < wn && d.err == nil; j++ {
-			le.WriteSet[j].Key = d.str()
-			le.WriteSet[j].Value = d.bytes()
-		}
-	}
-	n = d.count(minKeyState)
-	m.State = grow(m.State, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		ks := &m.State[i]
-		ks.Key = d.str()
-		ks.Value = d.bytes()
-		ks.WTS = d.ts()
-		ks.RTS = d.ts()
-	}
-	m.ReplicaID = d.u32()
-	n = d.count(minKey)
-	keys := m.OwnKeys(n)
-	for i := 0; i < n && d.err == nil; i++ {
-		keys[i] = d.str()
-	}
-	n = d.count(minResult)
-	reads := m.OwnReads(n)
-	for i := 0; i < n && d.err == nil; i++ {
-		r := &reads[i]
-		r.Value = d.bytes()
-		r.WTS = d.ts()
-		r.OK = d.bool()
-		r.Op = OpKind(d.u8())
-	}
-	m.Watermark = d.ts()
-	m.MapVersion = d.u64()
-	m.WrongShard = d.bool()
-	if d.err != nil {
-		return d.err
-	}
-	if d.off != len(buf) {
-		return fmt.Errorf("message: %d trailing bytes", len(buf)-d.off)
+	if c.off != len(buf) {
+		return fmt.Errorf("message: %d trailing bytes", len(buf)-c.off)
 	}
 	return nil
 }

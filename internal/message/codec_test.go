@@ -5,12 +5,15 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"meerkat/internal/timestamp"
 )
 
+// sampleMessage is a validate request with every field of its row set and
+// every set of its transaction filled.
 func sampleMessage() *Message {
 	return &Message{
 		Type: TypeValidate,
@@ -30,46 +33,10 @@ func sampleMessage() *Message {
 				{Key: "hi", Kind: OpMax, Delta: 99},
 			},
 		},
-		TID:    timestamp.TxnID{Seq: 42, ClientID: 9},
-		TS:     timestamp.Timestamp{Time: 100, ClientID: 9},
-		Status: StatusValidatedOK,
-		View:   2,
-		CoreID: 5,
-		Key:    "k",
-		Value:  []byte{1, 2, 3},
-		OK:     true,
-		Epoch:  7,
-		Records: []TRecordEntry{
-			{
-				Txn: Txn{
-					ID:       timestamp.TxnID{Seq: 1, ClientID: 2},
-					ReadSet:  []ReadSetEntry{{Key: "x", WTS: timestamp.Timestamp{Time: 1, ClientID: 1}}},
-					WriteSet: []WriteSetEntry{{Key: "y", Value: []byte("v")}},
-				},
-				TS:         timestamp.Timestamp{Time: 50, ClientID: 2},
-				Status:     StatusCommitted,
-				View:       1,
-				AcceptView: 1,
-				CoreID:     3,
-			},
-		},
-		Seq: 11,
-		Entries: []LogEntry{
-			{
-				Seq: 1,
-				TID: timestamp.TxnID{Seq: 2, ClientID: 3},
-				TS:  timestamp.Timestamp{Time: 4, ClientID: 3},
-				WriteSet: []WriteSetEntry{
-					{Key: "z", Value: []byte("w")},
-				},
-			},
-		},
-		ReplicaID: 2,
-		Keys:      []string{"k1", "k2", "k3"},
-		Reads: []ReadResult{
-			{Value: []byte("v1"), WTS: timestamp.Timestamp{Time: 8, ClientID: 1}, OK: true},
-			{Value: nil, OK: false},
-		},
+		TID:        timestamp.TxnID{Seq: 42, ClientID: 9},
+		TS:         timestamp.Timestamp{Time: 100, ClientID: 9},
+		CoreID:     5,
+		MapVersion: 4,
 	}
 }
 
@@ -83,14 +50,15 @@ func same(a, b *Message) bool {
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	m := sampleMessage()
-	buf := Encode(nil, m)
-	got, err := Decode(buf)
-	if err != nil {
-		t.Fatalf("Decode: %v", err)
-	}
-	if !same(m, got) {
-		t.Fatalf("round trip mismatch:\n in: %+v\nout: %+v", m, got)
+	rng := rand.New(rand.NewSource(2))
+	for _, m := range append(everyType(rng), sampleMessage()) {
+		got, err := Decode(Encode(nil, m))
+		if err != nil {
+			t.Fatalf("Decode %v: %v", m.Type, err)
+		}
+		if !same(m, got) {
+			t.Fatalf("%v: round trip mismatch:\n in: %+v\nout: %+v", m.Type, m, got)
+		}
 	}
 }
 
@@ -177,33 +145,36 @@ func quickTxn(seq, cid uint64, keys []string, vals [][]byte) Txn {
 
 func TestQuickRoundTrip(t *testing.T) {
 	f := func(seq, cid uint64, keys []string, vals [][]byte, key string, value []byte, ok bool, view, epoch uint64) bool {
-		m := &Message{
-			Type:   TypeValidate,
+		tid := timestamp.TxnID{Seq: seq, ClientID: cid}
+		accept := &Message{
+			Type:   TypeAccept,
 			Txn:    quickTxn(seq, cid, keys, vals),
-			TID:    timestamp.TxnID{Seq: seq, ClientID: cid},
+			TID:    tid,
 			TS:     timestamp.Timestamp{Time: int64(seq), ClientID: cid},
-			Status: StatusValidatedOK,
+			Status: StatusAcceptCommit,
 			View:   view,
-			Key:    key,
-			Value:  value,
-			OK:     ok,
-			Epoch:  epoch,
 		}
 		// Normalize: codec decodes empty slices as nil.
-		if len(m.Value) == 0 {
-			m.Value = nil
+		if len(value) == 0 {
+			value = nil
 		}
-		for i := range m.Txn.WriteSet {
-			if len(m.Txn.WriteSet[i].Value) == 0 {
-				m.Txn.WriteSet[i].Value = nil
+		for i := range accept.Txn.WriteSet {
+			if len(accept.Txn.WriteSet[i].Value) == 0 {
+				accept.Txn.WriteSet[i].Value = nil
 			}
 		}
-		buf := Encode(nil, m)
-		got, err := Decode(buf)
-		if err != nil {
-			return false
+		for _, m := range []*Message{
+			accept,
+			{Type: TypeAcceptReply, TID: tid, View: view, OK: ok},
+			{Type: TypePut, Key: key, Value: value, Seq: seq},
+			{Type: TypeEpochChange, Epoch: epoch},
+		} {
+			got, err := Decode(Encode(nil, m))
+			if err != nil || !same(m, got) {
+				return false
+			}
 		}
-		return same(m, got)
+		return true
 	}
 	cfg := &quick.Config{MaxCount: 200}
 	if err := quick.Check(f, cfg); err != nil {
@@ -239,10 +210,9 @@ func TestTypeStrings(t *testing.T) {
 }
 
 func TestMessageString(t *testing.T) {
-	for ty := TypeInvalid; ty <= TypePutReply; ty++ {
-		m := &Message{Type: ty}
-		if m.String() == "" {
-			t.Errorf("empty String() for %v", ty)
+	for n := range typeNames {
+		if m := (&Message{Type: Type(n)}); m.String() == "" {
+			t.Errorf("empty String() for %v", m.Type)
 		}
 	}
 }
@@ -290,8 +260,10 @@ func TestStateTransferRoundTrip(t *testing.T) {
 // TestTypeNumbersArePinned pins every message type to its number. The type
 // byte leads every wire message and every write-ahead-log and snapshot record
 // (DESIGN.md §11), so deleting or inserting a type must not renumber another:
-// a log written before the change has to reopen after it. 1 and 2 are the
-// retired one-key read pair and stay unassigned.
+// a log written before the change must not be misread after it. 1 and 2 are
+// the retired one-key read pair; 25 and 26 the durability records of the
+// layout in which every type carried every field, which replay now refuses by
+// their number. All four stay unassigned.
 func TestTypeNumbersArePinned(t *testing.T) {
 	pinned := map[Type]uint8{
 		TypeInvalid:                0,
@@ -317,8 +289,8 @@ func TestTypeNumbersArePinned(t *testing.T) {
 		TypeStateReply:             22,
 		TypeMultiRead:              23,
 		TypeMultiReadReply:         24,
-		TypeWALRecord:              25,
-		TypeWALSnapshot:            26,
+		TypeWALRecord:              27,
+		TypeWALSnapshot:            28,
 	}
 	for typ, want := range pinned {
 		if uint8(typ) != want {
@@ -336,31 +308,160 @@ func TestTypeNumbersArePinned(t *testing.T) {
 	if len(typeNames) != int(TypeWALSnapshot)+1 {
 		t.Errorf("%d type names, want %d", len(typeNames), int(TypeWALSnapshot)+1)
 	}
-	for _, blank := range []Type{1, 2} {
+	for _, blank := range []Type{1, 2, 25, 26} {
 		if got := blank.String(); got != fmt.Sprintf("type(%d)", uint8(blank)) {
 			t.Errorf("retired type %d prints as %q", uint8(blank), got)
 		}
+		if layout[blank] != 0 {
+			t.Errorf("retired type %d has a layout row", uint8(blank))
+		}
+	}
+}
+
+// TestLayoutGoldens pins each type's encoding byte for byte: a minimal message
+// of every named type — every field of its row zero — is its type byte and
+// its row's fields in order, and nothing else. A commit is 30 bytes and a
+// validate reply 47, where the layout that carried every field made each 126.
+// One state-request carries values, because three of its slots mean something
+// else for it: its apply-time bound (SinceWall) travels where View does, its
+// shard where Seq does.
+func TestLayoutGoldens(t *testing.T) {
+	const (
+		src   = "0000000000000000"                 // node, core
+		id    = "00000000000000000000000000000000" // a TxnID or a Timestamp
+		txn   = id + "000000"                      // id and three empty sets
+		u8    = "00"                               // status, ok; an empty string, span or repeated field
+		u32   = "00000000"                         // core id, replica id
+		u64   = "0000000000000000"                 // view, epoch, seq
+		route = u64 + u8                           // map version, wrong shard
+	)
+	golden := map[Type]string{
+		TypeInvalid:                "00",
+		TypeValidate:               "03" + src + txn + id + id + u32 + route,
+		TypeValidateReply:          "04" + src + id + u8 + u64 + u32 + route,
+		TypeAccept:                 "05" + src + txn + id + id + u8 + u64 + u32,
+		TypeAcceptReply:            "06" + src + id + u8 + u64 + u8 + u32,
+		TypeCommit:                 "07" + src + id + u8 + u32,
+		TypeEpochChange:            "08" + src + u64,
+		TypeEpochChangeAck:         "09" + src + u32 + u8 + u64 + u8 + u32,
+		TypeEpochChangeComplete:    "0a" + src + u64 + u8,
+		TypeCoordChange:            "0b" + src + id + u64 + u32,
+		TypeCoordChangeAck:         "0c" + src + id + u64 + u8 + u8 + u32,
+		TypePBSubmit:               "0d" + src + txn + id + u32,
+		TypePBReply:                "0e" + src + id + u8,
+		TypePBReplicate:            "0f" + src + txn + id + u64,
+		TypePBAck:                  "10" + src + id + u64 + u32,
+		TypePut:                    "11" + src + u8 + u8 + u64,
+		TypePutReply:               "12" + src + u64,
+		TypeEpochChangeCompleteAck: "13" + src + u32 + u64 + u32,
+		TypeSweep:                  "14" + src,
+		TypeStateRequest:           "15" + src + id + u64 + u64,
+		TypeStateReply:             "16" + src + u8 + u64 + u8 + u32,
+		TypeMultiRead:              "17" + src + id + u64 + u8 + route,
+		TypeMultiReadReply:         "18" + src + u64 + u32 + u8 + id + route,
+		TypeWALRecord:              "1b" + txn + id,
+		TypeWALSnapshot:            "1c" + u64 + u8,
+	}
+	for n := range typeNames {
+		if typeNames[n] == "" {
+			continue
+		}
+		typ := Type(n)
+		want, ok := golden[typ]
+		if !ok {
+			t.Errorf("%v has no golden encoding", typ)
+			continue
+		}
+		if got := fmt.Sprintf("%x", Encode(nil, &Message{Type: typ})); got != want {
+			t.Errorf("a minimal %v encodes as\n%s, pinned at\n%s", typ, got, want)
+		}
+	}
+	for typ, size := range map[Type]int{TypeCommit: 30, TypeValidateReply: 47} {
+		if got := len(Encode(nil, &Message{Type: typ})); got != size {
+			t.Errorf("a minimal %v is %d bytes, want %d", typ, got, size)
+		}
 	}
 
-	// One state-request, byte for byte: its apply-time bound has a name of its
-	// own (SinceWall) but no slot of its own — it travels where View does.
 	req := &Message{Type: TypeStateRequest, Seq: 3, TS: timestamp.Timestamp{Time: 0x0102030405060708, ClientID: 9}}
 	req.SetSinceWall(0x1122334455667788)
-	const golden = "15" + "00000000" + "00000000" + // type 21; src
-		"00000000000000000000000000000000" + "000000" + // txn: id, three empty sets
-		"00000000000000000000000000000000" + // tid
-		"0807060504030201" + "0900000000000000" + // ts
-		"00" + "8877665544332211" + "00000000" + // status; view — the bound; core id
-		"00" + "00" + "00" + // key, value, ok
-		"0000000000000000" + "00" + // epoch, records
-		"0300000000000000" + "00" + // seq — the shard; entries
-		"00" + "00000000" + "00" + "00" + // state, replica id, keys, reads
-		"00000000000000000000000000000000" + "0000000000000000" + "00" // watermark, map version, wrong-shard
-	if got := fmt.Sprintf("%x", Encode(nil, req)); got != golden {
-		t.Errorf("state-request encodes as\n%s, pinned at\n%s", got, golden)
+	const pinned = "15" + src + // type 21; src
+		"0807060504030201" + "0900000000000000" + // ts — the delta bound
+		"8877665544332211" + // view — the apply-time bound
+		"0300000000000000" // seq — the shard
+	if got := fmt.Sprintf("%x", Encode(nil, req)); got != pinned {
+		t.Errorf("state-request encodes as\n%s, pinned at\n%s", got, pinned)
 	}
 	var back Message
 	if err := DecodeInto(&back, Encode(nil, req)); err != nil || back.SinceWall() != 0x1122334455667788 || back.View != req.View {
 		t.Errorf("decoded SinceWall %#x (View %#x), err %v", back.SinceWall(), back.View, err)
+	}
+}
+
+// fullMessage sets every field of Message, whatever its type's row.
+func fullMessage() *Message {
+	m := sampleMessage()
+	m.Status, m.View, m.Key, m.Value, m.OK, m.Epoch = StatusValidatedOK, 2, "k", []byte{1, 2, 3}, true, 7
+	m.Records = []TRecordEntry{{Txn: m.Txn, TS: m.TS, Status: StatusCommitted, View: 1, AcceptView: 1, CoreID: 3}}
+	m.Seq, m.ReplicaID, m.WrongShard = 11, 2, true
+	m.State = []KeyState{{Key: "s", Value: []byte("v"), WTS: m.TS, RTS: m.TS}}
+	m.Keys = []string{"k1", "k2", "k3"}
+	m.Reads = []ReadResult{{Value: []byte("v1"), WTS: m.TS, OK: true}, {}}
+	m.Watermark = m.TS
+	return m
+}
+
+// TestDecodeZeroesAbsentFields: a decode sets every field its type's row
+// leaves out to the zero value, in a message that held all of them — one
+// reused across a receive loop, or recycled through the pool — as in a fresh
+// one. Keys and Reads become nil, their arrays kept and emptied.
+func TestDecodeZeroesAbsentFields(t *testing.T) {
+	defer SetPoisonOnRelease(SetPoisonOnRelease(false))
+	rng := rand.New(rand.NewSource(4))
+	for _, src := range everyType(rng) {
+		wire := Encode(nil, src)
+		want, err := Decode(wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := AcquireMessage()
+		m.CopyFrom(fullMessage())
+		if err := DecodeInto(m, wire); err != nil {
+			t.Fatal(err)
+		}
+		if !same(m, want) {
+			t.Errorf("%v decoded over a full message:\n got: %+v\nwant: %+v", src.Type, m, want)
+		}
+		if layout[src.Type]&fKeys == 0 && (m.Keys != nil || cap(m.keys) < 3 || m.keys[:3][0] != "") {
+			t.Errorf("%v: Keys %q, kept array cap %d, want nil over an emptied array", src.Type, m.Keys, cap(m.keys))
+		}
+		if layout[src.Type]&fReads == 0 && (m.Reads != nil || cap(m.reads) < 2 || m.reads[:2][0].Value != nil) {
+			t.Errorf("%v: Reads %+v, kept array cap %d, want nil over an emptied array", src.Type, m.Reads, cap(m.reads))
+		}
+		ReleaseMessage(m)
+	}
+}
+
+// TestEncodeRefusesFieldsItsRowDrops: with the poison-on-release test hook on,
+// a message carrying a field its type's row leaves out — a field its sender set
+// and no receiver would see — panics at encode, naming the type. Without the
+// hook the field is dropped, as the layout says.
+func TestEncodeRefusesFieldsItsRowDrops(t *testing.T) {
+	defer SetPoisonOnRelease(SetPoisonOnRelease(true))
+	rng := rand.New(rand.NewSource(6))
+	for _, m := range everyType(rng) {
+		Encode(nil, m) // a message that fills only its row encodes
+	}
+	commit := &Message{Type: TypeCommit, TID: timestamp.TxnID{Seq: 1, ClientID: 2}, Status: StatusCommitted, Key: "k"}
+	func() {
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "commit") {
+				t.Fatalf("a commit carrying a Key encoded with recover() = %v, want a panic naming it", r)
+			}
+		}()
+		Encode(nil, commit)
+	}()
+	SetPoisonOnRelease(false)
+	if back, err := Decode(Encode(nil, commit)); err != nil || back.Key != "" || back.TID != commit.TID {
+		t.Fatalf("without the hook: %+v, %v", back, err)
 	}
 }

@@ -12,8 +12,9 @@ import (
 	"meerkat/internal/timestamp"
 )
 
-// randomMessage builds a message with fuzzer-chosen field sizes, exercising
-// every slice-bearing field of the wire format.
+// randomMessage builds a message of a random type number, named or not, with
+// fuzzer-chosen values and sizes in every field of its type's row and nothing
+// outside it.
 func randomMessage(rng *rand.Rand) *Message {
 	rstr := func() string {
 		b := make([]byte, rng.Intn(12))
@@ -51,49 +52,89 @@ func randomMessage(rng *rand.Rand) *Message {
 		}
 		return t
 	}
-	m := &Message{
-		Type:   Type(rng.Intn(int(TypeWALSnapshot) + 1)),
-		Txn:    rtxn(),
-		TID:    timestamp.TxnID{Seq: rng.Uint64() % 1000, ClientID: 5},
-		TS:     rts(),
-		Status: Status(rng.Intn(int(StatusAborted) + 1)),
-		View:   rng.Uint64() % 100,
-		CoreID: uint32(rng.Intn(8)),
-		Key:    rstr(),
-		Value:  rbytes(),
-		OK:     rng.Intn(2) == 0,
-		Epoch:  rng.Uint64() % 100,
-		Seq:    rng.Uint64() % 100,
+	m := &Message{Type: Type(rng.Intn(int(TypeWALSnapshot) + 1))}
+	row := layout[m.Type]
+	has := func(f field) bool { return row&f != 0 }
+	if has(fSrc) {
+		m.Src = Addr{Node: uint32(rng.Intn(300)), Core: uint32(rng.Intn(8))}
 	}
-	for i := rng.Intn(3); i > 0; i-- {
+	if has(fTxn) {
+		m.Txn = rtxn()
+	}
+	if has(fTID) {
+		m.TID = timestamp.TxnID{Seq: rng.Uint64() % 1000, ClientID: 5}
+	}
+	if has(fTS) {
+		m.TS = rts()
+	}
+	if has(fStatus) {
+		m.Status = Status(rng.Intn(int(StatusAborted) + 1))
+	}
+	if has(fView) {
+		m.View = rng.Uint64() % 100
+	}
+	if has(fCoreID) {
+		m.CoreID = uint32(rng.Intn(8))
+	}
+	if has(fKey) {
+		m.Key = rstr()
+	}
+	if has(fValue) {
+		m.Value = rbytes()
+	}
+	if has(fOK) {
+		m.OK = rng.Intn(2) == 0
+	}
+	if has(fEpoch) {
+		m.Epoch = rng.Uint64() % 100
+	}
+	for i := rng.Intn(3); has(fRecords) && i > 0; i-- {
 		m.Records = append(m.Records, TRecordEntry{
 			Txn: rtxn(), TS: rts(), Status: StatusCommitted,
 			View: rng.Uint64() % 10, AcceptView: rng.Uint64() % 10, CoreID: uint32(rng.Intn(8)),
 		})
 	}
-	for i := rng.Intn(3); i > 0; i-- {
-		le := LogEntry{Seq: rng.Uint64() % 100, TID: timestamp.TxnID{Seq: 1}, TS: rts()}
-		for j := rng.Intn(3); j > 0; j-- {
-			le.WriteSet = append(le.WriteSet, WriteSetEntry{Key: rstr(), Value: rbytes()})
-		}
-		m.Entries = append(m.Entries, le)
+	if has(fSeq) {
+		m.Seq = rng.Uint64() % 100
 	}
-	for i := rng.Intn(3); i > 0; i-- {
+	for i := rng.Intn(3); has(fState) && i > 0; i-- {
 		m.State = append(m.State, KeyState{Key: rstr(), Value: rbytes(), WTS: rts(), RTS: rts()})
 	}
-	for i := rng.Intn(4); i > 0; i-- {
+	if has(fReplicaID) {
+		m.ReplicaID = uint32(rng.Intn(3))
+	}
+	for i := rng.Intn(4); has(fKeys) && i > 0; i-- {
 		m.Keys = append(m.Keys, rstr())
 	}
-	for i := rng.Intn(4); i > 0; i-- {
+	for i := rng.Intn(4); has(fReads) && i > 0; i-- {
 		m.Reads = append(m.Reads, ReadResult{
 			Value: rbytes(), WTS: rts(), OK: rng.Intn(2) == 0,
 			Op: OpKind(rng.Intn(int(OpMin) + 1)),
 		})
 	}
-	if rng.Intn(2) == 0 {
+	if has(fWatermark) && rng.Intn(2) == 0 {
 		m.Watermark = rts()
 	}
+	if has(fRoute) {
+		m.MapVersion, m.WrongShard = rng.Uint64()%10, rng.Intn(4) == 0
+	}
 	return m
+}
+
+// everyType returns one randomMessage of each named type.
+func everyType(rng *rand.Rand) []*Message {
+	var ms []*Message
+	for n := range typeNames {
+		if typeNames[n] == "" {
+			continue
+		}
+		m := randomMessage(rng)
+		for m.Type != Type(n) {
+			m = randomMessage(rng)
+		}
+		ms = append(ms, m)
+	}
+	return ms
 }
 
 // TestDecodeTruncatedPrefixes asserts that decoding ANY strict prefix of a
@@ -174,22 +215,31 @@ func TestDecodeHugeLengthPrefix(t *testing.T) {
 	}
 }
 
-// countPrefixes names every repeated field of the wire format: where its count
-// prefix sits in the encoding of an empty message (a single 0 byte there), the
-// least one element takes on the wire, and how many the decoded message holds.
+// countPrefixes names every repeated field of the format: a type whose row
+// carries it, how to give a minimal message of that type one zeroed element of
+// it, the least one element takes on the wire, and how many the decoded
+// message holds.
 var countPrefixes = []struct {
-	name     string
-	off, min int
-	n        func(*Message) int
+	name string
+	typ  Type
+	one  func(*Message)
+	min  int
+	n    func(*Message) int
 }{
-	{"Txn.ReadSet", 25, minRead, func(m *Message) int { return len(m.Txn.ReadSet) }},
-	{"Txn.WriteSet", 26, minWrite, func(m *Message) int { return len(m.Txn.WriteSet) }},
-	{"Txn.OpSet", 27, minOp, func(m *Message) int { return len(m.Txn.OpSet) }},
-	{"Records", 84, minRecord, func(m *Message) int { return len(m.Records) }},
-	{"Entries", 93, minLogEntry, func(m *Message) int { return len(m.Entries) }},
-	{"State", 94, minKeyState, func(m *Message) int { return len(m.State) }},
-	{"Keys", 99, minKey, func(m *Message) int { return len(m.Keys) }},
-	{"Reads", 100, minResult, func(m *Message) int { return len(m.Reads) }},
+	{"Txn.ReadSet", TypeValidate, func(m *Message) { m.Txn.ReadSet = make([]ReadSetEntry, 1) }, minRead,
+		func(m *Message) int { return len(m.Txn.ReadSet) }},
+	{"Txn.WriteSet", TypeValidate, func(m *Message) { m.Txn.WriteSet = make([]WriteSetEntry, 1) }, minWrite,
+		func(m *Message) int { return len(m.Txn.WriteSet) }},
+	{"Txn.OpSet", TypeValidate, func(m *Message) { m.Txn.OpSet = make([]OpSetEntry, 1) }, minOp,
+		func(m *Message) int { return len(m.Txn.OpSet) }},
+	{"Records", TypeEpochChangeComplete, func(m *Message) { m.Records = make([]TRecordEntry, 1) }, minRecord,
+		func(m *Message) int { return len(m.Records) }},
+	{"State", TypeStateReply, func(m *Message) { m.State = make([]KeyState, 1) }, minKeyState,
+		func(m *Message) int { return len(m.State) }},
+	{"Keys", TypeMultiRead, func(m *Message) { m.Keys = make([]string, 1) }, minKey,
+		func(m *Message) int { return len(m.Keys) }},
+	{"Reads", TypeMultiReadReply, func(m *Message) { m.Reads = make([]ReadResult, 1) }, minResult,
+		func(m *Message) int { return len(m.Reads) }},
 }
 
 // TestDecodeHugeCountPrefix plants, in a datagram of the largest size, the
@@ -200,21 +250,31 @@ var countPrefixes = []struct {
 // arena and change), where 65 000 records of 136 B were 8.8 MB.
 func TestDecodeHugeCountPrefix(t *testing.T) {
 	const datagram = 64 << 10
-	empty := Encode(nil, &Message{})
 	for _, f := range countPrefixes {
-		// The table is right: one zeroed element of the least size decodes.
-		one := append(append([]byte(nil), empty[:f.off]...), 1)
-		one = append(append(one, make([]byte, f.min)...), empty[f.off+1:]...)
+		// The table is right: the count sits where a minimal message's and
+		// the same message with one zeroed element first differ, and that
+		// element takes exactly the least size, and decodes.
+		empty := Encode(nil, &Message{Type: f.typ})
+		m := &Message{Type: f.typ}
+		f.one(m)
+		one := Encode(nil, m)
+		off := 0
+		for off < len(empty) && empty[off] == one[off] {
+			off++
+		}
+		if off == len(empty) || len(one)-len(empty) != f.min {
+			t.Fatalf("%s: one zeroed element adds %d bytes at offset %d, want %d", f.name, len(one)-len(empty), off, f.min)
+		}
 		if m, err := Decode(one); err != nil || f.n(m) != 1 {
-			t.Fatalf("%s: one minimal element at offset %d: %v", f.name, f.off, err)
+			t.Fatalf("%s: one minimal element at offset %d: %v", f.name, off, err)
 		}
 
-		left := datagram - f.off - 3 // a count this size takes three bytes
+		left := datagram - off - 3 // a count this size takes three bytes
 		count := left
 		if f.min == 1 {
 			count++ // one byte each is the old rule: only more than fit is corrupt
 		}
-		evil := binary.AppendUvarint(append([]byte(nil), empty[:f.off]...), uint64(count))
+		evil := binary.AppendUvarint(append([]byte(nil), empty[:off]...), uint64(count))
 		evil = append(evil, make([]byte, datagram-len(evil))...)
 		var before, after runtime.MemStats
 		const runs = 10
@@ -269,13 +329,9 @@ func FuzzDecode(f *testing.F) {
 			{Key: "lo", Kind: OpMin, Delta: 12},
 		},
 	}}))
-	// One of every pinned type, every slice-bearing field filled.
-	for n := 0; n < len(typeNames); n++ {
-		if typ := Type(n); typeNames[typ] != "" {
-			m := randomMessage(rng)
-			m.Type = typ
-			f.Add(Encode(nil, m))
-		}
+	// One of every named type, every field of its row filled.
+	for _, m := range everyType(rng) {
+		f.Add(Encode(nil, m))
 	}
 	// The fuzz engine calls the target from one goroutine per process; the lock
 	// says so rather than relies on it.

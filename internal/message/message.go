@@ -16,16 +16,15 @@ import (
 // Type identifies a protocol message.
 type Type uint8
 
-// Message types. The first group is the Meerkat/TAPIR transaction protocol,
-// the second is recovery, the third serves the primary-backup baselines
-// (KuaFu++ and Meerkat-PB), and the last is the tiny PUT-only KV used to
-// reproduce Figure 1.
+// Message types, in groups: the Meerkat/TAPIR transaction protocol, recovery,
+// the primary-backup baselines (KuaFu++ and Meerkat-PB), the PUT-only KV of
+// Figure 1, then later additions. The type byte leads every encoding, in the
+// write-ahead log too: a retired number stays blank, and a type whose row
+// (codec.go) changes so that an old log would be misread takes a new number.
 const (
 	TypeInvalid Type = iota
 
-	// 1 and 2 were the one-key read pair, retired for TypeMultiRead. They stay
-	// blank: the type byte is part of the log format (TypeWALRecord,
-	// TypeWALSnapshot), so no surviving type may be renumbered.
+	// 1 and 2 were the one-key read pair, retired for TypeMultiRead.
 	_
 	_
 
@@ -46,17 +45,19 @@ const (
 	// Primary-backup baselines.
 	TypePBSubmit    // client -> primary: whole txn (KuaFu++ / Meerkat-PB)
 	TypePBReply     // primary -> client: outcome
-	TypePBReplicate // primary -> backups: ordered log entries / core-matched txn
+	TypePBReplicate // primary -> backups: one committed txn's writes
 	TypePBAck       // backup -> primary
 
 	// Figure 1 micro-benchmark.
 	TypePut      // client -> server: blind put
 	TypePutReply // server -> client
 
-	// Local control messages (delivered through a core's own queue so all
-	// trecord access stays on the owning core).
+	// Recovery, appended: ends the epoch change's install round.
 	TypeEpochChangeCompleteAck // replica core -> recovery coordinator
-	TypeSweep                  // core -> itself: scan for stalled txns
+
+	// Local control message: a core sends it to itself through its endpoint,
+	// so all trecord access stays on the owning core.
+	TypeSweep // core -> itself: scan for stalled txns
 
 	// Replica state transfer (recovery, §5.3.1). A StateRequest paginates by
 	// shard in Seq and carries two optional delta bounds: TS (ship keys whose
@@ -67,10 +68,14 @@ const (
 
 	// Batched execution phase: one round trip fetches a whole read set's
 	// worth of keys from one partition (§5.2.1's "reads go to any replica",
-	// amortized). Appended after the earlier types so existing type numbers
-	// stay stable on the wire.
+	// amortized).
 	TypeMultiRead      // coordinator -> any replica: read Keys, in order
 	TypeMultiReadReply // replica -> coordinator: Reads[i] answers Keys[i]
+
+	// 25 and 26 were the durability records when every type carried every
+	// field: replay refuses a log or snapshot that holds them.
+	_
+	_
 
 	// Durability records (internal/wal). These never cross the network; they
 	// are the payloads of CRC-framed entries in the per-core write-ahead logs
@@ -230,14 +235,6 @@ type KeyState struct {
 	RTS   timestamp.Timestamp
 }
 
-// LogEntry is one ordered entry in the KuaFu++ shared replication log.
-type LogEntry struct {
-	Seq      uint64 // position assigned by the primary's atomic counter
-	TID      timestamp.TxnID
-	TS       timestamp.Timestamp
-	WriteSet []WriteSetEntry
-}
-
 // Addr identifies a message endpoint: a node and a core (server thread) on
 // that node. Core-level addressing is how the prototype reproduces the
 // paper's NIC flow steering — every message for a given transaction is
@@ -250,9 +247,9 @@ type Addr struct {
 // String formats the address as "node/core".
 func (a Addr) String() string { return fmt.Sprintf("%d/%d", a.Node, a.Core) }
 
-// Message is a single protocol message. It is a flat union: each Type uses a
-// subset of the fields. Flat structs keep the inproc hot path free of
-// interface conversions and per-type allocations.
+// Message is a single protocol message. It is a flat union: each Type carries
+// the fields its layout row (codec.go) names. Flat structs keep the inproc hot
+// path free of interface conversions and per-type allocations.
 type Message struct {
 	Type Type
 	Src  Addr // reply address, filled by the transport on send
@@ -274,9 +271,9 @@ type Message struct {
 	Epoch   uint64
 	Records []TRecordEntry
 
-	// Primary-backup fields.
-	Seq     uint64
-	Entries []LogEntry
+	// Seq numbers a request for its reply to echo (a read round, a put, a
+	// KuaFu++ log position) or names a shard (state transfer, snapshot pages).
+	Seq uint64
 
 	// State transfer payload.
 	State []KeyState
@@ -285,9 +282,7 @@ type Message struct {
 	ReplicaID uint32
 
 	// Batched execution phase. A multi-read request carries Keys; the reply
-	// carries Reads, index-aligned with the request's Keys. (Encoded after
-	// the fields above so the offsets of the original wire format are
-	// unchanged.)
+	// carries Reads, index-aligned with the request's Keys.
 	//
 	// A multi-read request with a non-zero TS is a snapshot read: the replica
 	// answers every key at that timestamp (newest version at or below TS) and
@@ -306,8 +301,7 @@ type Message struct {
 	// every answered version is final with respect to this replica.
 	Watermark timestamp.Timestamp
 
-	// Shard routing (encoded last; the offsets of every earlier field are
-	// unchanged). MapVersion on a request is the shard-map version the client
+	// Shard routing. MapVersion on a request is the shard-map version the client
 	// routed with; on a redirect reply it is the replica's own view version,
 	// so the client knows whether a refresh can help yet. WrongShard set on a
 	// reply means the replica no longer owns (one of) the requested keys
@@ -329,9 +323,8 @@ type Message struct {
 
 // SinceWall is a state-request's apply-time bound: a reading of the
 // deployment's clock (0: none). It travels in the slot the transaction
-// protocol calls View, which a state-request has no other use for — the codec
-// is flat and shared with the write-ahead log, so the slot is named here and
-// no byte moves.
+// protocol calls View, which a state-request has no other use for: the struct
+// is a flat union, so the slot is named here and in the type's layout row.
 func (m *Message) SinceWall() int64 { return int64(m.View) }
 
 // SetSinceWall sets a state-request's apply-time bound.

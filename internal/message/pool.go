@@ -114,8 +114,8 @@ func ReleaseMessage(m *Message) {
 // own resizes buf, an array a message owns, to n slots and returns it twice:
 // to keep, and as the view to publish — nil when empty, as the codec has it,
 // and capped, so an append cannot reach the slots past it. Slots below n keep
-// what they held for the caller to overwrite (DecodeInto reuses their value
-// capacity); slots past n are emptied, so a release need only clear its length.
+// what they held, for the caller to overwrite; slots past n are emptied, so a
+// release need only clear its length.
 func own[T any](buf []T, n int) (kept, view []T) {
 	switch {
 	case n > cap(buf):

@@ -47,8 +47,7 @@ func TestDecodeIntoRoundTrip(t *testing.T) {
 	m := AcquireMessage()
 	defer ReleaseMessage(m)
 	// Decode a large message, then a small one, into the same Message: the
-	// second decode must fully overwrite the first (no residue), even though
-	// it reuses the larger capacity.
+	// second decode must fully overwrite the first (no residue).
 	for _, src := range []*Message{sampleMessage(), smallMessage(), {Type: TypeCommit}} {
 		buf := Encode(nil, src)
 		if err := DecodeInto(m, buf); err != nil {
@@ -244,15 +243,18 @@ func TestReleasedBytesAreUnreachable(t *testing.T) {
 func TestDisownLeavesTheArenaToTheCollector(t *testing.T) {
 	for _, poison := range []bool{true, false} {
 		was := SetPoisonOnRelease(poison)
+		want := &Message{Type: TypeEpochChangeComplete, Epoch: 3, Records: []TRecordEntry{
+			{Txn: sampleMessage().Txn, Status: StatusCommitted},
+		}}
 		m := AcquireMessage()
-		if err := DecodeInto(m, Encode(nil, sampleMessage())); err != nil {
+		if err := DecodeInto(m, Encode(nil, want)); err != nil {
 			t.Fatal(err)
 		}
 		m.Disown()
 		if m.OwnsBytes() {
 			t.Fatal("a disowned message still owns its bytes")
 		}
-		recs, state := m.Records, m.Txn
+		recs := m.Records
 		ReleaseMessage(m)
 		for i := 0; i < 8; i++ {
 			n := AcquireMessage()
@@ -261,7 +263,7 @@ func TestDisownLeavesTheArenaToTheCollector(t *testing.T) {
 			}
 			defer ReleaseMessage(n)
 		}
-		if want := sampleMessage(); !reflect.DeepEqual(recs, want.Records) || !reflect.DeepEqual(state, want.Txn) {
+		if !reflect.DeepEqual(recs, want.Records) {
 			t.Fatalf("poison=%v: disowned payload changed after the release", poison)
 		}
 		SetPoisonOnRelease(was)
@@ -319,8 +321,13 @@ func TestLiteralArraysNeverEnterThePool(t *testing.T) {
 func TestReleasedArraysHoldNoPointers(t *testing.T) {
 	defer SetPoisonOnRelease(SetPoisonOnRelease(false))
 	m := AcquireMessage()
-	if err := DecodeInto(m, Encode(nil, sampleMessage())); err != nil {
-		t.Fatal(err)
+	for _, src := range []*Message{
+		{Type: TypeMultiRead, Keys: []string{"k1", "k2", "k3"}},
+		{Type: TypeMultiReadReply, Reads: []ReadResult{{Value: []byte("v1")}, {Value: []byte("v2")}}},
+	} {
+		if err := DecodeInto(m, Encode(nil, src)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	m.OwnKeys(1)[0] = "k"
 	m.OwnReads(1)[0] = ReadResult{Value: []byte("v")}
@@ -384,8 +391,9 @@ func TestReleaseBoundsKeptArrays(t *testing.T) {
 // and Reads intact, while the Txn sets are shared, not copied.
 func TestCopyFromOwnsItsKeysAndReads(t *testing.T) {
 	defer SetPoisonOnRelease(SetPoisonOnRelease(false))
+	lit := fullMessage()
 	src := AcquireMessage()
-	src.CopyFrom(sampleMessage()) // a pooled message a sender filled: Keys and Reads in its own arrays
+	src.CopyFrom(lit) // a pooled message a sender filled: Keys and Reads in its own arrays
 	cp := AcquireMessage()
 	cp.CopyFrom(src)
 	if !same(cp, src) {
@@ -401,7 +409,7 @@ func TestCopyFromOwnsItsKeysAndReads(t *testing.T) {
 	refill := AcquireMessage()
 	refill.OwnKeys(3)[0] = "overwritten"
 	refill.OwnReads(2)[0].Value = []byte("overwritten")
-	if want := sampleMessage(); !reflect.DeepEqual(cp.Keys, want.Keys) || !reflect.DeepEqual(cp.Reads, want.Reads) {
+	if want := fullMessage(); !reflect.DeepEqual(cp.Keys, want.Keys) || !reflect.DeepEqual(cp.Reads, want.Reads) {
 		t.Fatalf("copy changed when its source was released: %q %+v", cp.Keys, cp.Reads)
 	}
 	ReleaseMessage(cp)
@@ -482,7 +490,9 @@ func TestPoisonOnRelease(t *testing.T) {
 // BenchmarkEncodeDecode measures the encode→decode round trip — the
 // serialization cost of one UDP message each way. The baseline sub-benchmark
 // is the pre-pooling behavior (fresh buffer, fresh Message per op); pooled
-// uses the reusable Encoder and DecodeInto into one kept Message.
+// uses the reusable Encoder and DecodeInto into one kept Message, allocating
+// only the validate's three set arrays: a decode never reuses a Txn's arrays,
+// which the replica's record takes.
 func BenchmarkEncodeDecode(b *testing.B) {
 	src := sampleMessage()
 	b.Run("baseline", func(b *testing.B) {

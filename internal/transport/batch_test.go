@@ -131,7 +131,7 @@ func TestUDPRecvRingRace(t *testing.T) {
 	var srvEp atomic.Pointer[udpEndpoint]
 	srv, err := n.Listen(serverAddr, func(m *message.Message) {
 		if ep := srvEp.Load(); ep != nil {
-			ep.Send(m.Src, &message.Message{Type: message.TypePutReply, Seq: m.Seq, Value: m.Value})
+			ep.Send(m.Src, &message.Message{Type: message.TypePut, Seq: m.Seq, Value: m.Value})
 		}
 	})
 	if err != nil {
@@ -149,7 +149,7 @@ func TestUDPRecvRingRace(t *testing.T) {
 			defer wg.Done()
 			var seen atomic.Int64
 			ep, err := n.Listen(message.Addr{Node: 10 + uint32(s), Core: 0}, func(m *message.Message) {
-				if m.Type == message.TypePutReply {
+				if m.Type == message.TypePut {
 					seen.Add(1)
 					replies.Add(1)
 				}

@@ -171,11 +171,13 @@ func replaySnapshot(path string, vs *vstore.Store) (int, timestamp.Timestamp, er
 		// imported values, which are spans of the message's arena — the
 		// collector's, this way, not a recycled target's.
 		dec := &message.Message{}
-		if err := message.DecodeInto(dec, payload); err != nil {
-			return fmt.Errorf("wal: %s: %w", path, err)
-		}
+		// The type first: a record from before a layout change is refused as such.
+		err := message.DecodeInto(dec, payload)
 		if dec.Type != message.TypeWALSnapshot {
 			return fmt.Errorf("wal: %s: unexpected record type %v", path, dec.Type)
+		}
+		if err != nil {
+			return fmt.Errorf("wal: %s: %w", path, err)
 		}
 		states = states[:0]
 		for i := range dec.State {

@@ -400,11 +400,13 @@ func openLog(dir string, opts Options, apply func(m *message.Message) error) (*L
 			// spans of the message's arena — the collector's, this way, where
 			// a recycled target's would be overwritten by the next frame.
 			dec := &message.Message{}
-			if err := message.DecodeInto(dec, payload); err != nil {
-				return fmt.Errorf("wal: %s: %w", path, err)
-			}
+			// The type first: a record from before a layout change is refused as such.
+			err := message.DecodeInto(dec, payload)
 			if dec.Type != message.TypeWALRecord {
 				return fmt.Errorf("wal: %s: unexpected record type %v", path, dec.Type)
+			}
+			if err != nil {
+				return fmt.Errorf("wal: %s: %w", path, err)
 			}
 			if err := apply(dec); err != nil {
 				return err

@@ -2,9 +2,12 @@ package wal
 
 import (
 	"encoding/binary"
+	"encoding/hex"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -440,6 +443,38 @@ func TestExportShardSince(t *testing.T) {
 	future := vs.ExportShardSince(0, ts(5), time.Now().UnixNano()+int64(time.Hour))
 	if len(future) != 2 {
 		t.Fatalf("future wall-clock delta %d keys, want 2", len(future))
+	}
+}
+
+// TestReplayRefusesPreChangeRecords: a commit record written when every type
+// carried every field of Message — type 25 then, and 130 bytes for this one —
+// is refused by replay by its type, loudly and with the log left as it was:
+// never misread under the new layout, never truncated as a torn tail.
+func TestReplayRefusesPreChangeRecords(t *testing.T) {
+	const old = "19" + "0000000000000000" + // type 25; src
+		"01000000000000000200000000000000" + "00" + "01016b0176" + "00" + // txn 1/2: no reads, k=v, no ops
+		"00000000000000000000000000000000" + // tid
+		"05000000000000000200000000000000" // ts 5/2; 66 zero bytes of the other fields follow
+	payload, err := hex.DecodeString(old + strings.Repeat("00", 66))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(payload, castagnoli))
+	frame = append(frame, payload...)
+	dir := t.TempDir()
+	path := filepath.Join(coreDir(dir, 0), segName(1))
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, frame, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Open(dir, 1, Options{}); err == nil || !strings.Contains(err.Error(), "unexpected record type type(25)") {
+		t.Fatalf("Open of a pre-change log: %v, want it refused as record type 25", err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !reflect.DeepEqual(got, frame) {
+		t.Fatalf("the refused log changed: %d bytes, %v", len(got), err)
 	}
 }
 
