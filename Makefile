@@ -52,22 +52,15 @@ bench:
 # Experiments of cmd/meerkat-bench's registry (internal/bench.Experiments;
 # `meerkat-bench -h` lists the names), comma-separated in EXP, measured for
 # MEASURE per point and written as one JSON report to OUT, which defaults
-# into the git-ignored bench-out/. CI smokes EXP=udp,wal,zipf,ro,shard at
-# MEASURE=300ms; the tables EXPERIMENTS.md quotes are 2s runs.
+# into the git-ignored bench-out/. CI smokes EXP=wal,zipf at MEASURE=300ms;
+# the tables EXPERIMENTS.md quotes are 2s runs.
 #
-#   udp    wire-level transport comparison over real loopback UDP: batched
-#          sendmmsg/recvmmsg + pipelined sessions vs the per-datagram
-#          baseline vs inproc; goodput and socket syscalls per transaction
 #   wal    durability cost of the per-core write-ahead log: Retwis in
 #          memory vs each fsync policy, with fsyncs per transaction
 #   zipf   commutative ops under skew: hot-counter RMW-via-Put vs
 #          RMW-via-Increment across Zipf theta
-#   ro     read-only fast path on read-heavy Retwis: the validated
-#          two-round commit vs the one-round snapshot path
-#   shard  Retwis at 1, 2 and 4 shards under the inproc endpoint capacity
-#          model, plus the split-under-load timeline
 MEASURE ?= 2s
-EXP ?= udp
+EXP ?= wal
 comma := ,
 bench-exp: OUT = bench-out/$(subst $(comma),-,$(EXP)).json
 bench-exp:

@@ -93,19 +93,18 @@ func (db *DB) coordConfig() (coordinator.Config, error) {
 		clk = clock.NewSkewed(clk, (int64(id)-4)*int64(db.cfg.ClockSkew), 0)
 	}
 	return coordinator.Config{
-		Topo:                    db.topo,
-		ClientID:                id,
-		Net:                     db.net,
-		Clock:                   clk,
-		Timeout:                 db.cfg.CommitTimeout,
-		Retries:                 db.cfg.Retries,
-		BackoffBase:             db.cfg.BackoffBase,
-		BackoffMax:              db.cfg.BackoffMax,
-		DisableFastPath:         db.cfg.DisableFastPath,
-		DisableReadOnlyFastPath: db.cfg.DisableReadOnlyFastPath,
-		ShardMap:                shardmap.NewCache(db.source),
-		Seed:                    db.cfg.Seed + int64(id),
-		Obs:                     db.obs.NewShard(),
+		Topo:            db.topo,
+		ClientID:        id,
+		Net:             db.net,
+		Clock:           clk,
+		Timeout:         db.cfg.CommitTimeout,
+		Retries:         db.cfg.Retries,
+		BackoffBase:     db.cfg.BackoffBase,
+		BackoffMax:      db.cfg.BackoffMax,
+		DisableFastPath: db.cfg.DisableFastPath,
+		ShardMap:        shardmap.NewCache(db.source),
+		Seed:            db.cfg.Seed + int64(id),
+		Obs:             db.obs.NewShard(),
 	}, nil
 }
 

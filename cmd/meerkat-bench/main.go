@@ -44,8 +44,7 @@ func run(args []string, out, errw io.Writer) int {
 	fs := flag.NewFlagSet("meerkat-bench", flag.ContinueOnError)
 	fs.SetOutput(errw)
 	var (
-		exp         = fs.String("exp", "all", "experiments, comma-separated: "+bench.Usage()+" (those marked * time the host's code, bind real loopback sockets, write real files or build a cluster per cell, so they run only when named, never under all)")
-		udpPort     = fs.Int("udp-port", 27000, "udp experiment: base port of the throwaway port maps")
+		exp         = fs.String("exp", "all", "experiments, comma-separated: "+bench.Usage()+" (those marked * time the host's code, write real files or build a cluster per cell, so they run only when named, never under all)")
 		measure     = fs.Duration("measure", 500*time.Millisecond, "measured window per real data point")
 		keys        = fs.Int("keys", 65536, "pre-loaded keys for real runs")
 		clients     = fs.Int("clients", 0, "closed-loop clients per measured point (0 = per-experiment default)")
@@ -66,7 +65,6 @@ func run(args []string, out, errw io.Writer) int {
 		Options:     bench.Options{Measure: *measure, Warmup: 100 * time.Millisecond, Keys: *keys, Clients: *clients},
 		ZipfThreads: *simThreads,
 		Sim:         sim.DefaultParams(),
-		UDPPort:     *udpPort,
 	}
 	selected, err := bench.Select(*exp, *skipReal, *skipSim)
 	if err == nil {

@@ -118,23 +118,6 @@ type Config struct {
 	// Creating more clients than this is still caught, at DB.Client time,
 	// by the transport's own typed port checks. Default 64.
 	UDPMaxClients int
-	// UDPFlushDelay, when positive, lets UDP endpoints hold buffered
-	// outgoing datagrams up to this long waiting for more to share a
-	// sendmmsg with (a micro-Nagle for the batched syscall path). Zero
-	// flushes on every send boundary. Only meaningful with TransportUDP.
-	UDPFlushDelay time.Duration
-	// UDPNoBatch forces the UDP transport onto its one-syscall-per-
-	// datagram path even where sendmmsg/recvmmsg are available. It exists
-	// so benchmarks can measure the per-message baseline; leave it off.
-	UDPNoBatch bool
-
-	// InprocServiceTime, when positive, caps every server endpoint of the
-	// inproc transport at one message per this much time (a client endpoint
-	// has no delivery loop to throttle) — a service-capacity model for
-	// benchmarks run on machines with fewer CPUs than simulated server
-	// cores, where shard scaling would otherwise be invisible. Leave zero
-	// outside such benchmarks.
-	InprocServiceTime time.Duration
 
 	// SharedTRecord replaces Meerkat's per-core transaction records with
 	// one mutex-protected record per replica — the TAPIR-like baseline of
@@ -142,10 +125,6 @@ type Config struct {
 	SharedTRecord bool
 	// DisableFastPath forces all commits through the slow path (ablation).
 	DisableFastPath bool
-	// DisableReadOnlyFastPath forces read-only transactions through the
-	// classic validated two-round commit instead of the one-round snapshot
-	// path (ablation; see Txn.ReadOnly).
-	DisableReadOnlyFastPath bool
 
 	// CommitTimeout bounds each protocol round-trip wait; Retries bounds
 	// resends. Defaults: 100ms, 10.
@@ -224,7 +203,7 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("meerkat: negative size in config %+v", *c)
 	}
 	if c.CommitTimeout < 0 || c.BackoffBase < 0 || c.BackoffMax < 0 ||
-		c.SweepInterval < 0 || c.StaleAfter < 0 || c.InprocServiceTime < 0 {
+		c.SweepInterval < 0 || c.StaleAfter < 0 {
 		return errors.New("meerkat: negative duration in config")
 	}
 	if c.Replicas == 0 {

@@ -125,14 +125,12 @@ func Open(cfg Config) (*DB, error) {
 	db.recObs = db.obs.NewShard()
 	switch cfg.Transport {
 	case TransportInproc:
-		db.inet = transport.NewInproc(transport.InprocConfig{ServiceTime: cfg.InprocServiceTime, Clock: db.clk})
+		db.inet = transport.NewInproc(transport.InprocConfig{Clock: db.clk})
 		db.inet.RegisterObs(db.obs)
 		db.net = db.inet
 	case TransportUDP:
 		db.unet = cfg.newUDP()
 		db.unet.SetClock(db.clk)
-		db.unet.SetFlushDelay(cfg.UDPFlushDelay)
-		db.unet.SetBatchDisabled(cfg.UDPNoBatch)
 		db.unet.RegisterObs(db.obs)
 		db.net = db.unet
 	default:

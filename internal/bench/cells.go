@@ -17,11 +17,9 @@ type cell struct {
 	x    float64 // sweep position: the Point's X
 
 	// sys opens one of Table 1's prototypes through NewSystem. When its
-	// Kind is empty, cfg opens a Meerkat deployment instead, and window > 1
-	// hands out pipelined session workers rather than plain clients.
-	sys    SystemConfig
-	cfg    meerkat.Config
-	window int
+	// Kind is empty, cfg opens a Meerkat deployment instead.
+	sys SystemConfig
+	cfg meerkat.Config
 
 	gen      func() workload.Generator
 	clients  int  // closed-loop clients unless Options.Clients overrides
@@ -40,7 +38,7 @@ func (c *cell) open(opts Options) (System, error) {
 		return NewSystem(c.sys)
 	}
 	c.cfg.Obs = opts.Obs
-	return openMeerkat(c.cfg, c.window)
+	return openMeerkat(c.cfg)
 }
 
 // runCell opens the cell's system, loads it, drives it with the closed-loop
@@ -102,9 +100,7 @@ var fastShare = []column{{"fast%", func(pts []Point, i int) string {
 // sweep runs the cells in order and prints one row per cell: the common
 // columns (row, x, goodput, abort %, p50, p99) plus the extra ones. xHead
 // names the sweep axis; empty omits the column (rows that differ by
-// configuration only). Rows over real UDP that cannot open — sandboxes
-// without loopback sockets — are reported and skipped rather than failing
-// the sweep.
+// configuration only).
 func sweep(w io.Writer, opts Options, head, xHead string, cells []cell, extra []column) ([]Point, error) {
 	fmt.Fprintf(w, "# %s\n%-14s", head, "row")
 	if xHead != "" {
@@ -119,10 +115,6 @@ func sweep(w io.Writer, opts Options, head, xHead string, cells []cell, extra []
 	for _, c := range cells {
 		p, err := runCell(c, opts)
 		if err != nil {
-			if c.cfg.Transport == meerkat.TransportUDP {
-				fmt.Fprintf(w, "%-14s skipped: %v\n", c.name, err)
-				continue
-			}
 			return out, err
 		}
 		out = append(out, p)

@@ -37,13 +37,6 @@ type Point struct {
 	P999      time.Duration
 	Path      PathStats // coordination-path breakdown of the window
 
-	// Wire-level cost, set by the UDP transport experiment only: socket
-	// syscalls per committed transaction and datagrams moved per send
-	// syscall (the batching the transport amortizes; 1.0 means no
-	// amortization).
-	SyscallsPerTxn      float64
-	DatagramsPerSyscall float64
-
 	// FsyncsPerTxn is set by the WAL durability experiment only: fsync
 	// calls per committed transaction (group commit amortizes this far
 	// below 1; SyncAlways pays at least one per commit per replica).

@@ -19,7 +19,6 @@ type Env struct {
 	Zipfs       []float64 // Zipf axis of Figures 6 and 7
 	ZipfThreads int       // server threads of the simulated Figures 6 and 7
 	Sim         sim.Params
-	UDPPort     int // base port of the udp experiment's throwaway port maps
 
 	// timeline, when set, replaces the sizing of both timelines (tests).
 	timeline timelineSize
@@ -29,8 +28,7 @@ type Env struct {
 // simulated and a measured section is two entries under one Name.
 type Experiment struct {
 	// Name selects the experiment on -exp; Alias is a second name that also
-	// does (Figure 7 is Figure 6's abort-rate column; -exp shard includes the
-	// split timeline).
+	// does (Figure 7 is Figure 6's abort-rate column).
 	Name, Alias string
 	Title       string
 	// Measured experiments run the real implementation on this host's wall
@@ -38,7 +36,7 @@ type Experiment struct {
 	// bytes on every run.
 	Measured bool
 	// Explicit experiments run only when named, never under "all": they
-	// bind real sockets, write real files, or build a cluster per cell.
+	// time the host's code, write real files or build a cluster per cell.
 	Explicit bool
 
 	// key names the experiment's points in the JSON report.
@@ -101,28 +99,12 @@ var Experiments = []Experiment{
 		head: "retwis: goodput and abort rate vs zipf coefficient", xHead: "zipf",
 		cells: zipfCells("retwis"), extra: fastShare},
 
-	{Name: "udp", Title: "UDP wire cost (measured: syscalls/txn, batched vs per-datagram)", Measured: true, Explicit: true, key: "udp",
-		head: "retwis uniform: transport stack comparison", xHead: "window",
-		cells: udpCells, extra: udpColumns},
 	{Name: "wal", Title: "WAL durability cost (measured: goodput per fsync policy)", Measured: true, Explicit: true, key: "wal",
 		head:  "retwis uniform: durability cost (goodput, fsyncs amortized by group commit)",
 		cells: walCells, extra: walColumns},
 	{Name: "zipf", Title: "Commutative ops under skew (measured: RMW write-back vs server-side increment)", Measured: true, Explicit: true, key: "zipf",
 		head: "hot-counter workload: RMW write-back vs server-side increment across Zipf skew", xHead: "theta",
 		cells: opsZipfCells},
-	{Name: "ro", Title: "Read-only fast path (measured: two-round validated vs one-round snapshot)", Measured: true, Explicit: true, key: "ro",
-		head: "retwis re-weighted by read fraction: validated two-round commit vs read-only one-round fast path", xHead: "readfrac",
-		cells: roCells, extra: roColumns},
-	{Name: "shard", Title: "Shard scaling (measured: 1/2/4-shard Retwis under the endpoint capacity model)", Measured: true, Explicit: true, key: "shard_sweep",
-		head: fmt.Sprintf("retwis over the sharded cluster layer: clients homed round-robin, %.0f%% key locality, %v/message endpoint capacity",
-			shardLocality*100, shardServiceTime), xHead: "shards",
-		cells: shardCells, extra: shardColumns},
-	{Name: "split", Alias: "shard", Title: "Shard split under load (measured: timeline)", Measured: true, Explicit: true, key: "shard_split",
-		run: func(w io.Writer, env Env) ([]Point, error) {
-			return splitTimeline(w, env.sized(timelineSize{
-				Clients: 32, Keys: 8192, Seed: 1, Interval: 200 * time.Millisecond, Tail: 10,
-			}))
-		}},
 	{Name: "faults", Title: "Kill-one-replica timeline (measured, fault injection)", Measured: true, key: "faults",
 		run: func(w io.Writer, env Env) ([]Point, error) {
 			// Keys are few so the restarted replica's state transfer is

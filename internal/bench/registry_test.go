@@ -22,7 +22,6 @@ func TestExperimentsSmoke(t *testing.T) {
 		Zipfs:       []float64{0.9},
 		ZipfThreads: 2,
 		Sim:         sim.DefaultParams(),
-		UDPPort:     34000,
 		timeline: timelineSize{
 			Clients: 4, Keys: 256, Seed: 3, Interval: 100 * time.Millisecond, Tail: 2,
 			CrashAt: 4000, RestartAt: 8000,
@@ -97,7 +96,7 @@ func TestSelect(t *testing.T) {
 		return strings.Join(out, " ")
 	}
 	all := names("all", false, false)
-	for _, explicit := range []string{"calibrate", "udp", "wal", "zipf", "ro", "shard", "split"} {
+	for _, explicit := range []string{"calibrate", "wal", "zipf"} {
 		if strings.Contains(all, explicit) {
 			t.Errorf("all selects explicit-only %s: %s", explicit, all)
 		}
@@ -114,8 +113,7 @@ func TestSelect(t *testing.T) {
 		"fig4":        "fig4 fig4/measured",
 		"fig7a":       "fig6a fig6a/measured",
 		"zipf, wal":   "wal/measured zipf/measured",
-		"shard":       "shard/measured split/measured",
-		"split":       "split/measured",
+		"wal":         "wal/measured",
 		"table1,fig5": "table1 fig5 fig5/measured",
 	} {
 		if got := names(exp, false, false); got != want {
@@ -125,7 +123,7 @@ func TestSelect(t *testing.T) {
 	if got := names("fig4,calibrate", true, false); got != "fig4" {
 		t.Errorf("fig4,calibrate -skip-real = %q, want fig4", got)
 	}
-	for _, bad := range []string{"", "fig4,", "nope", "ALL"} {
+	for _, bad := range []string{"", "fig4,", "nope", "ALL", "udp", "ro", "shard", "split"} {
 		if _, err := Select(bad, false, false); err == nil {
 			t.Errorf("Select(%q) accepted", bad)
 		}

@@ -20,9 +20,8 @@ type JSONPoint struct {
 	PathStats
 	FastFraction float64 `json:"fast_fraction"`
 
-	// Wire-level cost, present only for the UDP transport experiment.
-	SyscallsPerTxn      float64 `json:"syscalls_per_txn,omitempty"`
-	DatagramsPerSyscall float64 `json:"datagrams_per_syscall,omitempty"`
+	// FsyncsPerTxn is present only for the WAL durability experiment.
+	FsyncsPerTxn float64 `json:"fsyncs_per_txn,omitempty"`
 }
 
 // Report accumulates the points of each experiment, by name, for a final
@@ -52,9 +51,7 @@ func (r Report) WriteJSON(path string) error {
 				P999NS:       p.P999.Nanoseconds(),
 				PathStats:    p.Path,
 				FastFraction: p.Path.FastFraction(),
-
-				SyscallsPerTxn:      p.SyscallsPerTxn,
-				DatagramsPerSyscall: p.DatagramsPerSyscall,
+				FsyncsPerTxn: p.FsyncsPerTxn,
 			}
 		}
 		out.Experiments[name] = pts

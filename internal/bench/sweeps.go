@@ -3,17 +3,14 @@ package bench
 import (
 	"fmt"
 	"math/rand"
-	"sync/atomic"
-	"time"
 
 	"meerkat"
-	"meerkat/internal/shardmap"
 	"meerkat/internal/workload"
 )
 
 // This file builds the cells of every measured sweep: the paper's Figures
-// 4-7 on the four prototypes, and the extension experiments (transport,
-// durability, commutative ops, read-only fast path, sharding) on Meerkat.
+// 4-7 on the four prototypes, and the extension experiments (durability,
+// commutative ops) on Meerkat.
 // Absolute numbers depend on the host (the paper used 3x40-core servers with
 // kernel-bypass NICs; see EXPERIMENTS.md), but the comparisons — which
 // system wins, how abort rates move with contention — come from these
@@ -129,76 +126,6 @@ func (g onlyKind) Next(rng *rand.Rand) workload.TxnSpec {
 	}
 }
 
-// The UDP sweep measures the wire-level cost of the transport stack: the
-// same Meerkat cluster and Retwis workload over (a) the in-process fabric,
-// (b) real loopback UDP forced onto one syscall per datagram, and (c) real
-// UDP with the batched sendmmsg/recvmmsg path, with and without pipelined
-// client sessions keeping the rings full. The figure of merit is socket
-// syscalls per committed transaction — the coordination the batched
-// transport amortizes away — alongside goodput, which should close most of
-// the gap to the kernel-bypass-class inproc reference.
-const (
-	// udpWindow is the pipeline width of the session row (in-flight
-	// transactions per socket set).
-	udpWindow = 16
-	// udpFlushDelay holds buffered datagrams up to this long waiting to
-	// share a sendmmsg (micro-Nagle) in the pipelined row: about one round
-	// trip of slack, enough for concurrent workers' messages to meet in one
-	// syscall without moving the latency percentiles.
-	udpFlushDelay = 20 * time.Microsecond
-	// udpClients is equal across rows to keep the comparison honest; the
-	// pipelined row reaches the same total via sessions of udpWindow
-	// workers each.
-	udpClients = 16
-)
-
-// udpCells places each UDP row's throwaway port map on its own stride from
-// the base port, so a row's lingering sockets can never collide with the next.
-func udpCells(env Env) []cell {
-	basePort := env.UDPPort
-	rows := []cell{
-		{name: "inproc", window: 1},
-		{name: "udp-unbatched", window: 1, cfg: meerkat.Config{Transport: meerkat.TransportUDP, UDPNoBatch: true}},
-		{name: "udp-batched", window: 1, cfg: meerkat.Config{Transport: meerkat.TransportUDP}},
-		{name: "udp-pipelined", window: udpWindow, cfg: meerkat.Config{Transport: meerkat.TransportUDP, UDPFlushDelay: udpFlushDelay}},
-	}
-	for i := range rows {
-		c := &rows[i]
-		c.x = float64(c.window)
-		c.gen = genFactory("retwis", env.Keys, 0)
-		c.clients = udpClients
-		if c.cfg.Transport == meerkat.TransportUDP {
-			c.cfg.UDPBasePort = basePort
-			basePort += 1024
-		}
-		c.annotate = func(sys *meerkatSystem) func(*Point) {
-			before := sys.Obs().Snapshot()
-			return func(p *Point) {
-				// Syscall counters cover the whole run (warmup included),
-				// so divide by all its commits, not just the measured
-				// window's.
-				net, ok := sys.db.Admin().UDPStats()
-				if !ok {
-					return
-				}
-				path := pathStats(sys.Obs().Snapshot().Sub(before))
-				if committed := path.FastCommits + path.SlowCommits + path.ROCommits; committed > 0 {
-					p.SyscallsPerTxn = float64(net.Syscalls()) / float64(committed)
-				}
-				if net.SendSyscalls > 0 {
-					p.DatagramsPerSyscall = float64(net.Sent) / float64(net.SendSyscalls)
-				}
-			}
-		}
-	}
-	return rows
-}
-
-var udpColumns = []column{
-	{"syscalls/txn", func(pts []Point, i int) string { return fmt.Sprintf("%.2f", pts[i].SyscallsPerTxn) }},
-	{"dgrams/call", func(pts []Point, i int) string { return fmt.Sprintf("%.2f", pts[i].DatagramsPerSyscall) }},
-}
-
 // walCells measures what durability costs the commit hot path: the same
 // Meerkat cluster and Retwis workload fully in memory, then with the
 // per-core write-ahead log under each fsync policy, each row in its own
@@ -275,141 +202,4 @@ func opsZipfCells(env Env) []cell {
 		}
 	}
 	return cells
-}
-
-// roCells measures what the read-only fast path buys on read-heavy Retwis:
-// the same re-weighted mix (80/95/100% pure-read timeline loads) run twice
-// per read fraction, once with the fast path ablated
-// (DisableReadOnlyFastPath — every transaction pays the validation round,
-// the two-round baseline) and once with marked read-only transactions
-// committing locally off their snapshot reads.
-func roCells(env Env) []cell {
-	chooser := workload.NewChooser(env.Keys, 0.75)
-	var cells []cell
-	for _, frac := range []float64{0.80, 0.95, 1.00} {
-		for _, twoRound := range []bool{true, false} {
-			cells = append(cells, cell{
-				name: map[bool]string{true: "two-round", false: "one-round"}[twoRound], x: frac,
-				sys:     SystemConfig{Kind: SystemMeerkat, Cores: 4, DisableReadOnlyFastPath: twoRound},
-				gen:     func() workload.Generator { return workload.NewRetwisMix(chooser, frac) },
-				clients: 64,
-			})
-		}
-	}
-	return cells
-}
-
-// The one-round rows also report how many commits actually took the fast
-// path, so a confirmation shortfall (retries, demotions) is visible rather
-// than silently priced in.
-var roColumns = []column{
-	{"ro-share", func(pts []Point, i int) string {
-		path := pts[i].Path
-		total := path.ROCommits + path.FastCommits + path.SlowCommits
-		if pts[i].System != "one-round" || total == 0 {
-			return "-"
-		}
-		return fmt.Sprintf("%.0f%%", 100*float64(path.ROCommits)/float64(total))
-	}},
-}
-
-// The shard sweep measures what the sharded cluster layer buys: Retwis
-// goodput at 1, 2, and 4 shards.
-//
-// A single host cannot show shard scaling directly — every "shard" is the
-// same CPU — so the sweep runs under the in-process transport's capacity
-// model (Config.InprocServiceTime): each replica endpoint is capped at one
-// message per service interval, exactly the per-machine packet budget that
-// makes sharding pay on real hardware. Adding shards adds replica endpoints,
-// i.e. capacity; whether goodput follows depends on the client-side routing
-// actually spreading load and on transactions staying on few shards. Clients
-// are homed round-robin across shards and pick shardLocality of their keys
-// from their home shard — the deployed Retwis pattern, where a user's
-// profile, tweets, and timeline live together and only follows cross users.
-const (
-	// shardMaxShards is the provisioned group count, constant across cells
-	// so every cell runs on identical hardware and only the shard map
-	// differs.
-	shardMaxShards = 4
-	// shardServiceTime is the per-message service interval of every replica
-	// endpoint. The model meters per endpoint, so the sweep runs one core
-	// per replica to keep "more shards" the only capacity lever.
-	shardServiceTime = 200 * time.Microsecond
-	// shardLocality is the probability each key a client picks lives on its
-	// home shard; the remainder is uniform over the whole keyspace, so
-	// cross-shard transactions stay a steady fraction of the mix.
-	shardLocality = 0.95
-	// shardClients is enough closed-loop demand to saturate the single-shard
-	// cell's endpoint capacity; below that, queueing latency rather than
-	// capacity sets goodput and the scaling curve flattens.
-	shardClients = 128
-)
-
-func shardCells(env Env) []cell {
-	var cells []cell
-	for _, shards := range []int{1, 2, shardMaxShards} {
-		byGroup := keysByGroup(shards, env.Keys)
-		var clientSeq atomic.Int64
-		cells = append(cells, cell{
-			name: fmt.Sprintf("%d-shard", shards), x: float64(shards),
-			cfg: meerkat.Config{
-				Shards:            shards,
-				MaxShards:         shardMaxShards,
-				Cores:             1,
-				InprocServiceTime: shardServiceTime,
-				// The saturated single-shard cell queues tens of
-				// milliseconds per message round; a roomy per-round wait
-				// keeps timeouts out of the measurement.
-				CommitTimeout: 500 * time.Millisecond,
-				Seed:          seed,
-			},
-			gen: func() workload.Generator {
-				home := int(clientSeq.Add(1)-1) % shards
-				return workload.NewRetwis(&homedChooser{home: byGroup[home], n: env.Keys, locality: shardLocality})
-			},
-			clients: shardClients,
-		})
-	}
-	return cells
-}
-
-// The speedup column is each cell's goodput over the single-shard baseline.
-var shardColumns = []column{
-	{"speedup", func(pts []Point, i int) string {
-		if i == 0 || pts[0].Goodput == 0 {
-			return "-"
-		}
-		return fmt.Sprintf("%.2fx", pts[i].Goodput/pts[0].Goodput)
-	}},
-}
-
-// homedChooser picks key indices from one shard's slice of the keyspace with
-// probability locality, and uniformly from the whole keyspace otherwise (or
-// always, when the keyspace is too small to give the home shard a key).
-// Immutable, like every KeyChooser.
-type homedChooser struct {
-	home     []int
-	n        int
-	locality float64
-}
-
-func (c *homedChooser) Next(rng *rand.Rand) int {
-	if len(c.home) > 0 && rng.Float64() < c.locality {
-		return c.home[rng.Intn(len(c.home))]
-	}
-	return rng.Intn(c.n)
-}
-
-func (c *homedChooser) N() int { return c.n }
-
-// keysByGroup lists the key indices each shard owns under the version-1 map
-// over shards groups, so client generators can be homed.
-func keysByGroup(shards, keys int) [][]int {
-	m := shardmap.New(shards)
-	byGroup := make([][]int, shards)
-	for i := 0; i < keys; i++ {
-		g := m.GroupForKey(workload.KeyName(i))
-		byGroup[g] = append(byGroup[g], i)
-	}
-	return byGroup
 }

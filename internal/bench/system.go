@@ -13,7 +13,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"meerkat"
@@ -84,10 +83,6 @@ type SystemConfig struct {
 	// one HTTP exporter) can observe a whole sweep. Defaults to a fresh
 	// registry per system.
 	Obs *obs.Registry
-	// DisableReadOnlyFastPath forces marked read-only transactions through
-	// the classic validated commit (Meerkat systems only) — the two-round
-	// baseline of the read-only sweep's ablation.
-	DisableReadOnlyFastPath bool
 }
 
 // Every system runs the paper's three replicas and gives a round trip the
@@ -104,14 +99,13 @@ func NewSystem(cfg SystemConfig) (System, error) {
 	switch cfg.Kind {
 	case SystemMeerkat, SystemTAPIR:
 		return openMeerkat(meerkat.Config{
-			Replicas:                systemReplicas,
-			Cores:                   cfg.Cores,
-			SharedTRecord:           cfg.Kind == SystemTAPIR,
-			CommitTimeout:           systemTimeout,
-			Retries:                 systemRetries,
-			Obs:                     cfg.Obs,
-			DisableReadOnlyFastPath: cfg.DisableReadOnlyFastPath,
-		}, 1)
+			Replicas:      systemReplicas,
+			Cores:         cfg.Cores,
+			SharedTRecord: cfg.Kind == SystemTAPIR,
+			CommitTimeout: systemTimeout,
+			Retries:       systemRetries,
+			Obs:           cfg.Obs,
+		})
 	case SystemMeerkatPB, SystemKuaFu:
 		return newPBSystem(cfg)
 	default:
@@ -119,66 +113,31 @@ func NewSystem(cfg SystemConfig) (System, error) {
 	}
 }
 
-// meerkatSystem adapts a meerkat.DB — any transport, any shard count, and
-// the TAPIR-like baseline via SharedTRecord — to the harness's System
-// interface. With window > 1 it hands out pipelined session workers — every
-// `window` NewClient calls share one socket set — instead of plain
-// stop-and-wait clients, so the harness's client goroutines become the
-// in-flight transactions that fill the transport's syscall batches.
+// meerkatSystem adapts a meerkat.DB — Meerkat itself, or the TAPIR-like
+// baseline via SharedTRecord — to the harness's System interface.
 type meerkatSystem struct {
-	db     *meerkat.DB
-	window int
-
-	mu       sync.Mutex
-	sessions []*meerkat.Session
-	spare    []*meerkat.Client
+	db *meerkat.DB
 }
 
 // openMeerkat opens a deployment per cfg behind the adapter.
-func openMeerkat(cfg meerkat.Config, window int) (*meerkatSystem, error) {
+func openMeerkat(cfg meerkat.Config) (*meerkatSystem, error) {
 	db, err := meerkat.Open(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &meerkatSystem{db: db, window: window}, nil
+	return &meerkatSystem{db: db}, nil
 }
 
 func (s *meerkatSystem) Obs() *obs.Registry            { return s.db.Admin().Obs() }
 func (s *meerkatSystem) Load(key string, value []byte) { s.db.Load(key, value) }
+func (s *meerkatSystem) Close()                        { s.db.Close() }
 
 func (s *meerkatSystem) NewClient() (Client, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.spare) == 0 {
-		if s.window <= 1 {
-			cl, err := s.db.Client()
-			if err != nil {
-				return nil, err
-			}
-			s.spare = append(s.spare, cl)
-		} else {
-			sess, err := s.db.Session(meerkat.WithPipeline(s.window))
-			if err != nil {
-				return nil, err
-			}
-			s.sessions = append(s.sessions, sess)
-			s.spare = append(s.spare, sess.Clients()...)
-		}
+	cl, err := s.db.Client()
+	if err != nil {
+		return nil, err
 	}
-	cl := s.spare[0]
-	s.spare = s.spare[1:]
 	return &meerkatClient{cl}, nil
-}
-
-func (s *meerkatSystem) Close() {
-	s.mu.Lock()
-	sessions := s.sessions
-	s.sessions = nil
-	s.mu.Unlock()
-	for _, sess := range sessions {
-		sess.Close()
-	}
-	s.db.Close()
 }
 
 type meerkatClient struct{ cl *meerkat.Client }

@@ -17,8 +17,7 @@ import (
 // A timeline drives a Meerkat deployment with closed-loop clients while a
 // background action disturbs it, and samples goodput per interval from the
 // deployment's commit counters: the dip while the action is in progress and
-// the recovery after it. Two experiments are timelines — kill one replica,
-// and split a shard under load.
+// the recovery after it. The kill-one-replica experiment is a timeline.
 
 // timelineSize is the sizing of a timeline that tests shrink; the rest of a
 // timeline is fixed by its experiment.
@@ -30,7 +29,7 @@ type timelineSize struct {
 	Interval time.Duration // sample width
 	Tail     int           // samples recorded after the action finished
 	// CrashAt and RestartAt are the kill-one-replica plan's triggers, in
-	// global send counts (the split timeline has no plan and ignores them).
+	// global send counts.
 	CrashAt, RestartAt uint64
 }
 
@@ -42,12 +41,12 @@ type timelineSpec struct {
 	head string
 	cfg  meerkat.Config
 	size timelineSize
-	gen  func(client int) workload.Generator
+	gen  func() workload.Generator
 
 	phases [3]string // sample label before, during and after the action
-	lead   int       // undisturbed samples before the action is released
-	// action runs in the background once released, reports its progress
-	// through began and finished, and returns when done or when ctx is.
+	// action runs in the background once the clients are, reports its
+	// progress through began and finished, and returns when done or when ctx
+	// is.
 	action func(ctx context.Context, adm *meerkat.Admin, began, finished func()) error
 }
 
@@ -71,20 +70,6 @@ func timeline(w io.Writer, s timelineSpec) ([]Point, error) {
 	var wg sync.WaitGroup
 	defer func() { cancel(); wg.Wait() }()
 
-	var began, finished atomic.Bool
-	var actionErr error
-	release := make(chan struct{})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		select {
-		case <-release:
-		case <-ctx.Done():
-			return
-		}
-		actionErr = s.action(ctx, adm, func() { began.Store(true) }, func() { finished.Store(true) })
-	}()
-
 	for i := 0; i < s.size.Clients; i++ {
 		cl, err := db.Client()
 		if err != nil {
@@ -95,7 +80,7 @@ func timeline(w io.Writer, s timelineSpec) ([]Point, error) {
 			defer wg.Done()
 			defer cl.Close()
 			rng := rand.New(rand.NewSource(s.size.Seed + int64(i)*7919))
-			gen := s.gen(i)
+			gen := s.gen()
 			var gets []string
 			for ctx.Err() == nil {
 				spec := gen.Next(rng)
@@ -108,15 +93,20 @@ func timeline(w io.Writer, s timelineSpec) ([]Point, error) {
 		}(cl, i)
 	}
 
+	var began, finished atomic.Bool
+	var actionErr error
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		actionErr = s.action(ctx, adm, func() { began.Store(true) }, func() { finished.Store(true) })
+	}()
+
 	fmt.Fprintf(w, "# %s\n%8s %12s %9s %8s %8s %8s  %s\n", s.head,
 		"t", "goodput", "abort%", "fast", "slow", "ro", "phase")
 	var points []Point
 	start := time.Now()
 	prev := adm.Obs().Snapshot()
 	for sample, tail := 0, 0; sample < timelineMaxSamples && tail < s.size.Tail; sample++ {
-		if sample == s.lead {
-			close(release)
-		}
 		time.Sleep(s.size.Interval)
 		snap := adm.Obs().Snapshot()
 		path := pathStats(snap.Sub(prev))
@@ -187,7 +177,7 @@ func faultTimeline(w io.Writer, size timelineSize) ([]Point, error) {
 			}},
 		},
 		size:   size,
-		gen:    func(int) workload.Generator { return workload.NewYCSBT(workload.NewUniform(size.Keys)) },
+		gen:    func() workload.Generator { return workload.NewYCSBT(workload.NewUniform(size.Keys)) },
 		phases: [3]string{"healthy", "crashed", "recovered"},
 		// Mirror the injector's crash/restart onto the real replica so the
 		// dip exercises state transfer and epoch change.
@@ -199,50 +189,6 @@ func faultTimeline(w io.Writer, size timelineSize) ([]Point, error) {
 					finished()
 				}
 			})
-			return nil
-		},
-	})
-}
-
-// splitTimeline runs Retwis against a 1-shard cluster (a second shard
-// provisioned idle) under the shard sweep's capacity model, fires Admin.Split
-// after splitLead samples, and shows the dip while shard 0 seals, fences, and
-// migrates half the keyspace, then the recovery onto doubled capacity as
-// clients chase the redirects onto the new owner.
-func splitTimeline(w io.Writer, size timelineSize) ([]Point, error) {
-	const splitLead = 5
-	// Home clients by the post-split map: before the split every key lives
-	// on shard 0 anyway, so homing only shapes where load lands afterwards.
-	byGroup := keysByGroup(2, size.Keys)
-	return timeline(w, timelineSpec{
-		name: "split",
-		head: fmt.Sprintf("shard split under load: %d clients, %d keys, split fires after %d samples (%v/message endpoint capacity model)",
-			size.Clients, size.Keys, splitLead, shardServiceTime),
-		cfg: meerkat.Config{
-			Shards:            1,
-			MaxShards:         2,
-			Cores:             1,
-			InprocServiceTime: shardServiceTime,
-			Seed:              size.Seed,
-		},
-		size: size,
-		gen: func(client int) workload.Generator {
-			return workload.NewRetwis(&homedChooser{home: byGroup[client%2], n: size.Keys, locality: shardLocality})
-		},
-		phases: [3]string{"1-shard", "splitting", "2-shard"},
-		lead:   splitLead,
-		action: func(_ context.Context, adm *meerkat.Admin, began, finished func()) error {
-			began()
-			defer finished()
-			var err error
-			for attempt := 0; attempt < 3; attempt++ {
-				if _, err = adm.Split(0); err == nil {
-					break
-				}
-			}
-			if err != nil {
-				return fmt.Errorf("shard split failed: %w", err)
-			}
 			return nil
 		},
 	})

@@ -64,10 +64,6 @@ type Config struct {
 	// DisableFastPath forces every transaction through the slow path, an
 	// ablation knob quantifying the fast path's round-trip saving.
 	DisableFastPath bool
-	// DisableReadOnlyFastPath forces read-only transactions through the
-	// classic validated two-round commit, the ablation knob behind the
-	// one-round-vs-two-round read experiment.
-	DisableReadOnlyFastPath bool
 	// ShardMap routes each key to the replica group owning its hash range
 	// under the cached cluster shard map. On a wrong-shard redirect the
 	// coordinator refreshes the cache; Run re-routes and retries. Required.

@@ -155,8 +155,8 @@ func (c *Coordinator) snapshotBegin(ctx context.Context, keys []string) ([]messa
 // set and validate like any others).
 func (t *Txn) ReadOnly() {
 	t.ro = true
-	if len(t.reads) > 0 || len(t.writes) > 0 || len(t.ops) > 0 || t.c.cfg.DisableReadOnlyFastPath {
-		return // too late, or ablated: commit classically
+	if len(t.reads) > 0 || len(t.writes) > 0 || len(t.ops) > 0 {
+		return // too late: commit classically
 	}
 	t.roViable = true
 }

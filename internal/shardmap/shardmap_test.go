@@ -176,12 +176,12 @@ func TestPersistRoundTrip(t *testing.T) {
 
 func TestUnmarshalRejectsMalformed(t *testing.T) {
 	cases := []string{
-		`{"version":0,"ranges":[{"start":0,"group":0}]}`,      // version 0
-		`{"version":1,"ranges":[]}`,                           // empty
-		`{"version":1,"ranges":[{"start":5,"group":0}]}`,      // doesn't start at 0
-		`{"version":1,"ranges":[{"start":0},{"start":0}]}`,    // out of order
-		`{"version":1,"ranges":[{"start":0,"group":-1}]}`,     // negative group
-		`{"version":1,"ranges":[{"start":9,"group":0},{}]}`,   // both
+		`{"version":0,"ranges":[{"start":0,"group":0}]}`,    // version 0
+		`{"version":1,"ranges":[]}`,                         // empty
+		`{"version":1,"ranges":[{"start":5,"group":0}]}`,    // doesn't start at 0
+		`{"version":1,"ranges":[{"start":0},{"start":0}]}`,  // out of order
+		`{"version":1,"ranges":[{"start":0,"group":-1}]}`,   // negative group
+		`{"version":1,"ranges":[{"start":9,"group":0},{}]}`, // both
 	}
 	for _, c := range cases {
 		m := &Map{}

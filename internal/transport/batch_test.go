@@ -93,13 +93,15 @@ func TestUDPSendBatchEquivalence(t *testing.T) {
 	testBatchEquivalence(t, n, true)
 }
 
+// TestUDPSendBatchUnbatchedFallback runs the same contract over the portable
+// one-datagram-per-syscall path, which an IPv6 host selects on every platform.
 func TestUDPSendBatchUnbatchedFallback(t *testing.T) {
-	// The same contract must hold with batching disabled (the portable
-	// WriteToUDP path).
-	n := NewUDP("127.0.0.1", 28300, 8)
-	n.SetBatchDisabled(true)
+	n := NewUDP("::1", 28300, 8)
 	defer n.Close()
 	testBatchEquivalence(t, n, true)
+	if got := n.Stats().DatagramsPerSend(); got != 1 {
+		t.Fatalf("DatagramsPerSend = %v, want 1: the batched path ran", got)
+	}
 }
 
 func TestUDPSendBatchAfterClose(t *testing.T) {
@@ -208,37 +210,6 @@ func TestUDPStatsSurviveClose(t *testing.T) {
 	if s.DatagramsPerSend() < 1 {
 		t.Fatalf("DatagramsPerSend = %v, want >= 1", s.DatagramsPerSend())
 	}
-}
-
-// TestUDPFlushDelayCoalesces checks the micro-Nagle: with a flush delay,
-// sends buffer and still arrive (the timer flushes), and an explicit Flush
-// forces them out early.
-func TestUDPFlushDelayCoalesces(t *testing.T) {
-	n := NewUDP("127.0.0.1", 28100, 8)
-	n.SetFlushDelay(2 * time.Millisecond)
-	defer n.Close()
-
-	var count atomic.Int64
-	dst := message.Addr{Node: 1, Core: 0}
-	if _, err := n.Listen(dst, func(*message.Message) { count.Add(1) }); err != nil {
-		t.Skipf("cannot bind UDP socket: %v", err)
-	}
-	src, err := n.Listen(message.Addr{Node: 0, Core: 0}, func(*message.Message) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		src.Send(dst, &message.Message{Type: message.TypePut, Seq: uint64(i)})
-	}
-	// The timer must deliver them even without an explicit Flush.
-	waitFor(t, "timer flush", func() bool { return count.Load() == 3 })
-
-	// And Flush bounds the latency without waiting out the delay.
-	src.Send(dst, &message.Message{Type: message.TypePut, Seq: 99})
-	if err := src.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "explicit flush", func() bool { return count.Load() == 4 })
 }
 
 func TestUDPValidatePortMap(t *testing.T) {

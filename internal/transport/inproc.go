@@ -4,7 +4,6 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"meerkat/internal/clock"
 	"meerkat/internal/message"
@@ -21,15 +20,6 @@ const (
 
 // InprocConfig tunes the in-process network.
 type InprocConfig struct {
-	// ServiceTime, when positive, makes each delivery goroutine sleep
-	// messages*ServiceTime after handling every drained burst — a fixed
-	// per-message service-capacity model (one endpoint sustains at most
-	// 1/ServiceTime messages per second). Benchmarks on machines with fewer
-	// CPUs than simulated server cores use it to measure capacity scaling
-	// (adding shards adds serving endpoints) instead of raw CPU contention.
-	// Only server endpoints have a delivery goroutine, so only they are
-	// throttled; a client's replies never are. Zero disables the model.
-	ServiceTime time.Duration
 	// Clock is the clock of the deployment this network carries (see
 	// Network.Clock). Nil means the machine's.
 	Clock clock.Clock
@@ -219,11 +209,6 @@ type inprocEndpoint struct {
 // handled without bouncing through the scheduler per message — the software
 // analogue of NIC-ring burst polling.
 func (ep *inprocEndpoint) run(ctx context.Context) {
-	service := ep.net.cfg.ServiceTime
-	var busy clock.Timer // the capacity model's simulated server time
-	if service > 0 {
-		busy = ep.g.NewTimer()
-	}
 	done := ctx.Done()
 	for {
 		select {
@@ -231,25 +216,13 @@ func (ep *inprocEndpoint) run(ctx context.Context) {
 			return
 		case m := <-ep.ch:
 			ep.h(m)
-			handled := 1
 		drain:
 			for i := 1; i < burst; i++ {
 				select {
 				case m := <-ep.ch:
 					ep.h(m)
-					handled++
 				default:
 					break drain
-				}
-			}
-			if service > 0 {
-				// Capacity model: this endpoint spent handled*service of
-				// simulated server time on the burst (see ServiceTime).
-				busy.Reset(time.Duration(handled) * service)
-				select {
-				case <-busy.C():
-				case <-done:
-					return
 				}
 			}
 		}

@@ -79,9 +79,7 @@ type Endpoint interface {
 	// Flush forces out anything the transport has buffered but not yet
 	// put on the wire. Transports that buffer nothing return nil
 	// immediately. Send/SendBatch self-flush when their internal ring
-	// fills, so Flush is a latency bound, not a correctness requirement —
-	// except where a transport is configured with an explicit
-	// coalescing delay.
+	// fills, so Flush is a latency bound, not a correctness requirement.
 	Flush() error
 	// Close unbinds the endpoint. A server endpoint's Close joins its
 	// delivery goroutine: it returns only once the handler can no longer

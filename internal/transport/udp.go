@@ -7,7 +7,6 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"meerkat/internal/clock"
 	"meerkat/internal/message"
@@ -50,12 +49,10 @@ var (
 // is being delivered the endpoint is "corked": replies the handlers emit
 // pile into the send ring and leave in a single syscall when the burst ends.
 type UDP struct {
-	ip         net.IP // parsed once; per-send parsing is pure overhead
-	basePort   int
-	stride     int // ports per node
-	flushDelay time.Duration
-	noBatch    bool
-	clk        clock.Clock
+	ip       net.IP // parsed once; per-send parsing is pure overhead
+	basePort int
+	stride   int // ports per node
+	clk      clock.Clock
 
 	// addrs caches resolved *net.UDPAddr per destination so the send path
 	// does not rebuild (and re-allocate) the same sockaddr per message.
@@ -94,18 +91,6 @@ func (n *UDP) SetClock(clk clock.Clock) { n.clk = clk }
 
 // Clock implements Network.
 func (n *UDP) Clock() clock.Clock { return n.clk }
-
-// SetFlushDelay installs a coalescing window: instead of flushing on every
-// Send/SendBatch boundary, an endpoint may hold buffered datagrams up to d
-// waiting for more to share the syscall with (a micro-Nagle for the batched
-// path). Zero restores flush-per-call. Must be called before Listen.
-func (n *UDP) SetFlushDelay(d time.Duration) { n.flushDelay = d }
-
-// SetBatchDisabled forces the portable one-syscall-per-datagram path even
-// where sendmmsg/recvmmsg are available. It exists so benchmarks can measure
-// the per-message baseline; production callers should leave batching on.
-// Must be called before Listen.
-func (n *UDP) SetBatchDisabled(v bool) { n.noBatch = v }
 
 // udpAddr returns the cached sockaddr for dst, resolving it on first use.
 func (n *UDP) udpAddr(dst message.Addr) *net.UDPAddr {
@@ -189,10 +174,6 @@ func (n *UDP) Listen(addr message.Addr, h Handler) (Endpoint, error) {
 	ep.pend = make([]sendSlot, 0, sendRing)
 	ep.wireInit()
 	ep.g.Go(func(context.Context) { ep.readLoop() }) // ends when Close closes the socket
-	if n.flushDelay > 0 {
-		ep.flushTimer = ep.g.NewTimer()
-		ep.g.Go(ep.flushLoop)
-	}
 	n.eps = append(n.eps, ep)
 	n.ports[port] = addr
 	return ep, nil
@@ -305,7 +286,7 @@ type udpEndpoint struct {
 	conn   *net.UDPConn
 	h      Handler
 	port   int
-	g      *clock.Group // the read loop and the flush timer's; Close joins both
+	g      *clock.Group // the read loop's; Close joins it
 	closed atomic.Bool
 
 	sent      atomic.Uint64
@@ -317,11 +298,9 @@ type udpEndpoint struct {
 	// mu guards the pending-send ring. The read loop corks the endpoint
 	// while it delivers an inbound burst, so replies emitted by the
 	// handlers coalesce into one flush when the burst ends.
-	mu         sync.Mutex
-	pend       []sendSlot
-	corked     bool
-	timerArmed bool
-	flushTimer clock.Timer // non-nil iff a flush delay is configured
+	mu     sync.Mutex
+	pend   []sendSlot
+	corked bool
 
 	wire udpWire // per-platform mmsg state; zero value = fallback path
 }
@@ -330,9 +309,8 @@ type udpEndpoint struct {
 func (ep *udpEndpoint) Addr() message.Addr { return ep.addr }
 
 // Send implements Endpoint. The message is serialized into a ring slot
-// immediately; unless the endpoint is corked (or a flush delay is
-// configured) the datagram goes to the kernel before Send returns, exactly
-// like the unbatched transport did.
+// immediately; unless the endpoint is corked the datagram goes to the kernel
+// before Send returns.
 func (ep *udpEndpoint) Send(dst message.Addr, m *message.Message) error {
 	if ep.closed.Load() {
 		message.ReleaseMessage(m)
@@ -365,7 +343,7 @@ func (ep *udpEndpoint) SendBatch(batch []Outgoing) error {
 }
 
 // Flush implements Endpoint: force out anything buffered, regardless of cork
-// state or flush delay.
+// state.
 func (ep *udpEndpoint) Flush() error {
 	if ep.closed.Load() {
 		return ErrClosed
@@ -391,18 +369,10 @@ func (ep *udpEndpoint) bufferLocked(dst message.Addr, m *message.Message) {
 	message.ReleaseMessage(m)
 }
 
-// sendPendingLocked flushes the ring unless something is holding it open: a
-// cork (an inbound burst is being delivered; the uncork flushes) or a
-// configured coalescing delay (the timer flushes). Callers hold ep.mu.
+// sendPendingLocked flushes the ring unless a cork holds it open (an inbound
+// burst is being delivered; the uncork flushes). Callers hold ep.mu.
 func (ep *udpEndpoint) sendPendingLocked() error {
-	if len(ep.pend) == 0 {
-		return nil
-	}
 	if ep.corked {
-		return nil
-	}
-	if d := ep.net.flushDelay; d > 0 && len(ep.pend) < sendRing {
-		ep.armTimerLocked(d)
 		return nil
 	}
 	return ep.flushLocked()
@@ -425,33 +395,6 @@ func (ep *udpEndpoint) flushLocked() error {
 	return err
 }
 
-// armTimerLocked schedules a flush d from now on the endpoint's one timer, so
-// the coalescing path allocates nothing. Callers hold ep.mu.
-func (ep *udpEndpoint) armTimerLocked(d time.Duration) {
-	if ep.timerArmed {
-		return
-	}
-	ep.timerArmed = true
-	ep.flushTimer.Reset(d)
-}
-
-// flushLoop flushes the ring each time the coalescing window closes.
-func (ep *udpEndpoint) flushLoop(ctx context.Context) {
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-ep.flushTimer.C():
-		}
-		ep.mu.Lock()
-		ep.timerArmed = false
-		if !ep.corked {
-			ep.flushLocked()
-		}
-		ep.mu.Unlock()
-	}
-}
-
 // cork holds the send ring open: Sends buffer but do not flush. The read
 // loop corks around each inbound burst so handler replies share syscalls.
 func (ep *udpEndpoint) cork() {
@@ -461,7 +404,7 @@ func (ep *udpEndpoint) cork() {
 }
 
 // uncork releases the ring and flushes whatever the burst's handlers
-// buffered (deferring to the coalescing timer when one is configured).
+// buffered.
 func (ep *udpEndpoint) uncork() {
 	ep.mu.Lock()
 	ep.corked = false
@@ -470,7 +413,7 @@ func (ep *udpEndpoint) uncork() {
 }
 
 // writeFallback is the portable one-syscall-per-datagram wire: exactly the
-// pre-batching behavior, used where mmsg is unavailable or disabled.
+// pre-batching behavior, used where mmsg is unavailable.
 func (ep *udpEndpoint) writeFallback(slots []sendSlot) error {
 	var firstErr error
 	for i := range slots {

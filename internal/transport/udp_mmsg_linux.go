@@ -73,11 +73,11 @@ type udpWire struct {
 	recvFn func(fd uintptr) bool
 }
 
-// wireInit arms the mmsg path. When it declines (batching disabled, non-IPv4
-// host, or no raw access) the zero-valued wire routes everything through the
-// portable fallback.
+// wireInit arms the mmsg path. When it declines (a non-IPv4 host, or no raw
+// access) the zero-valued wire routes everything through the portable
+// fallback.
 func (ep *udpEndpoint) wireInit() {
-	if ep.net.noBatch || ep.net.ip == nil || ep.net.ip.To4() == nil {
+	if ep.net.ip == nil || ep.net.ip.To4() == nil {
 		return
 	}
 	rc, err := ep.conn.SyscallConn()

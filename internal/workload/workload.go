@@ -306,51 +306,3 @@ func (r *Retwis) Next(rng *rand.Rand) TxnSpec {
 		}
 	}
 }
-
-// RetwisMix is the Retwis transaction shapes re-weighted by read fraction:
-// ReadFrac of the transactions are Load Timeline (pure gets, eligible for
-// the read-only fast path) and the remainder keep Table 2's relative update
-// proportions (Add User 10%, Follow/Unfollow 30%, Post Tweet 60% of the
-// writing share — the 5/15/30 ratio with timelines factored out). At
-// ReadFrac 0.5 this is exactly the classic Retwis mix; the read-only sweep
-// runs it at 0.80/0.95/1.00 to show what dropping the validation round buys
-// as the workload shifts read-heavy.
-type RetwisMix struct {
-	retwis Retwis
-	// ReadFrac is the probability a transaction is a pure-read timeline
-	// load, in [0, 1].
-	ReadFrac float64
-}
-
-// NewRetwisMix returns a Retwis generator with the timeline (pure-read)
-// share set to readFrac instead of Table 2's 50%.
-func NewRetwisMix(chooser KeyChooser, readFrac float64) *RetwisMix {
-	return &RetwisMix{retwis: Retwis{chooser: chooser}, ReadFrac: readFrac}
-}
-
-// Name implements Generator.
-func (r *RetwisMix) Name() string {
-	return fmt.Sprintf("retwis-read%d", int(r.ReadFrac*100+0.5))
-}
-
-// Next implements Generator.
-func (r *RetwisMix) Next(rng *rand.Rand) TxnSpec {
-	if rng.Float64() < r.ReadFrac {
-		n := 1 + rng.Intn(10)
-		k := r.retwis.pick(rng, n)
-		reads := make([]string, n)
-		copy(reads, k)
-		return TxnSpec{Reads: reads, Kind: "load-timeline"}
-	}
-	switch p := rng.Intn(100); {
-	case p < 10: // Add User
-		k := r.retwis.pick(rng, 3)
-		return TxnSpec{RMWs: []string{k[0]}, Writes: []string{k[1], k[2]}, Kind: "add-user"}
-	case p < 40: // Follow/Unfollow
-		k := r.retwis.pick(rng, 2)
-		return TxnSpec{RMWs: []string{k[0], k[1]}, Kind: "follow-unfollow"}
-	default: // Post Tweet
-		k := r.retwis.pick(rng, 5)
-		return TxnSpec{RMWs: []string{k[0], k[1], k[2]}, Writes: []string{k[3], k[4]}, Kind: "post-tweet"}
-	}
-}

@@ -239,9 +239,7 @@ func TestCloseLeavesNothingRunning(t *testing.T) {
 	slow := &faultnet.Plan{Seed: 1, Rules: []faultnet.Rule{faultnet.EveryLink(faultnet.Rule{DelayProb: 1, Delay: 50 * time.Millisecond})}}
 	shapes := map[string]func(dir string) Config{
 		"inproc": func(string) Config { return Config{Shards: 2, SweepInterval: 5 * time.Millisecond} },
-		"udp": func(string) Config {
-			return Config{Transport: TransportUDP, UDPBasePort: 25000, UDPFlushDelay: 50 * time.Microsecond}
-		},
+		"udp":    func(string) Config { return Config{Transport: TransportUDP, UDPBasePort: 25000} },
 		"durable": func(dir string) Config {
 			return Config{Durability: Durability{DataDir: dir, SnapshotInterval: time.Millisecond}}
 		},

@@ -115,35 +115,6 @@ func TestReadOnlyDemotesOnWrite(t *testing.T) {
 	}
 }
 
-// TestReadOnlyFastPathDisabled checks the ablation knob: with
-// DisableReadOnlyFastPath, ReadOnly is a no-op and everything commits
-// through the validated path.
-func TestReadOnlyFastPathDisabled(t *testing.T) {
-	c := newTestDB(t, Config{DisableReadOnlyFastPath: true})
-	c.Load("k", []byte("v"))
-	cl := newDBClient(t, c)
-
-	txn := cl.Begin()
-	txn.ReadOnly()
-	if _, err := txn.Read("k"); err != nil {
-		t.Fatal(err)
-	}
-	ok, err := txn.Commit()
-	if err != nil || !ok {
-		t.Fatalf("commit: ok=%v err=%v", ok, err)
-	}
-	if txn.CommittedReadOnly() {
-		t.Fatal("fast path taken despite DisableReadOnlyFastPath")
-	}
-	snap := c.Admin().Obs().Snapshot()
-	if snap.Counters[obs.TxnCommitRO] != 0 {
-		t.Error("txn_commit_ro incremented under the ablation")
-	}
-	if snap.Counters[obs.TxnCommitFast]+snap.Counters[obs.TxnCommitSlow] == 0 {
-		t.Error("no classic commit recorded")
-	}
-}
-
 // TestEmptyTxnZeroMessages pins the empty-transaction short-circuit: a
 // transaction that read and wrote nothing commits without a single message
 // on the wire.
