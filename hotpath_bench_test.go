@@ -318,18 +318,15 @@ func TestCommitAllocGate(t *testing.T) {
 		{name: "run-read-only", run: buildReadOnly, runs: 200, max: 1},
 		{name: "run-timeline-10", keys: 10, run: buildTimeline, runs: 200, max: 1},
 		{name: "run-cross-shard", cfg: meerkat.Config{Shards: 4}, groups: 3, run: buildCrossShard, runs: 200, max: 11},
-		// The same bodies over loopback UDP, where every message is decoded.
-		// A decoded key or value is a span of the arena its pooled message
-		// keeps, so what is left is what somebody keeps: per replica the
-		// version node, the record's two set arrays and its one compact body
-		// (4 × 3), and the client's one buffer per read round that returned a
-		// value — which is all a read-only transaction costs. The timeline is
-		// not marked read-only and validates its ten reads: per replica the
-		// record's read-set array and its body of ten keys (2 × 3), and the
-		// round's buffer.
-		{name: "udp-run-rmw", cfg: udpHotpath, keys: 8, run: buildRMWRing(), runs: 200, max: 14},
+		// The same bodies over loopback UDP, where every message is decoded
+		// into a pooled struct that keeps its arena and its set arrays, and a
+		// record copies the body it keeps into its core's bump chunks. What is
+		// left is one version node per write per replica (3 for the rmw, none
+		// for the reads) plus the client's one buffer per read round that
+		// returned a value — which is all a read-only transaction costs.
+		{name: "udp-run-rmw", cfg: udpHotpath, keys: 8, run: buildRMWRing(), runs: 200, max: 5},
 		{name: "udp-run-read-only", cfg: udpHotpath, run: buildReadOnly, runs: 200, max: 2},
-		{name: "udp-run-timeline-10", cfg: udpHotpath, keys: 10, run: buildTimeline, runs: 200, max: 8},
+		{name: "udp-run-timeline-10", cfg: udpHotpath, keys: 10, run: buildTimeline, runs: 200, max: 2},
 	} {
 		t.Run(g.name, func(t *testing.T) {
 			db, cl, keys := newHotpath(t, g.cfg, max(g.keys, 1))

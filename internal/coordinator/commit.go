@@ -9,49 +9,6 @@ import (
 	"meerkat/internal/timestamp"
 )
 
-// chunkEntries is the capacity of one bump chunk of commit bodies. Replicas
-// alias a shipped span into a transaction record, which pins the span's whole
-// chunk, so a chunk should be small enough that one long-lived record wastes
-// little and large enough that opening one is noise: 256 entries of 40 bytes
-// (56 for an op) are 10–14 KB, and the suite's retwis, which ships 1.3 read
-// and 1.9 write entries per transaction (its read-only half commits locally),
-// opens one every 80 transactions — 0.013 objects where exact-size arrays
-// cost two per commit.
-const chunkEntries = 256
-
-// body is the memory commits ship: one append-only chunk per set kind. A
-// chunk is written only at its length, and only by carve; what is below the
-// length belongs to whoever received a span of it.
-type body struct {
-	reads  []message.ReadSetEntry
-	writes []message.WriteSetEntry
-	ops    []message.OpSetEntry
-}
-
-// room opens a new chunk if *chunk cannot take n more entries, leaving the old
-// one to its readers.
-func room[E any](chunk *[]E, n int) {
-	if cap(*chunk)-len(*chunk) < n {
-		*chunk = make([]E, 0, max(chunkEntries, n))
-	}
-}
-
-// carve appends the entries of set that partition p owns (kp[i] is entry i's
-// partition) to chunk, which has room for them, and returns them as a
-// capacity-capped span of it.
-func carve[E any](chunk *[]E, set []E, kp []int, p int) []E {
-	start := len(*chunk)
-	for i := range set {
-		if kp[i] == p {
-			*chunk = append(*chunk, set[i])
-		}
-	}
-	if start == len(*chunk) {
-		return nil
-	}
-	return (*chunk)[start:len(*chunk):len(*chunk)]
-}
-
 // split carves the transaction into per-partition pieces, left in the round
 // in ascending partition order so the send order is deterministic (and tests
 // can assert on it). The partState headers are scratch; the sets are not —
@@ -90,15 +47,10 @@ func (c *Coordinator) split(t *Txn, tid timestamp.TxnID) []partState {
 			r.index[p] = len(r.parts)
 		}
 	}
-	b := &c.body
-	room(&b.reads, nr)
-	room(&b.writes, nw)
-	room(&b.ops, len(t.ops))
+	c.body.Room(nr, nw, len(t.ops))
 	for i := range r.parts {
 		p := &r.parts[i]
-		p.txn.ReadSet = carve(&b.reads, t.reads, kp, p.p)
-		p.txn.WriteSet = carve(&b.writes, t.writes, kp[nr:], p.p)
-		p.txn.OpSet = carve(&b.ops, t.ops, kp[nr+nw:], p.p)
+		p.txn.ReadSet, p.txn.WriteSet, p.txn.OpSet = c.body.Carve(t.reads, t.writes, t.ops, kp, p.p)
 	}
 	return r.parts
 }

@@ -174,7 +174,7 @@ type Coordinator struct {
 	// Run. body is what commits ship instead of txn's working sets (see split).
 	txn     Txn
 	running bool
-	body    body
+	body    message.Chunks
 
 	// lastTS is the highest timestamp this coordinator has committed at, on
 	// either path. Snapshot round-down never goes below it, so one session's

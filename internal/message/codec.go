@@ -218,34 +218,36 @@ func (c *coder) span(b *[]byte) {
 	}
 }
 
-// elems codes a repeated field's count and returns its elements: *s, or a new
-// array of the count read (DecodeInto emptied the message first).
-func elems[T any](c *coder, s *[]T, min int) []T {
+// elems codes a repeated field's count and returns its elements: *s, or on a
+// decode the count read of slots of *kept — an array the message owns, or a new
+// one where kept points at nil (DecodeInto emptied the message first).
+func elems[T any](c *coder, s *[]T, min int, kept *[]T) []T {
 	if n := c.count(len(*s), min); c.dec && n > 0 {
-		*s = make([]T, n)
+		*kept, *s = own(*kept, n)
 	}
 	return *s
 }
 
-func (c *coder) txn(t *Txn) {
+// txn codes t; a decode fills its sets into the arrays o keeps.
+func (c *coder) txn(t *Txn, o *owned) {
 	c.tid(&t.ID)
-	for i := range elems(c, &t.ReadSet, minRead) {
+	for i := range elems(c, &t.ReadSet, minRead, &o.readSet) {
 		r := &t.ReadSet[i]
 		c.str(&r.Key)
 		c.ts(&r.WTS)
 		c.u64(&r.VHash)
 	}
-	for i := range elems(c, &t.WriteSet, minWrite) {
+	for i := range elems(c, &t.WriteSet, minWrite, &o.writeSet) {
 		w := &t.WriteSet[i]
 		c.str(&w.Key)
 		c.span(&w.Value)
 	}
-	for i := range elems(c, &t.OpSet, minOp) {
-		o := &t.OpSet[i]
-		c.str(&o.Key)
-		c.u8((*uint8)(&o.Kind))
-		c.i64(&o.Delta)
-		c.span(&o.Arg)
+	for i := range elems(c, &t.OpSet, minOp, &o.opSet) {
+		op := &t.OpSet[i]
+		c.str(&op.Key)
+		c.u8((*uint8)(&op.Kind))
+		c.i64(&op.Delta)
+		c.span(&op.Arg)
 	}
 }
 
@@ -261,7 +263,7 @@ func (c *coder) walk(m *Message) {
 		c.u32(&m.Src.Core)
 	}
 	if row&fTxn != 0 {
-		c.txn(&m.Txn)
+		c.txn(&m.Txn, &m.owned)
 	}
 	if row&fTID != 0 {
 		c.tid(&m.TID)
@@ -291,9 +293,9 @@ func (c *coder) walk(m *Message) {
 		c.u64(&m.Epoch)
 	}
 	if row&fRecords != 0 {
-		for i := range elems(c, &m.Records, minRecord) {
+		for i := range elems(c, &m.Records, minRecord, new([]TRecordEntry)) {
 			r := &m.Records[i]
-			c.txn(&r.Txn)
+			c.txn(&r.Txn, &owned{}) // a record keeps its sets: arrays of its own
 			c.ts(&r.TS)
 			c.u8((*uint8)(&r.Status))
 			c.u64(&r.View)
@@ -305,7 +307,7 @@ func (c *coder) walk(m *Message) {
 		c.u64(&m.Seq)
 	}
 	if row&fState != 0 {
-		for i := range elems(c, &m.State, minKeyState) {
+		for i := range elems(c, &m.State, minKeyState, new([]KeyState)) {
 			ks := &m.State[i]
 			c.str(&ks.Key)
 			c.span(&ks.Value)
@@ -384,14 +386,13 @@ func Decode(buf []byte) (*Message, error) {
 // DecodeInto parses one message from buf into m, overwriting every field: one
 // the type's row leaves out is zero, whatever m held. It copies buf into m's
 // arena once, cuts every key and value from there, and reuses the arena and the
-// Keys and Reads arrays m kept, so a multi-read or its reply decodes without
-// allocating. Everything decoded dies at m's release or next decode (arena.go).
-// On error m is unspecified but for Type, which a non-empty buf always sets.
-// Trailing bytes are an error, as in Decode.
+// Keys, Reads and set arrays m kept, so a multi-read, a validate or their
+// replies decode without allocating. Everything decoded dies at m's release or
+// next decode (arena.go). On error m is unspecified but for Type, which a
+// non-empty buf always sets. Trailing bytes are an error, as in Decode.
 func DecodeInto(m *Message, buf []byte) error {
-	m.OwnKeys(0)
-	m.OwnReads(0)
-	*m = Message{keys: m.keys, reads: m.reads, arena: append(m.arena[:0], buf...)}
+	m.reset()
+	m.arena = append(m.arena, buf...)
 	c := coder{buf: m.arena, dec: true}
 	c.walk(m)
 	if c.err != nil {

@@ -41,11 +41,11 @@ func sampleMessage() *Message {
 }
 
 // same compares two messages field by field, leaving out the storage a message
-// keeps for itself: a decoded message holds its Keys and Reads in arrays of its
-// own and its bytes in its arena, a literal does not.
+// keeps for itself: a decoded message holds its Keys, Reads and Txn sets in
+// arrays of its own and its bytes in its arena, a literal does not.
 func same(a, b *Message) bool {
 	x, y := *a, *b
-	x.keys, x.reads, x.arena, y.keys, y.reads, y.arena = nil, nil, nil, nil, nil, nil
+	x.owned, y.owned = owned{}, owned{}
 	return reflect.DeepEqual(x, y)
 }
 

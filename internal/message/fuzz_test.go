@@ -296,9 +296,9 @@ func TestDecodeHugeCountPrefix(t *testing.T) {
 // panic the decoder, and anything that decodes must round-trip exactly. It is
 // differential too: every input is also decoded into one long-lived message
 // recycled through the pool between inputs, which must agree with the fresh
-// Decode field by field, and the body cloned out of it must not change while
-// the next input is decoded over the arena it came from — arena reuse may never
-// be observable.
+// Decode field by field, and the body taken out of it must not change while
+// the next input is decoded over the arena and the set arrays it came from —
+// their reuse may never be observable.
 func FuzzDecode(f *testing.F) {
 	rng := rand.New(rand.NewSource(3))
 	f.Add([]byte{})
@@ -338,8 +338,9 @@ func FuzzDecode(f *testing.F) {
 	var (
 		mu       sync.Mutex
 		recycled = AcquireMessage()
-		kept     Txn // cloned out of recycled at the last input that decoded
-		keptWant Txn // the same body, cut from that input's fresh, never-released Decode
+		chunks   Chunks // what kept is copied into, as a trecord partition's
+		kept     Txn    // taken out of recycled at the last input that decoded
+		keptWant Txn    // the same body, cut from that input's fresh, never-released Decode
 	)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Decode(data)
@@ -349,7 +350,7 @@ func FuzzDecode(f *testing.F) {
 		recycled = AcquireMessage()
 		errRecycled := DecodeInto(recycled, data)
 		if !reflect.DeepEqual(kept, keptWant) {
-			t.Fatalf("a body cloned from the last input changed while this one was decoded:\n got: %+v\nwant: %+v", kept, keptWant)
+			t.Fatalf("a body taken from the last input changed while this one was decoded:\n got: %+v\nwant: %+v", kept, keptWant)
 		}
 		if (err == nil) != (errRecycled == nil) {
 			t.Fatalf("DecodeInto disagrees with Decode: %v / %v", errRecycled, err)
@@ -369,7 +370,7 @@ func FuzzDecode(f *testing.F) {
 		if !same(m, m2) {
 			t.Fatal("decoded message does not round-trip")
 		}
-		kept, keptWant = recycled.TakeTxn(), m.Txn
+		kept, keptWant = recycled.TakeTxn(&chunks), m.Txn
 		if !reflect.DeepEqual(kept, keptWant) {
 			t.Fatalf("TakeTxn changed the body:\n got: %+v\nwant: %+v", kept, keptWant)
 		}

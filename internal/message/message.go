@@ -310,15 +310,21 @@ type Message struct {
 	MapVersion uint64
 	WrongShard bool
 
-	// keys and reads are the arrays OwnKeys and OwnReads hand out, and arena
-	// the image of the datagram the message was last decoded from, which every
-	// decoded key and value is cut from (arena.go): the only payload storage
-	// that survives ReleaseMessage. Unexported, so an array a caller put into
-	// Keys or Reads can never enter the pool through them. arena is empty
-	// unless the message was decoded and has not disowned its bytes.
-	keys  []string
-	reads []ReadResult
-	arena []byte
+	owned
+}
+
+// owned is what a message owns, the only payload storage that survives
+// ReleaseMessage: the arrays OwnKeys and OwnReads hand out, those a decode
+// fills Txn's sets into, and the image of the datagram it was last decoded from
+// (arena.go) — empty unless it was decoded and has not disowned it. Unexported,
+// so an array a caller put into Keys, Reads or Txn never enters the pool.
+type owned struct {
+	keys     []string
+	reads    []ReadResult
+	readSet  []ReadSetEntry
+	writeSet []WriteSetEntry
+	opSet    []OpSetEntry
+	arena    []byte
 }
 
 // SinceWall is a state-request's apply-time bound: a reading of the

@@ -88,11 +88,9 @@ func TestOpKindStrings(t *testing.T) {
 
 // TestPooledOpSetZeroAllocs gates the commutative-op codec cost, mirroring
 // the multi-read gate: encoding an op-only validate through a pooled Encoder
-// and decoding it into a recycled Message (the replica's steady state — op
-// args reuse the previous decode's capacity) must not allocate. Key strings
-// are exempt on the request decode for the same reason as multi-read keys —
-// but an op-only validate decode is measured WITH its key allocations here,
-// so the bound is the op-set length, not zero.
+// and decoding it into a recycled Message (the replica's steady state — the op
+// set and its args reuse the previous decode's array and arena) must not
+// allocate.
 func TestPooledOpSetZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation adds allocations; gate runs without -race")
@@ -133,9 +131,9 @@ func TestPooledOpSetZeroAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Two key-string allocations per decode (retained by the store by
-	// design); everything else must reuse the kept message's capacity.
-	if allocs > 2 {
-		t.Fatalf("pooled op-set decode allocated %v objects/op, want <= 2 (key strings)", allocs)
+	// The keys and args are cut from the arena and the op set fills the array
+	// the message keeps: everything reuses the kept message's capacity.
+	if allocs != 0 {
+		t.Fatalf("pooled op-set decode allocated %v objects/op, want 0", allocs)
 	}
 }

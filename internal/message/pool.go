@@ -17,7 +17,7 @@ import (
 // maxPooledEncoderCap bounds the buffer capacity an Encoder — or a Message, as
 // its arena — may carry back into the pool, so one huge state-transfer encoding
 // does not pin its buffer for the rest of the process lifetime. maxPooledSlots
-// bounds a Message's Keys and Reads arrays likewise: a 64 KiB datagram of
+// bounds a Message's Keys, Reads and set arrays likewise: a 64 KiB datagram of
 // one-byte keys decodes into some 65 000 of them (1 MB of string headers),
 // while a hot-path multi-read carries a handful.
 const (
@@ -72,15 +72,12 @@ func AcquireMessage() *Message { return messagePool.Get().(*Message) }
 // be released like any other. Releasing nil is a no-op.
 //
 // Every exported field is zeroed, slice headers included: a recycled message
-// never carries a slice anyone else can still reach. The arrays a released
-// message pointed at belong to whoever moved them out (a trecord) or put them
-// there (a literal's caller) or to the collector, never to the next sender —
-// except the two the message handed out itself (OwnKeys, OwnReads), which it
-// keeps, emptied of every string and value pointer, and the arena it was last
-// decoded from, for its next use — each only up to its bound (maxPooledSlots,
-// maxPooledEncoderCap), past which it is left to the collector. Whoever wants
-// a key, a value or a read result past the release copies it out: the element
-// out of the array, the bytes out of the arena (arena.go).
+// never carries a slice anyone else can still reach. The arrays it pointed at
+// stay with whoever put them there, or go to the collector, never to the next
+// sender — except what the message owns (owned), which it keeps for its next
+// use, emptied of every pointer and only up to its bound. Whoever wants a key,
+// a value, a set entry or a read result past the release copies it out: the
+// element out of the array, the bytes out of the arena (arena.go).
 func ReleaseMessage(m *Message) {
 	if m == nil {
 		return
@@ -89,26 +86,64 @@ func ReleaseMessage(m *Message) {
 		if m.Type == typePoisoned && m.TID == PoisonTID {
 			panic("message: double release")
 		}
-		for i := range m.arena {
-			m.arena[i] = poisonByte
-		}
+		m.owned.poison()
 		*m = Message{Type: typePoisoned, TID: PoisonTID}
 		return
 	}
-	keys, reads, arena := m.keys, m.reads, m.arena
-	clear(keys)
-	clear(reads)
-	if cap(keys) > maxPooledSlots {
-		keys = nil
-	}
-	if cap(reads) > maxPooledSlots {
-		reads = nil
-	}
-	if cap(arena) > maxPooledEncoderCap {
-		arena = nil
-	}
-	*m = Message{keys: keys[:0], reads: reads[:0], arena: arena[:0]}
+	m.reset()
 	messagePool.Put(m)
+}
+
+// reset zeroes m in place but for what it owns, emptied for m's next use.
+func (m *Message) reset() {
+	o := m.owned
+	o.empty()
+	*m = Message{}
+	m.owned = o
+}
+
+// empty readies o for the message's next use: every array cut to length 0 and
+// emptied of its pointers (own keeps those past the length empty), and one past
+// its bound (maxPooledSlots, maxPooledEncoderCap) left to the collector.
+func (o *owned) empty() {
+	emptyArray(&o.keys)
+	emptyArray(&o.reads)
+	emptyArray(&o.readSet)
+	emptyArray(&o.writeSet)
+	emptyArray(&o.opSet)
+	if cap(o.arena) > maxPooledEncoderCap {
+		o.arena = nil
+	}
+	o.arena = o.arena[:0]
+}
+
+// emptyArray empties *buf, writing it only if there is something to empty.
+func emptyArray[T any](buf *[]T) {
+	switch {
+	case cap(*buf) > maxPooledSlots:
+		*buf = nil
+	case len(*buf) > 0:
+		clear(*buf)
+		*buf = (*buf)[:0]
+	}
+}
+
+// poison overwrites what o owns, so a reader who kept any of it past the
+// release sees garbage that matches nothing: the arena's bytes, and the set
+// entries a keeper aliased instead of copying (a key, and a read's version).
+func (o *owned) poison() {
+	for i := range o.arena {
+		o.arena[i] = poisonByte
+	}
+	for i := range o.readSet {
+		o.readSet[i] = ReadSetEntry{Key: poisonKey, WTS: poisonTS}
+	}
+	for i := range o.writeSet {
+		o.writeSet[i] = WriteSetEntry{Key: poisonKey}
+	}
+	for i := range o.opSet {
+		o.opSet[i] = OpSetEntry{Key: poisonKey}
+	}
 }
 
 // own resizes buf, an array a message owns, to n slots and returns it twice:
@@ -156,19 +191,24 @@ func (m *Message) CopyFrom(src *Message) {
 	if src.OwnsBytes() {
 		panic("message: CopyFrom of a decoded message that still owns its bytes")
 	}
-	keys, reads, arena := m.keys, m.reads, m.arena
+	o := m.owned
 	*m = *src
-	m.keys, m.reads, m.arena = keys, reads, arena[:0]
+	m.owned = o
+	m.arena = m.arena[:0]
 	copy(m.OwnKeys(len(src.Keys)), src.Keys)
 	copy(m.OwnReads(len(src.Reads)), src.Reads)
 }
 
 // typePoisoned marks a message released in poison mode; no handler
-// dispatches on it. poisonByte is what its arena is overwritten with.
+// dispatches on it. poisonByte is what its arena is overwritten with, and
+// poisonKey and poisonTS what its set entries are.
 const (
 	typePoisoned Type = 0xff
 	poisonByte        = 0xDB
+	poisonKey         = "\xDB\xDB\xDB\xDB\xDB\xDB\xDB\xDB"
 )
+
+var poisonTS = timestamp.Timestamp{Time: -1, ClientID: ^uint64(0)}
 
 // PoisonTID is the transaction id a poisoned message carries, chosen so that
 // a use-after-release matches no live transaction.
@@ -177,7 +217,8 @@ var PoisonTID = timestamp.TxnID{Seq: ^uint64(0), ClientID: ^uint64(0)}
 var poisonOnRelease atomic.Bool
 
 // SetPoisonOnRelease is a test hook that makes use-after-release loud:
-// while on, ReleaseMessage overwrites the arena with 0xDB bytes and the struct
+// while on, ReleaseMessage overwrites the arena with 0xDB bytes, every set
+// entry the message decoded with poisonKey and poisonTS, and the struct
 // with an invalid Type, the PoisonTID sentinel and nil slices instead of
 // pooling either, and panics on a second release. A stale reader then sees
 // garbage that matches nothing (and the race detector sees the overwrite)

@@ -1,6 +1,7 @@
 package message
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -137,6 +138,37 @@ func TestPooledMultiReadZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestValidateRoundTripZeroAllocs is the suite's message.allocs_per_roundtrip
+// probe as a gate: a validate and its reply, encoded through one Encoder and
+// decoded alternately into one message that is never released. The validate's
+// sets fill the arrays the message keeps, its keys and values its arena, so a
+// round trip allocates nothing.
+func TestValidateRoundTripZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation adds allocations; gate runs without -race")
+	}
+	req := sampleMessage()
+	reply := &Message{Type: TypeValidateReply, TID: req.TID, Status: StatusValidatedOK, ReplicaID: 1}
+	enc := AcquireEncoder()
+	defer enc.Release()
+	dst := AcquireMessage()
+	defer ReleaseMessage(dst)
+	roundTrip := func() {
+		for _, m := range []*Message{req, reply} {
+			if err := DecodeInto(dst, enc.EncodeInto(m)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	roundTrip()
+	if allocs := testing.AllocsPerRun(200, roundTrip); allocs != 0 {
+		t.Fatalf("a validate round trip allocates %v objects, want 0", allocs)
+	}
+	if err := DecodeInto(dst, enc.EncodeInto(req)); err != nil || !same(dst, req) {
+		t.Fatalf("the recycled decode differs (%v):\n got: %+v\nwant: %+v", err, dst, req)
+	}
+}
+
 // TestReleaseDropsEverySlice pins the pool's first invariant: a released
 // message keeps no slice header anyone else can reach, so the next acquirer can
 // never write into (or read from) an array the previous owner moved out or
@@ -147,7 +179,8 @@ func TestReleaseDropsEverySlice(t *testing.T) {
 	if err := DecodeInto(m, Encode(nil, sampleMessage())); err != nil {
 		t.Fatal(err)
 	}
-	kept := m.TakeTxn() // a handler taking the payload out
+	var chunks Chunks
+	kept := m.TakeTxn(&chunks) // a handler taking the payload out
 	ReleaseMessage(m)
 	if !same(m, &Message{}) {
 		t.Fatalf("released message is not zero: %+v", m)
@@ -157,6 +190,9 @@ func TestReleaseDropsEverySlice(t *testing.T) {
 	}
 	if len(m.arena) != 0 || cap(m.arena) == 0 {
 		t.Fatalf("released message's arena: len %d cap %d, want it kept and emptied", len(m.arena), cap(m.arena))
+	}
+	if len(m.readSet)+len(m.writeSet)+len(m.opSet) != 0 || cap(m.readSet) < 2 || cap(m.writeSet) < 1 || cap(m.opSet) < 3 {
+		t.Fatalf("released message's set arrays: caps %d/%d/%d, want them kept and emptied", cap(m.readSet), cap(m.writeSet), cap(m.opSet))
 	}
 	ReleaseMessage(nil) // nil is a no-op
 
@@ -171,13 +207,30 @@ func TestReleaseDropsEverySlice(t *testing.T) {
 	}
 }
 
+// randomValidate is a validate of rng's choosing whose sets hold up to n
+// entries each.
+func randomValidate(rng *rand.Rand, n int) *Message {
+	m := randomMessage(rng)
+	for m.Type != TypeValidate || len(m.Txn.ReadSet)+len(m.Txn.WriteSet)+len(m.Txn.OpSet) == 0 {
+		m = randomMessage(rng)
+	}
+	for i := rng.Intn(n); i > 0; i-- {
+		m.Txn.ReadSet = append(m.Txn.ReadSet, ReadSetEntry{Key: fmt.Sprint("r", i), VHash: uint64(i)})
+		m.Txn.WriteSet = append(m.Txn.WriteSet, WriteSetEntry{Key: fmt.Sprint("w", i), Value: []byte("value")})
+	}
+	return m
+}
+
 // TestReleasedBytesAreUnreachable pins the rule one level down: the keys and
-// values of a decoded message are cut from its arena and die at its release.
-// Poisoned, a key and a value held across the release read 0xDB; the compact
-// body TakeTxn cloned beforehand does not change — not at the release, and not
-// while the struct decodes 300 other datagrams.
+// values of a decoded message are cut from its arena and its set entries fill
+// arrays it keeps, and all of them die at its release. Poisoned, a key and a
+// value held across the release read 0xDB and a set entry aliased across it
+// names the poison key at the poison timestamp; the body TakeTxn copied into a
+// holder's chunks beforehand does not change — not at the release, and not
+// entry for entry while the same struct decodes 300 validates of other sizes.
 func TestReleasedBytesAreUnreachable(t *testing.T) {
 	defer SetPoisonOnRelease(SetPoisonOnRelease(true))
+	var chunks Chunks
 	want := sampleMessage()
 	wire := Encode(nil, want)
 	m := AcquireMessage()
@@ -191,9 +244,13 @@ func TestReleasedBytesAreUnreachable(t *testing.T) {
 	if cap(value) != len(value) {
 		t.Fatalf("decoded value has %d bytes of the arena behind it", cap(value)-len(value))
 	}
-	body := m.TakeTxn()
+	aliased := m.Txn.ReadSet // what a keeper that does not copy would hold
+	body := m.TakeTxn(&chunks)
 	if !reflect.DeepEqual(body, want.Txn) || !m.Txn.Empty() {
 		t.Fatalf("TakeTxn: got %+v, left %+v", body, m.Txn)
+	}
+	if cap(body.ReadSet) != len(body.ReadSet) || cap(body.WriteSet[0].Value) != len(body.WriteSet[0].Value) {
+		t.Fatal("TakeTxn handed out a span an append could grow into its neighbour")
 	}
 	ReleaseMessage(m)
 	for i := 0; i < len(key); i++ {
@@ -206,35 +263,41 @@ func TestReleasedBytesAreUnreachable(t *testing.T) {
 			t.Fatalf("value held across the release reads %x, want poison", value)
 		}
 	}
+	for _, r := range aliased {
+		if r.Key != poisonKey || r.WTS != poisonTS {
+			t.Fatalf("read-set entry held across the release reads %+v, want poison", r)
+		}
+	}
 	if !reflect.DeepEqual(body, want.Txn) {
-		t.Fatalf("cloned body changed at the release: %+v", body)
+		t.Fatalf("taken body changed at the release: %+v", body)
 	}
 
 	SetPoisonOnRelease(false)
 	rng := rand.New(rand.NewSource(5))
 	m = AcquireMessage()
+	defer ReleaseMessage(m)
 	if err := DecodeInto(m, wire); err != nil {
 		t.Fatal(err)
 	}
-	body = m.TakeTxn()
+	body = m.TakeTxn(&chunks)
 	for i := 0; i < 300; i++ {
-		ReleaseMessage(m)
-		m = AcquireMessage()
-		if err := DecodeInto(m, Encode(nil, randomMessage(rng))); err != nil {
+		if err := DecodeInto(m, Encode(nil, randomValidate(rng, 40))); err != nil {
 			t.Fatal(err)
 		}
+		if i%2 == 0 {
+			m.TakeTxn(&chunks) // a neighbour in the same chunks
+		}
 	}
-	ReleaseMessage(m)
 	if !reflect.DeepEqual(body, want.Txn) {
-		t.Fatalf("cloned body changed while its struct was reused: %+v", body)
+		t.Fatalf("taken body changed while its struct was reused: %+v", body)
 	}
 
 	// A sender-built message's bytes are not the message's: TakeTxn moves the
 	// sets out and aliases what they point at, exactly as before.
 	lit := sampleMessage()
-	v0 := &lit.Txn.WriteSet[0].Value[0]
-	if got := lit.TakeTxn(); &got.WriteSet[0].Value[0] != v0 {
-		t.Fatal("TakeTxn copied a sender-built message's value")
+	r0, v0 := &lit.Txn.ReadSet[0], &lit.Txn.WriteSet[0].Value[0]
+	if got := lit.TakeTxn(&chunks); &got.ReadSet[0] != r0 || &got.WriteSet[0].Value[0] != v0 {
+		t.Fatal("TakeTxn copied a sender-built message's sets")
 	}
 }
 
@@ -270,6 +333,33 @@ func TestDisownLeavesTheArenaToTheCollector(t *testing.T) {
 	}
 }
 
+// TestDisownedTxnSurvivesTheNextDecode: a cold path that keeps a decoded
+// message's m.Txn as it is, after Disown, keeps it whole while the same struct
+// decodes a validate of the same shape — the arrays the sets were decoded into
+// went to the collector with the arena — and released, poisoned or pooled.
+func TestDisownedTxnSurvivesTheNextDecode(t *testing.T) {
+	for _, poison := range []bool{true, false} {
+		was := SetPoisonOnRelease(poison)
+		want := sampleMessage()
+		m := AcquireMessage()
+		if err := DecodeInto(m, Encode(nil, want)); err != nil {
+			t.Fatal(err)
+		}
+		m.Disown()
+		kept := m.Txn
+		other := sampleMessage()
+		other.Txn.ReadSet[0].Key, other.Txn.WriteSet[0].Value, other.Txn.OpSet[0].Delta = "z", []byte("other"), 1
+		if err := DecodeInto(m, Encode(nil, other)); err != nil {
+			t.Fatal(err)
+		}
+		ReleaseMessage(m)
+		if !reflect.DeepEqual(kept, want.Txn) {
+			t.Fatalf("poison=%v: a disowned body changed at the struct's next decode:\n got: %+v\nwant: %+v", poison, kept, want.Txn)
+		}
+		SetPoisonOnRelease(was)
+	}
+}
+
 // reacquire takes messages from the pool until it is handed m again, which
 // without the race detector is at once. It reports whether it was.
 func reacquire(m *Message) bool {
@@ -283,15 +373,17 @@ func reacquire(m *Message) bool {
 
 // TestLiteralArraysNeverEnterThePool pins the second: the arrays a message
 // keeps across a release are the ones it handed out itself, never one a caller
-// put into Keys or Reads. A literal whose Keys and Reads alias its sender's
-// arrays is released, re-acquired and refilled; the sender's arrays must not
-// have been written. (Keeping cap(m.Keys) on release would fail here.)
+// put into Keys, Reads or Txn. A literal whose Keys, Reads and read set alias
+// its sender's arrays is released, re-acquired, refilled and decoded into; the
+// sender's arrays must not have been written. (Keeping cap(m.Keys) on release
+// would fail here.)
 func TestLiteralArraysNeverEnterThePool(t *testing.T) {
 	defer SetPoisonOnRelease(SetPoisonOnRelease(false))
 	callerKeys := [3]string{"a", "b", "c"}
 	callerReads := [2]ReadResult{{Value: []byte("v"), OK: true}, {OK: true}}
-	wantKeys, wantReads := callerKeys, callerReads
-	m := &Message{Type: TypeMultiRead, Keys: callerKeys[:], Reads: callerReads[:]}
+	callerReadSet := [2]ReadSetEntry{{Key: "a", VHash: 1}, {Key: "b", VHash: 2}}
+	wantKeys, wantReads, wantReadSet := callerKeys, callerReads, callerReadSet
+	m := &Message{Type: TypeMultiRead, Keys: callerKeys[:], Reads: callerReads[:], Txn: Txn{ReadSet: callerReadSet[:]}}
 	ReleaseMessage(m)
 	if !raceEnabled && !reacquire(m) {
 		t.Fatal("the pool did not hand the released literal back")
@@ -310,8 +402,11 @@ func TestLiteralArraysNeverEnterThePool(t *testing.T) {
 		m.Keys[j] = "overwritten"
 	}
 	m.OwnReads(2)[0].Value = []byte("overwritten")
-	if callerKeys != wantKeys || !reflect.DeepEqual(callerReads, wantReads) {
-		t.Fatalf("a recycled message wrote into its sender's arrays: %q %+v", callerKeys, callerReads)
+	if err := DecodeInto(m, Encode(nil, smallMessage())); err != nil {
+		t.Fatal(err)
+	}
+	if callerKeys != wantKeys || !reflect.DeepEqual(callerReads, wantReads) || callerReadSet != wantReadSet {
+		t.Fatalf("a recycled message wrote into its sender's arrays: %q %+v %+v", callerKeys, callerReads, callerReadSet)
 	}
 }
 
@@ -322,6 +417,7 @@ func TestReleasedArraysHoldNoPointers(t *testing.T) {
 	defer SetPoisonOnRelease(SetPoisonOnRelease(false))
 	m := AcquireMessage()
 	for _, src := range []*Message{
+		sampleMessage(),
 		{Type: TypeMultiRead, Keys: []string{"k1", "k2", "k3"}},
 		{Type: TypeMultiReadReply, Reads: []ReadResult{{Value: []byte("v1")}, {Value: []byte("v2")}}},
 	} {
@@ -345,9 +441,27 @@ func TestReleasedArraysHoldNoPointers(t *testing.T) {
 			t.Fatalf("released message pins read result %+v", r)
 		}
 	}
+	if cap(m.readSet) < 2 || cap(m.writeSet) < 1 || cap(m.opSet) < 3 {
+		t.Fatalf("released message kept no set arrays: caps %d/%d/%d", cap(m.readSet), cap(m.writeSet), cap(m.opSet))
+	}
+	for _, r := range m.readSet[:cap(m.readSet)] {
+		if r != (ReadSetEntry{}) {
+			t.Fatalf("released message pins read-set entry %+v", r)
+		}
+	}
+	for _, w := range m.writeSet[:cap(m.writeSet)] {
+		if !reflect.DeepEqual(w, WriteSetEntry{}) {
+			t.Fatalf("released message pins write-set entry %+v", w)
+		}
+	}
+	for _, o := range m.opSet[:cap(m.opSet)] {
+		if !reflect.DeepEqual(o, OpSetEntry{}) {
+			t.Fatalf("released message pins op-set entry %+v", o)
+		}
+	}
 }
 
-// TestReleaseBoundsKeptArrays: a message keeps its Keys and Reads arrays across
+// TestReleaseBoundsKeptArrays: a message keeps its Keys, Reads and set arrays across
 // a release only up to maxPooledSlots, as it keeps its arena only up to
 // maxPooledEncoderCap — one datagram of under 64 KiB, of empty keys or of
 // empty read results, must not leave an array of tens of thousands of slots in
@@ -362,7 +476,9 @@ func TestReleaseBoundsKeptArrays(t *testing.T) {
 	}{
 		{"keys", 60000, &Message{Type: TypeMultiRead, Keys: make([]string, 60000)}, func(m *Message) int { return cap(m.keys) }},
 		{"reads", 2500, &Message{Type: TypeMultiReadReply, Reads: make([]ReadResult, 2500)}, func(m *Message) int { return cap(m.reads) }},
+		{"read set", 2400, &Message{Type: TypeValidate, Txn: Txn{ReadSet: make([]ReadSetEntry, 2400)}}, func(m *Message) int { return cap(m.readSet) }},
 		{"few keys", 8, &Message{Type: TypeMultiRead, Keys: make([]string, 8)}, func(m *Message) int { return cap(m.keys) }},
+		{"few writes", 8, &Message{Type: TypeValidate, Txn: Txn{WriteSet: make([]WriteSetEntry, 8)}}, func(m *Message) int { return cap(m.writeSet) }},
 	} {
 		wire := Encode(nil, c.src)
 		if len(wire) > maxPooledEncoderCap {
@@ -491,8 +607,7 @@ func TestPoisonOnRelease(t *testing.T) {
 // serialization cost of one UDP message each way. The baseline sub-benchmark
 // is the pre-pooling behavior (fresh buffer, fresh Message per op); pooled
 // uses the reusable Encoder and DecodeInto into one kept Message, allocating
-// only the validate's three set arrays: a decode never reuses a Txn's arrays,
-// which the replica's record takes.
+// nothing: the validate's sets fill the arrays the message keeps.
 func BenchmarkEncodeDecode(b *testing.B) {
 	src := sampleMessage()
 	b.Run("baseline", func(b *testing.B) {

@@ -400,9 +400,9 @@ func (c *core) unlockRecords() {
 // bytes a decoded message's keys and values are cut from: the core is the
 // message's final consumer, and a handler that keeps any of its payload has
 // taken it out by the time it returns — validate and accept the transaction
-// body (TakeTxn), the epoch change's install the whole merge (Disown), a read
-// nothing (the store copies the name of an entry it creates). It runs on the
-// core's delivery goroutine.
+// body, into the chunks of the core's record partition (TakeTxn), the epoch
+// change's install the whole merge (Disown), a read nothing (the store copies
+// the name of an entry it creates). It runs on the core's delivery goroutine.
 func (c *core) handle(m *message.Message) {
 	switch m.Type {
 	case message.TypeMultiRead:
@@ -595,8 +595,9 @@ func (c *core) handleValidate(m *message.Message) {
 			rec, _ = p.GetOrCreate(tid)
 		}
 		// The record keeps the transaction body: take it out of the message,
-		// which is recycled — its bytes with it — when this handler returns.
-		rec.Txn = m.TakeTxn()
+		// which is recycled — its bytes and arrays with it — when this handler
+		// returns, into the chunks of the core's record partition.
+		rec.Txn = m.TakeTxn(&p.Chunks)
 		rec.TS = m.TS
 		rec.CreatedAt = c.r.g.Now()
 		st := occ.Validate(c.r.store, &rec.Txn, m.TS)
@@ -632,7 +633,7 @@ func (c *core) handleAccept(m *message.Message) {
 	// from the accept, so it can apply the write phase on commit (taken
 	// out of the message, as in handleValidate).
 	if rec.Txn.Empty() && !m.Txn.Empty() {
-		rec.Txn = m.TakeTxn()
+		rec.Txn = m.TakeTxn(&p.Chunks)
 		rec.TS = m.TS
 	}
 	if rec.Txn.ID.IsZero() {

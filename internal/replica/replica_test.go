@@ -549,11 +549,12 @@ func udpReplica(t *testing.T, port int) (*replica.Replica, func(m *message.Messa
 
 // TestUDPValidateRetainedByRecordSurvivesStructReuse: over UDP the receive
 // loop decodes every datagram into a pooled struct that the core recycles —
-// the arena its keys and values are cut from included — when its handler
-// returns. handleValidate keeps the transaction body, so it must have taken it
-// out, bytes and all: after the same struct has carried a few hundred other
-// validates, the record of the first one still holds exactly the body it
-// arrived with, key for key and byte for byte (read back through a
+// the arena its keys and values are cut from and the arrays its sets are
+// decoded into included — when its handler returns. handleValidate keeps the
+// transaction body, so it must have copied it out, entries and bytes: after the
+// same struct has carried a few hundred other validates of other set sizes, the
+// record of the first one still holds exactly the body it arrived with, entry
+// for entry and byte for byte (read back through a
 // coordinator-change ack, which ships the record), and the version its commit
 // installs — which aliases the record's value — reads back whole.
 func TestUDPValidateRetainedByRecordSurvivesStructReuse(t *testing.T) {
@@ -565,7 +566,14 @@ func TestUDPValidateRetainedByRecordSurvivesStructReuse(t *testing.T) {
 	}
 	others := func(from, to uint64) {
 		for i := from; i < to; i++ {
+			// One to five reads and writes, so the arrays the struct decodes
+			// into grow and shrink under the record's body.
 			other := rmwTxn(i, 1, fmt.Sprintf("other-key-%d", i), "other-value", timestamp.Zero)
+			for j := uint64(1); j <= i%5; j++ {
+				key := fmt.Sprintf("other-key-%d-%d", i, j)
+				other.ReadSet = append(other.ReadSet, message.ReadSetEntry{Key: key, VHash: message.HashValue(nil)})
+				other.WriteSet = append(other.WriteSet, message.WriteSetEntry{Key: key, Value: []byte("other-value")})
+			}
 			message.ReleaseMessage(call(&message.Message{Type: message.TypeValidate, Txn: other, TID: other.ID, TS: ts(int64(10*i), 1)}, message.TypeValidateReply))
 		}
 	}

@@ -93,10 +93,10 @@ func TestInprocRoundTripAllocGate(t *testing.T) {
 }
 
 // TestUDPReceiveAllocGate pins the receive loop: the struct a datagram
-// decodes into comes from the pool and its keys and values are cut from the
-// arena the struct keeps, so a message costs the receive path nothing — a
-// multi-read's ten keys or ten values included — except a validate, whose two
-// set arrays leave with the record that keeps the body and are made anew.
+// decodes into comes from the pool, its keys and values are cut from the arena
+// the struct keeps and its sets fill the arrays it keeps, so a message costs
+// the receive path nothing — a multi-read's ten keys or ten values and a
+// validate's sets included.
 func TestUDPReceiveAllocGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
@@ -132,8 +132,7 @@ func TestUDPReceiveAllocGate(t *testing.T) {
 		payload float64
 	}{
 		{"commit", func(m *message.Message) { m.Type, m.TID = message.TypeCommit, txn.ID }, 0},
-		// The read-set and write-set arrays; no key, no value.
-		{"validate", func(m *message.Message) { m.Type, m.Txn = message.TypeValidate, txn }, 2},
+		{"validate", func(m *message.Message) { m.Type, m.Txn = message.TypeValidate, txn }, 0},
 		{"multi-read of 10 keys", func(m *message.Message) { m.Type = message.TypeMultiRead; copy(m.OwnKeys(10), keys) }, 0},
 		{"multi-read reply of 10 values", func(m *message.Message) { m.Type = message.TypeMultiReadReply; copy(m.OwnReads(10), reads) }, 0},
 	} {

@@ -40,7 +40,7 @@ import (
 //
 // The handler owns m: nothing else holds a reference, so it may pass m on
 // (an Inbox does) or, once it has read it and taken out whatever payload it
-// keeps — copying the bytes a decoded message cut from its own arena
+// keeps — copying what a decoded message holds in its own arena and arrays
 // (message.TakeTxn, message.Disown) — recycle it with message.ReleaseMessage.
 // Releasing is optional.
 type Handler func(m *message.Message)

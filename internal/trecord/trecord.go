@@ -60,6 +60,10 @@ const slabRecords = 128
 // when each was its own heap object. Delete and Compact hand a slab record
 // back to a free list, which GetOrCreate drains before it opens a new slab.
 type Partition struct {
+	// Chunks holds the bodies the records take from decoded messages
+	// (message.TakeTxn): no allocation of their own, filled in arrival order.
+	Chunks message.Chunks
+
 	m    map[timestamp.TxnID]*Record
 	slab []Record  // the open slab: len handed out, the rest of cap still unused
 	free []*Record // zeroed records returned by Delete and Compact

@@ -1,6 +1,8 @@
 package trecord
 
 import (
+	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -196,4 +198,61 @@ func TestRemovedRecordsAreReused(t *testing.T) {
 	if allocs := testing.AllocsPerRun(1000, churn); allocs != 0 {
 		t.Fatalf("create/delete churn allocates %v objects/op, want 0", allocs)
 	}
+}
+
+// TestDecodedBodiesFillChunks: records that take their bodies from decoded
+// validates — one struct decoding datagram after datagram, as a core's receive
+// path does — keep them in the partition's chunks, which cost one object per
+// many takes, and every body reads back whole once all of them are taken.
+func TestDecodedBodiesFillChunks(t *testing.T) {
+	const takes = 10000
+	p := NewPartition()
+	m := message.AcquireMessage()
+	defer message.ReleaseMessage(m)
+	wire := make([][]byte, 8)
+	for i := range wire {
+		wire[i] = message.Encode(nil, &message.Message{Type: message.TypeValidate, Txn: body(uint64(i))})
+	}
+	seq := uint64(0)
+	take := func() {
+		if err := message.DecodeInto(m, wire[seq%8]); err != nil {
+			t.Fatal(err)
+		}
+		seq++
+		r, _ := p.GetOrCreate(tid(seq))
+		r.Txn = m.TakeTxn(&p.Chunks)
+		p.Delete(tid(seq)) // the table stays small; what is measured is the bodies
+	}
+	take()
+	if allocs := testing.AllocsPerRun(takes, take); allocs > 1.0/64 {
+		t.Fatalf("taking a decoded body allocates %v objects, want at most one per 64 takes", allocs)
+	}
+
+	kept := make([]message.Txn, 1000)
+	for i := range kept {
+		if err := message.DecodeInto(m, wire[i%8]); err != nil {
+			t.Fatal(err)
+		}
+		kept[i] = m.TakeTxn(&p.Chunks)
+	}
+	for i := range kept {
+		if want := body(uint64(i % 8)); !reflect.DeepEqual(kept[i], want) {
+			t.Fatalf("body %d reads back as %+v, want %+v", i, kept[i], want)
+		}
+	}
+}
+
+// body is a validate's transaction in the suite's retwis shape: a read and a
+// write of one key, and every eighth an op.
+func body(i uint64) message.Txn {
+	key := fmt.Sprintf("user:%06d", i)
+	t := message.Txn{
+		ID:       tid(i),
+		ReadSet:  []message.ReadSetEntry{{Key: key, WTS: timestamp.Timestamp{Time: int64(i), ClientID: 1}}},
+		WriteSet: []message.WriteSetEntry{{Key: key, Value: []byte(fmt.Sprint("post-", i))}},
+	}
+	if i%8 == 0 {
+		t.OpSet = []message.OpSetEntry{{Key: "followers", Kind: message.OpIncrement, Delta: 1}}
+	}
+	return t
 }
