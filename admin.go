@@ -2,12 +2,12 @@ package meerkat
 
 import (
 	"fmt"
+	"slices"
 
 	"meerkat/internal/faultnet"
 	"meerkat/internal/obs"
 	"meerkat/internal/replica"
 	"meerkat/internal/shardmap"
-	"meerkat/internal/timestamp"
 	"meerkat/internal/wal"
 )
 
@@ -116,80 +116,41 @@ func (a *Admin) Split(src int) (dst int, err error) {
 	return dst, nil
 }
 
-// migrate copies the committed state of the hash range [lo, hi) from shard
-// src's live replicas onto shard dst's live replicas. It runs after the
-// fence, so the range is frozen; the union across live source replicas (max
-// WTS picks each key's value — the Thomas rule — and read timestamps take
-// the max) covers replicas that individually missed an apply.
+// migrate copies the committed state of the hash range [lo, hi) from every
+// live replica of shard src into every live replica of shard dst. It runs
+// after the fence, so the range is frozen; imports are monotone (Thomas rule
+// for versions, max for rts), so each destination ends with the union of the
+// sources, which covers replicas that individually missed an apply. Read
+// timestamps travel with their keys, even keys never written: without them
+// the new owner could validate a write below a read it never saw. A durable
+// destination then snapshots, so the moved state is on its disk before the
+// range opens there.
 func (db *DB) migrate(src, dst int, lo, hi uint32) error {
-	type keyState struct {
-		value []byte
-		wts   timestamp.Timestamp
-		rts   timestamp.Timestamp
-		hasV  bool
-	}
-
 	db.mu.Lock()
-	srcReps := append([]*replica.Replica(nil), db.replicas[src]...)
-	dstReps := append([]*replica.Replica(nil), db.replicas[dst]...)
+	srcReps := slices.DeleteFunc(slices.Clone(db.replicas[src]), isNil)
+	dstReps := slices.DeleteFunc(slices.Clone(db.replicas[dst]), isNil)
 	db.mu.Unlock()
-
-	union := make(map[string]*keyState)
-	live := 0
-	for _, rep := range srcReps {
-		if rep == nil {
-			continue
-		}
-		live++
-		st := rep.Store()
-		for i := 0; i < st.NumShards(); i++ {
-			for _, ks := range st.ExportShard(i) {
-				if !shardmap.InRange(shardmap.Hash(ks.Key), lo, hi) {
-					continue
-				}
-				u := union[ks.Key]
-				if u == nil {
-					u = &keyState{}
-					union[ks.Key] = u
-				}
-				if !ks.WTS.IsZero() && (!u.hasV || u.wts.Less(ks.WTS)) {
-					u.value, u.wts, u.hasV = ks.Value, ks.WTS, true
-				}
-				if u.rts.Less(ks.RTS) {
-					u.rts = ks.RTS
-				}
-			}
-		}
-	}
-	if live == 0 {
+	if len(srcReps) == 0 {
 		return fmt.Errorf("meerkat: shard %d has no live replica to migrate from", src)
 	}
-
-	liveDst := 0
-	for _, rep := range dstReps {
-		if rep == nil {
-			continue
-		}
-		liveDst++
-		for k, u := range union {
-			if u.hasV {
-				// Load logs to the WAL like a committed write, so migrated
-				// data survives restarts on its new owner.
-				rep.Load(k, u.value, u.wts)
-			}
-			if !u.rts.IsZero() {
-				// The read timestamp travels with the key: without it the
-				// new owner could validate a write below a read it never
-				// saw, un-serializing that read.
-				rep.Store().CommitRead(k, u.rts)
-			}
-		}
-	}
-	if liveDst == 0 {
+	if len(dstReps) == 0 {
 		return fmt.Errorf("meerkat: shard %d has no live replica to migrate to", dst)
+	}
+	inRange := func(key string) bool { return shardmap.InRange(shardmap.Hash(key), lo, hi) }
+	for _, to := range dstReps {
+		for _, from := range srcReps {
+			copyState(to.Store(), from.Store(), inRange)
+		}
+		if w := to.WAL(); w != nil {
+			if err := w.Snapshot(to.Store()); err != nil {
+				return fmt.Errorf("meerkat: snapshot of shard %d after migration: %w", dst, err)
+			}
+		}
 	}
 	return nil
 }
+
+func isNil(rep *replica.Replica) bool { return rep == nil }
 
 // Obs returns the observability registry shared by every component of the
 // deployment. Snapshot it for programmatic metrics, or serve it over HTTP

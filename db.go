@@ -4,12 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"meerkat/internal/clock"
 	"meerkat/internal/faultnet"
+	"meerkat/internal/message"
 	"meerkat/internal/obs"
-	"meerkat/internal/recovery"
 	"meerkat/internal/replica"
 	"meerkat/internal/shardmap"
 	"meerkat/internal/timestamp"
@@ -204,12 +205,13 @@ func (db *DB) startGroup(p int) ([]*replica.Replica, error) {
 			// would return inconsistent values. The union merge is
 			// sound because imports are idempotent and monotone (Thomas
 			// rule for versions, max for rts): fold every store into
-			// the first, then fan the union back out.
+			// the first, then fan the union back out. A key that was only
+			// read moves too: its rts may survive on one replica alone.
 			for r := 1; r < cfg.Replicas; r++ {
-				recovery.SyncStore(stores[0], stores[r])
+				copyState(stores[0], stores[r], nil)
 			}
 			for r := 1; r < cfg.Replicas; r++ {
-				recovery.SyncStore(stores[r], stores[0])
+				copyState(stores[r], stores[0], nil)
 			}
 			// Make the reconciled state durable: keys merged from peers
 			// exist only in memory until a snapshot covers them, and a
@@ -237,6 +239,19 @@ func (db *DB) startGroup(p int) ([]*replica.Replica, error) {
 		group[r] = rep
 	}
 	return group, nil
+}
+
+// copyState imports src's committed state into dst shard by shard: every
+// key, or only the keys keep admits. Imports are idempotent and monotone, so
+// copying several stores into one leaves their union.
+func copyState(dst, src *vstore.Store, keep func(key string) bool) {
+	for i := 0; i < src.NumShards(); i++ {
+		states := src.ExportShard(i)
+		if keep != nil {
+			states = slices.DeleteFunc(states, func(ks message.KeyState) bool { return !keep(ks.Key) })
+		}
+		dst.ImportState(states)
+	}
 }
 
 // replicaConfig is replica r of shard p as the deployment configures it.

@@ -198,7 +198,9 @@ func TestDurableSnapshotRestart(t *testing.T) {
 // union-merge the group's stores before serving traffic, or single-replica
 // reads would return inconsistent values for acknowledged writes. The test
 // constructs the divergent directories directly — each replica's log holds a
-// common record plus one record only it retained.
+// common record plus two records only it retained: one write, and one commit
+// that only read a key nobody wrote. The read's timestamp must reach every
+// replica too, or a peer could later admit a write below that read.
 func TestDurableBootReconcile(t *testing.T) {
 	dir := t.TempDir()
 	verifyCleanShutdown(t, dir)
@@ -223,6 +225,11 @@ func TestDurableBootReconcile(t *testing.T) {
 			WriteSet: []message.WriteSetEntry{{Key: fmt.Sprintf("only%d", r), Value: []byte("v")}},
 		}
 		w.Log(0).AppendCommit(&only, tsAt(int64(100+r)))
+		read := message.Txn{
+			ID:      timestamp.TxnID{Seq: uint64(20 + r), ClientID: 1},
+			ReadSet: []message.ReadSetEntry{{Key: fmt.Sprintf("read%d", r)}},
+		}
+		w.Log(0).AppendCommit(&read, tsAt(int64(200+r)))
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -238,6 +245,13 @@ func TestDurableBootReconcile(t *testing.T) {
 		for _, key := range []string{"common", "only0", "only1", "only2"} {
 			if v, ok := store.Read(key); !ok || len(v.Value) == 0 {
 				t.Fatalf("replica %d missing %q after boot reconcile (ok=%v)", r, key, ok)
+			}
+		}
+		for from := 0; from < cfg.Replicas; from++ {
+			key := fmt.Sprintf("read%d", from)
+			if wts, rts := store.Meta(key); !wts.IsZero() || rts != tsAt(int64(200+from)) {
+				t.Errorf("replica %d has %q at wts %v rts %v after boot reconcile, want no version and rts %v",
+					r, key, wts, rts, tsAt(int64(200+from)))
 			}
 		}
 	}

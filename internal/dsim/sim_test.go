@@ -424,7 +424,7 @@ func (s *scenario) crash(r int) {
 // Admin.RecoverReplica does, and begins the epoch change that admits it.
 func (s *scenario) restart(r, donor int) {
 	st := vstore.New(vstore.Config{Shards: 1})
-	recovery.SyncStore(st, s.reps[donor].Store())
+	st.ImportState(s.reps[donor].Store().ExportShard(0))
 	s.boot(r, st, true)
 	s.w.event('R', "replica %d rebuilt from replica %d's store", r, donor)
 	s.admin.start()

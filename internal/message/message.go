@@ -226,8 +226,13 @@ type ReadResult struct {
 	Op    OpKind
 }
 
-// KeyState is one key's committed state as shipped during replica state
-// transfer: latest version plus read timestamp.
+// KeyState is one key's committed state: its latest version plus its read
+// timestamp (a key that was only read has a zero WTS and no value). It is the
+// one form in which committed state moves between stores, from
+// vstore.ExportShard into vstore.ImportState, and it has four uses: state
+// transfer to a recovering replica (TypeStateReply), WAL snapshot pages
+// (TypeWALSnapshot), the boot reconcile of a durable group's replayed stores,
+// and split migration of a moved range.
 type KeyState struct {
 	Key   string
 	Value []byte

@@ -276,7 +276,7 @@ func RunEpochChange(ctx context.Context, net transport.Network, t topo.Topology,
 	return ec.Result()
 }
 
-// MergeTrecords applies the merge rules of §5.3.1 to per-replica trecord
+// mergeTrecords applies the merge rules of §5.3.1 to per-replica trecord
 // snapshots and returns the new, all-final trecord:
 //
 //  1. transactions COMMITTED or ABORTED at any replica keep that outcome;
@@ -288,12 +288,8 @@ func RunEpochChange(ctx context.Context, net transport.Network, t topo.Topology,
 //     ceil(f/2)+1 VALIDATED-OK) are re-validated with OCC checks against
 //     the transactions already committed in the merged trecord;
 //  5. everything else is ABORTED.
-func MergeTrecords(perReplica map[uint32][]message.TRecordEntry, f int) []message.TRecordEntry {
-	return mergeTrecords(perReplica, f, nil)
-}
-
-// mergeTrecords is MergeTrecords with an optional obs shard recording the
-// number of rule-4 re-validations.
+//
+// o, when non-nil, records the number of rule-4 re-validations.
 func mergeTrecords(perReplica map[uint32][]message.TRecordEntry, f int, o *obs.Shard) []message.TRecordEntry {
 	type txnState struct {
 		entry   message.TRecordEntry // representative (first seen with a body)
@@ -453,15 +449,8 @@ func (st *stateTransfer) Reply(m *message.Message) {
 	if st.done || m.Type != message.TypeStateReply || m.Seq != st.shard {
 		return
 	}
-	m.Disown() // the store keeps the imported values
-	states := make([]vstore.KeyState, len(m.State))
-	for i := range m.State {
-		states[i] = vstore.KeyState{
-			Key: m.State[i].Key, Value: m.State[i].Value,
-			WTS: m.State[i].WTS, RTS: m.State[i].RTS,
-		}
-	}
-	st.dst.ImportState(states)
+	m.Disown() // the store keeps the imported keys and values
+	st.dst.ImportState(m.State)
 	if st.done = !m.OK; !st.done { // OK: more shards remain
 		st.shard++
 		st.Wait = drive.Wait{Kind: drive.WaitResend}
@@ -494,8 +483,7 @@ func (st *stateTransfer) Perform() {
 // SyncStoreRemote transfers the committed state of a live replica into dst
 // over the network, shard by shard — the state-transfer step a recovering
 // replica runs before the epoch change reconciles in-flight transactions.
-// It works across processes (unlike SyncStore, which needs both stores in
-// memory). from is the donor replica's index in partition p.
+// from is the donor replica's index in partition p.
 func SyncStoreRemote(ctx context.Context, net transport.Network, t topo.Topology, p, from int, dst *vstore.Store, pol drive.Policy, opts Options) error {
 	// A shard's reply and the stragglers of its resends.
 	l, err := drive.Listen(net, t.StateTransferAddr(p), 64)
@@ -508,19 +496,4 @@ func SyncStoreRemote(ctx context.Context, net transport.Network, t topo.Topology
 		return err
 	}
 	return st.err
-}
-
-// SyncStore copies the committed state of src into dst: each key's latest
-// version and its read timestamp. It is the state-transfer step a recovering
-// replica performs before rejoining (the epoch change then reconciles any
-// in-flight transactions). The copy is taken key by key with src live, which
-// is safe because version installs are monotonic.
-func SyncStore(dst, src *vstore.Store) {
-	src.Range(func(key string, v vstore.Version) bool {
-		dst.Load(key, v.Value, v.WTS)
-		if _, rts := src.Meta(key); !rts.IsZero() {
-			dst.CommitRead(key, rts)
-		}
-		return true
-	})
 }

@@ -40,17 +40,17 @@ func statusOf(merged []message.TRecordEntry, id timestamp.TxnID) message.Status 
 
 func TestMergeRule1FinalizedWins(t *testing.T) {
 	// One replica committed, others still only validated: COMMITTED wins.
-	merged := MergeTrecords(map[uint32][]message.TRecordEntry{
+	merged := mergeTrecords(map[uint32][]message.TRecordEntry{
 		0: {entry(1, message.StatusCommitted)},
 		1: {entry(1, message.StatusValidatedOK)},
-	}, 1)
+	}, 1, nil)
 	if got := statusOf(merged, tid(1)); got != message.StatusCommitted {
 		t.Fatalf("status = %v", got)
 	}
-	merged = MergeTrecords(map[uint32][]message.TRecordEntry{
+	merged = mergeTrecords(map[uint32][]message.TRecordEntry{
 		0: {entry(2, message.StatusAborted)},
 		1: {entry(2, message.StatusValidatedOK)},
-	}, 1)
+	}, 1, nil)
 	if got := statusOf(merged, tid(2)); got != message.StatusAborted {
 		t.Fatalf("status = %v", got)
 	}
@@ -61,27 +61,27 @@ func TestMergeRule2AcceptedLatestView(t *testing.T) {
 	eOld.AcceptView = 1
 	eNew := entry(1, message.StatusAcceptAbort)
 	eNew.AcceptView = 5
-	merged := MergeTrecords(map[uint32][]message.TRecordEntry{
+	merged := mergeTrecords(map[uint32][]message.TRecordEntry{
 		0: {eOld},
 		1: {eNew},
-	}, 1)
+	}, 1, nil)
 	if got := statusOf(merged, tid(1)); got != message.StatusAborted {
 		t.Fatalf("status = %v, want latest accepted decision (abort)", got)
 	}
 }
 
 func TestMergeRule3MajorityValidated(t *testing.T) {
-	merged := MergeTrecords(map[uint32][]message.TRecordEntry{
+	merged := mergeTrecords(map[uint32][]message.TRecordEntry{
 		0: {entry(1, message.StatusValidatedOK)},
 		1: {entry(1, message.StatusValidatedOK)},
-	}, 1)
+	}, 1, nil)
 	if got := statusOf(merged, tid(1)); got != message.StatusCommitted {
 		t.Fatalf("f+1 VALIDATED-OK -> %v, want COMMITTED", got)
 	}
-	merged = MergeTrecords(map[uint32][]message.TRecordEntry{
+	merged = mergeTrecords(map[uint32][]message.TRecordEntry{
 		0: {entry(2, message.StatusValidatedAbort)},
 		1: {entry(2, message.StatusValidatedAbort)},
-	}, 1)
+	}, 1, nil)
 	if got := statusOf(merged, tid(2)); got != message.StatusAborted {
 		t.Fatalf("f+1 VALIDATED-ABORT -> %v, want ABORTED", got)
 	}
@@ -101,11 +101,11 @@ func TestMergeRule4FastPathRevalidation(t *testing.T) {
 		TS:     ts(10),
 		Status: message.StatusValidatedOK,
 	}
-	merged := MergeTrecords(map[uint32][]message.TRecordEntry{
+	merged := mergeTrecords(map[uint32][]message.TRecordEntry{
 		0: {clean},
 		1: {clean},
 		2: {}, // the third gathered replica never saw it
-	}, 2)
+	}, 2, nil)
 	if got := statusOf(merged, tid(1)); got != message.StatusCommitted {
 		t.Fatalf("clean fast-path candidate -> %v, want COMMITTED", got)
 	}
@@ -113,11 +113,11 @@ func TestMergeRule4FastPathRevalidation(t *testing.T) {
 	// With only one VALIDATED-OK, a fast-path commit is impossible (the
 	// supermajority would intersect the gathered quorum in 2 replicas), so
 	// the merge aborts it without re-validation.
-	merged = MergeTrecords(map[uint32][]message.TRecordEntry{
+	merged = mergeTrecords(map[uint32][]message.TRecordEntry{
 		0: {clean},
 		1: {},
 		2: {},
-	}, 2)
+	}, 2, nil)
 	if got := statusOf(merged, tid(1)); got != message.StatusAborted {
 		t.Fatalf("single-OK candidate -> %v, want ABORTED", got)
 	}
@@ -144,11 +144,11 @@ func TestMergeRule4ConflictAborts(t *testing.T) {
 		TS:     timestamp.Timestamp{Time: 60, ClientID: 2},
 		Status: message.StatusValidatedOK,
 	}
-	merged := MergeTrecords(map[uint32][]message.TRecordEntry{
+	merged := mergeTrecords(map[uint32][]message.TRecordEntry{
 		0: {committedTxn, candidate},
 		1: {committedTxn, candidate},
 		2: {committedTxn},
-	}, 2)
+	}, 2, nil)
 	if got := statusOf(merged, candidate.Txn.ID); got != message.StatusAborted {
 		t.Fatalf("conflicting candidate -> %v, want ABORTED", got)
 	}
@@ -157,10 +157,10 @@ func TestMergeRule4ConflictAborts(t *testing.T) {
 func TestMergeRule5UnknownAborts(t *testing.T) {
 	// Seen only as VALIDATED-ABORT at one replica (no majority, no
 	// fast-path OK evidence): abort.
-	merged := MergeTrecords(map[uint32][]message.TRecordEntry{
+	merged := mergeTrecords(map[uint32][]message.TRecordEntry{
 		0: {entry(1, message.StatusValidatedAbort)},
 		1: {},
-	}, 1)
+	}, 1, nil)
 	if got := statusOf(merged, tid(1)); got != message.StatusAborted {
 		t.Fatalf("status = %v, want ABORTED", got)
 	}
@@ -168,10 +168,10 @@ func TestMergeRule5UnknownAborts(t *testing.T) {
 
 func TestMergeAllFinal(t *testing.T) {
 	// Every merged entry must carry a final status.
-	merged := MergeTrecords(map[uint32][]message.TRecordEntry{
+	merged := mergeTrecords(map[uint32][]message.TRecordEntry{
 		0: {entry(1, message.StatusValidatedOK), entry(2, message.StatusValidatedAbort), entry(3, message.StatusAcceptCommit)},
 		1: {entry(1, message.StatusValidatedOK), entry(4, message.StatusNone)},
-	}, 1)
+	}, 1, nil)
 	for _, e := range merged {
 		if !e.Status.Final() {
 			t.Fatalf("merged entry %v has non-final status %v", e.Txn.ID, e.Status)
@@ -188,8 +188,8 @@ func TestMergeDeterministic(t *testing.T) {
 		1: {entry(2, message.StatusValidatedOK), entry(1, message.StatusCommitted)},
 		2: {entry(2, message.StatusValidatedOK), entry(3, message.StatusValidatedAbort)},
 	}
-	a := MergeTrecords(in, 1)
-	b := MergeTrecords(in, 1)
+	a := mergeTrecords(in, 1, nil)
+	b := mergeTrecords(in, 1, nil)
 	if len(a) != len(b) {
 		t.Fatal("nondeterministic length")
 	}
@@ -212,36 +212,14 @@ func TestMergePrefersEntryWithBody(t *testing.T) {
 		Status: message.StatusValidatedOK,
 	}
 	placeholder := entry(1, message.StatusValidatedOK)
-	merged := MergeTrecords(map[uint32][]message.TRecordEntry{
+	merged := mergeTrecords(map[uint32][]message.TRecordEntry{
 		0: {placeholder},
 		1: {full},
-	}, 1)
+	}, 1, nil)
 	for _, e := range merged {
 		if e.Txn.ID == tid(1) && len(e.Txn.WriteSet) == 0 {
 			t.Fatal("merged entry lost the transaction body")
 		}
-	}
-}
-
-func TestSyncStore(t *testing.T) {
-	src := vstore.New(vstore.Config{})
-	src.Load("a", []byte("v1"), ts(1))
-	src.CommitWrite("a", []byte("v2"), ts(5))
-	src.CommitRead("a", ts(9))
-	src.Load("b", []byte("w"), ts(2))
-
-	dst := vstore.New(vstore.Config{})
-	SyncStore(dst, src)
-
-	v, ok := dst.Read("a")
-	if !ok || string(v.Value) != "v2" || v.WTS != ts(5) {
-		t.Fatalf("a = %+v ok=%v", v, ok)
-	}
-	if _, rts := dst.Meta("a"); rts != ts(9) {
-		t.Fatalf("rts = %v, want %v", rts, ts(9))
-	}
-	if v, ok := dst.Read("b"); !ok || string(v.Value) != "w" {
-		t.Fatalf("b = %+v ok=%v", v, ok)
 	}
 }
 
@@ -255,6 +233,7 @@ func TestSyncStoreRemote(t *testing.T) {
 		donor.Load(fmt.Sprintf("key-%d", i), []byte(fmt.Sprintf("v%d", i)), ts(int64(i+1)))
 	}
 	donor.CommitRead("key-7", ts(1000))
+	donor.CommitRead("only-read", ts(1001))
 
 	rep, err := replica.New(replica.Config{Topo: tp, Partition: 0, Index: 1, Net: net, Store: donor})
 	if err != nil {
@@ -269,8 +248,8 @@ func TestSyncStoreRemote(t *testing.T) {
 	if err := SyncStoreRemote(context.Background(), net, tp, 0, 1, dst, testPolicy, Options{}); err != nil {
 		t.Fatalf("SyncStoreRemote: %v", err)
 	}
-	if dst.Len() != 500 {
-		t.Fatalf("transferred %d keys, want 500", dst.Len())
+	if dst.Len() != 501 {
+		t.Fatalf("transferred %d keys, want 501", dst.Len())
 	}
 	v, ok := dst.Read("key-42")
 	if !ok || string(v.Value) != "v42" {
@@ -278,5 +257,8 @@ func TestSyncStoreRemote(t *testing.T) {
 	}
 	if _, rts := dst.Meta("key-7"); rts != ts(1000) {
 		t.Fatalf("rts not transferred: %v", rts)
+	}
+	if wts, rts := dst.Meta("only-read"); !wts.IsZero() || rts != ts(1001) {
+		t.Fatalf("read-only key arrived as wts %v rts %v, want no version and rts %v", wts, rts, ts(1001))
 	}
 }

@@ -438,18 +438,11 @@ func (c *core) handle(m *message.Message) {
 // (sweeper / backup-coordinator outcomes) that the TS filter would miss.
 func (c *core) handleStateRequest(m *message.Message) {
 	shard := int(m.Seq)
-	exported := c.r.store.ExportShardSince(shard, m.TS, m.SinceWall())
-	state := make([]message.KeyState, 0, len(exported))
-	for _, ks := range exported {
-		state = append(state, message.KeyState{
-			Key: ks.Key, Value: ks.Value, WTS: ks.WTS, RTS: ks.RTS,
-		})
-	}
 	c.send(m.Src, &message.Message{
 		Type:      message.TypeStateReply,
 		Seq:       m.Seq,
 		OK:        shard+1 < c.r.store.NumShards(),
-		State:     state,
+		State:     c.r.store.ExportShardSince(shard, m.TS, m.SinceWall()),
 		ReplicaID: uint32(c.r.cfg.Index),
 	})
 }

@@ -127,7 +127,7 @@ func (e *modelEntry) commitOp(kind message.OpKind, delta int64, arg []byte, ts t
 	}
 }
 
-func (e *modelEntry) importState(st KeyState) {
+func (e *modelEntry) importState(st message.KeyState) {
 	if st.WTS.IsZero() {
 		if !st.RTS.IsZero() {
 			e.commitRead(st.RTS)
@@ -331,12 +331,12 @@ func runDifferentialHistory(t *testing.T, h int, rng *rand.Rand, maxV int) {
 	for i, idx := range order {
 		step = i
 		if i == importAt {
-			st := KeyState{Key: key, Value: []byte(fmt.Sprintf("%d", rng.Intn(100))),
+			st := message.KeyState{Key: key, Value: []byte(fmt.Sprintf("%d", rng.Intn(100))),
 				WTS: ts(int64(10*rng.Intn(n+1) + 5)), RTS: ts(int64(rng.Intn(10 * n)))}
 			if rng.Intn(4) == 0 {
 				st.WTS, st.Value = timestamp.Timestamp{}, nil // rts-only export
 			}
-			s.ImportState([]KeyState{st})
+			s.ImportState([]message.KeyState{st})
 			m.importState(st)
 			check()
 		}

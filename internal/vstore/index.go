@@ -117,15 +117,14 @@ func (sh *shard) insert(key string, hash uint64) *entry {
 }
 
 // each calls fn for every entry present when the shard's current table was
-// loaded, until fn returns false; it reports whether the walk completed.
-func (sh *shard) each(fn func(*entry) bool) bool {
+// loaded.
+func (sh *shard) each(fn func(*entry)) {
 	t := sh.table.Load()
 	for i := range t.slots {
-		if e := t.slots[i].Load(); e != nil && !fn(e) {
-			return false
+		if e := t.slots[i].Load(); e != nil {
+			fn(e)
 		}
 	}
-	return true
 }
 
 // get returns the entry for key, or nil if absent. Lock-free.

@@ -225,7 +225,7 @@ func TestOpRecoveryBelowTrimmedHistory(t *testing.T) {
 func TestOpMaskedByImportedState(t *testing.T) {
 	s := New(Config{})
 	// The exporter folded increments at ts 1..3 into value "3" with WTS 3.
-	s.ImportState([]KeyState{{Key: "k", Value: []byte("3"), WTS: ts(3)}})
+	s.ImportState([]message.KeyState{{Key: "k", Value: []byte("3"), WTS: ts(3)}})
 	s.CommitOp("k", message.OpIncrement, 1, nil, ts(2)) // late replay, already included
 	if v, _ := s.Read("k"); string(v.Value) != "3" {
 		t.Fatalf("imported value changed by masked replay: %q", v.Value)

@@ -185,8 +185,8 @@ type entry struct {
 
 	// baseTrimmed records that the value preceding the oldest retained
 	// version is unknown: either insertLocked trimmed history to MaxVersions,
-	// or the entry was imported via state transfer (which ships only the
-	// latest version). An op folded in below the chain then cannot
+	// or the entry was imported (ImportState, which gets only the latest
+	// version). An op folded in below the chain then cannot
 	// re-materialize from its true predecessor and takes the
 	// arithmetic-recovery path instead.
 	baseTrimmed bool
@@ -692,33 +692,24 @@ func (s *Store) Len() int {
 // must not be called from transaction processing.
 func (s *Store) Counts() (keys, versions uint64) {
 	for i := range s.shards {
-		s.shards[i].each(func(e *entry) bool {
+		s.shards[i].each(func(e *entry) {
 			keys++
 			e.mu.Lock()
 			versions += uint64(e.nver)
 			e.mu.Unlock()
-			return true
 		})
 	}
 	return
 }
 
-// KeyState is one key's transferable committed state: the latest version
-// and the read timestamp. It is the unit of replica state transfer.
-type KeyState struct {
-	Key   string
-	Value []byte
-	WTS   timestamp.Timestamp
-	RTS   timestamp.Timestamp
-}
-
 // NumShards returns the shard count, the pagination unit for state export.
 func (s *Store) NumShards() int { return len(s.shards) }
 
-// ExportShard snapshots the committed state of one shard for state
-// transfer. Pending readers/writers are deliberately excluded: in-flight
+// ExportShard snapshots the committed state of one shard: every key's latest
+// version and read timestamp, including keys that were read but never
+// written. Pending readers/writers are deliberately excluded: in-flight
 // transactions are reconciled by the epoch change that follows a transfer.
-func (s *Store) ExportShard(i int) []KeyState {
+func (s *Store) ExportShard(i int) []message.KeyState {
 	return s.ExportShardSince(i, timestamp.Timestamp{}, 0)
 }
 
@@ -736,34 +727,35 @@ func (s *Store) ExportShard(i int) []KeyState {
 //     the requester was down.
 //
 // A key passing either filter is exported; zero bounds export everything.
-func (s *Store) ExportShardSince(i int, since timestamp.Timestamp, sinceWall int64) []KeyState {
+func (s *Store) ExportShardSince(i int, since timestamp.Timestamp, sinceWall int64) []message.KeyState {
 	if i < 0 || i >= len(s.shards) {
 		return nil
 	}
-	var out []KeyState
-	s.shards[i].each(func(e *entry) bool {
+	var out []message.KeyState
+	s.shards[i].each(func(e *entry) {
 		e.mu.Lock()
 		if lv := e.latest.Load(); lv != nil {
 			if since.Less(lv.wts) || since.Less(e.rts) || (sinceWall > 0 && e.appliedAt >= sinceWall) {
-				out = append(out, KeyState{Key: e.key, Value: lv.value, WTS: lv.wts, RTS: e.rts})
+				out = append(out, message.KeyState{Key: e.key, Value: lv.value, WTS: lv.wts, RTS: e.rts})
 			}
 		} else if !e.rts.IsZero() && (since.Less(e.rts) || (sinceWall > 0 && e.appliedAt >= sinceWall)) {
 			// A key that was read (rts raised) but never written has state
 			// worth transferring too: dropping the rts would let the importer
 			// later validate a write below it, un-serializing the read. Export
 			// it with a zero WTS; ImportState installs only the rts.
-			out = append(out, KeyState{Key: e.key, RTS: e.rts})
+			out = append(out, message.KeyState{Key: e.key, RTS: e.rts})
 		}
 		e.mu.Unlock()
-		return true
 	})
 	return out
 }
 
-// ImportState installs transferred key states: each key's latest version
-// and read timestamp. Imports are idempotent and monotone (Thomas rule for
-// versions, max for rts), so overlapping transfers are safe.
-func (s *Store) ImportState(states []KeyState) {
+// ImportState installs exported key states: each key's latest version and
+// read timestamp. Imports are idempotent and monotone (Thomas rule for
+// versions, max for rts), so overlapping transfers are safe and importing
+// several stores' exports in any order leaves their union. The store keeps
+// the states' keys and values.
+func (s *Store) ImportState(states []message.KeyState) {
 	for i := range states {
 		st := &states[i]
 		if st.WTS.IsZero() {
@@ -786,21 +778,6 @@ func (s *Store) ImportState(states []KeyState) {
 		e.mu.Unlock()
 		if !st.RTS.IsZero() {
 			s.CommitRead(st.Key, st.RTS)
-		}
-	}
-}
-
-// Range calls fn for every key's latest committed version until fn returns
-// false. Iteration order is unspecified. Keys with no committed version are
-// skipped. Versions are read from the lock-free snapshots, so Range never
-// blocks concurrent transactions.
-func (s *Store) Range(fn func(key string, v Version) bool) {
-	for i := range s.shards {
-		if !s.shards[i].each(func(e *entry) bool {
-			lv := e.latest.Load()
-			return lv == nil || fn(e.key, lv.version())
-		}) {
-			return
 		}
 	}
 }

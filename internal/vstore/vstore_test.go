@@ -96,7 +96,7 @@ func TestReplacementNodesShareNothing(t *testing.T) {
 	}{
 		{"rematerialized", Config{MaxVersions: -1}, func(*Store) {}},
 		{"recovered", Config{MaxVersions: -1}, func(s *Store) {
-			s.ImportState([]KeyState{{Key: "k", Value: []byte("5"), WTS: ts(10)}})
+			s.ImportState([]message.KeyState{{Key: "k", Value: []byte("5"), WTS: ts(10)}})
 			s.CommitOp("k", message.OpIncrement, 1, nil, ts(12)) // turn the base into an op run
 		}},
 	} {
@@ -325,7 +325,7 @@ func TestUnboundedVersions(t *testing.T) {
 	}
 }
 
-func TestLenAndRange(t *testing.T) {
+func TestLenAndExport(t *testing.T) {
 	s := New(Config{})
 	for i := 0; i < 20; i++ {
 		s.Load(fmt.Sprintf("key-%d", i), []byte("v"), ts(1))
@@ -334,18 +334,13 @@ func TestLenAndRange(t *testing.T) {
 		t.Fatalf("Len = %d", s.Len())
 	}
 	seen := map[string]bool{}
-	s.Range(func(k string, v Version) bool {
-		seen[k] = true
-		return true
-	})
-	if len(seen) != 20 {
-		t.Fatalf("Range visited %d keys", len(seen))
+	for i := 0; i < s.NumShards(); i++ {
+		for _, st := range s.ExportShard(i) {
+			seen[st.Key] = true
+		}
 	}
-	// Early stop.
-	n := 0
-	s.Range(func(string, Version) bool { n++; return n < 5 })
-	if n != 5 {
-		t.Fatalf("Range visited %d keys after early stop", n)
+	if len(seen) != 20 {
+		t.Fatalf("ExportShard visited %d keys", len(seen))
 	}
 }
 
@@ -521,6 +516,7 @@ func TestExportImportState(t *testing.T) {
 	src.CommitRead("a", ts(8))
 	src.Load("b", []byte("w"), ts(2))
 	src.ValidateWrite("c", ts(9)) // pending only: must NOT transfer
+	src.CommitRead("d", ts(6))    // read, never written: its rts transfers
 
 	if src.NumShards() != 4 {
 		t.Fatalf("NumShards = %d", src.NumShards())
@@ -532,8 +528,11 @@ func TestExportImportState(t *testing.T) {
 		total += len(states)
 		dst.ImportState(states)
 	}
-	if total != 2 {
-		t.Fatalf("exported %d keys, want 2 (pending-only key excluded)", total)
+	if total != 3 {
+		t.Fatalf("exported %d keys, want 3 (pending-only key excluded)", total)
+	}
+	if wts, rts := dst.Meta("d"); !wts.IsZero() || rts != ts(6) {
+		t.Fatalf("read-only key d imported as wts %v rts %v, want no version and rts %v", wts, rts, ts(6))
 	}
 	v, ok := dst.Read("a")
 	if !ok || string(v.Value) != "v2" || v.WTS != ts(5) {

@@ -165,7 +165,6 @@ func replaySnapshot(path string, vs *vstore.Store) (int, timestamp.Timestamp, er
 		return 0, wm, err
 	}
 	keys := 0
-	var states []vstore.KeyState
 	_, _, err = validPrefix(buf, func(payload []byte) error {
 		// A fresh message per page, never released: the store retains the
 		// imported values, which are spans of the message's arena — the
@@ -179,21 +178,11 @@ func replaySnapshot(path string, vs *vstore.Store) (int, timestamp.Timestamp, er
 		if err != nil {
 			return fmt.Errorf("wal: %s: %w", path, err)
 		}
-		states = states[:0]
+		vs.ImportState(dec.State)
 		for i := range dec.State {
-			ks := &dec.State[i]
-			states = append(states, vstore.KeyState{
-				Key: ks.Key, Value: ks.Value, WTS: ks.WTS, RTS: ks.RTS,
-			})
-			if wm.Less(ks.WTS) {
-				wm = ks.WTS
-			}
-			if wm.Less(ks.RTS) {
-				wm = ks.RTS
-			}
+			wm = timestamp.Max(wm, timestamp.Max(dec.State[i].WTS, dec.State[i].RTS))
 		}
-		vs.ImportState(states)
-		keys += len(states)
+		keys += len(dec.State)
 		return nil
 	})
 	return keys, wm, err
@@ -253,18 +242,10 @@ func (s *Store) Snapshot(vs *vstore.Store) error {
 	var buf []byte
 	page := &message.Message{Type: message.TypeWALSnapshot}
 	for shard := 0; shard < vs.NumShards(); shard++ {
-		exported := vs.ExportShard(shard)
-		if len(exported) == 0 {
+		if page.State = vs.ExportShard(shard); len(page.State) == 0 {
 			continue
 		}
 		page.Seq = uint64(shard)
-		page.State = page.State[:0]
-		for i := range exported {
-			ks := &exported[i]
-			page.State = append(page.State, message.KeyState{
-				Key: ks.Key, Value: ks.Value, WTS: ks.WTS, RTS: ks.RTS,
-			})
-		}
 		buf = appendFrame(buf[:0], page)
 		if _, err := f.Write(buf); err != nil {
 			f.Close()

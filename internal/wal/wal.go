@@ -320,9 +320,6 @@ type Log struct {
 
 	errMu   sync.Mutex
 	lastErr error // latest IO failure (sticky until read via Err)
-
-	sched    *Scheduler
-	ownSched bool // the log created sched and must stop it on Close/Crash
 }
 
 // segName formats a segment file name; segment numbers start at 1.
@@ -367,6 +364,8 @@ type ReplayStats struct {
 // record through apply in append order, truncates any torn tail, and leaves
 // the log positioned for appending. Segments after a torn frame are
 // discarded: a record may never be replayed while an earlier one is lost.
+// opts.Scheduler drives the log's group commit and must be set (Open
+// supplies its store's).
 func openLog(dir string, opts Options, apply func(m *message.Message) error) (*Log, ReplayStats, error) {
 	opts.fill()
 	var stats ReplayStats
@@ -379,12 +378,6 @@ func openLog(dir string, opts Options, apply func(m *message.Message) error) (*L
 	}
 
 	l := &Log{dir: dir, opts: opts}
-	if opts.Scheduler != nil {
-		l.sched = opts.Scheduler
-	} else {
-		l.sched = NewScheduler(opts.GroupCommitInterval, opts.Clock)
-		l.ownSched = true
-	}
 
 	active := uint64(1)
 	activeSize := int64(0)
@@ -442,7 +435,7 @@ func openLog(dir string, opts Options, apply func(m *message.Message) error) (*L
 		return nil, stats, err
 	}
 	l.f, l.seg, l.size = f, active, activeSize
-	l.sched.register(l)
+	l.opts.Scheduler.register(l)
 	return l, stats, nil
 }
 
@@ -552,7 +545,7 @@ func (l *Log) AppendLoad(key string, value []byte, ts timestamp.Timestamp) {
 }
 
 // kick wakes the group-commit scheduler ahead of its tick.
-func (l *Log) kick() { l.sched.kick() }
+func (l *Log) kick() { l.opts.Scheduler.kick() }
 
 // syncOnly fsyncs the active segment if bytes were written since the last
 // sync — the scheduler's second pass, after every registered log's pending
@@ -784,12 +777,7 @@ func (l *Log) Crash() {
 	l.wmu.Unlock()
 }
 
-func (l *Log) stopRun() {
-	l.sched.unregister(l)
-	if l.ownSched {
-		l.sched.Stop()
-	}
-}
+func (l *Log) stopRun() { l.opts.Scheduler.unregister(l) }
 
 // Stats returns the log's cumulative write counters.
 func (l *Log) Stats() Stats {

@@ -28,12 +28,21 @@ func testTxn(seq uint64, key, val, rkey string) message.Txn {
 	}
 }
 
+// withSched gives opts a group-commit scheduler that the test's cleanup
+// stops, as Open gives each of its logs the store's.
+func withSched(t *testing.T, opts Options) Options {
+	s := NewScheduler(opts.GroupCommitInterval, opts.Clock)
+	t.Cleanup(s.Stop)
+	opts.Scheduler = s
+	return opts
+}
+
 // replayAll reopens the log at dir collecting every record (deep-copied; the
 // decode target is reused across frames).
 func replayAll(t *testing.T, dir string, opts Options) ([]message.Message, ReplayStats, *Log) {
 	t.Helper()
 	var got []message.Message
-	l, rs, err := openLog(dir, opts, func(m *message.Message) error {
+	l, rs, err := openLog(dir, withSched(t, opts), func(m *message.Message) error {
 		cp := *m
 		cp.Txn.ReadSet = append([]message.ReadSetEntry(nil), m.Txn.ReadSet...)
 		cp.Txn.WriteSet = append([]message.WriteSetEntry(nil), m.Txn.WriteSet...)
@@ -48,7 +57,7 @@ func replayAll(t *testing.T, dir string, opts Options) ([]message.Message, Repla
 
 func TestLogRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	l, rs, err := openLog(dir, Options{}, nil)
+	l, rs, err := openLog(dir, withSched(t, Options{}), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +101,7 @@ func TestLogRoundTrip(t *testing.T) {
 // record, truncate the garbage, and leave the log appendable.
 func TestTornTail(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := openLog(dir, Options{}, nil)
+	l, _, err := openLog(dir, withSched(t, Options{}), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +155,7 @@ func TestCorruptRecordStopsReplay(t *testing.T) {
 	dir := t.TempDir()
 	// Tiny segments so the log spans several files.
 	opts := Options{MaxSegmentBytes: 1}
-	l, _, err := openLog(dir, opts, nil)
+	l, _, err := openLog(dir, withSched(t, opts), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +203,7 @@ func TestCorruptRecordStopsReplay(t *testing.T) {
 // mark, truncate below it, and verify only post-mark records replay.
 func TestMarkAndTruncate(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := openLog(dir, Options{}, nil)
+	l, _, err := openLog(dir, withSched(t, Options{}), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +240,7 @@ func TestCrashDropsPendingCloseKeepsIt(t *testing.T) {
 
 	t.Run("crash", func(t *testing.T) {
 		dir := t.TempDir()
-		l, _, err := openLog(dir, opts, nil)
+		l, _, err := openLog(dir, withSched(t, opts), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,7 +256,7 @@ func TestCrashDropsPendingCloseKeepsIt(t *testing.T) {
 
 	t.Run("close", func(t *testing.T) {
 		dir := t.TempDir()
-		l, _, err := openLog(dir, opts, nil)
+		l, _, err := openLog(dir, withSched(t, opts), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,7 +276,7 @@ func TestCrashDropsPendingCloseKeepsIt(t *testing.T) {
 		dir := t.TempDir()
 		always := opts
 		always.Sync = SyncAlways
-		l, _, err := openLog(dir, always, nil)
+		l, _, err := openLog(dir, withSched(t, always), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -554,7 +563,7 @@ func TestSnapshotWaitsForApply(t *testing.T) {
 // replica already acknowledged as durable.
 func TestFlushFailureRetainsRecords(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := openLog(dir, Options{GroupCommitInterval: time.Hour}, nil)
+	l, _, err := openLog(dir, withSched(t, Options{GroupCommitInterval: time.Hour}), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

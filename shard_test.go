@@ -491,9 +491,12 @@ func TestChaosShardSplit(t *testing.T) {
 
 // TestShardMapPersistsAcrossRestart: on a durable DB a completed split
 // survives a full restart — the reopened cluster owns by the split map and
-// the migrated data is on its new owner.
+// the migrated data is on its new owner, read timestamps included: each
+// transaction before the split read a key nobody ever wrote, and the new
+// owner must still refuse a write below that read after the restart.
 func TestShardMapPersistsAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
+	verifyCleanShutdown(t, dir)
 	cfg := Config{
 		Shards: 1, MaxShards: 2, Cores: 2,
 		CommitTimeout: 50 * time.Millisecond,
@@ -508,13 +511,35 @@ func TestShardMapPersistsAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 20
+	readKeys := keysByHashHalf(n) // half of them move
 	for i := 0; i < n; i++ {
-		if err := cl.Put(fmt.Sprintf("k%d", i), []byte(fmt.Sprintf("v%d", i))); err != nil {
+		err := cl.Run(context.Background(), func(txn *Txn) error {
+			if _, err := txn.Read(readKeys[i]); err != nil {
+				return err
+			}
+			txn.Write(fmt.Sprintf("k%d", i), []byte(fmt.Sprintf("v%d", i)))
+			return nil
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := db.Admin().Split(0); err != nil {
+	dst, err := db.Admin().Split(0)
+	if err != nil {
 		t.Fatalf("Split: %v", err)
+	}
+	// The rts each moved key had on the source group, which the fence froze.
+	moved := map[string]timestamp.Timestamp{}
+	for i := 0; i < n; i++ {
+		for _, k := range []string{readKeys[i], fmt.Sprintf("k%d", i)} {
+			if db.Admin().ShardMap().GroupForKey(k) != dst {
+				continue
+			}
+			for r := 0; r < db.cfg.Replicas; r++ {
+				_, rts := db.replicaAt(0, r).Store().Meta(k)
+				moved[k] = timestamp.Max(moved[k], rts)
+			}
+		}
 	}
 	cl.Close()
 	db.Close()
@@ -522,6 +547,18 @@ func TestShardMapPersistsAcrossRestart(t *testing.T) {
 	db2 := newTestDB(t, cfg)
 	if v := db2.Admin().ShardMap().Version(); v != 2 {
 		t.Fatalf("reopened map version = %d, want 2", v)
+	}
+	for _, k := range readKeys {
+		if want, ok := moved[k]; ok && want.IsZero() {
+			t.Fatalf("source replicas hold no rts for %s, which a committed transaction read", k)
+		}
+	}
+	for k, want := range moved {
+		for r := 0; r < db2.cfg.Replicas; r++ {
+			if _, rts := db2.replicaAt(dst, r).Store().Meta(k); rts != want {
+				t.Errorf("replica %d of shard %d: %s rts %v after restart, want %v as the source had it", r, dst, k, rts, want)
+			}
+		}
 	}
 	cl2 := newDBClient(t, db2)
 	for i := 0; i < n; i++ {
