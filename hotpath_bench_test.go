@@ -266,28 +266,27 @@ func TestCommitAllocGate(t *testing.T) {
 		// The pre-batching baseline was 39 allocs/op and the churn-free
 		// fan-out 18, eleven of them the message structs of one commit
 		// (read + reply, three validates + replies, three commits); 8 with
-		// every message recycled by its final consumer. With the replicas'
+		// every message recycled by its final consumer; 5 with the replicas'
 		// records carved out of slabs and the coordinator's one lazily armed
-		// timer it measures 5: the three arrays a fresh Txn from Begin grows
-		// (read set, read values, write set) and the replicas' version nodes —
-		// three when the commit lands, none when the read met a replica that
-		// had not applied the previous commit yet and the attempt aborted. What
-		// is shipped is a span of the coordinator's bump chunks: 1/256 of an
-		// object for the read and again for the write.
-		{name: "single", commit: commitRMW, runs: 200, max: 6},
+		// timer. Since each key's versions live in one array it allocates once,
+		// it measures 3: the three arrays a fresh Txn from Begin grows (read
+		// set, read values, write set). The replicas install into arrays the
+		// key already has, and what is shipped is a span of the coordinator's
+		// bump chunks: 1/256 of an object for the read and again for the write.
+		{name: "single", commit: commitRMW, runs: 200, max: 4},
 		// The same commit over a real two-range map. Shard-map routing is
 		// an atomic load, a hash, and a binary search, and a transaction
 		// that touches one group is carved like any other: equal to
 		// "single".
-		{name: "sharded", cfg: meerkat.Config{Shards: 2}, commit: commitRMW, runs: 200, max: 6},
+		{name: "sharded", cfg: meerkat.Config{Shards: 2}, commit: commitRMW, runs: 200, max: 4},
 		// Appending the commit record to the per-core write-ahead log stays
 		// allocation-free steady-state (persistent scratch message, reused
 		// pending buffer): the same gate as in memory.
-		{name: "durable", cfg: meerkat.Config{Durability: meerkat.Durability{DataDir: t.TempDir()}}, commit: commitRMW, runs: 1000, max: 6},
+		{name: "durable", cfg: meerkat.Config{Durability: meerkat.Durability{DataDir: t.TempDir()}}, commit: commitRMW, runs: 1000, max: 4},
 		// Shipping the operation instead of read-version + blind write adds
 		// no churn (the op entries ride the same pooled messages and scratch
-		// buffers). It measures 7, three of them each replica materializing
-		// the merged value.
+		// buffers). It measures 7: the fresh Txn's op set, and on each replica
+		// the op's merge record and its materialized value.
 		{name: "increment", commit: commitIncrement, runs: 200, max: 8},
 		// Dropping the validation round must not smuggle in churn: 12 at
 		// introduction, six of them the broadcast snapshot read and its
@@ -295,12 +294,14 @@ func TestCommitAllocGate(t *testing.T) {
 		// and every reply's reads in arrays the pooled messages keep.
 		{name: "read-only", commit: commitReadOnly, runs: 200, max: 3},
 		// 6 reads and 3 writes over three of four groups: one validate round
-		// on the caller's goroutine, 11 objects. It was 52 when every touched
-		// group cost a goroutine, two timers, a broadcast scratch and its own
-		// read and write sets grown by append, 18 when every read request and
-		// reply allocated its keys and reads, and 13 when every commit made the
-		// two arrays its pieces were carved from.
-		{name: "cross-shard", cfg: meerkat.Config{Shards: 4}, groups: 3, commit: commitCrossShard, runs: 200, max: 12},
+		// on the caller's goroutine, 7 objects, the fresh Txn's sets grown by
+		// append. It was 52 when every touched group cost a goroutine, two
+		// timers, a broadcast scratch and its own read and write sets grown by
+		// append, 18 when every read request and reply allocated its keys and
+		// reads, 13 when every commit made the two arrays its pieces were
+		// carved from, and 11 while every write cost each replica a version
+		// node.
+		{name: "cross-shard", cfg: meerkat.Config{Shards: 4}, groups: 3, commit: commitCrossShard, runs: 200, max: 8},
 		// The Retwis get-timeline shape, validated: one ReadMany of ten keys
 		// and a commit, 3 objects, all the fresh Txn's: its results buffer and
 		// the read set's two arrays. The read round allocates nothing.
@@ -309,24 +310,23 @@ func TestCommitAllocGate(t *testing.T) {
 		}, runs: 200, max: 4},
 		// Under Run the client's half of a transaction allocates nothing: the
 		// Txn and its wrapper are the client's, its sets keep their capacity,
-		// the shipped body is a span of a bump chunk. What is left is what the
-		// replicas keep — one version node per write per replica, and in the
-		// cross-shard row, where nearly every Run takes two attempts (the first
-		// reads at a replica still applying the previous commit), half an
-		// object of record slabs and record-map growth.
-		{name: "run-rmw", run: buildRMW, runs: 200, max: 4},
+		// the shipped body is a span of a bump chunk. Nor do the replicas'
+		// installs, into arrays the keys already have. What is left is the
+		// cross-shard row's 1, where nearly every Run takes two attempts (the
+		// first reads at a replica still applying the previous commit): record
+		// slabs and record-map growth.
+		{name: "run-rmw", run: buildRMW, runs: 200, max: 1},
 		{name: "run-read-only", run: buildReadOnly, runs: 200, max: 1},
 		{name: "run-timeline-10", keys: 10, run: buildTimeline, runs: 200, max: 1},
-		{name: "run-cross-shard", cfg: meerkat.Config{Shards: 4}, groups: 3, run: buildCrossShard, runs: 200, max: 11},
+		{name: "run-cross-shard", cfg: meerkat.Config{Shards: 4}, groups: 3, run: buildCrossShard, runs: 200, max: 2},
 		// The same bodies over loopback UDP, where every message is decoded
-		// into a pooled struct that keeps its arena and its set arrays, and a
-		// record copies the body it keeps into its core's bump chunks. What is
-		// left is one version node per write per replica (3 for the rmw, none
-		// for the reads) plus the client's one buffer per read round that
-		// returned a value — which is all a read-only transaction costs.
-		{name: "udp-run-rmw", cfg: udpHotpath, keys: 8, run: buildRMWRing(), runs: 200, max: 5},
-		{name: "udp-run-read-only", cfg: udpHotpath, run: buildReadOnly, runs: 200, max: 2},
-		{name: "udp-run-timeline-10", cfg: udpHotpath, keys: 10, run: buildTimeline, runs: 200, max: 2},
+		// into a pooled struct that keeps its arena and its set arrays, a
+		// record copies the body it keeps into its core's bump chunks, and a
+		// read round copies the values it hands back into its own. Each is a
+		// fraction of an object per transaction, so all three measure 0.
+		{name: "udp-run-rmw", cfg: udpHotpath, keys: 8, run: buildRMWRing(), runs: 200, max: 1},
+		{name: "udp-run-read-only", cfg: udpHotpath, run: buildReadOnly, runs: 200, max: 1},
+		{name: "udp-run-timeline-10", cfg: udpHotpath, keys: 10, run: buildTimeline, runs: 200, max: 1},
 	} {
 		t.Run(g.name, func(t *testing.T) {
 			db, cl, keys := newHotpath(t, g.cfg, max(g.keys, 1))

@@ -28,9 +28,9 @@ type readPart struct {
 	seq  uint64 // Seq of the attempt: replies to any other are stragglers
 }
 
-// readRound is the state of one read round, all of it scratch reused by the
-// next: a request carries its keys in an array of its own (message.OwnKeys),
-// so nothing sent aliases any of it.
+// readRound is the state of one read round, all of it but vals scratch reused
+// by the next: a request carries its keys in an array of its own
+// (message.OwnKeys), so nothing sent aliases any of it.
 type readRound struct {
 	drive.Policy
 	cfg    *Config
@@ -49,11 +49,11 @@ type readRound struct {
 	parts   []readPart           // len Partitions
 	state   []roKeyState         // snapshot settlement, aligned with grouped
 	out     []message.ReadResult // index-aligned with the caller's keys and handed back to it
-	// park holds, until the round closes, the values adopted from replies that
-	// own their bytes (message.OwnsBytes: decoded ones — their arena dies at the
-	// release that follows Reply); own then moves what the round hands back
-	// into the one buffer the caller keeps.
-	park []byte
+	// vals keeps the values adopted from replies that own their bytes
+	// (message.OwnsBytes: decoded ones — their arena dies at the release that
+	// follows Reply). Its chunks are append-only, so a value the round hands
+	// back stays the caller's for as long as it likes.
+	vals message.Chunks
 
 	open       int       // partitions whose part is open
 	wake       time.Time // when tick next has to run; zero: at once
@@ -75,7 +75,6 @@ func (rr *readRound) init(cfg *Config, l *link) {
 // begin starts a round over keys: every touched partition is sent its request.
 func (rr *readRound) begin(keys []string, snap timestamp.Timestamp, now time.Time) {
 	rr.keysIn, rr.snap, rr.minW, rr.err, rr.redirected = keys, snap, snap, nil, false
-	rr.park = rr.park[:0]
 	rr.regroup()
 	rr.Tick(now)
 }
@@ -166,8 +165,8 @@ func (rr *readRound) Reply(m *message.Message) {
 	case rr.snap.IsZero():
 		// The results are copied out, element by element: the reply owns its
 		// Reads array and empties it on release. The value bytes stay where
-		// they are when they are the replica's immutable version storage, and
-		// are parked when they are the reply's own.
+		// they are when they are a stored version's, which is never written
+		// again, and are copied when they are the reply's own.
 		for j := range m.Reads {
 			res := &rr.out[rr.origIdx[lo+j]]
 			*res = m.Reads[j]
@@ -202,32 +201,10 @@ func (rr *readRound) Reply(m *message.Message) {
 }
 
 // keep makes res, just copied out of m, safe to hold past m's release: a value
-// cut from m's own arena moves into the round's scratch. (An append that moves
-// the scratch leaves the earlier results on the array they were cut from.)
+// cut from m's own arena is copied into the round's chunks.
 func (rr *readRound) keep(m *message.Message, res *message.ReadResult) {
-	if n := len(res.Value); n > 0 && m.OwnsBytes() {
-		rr.park = append(rr.park, res.Value...)
-		res.Value = rr.park[len(rr.park)-n:]
-	}
-}
-
-// own ends a round that parked values: every value the round hands back moves
-// into one exact-size buffer the collector owns, for the caller to keep for as
-// long as it likes, and the scratch is the next round's.
-func (rr *readRound) own() {
-	if len(rr.park) == 0 {
-		return
-	}
-	n := 0
-	for i := range rr.out {
-		n += len(rr.out[i].Value)
-	}
-	buf := make([]byte, 0, n)
-	for i := range rr.out {
-		if v := rr.out[i].Value; len(v) > 0 {
-			buf = append(buf, v...)
-			rr.out[i].Value = buf[len(buf)-len(v) : len(buf) : len(buf)]
-		}
+	if m.OwnsBytes() {
+		res.Value = rr.vals.Span(res.Value)
 	}
 }
 
@@ -333,7 +310,6 @@ func (c *Coordinator) read(ctx context.Context, keys []string, snap timestamp.Ti
 	if err != nil {
 		return nil, err
 	}
-	rr.own()
 	return rr.out, nil
 }
 
@@ -357,9 +333,9 @@ func (c *Coordinator) Read(ctx context.Context, key string) (value []byte, versi
 // round trip instead of one per key. Results are index-aligned with keys;
 // missing keys come back OK=false with version Zero, exactly as in Read.
 //
-// Like single reads, batched reads are served from the lock-free versioned
-// store by any replica core, so batching preserves the zero-coordination
-// execution phase (§5.2.1) while amortizing its per-message cost.
+// Like single reads, batched reads are served from the versioned store by any
+// replica core, so batching preserves the zero-coordination execution phase
+// (§5.2.1) while amortizing its per-message cost.
 //
 // The returned slice is a scratch reused by the next read on this
 // coordinator; callers that need the results past that must copy them out.

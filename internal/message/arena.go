@@ -8,8 +8,8 @@ import "unsafe"
 // key or value. What is cut dies with the arena — at the message's release or
 // its next decode — as do the set arrays the decoder fills, and whoever keeps
 // any of it copies it first, once, compactly (DESIGN.md §7 rule 5): TakeTxn for
-// a transaction body, strings.Clone or a round's own buffer for single keys and
-// values, Disown for a cold path that keeps a whole message's worth.
+// a transaction body, strings.Clone for a single key, a read round's Span for a
+// value, Disown for a cold path that keeps a whole message's worth.
 //
 // This is the one file of the package that imports unsafe: a string over bytes
 // that are later rewritten is exactly what the language forbids, and the
@@ -26,7 +26,7 @@ func cut(b []byte) string {
 // OwnsBytes reports whether the keys and values m carries are cut from its own
 // arena — m was decoded — and so die at its release. A message a sender built
 // points at someone else's immutable memory instead (a bump-chunk span, a
-// caller's value, a version node), which a keeper may go on aliasing.
+// caller's value, a stored version's value), which a keeper may go on aliasing.
 func (m *Message) OwnsBytes() bool { return len(m.arena) > 0 }
 
 // Disown leaves everything m owns — its arena and the arrays it decoded into —
@@ -54,11 +54,11 @@ func (m *Message) TakeTxn(c *Chunks) Txn {
 	}
 	for i := range t.WriteSet {
 		t.WriteSet[i].Key = c.str(t.WriteSet[i].Key)
-		t.WriteSet[i].Value = c.span(t.WriteSet[i].Value)
+		t.WriteSet[i].Value = c.Span(t.WriteSet[i].Value)
 	}
 	for i := range t.OpSet {
 		t.OpSet[i].Key = c.str(t.OpSet[i].Key)
-		t.OpSet[i].Arg = c.span(t.OpSet[i].Arg)
+		t.OpSet[i].Arg = c.Span(t.OpSet[i].Arg)
 	}
 	return t
 }

@@ -15,7 +15,8 @@ const (
 // kind, and one of the keys, values and op arguments TakeTxn copies. A chunk is
 // written only at its length; what is below it belongs to whoever received a
 // span of it, and a chunk that cannot take what comes next is left to them for
-// a new one. A coordinator ships its commits from Chunks (Carve), a trecord
+// a new one. A coordinator ships its commits from Chunks (Carve) and keeps the
+// values its read rounds take from decoded replies in them (Span), a trecord
 // partition keeps the bodies it takes from decoded messages in them (TakeTxn).
 type Chunks struct {
 	reads  []ReadSetEntry
@@ -70,8 +71,9 @@ func (c *Chunks) str(s string) string {
 	return cut(c.data[len(c.data)-len(s):])
 }
 
-// span is str for a value; an empty one stays nil, as the decoder has it.
-func (c *Chunks) span(v []byte) []byte {
+// Span copies v into the byte chunk and returns the copy, capacity-capped; an
+// empty v comes back nil, as the decoder has it.
+func (c *Chunks) Span(v []byte) []byte {
 	if len(v) == 0 {
 		return nil
 	}

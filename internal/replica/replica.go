@@ -496,9 +496,9 @@ func ownsTxn(v *shardmap.View, t *message.Txn) bool {
 // handleRead serves the execution phase (§5.2.1): one reply slot per requested
 // key, index-aligned with the request and built in the pooled reply's own
 // array. A request without a timestamp is a plain read of every key's latest
-// committed version; it only touches the lock-free versioned store — never the
-// trecord — so any core of any replica can serve it, and batching adds no
-// coordination.
+// committed version; it only touches the versioned store, one per-key lock per
+// key — never the trecord — so any core of any replica can serve it, and
+// batching adds no coordination.
 //
 // A request with one is a snapshot read pinned at m.TS for the read-only fast
 // path. Every key is answered at that timestamp (newest version at or below

@@ -10,7 +10,7 @@ import (
 	"meerkat/internal/timestamp"
 )
 
-// modelEntry is the reference model the node chain is tested against: one
+// modelEntry is the reference model the version array is tested against: one
 // key's committed state kept the way the store kept it before PR 13 — a
 // slice of Versions ascending by WTS, written in place. It is deliberately
 // the old code, not a re-derivation, so the two implementations share no

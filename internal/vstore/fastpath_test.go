@@ -11,8 +11,8 @@ import (
 	"meerkat/internal/timestamp"
 )
 
-// TestReadFastPathZeroAllocs is the regression gate for the lock-free read
-// path: a read hit is a table probe and a chain-head load — no locks, no
+// TestReadFastPathZeroAllocs is the regression gate for the read path: a read
+// hit is a table probe and a copy of the newest slot under the key's lock — no
 // allocations.
 func TestReadFastPathZeroAllocs(t *testing.T) {
 	s := New(Config{})
@@ -29,8 +29,9 @@ func TestReadFastPathZeroAllocs(t *testing.T) {
 }
 
 // TestWarmKeyAllocGate pins what each storage operation allocates on a key
-// that has been through a validate/commit cycle before: nothing, except the
-// one node per installed version (plus, for an op, its materialized value).
+// that has been through a validate/commit cycle before: nothing — a write
+// installs into the array the key already has — except, for an op, its merge
+// record and its materialized value.
 func TestWarmKeyAllocGate(t *testing.T) {
 	const key = "warm"
 	value := []byte("v")
@@ -65,7 +66,7 @@ func TestWarmKeyAllocGate(t *testing.T) {
 			s.AddWriter(key, ts)
 			s.RemoveWriter(key, ts)
 		}},
-		{"ValidateWrite+CommitWrite", 1, func(t *testing.T, s *Store, ts timestamp.Timestamp) {
+		{"ValidateWrite+CommitWrite", 0, func(t *testing.T, s *Store, ts timestamp.Timestamp) {
 			if !s.ValidateWrite(key, ts) {
 				t.Fatal("write validation failed")
 			}
@@ -106,8 +107,10 @@ func TestWarmKeyAllocGate(t *testing.T) {
 }
 
 // TestFirstCommitAllocGate pins the growth phase the benchmark lives in: a
-// preloaded key's first validate + commit allocates the version node and
-// nothing else — no pending-set slice, no chain growth.
+// preloaded key's first validate + commit allocates one object, its version
+// array growing from the one slot Load gave it straight to MaxVersions, and
+// nothing else — no pending-set slice. It is the last the key's history
+// allocates (TestWarmKeyAllocGate).
 func TestFirstCommitAllocGate(t *testing.T) {
 	const n = 256
 	s := New(Config{})
@@ -131,8 +134,8 @@ func TestFirstCommitAllocGate(t *testing.T) {
 		t.Fatalf("first validate+commit of a loaded key allocated %v objects, want 1", got)
 	}
 
-	// A key nobody has seen costs its entry, and the entry's own copy of its
-	// name, on top.
+	// A key nobody has seen costs its entry, the entry's own copy of its name
+	// and a one-slot version array.
 	fresh := make([]string, n)
 	for i := range fresh {
 		fresh[i] = fmt.Sprintf("new%04d", i)
@@ -147,18 +150,18 @@ func TestFirstCommitAllocGate(t *testing.T) {
 		}
 		s.CommitWrite(k, value, ts)
 	})
-	// Entry + key + node, plus the amortized share of the index growing to
-	// hold the new keys (AllocsPerRun truncates the mean).
+	// Entry + key + one-slot array, plus the amortized share of the index
+	// growing to hold the new keys (AllocsPerRun truncates the mean).
 	if got != 3 {
-		t.Fatalf("first commit of a new key allocated %v objects, want 3 (entry + key + node)", got)
+		t.Fatalf("first commit of a new key allocated %v objects, want 3 (entry + key + one-slot array)", got)
 	}
 	if s.Len() != before+n {
 		t.Fatalf("Len = %d, want %d", s.Len(), before+n)
 	}
 }
 
-// TestConcurrentReadersNeverTorn runs lock-free readers against writers
-// installing versions and asserts no reader ever observes a torn or
+// TestConcurrentReadersNeverTorn runs readers against writers installing
+// versions into the same slots and asserts no reader ever observes a torn or
 // uncommitted version: every value self-describes the timestamp it was
 // committed at, and per-key observed timestamps never move backwards. The
 // store has two shards and the writers keep inserting fresh keys as they go,
@@ -253,8 +256,8 @@ func TestConcurrentReadersNeverTorn(t *testing.T) {
 	}
 }
 
-// BenchmarkVstoreRead measures the lock-free read hit under parallelism —
-// the YCSB-T read hot path.
+// BenchmarkVstoreRead measures the read hit under parallelism — the YCSB-T
+// read hot path, a probe and one per-key lock.
 func BenchmarkVstoreRead(b *testing.B) {
 	s := New(Config{})
 	const n = 1024

@@ -14,23 +14,20 @@
 // the Zero-Coordination Principle. The same store backs Meerkat, Meerkat-PB,
 // TAPIR-like, and KuaFu++, mirroring the paper's shared storage layer.
 //
-// Reads take a lock-free fast path. The key index is a typed open-addressed
-// table per shard (index.go): one hash, one probe sequence over atomic slot
-// loads, no interface boxing and no lock on a hit. Each entry's version chain
-// is a queue of immutable nodes linked oldest-first, and the entry's atomic
-// latest pointer IS the chain's newest node — the node a commit allocates is
-// the snapshot readers see. The invariants:
+// The key index is a typed open-addressed table per shard (index.go): one
+// hash, one probe sequence over atomic slot loads, no interface boxing and no
+// lock on a hit. Behind it, each entry keeps its committed versions by value
+// in one array, oldest first, read and written only under the entry's lock —
+// the same lock validation takes, for the same "small atomic regions": a
+// read copies out the newest slot, an install writes a slot in place. A key
+// starts with one slot; its first commit grows the array straight to
+// MaxVersions (doubling when unbounded), and from then on an in-order install
+// shifts the array down by one and writes the last slot, allocating nothing.
 //
-//   - a node's value, its hash, wts and op record are written before the node
-//     becomes reachable and never afterwards; a change to a retained version
-//     (an op re-materialized over a late arrival) installs a replacement node;
-//   - a node's next link is the one mutable field: it is followed and relinked
-//     only under the per-key lock, and lock-free readers never look at it;
-//   - latest is nil iff the key has no committed version.
-//
-// A read of a committed key therefore touches zero mutexes; only validation
-// and version install — the paper's "small atomic regions" — take the
-// per-key lock. See DESIGN.md ("Hot-path performance") for the invariant.
+// What a caller takes away is a Version, a copy: its value and merge-record
+// arrays are never written after they are installed — a re-materialized op
+// gets a fresh value slice — so a Version stays intact after the store's
+// slots have moved on. See DESIGN.md ("Hot-path performance").
 package vstore
 
 import (
@@ -112,13 +109,12 @@ func (s *tsSet) max() (timestamp.Timestamp, bool) {
 	return m, true
 }
 
-// node is one retained version of a key. Everything but next is immutable
-// once the node is reachable from its entry; see the package comment.
+// node is one retained version of a key: a slot of its entry's vers array,
+// read and written under the entry's lock.
 type node struct {
-	value []byte
+	value []byte // never written in place: a new value is a new slice
 	wts   timestamp.Timestamp
 	op    *opRecord // merge record of a commutative op; nil for plain writes
-	next  *node     // next-newer retained version; per-key lock only
 
 	// vhash is message.HashValue(value). Read validation compares the latest
 	// version's against the hash the client computed over the bytes it read:
@@ -129,17 +125,12 @@ type node struct {
 }
 
 // opRecord is what CommitOp keeps of an operation so the version can be
-// re-materialized over a different predecessor.
+// re-materialized over a different predecessor. It is never written after
+// CommitOp makes it, so a slot that moves keeps pointing at the same one.
 type opRecord struct {
 	kind  message.OpKind
 	delta int64  // numeric-op operand
 	arg   []byte // append-op operand
-}
-
-// opNode co-allocates an op version's node with its merge record.
-type opNode struct {
-	node
-	rec opRecord
 }
 
 func (n *node) version() Version {
@@ -150,14 +141,11 @@ func (n *node) version() Version {
 	return v
 }
 
-// materialize completes a node about to be linked in on top of prev (nil at
-// the bottom of the chain): an op's value is computed from prev's, then hashed.
-func (n *node) materialize(prev *node) {
+// materialize completes a version about to sit directly above a version of
+// value base (nil at the bottom of the history): an op's value is computed
+// from base into a fresh slice, then hashed.
+func (n *node) materialize(base []byte) {
 	if n.op != nil {
-		var base []byte
-		if prev != nil {
-			base = prev.value
-		}
 		n.value = message.ApplyOp(nil, base, n.op.kind, n.op.delta, n.op.arg)
 	}
 	n.vhash = message.HashValue(n.value)
@@ -165,8 +153,7 @@ func (n *node) materialize(prev *node) {
 
 // entry is the per-key record. Its mutex is the only lock a non-conflicting
 // transaction ever takes in the storage layer, and only for the duration of
-// one check or install — the paper's "small atomic regions". Plain reads
-// bypass even that through latest.
+// one read, check or install — the paper's "small atomic regions".
 type entry struct {
 	// key and hash identify the entry to the index (index.go); immutable,
 	// and first so the probe's compare pulls in the lock's cache line.
@@ -175,13 +162,10 @@ type entry struct {
 
 	mu sync.Mutex
 
-	// latest is both the lock-free read snapshot and the newest node of the
-	// version chain; nil iff the key has no committed version. oldest is the
-	// other end; the chain ascends by WTS along next from oldest to latest.
-	// Written only under mu; latest is read without any lock.
-	latest atomic.Pointer[node]
-	oldest *node
-	nver   int32 // retained versions: the length of the chain
+	// vers holds the retained versions, ascending by WTS; the last is the
+	// latest, and it is empty iff the key has no committed version. Under mu
+	// only.
+	vers []node
 
 	// baseTrimmed records that the value preceding the oldest retained
 	// version is unknown: either insertLocked trimmed history to MaxVersions,
@@ -260,7 +244,7 @@ func New(cfg Config) *Store {
 func (s *Store) Load(key string, value []byte, ts timestamp.Timestamp) {
 	e := s.getOrCreate(key)
 	e.mu.Lock()
-	e.insertLocked(&node{value: value, wts: ts}, s)
+	e.insertLocked(node{value: value, wts: ts}, s)
 	e.mu.Unlock()
 }
 
@@ -269,15 +253,29 @@ func (s *Store) Load(key string, value []byte, ts timestamp.Timestamp) {
 // the version a read-set entry should carry so that validation detects a
 // concurrent first write.
 //
-// Read takes no locks: a table probe and the entry's latest pointer are all
-// atomic loads, so read-dominated workloads contend on nothing.
+// Read takes the key's lock for the copy of one slot, the lock ValidateRead
+// and CommitRead take on the same key; the index probe in front of it takes
+// none.
 func (s *Store) Read(key string) (Version, bool) {
-	if e := s.get(key); e != nil {
-		if n := e.latest.Load(); n != nil {
-			return n.version(), true
-		}
+	e := s.get(key)
+	if e == nil {
+		return Version{}, false
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if n := e.latest(); n != nil {
+		return n.version(), true
 	}
 	return Version{}, false
+}
+
+// latest returns the newest retained version, or nil if there is none.
+// Caller holds e.mu.
+func (e *entry) latest() *node {
+	if len(e.vers) == 0 {
+		return nil
+	}
+	return &e.vers[len(e.vers)-1]
 }
 
 // SnapshotRead serves one key of a read-only snapshot transaction at snap.
@@ -315,18 +313,12 @@ func (s *Store) SnapshotRead(key string, snap timestamp.Timestamp) (Version, tim
 	if w, ok := e.writers.min(); ok && w.LessEq(snap) {
 		bound = w.Prev()
 	}
-	n := e.latest.Load()
-	if n != nil && snap.Less(n.wts) {
-		// Older than the latest version: the newest one at or below snap.
-		n = nil
-		for o := e.oldest; o.wts.LessEq(snap); o = o.next {
-			n = o
+	for i := len(e.vers) - 1; i >= 0; i-- {
+		if e.vers[i].wts.LessEq(snap) {
+			return e.vers[i].version(), bound, true
 		}
 	}
-	if n != nil {
-		return n.version(), bound, true
-	}
-	if e.baseTrimmed && e.nver > 0 {
+	if e.baseTrimmed && len(e.vers) > 0 {
 		bound = timestamp.Zero
 	}
 	return Version{}, bound, false
@@ -345,7 +337,7 @@ func (s *Store) ValidateRead(key string, readWTS timestamp.Timestamp, readVHash 
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	wts, h := timestamp.Timestamp{}, emptyVHash
-	if n := e.latest.Load(); n != nil {
+	if n := e.latest(); n != nil {
 		wts, h = n.wts, n.vhash
 	}
 	if readWTS.Less(wts) || h != readVHash {
@@ -438,7 +430,7 @@ func (s *Store) CommitWrite(key string, value []byte, ts timestamp.Timestamp) {
 	e := s.getOrCreate(key)
 	e.mu.Lock()
 	e.writers.remove(ts)
-	e.insertLocked(&node{value: value, wts: ts}, s)
+	e.insertLocked(node{value: value, wts: ts}, s)
 	e.mu.Unlock()
 }
 
@@ -458,11 +450,10 @@ func (s *Store) CommitOp(key string, kind message.OpKind, delta int64, arg []byt
 		return
 	}
 	e := s.getOrCreate(key)
-	n := &opNode{node: node{wts: ts}, rec: opRecord{kind: kind, delta: delta, arg: arg}}
-	n.op = &n.rec
+	n := node{wts: ts, op: &opRecord{kind: kind, delta: delta, arg: arg}}
 	e.mu.Lock()
 	e.writers.remove(ts)
-	recovered := e.insertLocked(&n.node, s)
+	recovered := e.insertLocked(n, s)
 	e.mu.Unlock()
 	s.opsMerged.Add(1)
 	if recovered {
@@ -479,8 +470,8 @@ func (s *Store) OpStats() (merged, recovered uint64) {
 }
 
 // insertLocked folds one committed version — a plain write or a commutative
-// op (n.op != nil, value not yet materialized) — into the chain at its
-// timestamp position. Caller holds e.mu; n is not reachable by anyone else.
+// op (n.op != nil, value not yet materialized) — into the history at its
+// timestamp position. Caller holds e.mu.
 //
 // The rules, in order:
 //
@@ -488,105 +479,113 @@ func (s *Store) OpStats() (merged, recovered uint64) {
 //     replayed (WAL recovery, duplicate finalize), and a transaction installs
 //     at most one version per key, so same-WTS means already applied.
 //   - n is newer than every retained version: it becomes latest. Ops
-//     materialize from the previous latest value here — the hot path.
+//     materialize from the previous latest value here — the hot path, which
+//     writes the last slot.
 //   - The next-newer retained version is a plain write: the Thomas write
 //     rule extended to ops — that write's value does not depend on its
 //     predecessor, so the incoming version can never become (or change) the
 //     latest value. It is still committed history, though, and a snapshot
 //     read between the two timestamps must see it (dropping it let a
 //     read-only transaction confirm the version below a committed write),
-//     so it is linked in at its position like any other. The one exception
-//     is the bottom of the chain under a trimmed base: what lies below the
+//     so it is inserted at its position like any other. The one exception
+//     is the bottom of the history under a trimmed base: what lies below the
 //     oldest version is unknown, SnapshotRead refuses to confirm there, and
 //     the version is skipped. That also keeps state-transfer imports
 //     idempotent: an imported materialized value (always a plain write,
 //     baseTrimmed) at a newer WTS absorbs any late replay of the ops it
 //     already includes.
-//   - Otherwise link n in at its position, then re-materialize the run of
-//     op-versions above it from their new predecessors, stopping at the
-//     first plain write (which is independent of everything below it).
-//     Retained nodes are immutable, so each re-materialized version is a
-//     replacement node (sharing nothing with the node it replaces); the rest of
-//     the chain is relinked on top. A plain write supplies the base itself;
-//     an op needs its predecessor's value — if that predecessor was trimmed
-//     (baseTrimmed and bottom of the chain), exact re-materialization is
-//     impossible and recoveredValue folds the op into each version of the
-//     bottom run arithmetically instead; n itself is then not retained.
+//   - Otherwise insert n at its position, then re-materialize the run of
+//     op-versions above it from their new predecessors, in place, stopping at
+//     the first plain write (which is independent of everything below it).
+//     Each re-materialized value is a fresh slice, never the old value's
+//     array, which a Version handed out earlier may still hold. A plain
+//     write supplies the base itself; an op needs its predecessor's value —
+//     if that predecessor was trimmed (baseTrimmed and bottom of the
+//     history), exact re-materialization is impossible and recoveredValue
+//     folds the op into each version of the bottom run arithmetically
+//     instead; n itself is then not retained.
 //
-// Returns true when the op had to take the arithmetic-recovery path.
-func (e *entry) insertLocked(n *node, s *Store) (recovered bool) {
-	maxVersions := s.maxVersions
+// A history that grows past MaxVersions loses its oldest version. Returns
+// true when the op had to take the arithmetic-recovery path.
+func (e *entry) insertLocked(n node, s *Store) (recovered bool) {
 	if !timestamp.Zero.Less(n.wts) {
-		// The empty chain behaves as a plain write at the Zero timestamp:
+		// The empty history behaves as a plain write at the Zero timestamp:
 		// versions at or below it are never observable.
 		return false
 	}
-	head := e.latest.Load()
-	if head == nil || head.wts.Less(n.wts) {
-		n.materialize(head)
-		e.linkLocked(head, n)
-		e.nver++
-		head = n
-	} else {
-		// Out of order: walk up from the oldest version to the one n lands on
-		// (below) and the one directly above it (up; head at the furthest).
-		var below *node
-		up := e.oldest
-		for up.wts.Less(n.wts) {
-			below, up = up, up.next
-		}
-		if up.wts == n.wts {
+	maxV, vs := s.maxVersions, e.vers
+	// n lands at pos: above every version at or below its timestamp, directly
+	// below vs[pos] when it arrived out of order.
+	pos := len(vs)
+	for pos > 0 && n.wts.Less(vs[pos-1].wts) {
+		pos--
+	}
+	var base []byte
+	if pos > 0 {
+		if vs[pos-1].wts == n.wts {
 			return false // already applied (idempotent replay)
 		}
-		underBase := below == nil && e.baseTrimmed
-		if underBase && up.op == nil {
+		base = vs[pos-1].value
+	}
+	if pos == 0 && len(vs) > 0 && e.baseTrimmed {
+		if vs[0].op == nil {
 			return false // below a trimmed base and masked by the plain write above
 		}
-		recovered = underBase && n.op != nil
-		top := below // newest version of the chain as rebuilt so far
-		if !recovered {
-			n.materialize(below)
-			e.linkLocked(below, n)
-			e.nver++
-			top = n
-		}
-		suffixLen := 0
-		for ; up != nil && up.op != nil; up = up.next {
-			r := &opNode{node: node{wts: up.wts}, rec: *up.op}
-			r.op = &r.rec // a copy: aliasing up's would keep the replaced node live
-			if recovered {
-				r.value = recoveredValue(up, n.op, &suffixLen)
-				r.vhash = message.HashValue(r.value)
-			} else {
-				r.materialize(top)
+		if n.op != nil {
+			suffixLen := 0
+			for i := 0; i < len(vs) && vs[i].op != nil; i++ {
+				v := &vs[i]
+				v.value = recoveredValue(v, n.op, &suffixLen)
+				v.vhash = message.HashValue(v.value)
 			}
-			e.linkLocked(top, &r.node)
-			top = &r.node
-		}
-		if up != nil {
-			top.next = up
-		} else {
-			head = top
+			e.appliedAt = s.clk.Now()
+			return true
 		}
 	}
-	if maxVersions > 0 && int(e.nver) > maxVersions {
-		e.oldest = e.oldest.next
-		e.nver--
+	n.materialize(base)
+	if maxV > 0 && len(vs) >= maxV {
+		// Full: the insert trims the oldest version, so the versions below
+		// pos move down one and n takes the slot that frees — for an in-order
+		// install, the last. At pos 0 n is the version trimmed, and still the
+		// predecessor of the run above.
+		if pos > 0 {
+			copy(vs, vs[1:pos])
+			vs[pos-1] = n
+		}
 		e.baseTrimmed = true
+	} else {
+		vs = e.room(maxV)
+		copy(vs[pos+1:], vs[pos:])
+		vs[pos] = n
+		pos++
 	}
-	e.latest.Store(head)
+	for prev := n.value; pos < len(vs) && vs[pos].op != nil; pos++ {
+		vs[pos].materialize(prev)
+		prev = vs[pos].value
+	}
 	e.appliedAt = s.clk.Now()
-	return recovered
+	return false
 }
 
-// linkLocked makes n the version directly above prev (the oldest if prev is
-// nil), in place of whatever sat there. Caller holds e.mu.
-func (e *entry) linkLocked(prev, n *node) {
-	if prev != nil {
-		prev.next = n
-	} else {
-		e.oldest = n
+// room lengthens vers by one slot and returns it. A full array is replaced:
+// a key's first version gets one slot, its second the maxV it will keep, and
+// an unbounded history (maxV < 0) doubles. Caller holds e.mu.
+func (e *entry) room(maxV int) []node {
+	n := len(e.vers)
+	if n == cap(e.vers) {
+		c := 2 * n
+		switch {
+		case n == 0:
+			c = 1
+		case maxV > n:
+			c = maxV
+		}
+		vs := make([]node, n, c)
+		copy(vs, e.vers)
+		e.vers = vs
 	}
+	e.vers = e.vers[:n+1]
+	return e.vers
 }
 
 // recoveredValue returns the value of retained op-version v after folding in
@@ -655,14 +654,14 @@ func (s *Store) Meta(key string) (wts, rts timestamp.Timestamp) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if n := e.latest.Load(); n != nil {
+	if n := e.latest(); n != nil {
 		wts = n.wts
 	}
 	return wts, e.rts
 }
 
-// Versions returns a copy of the key's committed version chain, oldest
-// first. Intended for tests.
+// Versions returns a copy of the key's committed versions, oldest first.
+// Intended for tests.
 func (s *Store) Versions(key string) []Version {
 	e := s.get(key)
 	if e == nil {
@@ -670,9 +669,9 @@ func (s *Store) Versions(key string) []Version {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make([]Version, e.nver)
-	for i, n := 0, e.oldest; n != nil; i, n = i+1, n.next {
-		out[i] = n.version()
+	out := make([]Version, len(e.vers))
+	for i := range e.vers {
+		out[i] = e.vers[i].version()
 	}
 	return out
 }
@@ -695,7 +694,7 @@ func (s *Store) Counts() (keys, versions uint64) {
 		s.shards[i].each(func(e *entry) {
 			keys++
 			e.mu.Lock()
-			versions += uint64(e.nver)
+			versions += uint64(len(e.vers))
 			e.mu.Unlock()
 		})
 	}
@@ -734,7 +733,7 @@ func (s *Store) ExportShardSince(i int, since timestamp.Timestamp, sinceWall int
 	var out []message.KeyState
 	s.shards[i].each(func(e *entry) {
 		e.mu.Lock()
-		if lv := e.latest.Load(); lv != nil {
+		if lv := e.latest(); lv != nil {
 			if since.Less(lv.wts) || since.Less(e.rts) || (sinceWall > 0 && e.appliedAt >= sinceWall) {
 				out = append(out, message.KeyState{Key: e.key, Value: lv.value, WTS: lv.wts, RTS: e.rts})
 			}
@@ -769,7 +768,7 @@ func (s *Store) ImportState(states []message.KeyState) {
 		}
 		e := s.getOrCreate(st.Key)
 		e.mu.Lock()
-		e.insertLocked(&node{value: st.Value, wts: st.WTS}, s)
+		e.insertLocked(node{value: st.Value, wts: st.WTS}, s)
 		// A transferred state carries only the materialized latest value —
 		// the history beneath it lives on the exporting replica. Mark the
 		// base unknown so a commutative op replayed from below the imported

@@ -1,6 +1,7 @@
 package vstore
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -83,22 +84,30 @@ func TestSnapshotReadFindsOlderVersion(t *testing.T) {
 	}
 }
 
-// TestReplacementNodesShareNothing pins that an out-of-order op, which
-// replaces the re-materialized versions above it, leaves no pointer from the
-// new chain into a replaced node: an aliased merge record would keep the old
-// node — its stale value and the stale chain behind its next — reachable for
-// as long as the version is retained.
-func TestReplacementNodesShareNothing(t *testing.T) {
+// TestReturnedVersionsSurviveAFold pins what a caller keeps once the store's
+// slots move on. An out-of-order append folded in below a run of appends
+// rewrites every version of the run in place: re-materialized over a slot
+// with room, over a full history that trims as it inserts, or — under a
+// trimmed base — recovered arithmetically. The Versions that Read,
+// SnapshotRead and Versions handed out before the fold must keep their bytes
+// and merge records: each new value is a fresh slice, never written into the
+// array of the value it replaces.
+func TestReturnedVersionsSurviveAFold(t *testing.T) {
 	for _, c := range []struct {
-		name string
-		cfg  Config
-		prep func(*Store)
+		name      string
+		cfg       Config
+		prep      func(*Store)
+		recovered uint64
 	}{
-		{"rematerialized", Config{MaxVersions: -1}, func(*Store) {}},
-		{"recovered", Config{MaxVersions: -1}, func(s *Store) {
-			s.ImportState([]message.KeyState{{Key: "k", Value: []byte("5"), WTS: ts(10)}})
-			s.CommitOp("k", message.OpIncrement, 1, nil, ts(12)) // turn the base into an op run
-		}},
+		{"rematerialized", Config{MaxVersions: -1}, func(s *Store) {
+			s.Load("k", []byte("x"), ts(10))
+		}, 0},
+		{"rematerialized-full", Config{MaxVersions: 5}, func(s *Store) {
+			s.Load("k", []byte("x"), ts(10)) // with the run, exactly 5 versions
+		}, 0},
+		{"recovered", Config{MaxVersions: 4}, func(s *Store) {
+			s.CommitOp("k", message.OpAppend, 0, []byte("x"), ts(10)) // trimmed by the run
+		}, 1},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			s := New(c.cfg)
@@ -106,38 +115,42 @@ func TestReplacementNodesShareNothing(t *testing.T) {
 			for i := int64(0); i < 4; i++ {
 				s.CommitOp("k", message.OpAppend, 0, []byte{'a' + byte(i)}, ts(20+10*i))
 			}
-			e := s.get("k")
-			old := map[*opRecord]bool{}
-			for n := e.oldest; n != nil; n = n.next {
-				if n.wts.Time >= 20 {
-					old[n.op] = true
+			latest, _ := s.Read("k")
+			mid, _, _ := s.SnapshotRead("k", ts(35))
+			held := append([]Version{latest, mid}, s.Versions("k")...)
+			want := make([]Version, len(held))
+			for i, v := range held {
+				want[i] = v
+				want[i].Value, want[i].OpArg = bytes.Clone(v.Value), bytes.Clone(v.OpArg)
+			}
+
+			s.CommitOp("k", message.OpAppend, 0, []byte("Z"), ts(15)) // below the whole run
+			if _, rec := s.OpStats(); rec != c.recovered {
+				t.Fatalf("recovered folds = %d, want %d", rec, c.recovered)
+			}
+			for i := range held {
+				if !sameVersion(held[i], want[i]) {
+					t.Errorf("held version %v changed under the fold: %q, was %q", want[i].WTS, held[i].Value, want[i].Value)
 				}
 			}
-			before := s.Versions("k")
-			s.CommitOp("k", message.OpAppend, 0, []byte("Z"), ts(15)) // below the whole run
-			replaced := 0
-			for n := e.oldest; n != nil; n = n.next {
-				if n.wts.Time < 20 {
+			// The store moved on: the same merge records, new values.
+			now := map[timestamp.Timestamp]Version{}
+			for _, v := range s.Versions("k") {
+				now[v.WTS] = v
+			}
+			for _, b := range want[2:] {
+				if b.WTS.Time < 20 {
 					continue
 				}
-				replaced++
-				if old[n.op] {
-					t.Errorf("version %v points into the node it replaced", n.wts)
+				a, ok := now[b.WTS]
+				if !ok {
+					t.Fatalf("version %v gone after the fold", b.WTS)
 				}
-			}
-			if replaced != 4 {
-				t.Fatalf("%d versions above the insert, want 4", replaced)
-			}
-			// Same merge records, new values.
-			after := s.Versions("k")
-			after = after[len(after)-4:]
-			for i, b := range before[len(before)-4:] {
-				a := after[i]
-				if a.Op != b.Op || string(a.OpArg) != string(b.OpArg) || a.WTS != b.WTS {
-					t.Errorf("version %d merge record changed: %+v -> %+v", i, b, a)
+				if a.Op != b.Op || !bytes.Equal(a.OpArg, b.OpArg) {
+					t.Errorf("version %v merge record changed: %+v -> %+v", b.WTS, b, a)
 				}
-				if string(a.Value) == string(b.Value) {
-					t.Errorf("version %d was not re-materialized: %q", i, a.Value)
+				if !bytes.Contains(a.Value, []byte("Z")) {
+					t.Errorf("version %v was not re-materialized: %q", b.WTS, a.Value)
 				}
 			}
 		})
